@@ -16,7 +16,6 @@ from .model import (
     InconsistentKBError,
     OMQ,
     QueryStructureError,
-    Rational,
     RespoError,
     Role,
     SupportHistogram,
@@ -38,7 +37,6 @@ __all__ = [
     "InconsistentKBError",
     "OMQ",
     "QueryStructureError",
-    "Rational",
     "RespoError",
     "Role",
     "SupportHistogram",

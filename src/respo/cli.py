@@ -1,7 +1,8 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 property failure, 2 parse error, 3 inconsistent
-KB, 4 unsupported TBox/method combination.
+Exit codes: 0 success, 1 property failure, 2 parse error or bad input
+(missing --abox, unknown fact label or answer variable, malformed weight
+table), 3 inconsistent KB, 4 unsupported TBox/method combination.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 from .model import (
     ABox,
     InconsistentKBError,
+    InputError,
     OMQ,
     RespoError,
     SupportHistogram,
@@ -45,19 +47,28 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_inputs(args) -> tuple[OMQ, ABox]:
+def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
+    if need_abox and not args.abox:
+        raise InputError(f"{args.command} needs --abox")
     tbox = parse_tbox(_read(args.tbox)) if args.tbox else None
     abox = parse_abox(_read(args.abox)) if args.abox else None
     query = parse_query(_read(args.query)) if args.query else None
     check_signature_consistency(tbox, abox, query)
     if query is not None and getattr(args, "answer", None):
+        variables = {v for d in query.disjuncts for v in d.variables()}
         bindings = {}
         for item in args.answer:
             if "=" not in item:
-                raise RespoError(f"--answer expects var=const, got {item!r}")
+                raise InputError(f"--answer expects var=const, got {item!r}")
             name, value = item.split("=", 1)
-            bindings[name.lstrip("?")] = value
+            name = name.lstrip("?")
+            if name not in variables:
+                raise InputError(f"--answer names ?{name}, which the query does not use")
+            bindings[name] = value
         query = instantiate_query(query, bindings)
+    if abox is not None and getattr(args, "fact", None):
+        if args.fact not in {f.label for f in abox}:
+            raise InputError(f"unknown fact label {args.fact!r}")
     from .model import TBox
 
     omq = OMQ(tbox if tbox is not None else TBox(), query) if query is not None else None
@@ -80,7 +91,7 @@ def _add_kb_args(p, query: bool = True):
 def cmd_score(args) -> int:
     from .shapley import resolve_weight, score_all
 
-    omq, abox = _load_inputs(args)
+    omq, abox = _load_inputs(args, need_abox=True)
     weight = resolve_weight(args.weight)
     report = score_all(abox, omq, weight, method=args.method)
     scores = report.scores
@@ -98,7 +109,7 @@ def cmd_shapley_drastic(args) -> int:
     from .support import make_subset_evaluator
     from .reasoner import is_consistent
 
-    omq, abox = _load_inputs(args)
+    omq, abox = _load_inputs(args, need_abox=True)
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot score an inconsistent KB")
     wealth = drastic_wealth(make_subset_evaluator(omq.tbox, omq.query))
@@ -123,14 +134,14 @@ def _histogram(args, omq: OMQ, abox: ABox) -> SupportHistogram:
 
 
 def cmd_count_ms(args) -> int:
-    omq, abox = _load_inputs(args)
+    omq, abox = _load_inputs(args, need_abox=True)
     hist = _histogram(args, omq, abox)
     print(hist.total())
     return EXIT_OK
 
 
 def cmd_count_fms(args) -> int:
-    omq, abox = _load_inputs(args)
+    omq, abox = _load_inputs(args, need_abox=True)
     hist = _histogram(args, omq, abox)
     if args.size is not None:
         print(hist[args.size])
@@ -162,7 +173,7 @@ def cmd_emit_sql(args) -> int:
     from .rewriter import rewrite
     from .sqlgen import build_manifest
 
-    omq, abox = _load_inputs(args)
+    omq, abox = _load_inputs(args, need_abox=True)
     query = rewrite(omq).result if omq.tbox.axioms else omq.query
     sizes = [args.size] if args.size is not None else None
     manifest = build_manifest(query, abox, sizes=sizes)
@@ -365,6 +376,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InconsistentKBError as exc:
         print(f"inconsistent KB: {exc}", file=sys.stderr)

@@ -23,6 +23,11 @@ class InconsistentKBError(RespoError):
     """The knowledge base has no model; scoring is undefined."""
 
 
+class InputError(RespoError):
+    """Bad user input outside the parsed text formats: a missing argument,
+    an unknown fact label or query variable, a malformed weight table."""
+
+
 class UnsupportedTBoxError(RespoError):
     """The TBox (or TBox/method combination) is outside the supported
     fragment for the requested operation."""
@@ -89,12 +94,6 @@ class Role:
 
     def __repr__(self) -> str:
         return self.name + ("-" if self.inverted else "")
-
-
-def normalize_role(role: Role) -> Role:
-    """Canonical form of a role; inversion is involutive so this is a no-op
-    beyond validation."""
-    return Role(role.name, bool(role.inverted))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +212,6 @@ class TBox:
         return names
 
 
-EMPTY_TBOX = TBox()
-
-
 # ---------------------------------------------------------------------------
 # Facts and ABoxes
 # ---------------------------------------------------------------------------
@@ -288,14 +284,6 @@ class ABox:
 
     def without(self, fact: Fact) -> "ABox":
         return ABox(tuple(f for f in self.facts if f is not fact and f.label != fact.label))
-
-    def restrict(self, facts: Iterable[Fact]) -> "ABox":
-        keep = {f.label for f in facts}
-        return ABox(tuple(f for f in self.facts if f.label in keep))
-
-
-def abox_of(facts: Iterable[Fact]) -> ABox:
-    return ABox(tuple(facts))
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +490,6 @@ def connected_components(cq: CQ) -> list[CQ]:
 # Rationals
 # ---------------------------------------------------------------------------
 
-Rational = Fraction
-
-
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
@@ -604,9 +589,6 @@ class WeightedDatabase:
             if w < 0:
                 raise ValueError("weights are natural numbers")
         object.__setattr__(self, "weights", dict(self.weights))
-
-    def facts(self) -> tuple[WeightedFact, ...]:
-        return tuple(self.weights)
 
     def slot_entries(self, slot: int) -> dict[tuple[str, ...], int]:
         return {

@@ -1,19 +1,28 @@
 """Query algebra shared by the rewriter and the counting pipelines:
-substitution, canonical variable naming, homomorphisms between queries,
-atom unification, and disequality augmentation.
+substitution, canonical variable naming, atom unification, disequality
+augmentation, and the package's one homomorphism search.
+
+The search maps a query into a `HomTarget` (fact databases, other
+queries, canonical-model slices) and answers whether a homomorphism
+exists, how many there are, or lists them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable, Collection, Iterable, Mapping
 
 from .model import (
     CONST,
     NEQ_ATOM,
+    VAR,
     Atom,
     CQ,
+    RespoError,
     Term,
     UCQ,
+    const,
     neq_atom,
     var,
 )
@@ -47,19 +56,6 @@ def substitute(cq: CQ, mapping: dict[str, Term]) -> CQ:
     return CQ(tuple(atoms))
 
 
-def rename_apart(cq: CQ, taken: set[str], prefix: str = "v") -> CQ:
-    """Rename the variables of cq so they avoid `taken`."""
-    mapping: dict[str, Term] = {}
-    counter = 0
-    for v in cq.variables():
-        if v in taken:
-            while f"{prefix}{counter}" in taken or f"{prefix}{counter}" in mapping:
-                counter += 1
-            mapping[v] = var(f"{prefix}{counter}")
-            counter += 1
-    return substitute(cq, mapping) if mapping else cq
-
-
 def fresh_var(taken: set[str], prefix: str = "w") -> str:
     i = 0
     while f"{prefix}{i}" in taken:
@@ -87,30 +83,37 @@ def _variable_signature(cq: CQ, name: str):
     return tuple(sig)
 
 
-def canonical_form(cq: CQ) -> tuple:
-    """A renaming-invariant key: the minimal atom tuple over all variable
-    orderings compatible with the variables' structural signatures.
-
-    Two CQs have equal canonical forms iff they are identical up to
-    variable renaming.  Intended for the small queries handled by the
-    reduct/rewriting machinery.
-    """
+def _canonical(cq: CQ) -> tuple[tuple, tuple[str, ...]]:
+    """The canonical key of cq and the variable ordering that attains it:
+    the minimal sorted atom tuple over all variable orderings compatible
+    with the variables' structural signatures."""
     names = cq.variables()
     if not names:
-        return tuple(_render_atom(a, {}) for a in cq.atoms)
+        return tuple(_render_atom(a, {}) for a in cq.atoms), ()
 
     groups: dict[tuple, list[str]] = {}
     for name in names:
         groups.setdefault(_variable_signature(cq, name), []).append(name)
     ordered_groups = [groups[sig] for sig in sorted(groups)]
 
-    best: tuple | None = None
+    best_key: tuple | None = None
+    best_order: tuple[str, ...] = ()
     for ordering in _group_orderings(ordered_groups):
         rename = {name: i for i, name in enumerate(ordering)}
         key = tuple(sorted(_render_atom(a, rename) for a in cq.atoms))
-        if best is None or key < best:
-            best = key
-    return best
+        if best_key is None or key < best_key:
+            best_key, best_order = key, ordering
+    return best_key, best_order
+
+
+def canonical_form(cq: CQ) -> tuple:
+    """A renaming-invariant key.
+
+    Two CQs have equal canonical forms iff they are identical up to
+    variable renaming.  Intended for the small queries handled by the
+    reduct/rewriting machinery.
+    """
+    return _canonical(cq)[0]
 
 
 def _group_orderings(groups: list[list[str]]):
@@ -141,35 +144,202 @@ def _render_atom(atom: Atom, rename: dict[str, int]):
 
 def canonicalize(cq: CQ) -> CQ:
     """Rewrite cq with canonical variable names v0, v1, ..."""
-    names = cq.variables()
-    if not names:
+    _, order = _canonical(cq)
+    if not order:
         return cq
-    groups: dict[tuple, list[str]] = {}
-    for name in names:
-        groups.setdefault(_variable_signature(cq, name), []).append(name)
-    ordered_groups = [groups[sig] for sig in sorted(groups)]
-
-    best_key: tuple | None = None
-    best_order: tuple[str, ...] | None = None
-    for ordering in _group_orderings(ordered_groups):
-        rename = {name: i for i, name in enumerate(ordering)}
-        key = tuple(sorted(_render_atom(a, rename) for a in cq.atoms))
-        if best_key is None or key < best_key:
-            best_key, best_order = key, ordering
-    mapping = {name: var(f"v{i}") for i, name in enumerate(best_order)}
-    return substitute(cq, mapping)
+    return substitute(cq, {name: var(f"v{i}") for i, name in enumerate(order)})
 
 
 # ---------------------------------------------------------------------------
-# Homomorphisms between queries
+# Homomorphism search
 # ---------------------------------------------------------------------------
 
-def _guaranteed_distinct(dst: CQ, t1: Term, t2: Term) -> bool:
-    if t1 == t2:
-        return False
-    if t1.is_const and t2.is_const:
-        return True  # unique name assumption
-    return neq_atom(t1, t2) in dst.atoms
+@dataclass(eq=False)
+class HomTarget:
+    """What a homomorphism search maps a query into.
+
+    `tuples` holds the candidate tuples of each (predicate, arity) in a
+    container supporting iteration and `in`.  `image` sends a query
+    constant's name to its element, or to None when the constant names no
+    element: an atom using it then has no match, and a disequality with it
+    holds.  `distinct(a, b)` decides whether elements a and b satisfy a
+    disequality.
+    """
+
+    tuples: Mapping[tuple[str, int], Collection[tuple]]
+    image: Callable[[str], object]
+    distinct: Callable[[object, object], bool]
+
+
+def query_target(dst: CQ) -> HomTarget:
+    """dst as a target: relational atoms map onto its atoms, constants to
+    themselves, and a source disequality must land on a pair dst
+    guarantees distinct (a disequality atom of dst, or two distinct
+    constants under unique names)."""
+    tuples: dict[tuple[str, int], list[tuple[Term, ...]]] = {}
+    for atom in dst.relational_atoms():
+        tuples.setdefault((atom.predicate, len(atom.terms)), []).append(atom.terms)
+    pairs = {atom.terms for atom in dst.neq_atoms()}
+    pairs |= {(t2, t1) for t1, t2 in pairs}
+
+    def distinct(t1: Term, t2: Term) -> bool:
+        return (t1, t2) in pairs or (t1 != t2 and t1.is_const and t2.is_const)
+
+    return HomTarget(tuples, const, distinct)
+
+
+def _eval_components(cq: CQ) -> list[list[Atom]]:
+    """Group atoms by variable connectivity, counting disequalities as
+    edges (unlike the query-level component split, which rejects
+    cross-component disequalities)."""
+    groups: list[tuple[set[str], list[Atom]]] = []
+    for atom in cq.atoms:
+        names, members = set(atom.variables()), [atom]
+        for group in [g for g in groups if not names.isdisjoint(g[0])]:
+            groups.remove(group)
+            names |= group[0]
+            members += group[1]
+        groups.append((names, members))
+    return [members for _, members in groups]
+
+
+def _search(
+    atoms: Iterable[Atom],
+    target: HomTarget,
+    binding: dict[str, object],
+    value_filter: Mapping[str, Callable[[object], bool]],
+    first_only: bool,
+    found: list[dict[str, object]] | None = None,
+) -> int:
+    """The homomorphism search: backtracking over the relational atoms in
+    search order, binding variables to the elements of candidate tuples.
+    Returns the number of homomorphisms that extend `binding` (stopping
+    at the first one when `first_only`) and appends each to `found` when
+    given.  A variable in `value_filter` only binds to elements its filter
+    accepts.  Each disequality is checked as soon as both sides are bound.
+    """
+    image, distinct, tuples = target.image, target.distinct, target.tuples
+
+    # Compile: resolve constants and fix the atom order, most constrained
+    # first (fewest variables, then sharing a variable with what is bound).
+    pending, neqs = [], []
+    for atom in atoms:
+        if atom.kind == NEQ_ATOM:
+            neqs.append(atom)
+            continue
+        key = (atom.predicate, len(atom.terms))
+        if key not in tuples:
+            return 0
+        pending.append((atom, key, {t.name for t in atom.terms if t.kind == VAR}))
+    pending.sort(key=lambda p: len(p[2]))
+    bound = set(binding)
+    bound_at = dict.fromkeys(binding, -1)
+    steps = []
+    while pending:
+        pick = next((i for i, p in enumerate(pending) if not p[2] or not p[2].isdisjoint(bound)), 0)
+        atom, key, names = pending.pop(pick)
+        slots = []
+        for t in atom.terms:
+            if t.kind == VAR:
+                slots.append((t.name, None))
+            else:
+                value = image(t.name)
+                if value is None:
+                    return 0
+                slots.append((None, value))
+        for name in names - bound:
+            bound_at[name] = len(steps)
+        steps.append((key, tuple(slots), names <= bound, []))
+        bound |= names
+
+    # Schedule each disequality at the step that binds its last variable.
+    for atom in neqs:
+        sides = []
+        for t in atom.terms:
+            if t.is_var and t.name not in bound_at:
+                raise RespoError(
+                    f"disequality variable ?{t.name} occurs in no relational atom"
+                )
+            sides.append((t.name, None) if t.is_var else (None, image(t.name)))
+        if any(name is None and value is None for name, value in sides):
+            continue  # a constant naming no element differs from every element
+        at = max(-1 if name is None else bound_at[name] for name, _ in sides)
+        if at >= 0:
+            steps[at][3].append(sides)
+        elif not distinct(*(value if name is None else binding[name] for name, value in sides)):
+            return 0
+
+    def satisfied(checks) -> bool:
+        for (n1, c1), (n2, c2) in checks:
+            if not distinct(c1 if n1 is None else binding[n1], c2 if n2 is None else binding[n2]):
+                return False
+        return True
+
+    def extend(i: int) -> int:
+        if i == len(steps):
+            if found is not None:
+                found.append(dict(binding))
+            return 1
+        key, slots, closed, checks = steps[i]
+        candidates = tuples.get(key, ())
+        if closed:
+            values = tuple(value if name is None else binding[name] for name, value in slots)
+            return extend(i + 1) if values in candidates else 0
+        total = 0
+        for values in candidates:
+            fresh = []
+            for (name, const_value), value in zip(slots, values):
+                if name is None:
+                    if value != const_value:
+                        break
+                elif name in binding:
+                    if binding[name] != value:
+                        break
+                elif name in value_filter and not value_filter[name](value):
+                    break
+                else:
+                    binding[name] = value
+                    fresh.append(name)
+            else:
+                if satisfied(checks):
+                    total += extend(i + 1)
+            for name in fresh:
+                del binding[name]
+            if total and first_only:
+                break
+        return total
+
+    return extend(0)
+
+
+def hom_exists(
+    cq: CQ,
+    target: HomTarget,
+    binding: Mapping[str, object] | None = None,
+    value_filter: Mapping[str, Callable[[object], bool]] | None = None,
+) -> bool:
+    """Is there a homomorphism of cq into the target that extends `binding`
+    and sends each variable of `value_filter` to an element its filter
+    accepts?"""
+    return _search(cq.atoms, target, dict(binding or {}), value_filter or {}, True) > 0
+
+
+def hom_count(cq: CQ, target: HomTarget) -> int:
+    """Number of homomorphisms of cq into the target: the product of the
+    counts of its variable-connected components."""
+    total = 1
+    for component in _eval_components(cq):
+        total *= _search(component, target, {}, {}, False)
+        if total == 0:
+            return 0
+    return total
+
+
+def hom_assignments(cq: CQ, target: HomTarget) -> list[dict[str, object]]:
+    """Every homomorphism of cq into the target, as a variable binding."""
+    found: list[dict[str, object]] = []
+    _search(cq.atoms, target, {}, {}, False, found)
+    return found
 
 
 def query_hom_exists(src: CQ, dst: CQ) -> bool:
@@ -179,64 +349,27 @@ def query_hom_exists(src: CQ, dst: CQ) -> bool:
     each disequality of src must land on a pair that dst guarantees
     distinct (a disequality atom of dst, or two distinct constants).
     """
-    rel = list(src.relational_atoms())
-    neqs = src.neq_atoms()
-    dst_rel = dst.relational_atoms()
-    by_pred: dict[tuple[str, str], list[Atom]] = {}
-    for atom in dst_rel:
-        by_pred.setdefault((atom.kind, atom.predicate), []).append(atom)
+    return hom_exists(src, query_target(dst))
 
-    rel.sort(key=lambda a: len(a.variables()))
 
-    def check_neqs(mapping: dict[str, Term]) -> bool:
-        for atom in neqs:
-            imgs = []
-            ok = True
-            for t in atom.terms:
-                img = mapping.get(t.name) if t.is_var else t
-                if img is None:
-                    ok = False
-                    break
-                imgs.append(img)
-            if ok and not _guaranteed_distinct(dst, imgs[0], imgs[1]):
-                return False
-        return True
-
-    def backtrack(i: int, mapping: dict[str, Term]) -> bool:
-        if i == len(rel):
-            return _final_neq_check(mapping)
-        atom = rel[i]
-        for cand in by_pred.get((atom.kind, atom.predicate), ()):
-            new = dict(mapping)
-            ok = True
-            for t, target in zip(atom.terms, cand.terms):
-                if t.is_const:
-                    if target != t:
-                        ok = False
-                        break
-                else:
-                    bound = new.get(t.name)
-                    if bound is None:
-                        new[t.name] = target
-                    elif bound != target:
-                        ok = False
-                        break
-            if ok and check_neqs(new) and backtrack(i + 1, new):
-                return True
-        return False
-
-    def _final_neq_check(mapping: dict[str, Term]) -> bool:
-        for atom in neqs:
-            imgs = [mapping[t.name] if t.is_var else t for t in atom.terms]
-            if None in imgs:
-                return False
-            if not _guaranteed_distinct(dst, imgs[0], imgs[1]):
-                return False
-        return True
-
-    # Disequality-only variables have no relational anchor in src; such
-    # queries are rejected upstream, so every variable gets bound here.
-    return backtrack(0, {})
+def hom_minimal(queries: Iterable[CQ]) -> list[CQ]:
+    """The queries sorted by canonical form, without each one that another
+    query maps into.  Of a hom-equivalent pair only the smaller canonical
+    form stays.  Dropping a query whose witness is dropped later is
+    harmless, because homomorphisms compose.
+    """
+    queries = sorted(queries, key=canonical_form)
+    kept: list[CQ] = []
+    for q in queries:
+        for other in queries:
+            if other is q or not query_hom_exists(other, q):
+                continue
+            if query_hom_exists(q, other) and canonical_form(q) < canonical_form(other):
+                continue  # hom-equivalent pair: keep the smaller form only
+            break
+        else:
+            kept.append(q)
+    return kept
 
 
 # ---------------------------------------------------------------------------

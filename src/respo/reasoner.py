@@ -2,12 +2,16 @@
 atoms and Boolean (U)CQs via bounded canonical-model slices, assignment-
 constrained query matching, and a Horn forward-chaining evaluator for the
 extended axiom shapes used by the fixtures and generators.
+
+Query matching into a slice runs on the homomorphism search in `queries`,
+with the slice as its target.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .model import (
     ANON,
@@ -29,6 +33,7 @@ from .model import (
     concept,
     exists,
 )
+from .queries import HomTarget, hom_exists
 
 # A canonical-model element is a word: (root constant, chain of roles).
 Word = tuple[str, tuple[Role, ...]]
@@ -445,11 +450,14 @@ class CanonicalSlice:
     def has_concept(self, name: str, element: Word) -> bool:
         return element in self.concept_ext.get(name, frozenset())
 
-    def role_pairs(self, name: str) -> frozenset[tuple[Word, Word]]:
-        return self.role_ext.get(name, frozenset())
-
-    def named(self) -> list[Word]:
-        return [w for w in self.elements if not w[1]]
+    @cached_property
+    def target(self) -> HomTarget:
+        """The slice as a homomorphism target: constants denote their named
+        elements, and disequalities require distinct elements."""
+        tuples: dict = {(n, 1): {(w,) for w in ext} for n, ext in self.concept_ext.items()}
+        tuples.update(((n, 2), pairs) for n, pairs in self.role_ext.items())
+        named = {w[0]: w for w in self.elements if not _is_anonymous(w)}
+        return HomTarget(tuples, named.get, operator.ne)
 
 
 def _is_anonymous(word: Word) -> bool:
@@ -542,88 +550,6 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> CanonicalSlice:
 # CQ entailment over slices
 # ---------------------------------------------------------------------------
 
-def _slice_hom_exists(
-    slice_: CanonicalSlice,
-    cq: CQ,
-    pinned: dict[str, Word] | None = None,
-    anon_vars: frozenset[str] = frozenset(),
-) -> bool:
-    """Homomorphism from cq into the slice.  Constants map to themselves,
-    `pinned` variables to the given elements, `anon_vars` to anonymous
-    elements only; disequalities require distinct images."""
-    rel = sorted(cq.relational_atoms(), key=lambda a: -len(a.variables()))
-    neqs = cq.neq_atoms()
-    element_of_const: dict[str, Word] = {w[0]: w for w in slice_.named()}
-
-    def term_image(t, binding) -> Word | None:
-        if t.is_const:
-            return element_of_const.get(t.name)
-        return binding.get(t.name)
-
-    def neq_ok(binding) -> bool:
-        for atom in neqs:
-            imgs = [term_image(t, binding) for t in atom.terms]
-            if imgs[0] is not None and imgs[1] is not None and imgs[0] == imgs[1]:
-                return False
-        return True
-
-    def candidates(atom: Atom, binding):
-        if atom.kind == CONCEPT_ATOM:
-            t = atom.terms[0]
-            img = term_image(t, binding)
-            pool = slice_.concept_ext.get(atom.predicate, frozenset())
-            if img is not None:
-                return [(img,)] if img in pool else []
-            return [(w,) for w in pool]
-        pairs = slice_.role_pairs(atom.predicate)
-        t1, t2 = atom.terms
-        i1, i2 = term_image(t1, binding), term_image(t2, binding)
-        out = []
-        for (x, y) in pairs:
-            if i1 is not None and x != i1:
-                continue
-            if i2 is not None and y != i2:
-                continue
-            out.append((x, y))
-        return out
-
-    def ok_for_var(t, w: Word) -> bool:
-        if not t.is_var:
-            return True
-        if t.name in anon_vars and not _is_anonymous(w):
-            return False
-        return True
-
-    def backtrack(i: int, binding: dict[str, Word]) -> bool:
-        if i == len(rel):
-            return neq_ok(binding)
-        atom = rel[i]
-        for images in candidates(atom, binding):
-            new = dict(binding)
-            ok = True
-            for t, w in zip(atom.terms, images):
-                if not ok_for_var(t, w):
-                    ok = False
-                    break
-                if t.is_var:
-                    bound = new.get(t.name)
-                    if bound is None:
-                        new[t.name] = w
-                    elif bound != w:
-                        ok = False
-                        break
-            if ok and neq_ok(new) and backtrack(i + 1, new):
-                return True
-        return False
-
-    # Constants in the query must denote ABox individuals.
-    for atom in rel:
-        for t in atom.terms:
-            if t.is_const and t.name not in element_of_const:
-                return False
-    return backtrack(0, dict(pinned or {}))
-
-
 def query_depth(cq: CQ) -> int:
     return len(cq.variables()) + 1
 
@@ -635,7 +561,7 @@ def entails_cq(abox: ABox, tbox: TBox, cq: CQ, depth: int | None = None) -> bool
     if not is_consistent(abox, tbox):
         raise InconsistentKBError("CQ entailment over an inconsistent KB")
     slice_ = canonical_slice(abox, tbox, query_depth(cq) if depth is None else depth)
-    return _slice_hom_exists(slice_, cq)
+    return hom_exists(cq, slice_.target)
 
 
 def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> bool:
@@ -650,18 +576,17 @@ def holds_under_assignment(
     if not is_consistent(abox, tbox):
         raise InconsistentKBError("assignment check over an inconsistent KB")
     slice_ = canonical_slice(abox, tbox, query_depth(cq) if depth is None else depth)
-    named = {w[0]: w for w in slice_.named()}
     pinned: dict[str, Word] = {}
-    anon_vars: set[str] = set()
+    anonymous = {}
     for v in cq.variables():
         if v not in mu:
             raise ValueError(f"assignment is not total: missing ?{v}")
         value = mu[v]
         if value is ANON or value == ANON:
-            anon_vars.add(v)
+            anonymous[v] = _is_anonymous
         else:
-            name = value if isinstance(value, str) else value.name
-            if name not in named:
+            element = slice_.target.image(value if isinstance(value, str) else value.name)
+            if element is None:
                 return False
-            pinned[v] = named[name]
-    return _slice_hom_exists(slice_, cq, pinned, frozenset(anon_vars))
+            pinned[v] = element
+    return hom_exists(cq, slice_.target, pinned, anonymous)

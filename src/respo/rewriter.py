@@ -38,7 +38,7 @@ from .queries import (
     canonical_form,
     canonicalize,
     fresh_var,
-    query_hom_exists,
+    hom_minimal,
     substitute,
     unify_atoms,
 )
@@ -204,29 +204,6 @@ def rewrite(omq: OMQ, max_rounds: int | None = None) -> Rewriting:
                     steps.append((repr(q), rule))
         frontier = new_frontier
 
-    disjuncts = _minimize(list(seen.values()))
+    # A disjunct that another disjunct maps into is subsumed by it.
+    disjuncts = hom_minimal(seen.values())
     return Rewriting(source=omq, result=UCQ(tuple(disjuncts)), steps=tuple(steps))
-
-
-def _minimize(disjuncts: list[CQ]) -> list[CQ]:
-    """Drop disjuncts subsumed via homomorphism by another disjunct.
-
-    A disjunct q is redundant when some other kept disjunct q' maps into
-    it (every database satisfying q then satisfies q').  Hom-equivalent
-    duplicates cannot occur here because disjuncts are canonicalized.
-    """
-    disjuncts = sorted(disjuncts, key=canonical_form)
-    kept: list[CQ] = []
-    for i, q in enumerate(disjuncts):
-        subsumed = False
-        for j, other in enumerate(disjuncts):
-            if i == j:
-                continue
-            if query_hom_exists(other, q):
-                if query_hom_exists(q, other) and canonical_form(q) < canonical_form(other):
-                    continue  # symmetric pair: keep the lexicographically smaller
-                subsumed = True
-                break
-        if not subsumed:
-            kept.append(q)
-    return kept

@@ -10,7 +10,6 @@ property checks used by the verification suites.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -20,6 +19,7 @@ from .model import (
     ABox,
     Fact,
     InconsistentKBError,
+    InputError,
     OMQ,
     RespoError,
     SupportHistogram,
@@ -48,7 +48,8 @@ _BUILTIN_WEIGHTS = {w.name: w for w in (WEIGHT_MS, WEIGHT_UNIFORM, WEIGHT_INVSQ)
 
 
 def weight_from_table(text: str, name: str = "table") -> WeightFunction:
-    """Parse a user weight table of "n k p/q" lines into a weight function."""
+    """Parse a user weight table into a weight function.  Each line reads
+    "support-size database-size p/q" and sets w(|S|, |D|) = p/q."""
     from .model import parse_rational
 
     table: dict[tuple[int, int], Fraction] = {}
@@ -56,16 +57,23 @@ def weight_from_table(text: str, name: str = "table") -> WeightFunction:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise RespoError(f"weight table line {lineno}: expected 'n k p/q'")
-        table[(int(parts[0]), int(parts[1]))] = parse_rational(parts[2])
-
-    def evaluate(n: int, k: int) -> Fraction:
         try:
-            return table[(n, k)]
+            support_size, db_size, value = line.split()
+            table[(int(support_size), int(db_size))] = parse_rational(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(
+                f"weight table line {lineno}: expected 'support-size database-size p/q',"
+                f" got {line!r}"
+            ) from None
+
+    def evaluate(support_size: int, db_size: int) -> Fraction:
+        try:
+            return table[(support_size, db_size)]
         except KeyError:
-            raise RespoError(f"weight table has no entry for n={n}, k={k}")
+            raise RespoError(
+                f"weight table has no entry for support size {support_size},"
+                f" database size {db_size}"
+            )
 
     return WeightFunction(name, evaluate)
 
@@ -77,7 +85,7 @@ def resolve_weight(spec: str) -> WeightFunction:
         path = spec[len("file:"):]
         with open(path, encoding="utf-8") as fh:
             return weight_from_table(fh.read(), name=os.path.basename(path))
-    raise RespoError(f"unknown weight function {spec!r}")
+    raise InputError(f"unknown weight function {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +202,6 @@ class ScoreReport:
     histogram: SupportHistogram  # countFMS over the full database
 
 
-def _thread_degree() -> int:
-    try:
-        return max(1, int(os.environ.get("RESPO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_facts(fn, facts: Sequence[Fact]):
-    degree = _thread_degree()
-    if degree <= 1 or len(facts) <= 1:
-        return [fn(f) for f in facts]
-    with ThreadPoolExecutor(max_workers=degree) as pool:
-        return list(pool.map(fn, facts))
-
-
 def _histogram_provider(
     omq: OMQ, method: str, pool: ABox | None = None
 ) -> Callable[[frozenset[Fact]], SupportHistogram]:
@@ -292,8 +285,7 @@ def score_all(
         counts = per_fact_counts(abox, provider, fact)
         return wsms_via_histogram(counts, db_size, weight)
 
-    values = _map_facts(score_one, tuple(abox))
-    scores = {f.label: v for f, v in zip(abox, values)}
+    scores = {f.label: score_one(f) for f in abox}
     return ScoreReport(scores=scores, method=chosen, histogram=provider(frozenset(abox)))
 
 

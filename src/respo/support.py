@@ -10,10 +10,14 @@ Three routes live here:
   * the reduct/automorphism partition: per size k, the minimal supports of
     a UCQ split across rigidified reducts, and each reduct's supports are
     counted as homomorphisms divided by its automorphism count.
+
+Every homomorphism count, test and enumeration, into a `FactDB` or into
+another query, runs on the one search in `queries`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,10 +37,16 @@ from .model import (
     as_ucq,
 )
 from .queries import (
+    HomTarget,
     UnsatisfiableQuery,
     canonical_form,
     canonicalize,
+    hom_assignments,
+    hom_count,
+    hom_exists,
+    hom_minimal,
     query_hom_exists,
+    query_target,
     substitute,
     with_all_pairs_neq,
 )
@@ -49,141 +59,28 @@ Evaluator = Callable[[frozenset[Fact]], bool]
 # Fact databases and homomorphism counting
 # ---------------------------------------------------------------------------
 
-class FactDB:
-    """Read-only index of a fact set for homomorphism search."""
+class FactDB(HomTarget):
+    """A fact set as a homomorphism target: the argument tuples of each
+    (predicate, arity), each mapped to its fact.  Constants denote
+    themselves, and a disequality holds between distinct constants."""
 
     def __init__(self, facts: Iterable[Fact]):
         self.facts = tuple(facts)
-        self.by_pred: dict[tuple[str, int], list[tuple[str, ...]]] = {}
-        self.fact_of: dict[tuple[str, tuple[str, ...]], Fact] = {}
-        consts: set[str] = set()
+        tuples: dict[tuple[str, int], dict[tuple[str, ...], Fact]] = {}
         for f in self.facts:
-            self.by_pred.setdefault((f.predicate, len(f.args)), []).append(f.args)
-            self.fact_of[(f.predicate, f.args)] = f
-            consts.update(f.args)
-        self.constants = tuple(sorted(consts))
-
-    def has(self, predicate: str, args: tuple[str, ...]) -> bool:
-        return (predicate, args) in self.fact_of
-
-
-def _search_order(rel: list[Atom]) -> list[Atom]:
-    """Most-constrained-first atom ordering: ground/constant-heavy atoms
-    first, then repeatedly an atom sharing variables with what is bound."""
-    rel = sorted(rel, key=lambda a: (len(a.variables()), repr(a)))
-    ordered: list[Atom] = []
-    bound: set[str] = set()
-    remaining = rel[:]
-    while remaining:
-        pick = None
-        for a in remaining:
-            if bound & set(a.variables()) or not a.variables():
-                pick = a
-                break
-        if pick is None:
-            pick = remaining[0]
-        remaining.remove(pick)
-        ordered.append(pick)
-        bound |= set(pick.variables())
-    return ordered
-
-
-def _eval_components(cq: CQ) -> list[list[Atom]]:
-    """Group atoms by variable connectivity, counting disequalities as
-    edges (unlike the query-level component split, which rejects
-    cross-component disequalities)."""
-    atoms = list(cq.atoms)
-    parent = list(range(len(atoms)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    home: dict[str, int] = {}
-    for i, atom in enumerate(atoms):
-        for v in atom.variables():
-            if v in home:
-                ri, rj = find(i), find(home[v])
-                if ri != rj:
-                    parent[rj] = ri
-            else:
-                home[v] = i
-    groups: dict[int, list[Atom]] = {}
-    for i, atom in enumerate(atoms):
-        groups.setdefault(find(i), []).append(atom)
-    return list(groups.values())
-
-
-def _count_component(atoms: list[Atom], db: FactDB) -> int:
-    rel = [a for a in atoms if a.is_relational]
-    neqs = [a for a in atoms if not a.is_relational]
-
-    for atom in neqs:
-        for t in atom.terms:
-            if t.is_var and not any(
-                t.name in a.variables() for a in rel
-            ):
-                raise RespoError(
-                    f"disequality variable ?{t.name} occurs in no relational atom"
-                )
-
-    # Ground components reduce to membership checks.
-    def term_value(t, binding):
-        return t.name if t.is_const else binding.get(t.name)
-
-    def neq_ok(binding) -> bool:
-        for atom in neqs:
-            v1 = term_value(atom.terms[0], binding)
-            v2 = term_value(atom.terms[1], binding)
-            if v1 is not None and v2 is not None and v1 == v2:
-                return False
-        return True
-
-    ordered = _search_order(rel)
-
-    def backtrack(i: int, binding: dict[str, str]) -> int:
-        if i == len(ordered):
-            return 1 if neq_ok(binding) else 0
-        atom = ordered[i]
-        total = 0
-        for args in db.by_pred.get((atom.predicate, len(atom.terms)), ()):
-            new = dict(binding)
-            ok = True
-            for t, value in zip(atom.terms, args):
-                if t.is_const:
-                    if t.name != value:
-                        ok = False
-                        break
-                else:
-                    seen = new.get(t.name)
-                    if seen is None:
-                        new[t.name] = value
-                    elif seen != value:
-                        ok = False
-                        break
-            if ok and neq_ok(new):
-                total += backtrack(i + 1, new)
-        return total
-
-    return backtrack(0, {})
+            tuples.setdefault((f.predicate, len(f.args)), {})[f.args] = f
+        super().__init__(tuples, lambda name: name, operator.ne)
 
 
 def count_homomorphisms(cq: CQ, facts: Iterable[Fact] | FactDB) -> int:
     """Number of assignments of cq's variables into the database constants
     satisfying every atom (constants fixed, disequalities as distinctness)."""
     db = facts if isinstance(facts, FactDB) else FactDB(facts)
-    total = 1
-    for component in _eval_components(cq):
-        total *= _count_component(component, db)
-        if total == 0:
-            return 0
-    return total
+    return hom_count(cq, db)
 
 
 def cq_holds(cq: CQ, db: FactDB) -> bool:
-    return count_homomorphisms(cq, db) > 0
+    return hom_exists(cq, db)
 
 
 def ucq_holds(ucq: UCQ, facts: Iterable[Fact] | FactDB) -> bool:
@@ -312,59 +209,18 @@ def minimal_supports_via_hom_images(
     db = FactDB(facts)
     images: set[frozenset[Fact]] = set()
     for disjunct in ucq.disjuncts:
-        for image in _hom_images(disjunct, db):
-            images.add(image)
+        rel = disjunct.relational_atoms()
+        for binding in hom_assignments(disjunct, db):
+            images.add(frozenset(
+                db.tuples[(atom.predicate, len(atom.terms))][
+                    tuple(binding[t.name] if t.is_var else t.name for t in atom.terms)
+                ]
+                for atom in rel
+            ))
     minimal = [
         s for s in images if not any(other < s for other in images)
     ]
     return [MinimalSupport(s) for s in sorted(minimal, key=lambda s: sorted(f.label for f in s))]
-
-
-def _hom_images(cq: CQ, db: FactDB):
-    rel = _search_order(list(cq.relational_atoms()))
-    neqs = cq.neq_atoms()
-
-    def assignments(i: int, binding: dict[str, str]):
-        if i == len(rel):
-            yield dict(binding)
-            return
-        atom = rel[i]
-        for args in db.by_pred.get((atom.predicate, len(atom.terms)), ()):
-            new = dict(binding)
-            ok = True
-            for t, value in zip(atom.terms, args):
-                if t.is_const:
-                    if t.name != value:
-                        ok = False
-                        break
-                else:
-                    seen = new.get(t.name)
-                    if seen is None:
-                        new[t.name] = value
-                    elif seen != value:
-                        ok = False
-                        break
-            if ok:
-                yield from assignments(i + 1, new)
-
-    for binding in assignments(0, {}):
-        ok = True
-        for atom in neqs:
-            vals = [
-                t.name if t.is_const else binding[t.name] for t in atom.terms
-            ]
-            if vals[0] == vals[1]:
-                ok = False
-                break
-        if not ok:
-            continue
-        image = set()
-        for atom in rel:
-            args = tuple(
-                t.name if t.is_const else binding[t.name] for t in atom.terms
-            )
-            image.add(db.fact_of[(atom.predicate, args)])
-        yield frozenset(image)
 
 
 # ---------------------------------------------------------------------------
@@ -460,68 +316,9 @@ class CountingQuery:
     gamma: Fraction
 
 
-def count_query_homs(src: CQ, dst: CQ) -> int:
-    """Number of homomorphisms src -> dst (constants fixed; each source
-    disequality must land on a pair dst guarantees distinct)."""
-    from .model import Term
-
-    rel = sorted(src.relational_atoms(), key=lambda a: -len(a.variables()))
-    neqs = src.neq_atoms()
-    dst_atoms = dst.relational_atoms()
-    by_pred: dict[tuple[str, str], list[Atom]] = {}
-    for atom in dst_atoms:
-        by_pred.setdefault((atom.kind, atom.predicate), []).append(atom)
-
-    def guaranteed_distinct(t1: Term, t2: Term) -> bool:
-        if t1 == t2:
-            return False
-        if t1.is_const and t2.is_const:
-            return True
-        from .model import neq_atom as mk
-
-        return mk(t1, t2) in dst.atoms
-
-    def neq_ok(binding) -> bool:
-        for atom in neqs:
-            imgs = []
-            for t in atom.terms:
-                img = binding.get(t.name) if t.is_var else t
-                imgs.append(img)
-            if imgs[0] is not None and imgs[1] is not None:
-                if not guaranteed_distinct(imgs[0], imgs[1]):
-                    return False
-        return True
-
-    def backtrack(i: int, binding: dict[str, Term]) -> int:
-        if i == len(rel):
-            return 1 if neq_ok(binding) else 0
-        atom = rel[i]
-        total = 0
-        for cand in by_pred.get((atom.kind, atom.predicate), ()):
-            new = dict(binding)
-            ok = True
-            for t, target in zip(atom.terms, cand.terms):
-                if t.is_const:
-                    if target != t:
-                        ok = False
-                        break
-                else:
-                    bound = new.get(t.name)
-                    if bound is None:
-                        new[t.name] = target
-                    elif bound != target:
-                        ok = False
-                        break
-            if ok and neq_ok(new):
-                total += backtrack(i + 1, new)
-        return total
-
-    return backtrack(0, {})
-
-
 def count_automorphisms(cq: CQ) -> int:
     """Number of disequality-respecting homomorphisms of cq onto itself."""
-    n = count_query_homs(cq, cq)
+    n = hom_count(cq, query_target(cq))
     if n < 1:
         raise RespoError("a satisfiable query has at least the identity automorphism")
     return n
@@ -532,8 +329,7 @@ def build_counting_queries(ucq: CQ | UCQ, k: int) -> tuple[CountingQuery, ...]:
 
     Disequalities are present before the pruning pass and every
     homomorphism test respects them; pruning keeps the hom-minimal
-    queries (deleting a query whose witness is later deleted is harmless
-    because homomorphisms compose).
+    queries.
     """
     ucq = as_ucq(ucq)
     pins = ucq_constants(ucq)
@@ -541,21 +337,9 @@ def build_counting_queries(ucq: CQ | UCQ, k: int) -> tuple[CountingQuery, ...]:
     for q in reducts(ucq, k):
         aug = canonicalize(with_all_pairs_neq(q, pins))
         rigid.setdefault(canonical_form(aug), aug)
-    candidates = sorted(rigid.values(), key=canonical_form)
-    kept: list[CQ] = []
-    for q in candidates:
-        redundant = False
-        for other in candidates:
-            if other is q or not query_hom_exists(other, q):
-                continue
-            if query_hom_exists(q, other) and canonical_form(q) < canonical_form(other):
-                continue  # hom-equivalent pair: keep the smaller form only
-            redundant = True
-            break
-        if not redundant:
-            kept.append(q)
     return tuple(
-        CountingQuery(cq=q, gamma=Fraction(1, count_automorphisms(q))) for q in kept
+        CountingQuery(cq=q, gamma=Fraction(1, count_automorphisms(q)))
+        for q in hom_minimal(rigid.values())
     )
 
 
@@ -585,17 +369,3 @@ def partition_histogram(ucq: CQ | UCQ, facts: Iterable[Fact] | FactDB) -> Suppor
         {k: count_fms_partition(ucq, k, db) for k in range(1, max_k + 1)}
     )
 
-
-def count_fms_containing(
-    fact: Fact,
-    k: int,
-    histogram_provider: Callable[[frozenset[Fact]], SupportHistogram],
-    facts: Iterable[Fact],
-) -> int:
-    """Number of size-k minimal supports containing the fact: the k-counts
-    over D minus those over D without the fact (a minimal support omitting
-    the fact is exactly a minimal support of the smaller database)."""
-    pool = frozenset(facts)
-    with_fact = histogram_provider(pool)
-    without = histogram_provider(pool - {fact})
-    return with_fact[k] - without[k]

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from respo.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -220,14 +222,6 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
-def test_score_deterministic_across_threads(capsys, monkeypatch):
-    code, first, _ = run(capsys, "score", *fixture_args("fig1"))
-    monkeypatch.setenv("RESPO_THREADS", "3")
-    code2, second, _ = run(capsys, "score", *fixture_args("fig1"))
-    assert code == code2 == 0
-    assert first == second
-
-
 def test_score_if_equals_brute_byte_identical(capsys, tmp_path):
     # small interaction-free fixture: brute and if must agree byte for byte
     (tmp_path / "t.tbox").write_text("role: hasGrnsh <= hasIng\n", encoding="utf-8")
@@ -261,3 +255,47 @@ def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "3", "--instances", "8")
     assert code == 0
     assert "partition-vs-brute: 8/8 ok" in out
+
+
+def _weight_file(tmp_path, text):
+    path = tmp_path / "w.txt"
+    path.write_text(text, encoding="utf-8")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--tbox", str(FIXTURES / "fig1.tbox"), "--query", str(FIXTURES / "fig1.query")],
+        ["count-ms", "--query", str(FIXTURES / "fig1.query")],
+        ["count-fms", "--query", str(FIXTURES / "fig1.query")],
+        ["shapley-drastic", "--query", str(FIXTURES / "fig1.query")],
+        ["score", *fixture_args("fig1"), "--fact", "nope"],
+        ["shapley-drastic", *fixture_args("fig1"), "--fact", "nope"],
+        ["score", *fixture_args("fig1"), "--answer", "zz=foo"],
+        ["score", *fixture_args("fig1"), "--weight", "nope"],
+        ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 8 1/0\n"],
+        ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 x 1/2\n"],
+    ],
+    ids=[
+        "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
+        "score-unknown-fact", "shapley-unknown-fact", "unknown-answer-variable",
+        "unknown-weight", "weight-zero-denominator", "weight-non-integer-size",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
+    import respo.shapley
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before scoring")
+
+    monkeypatch.setattr(respo.shapley, "score_all", no_scoring)
+    monkeypatch.setattr(respo.shapley, "shapley_brute_force", no_scoring)
+    argv = [
+        _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:") else a
+        for a in argv
+    ]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1, err

@@ -222,10 +222,3 @@ def test_check_score_properties_flags_violation(fig1):
     verdicts = {v.name: v.passed for v in check_score_properties(broken, sups)}
     assert verdicts["Null-db"] is False
 
-
-def test_parallel_scoring_deterministic(fig1, monkeypatch):
-    omq, abox = fig1
-    serial = score_all(abox, omq, WEIGHT_MS, method="brute")
-    monkeypatch.setenv("RESPO_THREADS", "4")
-    parallel = score_all(abox, omq, WEIGHT_MS, method="brute")
-    assert serial.scores == parallel.scores

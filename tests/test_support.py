@@ -17,7 +17,6 @@ from respo.support import (
     build_counting_queries,
     count_automorphisms,
     count_fms_brute,
-    count_fms_containing,
     count_fms_partition,
     count_homomorphisms,
     enumerate_minimal_supports,
@@ -225,16 +224,3 @@ def test_counting_queries_quadratic_size():
             for counting in build_counting_queries(ucq, k):
                 assert len(counting.cq.atoms) <= (2 * size + 2) ** 2
 
-
-def test_count_fms_containing_fig1(fig1):
-    omq, abox = fig1
-    ev = make_subset_evaluator(omq.tbox, omq.query)
-
-    def provider(fact_set):
-        return count_fms_brute(sorted(fact_set, key=lambda f: f.label), ev)
-
-    pool = tuple(abox)
-    assert count_fms_containing(abox.by_label("f3"), 3, provider, pool) == 2
-    assert count_fms_containing(abox.by_label("f0"), 2, provider, pool) == 0
-    assert count_fms_containing(abox.by_label("f0"), 3, provider, pool) == 0
-    assert count_fms_containing(abox.by_label("f1"), 2, provider, pool) == 1
