@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 (missing --abox, unknown fact label or answer variable, malformed weight
-table), 3 inconsistent KB, 4 unsupported TBox/method combination.
+table, weight table without an entry the scores need), 3 inconsistent KB,
+4 unsupported TBox/method combination.
 """
 
 from __future__ import annotations
@@ -234,6 +235,7 @@ def cmd_verify(args) -> int:
     from .rewriter import rewrite
     from .support import (
         count_fms_brute,
+        counting_queries,
         make_subset_evaluator,
         partition_histogram,
         ucq_holds,
@@ -246,7 +248,7 @@ def cmd_verify(args) -> int:
         ucq = random_ucq(rng)
         db = random_database(rng, bias=ucq)
         brute = count_fms_brute(tuple(db), lambda s: ucq_holds(ucq, s))
-        part = partition_histogram(ucq, tuple(db))
+        part = partition_histogram(counting_queries(ucq), tuple(db))
         if brute != part:
             failures.append(f"partition mismatch on instance {i}: {brute} vs {part}")
     print(f"partition-vs-brute: {n - len(failures)}/{n} ok")

@@ -3,18 +3,20 @@
 An OMQ is interaction-free when no single generic assertion can satisfy
 two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
-counting minimal supports factorizes: instantiate each atom over the ABox
-individuals (plus a per-atom anonymous witness where the ontology can
-supply one), weight each instantiation by its number of singleton
-supports, and sum weight products over homomorphisms by dynamic
-programming along a tree decomposition.  Connected components multiply.
+counting minimal supports factorizes.  The weighted database is built in
+one pass over the facts: each fact gets one canonical slice of its own,
+and adds 1 to every (atom, assignment into its constants or an anonymous
+witness) pair it satisfies; the interaction-freeness check runs the same
+per-fact enumeration over generic facts.  Weight products are then summed
+over homomorphisms by dynamic programming along a tree decomposition, and
+connected components multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .model import (
     ANON,
@@ -32,9 +34,8 @@ from .model import (
     WeightedDatabase,
     WeightedFact,
     connected_components,
-    const,
 )
-from .reasoner import holds_under_assignment, is_consistent
+from .reasoner import canonical_slice, is_consistent, query_depth
 
 
 class NotInteractionFreeError(RespoError):
@@ -107,22 +108,24 @@ def _fact_shapes(omq: OMQ, cq: CQ) -> list[Fact]:
     return shapes
 
 
-def _satisfying_pairs(tbox: TBox, fact: Fact, cq: CQ):
-    """All (atom, assignment into const(f) + anon) pairs the single fact
-    satisfies."""
-    abox = ABox((fact,))
+def _satisfying_pairs(tbox: TBox, fact: Fact, atoms: tuple[Atom, ...]):
+    """Every (slot, assignment into const(f) + anon) pair of the atoms that
+    the single consistent fact satisfies, in slot order, all checked on one
+    canonical slice of {f} deep enough for every atom."""
+    depth = max(query_depth(CQ((atom,))) for atom in atoms)
+    slice_ = canonical_slice(ABox((fact,)), tbox, depth)
     values: list = sorted(set(fact.args)) + [ANON]
-    pairs = []
-    for atom in cq.relational_atoms():
+    for slot, atom in enumerate(atoms):
+        single = CQ((atom,))
         vs = sorted(set(atom.variables()))
         for combo in product(values, repeat=len(vs)):
             mu = dict(zip(vs, combo))
-            if holds_under_assignment(abox, tbox, CQ((atom,)), mu):
-                key = tuple(
-                    (v, "<anon>" if mu[v] is ANON else mu[v]) for v in vs
-                )
-                pairs.append((atom, key))
-    return pairs
+            if slice_.holds(single, mu):
+                yield slot, mu
+
+
+def _assignment_key(mu: dict) -> tuple[tuple[str, str], ...]:
+    return tuple((v, "<anon>" if value is ANON else value) for v, value in mu.items())
 
 
 @lru_cache(maxsize=None)
@@ -132,83 +135,22 @@ def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
     if omq.tbox.horn_extended:
         raise UnsupportedTBoxError("interaction-freeness requires a DL-Lite_R TBox")
     cq = _query_cq(omq)
+    atoms = cq.relational_atoms()
     for shape in _fact_shapes(omq, cq):
         if not is_consistent(ABox((shape,)), omq.tbox):
             continue  # such a fact can occur in no consistent ABox
-        pairs = _satisfying_pairs(omq.tbox, shape, cq)
-        if len(pairs) >= 2:
-            (a1, mu1), (a2, mu2) = pairs[0], pairs[1]
-            return InteractionWitness(shape, a1, mu1, a2, mu2)
+        pairs = list(islice(_satisfying_pairs(omq.tbox, shape, atoms), 2))
+        if len(pairs) == 2:
+            (s1, mu1), (s2, mu2) = pairs
+            return InteractionWitness(
+                shape, atoms[s1], _assignment_key(mu1), atoms[s2], _assignment_key(mu2)
+            )
     return None
-
-
-# ---------------------------------------------------------------------------
-# Atom support weights
-# ---------------------------------------------------------------------------
-
-def atom_support_weight(
-    abox: ABox,
-    tbox: TBox,
-    atom: Atom,
-    mu: dict,
-    allow_double_anon: bool = False,
-) -> int:
-    """Number of single facts f with ({f}, T) |=_mu atom.
-
-    For fully-constant instantiations this counts the singleton supports
-    of the instantiated atomic query; for R(c, anon) it counts facts that
-    entail exists R(c) without any named R-successor (a named witness
-    suppresses the anonymous one in the canonical model, so the two
-    readings coincide).
-    """
-    vs = set(atom.variables())
-    missing = vs - set(mu)
-    if missing:
-        raise ValueError(f"assignment misses variables {sorted(missing)}")
-    anon_count = sum(1 for v in vs if mu[v] is ANON or mu[v] == ANON)
-    if not allow_double_anon and len(atom.terms) == 2 and anon_count == len(vs) == 2:
-        raise RespoError("both positions anonymous is excluded for shared-variable atoms")
-    mu_key = tuple(sorted((v, mu[v]) for v in vs))
-    total = 0
-    for f in abox:
-        if _fact_supports(f, tbox, atom, mu_key):
-            total += 1
-    return total
-
-
-@lru_cache(maxsize=None)
-def _fact_supports(fact: Fact, tbox: TBox, atom: Atom, mu_key) -> bool:
-    return holds_under_assignment(ABox((fact,)), tbox, CQ((atom,)), dict(mu_key))
 
 
 # ---------------------------------------------------------------------------
 # Weighted database construction
 # ---------------------------------------------------------------------------
-
-def _slot_atoms(cq: CQ) -> tuple[Atom, ...]:
-    return cq.relational_atoms()
-
-
-def build_weighted_db(omq: OMQ, abox: ABox) -> WeightedDatabase:
-    """All-constant instantiations of each query atom, weighted by their
-    singleton-support counts; zero-weight entries are dropped.  Entries are
-    keyed per atom occurrence, so shared (predicate, args) pairs across
-    atoms cannot alias."""
-    cq = _query_cq(omq)
-    individuals = sorted(abox.individuals)
-    weights: dict[WeightedFact, int] = {}
-    for slot, atom in enumerate(_slot_atoms(cq)):
-        vs = sorted(set(atom.variables()))
-        for combo in product(individuals, repeat=len(vs)):
-            mu = dict(zip(vs, combo))
-            w = atom_support_weight(abox, omq.tbox, atom, mu)
-            if w > 0:
-                args = tuple(
-                    t.name if t.is_const else mu[t.name] for t in atom.terms
-                )
-                weights[WeightedFact(slot, atom.predicate, args)] = w
-    return WeightedDatabase(weights)
-
 
 def _shared_variables(cq: CQ) -> set[str]:
     counts: dict[str, int] = {}
@@ -223,39 +165,38 @@ def anon_constant(slot: int) -> str:
     return f"anon#{slot}"
 
 
-def extend_with_anonymous(
-    wdb: WeightedDatabase, omq: OMQ, abox: ABox
-) -> WeightedDatabase:
-    """Add R(c, c_atom) entries for role atoms pairing a shared variable
-    with an unshared one: the unshared end may be realized by an anonymous
-    witness that a single fact provides.  Fresh constants are per atom
-    occurrence, preventing accidental joins."""
+def build_weighted_db(omq: OMQ, abox: ABox) -> WeightedDatabase:
+    """The weighted database of a connected interaction-free CQ over a
+    consistent ABox, in one pass over the facts.
+
+    Each fact adds 1 to every (slot, assignment) pair it satisfies; an
+    entry instantiates its slot's atom, with `anon_constant(slot)` standing
+    for an anonymous value, so instantiations of different atoms never
+    alias.  A single-atom query keeps every pair.  In a larger one a shared
+    variable is never anonymous (Lemma 4), so besides all-named pairs only
+    role atoms with a named shared end and an anonymous unshared end stay.
+    """
     cq = _query_cq(omq)
+    atoms = cq.relational_atoms()
     shared = _shared_variables(cq)
-    individuals = sorted(abox.individuals)
-    extra: dict[WeightedFact, int] = {}
-    for slot, atom in enumerate(_slot_atoms(cq)):
-        if atom.kind == CONCEPT_ATOM:
-            continue
-        t1, t2 = atom.terms
-        unshared_pos = None
-        if t2.is_var and t2.name not in shared and t1.is_var and t1.name in shared:
-            unshared_pos = 1
-        elif t1.is_var and t1.name not in shared and t2.is_var and t2.name in shared:
-            unshared_pos = 0
-        if unshared_pos is None:
-            continue
-        shared_var = atom.terms[1 - unshared_pos].name
-        unshared_var = atom.terms[unshared_pos].name
-        for c in individuals:
-            mu = {shared_var: c, unshared_var: ANON}
-            w = atom_support_weight(abox, omq.tbox, atom, mu)
-            if w > 0:
-                args = [c, anon_constant(slot)]
-                if unshared_pos == 0:
-                    args.reverse()
-                extra[WeightedFact(slot, atom.predicate, tuple(args))] = w
-    return wdb.extended(extra)
+    weights: dict[WeightedFact, int] = {}
+    for fact in abox:
+        for slot, mu in _satisfying_pairs(omq.tbox, fact, atoms):
+            anonymous = {v for v, value in mu.items() if value is ANON}
+            # Every atom of a larger query has a shared variable, so this
+            # keeps exactly the named-shared, anonymous-unshared role pairs.
+            if len(atoms) > 1 and anonymous and anonymous != set(mu) - shared:
+                continue
+            atom = atoms[slot]
+            args = tuple(
+                t.name if t.is_const
+                else anon_constant(slot) if t.name in anonymous
+                else mu[t.name]
+                for t in atom.terms
+            )
+            key = WeightedFact(slot, atom.predicate, args)
+            weights[key] = weights.get(key, 0) + 1
+    return WeightedDatabase(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +359,7 @@ def weighted_eval(cq: CQ, wdb: WeightedDatabase, td: TreeDecomposition) -> int:
     """Sum over homomorphisms of the product of per-atom weights, by
     message passing over the decomposition.  Each atom is charged at one
     bag covering its variables and matches only its own slot's entries."""
-    atoms = _slot_atoms(cq)
+    atoms = cq.relational_atoms()
     tables = [wdb.slot_entries(slot) for slot in range(len(atoms))]
 
     domains: dict[str, set[str]] = {}
@@ -526,24 +467,10 @@ def weighted_eval(cq: CQ, wdb: WeightedDatabase, td: TreeDecomposition) -> int:
 # The full pipeline
 # ---------------------------------------------------------------------------
 
-def _single_atom_count(tbox: TBox, atom: Atom, abox: ABox) -> int:
-    """Minimal supports of a single-atom component: sum the per-assignment
-    singleton-support counts over constant/anonymous instantiations.
-    Interaction-freeness keeps the per-assignment families disjoint."""
-    vs = sorted(set(atom.variables()))
-    values: list = sorted(abox.individuals) + [ANON]
-    total = 0
-    for combo in product(values, repeat=len(vs)):
-        mu = dict(zip(vs, combo))
-        total += atom_support_weight(abox, tbox, atom, mu, allow_double_anon=True)
-    return total
-
-
 def count_ms_interaction_free(omq: OMQ, abox: ABox) -> SupportHistogram:
-    """countFMS for an interaction-free OMQ: per-component counts (weighted
-    evaluation for multi-atom components, direct summation for single-atom
-    ones) multiplied together, all supports having exactly one fact per
-    query atom."""
+    """countFMS for an interaction-free OMQ: the weighted evaluation of each
+    connected component, multiplied together, all supports having exactly
+    one fact per query atom."""
     cq = _query_cq(omq)
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot count over an inconsistent KB")
@@ -553,16 +480,8 @@ def count_ms_interaction_free(omq: OMQ, abox: ABox) -> SupportHistogram:
 
     total = 1
     for component in connected_components(cq):
-        rel = component.relational_atoms()
-        if len(rel) == 1:
-            value = _single_atom_count(omq.tbox, rel[0], abox)
-        else:
-            sub_omq = OMQ(omq.tbox, component)
-            wdb = build_weighted_db(sub_omq, abox)
-            wdb = extend_with_anonymous(wdb, sub_omq, abox)
-            td = tree_decompose(component)
-            value = weighted_eval(component, wdb, td)
-        total *= value
+        wdb = build_weighted_db(OMQ(omq.tbox, component), abox)
+        total *= weighted_eval(component, wdb, tree_decompose(component))
         if total == 0:
             break
 

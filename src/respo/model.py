@@ -595,11 +595,6 @@ class WeightedDatabase:
             wf.args: w for wf, w in self.weights.items() if wf.slot == slot and w > 0
         }
 
-    def extended(self, extra: Mapping[WeightedFact, int]) -> "WeightedDatabase":
-        merged = dict(self.weights)
-        merged.update(extra)
-        return WeightedDatabase(merged)
-
 
 # ---------------------------------------------------------------------------
 # Weight functions

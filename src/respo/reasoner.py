@@ -200,7 +200,6 @@ def _transitive_close(edges: dict):
 # Asserted/entailed instance data for named individuals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _entailed_instance_data(abox: ABox, tbox: TBox):
     """One pass over the facts: per-individual entailed basic concepts and
     per-role entailed named pairs (the closure under role inclusions)."""
@@ -241,43 +240,34 @@ def entails_role_assertion(abox: ABox, tbox: TBox, role: Role, a: str, b: str) -
 # Consistency
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def is_consistent(abox: ABox, tbox: TBox) -> bool:
     if tbox.horn_extended:
-        return _is_consistent_horn(abox, tbox)
+        if not any(ax.negated for ax in tbox.axioms):
+            return True
+        return _horn_consistent(tbox, *saturate_horn(abox, tbox))
     sat = saturate(tbox)
-    if sat.disjoint_concepts:
-        types = {a: entailed_basic_concepts(abox, tbox, a) for a in abox.individuals}
-        for (x, y) in sat.disjoint_concepts:
-            for tset in types.values():
-                if x in tset and y in tset:
-                    return False
-    if sat.disjoint_roles:
-        pairs: list[tuple[str, str, Role]] = []
-        for f in abox:
-            if not f.is_concept:
-                pairs.append((f.args[0], f.args[1], Role(f.predicate)))
-        for (r, s) in sat.disjoint_roles:
-            for (a, b, asserted) in pairs:
-                if sat.entails_role_inclusion(asserted, r) and entails_role_assertion(
-                    abox, tbox, s, a, b
-                ):
-                    return False
-                if sat.entails_role_inclusion(asserted.inverse(), r) and entails_role_assertion(
-                    abox, tbox, s, b, a
-                ):
-                    return False
+    if not sat.disjoint_concepts and not sat.disjoint_roles:
+        return True
+    types, role_pairs = _entailed_instance_data(abox, tbox)
+    for (x, y) in sat.disjoint_concepts:
+        for tset in types.values():
+            if x in tset and y in tset:
+                return False
+    for (r, s) in sat.disjoint_roles:
+        if not role_pairs.get(r, frozenset()).isdisjoint(role_pairs.get(s, frozenset())):
+            return False
     return True
 
 
-def _is_consistent_horn(abox: ABox, tbox: TBox) -> bool:
-    # Horn shapes are all positive; only negative DL-Lite axioms mixed into
-    # the TBox can produce a clash, evaluated over the forward-chained atoms.
+def _horn_consistent(tbox: TBox, concepts, rolepairs) -> bool:
+    """No negative axiom clashes over the forward-chained atoms.  Horn
+    shapes are all positive; only negative DL-Lite axioms mixed into the
+    TBox can produce a clash."""
     negatives = [ax for ax in tbox.axioms if ax.negated]
     if not negatives:
         return True
-    concepts, rolepairs = saturate_horn(abox, tbox)
-    individuals = sorted(abox.individuals)
+    individuals = {a for (_n, a) in concepts} | {x for (_n, x, _y) in rolepairs}
+    individuals.update(y for (_n, _x, y) in rolepairs)
     for ax in negatives:
         if ax.kind == CONCEPT_INCLUSION:
             for a in individuals:
@@ -313,7 +303,6 @@ def _horn_has_role(rolepairs, role: Role, a: str, b: str) -> bool:
 # Horn forward chaining
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def saturate_horn(abox: ABox, tbox: TBox):
     """Least fixpoint of forward chaining over the ABox constants.
 
@@ -404,13 +393,17 @@ def saturate_horn(abox: ABox, tbox: TBox):
 def entails_ground_atom(abox: ABox, tbox: TBox, atom: Atom) -> bool:
     """(A, T) |= atom for a ground relational atom.  Dispatches to the Horn
     evaluator for Horn-extended TBoxes."""
-    if not is_consistent(abox, tbox):
+    if tbox.horn_extended:
+        concepts, roles = saturate_horn(abox, tbox)
+        consistent = _horn_consistent(tbox, concepts, roles)
+    else:
+        consistent = is_consistent(abox, tbox)
+    if not consistent:
         raise InconsistentKBError("entailment over an inconsistent KB")
     if any(t.is_var for t in atom.terms):
         raise ValueError("entails_ground_atom expects a ground atom")
     args = tuple(t.name for t in atom.terms)
     if tbox.horn_extended:
-        concepts, roles = saturate_horn(abox, tbox)
         if atom.kind == CONCEPT_ATOM:
             return (atom.predicate, args[0]) in concepts
         return (atom.predicate, args[0], args[1]) in roles
@@ -459,15 +452,33 @@ class CanonicalSlice:
         named = {w[0]: w for w in self.elements if not _is_anonymous(w)}
         return HomTarget(tuples, named.get, operator.ne)
 
+    def holds(self, cq: CQ, mu: Assignment) -> bool:
+        """A homomorphism of cq into the slice agreeing with mu on its
+        constant values and sending anon-assigned variables to anonymous
+        elements."""
+        pinned: dict[str, Word] = {}
+        anonymous = {}
+        for v in cq.variables():
+            if v not in mu:
+                raise ValueError(f"assignment is not total: missing ?{v}")
+            value = mu[v]
+            if value is ANON or value == ANON:
+                anonymous[v] = _is_anonymous
+            else:
+                element = self.target.image(value if isinstance(value, str) else value.name)
+                if element is None:
+                    return False
+                pinned[v] = element
+        return hom_exists(cq, self.target, pinned, anonymous)
+
 
 def _is_anonymous(word: Word) -> bool:
     return bool(word[1])
 
 
-@lru_cache(maxsize=None)
 def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> CanonicalSlice:
-    if not is_consistent(abox, tbox):
-        raise InconsistentKBError("no canonical model for an inconsistent KB")
+    """The canonical model of (abox, tbox) up to words of length `depth`.
+    The KB must be consistent; callers check that first."""
     _require_dllite(tbox, "canonical model construction")
     sat = saturate(tbox)
     types, role_pairs = _entailed_instance_data(abox, tbox)
@@ -555,38 +566,28 @@ def query_depth(cq: CQ) -> int:
 
 
 def entails_cq(abox: ABox, tbox: TBox, cq: CQ, depth: int | None = None) -> bool:
-    """(A, T) |= q via a homomorphism into the canonical model truncated at
-    depth |vars(q)| + 1 (any match in the anonymous forest spans at most
-    |vars(q)| tree edges below a root)."""
-    if not is_consistent(abox, tbox):
-        raise InconsistentKBError("CQ entailment over an inconsistent KB")
-    slice_ = canonical_slice(abox, tbox, query_depth(cq) if depth is None else depth)
-    return hom_exists(cq, slice_.target)
+    """(A, T) |= q for a single CQ; see `entails_ucq`."""
+    return entails_ucq(abox, tbox, UCQ((cq,)), depth)
 
 
 def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> bool:
-    return any(entails_cq(abox, tbox, d, depth) for d in ucq.disjuncts)
+    """(A, T) |= q via a homomorphism of some disjunct into the canonical
+    model truncated at depth |vars(q)| + 1 (any match in the anonymous
+    forest spans at most |vars(q)| tree edges below a root), taking the
+    largest depth over the disjuncts so that one slice serves them all."""
+    if not is_consistent(abox, tbox):
+        raise InconsistentKBError("CQ entailment over an inconsistent KB")
+    if depth is None:
+        depth = max(query_depth(d) for d in ucq.disjuncts)
+    target = canonical_slice(abox, tbox, depth).target
+    return any(hom_exists(d, target) for d in ucq.disjuncts)
 
 
 def holds_under_assignment(
     abox: ABox, tbox: TBox, cq: CQ, mu: Assignment, depth: int | None = None
 ) -> bool:
-    """(A, T) |=_mu q: a homomorphism agreeing with mu on its constant
-    values and sending anon-assigned variables outside const(A)."""
+    """(A, T) |=_mu q; see `CanonicalSlice.holds`."""
     if not is_consistent(abox, tbox):
         raise InconsistentKBError("assignment check over an inconsistent KB")
     slice_ = canonical_slice(abox, tbox, query_depth(cq) if depth is None else depth)
-    pinned: dict[str, Word] = {}
-    anonymous = {}
-    for v in cq.variables():
-        if v not in mu:
-            raise ValueError(f"assignment is not total: missing ?{v}")
-        value = mu[v]
-        if value is ANON or value == ANON:
-            anonymous[v] = _is_anonymous
-        else:
-            element = slice_.target.image(value if isinstance(value, str) else value.name)
-            if element is None:
-                return False
-            pinned[v] = element
-    return hom_exists(cq, slice_.target, pinned, anonymous)
+    return slice_.holds(cq, mu)

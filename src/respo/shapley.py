@@ -30,6 +30,7 @@ from .support import (
     Evaluator,
     MinimalSupport,
     count_fms_brute,
+    counting_queries,
     enumerate_minimal_supports,
     make_subset_evaluator,
     partition_histogram,
@@ -70,7 +71,7 @@ def weight_from_table(text: str, name: str = "table") -> WeightFunction:
         try:
             return table[(support_size, db_size)]
         except KeyError:
-            raise RespoError(
+            raise InputError(
                 f"weight table has no entry for support size {support_size},"
                 f" database size {db_size}"
             )
@@ -228,9 +229,10 @@ def _histogram_provider(
         from .rewriter import rewrite
 
         rewritten = rewrite(omq).result if omq.tbox.axioms else omq.query
+        queries = counting_queries(rewritten)
 
         def partition(facts: frozenset[Fact]) -> SupportHistogram:
-            return partition_histogram(rewritten, sorted(facts, key=lambda f: f.label))
+            return partition_histogram(queries, sorted(facts, key=lambda f: f.label))
 
         return partition
     if method == "if":

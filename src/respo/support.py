@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .model import (
     ABox,
@@ -45,6 +45,7 @@ from .queries import (
     hom_count,
     hom_exists,
     hom_minimal,
+    max_relational_size,
     query_hom_exists,
     query_target,
     substitute,
@@ -347,13 +348,25 @@ def build_counting_queries(ucq: CQ | UCQ, k: int) -> tuple[CountingQuery, ...]:
 # Partition counting
 # ---------------------------------------------------------------------------
 
-def count_fms_partition(ucq: CQ | UCQ, k: int, facts: Iterable[Fact] | FactDB) -> int:
+def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
+    """The counting queries of every support size, 1 up to the largest
+    disjunct.  They depend on the query alone, so one set serves every
+    database."""
+    ucq = as_ucq(ucq)
+    return {
+        k: build_counting_queries(ucq, k) for k in range(1, max_relational_size(ucq) + 1)
+    }
+
+
+def count_fms_partition(
+    queries: Iterable[CountingQuery], facts: Iterable[Fact] | FactDB
+) -> int:
     """countFMS(k) as the gamma-weighted sum of homomorphism counts over
-    the counting queries.  The sum is integral by construction; a
+    the size-k counting queries.  The sum is integral by construction; a
     fractional result signals a pipeline bug."""
     db = facts if isinstance(facts, FactDB) else FactDB(facts)
     total = Fraction(0)
-    for cq in build_counting_queries(ucq, k):
+    for cq in queries:
         n = count_homomorphisms(cq.cq, db)
         total += n * cq.gamma
     if total.denominator != 1:
@@ -361,11 +374,10 @@ def count_fms_partition(ucq: CQ | UCQ, k: int, facts: Iterable[Fact] | FactDB) -
     return int(total)
 
 
-def partition_histogram(ucq: CQ | UCQ, facts: Iterable[Fact] | FactDB) -> SupportHistogram:
-    ucq = as_ucq(ucq)
+def partition_histogram(
+    queries: Mapping[int, Iterable[CountingQuery]], facts: Iterable[Fact] | FactDB
+) -> SupportHistogram:
+    """countFMS per size from the counting queries of each size (see
+    `counting_queries`)."""
     db = facts if isinstance(facts, FactDB) else FactDB(facts)
-    max_k = max(len(d.relational_atoms()) for d in ucq.disjuncts)
-    return SupportHistogram(
-        {k: count_fms_partition(ucq, k, db) for k in range(1, max_k + 1)}
-    )
-
+    return SupportHistogram({k: count_fms_partition(qs, db) for k, qs in queries.items()})

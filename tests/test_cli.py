@@ -276,21 +276,25 @@ def _weight_file(tmp_path, text):
         ["score", *fixture_args("fig1"), "--weight", "nope"],
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 8 1/0\n"],
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 x 1/2\n"],
+        ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:1 8 1\n"],
     ],
     ids=[
         "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
         "score-unknown-fact", "shapley-unknown-fact", "unknown-answer-variable",
         "unknown-weight", "weight-zero-denominator", "weight-non-integer-size",
+        "weight-missing-entry",
     ],
 )
-def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
+def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
     import respo.shapley
 
     def no_scoring(*args, **kwargs):
         raise AssertionError("bad input must be rejected before scoring")
 
-    monkeypatch.setattr(respo.shapley, "score_all", no_scoring)
-    monkeypatch.setattr(respo.shapley, "shapley_brute_force", no_scoring)
+    # A missing weight-table entry shows only once scoring needs it.
+    if request.node.callspec.id != "weight-missing-entry":
+        monkeypatch.setattr(respo.shapley, "score_all", no_scoring)
+        monkeypatch.setattr(respo.shapley, "shapley_brute_force", no_scoring)
     argv = [
         _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:") else a
         for a in argv

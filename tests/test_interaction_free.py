@@ -21,11 +21,9 @@ from respo.model import (
 )
 from respo.interaction_free import (
     NotInteractionFreeError,
-    atom_support_weight,
     build_weighted_db,
     check_interaction_free,
     count_ms_interaction_free,
-    extend_with_anonymous,
     tree_decompose,
     weighted_eval,
 )
@@ -84,63 +82,58 @@ def test_self_join_same_predicate_not_free():
 
 
 # ---------------------------------------------------------------------------
-# Atom support weights
+# Weighted database construction
 # ---------------------------------------------------------------------------
+
+def weighted_entries(omq, abox):
+    wdb = build_weighted_db(omq, abox)
+    return {(wf.slot, wf.predicate, wf.args): w for wf, w in wdb.weights.items()}
+
 
 def test_atom_weight_role_inclusion():
     from respo.model import ROLE_INCLUSION
 
     t = TBox(frozenset({Axiom(ROLE_INCLUSION, Role("hasGrnsh"), Role("hasIng"))}))
     abox = parse_abox("f0: hasGrnsh(sole, sauce)\nf1: hasIng(sole, sauce)\n")
-    atom = role_atom("hasIng", var("x"), var("y"))
-    weight = atom_support_weight(abox, t, atom, {"x": "sole", "y": "sauce"})
-    assert weight == 2
+    query = CQ((concept_atom("C", var("x")), role_atom("hasIng", var("x"), var("y"))))
+    assert weighted_entries(OMQ(t, query), abox)[(1, "hasIng", ("sole", "sauce"))] == 2
 
 
 def test_atom_weight_anonymous_guard():
     t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
-    abox = parse_abox("A(c)\nr(c,d)\n")
-    atom = role_atom("r", var("x"), var("y"))
-    # A(c) supplies an anonymous witness; r(c,d) fails the no-named-witness
-    # guard for its own singleton KB?  No: ({r(c,d)},T) |= r(c,d), so its
-    # witness is named -> only A(c) counts.
-    assert atom_support_weight(abox, t, atom, {"x": "c", "y": ANON}) == 1
+    query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
+    abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
+    # A(c) supplies an anonymous r-successor of c; r(c,d) does not, since
+    # its successor is named.
+    entries = weighted_entries(OMQ(t, query), abox)
+    assert entries[(1, "r", ("c", "anon#1"))] == 1
+
+
+def test_extend_with_anonymous():
+    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
+    query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
+    abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
+    assert weighted_entries(OMQ(t, query), abox) == {
+        (0, "C", ("c",)): 1,
+        (1, "r", ("c", "d")): 1,
+        (1, "r", ("c", "anon#1")): 1,
+    }
 
 
 def test_atom_weight_empty_abox():
-    assert (
-        atom_support_weight(ABox(()), TBox(), concept_atom("A", var("x")), {"x": "c"})
-        == 0
-    )
+    query = CQ((concept_atom("A", var("x")),))
+    assert not build_weighted_db(OMQ(TBox(), query), ABox(())).weights
 
-
-def test_atom_weight_double_anon_guard():
-    atom = role_atom("r", var("x"), var("y"))
-    with pytest.raises(Exception):
-        atom_support_weight(ABox(()), TBox(), atom, {"x": ANON, "y": ANON})
-    # explicitly allowed for single-atom components
-    assert (
-        atom_support_weight(
-            ABox(()), TBox(), atom, {"x": ANON, "y": ANON}, allow_double_anon=True
-        )
-        == 0
-    )
-
-
-# ---------------------------------------------------------------------------
-# Weighted database construction
-# ---------------------------------------------------------------------------
 
 def test_build_weighted_db_example():
     query = CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y"))))
     omq = OMQ(TBox(), query)
     abox = parse_abox("A(c)\nr(c,d)\nr(c,e)\n")
-    wdb = build_weighted_db(omq, abox)
-    entries = {(wf.slot, wf.predicate, wf.args): w for wf, w in wdb.weights.items()}
-    assert entries[(0, "A", ("c",))] == 1
-    assert entries[(1, "r", ("c", "d"))] == 1
-    assert entries[(1, "r", ("c", "e"))] == 1
-    assert len(entries) == 3
+    assert weighted_entries(omq, abox) == {
+        (0, "A", ("c",)): 1,
+        (1, "r", ("c", "d")): 1,
+        (1, "r", ("c", "e")): 1,
+    }
 
 
 def test_build_weighted_db_empty_abox():
@@ -149,26 +142,36 @@ def test_build_weighted_db_empty_abox():
     assert not wdb.weights
 
 
-def test_extend_with_anonymous():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
-    query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
-    omq = OMQ(t, query)
-    abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
-    wdb = extend_with_anonymous(build_weighted_db(omq, abox), omq, abox)
-    anon_entries = [
-        (wf, w) for wf, w in wdb.weights.items() if any("#" in a for a in wf.args)
-    ]
-    assert len(anon_entries) == 1
-    (wf, w) = anon_entries[0]
-    assert wf.predicate == "r" and wf.args[0] == "c" and w == 1
-
-
 def test_extend_no_axioms_no_anonymous():
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
-    omq = OMQ(TBox(), query)
     abox = parse_abox("C(c)\nr(c,d)\n")
-    wdb = extend_with_anonymous(build_weighted_db(omq, abox), omq, abox)
-    assert all("#" not in a for wf in wdb.weights for a in wf.args)
+    entries = weighted_entries(OMQ(TBox(), query), abox)
+    assert all("#" not in a for (_slot, _pred, args) in entries for a in args)
+
+
+def test_shared_variable_gets_no_anonymous_entry():
+    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("s"))),
+           Axiom(CONCEPT_INCLUSION, exists(Role("s", True)), concept("C")))
+    query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
+    # A(c) puts C on an anonymous element, but x is shared (Lemma 4).
+    assert weighted_entries(OMQ(t, query), parse_abox("A(c)\nr(c,d)\n")) == {
+        (1, "r", ("c", "d")): 1
+    }
+    single = CQ((concept_atom("C", var("x")),))
+    assert weighted_entries(OMQ(t, single), parse_abox("A(c)\n")) == {
+        (0, "C", ("anon#0",)): 1
+    }
+
+
+def test_single_atom_keeps_double_anonymous_pairs():
+    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("s"))),
+           Axiom(CONCEPT_INCLUSION, exists(Role("s", True)), exists(Role("r"))))
+    query = CQ((role_atom("r", var("x"), var("y")),))
+    # A(c) entails an anonymous s-successor of c, which has an anonymous
+    # r-successor: both ends of r(x, y) anonymous.
+    assert weighted_entries(OMQ(t, query), parse_abox("A(c)\n")) == {
+        (0, "r", ("anon#0", "anon#0")): 1
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ def test_weighted_eval_decomposition_independent():
             if len(comp.relational_atoms()) < 2:
                 continue
             sub = OMQ(omq.tbox, comp)
-            wdb = extend_with_anonymous(build_weighted_db(sub, abox), sub, abox)
+            wdb = build_weighted_db(sub, abox)
             exact = weighted_eval(comp, wdb, tree_decompose(comp))
             trivial = TreeDecomposition((frozenset(comp.variables()),), (-1,))
             assert exact == weighted_eval(comp, wdb, trivial)

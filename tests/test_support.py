@@ -19,6 +19,7 @@ from respo.support import (
     count_fms_brute,
     count_fms_partition,
     count_homomorphisms,
+    counting_queries,
     enumerate_minimal_supports,
     make_subset_evaluator,
     minimal_supports_via_hom_images,
@@ -163,10 +164,10 @@ def test_count_homomorphisms_examples():
 
 def test_count_fms_partition_examples():
     db = facts(("r", ("c", "d")), ("r", ("d", "c")), ("r", ("e", "e")))
-    assert count_fms_partition(rxy(), 1, db) == 3
+    assert count_fms_partition(build_counting_queries(rxy(), 1), db) == 3
     db2 = facts(("r", ("c", "d")), ("r", ("d", "c")))
-    assert count_fms_partition(rxy_ryx(), 2, db2) == 1
-    assert count_fms_partition(rxy_ryx(), 3, db2) == 0
+    assert count_fms_partition(build_counting_queries(rxy_ryx(), 2), db2) == 1
+    assert count_fms_partition(build_counting_queries(rxy_ryx(), 3), db2) == 0
 
 
 def test_partition_handles_cross_disjunct_constants():
@@ -187,7 +188,7 @@ def test_partition_handles_cross_disjunct_constants():
         ("s", ("d", "e")),
     )
     brute = count_fms_brute(db, lambda s: ucq_holds(ucq, s))
-    assert partition_histogram(ucq, db) == brute
+    assert partition_histogram(counting_queries(ucq), db) == brute
 
 
 def test_partition_equals_brute_randomized():
@@ -196,7 +197,7 @@ def test_partition_equals_brute_randomized():
         ucq = random_ucq(rng)
         db = random_database(rng, bias=ucq)
         brute = count_fms_brute(tuple(db), lambda s: ucq_holds(ucq, s))
-        assert partition_histogram(ucq, tuple(db)) == brute
+        assert partition_histogram(counting_queries(ucq), tuple(db)) == brute
 
 
 def test_claim2_homs_equal_autos_times_minsups():
