@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 (missing --abox, unknown fact label or answer variable, malformed weight
-table, weight table without an entry the scores need), 3 inconsistent KB,
-4 unsupported TBox/method combination.
+table, weight table without an entry the scores need, a `score` that
+resolves to brute force or a `shapley-drastic` run on more facts than the
+cap of 20), 3 inconsistent KB, 4 unsupported TBox/method combination.
 """
 
 from __future__ import annotations
@@ -90,11 +91,16 @@ def _add_kb_args(p, query: bool = True):
 
 
 def cmd_score(args) -> int:
-    from .shapley import resolve_weight, score_all
+    from .shapley import BRUTE_FORCE_CAP, choose_method, resolve_weight, score_all
 
     omq, abox = _load_inputs(args, need_abox=True)
     weight = resolve_weight(args.weight)
-    report = score_all(abox, omq, weight, method=args.method)
+    method = choose_method(abox, omq) if args.method == "auto" else args.method
+    if method == "brute" and len(abox) > BRUTE_FORCE_CAP:
+        raise InputError(
+            f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(abox)}"
+        )
+    report = score_all(abox, omq, weight, method=method)
     scores = report.scores
     if args.fact:
         scores = {args.fact: scores[args.fact]}
@@ -309,6 +315,8 @@ def random_abox_for_if(rng: random.Random, omq: OMQ) -> ABox:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .shapley import BRUTE_FORCE_CAP
+
     parser = argparse.ArgumentParser(
         prog="respo",
         description="Responsibility scores for ontology-mediated query answers",
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shapley-drastic", help="brute-force drastic Shapley values")
     _add_kb_args(p)
     p.add_argument("--fact", help="restrict output to one fact label")
-    p.add_argument("--cap", type=int, default=20, help="max ABox size")
+    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP, help="max ABox size")
     p.add_argument("--format", default="json", choices=["json", "table"])
     p.set_defaults(fn=cmd_shapley_drastic)
 

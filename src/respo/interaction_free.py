@@ -3,13 +3,20 @@
 An OMQ is interaction-free when no single generic assertion can satisfy
 two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
-counting minimal supports factorizes.  The weighted database is built in
-one pass over the facts: each fact gets one canonical slice of its own,
-and adds 1 to every (atom, assignment into its constants or an anonymous
-witness) pair it satisfies; the interaction-freeness check runs the same
-per-fact enumeration over generic facts.  Weight products are then summed
-over homomorphisms by dynamic programming along a tree decomposition, and
-connected components multiply.
+counting minimal supports factorizes.  The weighted database is a sum
+over the facts: each fact gets one canonical slice of its own, and adds 1
+to every (atom, assignment into its constants or an anonymous witness)
+pair it satisfies, which interaction-freeness makes at most one pair; the
+interaction-freeness check runs the same per-fact enumeration over generic
+facts.  Weight products are then summed over homomorphisms by dynamic
+programming along a tree decomposition, and connected components multiply.
+
+A plan (`IFPlan`) keeps each fact's entries and each component's tree
+decomposition, so scoring every fact, which counts over D and over each
+D minus one fact, builds one slice per fact and one decomposition per
+component.  Each of those |D| + 1 counts still runs the weighted
+evaluation from scratch; an inside-outside pass over the decomposition
+would give every fact's count from one evaluation.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
+from typing import Iterable
 
 from .model import (
     ANON,
@@ -112,7 +120,7 @@ def _satisfying_pairs(tbox: TBox, fact: Fact, atoms: tuple[Atom, ...]):
     """Every (slot, assignment into const(f) + anon) pair of the atoms that
     the single consistent fact satisfies, in slot order, all checked on one
     canonical slice of {f} deep enough for every atom."""
-    depth = max(query_depth(CQ((atom,))) for atom in atoms)
+    depth = max(query_depth(CQ((atom,)), tbox) for atom in atoms)
     slice_ = canonical_slice(ABox((fact,)), tbox, depth)
     values: list = sorted(set(fact.args)) + [ANON]
     for slot, atom in enumerate(atoms):
@@ -165,38 +173,78 @@ def anon_constant(slot: int) -> str:
     return f"anon#{slot}"
 
 
-def build_weighted_db(omq: OMQ, abox: ABox) -> WeightedDatabase:
-    """The weighted database of a connected interaction-free CQ over a
-    consistent ABox, in one pass over the facts.
+class IFPlan:
+    """What counting an interaction-free OMQ needs besides the data: the
+    connected components of its CQ with their tree decompositions, and the
+    weighted-database entries of each fact seen so far.
 
-    Each fact adds 1 to every (slot, assignment) pair it satisfies; an
-    entry instantiates its slot's atom, with `anon_constant(slot)` standing
-    for an anonymous value, so instantiations of different atoms never
-    alias.  A single-atom query keeps every pair.  In a larger one a shared
-    variable is never anonymous (Lemma 4), so besides all-named pairs only
-    role atoms with a named shared end and an anonymous unshared end stay.
+    A fact's entries depend on that fact alone, so the weighted database
+    of any fact set is the sum of its facts' entries, and one plan serves
+    every subset of a database: each fact's canonical slice is built once,
+    for all components together.
     """
-    cq = _query_cq(omq)
-    atoms = cq.relational_atoms()
-    shared = _shared_variables(cq)
-    weights: dict[WeightedFact, int] = {}
-    for fact in abox:
-        for slot, mu in _satisfying_pairs(omq.tbox, fact, atoms):
+
+    def __init__(self, omq: OMQ):
+        cq = _query_cq(omq)
+        self.omq = omq
+        self.components = [
+            (component, tree_decompose(component)) for component in connected_components(cq)
+        ]
+        # Every relational atom, and for each its component, its slot there
+        # and whether that component has other atoms.
+        homes = [
+            (atom, (index, slot, len(component.relational_atoms()) > 1))
+            for index, (component, _) in enumerate(self.components)
+            for slot, atom in enumerate(component.relational_atoms())
+        ]
+        self._atoms = tuple(atom for atom, _ in homes)
+        self._homes = tuple(home for _, home in homes)
+        self._shared = _shared_variables(cq)
+        self._entries: dict[Fact, tuple[tuple[int, WeightedFact], ...]] = {}
+
+    def fact_entries(self, fact: Fact) -> tuple[tuple[int, WeightedFact], ...]:
+        """The (component, entry) pairs the fact feeds, one per (slot,
+        assignment) pair it satisfies; interaction-freeness leaves at most
+        one.
+
+        An entry instantiates its slot's atom, with `anon_constant(slot)`
+        standing for an anonymous value, so instantiations of different
+        atoms never alias.  A single-atom component keeps every pair.  In a
+        larger one a shared variable is never anonymous (Lemma 4), so
+        besides all-named pairs only role atoms with a named shared end and
+        an anonymous unshared end stay.
+        """
+        if fact in self._entries:
+            return self._entries[fact]
+        entries = []
+        for k, mu in _satisfying_pairs(self.omq.tbox, fact, self._atoms):
+            index, slot, joined = self._homes[k]
             anonymous = {v for v, value in mu.items() if value is ANON}
-            # Every atom of a larger query has a shared variable, so this
-            # keeps exactly the named-shared, anonymous-unshared role pairs.
-            if len(atoms) > 1 and anonymous and anonymous != set(mu) - shared:
+            # Every atom of a larger component has a shared variable, so
+            # this keeps exactly the named-shared, anonymous-unshared role
+            # pairs.
+            if joined and anonymous and anonymous != set(mu) - self._shared:
                 continue
-            atom = atoms[slot]
+            atom = self._atoms[k]
             args = tuple(
                 t.name if t.is_const
                 else anon_constant(slot) if t.name in anonymous
                 else mu[t.name]
                 for t in atom.terms
             )
-            key = WeightedFact(slot, atom.predicate, args)
-            weights[key] = weights.get(key, 0) + 1
-    return WeightedDatabase(weights)
+            entries.append((index, WeightedFact(slot, atom.predicate, args)))
+        self._entries[fact] = tuple(entries)
+        return self._entries[fact]
+
+
+def build_weighted_db(plan: IFPlan, facts: Iterable[Fact]) -> list[WeightedDatabase]:
+    """The weighted database of each component over the facts: the sum of
+    the facts' entries (see `IFPlan.fact_entries`)."""
+    weights: list[dict[WeightedFact, int]] = [{} for _ in plan.components]
+    for fact in facts:
+        for index, entry in plan.fact_entries(fact):
+            weights[index][entry] = weights[index].get(entry, 0) + 1
+    return [WeightedDatabase(w) for w in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +515,27 @@ def weighted_eval(cq: CQ, wdb: WeightedDatabase, td: TreeDecomposition) -> int:
 # The full pipeline
 # ---------------------------------------------------------------------------
 
-def count_ms_interaction_free(omq: OMQ, abox: ABox) -> SupportHistogram:
+def count_ms_interaction_free(
+    omq: OMQ, abox: ABox, plan: IFPlan | None = None
+) -> SupportHistogram:
     """countFMS for an interaction-free OMQ: the weighted evaluation of each
     connected component, multiplied together, all supports having exactly
-    one fact per query atom."""
+    one fact per query atom.  Pass the plan of an earlier call on the same
+    OMQ to reuse its per-fact entries and tree decompositions."""
     cq = _query_cq(omq)
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot count over an inconsistent KB")
     witness = check_interaction_free(omq)
     if witness is not None:
         raise NotInteractionFreeError(str(witness))
+    if plan is None:
+        plan = IFPlan(omq)
+    elif plan.omq != omq:
+        raise ValueError("the plan belongs to another OMQ")
 
     total = 1
-    for component in connected_components(cq):
-        wdb = build_weighted_db(OMQ(omq.tbox, component), abox)
-        total *= weighted_eval(component, wdb, tree_decompose(component))
+    for (component, td), wdb in zip(plan.components, build_weighted_db(plan, abox)):
+        total *= weighted_eval(component, wdb, td)
         if total == 0:
             break
 

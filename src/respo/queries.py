@@ -68,7 +68,10 @@ def fresh_var(taken: set[str], prefix: str = "w") -> str:
 # ---------------------------------------------------------------------------
 
 def _atom_signature(atom: Atom, t: Term):
-    positions = tuple(i for i, term in enumerate(atom.terms) if term == t)
+    # A disequality is unordered, so only its other side counts.
+    positions = () if atom.kind == NEQ_ATOM else tuple(
+        i for i, term in enumerate(atom.terms) if term == t
+    )
     others = tuple(
         (term.kind, term.name if term.is_const else None)
         for term in atom.terms
@@ -110,8 +113,8 @@ def canonical_form(cq: CQ) -> tuple:
     """A renaming-invariant key.
 
     Two CQs have equal canonical forms iff they are identical up to
-    variable renaming.  Intended for the small queries handled by the
-    reduct/rewriting machinery.
+    variable renaming and the orientation of disequalities.  Intended for
+    the small queries handled by the reduct/rewriting machinery.
     """
     return _canonical(cq)[0]
 
@@ -139,6 +142,8 @@ def _render_atom(atom: Atom, rename: dict[str, int]):
             parts.append(("c", t.name))
         else:
             parts.append(("a", ""))
+    if atom.kind == NEQ_ATOM:
+        parts.sort()  # x != y and y != x are the same atom
     return (atom.kind, atom.predicate or "", tuple(parts))
 
 

@@ -76,6 +76,29 @@ class SaturatedTBox:
     def entails_role_inclusion(self, lhs: Role, rhs: Role) -> bool:
         return rhs in self.role_sups(lhs)
 
+    @cached_property
+    def generating_roles(self) -> frozenset[Role]:
+        """The roles that can lead to an anonymous element of the canonical
+        model: every R with exists R entailed by the exists-concept on the
+        right-hand side of a positive concept inclusion, and below an
+        element reached by R, every S other than R- with
+        exists R- <= exists S."""
+        found = {
+            sup.role
+            for ax in self.tbox.axioms
+            if ax.kind == CONCEPT_INCLUSION and not ax.negated and not ax.rhs.is_name
+            for sup in self.concept_sups(ax.rhs)
+            if not sup.is_name
+        }
+        frontier = list(found)
+        while frontier:
+            r = frontier.pop()
+            for sup in self.concept_sups(exists(r.inverse())):
+                if not sup.is_name and sup.role != r.inverse() and sup.role not in found:
+                    found.add(sup.role)
+                    frontier.append(sup.role)
+        return frozenset(found)
+
 
 @lru_cache(maxsize=None)
 def saturate(tbox: TBox) -> SaturatedTBox:
@@ -561,8 +584,14 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> CanonicalSlice:
 # CQ entailment over slices
 # ---------------------------------------------------------------------------
 
-def query_depth(cq: CQ) -> int:
-    return len(cq.variables()) + 1
+def query_depth(cq: CQ, tbox: TBox) -> int:
+    """A canonical-model depth at which every match of cq has a copy: one
+    level per generating role, then |vars(q)| + 1.  An anonymous element's
+    subtree and concepts depend only on the role leading to it, so a match
+    whose topmost element lies deeper than the number of generating roles
+    repeats a role on the way down and can be moved up to the first
+    occurrence."""
+    return len(cq.variables()) + 1 + len(saturate(tbox).generating_roles)
 
 
 def entails_cq(abox: ABox, tbox: TBox, cq: CQ, depth: int | None = None) -> bool:
@@ -572,13 +601,12 @@ def entails_cq(abox: ABox, tbox: TBox, cq: CQ, depth: int | None = None) -> bool
 
 def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> bool:
     """(A, T) |= q via a homomorphism of some disjunct into the canonical
-    model truncated at depth |vars(q)| + 1 (any match in the anonymous
-    forest spans at most |vars(q)| tree edges below a root), taking the
-    largest depth over the disjuncts so that one slice serves them all."""
+    model truncated at `query_depth`, taking the largest depth over the
+    disjuncts so that one slice serves them all."""
     if not is_consistent(abox, tbox):
         raise InconsistentKBError("CQ entailment over an inconsistent KB")
     if depth is None:
-        depth = max(query_depth(d) for d in ucq.disjuncts)
+        depth = max(query_depth(d, tbox) for d in ucq.disjuncts)
     target = canonical_slice(abox, tbox, depth).target
     return any(hom_exists(d, target) for d in ucq.disjuncts)
 
@@ -589,5 +617,5 @@ def holds_under_assignment(
     """(A, T) |=_mu q; see `CanonicalSlice.holds`."""
     if not is_consistent(abox, tbox):
         raise InconsistentKBError("assignment check over an inconsistent KB")
-    slice_ = canonical_slice(abox, tbox, query_depth(cq) if depth is None else depth)
+    slice_ = canonical_slice(abox, tbox, query_depth(cq, tbox) if depth is None else depth)
     return slice_.holds(cq, mu)

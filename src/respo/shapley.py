@@ -114,21 +114,22 @@ def ms_wealth(evaluator: Evaluator) -> WealthFunction:
     return WealthFunction("ms", evaluate)
 
 
-DEFAULT_SHAPLEY_CAP = 20
+# The largest database brute force takes by default: 2^20 coalitions.
+BRUTE_FORCE_CAP = 20
 
 
 def shapley_brute_force(
     abox: ABox,
     wealth: WealthFunction,
     fact: Fact,
-    cap: int = DEFAULT_SHAPLEY_CAP,
+    cap: int = BRUTE_FORCE_CAP,
 ) -> Fraction:
     """Exact Shapley value of the fact in the cooperative game (D, xi):
     the coefficient-weighted sum of marginal contributions over all
     coalitions not containing the fact."""
     n = len(abox)
     if n > cap:
-        raise RespoError(f"brute-force Shapley capped at {cap} facts, got {n}")
+        raise InputError(f"brute-force Shapley capped at {cap} facts, got {n}")
     others = [f for f in abox if f.label != fact.label]
     memo: dict[frozenset[Fact], Fraction] = {}
 
@@ -236,11 +237,15 @@ def _histogram_provider(
 
         return partition
     if method == "if":
-        from .interaction_free import count_ms_interaction_free
+        from .interaction_free import IFPlan, count_ms_interaction_free
+
+        # One plan for every request: each fact's weighted-database entries
+        # and each component's tree decomposition are computed once.
+        plan = IFPlan(omq)
 
         def via_if(facts: frozenset[Fact]) -> SupportHistogram:
             abox = ABox(tuple(sorted(facts, key=lambda f: f.label)))
-            return count_ms_interaction_free(omq, abox)
+            return count_ms_interaction_free(omq, abox, plan)
 
         return via_if
     raise RespoError(f"unknown scoring method {method!r}")

@@ -44,7 +44,6 @@ from .queries import (
     hom_assignments,
     hom_count,
     hom_exists,
-    hom_minimal,
     max_relational_size,
     query_hom_exists,
     query_target,
@@ -326,11 +325,13 @@ def count_automorphisms(cq: CQ) -> int:
 
 
 def build_counting_queries(ucq: CQ | UCQ, k: int) -> tuple[CountingQuery, ...]:
-    """Rigidify the size-k reducts and prune hom-redundant ones.
+    """Rigidify the size-k reducts and drop isomorphic copies, in canonical
+    order.
 
-    Disequalities are present before the pruning pass and every
-    homomorphism test respects them; pruning keeps the hom-minimal
-    queries.
+    The rigid queries need no further pruning: a homomorphism between two
+    of them is injective on terms (all pairs are distinct), so it maps the
+    k atoms of one onto the k atoms of the other and is an isomorphism,
+    which the canonical form already merged.
     """
     ucq = as_ucq(ucq)
     pins = ucq_constants(ucq)
@@ -339,8 +340,8 @@ def build_counting_queries(ucq: CQ | UCQ, k: int) -> tuple[CountingQuery, ...]:
         aug = canonicalize(with_all_pairs_neq(q, pins))
         rigid.setdefault(canonical_form(aug), aug)
     return tuple(
-        CountingQuery(cq=q, gamma=Fraction(1, count_automorphisms(q)))
-        for q in hom_minimal(rigid.values())
+        CountingQuery(cq=rigid[key], gamma=Fraction(1, count_automorphisms(rigid[key])))
+        for key in sorted(rigid)
     )
 
 

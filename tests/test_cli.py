@@ -277,12 +277,16 @@ def _weight_file(tmp_path, text):
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 8 1/0\n"],
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 x 1/2\n"],
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:1 8 1\n"],
+        ["score", *fixture_args("fig1"), "--abox", "BIG_ABOX", "--method", "brute"],
+        ["score", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
+        ["shapley-drastic", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
     ],
     ids=[
         "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
         "score-unknown-fact", "shapley-unknown-fact", "unknown-answer-variable",
         "unknown-weight", "weight-zero-denominator", "weight-non-integer-size",
-        "weight-missing-entry",
+        "weight-missing-entry", "score-brute-over-cap", "score-auto-brute-over-cap",
+        "shapley-over-cap",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
@@ -291,15 +295,21 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     def no_scoring(*args, **kwargs):
         raise AssertionError("bad input must be rejected before scoring")
 
-    # A missing weight-table entry shows only once scoring needs it.
-    if request.node.callspec.id != "weight-missing-entry":
+    # A missing weight-table entry shows only once scoring needs it, and
+    # the Shapley cap is checked by the brute-force computation itself.
+    if request.node.callspec.id not in {"weight-missing-entry", "shapley-over-cap"}:
         monkeypatch.setattr(respo.shapley, "score_all", no_scoring)
         monkeypatch.setattr(respo.shapley, "shapley_brute_force", no_scoring)
+    # One fact past the brute-force cap of 20.
+    big = tmp_path / "big.abox"
+    big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")
     argv = [
-        _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:") else a
+        _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:")
+        else str(big) if a == "BIG_ABOX" else a
         for a in argv
     ]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert not err.startswith("parse error"), err
     assert len(err.strip().splitlines()) == 1, err

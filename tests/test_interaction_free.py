@@ -20,13 +20,14 @@ from respo.model import (
     var,
 )
 from respo.interaction_free import (
+    IFPlan,
     NotInteractionFreeError,
-    build_weighted_db,
     check_interaction_free,
     count_ms_interaction_free,
     tree_decompose,
     weighted_eval,
 )
+from respo import interaction_free
 from respo.randgen import random_abox, random_interaction_free_omq
 from respo.reasoner import is_consistent
 from respo.support import count_fms_brute, make_subset_evaluator
@@ -84,6 +85,12 @@ def test_self_join_same_predicate_not_free():
 # ---------------------------------------------------------------------------
 # Weighted database construction
 # ---------------------------------------------------------------------------
+
+def build_weighted_db(omq, abox):
+    """The weighted database of a connected query."""
+    (wdb,) = interaction_free.build_weighted_db(IFPlan(omq), abox)
+    return wdb
+
 
 def weighted_entries(omq, abox):
     wdb = build_weighted_db(omq, abox)

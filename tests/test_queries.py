@@ -7,7 +7,7 @@ import random
 from itertools import product
 
 from respo.model import ANON, CQ, UCQ, Atom, Fact, concept_atom, const, neq_atom, role_atom, var
-from respo.queries import query_hom_exists, with_all_pairs_neq
+from respo.queries import canonical_form, canonicalize, query_hom_exists, with_all_pairs_neq
 from respo.randgen import random_consistent_kb
 from respo.reasoner import canonical_slice, entails_cq, holds_under_assignment, query_depth
 from respo.support import (
@@ -170,7 +170,7 @@ def test_slice_search_matches_oracle():
     for _ in range(200):
         cq = random_query(rng, ["c", "d", "zz"], max_atoms=3)
         tbox, abox = random_consistent_kb(rng, max_axioms=4, max_facts=4, bias=UCQ((cq,)))
-        slice_ = canonical_slice(abox, tbox, query_depth(cq))
+        slice_ = canonical_slice(abox, tbox, query_depth(cq, tbox))
         matches = slice_matches(slice_, cq, {}, slice_.elements)
         assert entails_cq(abox, tbox, cq) == bool(matches), (tbox, abox, cq)
         anonymous = {w for w in slice_.elements if w[1]}
@@ -188,3 +188,14 @@ def test_slice_search_matches_oracle():
                     fixed[v] = (mu[v], ())
             expected = bool(slice_matches(slice_, cq, fixed, anonymous))
             assert holds_under_assignment(abox, tbox, cq, mu) == expected, (tbox, abox, cq, mu)
+
+
+def test_canonical_form_ignores_disequality_orientation():
+    # Isomorphic rigid queries from ?x != ?y & r(?y,?x) OR r(?w,?x): the
+    # disequality reads v0 != v1 in both, the role atom runs either way.
+    x, y = var("v0"), var("v1")
+    forward = CQ((neq_atom(x, y), role_atom("r", x, y)))
+    backward = CQ((neq_atom(x, y), role_atom("r", y, x)))
+    assert canonical_form(forward) == canonical_form(backward)
+    assert canonicalize(forward) == canonicalize(backward)
+    assert canonical_form(forward) != canonical_form(CQ((role_atom("r", x, y),)))

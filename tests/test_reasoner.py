@@ -29,6 +29,7 @@ from respo.reasoner import (
     entails_ground_atom,
     holds_under_assignment,
     is_consistent,
+    query_depth,
     saturate,
     saturate_horn,
 )
@@ -232,13 +233,37 @@ def test_oracle_agreement_atomic_queries():
 
 
 def test_depth_sufficiency():
-    """Entailment at depth |vars|+1 agrees with depth 2|vars|+2."""
+    """Entailment at `query_depth` agrees with entailment |vars| + 1
+    levels deeper."""
     rng = random.Random(29)
     checked = 0
     while checked < 60:
         cq = random_cq(rng, max_atoms=4, allow_neq=False)
         tbox, abox = random_consistent_kb(rng, max_axioms=4, max_facts=5, bias=as_ucq(cq))
         shallow = entails_cq(abox, tbox, cq)
-        deep = entails_cq(abox, tbox, cq, depth=2 * len(cq.variables()) + 2)
+        depth = query_depth(cq, tbox) + len(cq.variables()) + 1
+        deep = entails_cq(abox, tbox, cq, depth=depth)
         assert shallow == deep
         checked += 1
+
+
+CHAIN_TBOX = "B <= exists r\nexists r- <= exists s\nexists s- <= exists t\nexists t- <= A\n"
+
+
+def test_depth_counts_generating_roles():
+    # A lies three anonymous levels below c, deeper than |vars| + 1 = 2.
+    tbox = parse_tbox(CHAIN_TBOX)
+    query = CQ((concept_atom("A", var("x")),))
+    assert saturate(tbox).generating_roles == {Role("r"), Role("s"), Role("t")}
+    assert query_depth(query, tbox) == 5
+    assert entails_cq(parse_abox("f0: B(c)\n"), tbox, query)
+    assert not entails_cq(parse_abox("f0: B(c)\n"), tbox, query, depth=2)
+    # With r- <= s, exists r entails exists s-, which gets an element of
+    # its own, and an element reached by r gets an s-successor.
+    lifted = parse_tbox("A <= exists r\nrole: r- <= s\n")
+    assert saturate(lifted).generating_roles == {Role("r"), Role("s", True), Role("s")}
+    slice_ = canonical_slice(parse_abox("A(c)\n"), lifted, 2)
+    assert {w[1] for w in slice_.elements if w[1]} == {
+        (Role("r"),), (Role("s", True),), (Role("r"), Role("s"))
+    }
+    assert not saturate(parse_tbox("role: r <= s\n")).generating_roles

@@ -284,3 +284,98 @@ def test_per_fact_scores_agree_across_pipelines():
             assert report.scores == brute, (method, omq, list(abox))
             compared[method] += int(any(brute.values()))
     assert compared["if"] >= 50 and compared["partition"] >= 100, compared
+
+
+def test_deep_anonymous_match_scores_under_every_pipeline():
+    """The only minimal support of A(?x) is {B(c)}, whose A-element lies
+    three anonymous levels below c."""
+    from respo.textio import parse_abox, parse_query, parse_tbox
+
+    tbox = parse_tbox(
+        "B <= exists r\nexists r- <= exists s\nexists s- <= exists t\nexists t- <= A\n"
+    )
+    omq = OMQ(tbox, parse_query("A(?x)\n"))
+    abox = parse_abox("f0: B(c)\n")
+    for method in ("brute", "if", "partition", "auto"):
+        assert score_all(abox, omq, method=method).scores == {"f0": 1}, method
+
+
+def _large_abox(rng, omq, n):
+    """About n distinct facts over six constants plus the query's own, on
+    the query's predicates and the TBox's left-hand sides."""
+    from respo.model import ABox, ROLE_INCLUSION
+
+    cq = omq.query.disjuncts[0]
+    shapes = {(a.predicate, len(a.terms)) for a in cq.relational_atoms()}
+    for ax in omq.tbox.axioms:
+        if ax.kind == ROLE_INCLUSION:
+            shapes.add((ax.lhs.name, 2))
+        elif ax.lhs.is_name:
+            shapes.add((ax.lhs.concept_name, 1))
+        else:
+            shapes.add((ax.lhs.role.name, 2))
+    shapes = sorted(shapes)
+    pool = ["k0", "k1", "k2", "k3", "k4", "k5", *cq.constants()]
+    contents = {}
+    for _ in range(4 * n):
+        pred, arity = rng.choice(shapes)
+        contents.setdefault((pred, tuple(rng.choice(pool) for _ in range(arity))), None)
+        if len(contents) == n:
+            break
+    return ABox(tuple(Fact(f"f{i}", p, args) for i, (p, args) in enumerate(contents)))
+
+
+def test_pooled_if_counts_match_fresh_counts():
+    """The interaction-free provider that `score_all` uses, which builds
+    each fact's weighted-database entries once for every subset, gives
+    each fact the per-size count of a fresh count over D minus a fresh
+    count over D without the fact, on random instances of 12-40 facts."""
+    from respo.interaction_free import check_interaction_free, count_ms_interaction_free
+    from respo.model import ABox
+    from respo.randgen import random_interaction_free_omq
+    from respo.reasoner import is_consistent
+    from respo.shapley import _histogram_provider
+
+    rng = random.Random(53)
+    done = supported = 0
+    while done < 12:
+        omq = random_interaction_free_omq(rng, max_atoms=3) if done % 2 else _witness_omq(rng)
+        if check_interaction_free(omq) is not None:
+            continue
+        abox = _large_abox(rng, omq, rng.randint(12, 40))
+        if len(abox) < 12 or not is_consistent(abox, omq.tbox):
+            continue
+        provider = _histogram_provider(omq, "if", pool=abox)
+        full = count_ms_interaction_free(omq, abox)
+        for fact in abox:
+            rest = count_ms_interaction_free(omq, ABox(tuple(f for f in abox if f != fact)))
+            fresh = {k: full[k] - rest[k] for k in full.counts if full[k] - rest[k]}
+            assert per_fact_counts(abox, provider, fact) == fresh, (omq, list(abox), fact)
+            supported += bool(fresh)
+        done += 1
+    assert supported >= 40, supported
+
+
+def test_if_scoring_builds_one_slice_per_fact(variant, monkeypatch):
+    """`score_all` under the interaction-free pipeline builds one canonical
+    slice per fact, not one per fact and histogram."""
+    import respo.interaction_free as interaction_free
+    from respo.model import ABox
+
+    omq, abox = variant
+    doubled = ABox(tuple(
+        Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
+        for c in range(2) for f in abox
+    ))
+    interaction_free.check_interaction_free(omq)  # the check builds its own slices once
+    built = []
+
+    def counting_slice(*args):
+        built.append(args)
+        return real(*args)
+
+    real = interaction_free.canonical_slice
+    monkeypatch.setattr(interaction_free, "canonical_slice", counting_slice)
+    report = score_all(doubled, omq, method="if")
+    assert report.histogram == {6: 24}
+    assert 0 < len(built) <= len(doubled), len(built)

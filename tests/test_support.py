@@ -11,7 +11,7 @@ from respo.model import (
     role_atom,
     var,
 )
-from respo.queries import canonical_form, with_all_pairs_neq
+from respo.queries import canonical_form, canonicalize, hom_minimal, with_all_pairs_neq
 from respo.randgen import random_database, random_ucq
 from respo.support import (
     build_counting_queries,
@@ -25,6 +25,7 @@ from respo.support import (
     minimal_supports_via_hom_images,
     partition_histogram,
     reducts,
+    ucq_constants,
     ucq_holds,
 )
 
@@ -225,3 +226,24 @@ def test_counting_queries_quadratic_size():
             for counting in build_counting_queries(ucq, k):
                 assert len(counting.cq.atoms) <= (2 * size + 2) ** 2
 
+
+
+def test_rigid_candidates_need_no_hom_pruning():
+    """Rigid queries of one size that differ in canonical form are pairwise
+    hom-incomparable, so `hom_minimal` keeps every one of them and the
+    counting queries are exactly the canonically sorted candidates."""
+    rng = random.Random(4111)
+    seen = 0
+    for _ in range(150):
+        ucq = random_ucq(rng, max_disjuncts=2, max_atoms=3)
+        pins = ucq_constants(ucq)
+        for k in range(1, max(len(d.relational_atoms()) for d in ucq.disjuncts) + 1):
+            rigid = {}
+            for q in reducts(ucq, k):
+                aug = canonicalize(with_all_pairs_neq(q, pins))
+                rigid.setdefault(canonical_form(aug), aug)
+            candidates = [rigid[key] for key in sorted(rigid)]
+            assert hom_minimal(candidates) == candidates, ucq
+            assert [c.cq for c in build_counting_queries(ucq, k)] == candidates
+            seen += len(candidates) > 1
+    assert seen >= 50, seen
