@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 (missing --abox, unknown fact label or answer variable, malformed weight
-table, weight table without an entry the scores need, a `score` that
-resolves to brute force or a `shapley-drastic` run on more facts than the
-cap of 20), 3 inconsistent KB, 4 unsupported TBox/method combination.
+table, weight table without an entry the scores need, a `--size` or
+`--instances` below 1, a `score`, `count-ms` or `count-fms` that resolves
+to brute force or a `shapley-drastic` run on more facts than the cap of
+20), 3 inconsistent KB, 4 unsupported TBox/method combination (one
+message per pipeline: a Horn-extended TBox outside brute force, or an
+interaction-free run on a UCQ, a disequality CQ or a CQ that fails the
+check).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .model import (
     UCQ,
     UnsupportedTBoxError,
 )
-from .interaction_free import NotInteractionFreeError, check_interaction_free
+from .interaction_free import check_interaction_free
 from .textio import (
     ParseError,
     check_signature_consistency,
@@ -90,17 +94,18 @@ def _add_kb_args(p, query: bool = True):
         )
 
 
+def _at_least_one(args, name: str):
+    value = getattr(args, name)
+    if value is not None and value < 1:
+        raise InputError(f"--{name} must be at least 1, got {value}")
+
+
 def cmd_score(args) -> int:
-    from .shapley import BRUTE_FORCE_CAP, choose_method, resolve_weight, score_all
+    from .shapley import resolve_weight, score_all
 
     omq, abox = _load_inputs(args, need_abox=True)
     weight = resolve_weight(args.weight)
-    method = choose_method(abox, omq) if args.method == "auto" else args.method
-    if method == "brute" and len(abox) > BRUTE_FORCE_CAP:
-        raise InputError(
-            f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(abox)}"
-        )
-    report = score_all(abox, omq, weight, method=method)
+    report = score_all(abox, omq, weight, method=args.method)
     scores = report.scores
     if args.fact:
         scores = {args.fact: scores[args.fact]}
@@ -130,14 +135,12 @@ def cmd_shapley_drastic(args) -> int:
 
 
 def _histogram(args, omq: OMQ, abox: ABox) -> SupportHistogram:
-    from .shapley import _histogram_provider, choose_method
+    from .shapley import Plan
     from .reasoner import is_consistent
 
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot count over an inconsistent KB")
-    method = choose_method(abox, omq) if args.method == "auto" else args.method
-    provider = _histogram_provider(omq, method)
-    return provider(frozenset(abox))
+    return Plan(omq, args.method).histogram(abox)
 
 
 def cmd_count_ms(args) -> int:
@@ -148,6 +151,7 @@ def cmd_count_ms(args) -> int:
 
 
 def cmd_count_fms(args) -> int:
+    _at_least_one(args, "size")
     omq, abox = _load_inputs(args, need_abox=True)
     hist = _histogram(args, omq, abox)
     if args.size is not None:
@@ -177,13 +181,14 @@ def cmd_check_if(args) -> int:
 
 
 def cmd_emit_sql(args) -> int:
-    from .rewriter import rewrite
+    from .shapley import Plan
     from .sqlgen import build_manifest
 
+    _at_least_one(args, "size")
     omq, abox = _load_inputs(args, need_abox=True)
-    query = rewrite(omq).result if omq.tbox.axioms else omq.query
-    sizes = [args.size] if args.size is not None else None
-    manifest = build_manifest(query, abox, sizes=sizes)
+    plan = Plan(omq, "partition")
+    queries = {k: qs for k, qs in plan.counting_queries.items() if args.size in (None, k)}
+    manifest = build_manifest(plan.rewriting, queries, abox)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "schema.sql").write_text(manifest.schema_sql, encoding="utf-8")
@@ -227,6 +232,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least_one(args, "instances")
     rng = random.Random(args.seed)
     failures = []
 
@@ -286,7 +292,7 @@ def cmd_verify(args) -> int:
     print(f"rewriting-soundness: {n - (len(failures) - before)}/{n} ok")
 
     before = len(failures)
-    from .interaction_free import count_ms_interaction_free
+    from .interaction_free import IFPlan, count_ms_interaction_free
 
     n_if = max(1, n // 2)
     for i in range(n_if):
@@ -298,7 +304,7 @@ def cmd_verify(args) -> int:
             continue
         evaluator = make_subset_evaluator(omq.tbox, omq.query)
         brute = count_fms_brute(tuple(abox), evaluator)
-        fast = count_ms_interaction_free(omq, abox)
+        fast = count_ms_interaction_free(IFPlan(omq), abox)
         if brute.total() != fast.total():
             failures.append(f"interaction-free mismatch on instance {i}")
     print(f"interaction-free-vs-brute: {n_if - (len(failures) - before)}/{n_if} ok")
@@ -315,7 +321,7 @@ def random_abox_for_if(rng: random.Random, omq: OMQ) -> ABox:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .shapley import BRUTE_FORCE_CAP
+    from .shapley import BRUTE_FORCE_CAP, METHODS
 
     parser = argparse.ArgumentParser(
         prog="respo",
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="WSMS scores for every fact")
     _add_kb_args(p)
     p.add_argument("--weight", default="ms", help="ms|uniform|invsq|file:<path>")
-    p.add_argument("--method", default="auto", choices=["auto", "brute", "partition", "if"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--fact", help="restrict output to one fact label")
     p.add_argument("--format", default="json", choices=["json", "table"])
     p.set_defaults(fn=cmd_score)
@@ -340,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-ms", help="total number of minimal supports")
     _add_kb_args(p)
-    p.add_argument("--method", default="auto", choices=["auto", "brute", "partition", "if"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.set_defaults(fn=cmd_count_ms)
 
     p = sub.add_parser("count-fms", help="minimal supports per size")
     _add_kb_args(p)
     p.add_argument("--size", type=int, help="one size k; omit for the full histogram")
-    p.add_argument("--method", default="auto", choices=["auto", "brute", "partition", "if"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.set_defaults(fn=cmd_count_fms)
 
     p = sub.add_parser("rewrite", help="rewrite the OMQ into a UCQ")
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
     except InconsistentKBError as exc:
         print(f"inconsistent KB: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (UnsupportedTBoxError, NotInteractionFreeError) as exc:
+    except UnsupportedTBoxError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except FileNotFoundError as exc:

@@ -11,18 +11,19 @@ interaction-freeness check runs the same per-fact enumeration over generic
 facts.  Weight products are then summed over homomorphisms by dynamic
 programming along a tree decomposition, and connected components multiply.
 
-A plan (`IFPlan`) keeps each fact's entries and each component's tree
-decomposition, so scoring every fact, which counts over D and over each
-D minus one fact, builds one slice per fact and one decomposition per
-component.  Each of those |D| + 1 counts still runs the weighted
-evaluation from scratch; an inside-outside pass over the decomposition
-would give every fact's count from one evaluation.
+A plan (`IFPlan`) is built once per OMQ: it runs the
+interaction-freeness check and keeps each component's tree decomposition
+and each fact's entries, so scoring every fact, which counts over D and
+over each D minus one fact, checks the OMQ once and builds one slice per
+fact and one decomposition per component.
+Each of those |D| + 1 counts still runs the weighted evaluation from
+scratch; an inside-outside pass over the decomposition would give every
+fact's count from one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, product
 from typing import Iterable
 
@@ -46,8 +47,8 @@ from .model import (
 from .reasoner import canonical_slice, is_consistent, query_depth
 
 
-class NotInteractionFreeError(RespoError):
-    """The OMQ failed the interaction-freeness check; callers fall back to
+class NotInteractionFreeError(UnsupportedTBoxError):
+    """The OMQ failed the interaction-freeness check; `auto` falls back to
     another pipeline."""
 
 
@@ -136,7 +137,6 @@ def _assignment_key(mu: dict) -> tuple[tuple[str, str], ...]:
     return tuple((v, "<anon>" if value is ANON else value) for v, value in mu.items())
 
 
-@lru_cache(maxsize=None)
 def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
     """None when interaction-free, otherwise the first violating witness
     (deterministic order)."""
@@ -176,7 +176,10 @@ def anon_constant(slot: int) -> str:
 class IFPlan:
     """What counting an interaction-free OMQ needs besides the data: the
     connected components of its CQ with their tree decompositions, and the
-    weighted-database entries of each fact seen so far.
+    weighted-database entries of each fact seen so far.  Building a plan
+    runs the interaction-freeness check once and raises
+    `UnsupportedTBoxError` (`NotInteractionFreeError` for a failed check)
+    when the OMQ is outside the pipeline.
 
     A fact's entries depend on that fact alone, so the weighted database
     of any fact set is the sum of its facts' entries, and one plan serves
@@ -185,8 +188,12 @@ class IFPlan:
     """
 
     def __init__(self, omq: OMQ):
-        cq = _query_cq(omq)
+        witness = check_interaction_free(omq)
+        if witness is not None:
+            raise NotInteractionFreeError(f"OMQ is not interaction-free: {witness}")
+        (cq,) = omq.query.disjuncts  # the check accepts single plain CQs only
         self.omq = omq
+        self.size = len(cq.relational_atoms())
         self.components = [
             (component, tree_decompose(component)) for component in connected_components(cq)
         ]
@@ -515,29 +522,15 @@ def weighted_eval(cq: CQ, wdb: WeightedDatabase, td: TreeDecomposition) -> int:
 # The full pipeline
 # ---------------------------------------------------------------------------
 
-def count_ms_interaction_free(
-    omq: OMQ, abox: ABox, plan: IFPlan | None = None
-) -> SupportHistogram:
+def count_ms_interaction_free(plan: IFPlan, abox: ABox) -> SupportHistogram:
     """countFMS for an interaction-free OMQ: the weighted evaluation of each
     connected component, multiplied together, all supports having exactly
-    one fact per query atom.  Pass the plan of an earlier call on the same
-    OMQ to reuse its per-fact entries and tree decompositions."""
-    cq = _query_cq(omq)
-    if not is_consistent(abox, omq.tbox):
+    one fact per query atom."""
+    if not is_consistent(abox, plan.omq.tbox):
         raise InconsistentKBError("cannot count over an inconsistent KB")
-    witness = check_interaction_free(omq)
-    if witness is not None:
-        raise NotInteractionFreeError(str(witness))
-    if plan is None:
-        plan = IFPlan(omq)
-    elif plan.omq != omq:
-        raise ValueError("the plan belongs to another OMQ")
-
     total = 1
     for (component, td), wdb in zip(plan.components, build_weighted_db(plan, abox)):
         total *= weighted_eval(component, wdb, td)
         if total == 0:
             break
-
-    size = len(cq.relational_atoms())
-    return SupportHistogram({size: total})
+    return SupportHistogram({plan.size: total})

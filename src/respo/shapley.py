@@ -5,6 +5,13 @@ w(|S|, |D|) over the minimal supports S containing it), the brute-force
 Shapley value for arbitrary wealth functions (drastic 0/1 and
 number-of-minimal-supports wealths built in), and the symmetry/null
 property checks used by the verification suites.
+
+Every count goes through a `Plan`: the OMQ compiled once for one
+pipeline (the method choice, the interaction-freeness check, the
+rewriting and counting queries, or the subset evaluator), then asked for
+the support histogram of any fact set.  `score_all` builds one plan per
+call and takes each fact's counts from the histograms over D and over D
+minus the fact.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .model import (
 from .support import (
     Evaluator,
     MinimalSupport,
-    count_fms_brute,
     counting_queries,
     enumerate_minimal_supports,
     make_subset_evaluator,
@@ -188,7 +194,13 @@ def per_fact_counts(
     """Per-size counts of minimal supports containing the fact, as the
     difference between the histograms over D and D minus the fact."""
     full = histogram_provider(frozenset(abox))
-    reduced = histogram_provider(frozenset(abox) - {fact})
+    return histogram_difference(full, histogram_provider(frozenset(abox) - {fact}))
+
+
+def histogram_difference(
+    full: SupportHistogram, reduced: SupportHistogram
+) -> dict[int, int]:
+    """The non-zero per-size counts of `full` minus `reduced`."""
     sizes = set(full.counts) | set(reduced.counts)
     return {k: full[k] - reduced[k] for k in sorted(sizes) if full[k] - reduced[k]}
 
@@ -204,64 +216,69 @@ class ScoreReport:
     histogram: SupportHistogram  # countFMS over the full database
 
 
-def _histogram_provider(
-    omq: OMQ, method: str, pool: ABox | None = None
-) -> Callable[[frozenset[Fact]], SupportHistogram]:
-    if method == "brute":
-        evaluator = make_subset_evaluator(omq.tbox, omq.query)
-        if pool is not None:
-            # The minimal supports of any sub-database are exactly the
-            # minimal supports of the pool contained in it (monotone
-            # query), so one enumeration serves every subset request.
-            supports = enumerate_minimal_supports(tuple(pool), evaluator)
+METHODS = ("auto", "brute", "partition", "if")
 
-            def brute_from_pool(facts: frozenset[Fact]) -> SupportHistogram:
-                return SupportHistogram.from_sizes(
-                    len(s) for s in supports if s.facts <= facts
+
+class Plan:
+    """An OMQ compiled once for one counting pipeline, so that counting
+    minimal supports over any fact set (`histogram`) repeats no work that
+    depends on the OMQ alone.
+
+    `auto` takes brute force for a Horn-extended TBox, the
+    interaction-free pipeline when its check passes, and partition
+    otherwise.  The interaction-free plan is an `IFPlan`; the partition
+    plan holds the rewriting and the counting queries of every size; the
+    brute plan the subset evaluator and the minimal supports of the first
+    fact set it counts over, which answer every subset of it because the
+    query is monotone.  An unsupported OMQ raises `UnsupportedTBoxError`
+    here, and brute force on more than `BRUTE_FORCE_CAP` facts raises
+    `InputError` before it enumerates.
+    """
+
+    def __init__(self, omq: OMQ, method: str = "auto"):
+        if method not in METHODS:
+            raise RespoError(f"unknown scoring method {method!r}")
+        if method == "auto" and omq.tbox.horn_extended:
+            method = "brute"
+        if method in ("auto", "if"):
+            from .interaction_free import IFPlan
+
+            try:
+                self._if_plan = IFPlan(omq)
+                method = "if"
+            except UnsupportedTBoxError:
+                if method == "if":
+                    raise
+                method = "partition"
+        if method == "partition":
+            from .rewriter import rewrite
+
+            self.rewriting = rewrite(omq).result if omq.tbox.axioms else omq.query
+            self.counting_queries = counting_queries(self.rewriting)
+        if method == "brute":
+            self._evaluator = make_subset_evaluator(omq.tbox, omq.query)
+            self._pool: frozenset[Fact] | None = None
+            self._supports: list[MinimalSupport] = []
+        self.method = method
+
+    def histogram(self, facts: Iterable[Fact]) -> SupportHistogram:
+        """countFMS over the facts, which must be consistent with the TBox."""
+        ordered = tuple(sorted(facts, key=lambda f: f.label))
+        if self.method == "if":
+            from .interaction_free import count_ms_interaction_free
+
+            return count_ms_interaction_free(self._if_plan, ABox(ordered))
+        if self.method == "partition":
+            return partition_histogram(self.counting_queries, ordered)
+        pool = frozenset(ordered)
+        if self._pool is None or not pool <= self._pool:
+            if len(pool) > BRUTE_FORCE_CAP:
+                raise InputError(
+                    f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(pool)}"
                 )
-
-            return brute_from_pool
-
-        def brute(facts: frozenset[Fact]) -> SupportHistogram:
-            return count_fms_brute(sorted(facts, key=lambda f: f.label), evaluator)
-
-        return brute
-    if method == "partition":
-        from .rewriter import rewrite
-
-        rewritten = rewrite(omq).result if omq.tbox.axioms else omq.query
-        queries = counting_queries(rewritten)
-
-        def partition(facts: frozenset[Fact]) -> SupportHistogram:
-            return partition_histogram(queries, sorted(facts, key=lambda f: f.label))
-
-        return partition
-    if method == "if":
-        from .interaction_free import IFPlan, count_ms_interaction_free
-
-        # One plan for every request: each fact's weighted-database entries
-        # and each component's tree decomposition are computed once.
-        plan = IFPlan(omq)
-
-        def via_if(facts: frozenset[Fact]) -> SupportHistogram:
-            abox = ABox(tuple(sorted(facts, key=lambda f: f.label)))
-            return count_ms_interaction_free(omq, abox, plan)
-
-        return via_if
-    raise RespoError(f"unknown scoring method {method!r}")
-
-
-def choose_method(abox: ABox, omq: OMQ) -> str:
-    """auto: interaction-free pipeline when the check passes, else
-    rewriting + partition for DL-Lite_R, else brute force."""
-    from .interaction_free import check_interaction_free
-
-    if not omq.tbox.horn_extended:
-        if len(omq.query.disjuncts) == 1 and not omq.query.disjuncts[0].neq_atoms():
-            if check_interaction_free(omq) is None:
-                return "if"
-        return "partition"
-    return "brute"
+            self._pool = pool
+            self._supports = enumerate_minimal_supports(ordered, self._evaluator)
+        return SupportHistogram.from_sizes(len(s) for s in self._supports if s.facts <= pool)
 
 
 def score_all(
@@ -270,42 +287,22 @@ def score_all(
     weight: WeightFunction = WEIGHT_MS,
     method: str = "auto",
 ) -> ScoreReport:
-    """WSMS scores for every fact of the ABox."""
+    """WSMS scores for every fact of the ABox, each from the histograms
+    over D and over D minus the fact."""
     from .reasoner import is_consistent
 
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot score an inconsistent KB")
-    chosen = choose_method(abox, omq) if method == "auto" else method
-    if chosen == "if":
-        _reject_non_if_input(omq)
-    raw_provider = _histogram_provider(omq, chosen, pool=abox)
-    cache: dict[frozenset[Fact], SupportHistogram] = {}
-
-    def provider(facts: frozenset[Fact]) -> SupportHistogram:
-        if facts not in cache:
-            cache[facts] = raw_provider(facts)
-        return cache[facts]
-
-    db_size = len(abox)
-
-    def score_one(fact: Fact) -> Fraction:
-        counts = per_fact_counts(abox, provider, fact)
-        return wsms_via_histogram(counts, db_size, weight)
-
-    scores = {f.label: score_one(f) for f in abox}
-    return ScoreReport(scores=scores, method=chosen, histogram=provider(frozenset(abox)))
-
-
-def _reject_non_if_input(omq: OMQ):
-    from .interaction_free import check_interaction_free
-
-    if len(omq.query.disjuncts) != 1 or omq.query.disjuncts[0].neq_atoms():
-        raise UnsupportedTBoxError(
-            "the interaction-free pipeline handles single plain CQs"
+    plan = Plan(omq, method)
+    everything = frozenset(abox)
+    full = plan.histogram(everything)
+    scores = {
+        f.label: wsms_via_histogram(
+            histogram_difference(full, plan.histogram(everything - {f})), len(abox), weight
         )
-    witness = check_interaction_free(omq)
-    if witness is not None:
-        raise UnsupportedTBoxError(f"OMQ is not interaction-free: {witness}")
+        for f in abox
+    }
+    return ScoreReport(scores=scores, method=plan.method, histogram=full)
 
 
 # ---------------------------------------------------------------------------

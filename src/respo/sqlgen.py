@@ -11,10 +11,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from .model import ABox, CONCEPT_ATOM, CQ, UCQ, as_ucq, format_rational
-from .queries import max_relational_size
-from .support import CountingQuery, build_counting_queries
+from .support import CountingQuery
 
 _SQL_KEYWORDS = {
     "select", "from", "where", "table", "insert", "values", "count",
@@ -148,18 +148,18 @@ class SqlManifest:
 
 
 def build_manifest(
-    ucq: CQ | UCQ, abox: ABox, sizes: list[int] | None = None
+    ucq: CQ | UCQ, queries: Mapping[int, Iterable[CountingQuery]], abox: ABox
 ) -> SqlManifest:
+    """Render the counting queries of each size (see
+    `support.counting_queries`) over the UCQ's and the ABox's signature."""
     ucq = as_ucq(ucq)
-    if sizes is None:
-        sizes = list(range(1, max_relational_size(ucq) + 1))
     concepts, roles = _signature_of(ucq, abox)
     # Counting queries may pin constants on predicates the ABox lacks;
     # their tables must still exist for the SQL to run.
     tables = sanitize_names(list(set(concepts) | set(roles)))
     entries: list[ManifestEntry] = []
-    for k in sizes:
-        for i, cq in enumerate(build_counting_queries(ucq, k)):
+    for k, qs in queries.items():
+        for i, cq in enumerate(qs):
             entries.append(
                 ManifestEntry(
                     query_id=f"k{k}_q{i}",

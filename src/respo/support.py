@@ -11,6 +11,10 @@ Three routes live here:
     a UCQ split across rigidified reducts, and each reduct's supports are
     counted as homomorphisms divided by its automorphism count.
 
+The counting queries depend on the query alone: `counting_queries` builds
+those of every size from one enumeration of the reducts, and a
+`shapley.Plan` keeps them for every database.  Nothing here is cached.
+
 Every homomorphism count, test and enumeration, into a `FactDB` or into
 another query, runs on the one search in `queries`.
 """
@@ -20,7 +24,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -246,7 +249,6 @@ def ucq_constants(ucq: UCQ) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
 def _all_reducts(ucq: UCQ) -> tuple[CQ, ...]:
     """Every reduct of any disjunct: collapse variable blocks onto a
     representative variable or onto a constant of the union (a support can
@@ -284,27 +286,28 @@ def _all_reducts(ucq: UCQ) -> tuple[CQ, ...]:
     return tuple(seen.values())
 
 
-def reducts(ucq: CQ | UCQ, k: int) -> tuple[CQ, ...]:
-    """Reducts with exactly k relational atoms that no smaller reduct maps
-    into.  The minimality test targets the disequality-completed form of
-    the candidate: that is the shape whose supports are rigid, so a
-    smaller reduct mapping into it witnesses a smaller support inside
-    every one of its supports."""
-    if k < 1:
-        raise ValueError("reduct size must be >= 1")
+def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
+    """The reducts of every size k, 1 up to the largest disjunct, that no
+    smaller reduct maps into, from one enumeration of all reducts.  The
+    minimality test targets the disequality-completed form of the
+    candidate: that is the shape whose supports are rigid, so a smaller
+    reduct mapping into it witnesses a smaller support inside every one of
+    its supports."""
     ucq = as_ucq(ucq)
     everything = _all_reducts(ucq)
     pins = ucq_constants(ucq)
-    smaller = [q for q in everything if len(q.relational_atoms()) < k]
-    out = []
-    for q in everything:
-        if len(q.relational_atoms()) != k:
-            continue
-        rigid = with_all_pairs_neq(q, pins)
-        if any(query_hom_exists(small, rigid) for small in smaller):
-            continue
-        out.append(q)
-    return tuple(sorted(out, key=canonical_form))
+    out = {}
+    for k in range(1, max_relational_size(ucq) + 1):
+        smaller = [q for q in everything if len(q.relational_atoms()) < k]
+        minimal = []
+        for q in everything:
+            if len(q.relational_atoms()) != k:
+                continue
+            rigid = with_all_pairs_neq(q, pins)
+            if not any(query_hom_exists(small, rigid) for small in smaller):
+                minimal.append(q)
+        out[k] = tuple(sorted(minimal, key=canonical_form))
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,9 +327,11 @@ def count_automorphisms(cq: CQ) -> int:
     return n
 
 
-def build_counting_queries(ucq: CQ | UCQ, k: int) -> tuple[CountingQuery, ...]:
-    """Rigidify the size-k reducts and drop isomorphic copies, in canonical
-    order.
+def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
+    """The counting queries of every support size, 1 up to the largest
+    disjunct: each size's reducts rigidified, isomorphic copies dropped, in
+    canonical order.  They depend on the query alone, so one set serves
+    every database.
 
     The rigid queries need no further pruning: a homomorphism between two
     of them is injective on terms (all pairs are distinct), so it maps the
@@ -335,29 +340,22 @@ def build_counting_queries(ucq: CQ | UCQ, k: int) -> tuple[CountingQuery, ...]:
     """
     ucq = as_ucq(ucq)
     pins = ucq_constants(ucq)
-    rigid: dict[tuple, CQ] = {}
-    for q in reducts(ucq, k):
-        aug = canonicalize(with_all_pairs_neq(q, pins))
-        rigid.setdefault(canonical_form(aug), aug)
-    return tuple(
-        CountingQuery(cq=rigid[key], gamma=Fraction(1, count_automorphisms(rigid[key])))
-        for key in sorted(rigid)
-    )
+    out = {}
+    for k, qs in reducts(ucq).items():
+        rigid: dict[tuple, CQ] = {}
+        for q in qs:
+            aug = canonicalize(with_all_pairs_neq(q, pins))
+            rigid.setdefault(canonical_form(aug), aug)
+        out[k] = tuple(
+            CountingQuery(cq=rigid[key], gamma=Fraction(1, count_automorphisms(rigid[key])))
+            for key in sorted(rigid)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Partition counting
 # ---------------------------------------------------------------------------
-
-def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
-    """The counting queries of every support size, 1 up to the largest
-    disjunct.  They depend on the query alone, so one set serves every
-    database."""
-    ucq = as_ucq(ucq)
-    return {
-        k: build_counting_queries(ucq, k) for k in range(1, max_relational_size(ucq) + 1)
-    }
-
 
 def count_fms_partition(
     queries: Iterable[CountingQuery], facts: Iterable[Fact] | FactDB

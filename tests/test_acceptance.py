@@ -17,7 +17,7 @@ from respo.generators import (
     oracle_count_mvc,
     oracle_simple_paths,
 )
-from respo.interaction_free import check_interaction_free, count_ms_interaction_free
+from respo.interaction_free import IFPlan, check_interaction_free, count_ms_interaction_free
 from respo.model import (
     ABox,
     Axiom,
@@ -57,7 +57,6 @@ from respo.shapley import (
 )
 from respo.sqlgen import build_manifest, evaluate_manifest
 from respo.support import (
-    build_counting_queries,
     count_automorphisms,
     count_fms_brute,
     count_fms_partition,
@@ -189,9 +188,8 @@ def test_criterion_5_claim2():
     checked = 0
     ok = True
     for ucq, db in _thm2_suite():
-        max_k = max(len(d.relational_atoms()) for d in ucq.disjuncts)
-        for k in range(1, max_k + 1):
-            for counting in build_counting_queries(ucq, k):
+        for queries in counting_queries(ucq).values():
+            for counting in queries:
                 homs = count_homomorphisms(counting.cq, tuple(db))
                 sups = enumerate_minimal_supports(
                     tuple(db), lambda s: ucq_holds(as_ucq(counting.cq), s)
@@ -267,10 +265,10 @@ def test_criterion_7_interaction_free_equivalence():
     for omq, abox in suite:
         ev = make_subset_evaluator(omq.tbox, omq.query)
         brute = count_fms_brute(tuple(abox), ev)
-        fast = count_ms_interaction_free(omq, abox)
+        fast = count_ms_interaction_free(IFPlan(omq), abox)
         agreements += brute.total() == fast.total()
     omq3, abox3 = example3_instance()
-    ex3 = count_ms_interaction_free(omq3, abox3).total() == 1
+    ex3 = count_ms_interaction_free(IFPlan(omq3), abox3).total() == 1
     report(
         "7 (interaction-free equivalence)",
         agreements == len(suite) and ex3,
@@ -504,7 +502,8 @@ def test_criterion_12_sql_manifest():
     ok_counts = True
     ok_size = True
     for ucq, db in _thm2_suite(120, seed=2401):
-        manifest = build_manifest(ucq, db)
+        queries = counting_queries(ucq)
+        manifest = build_manifest(ucq, queries, db)
         internal = evaluate_manifest(manifest, db)
         size = max(len(d.atoms) for d in ucq.disjuncts)
         for entry in manifest.entries:
@@ -512,7 +511,7 @@ def test_criterion_12_sql_manifest():
                 ok_size = False
         for k, value in internal.items():
             if value.denominator != 1 or int(value) != count_fms_partition(
-                build_counting_queries(ucq, k), tuple(db)
+                queries[k], tuple(db)
             ):
                 ok_counts = False
     report(

@@ -279,14 +279,24 @@ def _weight_file(tmp_path, text):
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:1 8 1\n"],
         ["score", *fixture_args("fig1"), "--abox", "BIG_ABOX", "--method", "brute"],
         ["score", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
+        ["count-ms", *fixture_args("fig1"), "--abox", "BIG_ABOX", "--method", "brute"],
+        ["count-fms", *fixture_args("fig1"), "--abox", "BIG_ABOX", "--method", "brute"],
+        ["count-fms", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
         ["shapley-drastic", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
+        ["count-fms", *fixture_args("variant"), "--size", "0"],
+        ["emit-sql", *fixture_args("variant"), "--size", "0", "--out", "OUT_DIR"],
+        ["emit-sql", *fixture_args("variant"), "--size", "-2", "--out", "OUT_DIR"],
+        ["verify", "--instances", "0"],
+        ["verify", "--instances", "-3"],
     ],
     ids=[
         "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
         "score-unknown-fact", "shapley-unknown-fact", "unknown-answer-variable",
         "unknown-weight", "weight-zero-denominator", "weight-non-integer-size",
         "weight-missing-entry", "score-brute-over-cap", "score-auto-brute-over-cap",
-        "shapley-over-cap",
+        "count-ms-brute-over-cap", "count-fms-brute-over-cap", "count-fms-auto-brute-over-cap",
+        "shapley-over-cap", "count-fms-size-zero", "emit-sql-size-zero",
+        "emit-sql-negative-size", "verify-zero-instances", "verify-negative-instances",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
@@ -295,17 +305,20 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     def no_scoring(*args, **kwargs):
         raise AssertionError("bad input must be rejected before scoring")
 
-    # A missing weight-table entry shows only once scoring needs it, and
-    # the Shapley cap is checked by the brute-force computation itself.
+    # Every brute-force or partition count and every Shapley value runs
+    # through these.  A missing weight-table entry shows only once scoring
+    # needs it, and the Shapley cap is checked by the brute-force
+    # computation itself.
     if request.node.callspec.id not in {"weight-missing-entry", "shapley-over-cap"}:
-        monkeypatch.setattr(respo.shapley, "score_all", no_scoring)
-        monkeypatch.setattr(respo.shapley, "shapley_brute_force", no_scoring)
+        for name in ("enumerate_minimal_supports", "partition_histogram", "shapley_brute_force"):
+            monkeypatch.setattr(respo.shapley, name, no_scoring)
     # One fact past the brute-force cap of 20.
     big = tmp_path / "big.abox"
     big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")
     argv = [
         _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:")
-        else str(big) if a == "BIG_ABOX" else a
+        else str(big) if a == "BIG_ABOX"
+        else str(tmp_path / "out") if a == "OUT_DIR" else a
         for a in argv
     ]
     code, out, err = run(capsys, *argv)
@@ -313,3 +326,46 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     assert out == ""
     assert not err.startswith("parse error"), err
     assert len(err.strip().splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+NOT_INTERACTION_FREE = (
+    "unsupported: OMQ is not interaction-free: fact A(fresh#1) satisfies both"
+    " A(?x) [?x->fresh#1] and r(?x,?y) [?x->fresh#1, ?y-><anon>]"
+)
+
+
+@pytest.mark.parametrize("command", ["score", "count-fms", "count-ms"])
+@pytest.mark.parametrize(
+    "case, method, message",
+    [
+        ("non-if", "if", NOT_INTERACTION_FREE),
+        ("ucq", "if", "unsupported: interaction-freeness is defined for single CQs"),
+        ("neq", "if",
+         "unsupported: interaction-freeness is defined for plain CQs (no disequalities)"),
+        ("horn", "partition",
+         "unsupported: Horn-extended TBoxes admit no finite UCQ rewriting in general"),
+        ("horn", "if", "unsupported: interaction-freeness requires a DL-Lite_R TBox"),
+    ],
+)
+def test_unsupported_pipeline_exits_4_with_one_line(
+    command, case, method, message, capsys, tmp_path
+):
+    """Each unsupported OMQ/method pair ends in the same one-line message
+    under every command."""
+    (tmp_path / "t.tbox").write_text("A <= exists r\n", encoding="utf-8")
+    (tmp_path / "a.abox").write_text("f0: A(a)\nf1: r(a,b)\n", encoding="utf-8")
+    queries = {
+        "non-if": "A(?x), r(?x,?y)\n",
+        "ucq": "A(?x)\nOR\nr(?x,?y)\n",
+        "neq": "r(?x,?y), r(?x,?z), ?y != ?z\n",
+    }
+    if case == "horn":
+        inputs = fixture_args("fig1")
+    else:
+        (tmp_path / "q.query").write_text(queries[case], encoding="utf-8")
+        inputs = ["--abox", str(tmp_path / "a.abox"), "--query", str(tmp_path / "q.query")]
+        if case == "non-if":
+            inputs += ["--tbox", str(tmp_path / "t.tbox")]
+    code, out, err = run(capsys, command, *inputs, "--method", method)
+    assert (code, out, err) == (4, "", message + "\n")

@@ -332,7 +332,7 @@ def test_example3_anonymous_support():
     )
     omq = OMQ(t, CQ((concept_atom("B", var("x")),)))
     abox = parse_abox("A(c)\n")
-    hist = count_ms_interaction_free(omq, abox)
+    hist = count_ms_interaction_free(IFPlan(omq), abox)
     assert hist.total() == 1
 
 
@@ -340,7 +340,7 @@ def test_lemma5_component_product():
     query = CQ((concept_atom("A", var("x")), concept_atom("B", var("y"))))
     omq = OMQ(TBox(), query)
     abox = parse_abox("A(c)\nA(d)\nB(e)\n")
-    hist = count_ms_interaction_free(omq, abox)
+    hist = count_ms_interaction_free(IFPlan(omq), abox)
     assert hist == {2: 2}
 
 
@@ -349,7 +349,7 @@ def test_pipeline_anonymous_extension_case():
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     omq = OMQ(t, query)
     abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
-    hist = count_ms_interaction_free(omq, abox)
+    hist = count_ms_interaction_free(IFPlan(omq), abox)
     assert hist.total() == 2
     ev = make_subset_evaluator(omq.tbox, omq.query)
     assert {s.labels() for s in __import__("respo.support", fromlist=["enumerate_minimal_supports"]).enumerate_minimal_supports(tuple(abox), ev)} == {
@@ -362,7 +362,7 @@ def test_refuses_non_interaction_free():
     t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
     query = CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y"))))
     with pytest.raises(NotInteractionFreeError):
-        count_ms_interaction_free(OMQ(t, query), parse_abox("A(c)\n"))
+        IFPlan(OMQ(t, query))
 
 
 def test_support_size_uniformity():
@@ -392,7 +392,7 @@ def test_pipeline_agreement_randomized():
             continue
         ev = make_subset_evaluator(omq.tbox, omq.query)
         brute = count_fms_brute(tuple(abox), ev)
-        fast = count_ms_interaction_free(omq, abox)
+        fast = count_ms_interaction_free(IFPlan(omq), abox)
         assert brute == fast, (omq, list(abox))
         done += 1
 

@@ -14,6 +14,7 @@ from respo.model import (
 )
 from respo.randgen import random_database, random_ucq
 from respo.shapley import (
+    Plan,
     WEIGHT_INVSQ,
     WEIGHT_MS,
     WEIGHT_UNIFORM,
@@ -326,15 +327,14 @@ def _large_abox(rng, omq, n):
 
 
 def test_pooled_if_counts_match_fresh_counts():
-    """The interaction-free provider that `score_all` uses, which builds
-    each fact's weighted-database entries once for every subset, gives
-    each fact the per-size count of a fresh count over D minus a fresh
-    count over D without the fact, on random instances of 12-40 facts."""
-    from respo.interaction_free import check_interaction_free, count_ms_interaction_free
+    """The interaction-free plan that `score_all` uses, which builds each
+    fact's weighted-database entries once for every subset, gives each
+    fact the per-size count of a fresh count over D minus a fresh count
+    over D without the fact, on random instances of 12-40 facts."""
+    from respo.interaction_free import IFPlan, check_interaction_free, count_ms_interaction_free
     from respo.model import ABox
     from respo.randgen import random_interaction_free_omq
     from respo.reasoner import is_consistent
-    from respo.shapley import _histogram_provider
 
     rng = random.Random(53)
     done = supported = 0
@@ -345,10 +345,11 @@ def test_pooled_if_counts_match_fresh_counts():
         abox = _large_abox(rng, omq, rng.randint(12, 40))
         if len(abox) < 12 or not is_consistent(abox, omq.tbox):
             continue
-        provider = _histogram_provider(omq, "if", pool=abox)
-        full = count_ms_interaction_free(omq, abox)
+        provider = Plan(omq, "if").histogram
+        full = count_ms_interaction_free(IFPlan(omq), abox)
         for fact in abox:
-            rest = count_ms_interaction_free(omq, ABox(tuple(f for f in abox if f != fact)))
+            others = ABox(tuple(f for f in abox if f != fact))
+            rest = count_ms_interaction_free(IFPlan(omq), others)
             fresh = {k: full[k] - rest[k] for k in full.counts if full[k] - rest[k]}
             assert per_fact_counts(abox, provider, fact) == fresh, (omq, list(abox), fact)
             supported += bool(fresh)
@@ -367,15 +368,35 @@ def test_if_scoring_builds_one_slice_per_fact(variant, monkeypatch):
         Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
         for c in range(2) for f in abox
     ))
-    interaction_free.check_interaction_free(omq)  # the check builds its own slices once
     built = []
 
-    def counting_slice(*args):
-        built.append(args)
-        return real(*args)
+    def counting_slice(slice_abox, *args):
+        # The interaction-freeness check builds slices of generic facts.
+        if len(slice_abox) == 1 and slice_abox.facts[0] in doubled.facts:
+            built.append(slice_abox.facts[0])
+        return real(slice_abox, *args)
 
     real = interaction_free.canonical_slice
     monkeypatch.setattr(interaction_free, "canonical_slice", counting_slice)
     report = score_all(doubled, omq, method="if")
     assert report.histogram == {6: 24}
     assert 0 < len(built) <= len(doubled), len(built)
+
+
+def test_auto_scoring_checks_interaction_freeness_once(variant, monkeypatch):
+    """One `score_all` runs the OMQ-only interaction-freeness check once,
+    not once per histogram."""
+    import respo.interaction_free as interaction_free
+
+    omq, abox = variant
+    calls = []
+
+    def counting_check(omq):
+        calls.append(omq)
+        return real(omq)
+
+    real = interaction_free.check_interaction_free
+    monkeypatch.setattr(interaction_free, "check_interaction_free", counting_check)
+    report = score_all(abox, omq, method="auto")
+    assert report.method == "if"
+    assert len(calls) == 1, len(calls)

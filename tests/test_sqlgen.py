@@ -12,7 +12,7 @@ from respo.sqlgen import (
     evaluate_manifest,
     sanitize_names,
 )
-from respo.support import count_fms_brute, ucq_holds
+from respo.support import count_fms_brute, counting_queries, ucq_holds
 
 
 def test_sanitize_names():
@@ -66,7 +66,7 @@ def test_emit_count_query_shapes():
 def test_manifest_round_trip_json():
     ucq = UCQ((CQ((role_atom("r", var("x"), var("y")),)),))
     abox = ABox((Fact("f0", "r", ("c", "d")),))
-    manifest = build_manifest(ucq, abox)
+    manifest = build_manifest(ucq, counting_queries(ucq), abox)
     payload = manifest.to_json()
     assert '"gamma"' in payload and '"size"' in payload
 
@@ -89,7 +89,7 @@ def test_manifest_matches_brute_force_randomized():
     for _ in range(40):
         ucq = random_ucq(rng)
         db = random_database(rng, bias=ucq)
-        manifest = build_manifest(ucq, db)
+        manifest = build_manifest(ucq, counting_queries(ucq), db)
         internal = evaluate_manifest(manifest, db)
         brute = count_fms_brute(tuple(db), lambda s: ucq_holds(ucq, s))
         for k, value in internal.items():
@@ -104,7 +104,7 @@ def test_sqlite_agrees_with_internal_evaluator():
     for _ in range(15):
         ucq = random_ucq(rng)
         db = random_database(rng, bias=ucq)
-        manifest = build_manifest(ucq, db)
+        manifest = build_manifest(ucq, counting_queries(ucq), db)
         assert sqlite_counts(manifest) == evaluate_manifest(manifest, db)
 
 
@@ -113,7 +113,7 @@ def test_sql92_surface():
     for _ in range(20):
         ucq = random_ucq(rng)
         db = random_database(rng, bias=ucq)
-        for e in build_manifest(ucq, db).entries:
+        for e in build_manifest(ucq, counting_queries(ucq), db).entries:
             sql = e.sql
             assert sql.startswith("SELECT COUNT(*) FROM ")
             body = sql[len("SELECT COUNT(*) FROM "):]

@@ -14,7 +14,6 @@ from respo.model import (
 from respo.queries import canonical_form, canonicalize, hom_minimal, with_all_pairs_neq
 from respo.randgen import random_database, random_ucq
 from respo.support import (
-    build_counting_queries,
     count_automorphisms,
     count_fms_brute,
     count_fms_partition,
@@ -105,7 +104,7 @@ def test_hom_image_enumeration_agrees_with_subsets():
 # ---------------------------------------------------------------------------
 
 def test_reducts_single_role_atom():
-    out = reducts(rxy(), 1)
+    out = reducts(rxy())[1]
     forms = {canonical_form(q) for q in out}
     assert forms == {
         canonical_form(CQ((role_atom("r", var("a"), var("b")),))),
@@ -114,28 +113,28 @@ def test_reducts_single_role_atom():
 
 
 def test_reducts_swap_pair():
-    assert {canonical_form(q) for q in reducts(rxy_ryx(), 1)} == {
+    assert {canonical_form(q) for q in reducts(rxy_ryx())[1]} == {
         canonical_form(CQ((role_atom("r", var("a"), var("a")),)))
     }
-    two = reducts(rxy_ryx(), 2)
+    two = reducts(rxy_ryx())[2]
     assert len(two) == 1 and len(two[0].relational_atoms()) == 2
 
 
 def test_counting_queries_single_atom():
-    out = build_counting_queries(rxy(), 1)
+    out = counting_queries(rxy())[1]
     gammas = sorted((len(c.cq.neq_atoms()), c.gamma) for c in out)
     assert gammas == [(0, Fraction(1)), (1, Fraction(1))]
 
 
 def test_counting_queries_swap_gamma():
-    out = build_counting_queries(rxy_ryx(), 2)
+    out = counting_queries(rxy_ryx())[2]
     assert len(out) == 1
     assert out[0].gamma == Fraction(1, 2)
 
 
 def test_counting_queries_ground_atom():
     ground = CQ((concept_atom("A", const("c")),))
-    out = build_counting_queries(ground, 1)
+    out = counting_queries(ground)[1]
     assert len(out) == 1 and out[0].gamma == Fraction(1)
 
 
@@ -165,10 +164,10 @@ def test_count_homomorphisms_examples():
 
 def test_count_fms_partition_examples():
     db = facts(("r", ("c", "d")), ("r", ("d", "c")), ("r", ("e", "e")))
-    assert count_fms_partition(build_counting_queries(rxy(), 1), db) == 3
+    assert count_fms_partition(counting_queries(rxy())[1], db) == 3
     db2 = facts(("r", ("c", "d")), ("r", ("d", "c")))
-    assert count_fms_partition(build_counting_queries(rxy_ryx(), 2), db2) == 1
-    assert count_fms_partition(build_counting_queries(rxy_ryx(), 3), db2) == 0
+    assert count_fms_partition(counting_queries(rxy_ryx())[2], db2) == 1
+    assert count_fms_partition(counting_queries(rxy_ryx()).get(3, ()), db2) == 0
 
 
 def test_partition_handles_cross_disjunct_constants():
@@ -206,9 +205,8 @@ def test_claim2_homs_equal_autos_times_minsups():
     for _ in range(60):
         ucq = random_ucq(rng)
         db = random_database(rng, bias=ucq)
-        max_k = max(len(d.relational_atoms()) for d in ucq.disjuncts)
-        for k in range(1, max_k + 1):
-            for counting in build_counting_queries(ucq, k):
+        for queries in counting_queries(ucq).values():
+            for counting in queries:
                 homs = count_homomorphisms(counting.cq, tuple(db))
                 sups = enumerate_minimal_supports(
                     tuple(db), lambda s: ucq_holds(UCQ((counting.cq,)), s)
@@ -221,9 +219,8 @@ def test_counting_queries_quadratic_size():
     for _ in range(40):
         ucq = random_ucq(rng)
         size = max(len(d.atoms) for d in ucq.disjuncts)
-        max_k = max(len(d.relational_atoms()) for d in ucq.disjuncts)
-        for k in range(1, max_k + 1):
-            for counting in build_counting_queries(ucq, k):
+        for queries in counting_queries(ucq).values():
+            for counting in queries:
                 assert len(counting.cq.atoms) <= (2 * size + 2) ** 2
 
 
@@ -237,13 +234,14 @@ def test_rigid_candidates_need_no_hom_pruning():
     for _ in range(150):
         ucq = random_ucq(rng, max_disjuncts=2, max_atoms=3)
         pins = ucq_constants(ucq)
-        for k in range(1, max(len(d.relational_atoms()) for d in ucq.disjuncts) + 1):
+        by_size = counting_queries(ucq)
+        for k, qs in reducts(ucq).items():
             rigid = {}
-            for q in reducts(ucq, k):
+            for q in qs:
                 aug = canonicalize(with_all_pairs_neq(q, pins))
                 rigid.setdefault(canonical_form(aug), aug)
             candidates = [rigid[key] for key in sorted(rigid)]
             assert hom_minimal(candidates) == candidates, ucq
-            assert [c.cq for c in build_counting_queries(ucq, k)] == candidates
+            assert [c.cq for c in by_size[k]] == candidates
             seen += len(candidates) > 1
     assert seen >= 50, seen
