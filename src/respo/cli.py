@@ -5,10 +5,12 @@ Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 table, weight table without an entry the scores need, a `--size` or
 `--instances` below 1, a `score`, `count-ms` or `count-fms` that resolves
 to brute force or a `shapley-drastic` run on more facts than the cap of
-20), 3 inconsistent KB, 4 unsupported TBox/method combination (one
-message per pipeline: a Horn-extended TBox outside brute force, or an
-interaction-free run on a UCQ, a disequality CQ or a CQ that fails the
-check).
+20; `gen reach` without --source and --target or with one that is not a
+graph vertex, and a graph line that is not two vertices, all before
+--out is created), 3 inconsistent KB, 4 unsupported TBox/method
+combination (one message per pipeline: a Horn-extended TBox outside
+brute force, or an interaction-free run on a UCQ, a disequality CQ or a
+CQ that fails the check).
 """
 
 from __future__ import annotations
@@ -207,27 +209,32 @@ def cmd_gen(args) -> int:
     )
     from .textio import render_abox, render_query, render_tbox
 
+    if args.kind == "reach" and not (args.source and args.target):
+        raise InputError("gen reach needs --source and --target")
     graph = parse_graph(_read(args.graph))
+    if args.kind == "pm":
+        instance = gen_perfect_matching(graph)
+        files = {
+            "tbox.txt": "",
+            "abox.txt": render_abox(instance.abox),
+            "q1.query": render_query(instance.q1),
+            "q2.query": render_query(instance.q2),
+        }
+    else:
+        tbox, abox, query = (
+            gen_mvc(graph) if args.kind == "mvc"
+            else gen_reachability(graph, args.source, args.target)
+        )
+        files = {
+            "tbox.txt": render_tbox(tbox),
+            "abox.txt": render_abox(abox),
+            "query.txt": render_query(query),
+        }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "mvc":
-        tbox, abox, query = gen_mvc(graph)
-    elif args.kind == "reach":
-        if not args.source or not args.target:
-            raise RespoError("gen reach needs --source and --target")
-        tbox, abox, query = gen_reachability(graph, args.source, args.target)
-    else:
-        instance = gen_perfect_matching(graph)
-        (out / "tbox.txt").write_text("", encoding="utf-8")
-        (out / "abox.txt").write_text(render_abox(instance.abox), encoding="utf-8")
-        (out / "q1.query").write_text(render_query(instance.q1), encoding="utf-8")
-        (out / "q2.query").write_text(render_query(instance.q2), encoding="utf-8")
-        print(f"wrote matching instance to {out}")
-        return EXIT_OK
-    (out / "tbox.txt").write_text(render_tbox(tbox), encoding="utf-8")
-    (out / "abox.txt").write_text(render_abox(abox), encoding="utf-8")
-    (out / "query.txt").write_text(render_query(query), encoding="utf-8")
-    print(f"wrote {args.kind} instance to {out}")
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    print(f"wrote {'matching' if args.kind == 'pm' else args.kind} instance to {out}")
     return EXIT_OK
 
 
@@ -292,11 +299,12 @@ def cmd_verify(args) -> int:
     print(f"rewriting-soundness: {n - (len(failures) - before)}/{n} ok")
 
     before = len(failures)
-    from .interaction_free import IFPlan, count_ms_interaction_free
+    from .interaction_free import count_ms_interaction_free
 
     n_if = max(1, n // 2)
     for i in range(n_if):
-        omq = random_interaction_free_omq(rng)
+        plan = random_interaction_free_omq(rng)
+        omq = plan.omq
         abox = random_abox_for_if(rng, omq)
         from .reasoner import is_consistent
 
@@ -304,7 +312,7 @@ def cmd_verify(args) -> int:
             continue
         evaluator = make_subset_evaluator(omq.tbox, omq.query)
         brute = count_fms_brute(tuple(abox), evaluator)
-        fast = count_ms_interaction_free(IFPlan(omq), abox)
+        fast = count_ms_interaction_free(plan, abox)
         if brute.total() != fast.total():
             failures.append(f"interaction-free mismatch on instance {i}")
     print(f"interaction-free-vs-brute: {n_if - (len(failures) - before)}/{n_if} ok")

@@ -20,6 +20,7 @@ from .model import (
     CQ,
     ConjunctionAxiom,
     Fact,
+    InputError,
     QualifiedExistsAxiom,
     RespoError,
     Role,
@@ -97,7 +98,7 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise RespoError(f"bad edge line {line!r}")
+            raise InputError(f"bad edge line {line!r}")
         u, v = parts
         note(u)
         note(v)
@@ -165,7 +166,7 @@ def gen_reachability(graph: Graph, source: str, target: str) -> tuple[TBox, ABox
     exists edge.Reach <= Reach; minimal supports are the edge sets of the
     simple source-target paths, each joined by the target marker."""
     if source not in graph.vertices or target not in graph.vertices:
-        raise RespoError("source/target must be graph vertices")
+        raise InputError("source/target must be graph vertices")
     tbox = TBox(
         frozenset(),
         frozenset({QualifiedExistsAxiom(Role("edge"), "Reach", "Reach")}),

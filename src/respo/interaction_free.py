@@ -8,17 +8,18 @@ over the facts: each fact gets one canonical slice of its own, and adds 1
 to every (atom, assignment into its constants or an anonymous witness)
 pair it satisfies, which interaction-freeness makes at most one pair; the
 interaction-freeness check runs the same per-fact enumeration over generic
-facts.  Weight products are then summed over homomorphisms by dynamic
-programming along a tree decomposition, and connected components multiply.
+facts.  Weight products are then summed over homomorphisms along a tree
+decomposition: each bag joins its atoms' entries with its children's
+messages, so an evaluation costs about the number of entries, and
+connected components multiply.
 
 A plan (`IFPlan`) is built once per OMQ: it runs the
 interaction-freeness check and keeps each component's tree decomposition
 and each fact's entries, so scoring every fact, which counts over D and
 over each D minus one fact, checks the OMQ once and builds one slice per
-fact and one decomposition per component.
-Each of those |D| + 1 counts still runs the weighted evaluation from
-scratch; an inside-outside pass over the decomposition would give every
-fact's count from one evaluation.
+fact and one decomposition per component.  Each of those |D| + 1 counts
+joins its weighted database anew; an inside-outside pass over the
+decomposition would give every fact's count from one evaluation.
 """
 
 from __future__ import annotations
@@ -410,111 +411,103 @@ def tree_decompose(cq: CQ) -> TreeDecomposition:
 # Weighted evaluation
 # ---------------------------------------------------------------------------
 
+# A factor maps each tuple of values of its variables to a weight above 0.
+Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
+
+
+def _atom_factor(atom: Atom, entries: dict[tuple[str, ...], int]) -> Factor:
+    """The entries of the atom's slot that agree with its constants and
+    repeated variables, keyed by its variables."""
+    first: dict[str, int] = {}  # each variable's first position
+    constants, repeats = [], []
+    for i, t in enumerate(atom.terms):
+        if t.is_const:
+            constants.append((i, t.name))
+        elif t.name in first:
+            repeats.append((i, first[t.name]))
+        else:
+            first[t.name] = i
+    rows = {
+        tuple(args[i] for i in first.values()): w
+        for args, w in entries.items()
+        if all(args[i] == c for i, c in constants) and all(args[i] == args[j] for i, j in repeats)
+    }
+    return tuple(first), rows
+
+
+def _join(left: Factor, right: Factor) -> Factor:
+    """The product of two factors, by a hash join on their shared variables."""
+    (lvars, lrows), (rvars, rrows) = left, right
+    probe = [lvars.index(v) for v in rvars if v in lvars]
+    shared = [i for i, v in enumerate(rvars) if v in lvars]
+    extra = [i for i, v in enumerate(rvars) if v not in lvars]
+    index: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
+    for key, w in rrows.items():
+        index.setdefault(tuple(key[i] for i in shared), []).append(
+            (tuple(key[i] for i in extra), w)
+        )
+    rows = {
+        key + rest: w * w2
+        for key, w in lrows.items()
+        for rest, w2 in index.get(tuple(key[i] for i in probe), ())
+    }
+    return lvars + tuple(rvars[i] for i in extra), rows
+
+
 def weighted_eval(cq: CQ, wdb: WeightedDatabase, td: TreeDecomposition) -> int:
     """Sum over homomorphisms of the product of per-atom weights, by
-    message passing over the decomposition.  Each atom is charged at one
-    bag covering its variables and matches only its own slot's entries."""
-    atoms = cq.relational_atoms()
-    tables = [wdb.slot_entries(slot) for slot in range(len(atoms))]
+    message passing over the decomposition.
 
-    domains: dict[str, set[str]] = {}
-    for slot, atom in enumerate(atoms):
-        per_var: dict[str, set[str]] = {}
-        for args in tables[slot]:
-            ok = all(
-                t.name == value
-                for t, value in zip(atom.terms, args)
-                if t.is_const
-            )
-            if not ok:
-                continue
-            pairwise = {}
-            consistent = True
-            for t, value in zip(atom.terms, args):
-                if t.is_var:
-                    if pairwise.setdefault(t.name, value) != value:
-                        consistent = False
-                        break
-            if not consistent:
-                continue
-            for v, value in pairwise.items():
-                per_var.setdefault(v, set()).add(value)
-        for v in atom.variables():
-            values = per_var.get(v, set())
-            if v in domains:
-                domains[v] &= values
-            else:
-                domains[v] = set(values)
+    Each atom is charged to the first bag covering its variables and
+    contributes its slot's entries (`_atom_factor`).  A bag hash-joins
+    those factors with its children's messages and sums out the variables
+    its parent bag lacks; the roots' totals multiply.  An evaluation thus
+    costs about the number of entries, not |dom|^|bag|.
 
-    for v in cq.variables():
-        if not domains.get(v):
-            return 0
-
-    bag_assignments: dict[int, list[int]] = {i: [] for i in range(len(td.bags))}
-    for slot, atom in enumerate(atoms):
+    No bag variable is enumerated over a domain, because each is bound by
+    a charged atom or a child's message.  Under `tree_decompose` the bag of
+    v holds v and its neighbours when v is eliminated, and an atom has at
+    most two variables.  So each variable u of the bag (v included) occurs
+    with v in an atom, charged to this bag or to an earlier one holding
+    both, or in a fill edge with v made by an earlier bag holding both.
+    Such an earlier bag lies below this one, and every bag on the way up
+    keeps u and v, so u reaches this bag in a child's message.  (In any
+    decomposition, a variable that no atom below a bag binds lies in its
+    parent bag too, and the message does not depend on it.)
+    """
+    factors: list[list[Factor]] = [[] for _ in td.bags]
+    for slot, atom in enumerate(cq.relational_atoms()):
         vs = set(atom.variables())
-        home = None
-        for i, bag in enumerate(td.bags):
-            if vs <= bag:
-                home = i
-                break
+        home = next((i for i, bag in enumerate(td.bags) if vs <= bag), None)
         if home is None:
             raise RespoError("tree decomposition does not cover an atom")
-        bag_assignments[home].append(slot)
-
-    children: dict[int, list[int]] = {i: [] for i in range(len(td.bags))}
-    roots = []
+        factors[home].append(_atom_factor(atom, wdb.slot_entries(slot)))
+    children: list[list[int]] = [[] for _ in td.bags]
     for i, p in enumerate(td.parents):
-        if p == -1:
-            roots.append(i)
-        else:
+        if p != -1:
             children[p].append(i)
 
-    def atom_weight(slot: int, assignment: dict[str, str]) -> int:
-        atom = atoms[slot]
-        args = tuple(
-            t.name if t.is_const else assignment[t.name] for t in atom.terms
-        )
-        return tables[slot].get(args, 0)
-
-    def eval_node(node: int, parent_bag: frozenset[str]):
-        bag_vars = sorted(td.bags[node])
-        sep_vars = sorted(td.bags[node] & parent_bag)
-        child_results = [
-            eval_node(c, td.bags[node]) for c in children[node]
-        ]
+    def message(node: int, keep: frozenset[str]) -> Factor:
+        pending = factors[node] + [message(c, td.bags[node]) for c in children[node]]
+        pending.sort(key=lambda factor: len(factor[1]))
+        joined: Factor = pending.pop(0) if pending else ((), {(): 1})
+        while pending:
+            # The smallest factor sharing a variable with the join so far:
+            # no cross product is built while a join is possible.
+            i = next((i for i, f in enumerate(pending) if set(f[0]) & set(joined[0])), 0)
+            joined = _join(joined, pending.pop(i))
+        variables, rows = joined
+        kept = [i for i, v in enumerate(variables) if v in keep]
         out: dict[tuple[str, ...], int] = {}
-        pools = [sorted(domains[v]) for v in bag_vars]
-        for values in product(*pools):
-            assignment = dict(zip(bag_vars, values))
-            weight = 1
-            for slot in bag_assignments[node]:
-                w = atom_weight(slot, assignment)
-                if w == 0:
-                    weight = 0
-                    break
-                weight *= w
-            if weight == 0:
-                continue
-            for (sep, table) in child_results:
-                key = tuple(assignment[v] for v in sep)
-                sub = table.get(key, 0)
-                if sub == 0:
-                    weight = 0
-                    break
-                weight *= sub
-            if weight == 0:
-                continue
-            key = tuple(assignment[v] for v in sep_vars)
-            out[key] = out.get(key, 0) + weight
-        return sep_vars, out
+        for key, w in rows.items():
+            k = tuple(key[i] for i in kept)
+            out[k] = out.get(k, 0) + w
+        return tuple(variables[i] for i in kept), out
 
     total = 1
-    for root in roots:
-        _, table = eval_node(root, frozenset())
-        total *= sum(table.values())
-        if total == 0:
-            return 0
+    for root, p in enumerate(td.parents):
+        if p == -1:
+            total *= message(root, frozenset())[1].get((), 0)
     return total
 
 

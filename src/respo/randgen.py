@@ -28,6 +28,7 @@ from .model import (
     role_atom,
     var,
 )
+from .interaction_free import IFPlan, NotInteractionFreeError
 from .reasoner import is_consistent
 
 CONCEPT_NAMES = ["A", "B", "C"]
@@ -173,14 +174,11 @@ def random_consistent_kb(
             return tbox, abox
 
 
-def random_interaction_free_omq(
-    rng: random.Random, max_atoms: int = 4
-) -> OMQ:
-    """Rejection-sample an interaction-free OMQ (plain CQ, DL-Lite_R).
-    Mixes empty, positive-only, and existential TBoxes so anonymous
-    matching is exercised."""
-    from .interaction_free import check_interaction_free
-
+def random_interaction_free_omq(rng: random.Random, max_atoms: int = 4) -> IFPlan:
+    """Rejection-sample an interaction-free OMQ (plain CQ, DL-Lite_R) and
+    return the `IFPlan` whose construction accepted it (the OMQ is its
+    `.omq`).  Mixes empty, positive-only, and existential TBoxes so
+    anonymous matching is exercised."""
     while True:
         style = rng.random()
         if style < 0.35:
@@ -188,9 +186,7 @@ def random_interaction_free_omq(
         else:
             tbox = random_dllite_tbox(rng, max_axioms=3, allow_negative=False)
         cq = random_cq(rng, max_atoms=max_atoms, allow_constants=True, allow_neq=False)
-        omq = OMQ(tbox, cq)
         try:
-            if check_interaction_free(omq) is None:
-                return omq
-        except Exception:
+            return IFPlan(OMQ(tbox, cq))
+        except NotInteractionFreeError:
             continue

@@ -27,6 +27,7 @@ from respo.model import (
     Role,
     SupportHistogram,
     TBox,
+    UCQ,
     as_ucq,
     concept,
     concept_atom,
@@ -237,7 +238,7 @@ def _if_suite(n: int = 100, seed: int = 1701):
     rng = random.Random(seed)
     out = []
     while len(out) < n:
-        omq = random_interaction_free_omq(rng, max_atoms=4)
+        omq = random_interaction_free_omq(rng, max_atoms=4).omq
         abox = random_abox(rng, max_facts=8, bias=omq.query, tbox=omq.tbox)
         if is_consistent(abox, omq.tbox):
             out.append((omq, abox))
@@ -436,12 +437,45 @@ def _scored_instances():
     return _SCORED_CACHE
 
 
+def _support_size_bound(omq):
+    """A sound `size_cap` for the brute-force oracle, or None.
+
+    Under a DL-Lite_R TBox that is not Horn-extended, a minimal support is
+    the image of one disjunct of the rewriting, and rewriting replaces or
+    merges atoms but never adds one: a minimal support has at most as many
+    facts as the largest disjunct has relational atoms.  Reachability
+    axioms (exists R.A <= A) need supports of unbounded size."""
+    if omq.tbox.horn_extended:
+        return None
+    return max(len(d.relational_atoms()) for d in omq.query.disjuncts)
+
+
+def test_support_size_bound_keeps_every_minimal_support():
+    rng = random.Random(2309)
+    capped = 0
+    for _ in range(60):
+        ucq = UCQ(tuple(
+            random_cq(rng, max_atoms=3, allow_neq=False) for _ in range(rng.randint(1, 2))
+        ))
+        tbox, abox = random_consistent_kb(rng, max_facts=10, bias=ucq)
+        omq = OMQ(tbox, ucq)
+        bound = _support_size_bound(omq)
+        ev = make_subset_evaluator(tbox, ucq)
+        full = enumerate_minimal_supports(tuple(abox), ev)
+        assert enumerate_minimal_supports(tuple(abox), ev, size_cap=bound) == full, (
+            omq, list(abox)
+        )
+        capped += bound < len(abox) and any(len(s) == bound for s in full)
+    # The bound is tight and below |D| on many instances.
+    assert capped >= 10, capped
+
+
 def test_criterion_10_score_properties(fig1, variant):
     failures = []
 
     def check(omq, abox, rep, orderings=()):
         ev = make_subset_evaluator(omq.tbox, omq.query)
-        sups = enumerate_minimal_supports(tuple(abox), ev)
+        sups = enumerate_minimal_supports(tuple(abox), ev, size_cap=_support_size_bound(omq))
         for verdict in check_score_properties(rep, sups, orderings):
             if not verdict.passed:
                 failures.append(f"{verdict.name}: {verdict.detail}")

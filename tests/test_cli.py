@@ -288,6 +288,9 @@ def _weight_file(tmp_path, text):
         ["emit-sql", *fixture_args("variant"), "--size", "-2", "--out", "OUT_DIR"],
         ["verify", "--instances", "0"],
         ["verify", "--instances", "-3"],
+        ["gen", "reach", "--graph", "GRAPH", "--out", "OUT_DIR"],
+        ["gen", "reach", "--graph", "GRAPH", "--out", "OUT_DIR", "--source", "a", "--target", "z"],
+        ["gen", "mvc", "--graph", "BAD_GRAPH", "--out", "OUT_DIR"],
     ],
     ids=[
         "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
@@ -297,6 +300,7 @@ def _weight_file(tmp_path, text):
         "count-ms-brute-over-cap", "count-fms-brute-over-cap", "count-fms-auto-brute-over-cap",
         "shapley-over-cap", "count-fms-size-zero", "emit-sql-size-zero",
         "emit-sql-negative-size", "verify-zero-instances", "verify-negative-instances",
+        "gen-reach-no-source", "gen-reach-unknown-vertex", "gen-bad-edge-line",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
@@ -315,9 +319,13 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     # One fact past the brute-force cap of 20.
     big = tmp_path / "big.abox"
     big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")
+    graphs = {"GRAPH": "a b\nb c\n", "BAD_GRAPH": "a b\na b c\n"}
+    for placeholder, text in graphs.items():
+        (tmp_path / placeholder).write_text(text, encoding="utf-8")
     argv = [
         _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:")
         else str(big) if a == "BIG_ABOX"
+        else str(tmp_path / a) if a in graphs
         else str(tmp_path / "out") if a == "OUT_DIR" else a
         for a in argv
     ]

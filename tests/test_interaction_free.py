@@ -298,27 +298,64 @@ def test_weighted_eval_weight_three():
     assert weighted_eval(query, wdb, td) == 3
 
 
+def _hand_built_weighted_dbs():
+    """Queries with a constant and a repeated variable, a triangle and the
+    2x3 grid, each over every tuple of three values with seeded weights
+    0-3: weights above 1, and entries that contradict the atom's constant
+    (`s(a,?x)` against `s(b,c)`) or its repeated variable (`r(?x,?x)`
+    against `r(a,b)`)."""
+    from itertools import product
+
+    from respo.model import WeightedDatabase, WeightedFact
+
+    rng = random.Random(17)
+    values = ("a", "b", "c")
+    x, y, z = var("x"), var("y"), var("z")
+
+    def n(i, j):
+        return var(f"n{i}{j}")
+
+    grid = [role_atom(f"h{i}{j}", n(i, j), n(i, j + 1)) for i in range(2) for j in range(2)]
+    grid += [role_atom(f"v{j}", n(0, j), n(1, j)) for j in range(3)]
+    queries = [
+        CQ((concept_atom("A", x), role_atom("r", x, x), role_atom("s", const("a"), x),
+            role_atom("t", x, y))),
+        CQ((role_atom("r", x, y), role_atom("s", y, z), role_atom("t", z, x),
+            concept_atom("A", x))),
+        CQ(tuple(grid)),
+    ]
+    for cq in queries:
+        weights = {
+            WeightedFact(slot, atom.predicate, args): rng.randint(0, 3)
+            for slot, atom in enumerate(cq.relational_atoms())
+            for args in product(values, repeat=len(atom.terms))
+        }
+        yield cq, WeightedDatabase(weights)
+
+
 def test_weighted_eval_decomposition_independent():
     rng = random.Random(13)
     from respo.interaction_free import TreeDecomposition
+    from respo.model import connected_components
 
+    cases = list(_hand_built_weighted_dbs())
+    assert [tree_decompose(cq).width for cq, _ in cases] == [1, 2, 2]
     for _ in range(40):
-        omq = random_interaction_free_omq(rng, max_atoms=3)
+        omq = random_interaction_free_omq(rng, max_atoms=3).omq
         cq = omq.query.disjuncts[0]
         abox = random_abox(rng, max_facts=5, bias=omq.query, tbox=omq.tbox)
         if not is_consistent(abox, omq.tbox):
             continue
-        from respo.model import connected_components
-
         for comp in connected_components(cq):
-            if len(comp.relational_atoms()) < 2:
-                continue
-            sub = OMQ(omq.tbox, comp)
-            wdb = build_weighted_db(sub, abox)
-            exact = weighted_eval(comp, wdb, tree_decompose(comp))
-            trivial = TreeDecomposition((frozenset(comp.variables()),), (-1,))
-            assert exact == weighted_eval(comp, wdb, trivial)
-            assert exact == naive_weighted_eval(comp, wdb)
+            if len(comp.relational_atoms()) >= 2:
+                cases.append((comp, build_weighted_db(OMQ(omq.tbox, comp), abox)))
+
+    for comp, wdb in cases:
+        exact = weighted_eval(comp, wdb, tree_decompose(comp))
+        trivial = TreeDecomposition((frozenset(comp.variables()),), (-1,))
+        assert exact == weighted_eval(comp, wdb, trivial)
+        assert exact == naive_weighted_eval(comp, wdb)
+    assert all(naive_weighted_eval(cq, wdb) > 1 for cq, wdb in cases[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +406,7 @@ def test_support_size_uniformity():
     rng = random.Random(31)
     done = 0
     while done < 25:
-        omq = random_interaction_free_omq(rng, max_atoms=3)
+        omq = random_interaction_free_omq(rng, max_atoms=3).omq
         abox = random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
         if not is_consistent(abox, omq.tbox):
             continue
@@ -386,13 +423,14 @@ def test_pipeline_agreement_randomized():
     rng = random.Random(37)
     done = 0
     while done < 60:
-        omq = random_interaction_free_omq(rng, max_atoms=4)
+        plan = random_interaction_free_omq(rng, max_atoms=4)
+        omq = plan.omq
         abox = random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
         if not is_consistent(abox, omq.tbox):
             continue
         ev = make_subset_evaluator(omq.tbox, omq.query)
         brute = count_fms_brute(tuple(abox), ev)
-        fast = count_ms_interaction_free(IFPlan(omq), abox)
+        fast = count_ms_interaction_free(plan, abox)
         assert brute == fast, (omq, list(abox))
         done += 1
 
@@ -409,7 +447,7 @@ def test_lemma4_shared_variables_stay_named():
     rng = random.Random(43)
     checked = 0
     while checked < 20:
-        omq = random_interaction_free_omq(rng, max_atoms=3)
+        omq = random_interaction_free_omq(rng, max_atoms=3).omq
         cq = omq.query.disjuncts[0]
         shared = _shared_variables(cq)
         if not shared:
@@ -437,7 +475,7 @@ def test_lemma3_constant_assignment_factorization():
 
     done = 0
     while done < 20:
-        omq = random_interaction_free_omq(rng, max_atoms=2)
+        omq = random_interaction_free_omq(rng, max_atoms=2).omq
         abox = random_abox(rng, max_facts=5, bias=omq.query, tbox=omq.tbox)
         if not is_consistent(abox, omq.tbox):
             continue

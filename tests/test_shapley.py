@@ -180,7 +180,7 @@ def test_wsms_direct_equals_histogram_all_methods_randomized():
 
     done = 0
     while done < 12:
-        omq = random_interaction_free_omq(rng, max_atoms=3)
+        omq = random_interaction_free_omq(rng, max_atoms=3).omq
         abox = random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
         if not is_consistent(abox, omq.tbox):
             continue
@@ -264,7 +264,7 @@ def test_per_fact_scores_agree_across_pipelines():
     for _ in range(250):
         roll = rng.random()
         if roll < 0.3:
-            omq = random_interaction_free_omq(rng, max_atoms=3)
+            omq = random_interaction_free_omq(rng, max_atoms=3).omq
         elif roll < 0.6:
             omq = _witness_omq(rng)
         elif roll < 0.8:
@@ -339,7 +339,7 @@ def test_pooled_if_counts_match_fresh_counts():
     rng = random.Random(53)
     done = supported = 0
     while done < 12:
-        omq = random_interaction_free_omq(rng, max_atoms=3) if done % 2 else _witness_omq(rng)
+        omq = random_interaction_free_omq(rng, max_atoms=3).omq if done % 2 else _witness_omq(rng)
         if check_interaction_free(omq) is not None:
             continue
         abox = _large_abox(rng, omq, rng.randint(12, 40))
