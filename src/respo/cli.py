@@ -6,7 +6,10 @@ table, weight table without an entry the scores need, a `--size` or
 `--instances` below 1, a `score`, `count-ms` or `count-fms` that resolves
 to brute force or a `shapley-drastic` run on more facts than the cap of
 20; `gen reach` without --source and --target or with one that is not a
-graph vertex, and a graph line that is not two vertices, all before
+graph vertex, a graph line that is not two vertices, an edge on an
+undeclared vertex, a bipartition that overlaps, misses a vertex or holds
+an edge inside one side, `gen mvc` on a graph without edges and `gen pm`
+on a graph that is not bipartite with sides of equal size, all before
 --out is created), 3 inconsistent KB, 4 unsupported TBox/method
 combination (one message per pipeline: a Horn-extended TBox outside
 brute force, or an interaction-free run on a UCQ, a disequality CQ or a
@@ -255,8 +258,11 @@ def cmd_verify(args) -> int:
     from .support import (
         count_fms_brute,
         counting_queries,
+        enumerate_minimal_supports,
         make_subset_evaluator,
+        partition_fact_counts,
         partition_histogram,
+        tally_fact_counts,
         ucq_holds,
     )
     from .reasoner import entails_ucq
@@ -265,11 +271,20 @@ def cmd_verify(args) -> int:
 
     for i in range(n):
         ucq = random_ucq(rng)
-        db = random_database(rng, bias=ucq)
-        brute = count_fms_brute(tuple(db), lambda s: ucq_holds(ucq, s))
-        part = partition_histogram(counting_queries(ucq), tuple(db))
-        if brute != part:
-            failures.append(f"partition mismatch on instance {i}: {brute} vs {part}")
+        facts = tuple(random_database(rng, bias=ucq))
+        supports = enumerate_minimal_supports(facts, lambda s: ucq_holds(ucq, s))
+        brute, brute_counts = tally_fact_counts(facts, supports)
+        queries = counting_queries(ucq)
+        part = partition_histogram(queries, facts)
+        part_full, part_counts = partition_fact_counts(queries, facts)
+        if brute != part or brute != part_full:
+            failures.append(f"partition mismatch on instance {i}: {brute} vs {part}, {part_full}")
+        elif brute_counts != part_counts:
+            f = next(f for f in facts if brute_counts[f] != part_counts[f])
+            failures.append(
+                f"partition per-fact mismatch on instance {i}, fact {f.label}:"
+                f" {brute_counts[f]} vs {part_counts[f]}"
+            )
     print(f"partition-vs-brute: {n - len(failures)}/{n} ok")
 
     before = len(failures)

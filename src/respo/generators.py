@@ -45,16 +45,16 @@ class Graph:
         vs = set(self.vertices)
         for (u, v) in self.edges:
             if u not in vs or v not in vs:
-                raise ValueError(f"edge ({u},{v}) references an undeclared vertex")
+                raise InputError(f"edge ({u},{v}) references an undeclared vertex")
         if self.part_a or self.part_b:
             parts = set(self.part_a) | set(self.part_b)
             if set(self.part_a) & set(self.part_b):
-                raise ValueError("bipartition sides overlap")
+                raise InputError("bipartition sides overlap")
             if parts != vs:
-                raise ValueError("bipartition must cover all vertices")
+                raise InputError("bipartition must cover all vertices")
             for (u, v) in self.edges:
                 if (u in self.part_a) == (v in self.part_a):
-                    raise ValueError(f"edge ({u},{v}) stays inside one side")
+                    raise InputError(f"edge ({u},{v}) stays inside one side")
 
     @property
     def bipartite(self) -> bool:
@@ -116,7 +116,7 @@ def gen_mvc(graph: Graph) -> tuple[TBox, ABox, UCQ]:
     minimal supports of the goal query are exactly the minimal vertex
     covers."""
     if not graph.edges:
-        raise RespoError("the vertex-cover construction needs at least one edge")
+        raise InputError("the vertex-cover construction needs at least one edge")
     horn: list = []
     edge_names = []
     for (u, v) in graph.edges:
@@ -238,9 +238,9 @@ def gen_perfect_matching(graph: Graph) -> MatchingInstance:
     per right vertex, the all-zero column constraint; their minimal-support
     difference is the number of perfect matchings."""
     if not graph.bipartite:
-        raise RespoError("the matching construction needs a bipartite graph")
+        raise InputError("the matching construction needs a bipartite graph")
     if len(graph.part_a) != len(graph.part_b) or not graph.part_a:
-        raise RespoError("the matching construction needs |A| = |B| >= 1")
+        raise InputError("the matching construction needs |A| = |B| >= 1")
     a_index = {v: i + 1 for i, v in enumerate(graph.part_a)}
     b_index = {v: j + 1 for j, v in enumerate(graph.part_b)}
     n = len(graph.part_a)

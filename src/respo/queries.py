@@ -214,14 +214,15 @@ def _search(
     binding: dict[str, object],
     value_filter: Mapping[str, Callable[[object], bool]],
     first_only: bool,
-    found: list[dict[str, object]] | None = None,
+    visit: Callable[[Mapping[str, object]], None] | None = None,
 ) -> int:
     """The homomorphism search: backtracking over the relational atoms in
     search order, binding variables to the elements of candidate tuples.
     Returns the number of homomorphisms that extend `binding` (stopping
-    at the first one when `first_only`) and appends each to `found` when
-    given.  A variable in `value_filter` only binds to elements its filter
-    accepts.  Each disequality is checked as soon as both sides are bound.
+    at the first one when `first_only`) and passes each one's binding to
+    `visit` when given.  A variable in `value_filter` only binds to
+    elements its filter accepts.  Each disequality is checked as soon as
+    both sides are bound.
     """
     image, distinct, tuples = target.image, target.distinct, target.tuples
 
@@ -282,8 +283,8 @@ def _search(
 
     def extend(i: int) -> int:
         if i == len(steps):
-            if found is not None:
-                found.append(dict(binding))
+            if visit is not None:
+                visit(binding)
             return 1
         key, slots, closed, checks = steps[i]
         candidates = tuples.get(key, ())
@@ -343,8 +344,17 @@ def hom_count(cq: CQ, target: HomTarget) -> int:
 def hom_assignments(cq: CQ, target: HomTarget) -> list[dict[str, object]]:
     """Every homomorphism of cq into the target, as a variable binding."""
     found: list[dict[str, object]] = []
-    _search(cq.atoms, target, {}, {}, False, found)
+    hom_visit(cq, target, lambda binding: found.append(dict(binding)))
     return found
+
+
+def hom_visit(
+    cq: CQ, target: HomTarget, visit: Callable[[Mapping[str, object]], None]
+) -> int:
+    """Pass each homomorphism of cq into the target to `visit`, in one
+    search, and return their number.  The binding passed is the search's
+    own and changes after `visit` returns: copy it to keep it."""
+    return _search(cq.atoms, target, {}, {}, False, visit)
 
 
 def query_hom_exists(src: CQ, dst: CQ) -> bool:

@@ -9,9 +9,12 @@ property checks used by the verification suites.
 Every count goes through a `Plan`: the OMQ compiled once for one
 pipeline (the method choice, the interaction-freeness check, the
 rewriting and counting queries, or the subset evaluator), then asked for
-the support histogram of any fact set.  `score_all` builds one plan per
-call and takes each fact's counts from the histograms over D and over D
-minus the fact.
+the support histogram of a fact set or for every fact's per-size counts
+of the minimal supports containing it.  `score_all` builds one plan per
+call and asks it for every fact's counts once: partition runs one search
+per counting query, brute force tallies the supports it enumerates, and
+the interaction-free pipeline still subtracts the histogram over D minus
+each fact from the one over D.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ from .model import (
 )
 from .support import (
     Evaluator,
+    FactCounts,
     MinimalSupport,
     counting_queries,
     enumerate_minimal_supports,
     make_subset_evaluator,
+    partition_fact_counts,
     partition_histogram,
+    tally_fact_counts,
 )
 
 
@@ -178,7 +184,7 @@ def wsms_via_histogram(
     fact_counts: Mapping[int, int], db_size: int, weight: WeightFunction
 ) -> Fraction:
     """Sum of w(k, |D|) times the number of size-k minimal supports
-    containing the fact (computed as histogram differences upstream)."""
+    containing the fact (from `Plan.fact_counts` upstream)."""
     total = Fraction(0)
     for k, count in fact_counts.items():
         if count:
@@ -221,18 +227,16 @@ METHODS = ("auto", "brute", "partition", "if")
 
 class Plan:
     """An OMQ compiled once for one counting pipeline, so that counting
-    minimal supports over any fact set (`histogram`) repeats no work that
-    depends on the OMQ alone.
+    minimal supports over a fact set (`histogram`, `fact_counts`) repeats
+    no work that depends on the OMQ alone.
 
     `auto` takes brute force for a Horn-extended TBox, the
     interaction-free pipeline when its check passes, and partition
     otherwise.  The interaction-free plan is an `IFPlan`; the partition
     plan holds the rewriting and the counting queries of every size; the
-    brute plan the subset evaluator and the minimal supports of the first
-    fact set it counts over, which answer every subset of it because the
-    query is monotone.  An unsupported OMQ raises `UnsupportedTBoxError`
-    here, and brute force on more than `BRUTE_FORCE_CAP` facts raises
-    `InputError` before it enumerates.
+    brute plan the subset evaluator.  An unsupported OMQ raises
+    `UnsupportedTBoxError` here, and brute force on more than
+    `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates.
     """
 
     def __init__(self, omq: OMQ, method: str = "auto"):
@@ -257,8 +261,6 @@ class Plan:
             self.counting_queries = counting_queries(self.rewriting)
         if method == "brute":
             self._evaluator = make_subset_evaluator(omq.tbox, omq.query)
-            self._pool: frozenset[Fact] | None = None
-            self._supports: list[MinimalSupport] = []
         self.method = method
 
     def histogram(self, facts: Iterable[Fact]) -> SupportHistogram:
@@ -270,15 +272,32 @@ class Plan:
             return count_ms_interaction_free(self._if_plan, ABox(ordered))
         if self.method == "partition":
             return partition_histogram(self.counting_queries, ordered)
-        pool = frozenset(ordered)
-        if self._pool is None or not pool <= self._pool:
-            if len(pool) > BRUTE_FORCE_CAP:
-                raise InputError(
-                    f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(pool)}"
-                )
-            self._pool = pool
-            self._supports = enumerate_minimal_supports(ordered, self._evaluator)
-        return SupportHistogram.from_sizes(len(s) for s in self._supports if s.facts <= pool)
+        return SupportHistogram.from_sizes(len(s) for s in self._minimal_supports(ordered))
+
+    def fact_counts(self, facts: Iterable[Fact]) -> tuple[SupportHistogram, FactCounts]:
+        """countFMS over the facts, which must be consistent with the TBox,
+        and each fact's per-size counts of the minimal supports containing
+        it.  Partition and brute force count every fact in one pass; the
+        interaction-free pipeline takes each fact's counts as the
+        histogram over the facts minus the one over the rest."""
+        facts = tuple(facts)
+        if self.method == "if":
+            everything = frozenset(facts)
+            full = self.histogram(everything)
+            return full, {
+                f: histogram_difference(full, self.histogram(everything - {f})) for f in facts
+            }
+        ordered = tuple(sorted(facts, key=lambda f: f.label))
+        if self.method == "partition":
+            return partition_fact_counts(self.counting_queries, ordered)
+        return tally_fact_counts(facts, self._minimal_supports(ordered))
+
+    def _minimal_supports(self, ordered: tuple[Fact, ...]) -> list[MinimalSupport]:
+        if len(ordered) > BRUTE_FORCE_CAP:
+            raise InputError(
+                f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(ordered)}"
+            )
+        return enumerate_minimal_supports(ordered, self._evaluator)
 
 
 def score_all(
@@ -287,21 +306,15 @@ def score_all(
     weight: WeightFunction = WEIGHT_MS,
     method: str = "auto",
 ) -> ScoreReport:
-    """WSMS scores for every fact of the ABox, each from the histograms
-    over D and over D minus the fact."""
+    """WSMS scores for every fact of the ABox, from one `Plan.fact_counts`
+    call."""
     from .reasoner import is_consistent
 
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot score an inconsistent KB")
     plan = Plan(omq, method)
-    everything = frozenset(abox)
-    full = plan.histogram(everything)
-    scores = {
-        f.label: wsms_via_histogram(
-            histogram_difference(full, plan.histogram(everything - {f})), len(abox), weight
-        )
-        for f in abox
-    }
+    full, counts = plan.fact_counts(abox)
+    scores = {f.label: wsms_via_histogram(counts[f], len(abox), weight) for f in abox}
     return ScoreReport(scores=scores, method=plan.method, histogram=full)
 
 

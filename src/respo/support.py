@@ -9,7 +9,9 @@ Three routes live here:
     are exactly the minimal supports) that scales past subset enumeration;
   * the reduct/automorphism partition: per size k, the minimal supports of
     a UCQ split across rigidified reducts, and each reduct's supports are
-    counted as homomorphisms divided by its automorphism count.
+    counted as homomorphisms divided by its automorphism count.  The same
+    homomorphisms, enumerated once per counting query, credit each fact
+    in their image and so give every fact's counts in one pass.
 
 The counting queries depend on the query alone: `counting_queries` builds
 those of every size from one enumeration of the reducts, and a
@@ -47,6 +49,7 @@ from .queries import (
     hom_assignments,
     hom_count,
     hom_exists,
+    hom_visit,
     max_relational_size,
     query_hom_exists,
     query_target,
@@ -73,6 +76,12 @@ class FactDB(HomTarget):
         for f in self.facts:
             tuples.setdefault((f.predicate, len(f.args)), {})[f.args] = f
         super().__init__(tuples, lambda name: name, operator.ne)
+
+    def fact_of(self, atom: Atom, binding: Mapping[str, object]) -> Fact:
+        """The fact that a homomorphism with this binding maps the
+        relational atom onto."""
+        args = tuple(binding[t.name] if t.is_var else t.name for t in atom.terms)
+        return self.tuples[(atom.predicate, len(atom.terms))][args]
 
 
 def count_homomorphisms(cq: CQ, facts: Iterable[Fact] | FactDB) -> int:
@@ -201,6 +210,24 @@ def count_fms_brute(
     return SupportHistogram.from_sizes(len(s) for s in supports)
 
 
+# Each fact's per-size counts of the minimal supports containing it.
+FactCounts = dict[Fact, dict[int, int]]
+
+
+def tally_fact_counts(
+    facts: Iterable[Fact], supports: Iterable[MinimalSupport]
+) -> tuple[SupportHistogram, FactCounts]:
+    """The histogram of the supports and each fact's per-size counts of
+    those containing it, in one pass over the supports."""
+    supports = list(supports)
+    counts: FactCounts = {f: {} for f in facts}
+    for s in supports:
+        for f in s.facts:
+            counts[f][len(s)] = counts[f].get(len(s), 0) + 1
+    histogram = SupportHistogram.from_sizes(len(s) for s in supports)
+    return histogram, {f: dict(sorted(c.items())) for f, c in counts.items()}
+
+
 def minimal_supports_via_hom_images(
     ucq: CQ | UCQ, facts: Iterable[Fact]
 ) -> list[MinimalSupport]:
@@ -214,12 +241,7 @@ def minimal_supports_via_hom_images(
     for disjunct in ucq.disjuncts:
         rel = disjunct.relational_atoms()
         for binding in hom_assignments(disjunct, db):
-            images.add(frozenset(
-                db.tuples[(atom.predicate, len(atom.terms))][
-                    tuple(binding[t.name] if t.is_var else t.name for t in atom.terms)
-                ]
-                for atom in rel
-            ))
+            images.add(frozenset(db.fact_of(atom, binding) for atom in rel))
     minimal = [
         s for s in images if not any(other < s for other in images)
     ]
@@ -380,3 +402,50 @@ def partition_histogram(
     `counting_queries`)."""
     db = facts if isinstance(facts, FactDB) else FactDB(facts)
     return SupportHistogram({k: count_fms_partition(qs, db) for k, qs in queries.items()})
+
+
+def partition_fact_counts(
+    queries: Mapping[int, Iterable[CountingQuery]], facts: Iterable[Fact] | FactDB
+) -> tuple[SupportHistogram, FactCounts]:
+    """`partition_histogram`, and each fact's per-size counts of the
+    minimal supports containing it, from one search per counting query.
+
+    A counting query is rigid, so each of its homomorphisms is injective
+    and its image is one size-k support; each size-k minimal support is
+    the image of |Auto_q| homomorphisms of exactly one size-k counting
+    query q, which gamma_q = 1/|Auto_q| cancels.  A fact's size-k count,
+    the size-k histogram over D minus the one over D without the fact, is
+    therefore the sum over q of gamma_q times the number of q's
+    homomorphisms whose image holds the fact.  The integer hits of each
+    (query, fact) pair are weighted by gamma once, and every sum must be
+    integral, like the totals.
+    """
+    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+    totals: dict[int, int] = {}
+    counts: FactCounts = {f: {} for f in db.facts}
+    for k, qs in queries.items():
+        total = Fraction(0)
+        sums: dict[Fact, Fraction] = {}
+        for q in qs:
+            hits: dict[Fact, int] = {}
+            rel = q.cq.relational_atoms()
+
+            def credit(binding):
+                for atom in rel:
+                    f = db.fact_of(atom, binding)
+                    hits[f] = hits.get(f, 0) + 1
+
+            total += hom_visit(q.cq, db, credit) * q.gamma
+            for f, n in hits.items():
+                sums[f] = sums.get(f, 0) + n * q.gamma
+        totals[k] = _integral(total)
+        for f, value in sums.items():
+            counts[f][k] = _integral(value, f)
+    return SupportHistogram(totals), counts
+
+
+def _integral(value: Fraction, fact: Fact | None = None) -> int:
+    if value.denominator != 1:
+        where = "" if fact is None else f" for fact {fact.label}"
+        raise RespoError(f"non-integral partition count {value}{where}")
+    return int(value)

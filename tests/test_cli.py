@@ -291,6 +291,9 @@ def _weight_file(tmp_path, text):
         ["gen", "reach", "--graph", "GRAPH", "--out", "OUT_DIR"],
         ["gen", "reach", "--graph", "GRAPH", "--out", "OUT_DIR", "--source", "a", "--target", "z"],
         ["gen", "mvc", "--graph", "BAD_GRAPH", "--out", "OUT_DIR"],
+        ["gen", "pm", "--graph", "UNCOVERED_GRAPH", "--out", "OUT_DIR"],
+        ["gen", "pm", "--graph", "GRAPH", "--out", "OUT_DIR"],
+        ["gen", "mvc", "--graph", "EDGELESS_GRAPH", "--out", "OUT_DIR"],
     ],
     ids=[
         "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
@@ -301,6 +304,7 @@ def _weight_file(tmp_path, text):
         "shapley-over-cap", "count-fms-size-zero", "emit-sql-size-zero",
         "emit-sql-negative-size", "verify-zero-instances", "verify-negative-instances",
         "gen-reach-no-source", "gen-reach-unknown-vertex", "gen-bad-edge-line",
+        "gen-pm-uncovered-vertex", "gen-pm-not-bipartite", "gen-mvc-no-edges",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
@@ -310,16 +314,27 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         raise AssertionError("bad input must be rejected before scoring")
 
     # Every brute-force or partition count and every Shapley value runs
-    # through these.  A missing weight-table entry shows only once scoring
-    # needs it, and the Shapley cap is checked by the brute-force
-    # computation itself.
+    # through these: partition scoring through `partition_fact_counts`,
+    # the count commands through `partition_histogram`.  A missing
+    # weight-table entry shows only once scoring needs it, and the Shapley
+    # cap is checked by the brute-force computation itself.
     if request.node.callspec.id not in {"weight-missing-entry", "shapley-over-cap"}:
-        for name in ("enumerate_minimal_supports", "partition_histogram", "shapley_brute_force"):
+        for name in (
+            "enumerate_minimal_supports",
+            "partition_histogram",
+            "partition_fact_counts",
+            "shapley_brute_force",
+        ):
             monkeypatch.setattr(respo.shapley, name, no_scoring)
     # One fact past the brute-force cap of 20.
     big = tmp_path / "big.abox"
     big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")
-    graphs = {"GRAPH": "a b\nb c\n", "BAD_GRAPH": "a b\na b c\n"}
+    graphs = {
+        "GRAPH": "a b\nb c\n",
+        "BAD_GRAPH": "a b\na b c\n",
+        "UNCOVERED_GRAPH": "bipartite: A=a1 B=b1\na1 b2\n",
+        "EDGELESS_GRAPH": "vertex: a\n",
+    }
     for placeholder, text in graphs.items():
         (tmp_path / placeholder).write_text(text, encoding="utf-8")
     argv = [

@@ -13,7 +13,7 @@ from respo.generators import (
     oracle_simple_paths,
     parse_graph,
 )
-from respo.model import RespoError, SupportHistogram
+from respo.model import InputError, RespoError, SupportHistogram
 from respo.support import (
     count_fms_brute,
     make_subset_evaluator,
@@ -46,10 +46,14 @@ def test_graph_parsing():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="undeclared vertex"):
         Graph(("a",), (("a", "b"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="stays inside one side"):
         Graph(("a", "b"), (("a", "b"),), part_a=("a", "b"), part_b=())
+    with pytest.raises(InputError, match="sides overlap"):
+        Graph(("a", "b"), (), part_a=("a", "b"), part_b=("b",))
+    with pytest.raises(InputError, match="cover all vertices"):
+        Graph(("a", "b", "c"), (("a", "b"),), part_a=("a",), part_b=("b",))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +77,7 @@ def test_mvc_examples():
 
 
 def test_mvc_rejects_edgeless():
-    with pytest.raises(RespoError):
+    with pytest.raises(InputError):
         gen_mvc(undirected("ab", []))
 
 

@@ -400,3 +400,74 @@ def test_auto_scoring_checks_interaction_freeness_once(variant, monkeypatch):
     report = score_all(abox, omq, method="auto")
     assert report.method == "if"
     assert len(calls) == 1, len(calls)
+
+
+def test_partition_fact_counts_equal_histogram_differences():
+    """The partition plan's per-fact counts, from one search per counting
+    query, equal the histogram over D minus the one over D without the
+    fact, for every fact of seeded instances of up to 30 facts: plain
+    UCQs with constants and disequalities, symmetric queries whose
+    counting queries have gamma < 1, and rewritings of random DL-Lite_R
+    OMQs.  Its histogram is `partition_histogram` over D."""
+    from respo.randgen import random_abox, random_cq, random_dllite_tbox
+    from respo.shapley import histogram_difference
+    from respo.support import partition_histogram
+    from respo.textio import parse_query
+
+    rng = random.Random(29)
+    symmetric = [
+        parse_query(text) for text in (
+            "r(?x,?y), r(?y,?x)\n",
+            "r(?x,?y), r(?y,?z), r(?z,?x)\n",
+            "r(?x,?y), r(?y,?z), r(?z,?w), r(?w,?x)\n",
+            "r(?x,?y), r(?x,?z), ?y != ?z\n",
+            "r(?x,?y), r(?y,?x), A(?x), A(?y)\n",
+        )
+    ]
+    instances = []
+    for _ in range(12):
+        ucq = random_ucq(rng)
+        instances.append((OMQ(TBox(), ucq), random_abox(rng, max_facts=30, bias=ucq)))
+    for query in symmetric:
+        omq = OMQ(TBox(), query)
+        instances.append((omq, _large_abox(rng, omq, rng.randint(20, 30))))
+    for _ in range(12):
+        omq = OMQ(random_dllite_tbox(rng, max_axioms=3), random_cq(rng, allow_neq=False))
+        instances.append((omq, random_abox(rng, max_facts=30, bias=omq.query, tbox=omq.tbox)))
+
+    credited = fractional = 0
+    for omq, abox in instances:
+        plan = Plan(omq, "partition")
+        fractional += any(q.gamma < 1 for qs in plan.counting_queries.values() for q in qs)
+        full, counts = plan.fact_counts(abox)
+        assert full == plan.histogram(abox) == partition_histogram(plan.counting_queries, abox)
+        everything = frozenset(abox)
+        assert set(counts) == everything
+        for f in abox:
+            expected = histogram_difference(full, plan.histogram(everything - {f}))
+            assert counts[f] == expected, (omq, list(abox), f)
+            credited += bool(expected)
+    assert max(len(abox) for _, abox in instances) >= 25
+    assert fractional >= len(symmetric) and credited >= 100, (fractional, credited)
+
+
+def test_partition_scoring_searches_once_per_counting_query(variant, monkeypatch):
+    """A partition `score_all` maps each counting query into the facts
+    once, not once per histogram over D and over D minus each fact."""
+    import respo.queries as queries
+    from respo.support import FactDB
+
+    omq, abox = variant
+    n_queries = sum(len(qs) for qs in Plan(omq, "partition").counting_queries.values())
+    searches = []
+
+    def counting_search(atoms, target, *args, **kwargs):
+        if isinstance(target, FactDB):
+            searches.append(target)
+        return real(atoms, target, *args, **kwargs)
+
+    real = queries._search
+    monkeypatch.setattr(queries, "_search", counting_search)
+    report = score_all(abox, omq, method="partition")
+    assert report.histogram == {6: 6}
+    assert 0 < len(searches) <= n_queries, (len(searches), n_queries)
