@@ -24,7 +24,6 @@ from .model import (
     UCQ,
     UnsupportedTBoxError,
     WeightFunction,
-    WeightedDatabase,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "UCQ",
     "UnsupportedTBoxError",
     "WeightFunction",
-    "WeightedDatabase",
 ]
 
 __version__ = "0.1.0"

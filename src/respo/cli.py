@@ -255,8 +255,8 @@ def cmd_verify(args) -> int:
         random_ucq,
     )
     from .rewriter import rewrite
+    from .shapley import histogram_difference
     from .support import (
-        count_fms_brute,
         counting_queries,
         enumerate_minimal_supports,
         make_subset_evaluator,
@@ -325,11 +325,23 @@ def cmd_verify(args) -> int:
 
         if not is_consistent(abox, omq.tbox):
             continue
+        facts = tuple(abox)
         evaluator = make_subset_evaluator(omq.tbox, omq.query)
-        brute = count_fms_brute(tuple(abox), evaluator)
+        supports = enumerate_minimal_supports(facts, evaluator)
+        brute, brute_counts = tally_fact_counts(facts, supports)
         fast = count_ms_interaction_free(plan, abox)
         if brute.total() != fast.total():
             failures.append(f"interaction-free mismatch on instance {i}")
+            continue
+        for f in facts:
+            rest = count_ms_interaction_free(plan, abox.without(f))
+            fast_counts = histogram_difference(fast, rest)
+            if brute_counts[f] != fast_counts:
+                failures.append(
+                    f"interaction-free per-fact mismatch on instance {i}, fact {f.label}:"
+                    f" {brute_counts[f]} vs {fast_counts}"
+                )
+                break
     print(f"interaction-free-vs-brute: {n_if - (len(failures) - before)}/{n_if} ok")
 
     for f in failures:

@@ -3,30 +3,31 @@
 An OMQ is interaction-free when no single generic assertion can satisfy
 two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
-counting minimal supports factorizes.  The weighted database is a sum
-over the facts: each fact gets one canonical slice of its own, and adds 1
-to every (atom, assignment into its constants or an anonymous witness)
-pair it satisfies, which interaction-freeness makes at most one pair; the
-interaction-freeness check runs the same per-fact enumeration over generic
-facts.  Weight products are then summed over homomorphisms along a tree
-decomposition: each bag joins its atoms' entries with its children's
-messages, so an evaluation costs about the number of entries, and
-connected components multiply.
+counting minimal supports factorizes.  Each fact gets one canonical slice
+of its own and yields one row for every (atom, assignment into its
+constants or an anonymous witness) pair it satisfies, which
+interaction-freeness makes at most one row; the interaction-freeness
+check runs the same per-fact enumeration over generic facts.  Summing
+the facts' rows gives each atom a table from rows to weights, and weight
+products are summed over homomorphisms along a tree decomposition: each
+bag joins its atoms' tables with its children's messages, so an
+evaluation costs about the number of rows, and connected components
+multiply.
 
 A plan (`IFPlan`) is built once per OMQ: it runs the
 interaction-freeness check and keeps each component's tree decomposition
-and each fact's entries, so scoring every fact, which counts over D and
+and each fact's rows, so scoring every fact, which counts over D and
 over each D minus one fact, checks the OMQ once and builds one slice per
 fact and one decomposition per component.  Each of those |D| + 1 counts
-joins its weighted database anew; an inside-outside pass over the
-decomposition would give every fact's count from one evaluation.
+sums its facts' rows and joins them anew; an inside-outside pass over
+the decomposition would give every fact's count from one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable
+from typing import Sequence
 
 from .model import (
     ANON,
@@ -41,8 +42,6 @@ from .model import (
     SupportHistogram,
     TBox,
     UnsupportedTBoxError,
-    WeightedDatabase,
-    WeightedFact,
     connected_components,
 )
 from .reasoner import canonical_slice, is_consistent, query_depth
@@ -158,7 +157,7 @@ def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
 
 
 # ---------------------------------------------------------------------------
-# Weighted database construction
+# Per-fact rows
 # ---------------------------------------------------------------------------
 
 def _shared_variables(cq: CQ) -> set[str]:
@@ -174,18 +173,24 @@ def anon_constant(slot: int) -> str:
     return f"anon#{slot}"
 
 
+def row_variables(atom: Atom) -> tuple[str, ...]:
+    """The atom's distinct variables in order of first occurrence: the
+    columns of its rows."""
+    return tuple(dict.fromkeys(atom.variables()))
+
+
 class IFPlan:
     """What counting an interaction-free OMQ needs besides the data: the
     connected components of its CQ with their tree decompositions, and the
-    weighted-database entries of each fact seen so far.  Building a plan
-    runs the interaction-freeness check once and raises
-    `UnsupportedTBoxError` (`NotInteractionFreeError` for a failed check)
-    when the OMQ is outside the pipeline.
+    rows of each fact seen so far.  Building a plan runs the
+    interaction-freeness check once and raises `UnsupportedTBoxError`
+    (`NotInteractionFreeError` for a failed check) when the OMQ is outside
+    the pipeline.
 
-    A fact's entries depend on that fact alone, so the weighted database
-    of any fact set is the sum of its facts' entries, and one plan serves
-    every subset of a database: each fact's canonical slice is built once,
-    for all components together.
+    A fact's rows depend on that fact alone, so the tables of any fact set
+    are the sums of its facts' rows, and one plan serves every subset of a
+    database: each fact's canonical slice is built once, for all
+    components together.
     """
 
     def __init__(self, omq: OMQ):
@@ -198,61 +203,46 @@ class IFPlan:
         self.components = [
             (component, tree_decompose(component)) for component in connected_components(cq)
         ]
-        # Every relational atom, and for each its component, its slot there
-        # and whether that component has other atoms.
+        # Every relational atom, and for each its component, its slot there,
+        # its row variables and whether that component has other atoms.
         homes = [
-            (atom, (index, slot, len(component.relational_atoms()) > 1))
+            (atom, (index, slot, row_variables(atom), len(component.relational_atoms()) > 1))
             for index, (component, _) in enumerate(self.components)
             for slot, atom in enumerate(component.relational_atoms())
         ]
         self._atoms = tuple(atom for atom, _ in homes)
         self._homes = tuple(home for _, home in homes)
         self._shared = _shared_variables(cq)
-        self._entries: dict[Fact, tuple[tuple[int, WeightedFact], ...]] = {}
+        self._rows: dict[Fact, tuple[tuple[int, int, tuple[str, ...]], ...]] = {}
 
-    def fact_entries(self, fact: Fact) -> tuple[tuple[int, WeightedFact], ...]:
-        """The (component, entry) pairs the fact feeds, one per (slot,
-        assignment) pair it satisfies; interaction-freeness leaves at most
-        one.
+    def fact_entries(self, fact: Fact) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
+        """The (component, slot, row) triples the fact feeds, one per
+        (slot, assignment) pair it satisfies; interaction-freeness leaves
+        at most one.
 
-        An entry instantiates its slot's atom, with `anon_constant(slot)`
-        standing for an anonymous value, so instantiations of different
-        atoms never alias.  A single-atom component keeps every pair.  In a
-        larger one a shared variable is never anonymous (Lemma 4), so
-        besides all-named pairs only role atoms with a named shared end and
-        an anonymous unshared end stay.
+        A row holds the values of the slot atom's `row_variables`, with
+        `anon_constant(slot)` standing for an anonymous value, so rows of
+        different atoms never alias.  A single-atom component keeps every
+        pair.  In a larger one a shared variable is never anonymous
+        (Lemma 4), so besides all-named pairs only role atoms with a named
+        shared end and an anonymous unshared end stay.
         """
-        if fact in self._entries:
-            return self._entries[fact]
-        entries = []
+        known = self._rows.get(fact)
+        if known is not None:
+            return known
+        rows = []
         for k, mu in _satisfying_pairs(self.omq.tbox, fact, self._atoms):
-            index, slot, joined = self._homes[k]
+            index, slot, variables, joined = self._homes[k]
             anonymous = {v for v, value in mu.items() if value is ANON}
             # Every atom of a larger component has a shared variable, so
             # this keeps exactly the named-shared, anonymous-unshared role
             # pairs.
             if joined and anonymous and anonymous != set(mu) - self._shared:
                 continue
-            atom = self._atoms[k]
-            args = tuple(
-                t.name if t.is_const
-                else anon_constant(slot) if t.name in anonymous
-                else mu[t.name]
-                for t in atom.terms
-            )
-            entries.append((index, WeightedFact(slot, atom.predicate, args)))
-        self._entries[fact] = tuple(entries)
-        return self._entries[fact]
-
-
-def build_weighted_db(plan: IFPlan, facts: Iterable[Fact]) -> list[WeightedDatabase]:
-    """The weighted database of each component over the facts: the sum of
-    the facts' entries (see `IFPlan.fact_entries`)."""
-    weights: list[dict[WeightedFact, int]] = [{} for _ in plan.components]
-    for fact in facts:
-        for index, entry in plan.fact_entries(fact):
-            weights[index][entry] = weights[index].get(entry, 0) + 1
-    return [WeightedDatabase(w) for w in weights]
+            row = tuple(anon_constant(slot) if v in anonymous else mu[v] for v in variables)
+            rows.append((index, slot, row))
+        self._rows[fact] = tuple(rows)
+        return self._rows[fact]
 
 
 # ---------------------------------------------------------------------------
@@ -411,28 +401,11 @@ def tree_decompose(cq: CQ) -> TreeDecomposition:
 # Weighted evaluation
 # ---------------------------------------------------------------------------
 
-# A factor maps each tuple of values of its variables to a weight above 0.
+# A factor maps each tuple of values of its variables to a weight.
 Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
 
-
-def _atom_factor(atom: Atom, entries: dict[tuple[str, ...], int]) -> Factor:
-    """The entries of the atom's slot that agree with its constants and
-    repeated variables, keyed by its variables."""
-    first: dict[str, int] = {}  # each variable's first position
-    constants, repeats = [], []
-    for i, t in enumerate(atom.terms):
-        if t.is_const:
-            constants.append((i, t.name))
-        elif t.name in first:
-            repeats.append((i, first[t.name]))
-        else:
-            first[t.name] = i
-    rows = {
-        tuple(args[i] for i in first.values()): w
-        for args, w in entries.items()
-        if all(args[i] == c for i, c in constants) and all(args[i] == args[j] for i, j in repeats)
-    }
-    return tuple(first), rows
+# The weight of each row of one atom, keyed as in `IFPlan.fact_entries`.
+Table = dict[tuple[str, ...], int]
 
 
 def _join(left: Factor, right: Factor) -> Factor:
@@ -454,15 +427,16 @@ def _join(left: Factor, right: Factor) -> Factor:
     return lvars + tuple(rvars[i] for i in extra), rows
 
 
-def weighted_eval(cq: CQ, wdb: WeightedDatabase, td: TreeDecomposition) -> int:
+def weighted_eval(cq: CQ, rows: Sequence[Table], td: TreeDecomposition) -> int:
     """Sum over homomorphisms of the product of per-atom weights, by
-    message passing over the decomposition.
+    message passing over the decomposition, where `rows[slot]` weighs the
+    values of the slot atom's `row_variables`.
 
     Each atom is charged to the first bag covering its variables and
-    contributes its slot's entries (`_atom_factor`).  A bag hash-joins
-    those factors with its children's messages and sums out the variables
-    its parent bag lacks; the roots' totals multiply.  An evaluation thus
-    costs about the number of entries, not |dom|^|bag|.
+    contributes its table as a factor over those variables.  A bag
+    hash-joins those factors with its children's messages and sums out the
+    variables its parent bag lacks; the roots' totals multiply.  An
+    evaluation thus costs about the number of rows, not |dom|^|bag|.
 
     No bag variable is enumerated over a domain, because each is bound by
     a charged atom or a child's message.  Under `tree_decompose` the bag of
@@ -481,7 +455,7 @@ def weighted_eval(cq: CQ, wdb: WeightedDatabase, td: TreeDecomposition) -> int:
         home = next((i for i, bag in enumerate(td.bags) if vs <= bag), None)
         if home is None:
             raise RespoError("tree decomposition does not cover an atom")
-        factors[home].append(_atom_factor(atom, wdb.slot_entries(slot)))
+        factors[home].append((row_variables(atom), rows[slot]))
     children: list[list[int]] = [[] for _ in td.bags]
     for i, p in enumerate(td.parents):
         if p != -1:
@@ -521,9 +495,16 @@ def count_ms_interaction_free(plan: IFPlan, abox: ABox) -> SupportHistogram:
     one fact per query atom."""
     if not is_consistent(abox, plan.omq.tbox):
         raise InconsistentKBError("cannot count over an inconsistent KB")
+    tables: list[list[Table]] = [
+        [{} for _ in component.relational_atoms()] for component, _ in plan.components
+    ]
+    for fact in abox:
+        for index, slot, row in plan.fact_entries(fact):
+            table = tables[index][slot]
+            table[row] = table.get(row, 0) + 1
     total = 1
-    for (component, td), wdb in zip(plan.components, build_weighted_db(plan, abox)):
-        total *= weighted_eval(component, wdb, td)
+    for (component, td), rows in zip(plan.components, tables):
+        total *= weighted_eval(component, rows, td)
         if total == 0:
             break
     return SupportHistogram({plan.size: total})

@@ -560,43 +560,6 @@ class SupportHistogram:
 
 
 # ---------------------------------------------------------------------------
-# Weighted databases
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class WeightedFact:
-    """One entry of a weighted database.
-
-    The slot records which query-atom occurrence produced the entry, so
-    instantiations of different atoms never alias even when predicate and
-    arguments coincide.
-    """
-
-    slot: int
-    predicate: str
-    args: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class WeightedDatabase:
-    """Facts annotated with natural-number weights; the weight map covers
-    every fact."""
-
-    weights: Mapping[WeightedFact, int]
-
-    def __post_init__(self):
-        for wf, w in self.weights.items():
-            if w < 0:
-                raise ValueError("weights are natural numbers")
-        object.__setattr__(self, "weights", dict(self.weights))
-
-    def slot_entries(self, slot: int) -> dict[tuple[str, ...], int]:
-        return {
-            wf.args: w for wf, w in self.weights.items() if wf.slot == slot and w > 0
-        }
-
-
-# ---------------------------------------------------------------------------
 # Weight functions
 # ---------------------------------------------------------------------------
 

@@ -109,16 +109,6 @@ def _canonical(cq: CQ) -> tuple[tuple, tuple[str, ...]]:
     return best_key, best_order
 
 
-def canonical_form(cq: CQ) -> tuple:
-    """A renaming-invariant key.
-
-    Two CQs have equal canonical forms iff they are identical up to
-    variable renaming and the orientation of disequalities.  Intended for
-    the small queries handled by the reduct/rewriting machinery.
-    """
-    return _canonical(cq)[0]
-
-
 def _group_orderings(groups: list[list[str]]):
     """All concatenations of per-group permutations (groups are small in
     practice because signatures separate most variables)."""
@@ -147,12 +137,18 @@ def _render_atom(atom: Atom, rename: dict[str, int]):
     return (atom.kind, atom.predicate or "", tuple(parts))
 
 
-def canonicalize(cq: CQ) -> CQ:
-    """Rewrite cq with canonical variable names v0, v1, ..."""
-    _, order = _canonical(cq)
+def canonicalize(cq: CQ) -> tuple[tuple, CQ]:
+    """The canonical form of cq, a renaming-invariant key, and cq with
+    canonical variable names v0, v1, ..., from one search.
+
+    Two CQs have equal canonical forms iff they are identical up to
+    variable renaming and the orientation of disequalities.  Intended for
+    the small queries handled by the reduct/rewriting machinery.
+    """
+    key, order = _canonical(cq)
     if not order:
-        return cq
-    return substitute(cq, {name: var(f"v{i}") for i, name in enumerate(order)})
+        return key, cq
+    return key, substitute(cq, {name: var(f"v{i}") for i, name in enumerate(order)})
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +363,22 @@ def query_hom_exists(src: CQ, dst: CQ) -> bool:
     return hom_exists(src, query_target(dst))
 
 
-def hom_minimal(queries: Iterable[CQ]) -> list[CQ]:
-    """The queries sorted by canonical form, without each one that another
-    query maps into.  Of a hom-equivalent pair only the smaller canonical
-    form stays.  Dropping a query whose witness is dropped later is
-    harmless, because homomorphisms compose.
+def hom_minimal(forms: Mapping[tuple, CQ]) -> list[CQ]:
+    """The queries of `forms`, which maps canonical forms to queries,
+    sorted by form, without each one that another query maps into.  Of a
+    hom-equivalent pair only the smaller canonical form stays.  Dropping a
+    query whose witness is dropped later is harmless, because
+    homomorphisms compose.
     """
-    queries = sorted(queries, key=canonical_form)
+    keys = sorted(forms)
     kept: list[CQ] = []
-    for q in queries:
-        for other in queries:
-            if other is q or not query_hom_exists(other, q):
+    for key in keys:
+        q = forms[key]
+        for other_key in keys:
+            other = forms[other_key]
+            if other_key == key or not query_hom_exists(other, q):
                 continue
-            if query_hom_exists(q, other) and canonical_form(q) < canonical_form(other):
+            if query_hom_exists(q, other) and key < other_key:
                 continue  # hom-equivalent pair: keep the smaller form only
             break
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .model import (
     ANON,
@@ -21,7 +21,6 @@ from .model import (
     ABox,
     Assignment,
     Atom,
-    Axiom,
     BasicConcept,
     CQ,
     ConjunctionAxiom,
@@ -100,8 +99,11 @@ class SaturatedTBox:
         return frozenset(found)
 
 
-@lru_cache(maxsize=None)
 def saturate(tbox: TBox) -> SaturatedTBox:
+    """The TBox's saturation, computed once per TBox object and kept on it,
+    so that it lives exactly as long as the TBox."""
+    if "_saturation" in vars(tbox):
+        return vars(tbox)["_saturation"]
     _require_dllite(tbox, "saturation")
 
     roles: set[Role] = set()
@@ -197,13 +199,15 @@ def saturate(tbox: TBox) -> SaturatedTBox:
                     neg_roles.add((r, r))
                     changed = True
 
-    return SaturatedTBox(
+    sat = SaturatedTBox(
         tbox=tbox,
         concept_subs={c: frozenset(s) for c, s in concept_edges.items()},
         role_subs={r: frozenset(s) for r, s in role_edges.items()},
         disjoint_concepts=frozenset(neg_concepts),
         disjoint_roles=frozenset(neg_roles),
     )
+    object.__setattr__(tbox, "_saturation", sat)
+    return sat
 
 
 def _transitive_close(edges: dict):

@@ -35,7 +35,6 @@ from .model import (
 )
 from .queries import (
     UnsatisfiableQuery,
-    canonical_form,
     canonicalize,
     fresh_var,
     hom_minimal,
@@ -178,8 +177,7 @@ def rewrite(omq: OMQ, max_rounds: int | None = None) -> Rewriting:
     steps: list[tuple[str, str]] = []
     frontier: list[CQ] = []
     for d in omq.query.disjuncts:
-        c = canonicalize(d)
-        key = canonical_form(c)
+        key, c = canonicalize(d)
         if key not in seen:
             seen[key] = c
             frontier.append(c)
@@ -196,8 +194,7 @@ def rewrite(omq: OMQ, max_rounds: int | None = None) -> Rewriting:
             produced = [(q, rule) for (q, rule) in _applications(cq, sat)]
             produced.extend((q, "unify") for q in _unifications(cq))
             for (q, rule) in produced:
-                q = canonicalize(q)
-                key = canonical_form(q)
+                key, q = canonicalize(q)
                 if key not in seen:
                     seen[key] = q
                     new_frontier.append(q)
@@ -205,5 +202,5 @@ def rewrite(omq: OMQ, max_rounds: int | None = None) -> Rewriting:
         frontier = new_frontier
 
     # A disjunct that another disjunct maps into is subsumed by it.
-    disjuncts = hom_minimal(seen.values())
+    disjuncts = hom_minimal(seen)
     return Rewriting(source=omq, result=UCQ(tuple(disjuncts)), steps=tuple(steps))

@@ -44,7 +44,6 @@ from .model import (
 from .queries import (
     HomTarget,
     UnsatisfiableQuery,
-    canonical_form,
     canonicalize,
     hom_assignments,
     hom_count,
@@ -271,12 +270,13 @@ def ucq_constants(ucq: UCQ) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def _all_reducts(ucq: UCQ) -> tuple[CQ, ...]:
-    """Every reduct of any disjunct: collapse variable blocks onto a
-    representative variable or onto a constant of the union (a support can
-    place a variable on any named constant, including one only another
-    disjunct mentions), drop duplicate atoms.  Collapses that identify the
-    two sides of a disequality are unsatisfiable and skipped."""
+def _all_reducts(ucq: UCQ) -> dict[tuple, CQ]:
+    """Every reduct of any disjunct, keyed by canonical form: collapse
+    variable blocks onto a representative variable or onto a constant of
+    the union (a support can place a variable on any named constant,
+    including one only another disjunct mentions), drop duplicate atoms.
+    Collapses that identify the two sides of a disequality are
+    unsatisfiable and skipped."""
     from .model import Term, CONST, var as mkvar
 
     seen: dict[tuple, CQ] = {}
@@ -293,10 +293,10 @@ def _all_reducts(ucq: UCQ) -> tuple[CQ, ...]:
             def assign(i: int, mapping: dict[str, Term]):
                 if i == len(part):
                     try:
-                        reduct = canonicalize(substitute(disjunct, dict(mapping)))
+                        key, reduct = canonicalize(substitute(disjunct, dict(mapping)))
                     except UnsatisfiableQuery:
                         return
-                    seen.setdefault(canonical_form(reduct), reduct)
+                    seen.setdefault(key, reduct)
                     return
                 for target in targets_per_block[i]:
                     new = dict(mapping)
@@ -305,7 +305,7 @@ def _all_reducts(ucq: UCQ) -> tuple[CQ, ...]:
                     assign(i + 1, new)
 
             assign(0, {})
-    return tuple(seen.values())
+    return seen
 
 
 def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
@@ -320,15 +320,16 @@ def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
     pins = ucq_constants(ucq)
     out = {}
     for k in range(1, max_relational_size(ucq) + 1):
-        smaller = [q for q in everything if len(q.relational_atoms()) < k]
+        smaller = [q for q in everything.values() if len(q.relational_atoms()) < k]
         minimal = []
-        for q in everything:
+        for key in sorted(everything):
+            q = everything[key]
             if len(q.relational_atoms()) != k:
                 continue
             rigid = with_all_pairs_neq(q, pins)
             if not any(query_hom_exists(small, rigid) for small in smaller):
                 minimal.append(q)
-        out[k] = tuple(sorted(minimal, key=canonical_form))
+        out[k] = tuple(minimal)
     return out
 
 
@@ -366,8 +367,8 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
     for k, qs in reducts(ucq).items():
         rigid: dict[tuple, CQ] = {}
         for q in qs:
-            aug = canonicalize(with_all_pairs_neq(q, pins))
-            rigid.setdefault(canonical_form(aug), aug)
+            key, aug = canonicalize(with_all_pairs_neq(q, pins))
+            rigid.setdefault(key, aug)
         out[k] = tuple(
             CountingQuery(cq=rigid[key], gamma=Fraction(1, count_automorphisms(rigid[key])))
             for key in sorted(rigid)

@@ -202,23 +202,25 @@ def _render_basic(b) -> str:
 
 def parse_abox(text: str) -> ABox:
     facts: list[Fact] = []
+    labels: set[str] = set()
+    assertions: set[tuple[str, tuple[str, ...]]] = set()
     arity = _ArityTracker()
-    index = 0
     for lineno, line in _lines(text):
         m = _FACT_RE.match(line)
         if not m:
             _fail(lineno, f"bad fact {line!r}")
         label, pred, a1, a2 = m.groups()
         if label is None:
-            label = f"f{index}"
+            label = f"f{len(facts)}"
         args = (a1,) if a2 is None else (a1, a2)
         arity.note(pred, "concept" if len(args) == 1 else "role", lineno)
-        try:
-            facts.append(Fact(label, pred, args))
-            ABox(tuple(facts))
-        except ValueError as exc:
-            _fail(lineno, str(exc))
-        index += 1
+        if label in labels:
+            _fail(lineno, f"duplicate fact label {label!r}")
+        if (pred, args) in assertions:
+            _fail(lineno, f"duplicate assertion {pred}({','.join(args)})")
+        labels.add(label)
+        assertions.add((pred, args))
+        facts.append(Fact(label, pred, args))
     return ABox(tuple(facts))
 
 

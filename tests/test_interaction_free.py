@@ -8,7 +8,6 @@ from respo.model import (
     Axiom,
     CONCEPT_INCLUSION,
     CQ,
-    Fact,
     OMQ,
     Role,
     TBox,
@@ -27,7 +26,6 @@ from respo.interaction_free import (
     tree_decompose,
     weighted_eval,
 )
-from respo import interaction_free
 from respo.randgen import random_abox, random_interaction_free_omq
 from respo.reasoner import is_consistent
 from respo.support import count_fms_brute, make_subset_evaluator
@@ -83,18 +81,27 @@ def test_self_join_same_predicate_not_free():
 
 
 # ---------------------------------------------------------------------------
-# Weighted database construction
+# Per-fact rows
 # ---------------------------------------------------------------------------
 
-def build_weighted_db(omq, abox):
-    """The weighted database of a connected query."""
-    (wdb,) = interaction_free.build_weighted_db(IFPlan(omq), abox)
-    return wdb
-
-
 def weighted_entries(omq, abox):
-    wdb = build_weighted_db(omq, abox)
-    return {(wf.slot, wf.predicate, wf.args): w for wf, w in wdb.weights.items()}
+    """The weights of a connected query's rows over the facts, keyed by
+    (slot, row)."""
+    plan = IFPlan(omq)
+    entries = {}
+    for fact in abox:
+        for index, slot, row in plan.fact_entries(fact):
+            assert index == 0
+            entries[slot, row] = entries.get((slot, row), 0) + 1
+    return entries
+
+
+def row_tables(cq, entries):
+    """The (slot, row) weights as one table per slot, for `weighted_eval`."""
+    tables = [{} for _ in cq.relational_atoms()]
+    for (slot, row), w in entries.items():
+        tables[slot][row] = w
+    return tables
 
 
 def test_atom_weight_role_inclusion():
@@ -103,7 +110,7 @@ def test_atom_weight_role_inclusion():
     t = TBox(frozenset({Axiom(ROLE_INCLUSION, Role("hasGrnsh"), Role("hasIng"))}))
     abox = parse_abox("f0: hasGrnsh(sole, sauce)\nf1: hasIng(sole, sauce)\n")
     query = CQ((concept_atom("C", var("x")), role_atom("hasIng", var("x"), var("y"))))
-    assert weighted_entries(OMQ(t, query), abox)[(1, "hasIng", ("sole", "sauce"))] == 2
+    assert weighted_entries(OMQ(t, query), abox)[(1, ("sole", "sauce"))] == 2
 
 
 def test_atom_weight_anonymous_guard():
@@ -113,7 +120,7 @@ def test_atom_weight_anonymous_guard():
     # A(c) supplies an anonymous r-successor of c; r(c,d) does not, since
     # its successor is named.
     entries = weighted_entries(OMQ(t, query), abox)
-    assert entries[(1, "r", ("c", "anon#1"))] == 1
+    assert entries[(1, ("c", "anon#1"))] == 1
 
 
 def test_extend_with_anonymous():
@@ -121,39 +128,38 @@ def test_extend_with_anonymous():
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
     assert weighted_entries(OMQ(t, query), abox) == {
-        (0, "C", ("c",)): 1,
-        (1, "r", ("c", "d")): 1,
-        (1, "r", ("c", "anon#1")): 1,
+        (0, ("c",)): 1,
+        (1, ("c", "d")): 1,
+        (1, ("c", "anon#1")): 1,
     }
 
 
 def test_atom_weight_empty_abox():
     query = CQ((concept_atom("A", var("x")),))
-    assert not build_weighted_db(OMQ(TBox(), query), ABox(())).weights
+    assert not weighted_entries(OMQ(TBox(), query), ABox(()))
 
 
-def test_build_weighted_db_example():
+def test_fact_rows_example():
     query = CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y"))))
     omq = OMQ(TBox(), query)
     abox = parse_abox("A(c)\nr(c,d)\nr(c,e)\n")
     assert weighted_entries(omq, abox) == {
-        (0, "A", ("c",)): 1,
-        (1, "r", ("c", "d")): 1,
-        (1, "r", ("c", "e")): 1,
+        (0, ("c",)): 1,
+        (1, ("c", "d")): 1,
+        (1, ("c", "e")): 1,
     }
 
 
-def test_build_weighted_db_empty_abox():
+def test_fact_rows_empty_abox():
     query = CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y"))))
-    wdb = build_weighted_db(OMQ(TBox(), query), ABox(()))
-    assert not wdb.weights
+    assert not weighted_entries(OMQ(TBox(), query), ABox(()))
 
 
 def test_extend_no_axioms_no_anonymous():
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     abox = parse_abox("C(c)\nr(c,d)\n")
     entries = weighted_entries(OMQ(TBox(), query), abox)
-    assert all("#" not in a for (_slot, _pred, args) in entries for a in args)
+    assert all("#" not in a for (_slot, row) in entries for a in row)
 
 
 def test_shared_variable_gets_no_anonymous_entry():
@@ -162,11 +168,11 @@ def test_shared_variable_gets_no_anonymous_entry():
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     # A(c) puts C on an anonymous element, but x is shared (Lemma 4).
     assert weighted_entries(OMQ(t, query), parse_abox("A(c)\nr(c,d)\n")) == {
-        (1, "r", ("c", "d")): 1
+        (1, ("c", "d")): 1
     }
     single = CQ((concept_atom("C", var("x")),))
     assert weighted_entries(OMQ(t, single), parse_abox("A(c)\n")) == {
-        (0, "C", ("anon#0",)): 1
+        (0, ("anon#0",)): 1
     }
 
 
@@ -177,7 +183,15 @@ def test_single_atom_keeps_double_anonymous_pairs():
     # A(c) entails an anonymous s-successor of c, which has an anonymous
     # r-successor: both ends of r(x, y) anonymous.
     assert weighted_entries(OMQ(t, query), parse_abox("A(c)\n")) == {
-        (0, "r", ("anon#0", "anon#0")): 1
+        (0, ("anon#0", "anon#0")): 1
+    }
+
+
+def test_rows_follow_first_occurrence_of_distinct_variables():
+    query = CQ((role_atom("r", var("y"), var("x")), role_atom("s", var("x"), var("x"))))
+    assert weighted_entries(OMQ(TBox(), query), parse_abox("r(d,c)\ns(c,c)\n")) == {
+        (0, ("d", "c")): 1,
+        (1, ("c",)): 1,
     }
 
 
@@ -253,14 +267,13 @@ def test_tree_decompose_grid_exact():
 # Weighted evaluation
 # ---------------------------------------------------------------------------
 
-def naive_weighted_eval(cq, wdb):
+def naive_weighted_eval(cq, tables):
     atoms = cq.relational_atoms()
-    tables = [wdb.slot_entries(i) for i in range(len(atoms))]
     variables = sorted(cq.variables())
     domains = set()
     for t in tables:
-        for args in t:
-            domains.update(args)
+        for row in t:
+            domains.update(row)
     total = 0
     from itertools import product
 
@@ -268,10 +281,8 @@ def naive_weighted_eval(cq, wdb):
         assignment = dict(zip(variables, values))
         weight = 1
         for slot, atom in enumerate(atoms):
-            args = tuple(
-                t.name if t.is_const else assignment[t.name] for t in atom.terms
-            )
-            w = tables[slot].get(args, 0)
+            row = tuple(assignment[v] for v in dict.fromkeys(atom.variables()))
+            w = tables[slot].get(row, 0)
             if w == 0:
                 weight = 0
                 break
@@ -284,29 +295,22 @@ def test_weighted_eval_plain_hom_count():
     query = CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y"))))
     omq = OMQ(TBox(), query)
     abox = parse_abox("A(c)\nr(c,d)\nr(c,e)\n")
-    wdb = build_weighted_db(omq, abox)
+    tables = row_tables(query, weighted_entries(omq, abox))
     td = tree_decompose(query)
-    assert weighted_eval(query, wdb, td) == 2
+    assert weighted_eval(query, tables, td) == 2
 
 
 def test_weighted_eval_weight_three():
-    from respo.model import WeightedDatabase, WeightedFact
-
     query = CQ((concept_atom("A", var("x")),))
-    wdb = WeightedDatabase({WeightedFact(0, "A", ("c",)): 3})
     td = tree_decompose(query)
-    assert weighted_eval(query, wdb, td) == 3
+    assert weighted_eval(query, [{("c",): 3}], td) == 3
 
 
-def _hand_built_weighted_dbs():
+def _hand_built_tables():
     """Queries with a constant and a repeated variable, a triangle and the
-    2x3 grid, each over every tuple of three values with seeded weights
-    0-3: weights above 1, and entries that contradict the atom's constant
-    (`s(a,?x)` against `s(b,c)`) or its repeated variable (`r(?x,?x)`
-    against `r(a,b)`)."""
+    2x3 grid, each with one table per atom over every row of three values,
+    with seeded weights 0-3."""
     from itertools import product
-
-    from respo.model import WeightedDatabase, WeightedFact
 
     rng = random.Random(17)
     values = ("a", "b", "c")
@@ -325,12 +329,14 @@ def _hand_built_weighted_dbs():
         CQ(tuple(grid)),
     ]
     for cq in queries:
-        weights = {
-            WeightedFact(slot, atom.predicate, args): rng.randint(0, 3)
-            for slot, atom in enumerate(cq.relational_atoms())
-            for args in product(values, repeat=len(atom.terms))
-        }
-        yield cq, WeightedDatabase(weights)
+        tables = [
+            {
+                row: rng.randint(0, 3)
+                for row in product(values, repeat=len(set(atom.variables())))
+            }
+            for atom in cq.relational_atoms()
+        ]
+        yield cq, tables
 
 
 def test_weighted_eval_decomposition_independent():
@@ -338,7 +344,7 @@ def test_weighted_eval_decomposition_independent():
     from respo.interaction_free import TreeDecomposition
     from respo.model import connected_components
 
-    cases = list(_hand_built_weighted_dbs())
+    cases = list(_hand_built_tables())
     assert [tree_decompose(cq).width for cq, _ in cases] == [1, 2, 2]
     for _ in range(40):
         omq = random_interaction_free_omq(rng, max_atoms=3).omq
@@ -348,14 +354,15 @@ def test_weighted_eval_decomposition_independent():
             continue
         for comp in connected_components(cq):
             if len(comp.relational_atoms()) >= 2:
-                cases.append((comp, build_weighted_db(OMQ(omq.tbox, comp), abox)))
+                entries = weighted_entries(OMQ(omq.tbox, comp), abox)
+                cases.append((comp, row_tables(comp, entries)))
 
-    for comp, wdb in cases:
-        exact = weighted_eval(comp, wdb, tree_decompose(comp))
+    for comp, tables in cases:
+        exact = weighted_eval(comp, tables, tree_decompose(comp))
         trivial = TreeDecomposition((frozenset(comp.variables()),), (-1,))
-        assert exact == weighted_eval(comp, wdb, trivial)
-        assert exact == naive_weighted_eval(comp, wdb)
-    assert all(naive_weighted_eval(cq, wdb) > 1 for cq, wdb in cases[:3])
+        assert exact == weighted_eval(comp, tables, trivial)
+        assert exact == naive_weighted_eval(comp, tables)
+    assert all(naive_weighted_eval(cq, tables) > 1 for cq, tables in cases[:3])
 
 
 # ---------------------------------------------------------------------------

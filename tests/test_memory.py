@@ -1,7 +1,6 @@
 """Memory stays bounded when respo is used as a long-lived library: no
-module-level cache holds ABoxes, facts or OMQs (only the TBox saturation
-is cached), and repeated scoring of fresh instances or fresh OMQs retains
-nothing."""
+module-level cache holds anything (a TBox keeps its own saturation), and
+repeated scoring of fresh instances or fresh OMQs retains nothing."""
 
 import gc
 import importlib
@@ -13,27 +12,39 @@ import pytest
 
 import respo
 from respo.generators import Graph, gen_mvc
-from respo.model import ABox, CQ, Fact, OMQ, TBox, UCQ, concept_atom, const, role_atom, var
+from respo.model import (
+    CONCEPT_INCLUSION,
+    ABox,
+    Axiom,
+    CQ,
+    Fact,
+    OMQ,
+    TBox,
+    UCQ,
+    concept,
+    concept_atom,
+    const,
+    role_atom,
+    var,
+)
 from respo.shapley import score_all
 
 
 def test_no_cache_keyed_by_an_abox_or_a_fact():
-    """Only the TBox saturation is cached: no cache holds an ABox, a fact or
-    an OMQ (OMQ-only work lives in a `shapley.Plan` per call)."""
-    keyed_by_data, cached = set(), set()
+    """No function is cached, so no cache holds an ABox, a fact, an OMQ or
+    a TBox (OMQ-only work lives in a `shapley.Plan` per call)."""
+    functions, cached = set(), set()
     for info in pkgutil.iter_modules(respo.__path__):
         module = importlib.import_module(f"respo.{info.name}")
         for fn in vars(module).values():
             if not inspect.isfunction(inspect.unwrap(fn)) or not fn.__module__.startswith("respo"):
                 continue
             name = f"{fn.__module__}.{fn.__qualname__}"
-            if {"abox", "fact"} & set(inspect.signature(fn).parameters):
-                keyed_by_data.add(name)
+            functions.add(name)
             if hasattr(fn, "cache_info"):
                 cached.add(name)
-    assert "respo.reasoner.is_consistent" in keyed_by_data
-    assert cached == {"respo.reasoner.saturate"}
-    assert not cached & keyed_by_data
+    assert {"respo.reasoner.is_consistent", "respo.reasoner.saturate"} <= functions
+    assert not cached, cached
 
 
 def mvc_instance(prefix: str) -> tuple[ABox, OMQ]:
@@ -64,26 +75,33 @@ def test_repeated_scoring_retains_no_memory():
     assert retained[3] - retained[1] < 1024, retained
 
 
-def fresh_omq_instance(prefix: str) -> tuple[ABox, OMQ]:
-    """An interaction-free OMQ A(?x), r(?x, ?y) over an empty TBox whose
-    predicate names and constants all carry the prefix, with three facts."""
+def fresh_omq_instance(prefix: str, axioms: bool) -> tuple[ABox, OMQ]:
+    """An interaction-free OMQ A(?x), r(?x, ?y) over an empty TBox, or over
+    the one-axiom TBox B <= A, whose predicate names and constants all
+    carry the prefix, with three facts."""
     a, r = f"{prefix}A", f"{prefix}r"
+    tbox = TBox(frozenset({Axiom(CONCEPT_INCLUSION, concept(f"{prefix}B"), concept(a))})
+                if axioms else frozenset())
     query = CQ((concept_atom(a, var("x")), role_atom(r, var("x"), var("y"))))
     facts = (
         Fact(f"{prefix}f0", a, (f"{prefix}c",)),
         Fact(f"{prefix}f1", r, (f"{prefix}c", f"{prefix}d")),
         Fact(f"{prefix}f2", r, (f"{prefix}c", f"{prefix}e")),
     )
-    return ABox(facts), OMQ(TBox(), query)
+    return ABox(facts), OMQ(tbox, query)
 
 
-@pytest.mark.parametrize("method", ["partition", "if"])
-def test_scoring_fresh_omqs_retains_no_memory(method):
+@pytest.mark.parametrize(
+    "method, axioms",
+    [("partition", False), ("if", False), ("partition", True), ("if", True)],
+    ids=["partition", "if", "partition-one-axiom-tbox", "if-one-axiom-tbox"],
+)
+def test_scoring_fresh_omqs_retains_no_memory(method, axioms):
     retained = []
     tracemalloc.start()
     try:
         for i in range(4):
-            abox, omq = fresh_omq_instance(f"{method}{i}")
+            abox, omq = fresh_omq_instance(f"{method}{i}", axioms)
             assert score_all(abox, omq, method=method).histogram == {2: 2}
             del abox, omq
             gc.collect()

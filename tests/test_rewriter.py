@@ -21,7 +21,7 @@ from respo.model import (
     role_atom,
     var,
 )
-from respo.queries import canonical_form
+from respo.queries import canonicalize
 from respo.randgen import random_cq, random_consistent_kb
 from respo.reasoner import entails_ucq
 from respo.rewriter import rewrite
@@ -30,7 +30,7 @@ from respo.textio import parse_tbox
 
 
 def canonical_set(ucq):
-    return {canonical_form(d) for d in ucq.disjuncts}
+    return {canonicalize(d)[0] for d in ucq.disjuncts}
 
 
 def test_rewrite_concept_inclusion():

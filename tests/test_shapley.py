@@ -471,3 +471,22 @@ def test_partition_scoring_searches_once_per_counting_query(variant, monkeypatch
     report = score_all(abox, omq, method="partition")
     assert report.histogram == {6: 6}
     assert 0 < len(searches) <= n_queries, (len(searches), n_queries)
+
+
+def test_partition_plan_searches_each_canonical_form_once(variant, monkeypatch):
+    """Compiling the variant's partition plan runs the canonical-form
+    search once per query it keys, not once for the key and again for the
+    renamed query: at most 265 searches, on 265 distinct queries."""
+    import respo.queries as queries
+
+    omq, _ = variant
+    searched = []
+
+    def counting_canonical(cq):
+        searched.append(cq)
+        return real(cq)
+
+    real = queries._canonical
+    monkeypatch.setattr(queries, "_canonical", counting_canonical)
+    Plan(omq, "partition")
+    assert 0 < len(searched) <= 265, len(searched)

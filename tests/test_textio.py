@@ -83,6 +83,15 @@ def test_parse_abox_duplicate_label():
         parse_abox("g: A(c)\ng: B(d)\n")
 
 
+def test_parse_abox_duplicates_name_their_line():
+    with pytest.raises(ParseError) as label:
+        parse_abox("# header\ng: A(c)\n\nh: B(d)\ng: B(e)\n")
+    assert str(label.value) == "5:1: error: duplicate fact label 'g'"
+    with pytest.raises(ParseError) as assertion:
+        parse_abox("A(c)\nr(c, d)\n# again\nk: r(c,d)\n")
+    assert str(assertion.value) == "4:1: error: duplicate assertion r(c,d)"
+
+
 def test_parse_query_ground_atom():
     ucq = parse_query("FishBased(cancalaiseSole)\n")
     atom = ucq.disjuncts[0].atoms[0]
