@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     ANON,
@@ -36,7 +36,6 @@ from .model import (
     CONCEPT_ATOM,
     CQ,
     Fact,
-    InconsistentKBError,
     OMQ,
     RespoError,
     SupportHistogram,
@@ -489,16 +488,15 @@ def weighted_eval(cq: CQ, rows: Sequence[Table], td: TreeDecomposition) -> int:
 # The full pipeline
 # ---------------------------------------------------------------------------
 
-def count_ms_interaction_free(plan: IFPlan, abox: ABox) -> SupportHistogram:
+def count_ms_interaction_free(plan: IFPlan, facts: Iterable[Fact]) -> SupportHistogram:
     """countFMS for an interaction-free OMQ: the weighted evaluation of each
     connected component, multiplied together, all supports having exactly
-    one fact per query atom."""
-    if not is_consistent(abox, plan.omq.tbox):
-        raise InconsistentKBError("cannot count over an inconsistent KB")
+    one fact per query atom.  The facts must be consistent with the TBox;
+    callers check the full ABox once, and its subsets are then too."""
     tables: list[list[Table]] = [
         [{} for _ in component.relational_atoms()] for component, _ in plan.components
     ]
-    for fact in abox:
+    for fact in facts:
         for index, slot, row in plan.fact_entries(fact):
             table = tables[index][slot]
             table[row] = table.get(row, 0) + 1

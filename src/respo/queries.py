@@ -349,8 +349,10 @@ def hom_visit(
 ) -> int:
     """Pass each homomorphism of cq into the target to `visit`, in one
     search, and return their number.  The binding passed is the search's
-    own and changes after `visit` returns: copy it to keep it."""
-    return _search(cq.atoms, target, {}, {}, False, visit)
+    own and changes after `visit` returns: copy it to keep it.  The atoms
+    reach the search in `hom_count`'s order, component by component."""
+    atoms = [atom for component in _eval_components(cq) for atom in component]
+    return _search(atoms, target, {}, {}, False, visit)
 
 
 def query_hom_exists(src: CQ, dst: CQ) -> bool:

@@ -1,17 +1,20 @@
-"""DL-Lite_R reasoning: TBox saturation, consistency, entailment of ground
-atoms and Boolean (U)CQs via bounded canonical-model slices, assignment-
-constrained query matching, and a Horn forward-chaining evaluator for the
-extended axiom shapes used by the fixtures and generators.
+"""Reasoning over DL-Lite_R TBoxes and their Horn extension.
 
-Query matching into a slice runs on the homomorphism search in `queries`,
-with the slice as its target.
+One engine computes the entailed instance data of the named individuals
+for both TBox flavours: the closure of the TBox's DL-Lite inclusions
+(`saturate`), then, for a Horn-extended TBox, its A & B <= C and
+exists R.A <= B axioms fired to a fixpoint.  Consistency and ground-atom
+entailment read that data.  Boolean (U)CQ entailment and assignment-
+constrained matching, for DL-Lite_R only, run the homomorphism search in
+`queries` on a bounded slice of the canonical model.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from .model import (
     ANON,
@@ -24,6 +27,7 @@ from .model import (
     BasicConcept,
     CQ,
     ConjunctionAxiom,
+    Fact,
     InconsistentKBError,
     Role,
     TBox,
@@ -49,12 +53,14 @@ def _require_dllite(tbox: TBox, operation: str):
 
 @dataclass(frozen=True)
 class SaturatedTBox:
-    """Closure of a DL-Lite_R TBox under inclusion derivation.
+    """Closure of a TBox's DL-Lite_R inclusions under inclusion derivation.
 
     concept_subs / role_subs are reflexive-transitive; role inclusions are
     lifted to their exists-concepts; negative inclusions are closed under
     contraposition through the positive closure, and an empty role (R
-    disjoint with itself) empties both of its exists-concepts.
+    disjoint with itself) empties both of its exists-concepts.  The
+    closure of each fact predicate and the Horn axioms, keyed for firing,
+    are looked up here too, so they are built once per TBox.
     """
 
     tbox: TBox
@@ -62,6 +68,8 @@ class SaturatedTBox:
     role_subs: dict[Role, frozenset[Role]]
     disjoint_concepts: frozenset[tuple[BasicConcept, BasicConcept]]
     disjoint_roles: frozenset[tuple[Role, Role]]
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def concept_sups(self, b: BasicConcept) -> frozenset[BasicConcept]:
         return self.concept_subs.get(b, frozenset((b,)))
@@ -98,13 +106,66 @@ class SaturatedTBox:
                     frontier.append(sup.role)
         return frozenset(found)
 
+    def fact_row(self, predicate: str, arity: int):
+        """What a fact entails, looked up once per predicate: for A(a) the
+        basic concepts of a, for r(a, b) those of a, those of b, and
+        (name, inverted) of every role above r."""
+        row = self._rows.get((predicate, arity))
+        if row is None:
+            if arity == 1:
+                row = self._intern_sups(concept(predicate))
+            else:
+                r = Role(predicate)
+                sups = tuple((s.name, s.inverted) for s in self.role_sups(r))
+                row = self._intern_sups(exists(r)), self._intern_sups(exists(r.inverse())), sups
+            self._rows[predicate, arity] = row
+        return row
+
+    @cached_property
+    def horn_rules(self) -> tuple[dict[BasicConcept, tuple], frozenset[BasicConcept]]:
+        """The Horn axioms keyed by each concept name that fires them, with
+        the closure of the axiom's head: A & B <= C under A with B and
+        under B with A, and exists R.A <= B under A with R; and the set of
+        those concept names."""
+        if self.tbox.horn_extended and any(
+            ax.kind == CONCEPT_INCLUSION and not ax.negated and not ax.rhs.is_name
+            for ax in self.tbox.axioms
+        ):
+            raise UnsupportedTBoxError(
+                "existential right-hand sides are unsupported by the Horn evaluator"
+            )
+        rules: dict[BasicConcept, dict] = {}
+        for ax in self.tbox.horn_axioms:
+            head = self._intern_sups(concept(ax.rhs))
+            if isinstance(ax, ConjunctionAxiom):
+                a, b = self._intern(concept(ax.lhs1)), self._intern(concept(ax.lhs2))
+                rules.setdefault(a, {})[b, head] = None
+                rules.setdefault(b, {})[a, head] = None
+            else:
+                rules.setdefault(self._intern(concept(ax.filler)), {})[ax.role, head] = None
+        return {body: tuple(found) for body, found in rules.items()}, frozenset(rules)
+
+    def _intern(self, b: BasicConcept) -> BasicConcept:
+        """One object per basic concept in the instance data, so that set
+        operations on it match concepts by identity, not by `__eq__`."""
+        return self._interned.setdefault(b, b)
+
+    def _intern_sups(self, b: BasicConcept) -> frozenset[BasicConcept]:
+        return frozenset(map(self._intern, self.concept_sups(b)))
+
 
 def saturate(tbox: TBox) -> SaturatedTBox:
-    """The TBox's saturation, computed once per TBox object and kept on it,
-    so that it lives exactly as long as the TBox."""
+    """The closure of a DL-Lite_R TBox; see `_closure`."""
+    _require_dllite(tbox, "saturation")
+    return _closure(tbox)
+
+
+def _closure(tbox: TBox) -> SaturatedTBox:
+    """The closure of the TBox's DL-Lite inclusions, which leaves out its
+    Horn axioms.  It is computed once per TBox object and kept on it, so
+    that it lives exactly as long as the TBox."""
     if "_saturation" in vars(tbox):
         return vars(tbox)["_saturation"]
-    _require_dllite(tbox, "saturation")
 
     roles: set[Role] = set()
     concepts: set[BasicConcept] = set()
@@ -224,228 +285,107 @@ def _transitive_close(edges: dict):
 
 
 # ---------------------------------------------------------------------------
-# Asserted/entailed instance data for named individuals
+# Entailed instance data of the named individuals
 # ---------------------------------------------------------------------------
 
-def _entailed_instance_data(abox: ABox, tbox: TBox):
-    """One pass over the facts: per-individual entailed basic concepts and
-    per-role entailed named pairs (the closure under role inclusions)."""
-    sat = saturate(tbox)
-    types: dict[str, set[BasicConcept]] = {a: set() for a in abox.individuals}
-    role_pairs: dict[Role, set[tuple[str, str]]] = {}
+def _entailed_instance_data(abox: Iterable[Fact], tbox: TBox):
+    """Per individual its entailed basic concepts, and per role name its
+    entailed pairs of named individuals, in the role's own direction.
+
+    One pass takes each fact through the closure of the TBox's DL-Lite
+    inclusions.  A Horn-extended TBox then fires its Horn axioms from a
+    worklist of (individual, concept) pairs to a fixpoint.  They derive
+    concepts only, and a Horn TBox has no existential right-hand side, so
+    the role pairs stay as the first pass leaves them.
+    """
+    sat = _closure(tbox)
+    rules, bodies = sat.horn_rules
+    types: dict[str, set[BasicConcept]] = {}
+    role_pairs: dict[str, set[tuple[str, str]]] = {}
     for f in abox:
+        row = sat.fact_row(f.predicate, len(f.args))
         if f.is_concept:
-            types[f.args[0]] |= sat.concept_sups(concept(f.predicate))
-        else:
-            a, b = f.args
-            asserted = Role(f.predicate)
-            types[a] |= sat.concept_sups(exists(asserted))
-            types[b] |= sat.concept_sups(exists(asserted.inverse()))
-            for sup in sat.role_sups(asserted):
-                role_pairs.setdefault(sup, set()).add((a, b))
-                role_pairs.setdefault(sup.inverse(), set()).add((b, a))
-    return (
-        {a: frozenset(ts) for a, ts in types.items()},
-        {r: frozenset(ps) for r, ps in role_pairs.items()},
-    )
+            types.setdefault(f.args[0], set()).update(row)
+            continue
+        a, b = f.args
+        subject, object_, sups = row
+        types.setdefault(a, set()).update(subject)
+        types.setdefault(b, set()).update(object_)
+        for name, inverted in sups:
+            role_pairs.setdefault(name, set()).add((b, a) if inverted else (a, b))
+
+    work = [(a, c) for a, ts in types.items() for c in ts & bodies] if rules else ()
+    while work:
+        a, body = work.pop()
+        for side, head in rules[body]:
+            if isinstance(side, Role):  # exists R.A <= B: the R-predecessors of a
+                pairs = role_pairs.get(side.name, ())
+                if side.inverted:
+                    found = [y for x, y in pairs if x == a]
+                else:
+                    found = [x for x, y in pairs if y == a]
+            elif side in types[a]:  # A & B <= C: a has the other conjunct
+                found = (a,)
+            else:
+                continue
+            for x in found:
+                new = head - types[x]
+                if new:
+                    types[x] |= new
+                    work.extend((x, c) for c in new & bodies)
+    return types, role_pairs
 
 
-def entailed_basic_concepts(abox: ABox, tbox: TBox, individual: str) -> set[BasicConcept]:
-    """All basic concepts B with (A, T) |= B(a), for a named individual."""
-    types, _ = _entailed_instance_data(abox, tbox)
-    return set(types.get(individual, frozenset()))
-
-
-def entails_role_assertion(abox: ABox, tbox: TBox, role: Role, a: str, b: str) -> bool:
-    """(A, T) |= R(a, b) for named a, b: some asserted role fact whose
-    closure under role inclusions covers R."""
-    _, role_pairs = _entailed_instance_data(abox, tbox)
-    return (a, b) in role_pairs.get(role, frozenset())
+def _role_pairs(role_pairs: dict[str, set[tuple[str, str]]], role: Role):
+    pairs = role_pairs.get(role.name, set())
+    return {(b, a) for a, b in pairs} if role.inverted else pairs
 
 
 # ---------------------------------------------------------------------------
 # Consistency
 # ---------------------------------------------------------------------------
 
-def is_consistent(abox: ABox, tbox: TBox) -> bool:
-    if tbox.horn_extended:
-        if not any(ax.negated for ax in tbox.axioms):
-            return True
-        return _horn_consistent(tbox, *saturate_horn(abox, tbox))
-    sat = saturate(tbox)
+def is_consistent(abox: Iterable[Fact], tbox: TBox) -> bool:
+    sat = _closure(tbox)
     if not sat.disjoint_concepts and not sat.disjoint_roles:
         return True
-    types, role_pairs = _entailed_instance_data(abox, tbox)
+    return _clash_free(sat, *_entailed_instance_data(abox, tbox))
+
+
+def _clash_free(sat: SaturatedTBox, types, role_pairs) -> bool:
+    """No disjointness of the closure holds on the instance data."""
     for (x, y) in sat.disjoint_concepts:
         for tset in types.values():
             if x in tset and y in tset:
                 return False
     for (r, s) in sat.disjoint_roles:
-        if not role_pairs.get(r, frozenset()).isdisjoint(role_pairs.get(s, frozenset())):
+        if not _role_pairs(role_pairs, r).isdisjoint(_role_pairs(role_pairs, s)):
             return False
     return True
-
-
-def _horn_consistent(tbox: TBox, concepts, rolepairs) -> bool:
-    """No negative axiom clashes over the forward-chained atoms.  Horn
-    shapes are all positive; only negative DL-Lite axioms mixed into the
-    TBox can produce a clash."""
-    negatives = [ax for ax in tbox.axioms if ax.negated]
-    if not negatives:
-        return True
-    individuals = {a for (_n, a) in concepts} | {x for (_n, x, _y) in rolepairs}
-    individuals.update(y for (_n, _x, y) in rolepairs)
-    for ax in negatives:
-        if ax.kind == CONCEPT_INCLUSION:
-            for a in individuals:
-                if _horn_has_concept(concepts, rolepairs, ax.lhs, a) and _horn_has_concept(
-                    concepts, rolepairs, ax.rhs, a
-                ):
-                    return False
-        else:
-            for (name, x, y) in rolepairs:
-                if _horn_has_role(rolepairs, ax.lhs, x, y) and _horn_has_role(
-                    rolepairs, ax.rhs, x, y
-                ):
-                    return False
-    return True
-
-
-def _horn_has_concept(concepts, rolepairs, side: BasicConcept, a: str) -> bool:
-    if side.is_name:
-        return (side.concept_name, a) in concepts
-    r = side.role
-    if r.inverted:
-        return any(n == r.name and y == a for (n, x, y) in rolepairs)
-    return any(n == r.name and x == a for (n, x, y) in rolepairs)
-
-
-def _horn_has_role(rolepairs, role: Role, a: str, b: str) -> bool:
-    if role.inverted:
-        a, b = b, a
-    return (role.name, a, b) in rolepairs
-
-
-# ---------------------------------------------------------------------------
-# Horn forward chaining
-# ---------------------------------------------------------------------------
-
-def saturate_horn(abox: ABox, tbox: TBox):
-    """Least fixpoint of forward chaining over the ABox constants.
-
-    Supported axiom shapes: A <= B, A & B <= C, exists r.A <= B,
-    exists r <= B, exists r- <= B, and positive role inclusions.  No
-    anonymous individuals are created; the only intended consumers
-    evaluate ground atomic queries, where existential witnesses cannot
-    contribute under these shapes.
-    """
-    rules_subclass: list[tuple[str, str]] = []          # A <= B
-    rules_conj: list[tuple[str, str, str]] = []          # A & B <= C
-    rules_qexists: list[tuple[Role, str, str]] = []      # exists R.A <= B
-    rules_exists: list[tuple[Role, str]] = []            # exists R <= B
-    role_incl: list[tuple[Role, Role]] = []
-
-    for ax in tbox.horn_axioms:
-        if isinstance(ax, ConjunctionAxiom):
-            rules_conj.append((ax.lhs1, ax.lhs2, ax.rhs))
-        else:
-            rules_qexists.append((ax.role, ax.filler, ax.rhs))
-    for ax in tbox.axioms:
-        if ax.negated:
-            continue  # negatives affect consistency only
-        if ax.kind == ROLE_INCLUSION:
-            role_incl.append((ax.lhs, ax.rhs))
-        else:
-            lhs, rhs = ax.lhs, ax.rhs
-            if not rhs.is_name:
-                raise UnsupportedTBoxError(
-                    "existential right-hand sides are unsupported by the Horn evaluator"
-                )
-            if lhs.is_name:
-                rules_subclass.append((lhs.concept_name, rhs.concept_name))
-            else:
-                rules_exists.append((lhs.role, rhs.concept_name))
-
-    concepts: set[tuple[str, str]] = set()
-    roles: set[tuple[str, str, str]] = set()
-    for f in abox:
-        if f.is_concept:
-            concepts.add((f.predicate, f.args[0]))
-        else:
-            roles.add((f.predicate, f.args[0], f.args[1]))
-
-    def role_pairs(role: Role):
-        if role.inverted:
-            return [(y, x) for (n, x, y) in roles if n == role.name]
-        return [(x, y) for (n, x, y) in roles if n == role.name]
-
-    changed = True
-    while changed:
-        changed = False
-        for (lhs, rhs) in role_incl:
-            for (a, b) in role_pairs(lhs):
-                pair = (rhs.name, b, a) if rhs.inverted else (rhs.name, a, b)
-                if pair not in roles:
-                    roles.add(pair)
-                    changed = True
-        for (a_name, b_name, c_name) in rules_conj:
-            for (name, ind) in list(concepts):
-                if name == a_name and (b_name, ind) in concepts:
-                    if (c_name, ind) not in concepts:
-                        concepts.add((c_name, ind))
-                        changed = True
-        for (sub, sup) in rules_subclass:
-            for (name, ind) in list(concepts):
-                if name == sub and (sup, ind) not in concepts:
-                    concepts.add((sup, ind))
-                    changed = True
-        for (role, rhs) in rules_exists:
-            for (a, b) in role_pairs(role):
-                if (rhs, a) not in concepts:
-                    concepts.add((rhs, a))
-                    changed = True
-        for (role, filler, rhs) in rules_qexists:
-            for (a, b) in role_pairs(role):
-                if (filler, b) in concepts and (rhs, a) not in concepts:
-                    concepts.add((rhs, a))
-                    changed = True
-
-    return frozenset(concepts), frozenset(roles)
 
 
 # ---------------------------------------------------------------------------
 # Ground atom entailment
 # ---------------------------------------------------------------------------
 
-def entails_ground_atom(abox: ABox, tbox: TBox, atom: Atom) -> bool:
-    """(A, T) |= atom for a ground relational atom.  Dispatches to the Horn
-    evaluator for Horn-extended TBoxes."""
-    if tbox.horn_extended:
-        concepts, roles = saturate_horn(abox, tbox)
-        consistent = _horn_consistent(tbox, concepts, roles)
-    else:
-        consistent = is_consistent(abox, tbox)
-    if not consistent:
+def entails_ground_atom(abox: Iterable[Fact], tbox: TBox, atom: Atom) -> bool:
+    """(A, T) |= atom for a ground relational atom, where A is any
+    iterable of facts."""
+    types, role_pairs = _entailed_instance_data(abox, tbox)
+    if not _clash_free(_closure(tbox), types, role_pairs):
         raise InconsistentKBError("entailment over an inconsistent KB")
     if any(t.is_var for t in atom.terms):
         raise ValueError("entails_ground_atom expects a ground atom")
     args = tuple(t.name for t in atom.terms)
-    if tbox.horn_extended:
-        if atom.kind == CONCEPT_ATOM:
-            return (atom.predicate, args[0]) in concepts
-        return (atom.predicate, args[0], args[1]) in roles
     if atom.kind == CONCEPT_ATOM:
-        if args[0] not in abox.individuals:
-            return False
-        return concept(atom.predicate) in entailed_basic_concepts(abox, tbox, args[0])
-    return entails_role_assertion(abox, tbox, Role(atom.predicate), args[0], args[1])
+        return concept(atom.predicate) in types.get(args[0], ())
+    return args in role_pairs.get(atom.predicate, ())
 
 
-def entails_exists(abox: ABox, tbox: TBox, role: Role, individual: str) -> bool:
+def entails_exists(abox: Iterable[Fact], tbox: TBox, role: Role, individual: str) -> bool:
     """(A, T) |= exists R(a)."""
-    if individual not in abox.individuals:
-        return False
-    return exists(role) in entailed_basic_concepts(abox, tbox, individual)
+    types, _ = _entailed_instance_data(abox, tbox)
+    return exists(role) in types.get(individual, ())
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +455,11 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> CanonicalSlice:
     all_roles = [Role(n, inv) for n in role_names for inv in (False, True)]
 
     witnessed: dict[str, set[Role]] = {a: set() for a in individuals}
-    for r, pairs in role_pairs.items():
-        for (a, _b) in pairs:
+    for name, pairs in role_pairs.items():
+        r, r_inverse = Role(name), Role(name, inverted=True)
+        for (a, b) in pairs:
             witnessed[a].add(r)
+            witnessed[b].add(r_inverse)
 
     elements: set[Word] = {(a, ()) for a in individuals}
     frontier: list[Word] = []
@@ -560,11 +502,8 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> CanonicalSlice:
                 concept_ext.setdefault(b.concept_name, set()).add(w)
 
     role_ext: dict[str, set[tuple[Word, Word]]] = {n: set() for n in role_names}
-    for r, pairs in role_pairs.items():
-        if not r.inverted:
-            role_ext.setdefault(r.name, set()).update(
-                (((a, ()), (b, ())) for (a, b) in pairs)
-            )
+    for name, pairs in role_pairs.items():
+        role_ext.setdefault(name, set()).update(((a, ()), (b, ())) for (a, b) in pairs)
     for w in elements:
         if not _is_anonymous(w):
             continue

@@ -265,11 +265,11 @@ class Plan:
 
     def histogram(self, facts: Iterable[Fact]) -> SupportHistogram:
         """countFMS over the facts, which must be consistent with the TBox."""
-        ordered = tuple(sorted(facts, key=lambda f: f.label))
         if self.method == "if":
             from .interaction_free import count_ms_interaction_free
 
-            return count_ms_interaction_free(self._if_plan, ABox(ordered))
+            return count_ms_interaction_free(self._if_plan, facts)
+        ordered = tuple(sorted(facts, key=lambda f: f.label))
         if self.method == "partition":
             return partition_histogram(self.counting_queries, ordered)
         return SupportHistogram.from_sizes(len(s) for s in self._minimal_supports(ordered))

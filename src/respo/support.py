@@ -116,8 +116,7 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
             )
 
         def horn_eval(facts: frozenset[Fact]) -> bool:
-            abox = ABox(tuple(sorted(facts, key=lambda f: f.label)))
-            return entails_ground_atom(abox, tbox, ground)
+            return entails_ground_atom(facts, tbox, ground)
 
         return horn_eval
 

@@ -6,10 +6,12 @@ target: fact databases, conjunctive queries and canonical-model slices.
 import random
 from itertools import product
 
+from respo import queries
 from respo.model import ANON, CQ, UCQ, Atom, Fact, concept_atom, const, neq_atom, role_atom, var
-from respo.queries import canonicalize, query_hom_exists, with_all_pairs_neq
+from respo.queries import canonicalize, hom_count, hom_visit, query_hom_exists, with_all_pairs_neq
 from respo.randgen import random_consistent_kb
 from respo.reasoner import canonical_slice, entails_cq, holds_under_assignment, query_depth
+from respo.shapley import Plan
 from respo.support import (
     FactDB,
     count_automorphisms,
@@ -198,3 +200,21 @@ def test_canonical_form_ignores_disequality_orientation():
     backward = CQ((neq_atom(x, y), role_atom("r", y, x)))
     assert canonicalize(forward) == canonicalize(backward)
     assert canonicalize(forward)[0] != canonicalize(CQ((role_atom("r", x, y),)))[0]
+
+
+def test_hom_visit_searches_in_hom_count_order(monkeypatch, variant):
+    """Counting a query's homomorphisms and visiting them hand `_search`
+    the same atoms in the same order, so both run the same search."""
+    omq, abox = variant
+    cq = next(q.cq for qs in Plan(omq, "partition").counting_queries.values() for q in qs)
+    received = []
+    search = queries._search
+
+    def recording(atoms, *args):
+        received.append(list(atoms))
+        return search(atoms, *args)
+
+    monkeypatch.setattr(queries, "_search", recording)
+    db = FactDB(abox)
+    assert hom_count(cq, db) == hom_visit(cq, db, lambda binding: None)
+    assert len(received) == 2 and received[0] == received[1]

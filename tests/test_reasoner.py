@@ -8,6 +8,7 @@ from respo.model import (
     Axiom,
     CONCEPT_INCLUSION,
     CQ,
+    ConjunctionAxiom,
     Fact,
     InconsistentKBError,
     ROLE_INCLUSION,
@@ -22,7 +23,14 @@ from respo.model import (
     role_atom,
     var,
 )
-from respo.randgen import random_cq, random_consistent_kb
+from respo.randgen import (
+    CONCEPT_NAMES,
+    ROLE_NAMES,
+    random_abox,
+    random_consistent_kb,
+    random_cq,
+    random_dllite_tbox,
+)
 from respo.reasoner import (
     canonical_slice,
     entails_cq,
@@ -31,7 +39,6 @@ from respo.reasoner import (
     is_consistent,
     query_depth,
     saturate,
-    saturate_horn,
 )
 from respo.textio import parse_abox, parse_tbox
 
@@ -90,26 +97,54 @@ def test_consistency_anonymous_clash():
     assert not is_consistent(ABox((Fact("f0", "A", ("a",)),)), t)
 
 
-def test_saturate_horn_examples(fig1):
+def test_entails_ground_atom_horn_examples(fig1):
     omq, abox = fig1
-    concepts, _roles = saturate_horn(abox, omq.tbox)
-    assert ("FishBased", "cancalaiseSole") in concepts
+    assert entails_ground_atom(abox, omq.tbox, concept_atom("FishBased", const("cancalaiseSole")))
 
     t = parse_tbox("exists r.A <= A\n")
     abox2 = parse_abox("r(c,d)\nA(d)\n")
-    concepts2, _ = saturate_horn(abox2, t)
-    assert ("A", "c") in concepts2
+    assert entails_ground_atom(abox2, t, concept_atom("A", const("c")))
 
     t3 = parse_tbox("A & B <= C\n")
     abox3 = parse_abox("A(c)\n")
-    concepts3, _ = saturate_horn(abox3, t3)
-    assert ("C", "c") not in concepts3
+    assert not entails_ground_atom(abox3, t3, concept_atom("C", const("c")))
 
 
-def test_saturate_horn_rejects_existential_rhs():
+def test_entails_ground_atom_horn_rejects_existential_rhs():
     t = parse_tbox("A <= exists r\nB & B <= C\n")
-    with pytest.raises(UnsupportedTBoxError):
-        saturate_horn(parse_abox("A(c)\n"), t)
+    with pytest.raises(UnsupportedTBoxError, match="^existential right-hand sides are unsupported"):
+        entails_ground_atom(parse_abox("A(c)\n"), t, concept_atom("C", const("c")))
+
+
+def test_horn_path_agrees_with_dllite_path():
+    """A DL-Lite TBox without positive existential right-hand sides plus
+    the tautology A & A <= A is Horn-extended and has the same models, so
+    its consistency and ground-atom entailments match the plain TBox's."""
+    rng = random.Random(41)
+    inconsistent = atoms = 0
+    for _ in range(300):
+        drawn = random_dllite_tbox(rng, max_axioms=6)
+        plain = TBox(frozenset(
+            ax for ax in drawn.axioms
+            if ax.negated or ax.kind == ROLE_INCLUSION or ax.rhs.is_name
+        ))
+        horn = TBox(plain.axioms, frozenset({ConjunctionAxiom("A", "A", "A")}))
+        abox = random_abox(rng, max_facts=6, tbox=plain)
+        consistent = is_consistent(abox, plain)
+        assert is_consistent(abox, horn) == consistent
+        if not consistent:
+            inconsistent += 1
+            continue
+        individuals = sorted(abox.individuals)
+        ground = [concept_atom(n, const(a)) for n in CONCEPT_NAMES for a in individuals]
+        ground += [
+            role_atom(n, const(a), const(b))
+            for n in ROLE_NAMES for a in individuals for b in individuals
+        ]
+        for atom in ground:
+            assert entails_ground_atom(abox, horn, atom) == entails_cq(abox, plain, CQ((atom,)))
+        atoms += len(ground)
+    assert inconsistent > 10 and atoms > 3000
 
 
 def test_entails_ground_atom_role_inclusion(fig1):
