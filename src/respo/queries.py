@@ -9,9 +9,9 @@ exists, how many there are, or lists them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from .model import (
     CONST,
@@ -86,13 +86,14 @@ def _variable_signature(cq: CQ, name: str):
     return tuple(sig)
 
 
-def _canonical(cq: CQ) -> tuple[tuple, tuple[str, ...]]:
-    """The canonical key of cq and the variable ordering that attains it:
-    the minimal sorted atom tuple over all variable orderings compatible
-    with the variables' structural signatures."""
+def _canonical(cq: CQ) -> tuple[tuple, tuple[str, ...], int]:
+    """The canonical key of cq, the first variable ordering that attains
+    it, and the number of orderings that do: the minimal sorted atom tuple
+    over all variable orderings compatible with the variables' structural
+    signatures."""
     names = cq.variables()
     if not names:
-        return tuple(_render_atom(a, {}) for a in cq.atoms), ()
+        return tuple(_render_atom(a, {}) for a in cq.atoms), (), 1
 
     groups: dict[tuple, list[str]] = {}
     for name in names:
@@ -101,12 +102,15 @@ def _canonical(cq: CQ) -> tuple[tuple, tuple[str, ...]]:
 
     best_key: tuple | None = None
     best_order: tuple[str, ...] = ()
+    ties = 0
     for ordering in _group_orderings(ordered_groups):
         rename = {name: i for i, name in enumerate(ordering)}
         key = tuple(sorted(_render_atom(a, rename) for a in cq.atoms))
         if best_key is None or key < best_key:
-            best_key, best_order = key, ordering
-    return best_key, best_order
+            best_key, best_order, ties = key, ordering, 1
+        elif key == best_key:
+            ties += 1
+    return best_key, best_order, ties
 
 
 def _group_orderings(groups: list[list[str]]):
@@ -145,10 +149,25 @@ def canonicalize(cq: CQ) -> tuple[tuple, CQ]:
     variable renaming and the orientation of disequalities.  Intended for
     the small queries handled by the reduct/rewriting machinery.
     """
-    key, order = _canonical(cq)
+    key, renamed, _ = canonicalize_counted(cq)
+    return key, renamed
+
+
+def canonicalize_counted(cq: CQ) -> tuple[tuple, CQ, int]:
+    """`canonicalize`, and the number of variable orderings that attain
+    the canonical key, from the same search.
+
+    Two such orderings differ by a permutation of the variables that maps
+    cq's atoms onto themselves, and every such permutation preserves the
+    variables' signatures, so the number is the count of those
+    permutations.  On a rigid query (`with_all_pairs_neq`) every
+    homomorphism into itself is such a permutation, so the number is its
+    automorphism count, `support.count_automorphisms`.
+    """
+    key, order, ties = _canonical(cq)
     if not order:
-        return key, cq
-    return key, substitute(cq, {name: var(f"v{i}") for i, name in enumerate(order)})
+        return key, cq, ties
+    return key, substitute(cq, {name: var(f"v{i}") for i, name in enumerate(order)}), ties
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +184,27 @@ class HomTarget:
     element: an atom using it then has no match, and a disequality with it
     holds.  `distinct(a, b)` decides whether elements a and b satisfy a
     disequality.
+
+    The target also keeps the argument indexes its searches probe (see
+    `index`), so they live exactly as long as the target; `tuples` must
+    not change once a search has run.
     """
 
     tuples: Mapping[tuple[str, int], Collection[tuple]]
     image: Callable[[str], object]
     distinct: Callable[[object, object], bool]
+    _indexes: dict = field(default_factory=dict, init=False, repr=False)
+
+    def index(self, key: tuple[str, int], position: int) -> dict[object, list[tuple]]:
+        """The tuples of `key` grouped by their element at `position`,
+        built on first use and kept for every later search."""
+        found = self._indexes.get((key, position))
+        if found is None:
+            found = {}
+            for values in self.tuples.get(key, ()):
+                found.setdefault(values[position], []).append(values)
+            self._indexes[(key, position)] = found
+        return found
 
 
 def query_target(dst: CQ) -> HomTarget:
@@ -204,26 +239,29 @@ def _eval_components(cq: CQ) -> list[list[Atom]]:
     return [members for _, members in groups]
 
 
-def _search(
-    atoms: Iterable[Atom],
-    target: HomTarget,
-    binding: dict[str, object],
-    value_filter: Mapping[str, Callable[[object], bool]],
-    first_only: bool,
-    visit: Callable[[Mapping[str, object]], None] | None = None,
-) -> int:
-    """The homomorphism search: backtracking over the relational atoms in
-    search order, binding variables to the elements of candidate tuples.
-    Returns the number of homomorphisms that extend `binding` (stopping
-    at the first one when `first_only`) and passes each one's binding to
-    `visit` when given.  A variable in `value_filter` only binds to
-    elements its filter accepts.  Each disequality is checked as soon as
-    both sides are bound.
-    """
-    image, distinct, tuples = target.image, target.distinct, target.tuples
+class _Step(NamedTuple):
+    """One relational atom of a search, in search order.  A slot is
+    (variable name, None) or (None, constant's element).  `closed` when
+    every argument is bound before the step; `checks` are the
+    disequalities whose last side the step binds; `probe` is (position,
+    slot) of the first argument bound before the step, or None."""
 
-    # Compile: resolve constants and fix the atom order, most constrained
-    # first (fewest variables, then sharing a variable with what is bound).
+    key: tuple[str, int]
+    slots: tuple[tuple[str | None, object], ...]
+    closed: bool
+    checks: list
+    probe: tuple[int, tuple[str | None, object]] | None
+
+
+def _steps(
+    atoms: Iterable[Atom], target: HomTarget, binding: Mapping[str, object]
+) -> list[_Step] | None:
+    """The search plan of the atoms for homomorphisms extending `binding`,
+    or None when none can exist: constants resolved, the relational atoms
+    ordered most constrained first (fewest variables, then sharing a
+    variable with what is bound), and each disequality scheduled at the
+    step that binds its last variable."""
+    image, distinct, tuples = target.image, target.distinct, target.tuples
     pending, neqs = [], []
     for atom in atoms:
         if atom.kind == NEQ_ATOM:
@@ -231,7 +269,7 @@ def _search(
             continue
         key = (atom.predicate, len(atom.terms))
         if key not in tuples:
-            return 0
+            return None
         pending.append((atom, key, {t.name for t in atom.terms if t.kind == VAR}))
     pending.sort(key=lambda p: len(p[2]))
     bound = set(binding)
@@ -247,14 +285,17 @@ def _search(
             else:
                 value = image(t.name)
                 if value is None:
-                    return 0
+                    return None
                 slots.append((None, value))
+        probe = next(
+            ((pos, slot) for pos, slot in enumerate(slots) if slot[0] is None or slot[0] in bound),
+            None,
+        )
         for name in names - bound:
             bound_at[name] = len(steps)
-        steps.append((key, tuple(slots), names <= bound, []))
+        steps.append(_Step(key, tuple(slots), names <= bound, [], probe))
         bound |= names
 
-    # Schedule each disequality at the step that binds its last variable.
     for atom in neqs:
         sides = []
         for t in atom.terms:
@@ -267,9 +308,37 @@ def _search(
             continue  # a constant naming no element differs from every element
         at = max(-1 if name is None else bound_at[name] for name, _ in sides)
         if at >= 0:
-            steps[at][3].append(sides)
+            steps[at].checks.append(sides)
         elif not distinct(*(value if name is None else binding[name] for name, value in sides)):
-            return 0
+            return None
+    return steps
+
+
+def _search(
+    atoms: Iterable[Atom],
+    target: HomTarget,
+    binding: dict[str, object],
+    value_filter: Mapping[str, Callable[[object], bool]],
+    first_only: bool,
+    visit: Callable[[Mapping[str, object]], None] | None = None,
+) -> int:
+    """The homomorphism search: backtracking over the steps of `_steps`,
+    binding variables to the elements of candidate tuples.  Returns the
+    number of homomorphisms that extend `binding` (stopping at the first
+    one when `first_only`) and passes each one's binding to `visit` when
+    given.  A variable in `value_filter` only binds to elements its
+    filter accepts.  Each disequality is checked as soon as both sides
+    are bound.
+
+    A closed step is a membership test.  A step with a probe takes as
+    candidates the tuples that the target's index (`HomTarget.index`)
+    holds under the probed argument's value, not every tuple of the
+    predicate.
+    """
+    steps = _steps(atoms, target, binding)
+    if steps is None:
+        return 0
+    distinct, tuples, index = target.distinct, target.tuples, target.index
 
     def satisfied(checks) -> bool:
         for (n1, c1), (n2, c2) in checks:
@@ -282,11 +351,15 @@ def _search(
             if visit is not None:
                 visit(binding)
             return 1
-        key, slots, closed, checks = steps[i]
-        candidates = tuples.get(key, ())
+        key, slots, closed, checks, probe = steps[i]
         if closed:
             values = tuple(value if name is None else binding[name] for name, value in slots)
-            return extend(i + 1) if values in candidates else 0
+            return extend(i + 1) if values in tuples[key] else 0
+        if probe is None:
+            candidates = tuples[key]
+        else:
+            pos, (name, value) = probe
+            candidates = index(key, pos).get(value if name is None else binding[name], ())
         total = 0
         for values in candidates:
             fresh = []

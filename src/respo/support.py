@@ -45,6 +45,7 @@ from .queries import (
     HomTarget,
     UnsatisfiableQuery,
     canonicalize,
+    canonicalize_counted,
     hom_assignments,
     hom_count,
     hom_exists,
@@ -175,28 +176,22 @@ def enumerate_minimal_supports(
     size_cap: int | None = None,
 ) -> list[MinimalSupport]:
     """All inclusion-minimal satisfying subsets (monotone evaluator), by
-    exhaustive subset search.  Exponential; oracle use only.
+    exhaustive subset search in order of size.  Exponential; oracle use
+    only.
 
-    For a monotone evaluator, S is minimal iff S satisfies and no single
-    deletion does: any satisfying proper subset would survive inside some
-    single-deletion subset.
+    A subset holding a support found at a smaller size is skipped
+    unevaluated.  Any other subset that satisfies is minimal: a
+    satisfying proper subset would hold a minimal support of smaller
+    size, which the earlier sizes found.  Nothing but the supports is
+    kept, so memory stays linear in their number.
     """
     pool = tuple(facts)
     cap = len(pool) if size_cap is None else min(size_cap, len(pool))
-    memo: dict[frozenset[Fact], bool] = {}
-
-    def sat(s: frozenset[Fact]) -> bool:
-        if s not in memo:
-            memo[s] = evaluator(s)
-        return memo[s]
-
     out: list[MinimalSupport] = []
     for k in range(cap + 1):
         for combo in combinations(pool, k):
             s = frozenset(combo)
-            if not sat(s):
-                continue
-            if all(not sat(s - {f}) for f in s):
+            if not any(m.facts <= s for m in out) and evaluator(s):
                 out.append(MinimalSupport(s))
     return out
 
@@ -342,7 +337,9 @@ class CountingQuery:
 
 
 def count_automorphisms(cq: CQ) -> int:
-    """Number of disequality-respecting homomorphisms of cq onto itself."""
+    """Number of disequality-respecting homomorphisms of cq onto itself,
+    by a search: the oracle for the gamma that `counting_queries` reads
+    off the canonical search."""
     n = hom_count(cq, query_target(cq))
     if n < 1:
         raise RespoError("a satisfiable query has at least the identity automorphism")
@@ -359,19 +356,21 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
     of them is injective on terms (all pairs are distinct), so it maps the
     k atoms of one onto the k atoms of the other and is an isomorphism,
     which the canonical form already merged.
+
+    gamma comes from the same canonical search: on a rigid query, the
+    variable orderings that attain its canonical key number |Auto| (see
+    `queries.canonicalize_counted`).  `count_automorphisms` is the
+    independent check the tests hold it to.
     """
     ucq = as_ucq(ucq)
     pins = ucq_constants(ucq)
     out = {}
     for k, qs in reducts(ucq).items():
-        rigid: dict[tuple, CQ] = {}
+        rigid: dict[tuple, CountingQuery] = {}
         for q in qs:
-            key, aug = canonicalize(with_all_pairs_neq(q, pins))
-            rigid.setdefault(key, aug)
-        out[k] = tuple(
-            CountingQuery(cq=rigid[key], gamma=Fraction(1, count_automorphisms(rigid[key])))
-            for key in sorted(rigid)
-        )
+            key, aug, automorphisms = canonicalize_counted(with_all_pairs_neq(q, pins))
+            rigid.setdefault(key, CountingQuery(cq=aug, gamma=Fraction(1, automorphisms)))
+        out[k] = tuple(rigid[key] for key in sorted(rigid))
     return out
 
 

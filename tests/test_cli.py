@@ -122,6 +122,40 @@ def test_check_if(capsys, tmp_path):
     assert code == 0 and out.startswith("witness")
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_emit_sql_golden_bytes(tmp_path, capsys):
+    """The variant's schema, loader and manifest (the 104 counting
+    queries' SQL, gammas and order) match the recorded bytes, so a change
+    to canonical keys, naming or query order shows here."""
+    out_dir = tmp_path / "sql"
+    code, out, err = run(capsys, "emit-sql", *fixture_args("variant"), "--out", str(out_dir))
+    assert (code, out, err) == (0, f"wrote 104 queries to {out_dir}\n", "")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["load.sql", "manifest.json", "schema.sql"]
+    for name in ("schema.sql", "load.sql", "manifest.json"):
+        assert (out_dir / name).read_bytes() == (GOLDEN / f"variant.{name}").read_bytes(), name
+
+
+def test_count_fms_partition_golden_bytes(capsys):
+    assert run(capsys, "count-fms", *fixture_args("variant"), "--method", "partition") == (
+        0, '{"6": 6}\n', ""
+    )
+
+
+@pytest.mark.parametrize("command", ["emit-sql", "count-fms"])
+def test_partition_on_fig1_refused_golden_bytes(tmp_path, capsys, command):
+    """fig1's TBox is Horn-extended (exists hasIng.FishBased <= FishBased),
+    so it has no UCQ rewriting: both partition commands refuse it with the
+    same one line and exit 4, and emit-sql writes nothing."""
+    out_dir = tmp_path / "sql"
+    extra = ["--out", str(out_dir)] if command == "emit-sql" else ["--method", "partition"]
+    assert run(capsys, command, *fixture_args("fig1"), *extra) == (
+        4, "", "unsupported: Horn-extended TBoxes admit no finite UCQ rewriting in general\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_emit_sql_writes_files(tmp_path, capsys):
     out_dir = tmp_path / "sql"
     code, out, _ = run(

@@ -8,7 +8,15 @@ from itertools import product
 
 from respo import queries
 from respo.model import ANON, CQ, UCQ, Atom, Fact, concept_atom, const, neq_atom, role_atom, var
-from respo.queries import canonicalize, hom_count, hom_visit, query_hom_exists, with_all_pairs_neq
+from respo.queries import (
+    canonicalize,
+    hom_assignments,
+    hom_count,
+    hom_exists,
+    hom_visit,
+    query_hom_exists,
+    with_all_pairs_neq,
+)
 from respo.randgen import random_consistent_kb
 from respo.reasoner import canonical_slice, entails_cq, holds_under_assignment, query_depth
 from respo.shapley import Plan
@@ -87,6 +95,91 @@ def db_homs(cq: CQ, facts) -> list[frozenset[Fact]]:
             continue
         out.append(frozenset(image))
     return out
+
+
+def oracle_assignments(cq: CQ, facts, fixed: dict, filters: dict) -> list[dict]:
+    """Every assignment of cq's variables into the facts' constants (the
+    fixed ones kept) that maps each relational atom onto a fact, keeps
+    disequalities apart and passes the filters of the free variables."""
+    present = {(f.predicate, f.args) for f in facts}
+    domain = {a for f in facts for a in f.args}
+    free = [v for v in cq.variables() if v not in fixed]
+    out = []
+    for mu in assignments(free, domain):
+        if not all(filters[v](mu[v]) for v in free if v in filters):
+            continue
+        mu.update(fixed)
+
+        def value(t):
+            return mu[t.name] if t.is_var else t.name
+
+        if all((a.predicate, tuple(value(t) for t in a.terms)) in present
+               for a in cq.relational_atoms()) and \
+                all(value(a.terms[0]) != value(a.terms[1]) for a in cq.neq_atoms()):
+            out.append(mu)
+    return out
+
+
+def test_indexed_search_matches_oracle():
+    """The search, which probes the target's argument index wherever a
+    step has a bound argument, agrees with the naive oracle.  Each fact
+    database serves four queries, so later searches reuse the indexes
+    earlier ones built, and the queries cover each way an argument is
+    bound or checked at a step."""
+    rng = random.Random(1010)
+    seen = dict.fromkeys(
+        ["constant probe", "repeated variable", "disequality at probe",
+         "filter on probed variable", "pinned probe", "closed"], 0)
+    pool = ["c", "d", "e", "g"]
+    for _ in range(120):
+        facts = random_facts(rng, pool, max_facts=12)
+        db = FactDB(facts)
+        domain = sorted({a for f in facts for a in f.args}) + ["zz"]
+        for _ in range(4):
+            cq = random_query(rng, ["c", "d", "zz"])
+            names = cq.variables()
+            pinned = {v: rng.choice(domain) for v in names if rng.random() < 0.25}
+            filters = {}
+            for v in names:
+                if v not in pinned and rng.random() < 0.3:
+                    allowed = frozenset(rng.sample(pool, 2))
+                    filters[v] = allowed.__contains__
+
+            expected = oracle_assignments(cq, facts, {}, {})
+            found = hom_assignments(cq, db)
+            assert sorted(map(sorted_items, found)) == sorted(map(sorted_items, expected)), cq
+            assert hom_count(cq, db) == len(expected), cq
+            expected = oracle_assignments(cq, facts, pinned, filters)
+            assert hom_exists(cq, db, pinned, filters) == bool(expected), (cq, pinned)
+
+            for steps in (queries._steps(cq.atoms, db, pinned),
+                          queries._steps(hom_order(cq), db, {})):
+                for step in steps or ():
+                    tally_step(seen, step, pinned, filters)
+    assert min(seen.values()) >= 20, seen
+
+
+def sorted_items(binding: dict) -> tuple:
+    return tuple(sorted(binding.items()))
+
+
+def hom_order(cq: CQ) -> list:
+    return [atom for component in queries._eval_components(cq) for atom in component]
+
+
+def tally_step(seen: dict, step, pinned: dict, filters: dict) -> None:
+    names = [name for name, _ in step.slots if name is not None]
+    if step.closed:
+        seen["closed"] += 1
+    elif len(set(names)) < len(names):
+        seen["repeated variable"] += 1
+    if step.probe is None or step.closed:
+        return
+    _, (name, _) = step.probe
+    seen["constant probe"] += name is None
+    seen["disequality at probe"] += bool(step.checks)
+    seen["filter on probed variable"] += name in filters
+    seen["pinned probe"] += name in pinned
 
 
 def test_fact_db_search_matches_oracle():
@@ -218,3 +311,32 @@ def test_hom_visit_searches_in_hom_count_order(monkeypatch, variant):
     db = FactDB(abox)
     assert hom_count(cq, db) == hom_visit(cq, db, lambda binding: None)
     assert len(received) == 2 and received[0] == received[1]
+
+
+def test_partition_histogram_builds_each_index_once(monkeypatch, variant):
+    """A partition histogram over 256 facts probes one fact database with
+    many searches, and each (predicate, arity, position) index it uses is
+    built once and then reused by every later search."""
+    omq, abox = variant
+    facts = [
+        Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
+        for c in range(16)
+        for f in abox
+    ]
+    plan = Plan(omq, "partition")
+    probes = []
+    real = queries.HomTarget.index
+
+    def recording(target, key, position):
+        found = real(target, key, position)
+        probes.append((target, key, position, found))
+        return found
+
+    monkeypatch.setattr(queries.HomTarget, "index", recording)
+    assert plan.histogram(facts) == {6: 6 * 16 * 16}
+    built: dict[tuple, set[int]] = {}
+    for target, key, position, found in probes:
+        built.setdefault((id(target), key, position), set()).add(id(found))
+    assert len({target for target, *_ in probes}) == 1
+    assert len(probes) > len(built) > 0
+    assert all(len(ids) == 1 for ids in built.values()), built

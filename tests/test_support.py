@@ -11,9 +11,10 @@ from respo.model import (
     role_atom,
     var,
 )
-from respo.queries import canonicalize, hom_minimal, with_all_pairs_neq
+from respo.queries import canonicalize, canonicalize_counted, hom_minimal, with_all_pairs_neq
 from respo.randgen import random_database, random_ucq
 from respo.support import (
+    _all_reducts,
     count_automorphisms,
     count_fms_brute,
     count_fms_partition,
@@ -151,6 +152,74 @@ def test_count_automorphisms_examples():
         )
     )
     assert count_automorphisms(triangle) == 3
+
+
+def cycle(n: int) -> CQ:
+    names = [f"x{i}" for i in range(n)]
+    return CQ(tuple(role_atom("r", var(a), var(b)) for a, b in zip(names, names[1:] + names[:1])))
+
+
+def one_concept_one_role(rng: random.Random) -> CQ:
+    """A CQ of two to four atoms over A and r alone, often symmetric."""
+
+    def term():
+        return const("c") if rng.random() < 0.1 else var(rng.choice("xyzw"))
+
+    return CQ(tuple(
+        concept_atom("A", term()) if rng.random() < 0.5 else role_atom("r", term(), term())
+        for _ in range(rng.randint(2, 4))
+    ))
+
+
+def test_gamma_from_canonical_search_matches_automorphism_count():
+    """The orderings that attain a rigid query's canonical key number its
+    automorphisms, so the gamma `counting_queries` reads off the canonical
+    search equals 1 / `count_automorphisms`: checked on the rigid form of
+    every reduct of seeded random queries and of the 2-, 3- and 4-cycles,
+    and on every counting query."""
+    rng = random.Random(8080)
+    ucqs = [UCQ((cycle(n),)) for n in (2, 3, 4)]
+    ucqs += [random_ucq(rng, max_disjuncts=2, max_atoms=4) for _ in range(80)]
+    ucqs += [UCQ((one_concept_one_role(rng),)) for _ in range(40)]
+    seen = {"constants": 0, "repeated predicates": 0, "symmetric": 0}
+    for ucq in ucqs:
+        pins = ucq_constants(ucq)
+        for q in _all_reducts(ucq).values():
+            rigid = with_all_pairs_neq(q, pins)
+            key, renamed, automorphisms = canonicalize_counted(rigid)
+            assert automorphisms == count_automorphisms(rigid), q
+            assert (key, renamed) == canonicalize(rigid)
+            predicates = [a.predicate for a in q.relational_atoms()]
+            seen["constants"] += bool(q.constants())
+            seen["repeated predicates"] += len(set(predicates)) < len(predicates)
+            seen["symmetric"] += automorphisms > 1
+        for qs in counting_queries(ucq).values():
+            for c in qs:
+                assert c.gamma == Fraction(1, count_automorphisms(c.cq)), c
+    assert min(seen.values()) >= 10, seen
+    cycle_gammas = [
+        sorted(c.gamma for c in counting_queries(UCQ((cycle(n),)))[n]) for n in (2, 3, 4)
+    ]
+    assert [max(gs) for gs in cycle_gammas] == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+
+
+def test_gamma_is_counted_on_the_rigid_query():
+    """A reduct with its own disequality, A(?x), A(?y), A(?z), ?x != ?y:
+    rigidified, all six permutations are automorphisms (gamma 1/6); the
+    reduct itself has only the two that keep ?z in place.  The compile
+    counts on the rigid form too."""
+    x, y, z = var("x"), var("y"), var("z")
+    q = CQ((concept_atom("A", x), concept_atom("A", y), concept_atom("A", z), neq_atom(x, y)))
+    assert canonicalize_counted(with_all_pairs_neq(q))[2] == 6
+    assert canonicalize_counted(q)[2] == 2
+    assert count_automorphisms(with_all_pairs_neq(q)) == 6
+    # The directed 3-cycle with ?x0 != ?x1 is a size-3 counting query: its
+    # rotations are automorphisms of the rigid form, not of the reduct.
+    looped = CQ(cycle(3).atoms + (neq_atom(var("x0"), var("x1")),))
+    assert canonicalize_counted(looped)[2] == 1
+    cycle_query, collapsed = counting_queries(looped)[3]
+    assert len(cycle_query.cq.variables()) == 3 and cycle_query.gamma == Fraction(1, 3)
+    assert len(collapsed.cq.variables()) == 2 and collapsed.gamma == 1
 
 
 def test_count_homomorphisms_examples():
