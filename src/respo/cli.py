@@ -3,17 +3,20 @@
 Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 (missing --abox, unknown fact label or answer variable, malformed weight
 table, weight table without an entry the scores need, a `--size` or
-`--instances` below 1, a `score`, `count-ms` or `count-fms` that resolves
-to brute force or a `shapley-drastic` run on more facts than the cap of
-20; `gen reach` without --source and --target or with one that is not a
+`--instances` below 1, a `score`, `count-ms` or `count-fms` that
+resolves to brute force or a `shapley-drastic` run on more facts than
+the cap of 20, a `score`, `count-ms` or `count-fms` that resolves to
+provenance and derives an atom with more than 10,000 minimal supports;
+`gen reach` without --source and --target or with one that is not a
 graph vertex, a graph line that is not two vertices, an edge on an
 undeclared vertex, a bipartition that overlaps, misses a vertex or holds
 an edge inside one side, `gen mvc` on a graph without edges and `gen pm`
 on a graph that is not bipartite with sides of equal size, all before
 --out is created), 3 inconsistent KB, 4 unsupported TBox/method
 combination (one message per pipeline: a Horn-extended TBox outside
-brute force, or an interaction-free run on a UCQ, a disequality CQ or a
-CQ that fails the check).
+brute force and provenance, a query that is not one ground atom under
+provenance or a Horn-extended TBox, or an interaction-free run on a UCQ,
+a disequality CQ or a CQ that fails the check).
 """
 
 from __future__ import annotations
@@ -343,6 +346,21 @@ def cmd_verify(args) -> int:
                 )
                 break
     print(f"interaction-free-vs-brute: {n_if - (len(failures) - before)}/{n_if} ok")
+
+    before = len(failures)
+    from .randgen import random_horn_kb
+    from .shapley import Plan
+
+    for i in range(n):
+        tbox, abox, query = random_horn_kb(rng)
+        omq = OMQ(tbox, query)
+        brute = Plan(omq, "brute").fact_counts(abox)
+        fast = Plan(omq, "provenance").fact_counts(abox)
+        if brute != fast:
+            f = next((f for f in abox if brute[1][f] != fast[1][f]), None)
+            where = "" if f is None else f", fact {f.label}: {brute[1][f]} vs {fast[1][f]}"
+            failures.append(f"provenance mismatch on instance {i}{where}")
+    print(f"horn-vs-brute: {n - (len(failures) - before)}/{n} ok")
 
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)

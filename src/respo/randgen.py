@@ -1,6 +1,7 @@
 """Seeded random instances for the cross-pipeline property suites: small
-DL-Lite_R TBoxes, ABoxes, databases, and (U)CQs with optional constants
-and disequalities.  Shared by the test suite and the `verify` command.
+DL-Lite_R TBoxes, ABoxes, databases, (U)CQs with optional constants and
+disequalities, and Horn-extended KBs with ground atomic queries.  Shared
+by the test suite and the `verify` command.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from .model import (
     Axiom,
     CONCEPT_INCLUSION,
     CQ,
+    ConjunctionAxiom,
     Fact,
     OMQ,
+    QualifiedExistsAxiom,
     ROLE_INCLUSION,
     Role,
     TBox,
@@ -29,7 +32,7 @@ from .model import (
     var,
 )
 from .interaction_free import IFPlan, NotInteractionFreeError
-from .reasoner import is_consistent
+from .reasoner import entails_ground_atom, is_consistent
 
 CONCEPT_NAMES = ["A", "B", "C"]
 ROLE_NAMES = ["r", "s"]
@@ -190,3 +193,54 @@ def random_interaction_free_omq(rng: random.Random, max_atoms: int = 4) -> IFPla
             return IFPlan(OMQ(tbox, cq))
         except NotInteractionFreeError:
             continue
+
+
+def random_horn_kb(rng: random.Random, max_facts: int = 14) -> tuple[TBox, ABox, CQ]:
+    """Rejection-sample a consistent Horn-extended KB and a ground atomic
+    query.  The TBox mixes DL-Lite_R inclusions (inverse roles, exists R on
+    either side, disjointness; no existential right-hand side, which the
+    Horn evaluator refuses) with one to six A & B <= C and exists R.A <= B
+    axioms; the ABox holds up to `max_facts` facts over three constants (a
+    fact drawn twice is kept once).  One query in five is a role atom.
+    Three in four are atoms the KB entails but no single fact does, when
+    there are any, so that most supports need a Horn axiom to fire."""
+    pool = CONSTANTS[:3]
+    while True:
+        axioms = frozenset(
+            ax for ax in random_dllite_tbox(rng, max_axioms=4).axioms
+            if ax.kind == ROLE_INCLUSION or ax.negated or ax.rhs.is_name
+        )
+        horn = set()
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                a, b = rng.sample(CONCEPT_NAMES, 2)
+                horn.add(ConjunctionAxiom(a, b, rng.choice(CONCEPT_NAMES)))
+            else:
+                role = Role(rng.choice(ROLE_NAMES), rng.random() < 0.4)
+                filler, rhs = rng.choice(CONCEPT_NAMES), rng.choice(CONCEPT_NAMES)
+                horn.add(QualifiedExistsAxiom(role, filler, rhs))
+        tbox = TBox(axioms, frozenset(horn))
+        contents: dict[tuple, Fact] = {}
+        for _ in range(rng.randint(1, max_facts)):
+            if rng.random() < 0.5:
+                pred, args = rng.choice(CONCEPT_NAMES), (rng.choice(pool),)
+            else:
+                pred, args = rng.choice(ROLE_NAMES), (rng.choice(pool), rng.choice(pool))
+            contents.setdefault((pred, args), Fact(f"f{len(contents)}", pred, args))
+        abox = ABox(tuple(contents.values()))
+        if not is_consistent(abox, tbox):
+            continue
+        if rng.random() < 0.2:
+            atoms = [
+                role_atom(n, const(a), const(b)) for n in ROLE_NAMES for a in pool for b in pool
+            ]
+        else:
+            atoms = [concept_atom(n, const(a)) for n in CONCEPT_NAMES for a in pool]
+        entailed = [a for a in atoms if entails_ground_atom(abox, tbox, a)]
+        joint = [a for a in entailed if not any(entails_ground_atom((f,), tbox, a) for f in abox)]
+        chance = rng.random()
+        if joint and chance < 0.75:
+            atoms = joint
+        elif entailed and chance < 0.85:
+            atoms = entailed
+        return tbox, abox, CQ((rng.choice(atoms),))

@@ -4,7 +4,8 @@ One engine computes the entailed instance data of the named individuals
 for both TBox flavours: the closure of the TBox's DL-Lite inclusions
 (`saturate`), then, for a Horn-extended TBox, its A & B <= C and
 exists R.A <= B axioms fired to a fixpoint.  Consistency and ground-atom
-entailment read that data.  Boolean (U)CQ entailment and assignment-
+entailment read that data, and `provenance` fires the same rule table
+over sets of facts.  Boolean (U)CQ entailment and assignment-
 constrained matching, for DL-Lite_R only, run the homomorphism search in
 `queries` on a bounded slice of the canonical model.
 """

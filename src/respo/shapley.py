@@ -8,13 +8,13 @@ property checks used by the verification suites.
 
 Every count goes through a `Plan`: the OMQ compiled once for one
 pipeline (the method choice, the interaction-freeness check, the
-rewriting and counting queries, or the subset evaluator), then asked for
-the support histogram of a fact set or for every fact's per-size counts
-of the minimal supports containing it.  `score_all` builds one plan per
-call and asks it for every fact's counts once: partition runs one search
-per counting query, brute force tallies the supports it enumerates, and
-the interaction-free pipeline still subtracts the histogram over D minus
-each fact from the one over D.
+rewriting and counting queries, the ground query atom, or the subset
+evaluator), then asked for the support histogram of a fact set or for
+every fact's per-size counts of the minimal supports containing it.
+`score_all` builds one plan per call and asks it for every fact's counts
+once: partition runs one search per counting query, provenance and brute
+force tally the supports they find, and the interaction-free pipeline
+still subtracts the histogram over D minus each fact from the one over D.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .support import (
     MinimalSupport,
     counting_queries,
     enumerate_minimal_supports,
+    ground_atom_query,
     make_subset_evaluator,
     partition_fact_counts,
     partition_histogram,
@@ -128,6 +129,11 @@ def ms_wealth(evaluator: Evaluator) -> WealthFunction:
 
 # The largest database brute force takes by default: 2^20 coalitions.
 BRUTE_FORCE_CAP = 20
+
+# The most minimal supports the provenance pipeline keeps for one derived
+# atom, and the most candidate sets per fact it queues; one more stops the
+# run with `InputError`.
+PROVENANCE_CAP = 10_000
 
 
 def shapley_brute_force(
@@ -222,7 +228,7 @@ class ScoreReport:
     histogram: SupportHistogram  # countFMS over the full database
 
 
-METHODS = ("auto", "brute", "partition", "if")
+METHODS = ("auto", "brute", "partition", "if", "provenance")
 
 
 class Plan:
@@ -230,20 +236,25 @@ class Plan:
     minimal supports over a fact set (`histogram`, `fact_counts`) repeats
     no work that depends on the OMQ alone.
 
-    `auto` takes brute force for a Horn-extended TBox, the
+    `auto` takes provenance for a Horn-extended TBox, the
     interaction-free pipeline when its check passes, and partition
     otherwise.  The interaction-free plan is an `IFPlan`; the partition
     plan holds the rewriting and the counting queries of every size; the
-    brute plan the subset evaluator.  An unsupported OMQ raises
-    `UnsupportedTBoxError` here, and brute force on more than
-    `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates.
+    provenance plan the TBox and the ground query atom, whose minimal
+    supports `provenance.minimal_why_provenance` derives; the brute plan
+    the subset evaluator.  An unsupported OMQ raises
+    `UnsupportedTBoxError` here, brute force on more than
+    `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates, and
+    provenance raises it once a derived atom has more than
+    `PROVENANCE_CAP` minimal supports or it has queued more than
+    `PROVENANCE_CAP` candidate sets per fact.
     """
 
     def __init__(self, omq: OMQ, method: str = "auto"):
         if method not in METHODS:
             raise RespoError(f"unknown scoring method {method!r}")
         if method == "auto" and omq.tbox.horn_extended:
-            method = "brute"
+            method = "provenance"
         if method in ("auto", "if"):
             from .interaction_free import IFPlan
 
@@ -259,6 +270,8 @@ class Plan:
 
             self.rewriting = rewrite(omq).result if omq.tbox.axioms else omq.query
             self.counting_queries = counting_queries(self.rewriting)
+        if method == "provenance":
+            self._tbox, self._atom = omq.tbox, ground_atom_query(omq.query)
         if method == "brute":
             self._evaluator = make_subset_evaluator(omq.tbox, omq.query)
         self.method = method
@@ -277,8 +290,8 @@ class Plan:
     def fact_counts(self, facts: Iterable[Fact]) -> tuple[SupportHistogram, FactCounts]:
         """countFMS over the facts, which must be consistent with the TBox,
         and each fact's per-size counts of the minimal supports containing
-        it.  Partition and brute force count every fact in one pass; the
-        interaction-free pipeline takes each fact's counts as the
+        it.  Partition, provenance and brute force count every fact in one
+        pass; the interaction-free pipeline takes each fact's counts as the
         histogram over the facts minus the one over the rest."""
         facts = tuple(facts)
         if self.method == "if":
@@ -293,6 +306,14 @@ class Plan:
         return tally_fact_counts(facts, self._minimal_supports(ordered))
 
     def _minimal_supports(self, ordered: tuple[Fact, ...]) -> list[MinimalSupport]:
+        if self.method == "provenance":
+            from .provenance import minimal_why_provenance
+
+            masks = minimal_why_provenance(ordered, self._tbox, self._atom, PROVENANCE_CAP)
+            return [
+                MinimalSupport(frozenset(f for i, f in enumerate(ordered) if m >> i & 1))
+                for m in masks
+            ]
         if len(ordered) > BRUTE_FORCE_CAP:
             raise InputError(
                 f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(ordered)}"

@@ -110,11 +110,7 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
     ucq = as_ucq(query)
 
     if tbox.horn_extended:
-        ground = _single_ground_atom(ucq)
-        if ground is None:
-            raise UnsupportedTBoxError(
-                "Horn-extended TBoxes are evaluated on ground atomic queries only"
-            )
+        ground = ground_atom_query(ucq)
 
         def horn_eval(facts: frozenset[Fact]) -> bool:
             return entails_ground_atom(facts, tbox, ground)
@@ -144,14 +140,15 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
     return kb_eval
 
 
-def _single_ground_atom(ucq: UCQ) -> Atom | None:
-    if len(ucq.disjuncts) != 1:
-        return None
-    atoms = ucq.disjuncts[0].atoms
-    if len(atoms) != 1 or not atoms[0].is_relational:
-        return None
-    if any(t.is_var for t in atoms[0].terms):
-        return None
+def ground_atom_query(query: CQ | UCQ) -> Atom:
+    """The query's one atom, which must be relational and ground: the
+    queries that Horn-extended TBoxes and the provenance pipeline take."""
+    ucq = as_ucq(query)
+    atoms = ucq.disjuncts[0].atoms if len(ucq.disjuncts) == 1 else ()
+    if len(atoms) != 1 or not atoms[0].is_relational or any(t.is_var for t in atoms[0].terms):
+        raise UnsupportedTBoxError(
+            "Horn-extended TBoxes and the provenance pipeline take ground atomic queries only"
+        )
     return atoms[0]
 
 
@@ -302,14 +299,14 @@ def _all_reducts(ucq: UCQ) -> dict[tuple, CQ]:
     return seen
 
 
-def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
-    """The reducts of every size k, 1 up to the largest disjunct, that no
-    smaller reduct maps into, from one enumeration of all reducts.  The
-    minimality test targets the disequality-completed form of the
-    candidate: that is the shape whose supports are rigid, so a smaller
-    reduct mapping into it witnesses a smaller support inside every one of
-    its supports."""
-    ucq = as_ucq(ucq)
+def _rigid_reducts(ucq: UCQ) -> dict[int, list[tuple[CQ, CQ]]]:
+    """Each reduct of every size k, 1 up to the largest disjunct, that no
+    smaller reduct maps into, with its disequality-completed (rigid) form,
+    from one enumeration of all reducts.  The minimality test targets the
+    rigid form of the candidate: that is the shape whose supports are
+    rigid, so a smaller reduct mapping into it witnesses a smaller support
+    inside every one of its supports.  Each reduct is rigidified once, and
+    `counting_queries` reuses the form."""
     everything = _all_reducts(ucq)
     pins = ucq_constants(ucq)
     out = {}
@@ -322,9 +319,15 @@ def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
                 continue
             rigid = with_all_pairs_neq(q, pins)
             if not any(query_hom_exists(small, rigid) for small in smaller):
-                minimal.append(q)
-        out[k] = tuple(minimal)
+                minimal.append((q, rigid))
+        out[k] = minimal
     return out
+
+
+def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
+    """The reducts of every size k that no smaller reduct maps into (see
+    `_rigid_reducts`)."""
+    return {k: tuple(q for q, _ in found) for k, found in _rigid_reducts(as_ucq(ucq)).items()}
 
 
 @dataclass(frozen=True)
@@ -362,13 +365,11 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
     `queries.canonicalize_counted`).  `count_automorphisms` is the
     independent check the tests hold it to.
     """
-    ucq = as_ucq(ucq)
-    pins = ucq_constants(ucq)
     out = {}
-    for k, qs in reducts(ucq).items():
+    for k, found in _rigid_reducts(as_ucq(ucq)).items():
         rigid: dict[tuple, CountingQuery] = {}
-        for q in qs:
-            key, aug, automorphisms = canonicalize_counted(with_all_pairs_neq(q, pins))
+        for _, form in found:
+            key, aug, automorphisms = canonicalize_counted(form)
             rigid.setdefault(key, CountingQuery(cq=aug, gamma=Fraction(1, automorphisms)))
         out[k] = tuple(rigid[key] for key in sorted(rigid))
     return out

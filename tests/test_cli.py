@@ -289,6 +289,31 @@ def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "3", "--instances", "8")
     assert code == 0
     assert "partition-vs-brute: 8/8 ok" in out
+    assert "horn-vs-brute: 8/8 ok" in out
+
+
+@pytest.mark.parametrize("command", [["score"], ["score", "--format", "table"],
+                                     ["count-ms"], ["count-fms"], ["count-fms", "--size", "3"]])
+def test_horn_auto_prints_the_bytes_of_brute_force(command, capsys, tmp_path):
+    """`auto` takes provenance for the Horn-extended TBoxes of fig1 and of
+    the generated vertex-cover and reachability instances, and prints what
+    brute force prints."""
+    graph, dgraph = tmp_path / "g.txt", tmp_path / "d.txt"
+    graph.write_text("a b\nb c\nc d\nd a\nb d\n", encoding="utf-8")
+    dgraph.write_text("directed\nc x\nx d\nc d\nx y\ny d\n", encoding="utf-8")
+    assert run(capsys, "gen", "mvc", "--graph", str(graph), "--out", str(tmp_path / "mvc"))[0] == 0
+    assert run(capsys, "gen", "reach", "--graph", str(dgraph), "--out", str(tmp_path / "reach"),
+               "--source", "c", "--target", "d")[0] == 0
+    generated = [
+        ["--tbox", str(tmp_path / kind / "tbox.txt"), "--abox", str(tmp_path / kind / "abox.txt"),
+         "--query", str(tmp_path / kind / "query.txt")]
+        for kind in ("mvc", "reach")
+    ]
+    for inputs in (fixture_args("fig1"), *generated):
+        auto = run(capsys, *command, *inputs)
+        assert auto[0] == 0 and auto[1] and auto[2] == ""
+        assert auto == run(capsys, *command, *inputs, "--method", "brute")
+        assert auto == run(capsys, *command, *inputs, "--method", "provenance")
 
 
 def _weight_file(tmp_path, text):
@@ -312,10 +337,11 @@ def _weight_file(tmp_path, text):
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 x 1/2\n"],
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:1 8 1\n"],
         ["score", *fixture_args("fig1"), "--abox", "BIG_ABOX", "--method", "brute"],
-        ["score", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
+        ["score", "--tbox", "WIDE_TBOX", "--abox", "WIDE_ABOX", "--query", "WIDE_QUERY"],
         ["count-ms", *fixture_args("fig1"), "--abox", "BIG_ABOX", "--method", "brute"],
         ["count-fms", *fixture_args("fig1"), "--abox", "BIG_ABOX", "--method", "brute"],
-        ["count-fms", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
+        ["count-fms", "--tbox", "WIDE_TBOX", "--abox", "WIDE_ABOX", "--query", "WIDE_QUERY"],
+        ["score", "--tbox", "JOIN_TBOX", "--abox", "JOIN_ABOX", "--query", "JOIN_QUERY"],
         ["shapley-drastic", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
         ["count-fms", *fixture_args("variant"), "--size", "0"],
         ["emit-sql", *fixture_args("variant"), "--size", "0", "--out", "OUT_DIR"],
@@ -335,10 +361,10 @@ def _weight_file(tmp_path, text):
         "unknown-weight", "weight-zero-denominator", "weight-non-integer-size",
         "weight-missing-entry", "score-brute-over-cap", "score-auto-brute-over-cap",
         "count-ms-brute-over-cap", "count-fms-brute-over-cap", "count-fms-auto-brute-over-cap",
-        "shapley-over-cap", "count-fms-size-zero", "emit-sql-size-zero",
-        "emit-sql-negative-size", "verify-zero-instances", "verify-negative-instances",
-        "gen-reach-no-source", "gen-reach-unknown-vertex", "gen-bad-edge-line",
-        "gen-pm-uncovered-vertex", "gen-pm-not-bipartite", "gen-mvc-no-edges",
+        "score-auto-provenance-over-budget", "shapley-over-cap", "count-fms-size-zero",
+        "emit-sql-size-zero", "emit-sql-negative-size", "verify-zero-instances",
+        "verify-negative-instances", "gen-reach-no-source", "gen-reach-unknown-vertex",
+        "gen-bad-edge-line", "gen-pm-uncovered-vertex", "gen-pm-not-bipartite", "gen-mvc-no-edges",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
@@ -351,8 +377,13 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     # through these: partition scoring through `partition_fact_counts`,
     # the count commands through `partition_histogram`.  A missing
     # weight-table entry shows only once scoring needs it, and the Shapley
-    # cap is checked by the brute-force computation itself.
-    if request.node.callspec.id not in {"weight-missing-entry", "shapley-over-cap"}:
+    # and provenance caps are checked by the computation itself: `auto`
+    # takes provenance for the Horn-extended WIDE and JOIN TBoxes.
+    checked_while_computing = {
+        "weight-missing-entry", "shapley-over-cap", "score-auto-brute-over-cap",
+        "count-fms-auto-brute-over-cap", "score-auto-provenance-over-budget",
+    }
+    if request.node.callspec.id not in checked_while_computing:
         for name in (
             "enumerate_minimal_supports",
             "partition_histogram",
@@ -363,18 +394,39 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     # One fact past the brute-force cap of 20.
     big = tmp_path / "big.abox"
     big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")
-    graphs = {
+
+    def wide(n, p=""):
+        """W_n(g) has 2^n minimal supports, one of x_i, y_i for each i."""
+        tbox = "".join(f"{p}X{i} <= {p}Z{i}\n{p}Y{i} <= {p}Z{i}\n" for i in range(1, n + 1))
+        tbox += f"{p}Z1 & {p}Z2 <= {p}W2\n"
+        tbox += "".join(f"{p}W{i - 1} & {p}Z{i} <= {p}W{i}\n" for i in range(3, n + 1))
+        abox = "".join(f"{p}x{i}: {p}X{i}(g)\n{p}y{i}: {p}Y{i}(g)\n" for i in range(1, n + 1))
+        return tbox, abox
+
+    # W14(g) is past the provenance cap of 10,000 minimal supports (W13
+    # has 8,192).  PW13 and QW13 are under it, but R(g) would join their
+    # 2^26 unions: the budget of 10,000 candidate sets per fact stops it.
+    (wide_tbox, wide_abox), (p_tbox, p_abox), (q_tbox, q_abox) = (
+        wide(14), wide(13, "P"), wide(13, "Q")
+    )
+    files = {
         "GRAPH": "a b\nb c\n",
         "BAD_GRAPH": "a b\na b c\n",
         "UNCOVERED_GRAPH": "bipartite: A=a1 B=b1\na1 b2\n",
         "EDGELESS_GRAPH": "vertex: a\n",
+        "WIDE_TBOX": wide_tbox,
+        "WIDE_ABOX": wide_abox,
+        "WIDE_QUERY": "W14(g)\n",
+        "JOIN_TBOX": p_tbox + q_tbox + "PW13 & QW13 <= R\n",
+        "JOIN_ABOX": p_abox + q_abox,
+        "JOIN_QUERY": "R(g)\n",
     }
-    for placeholder, text in graphs.items():
+    for placeholder, text in files.items():
         (tmp_path / placeholder).write_text(text, encoding="utf-8")
     argv = [
         _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:")
         else str(big) if a == "BIG_ABOX"
-        else str(tmp_path / a) if a in graphs
+        else str(tmp_path / a) if a in files
         else str(tmp_path / "out") if a == "OUT_DIR" else a
         for a in argv
     ]
@@ -392,6 +444,11 @@ NOT_INTERACTION_FREE = (
 )
 
 
+GROUND_ONLY = (
+    "unsupported: Horn-extended TBoxes and the provenance pipeline take ground atomic queries only"
+)
+
+
 @pytest.mark.parametrize("command", ["score", "count-fms", "count-ms"])
 @pytest.mark.parametrize(
     "case, method, message",
@@ -403,6 +460,10 @@ NOT_INTERACTION_FREE = (
         ("horn", "partition",
          "unsupported: Horn-extended TBoxes admit no finite UCQ rewriting in general"),
         ("horn", "if", "unsupported: interaction-freeness requires a DL-Lite_R TBox"),
+        ("horn-open", "auto", GROUND_ONLY),
+        ("horn-open", "brute", GROUND_ONLY),
+        ("horn-open", "provenance", GROUND_ONLY),
+        ("ucq", "provenance", GROUND_ONLY),
     ],
 )
 def test_unsupported_pipeline_exits_4_with_one_line(
@@ -419,6 +480,9 @@ def test_unsupported_pipeline_exits_4_with_one_line(
     }
     if case == "horn":
         inputs = fixture_args("fig1")
+    elif case == "horn-open":
+        (tmp_path / "q.query").write_text("FishBased(?x)\n", encoding="utf-8")
+        inputs = [*fixture_args("fig1")[:4], "--query", str(tmp_path / "q.query")]
     else:
         (tmp_path / "q.query").write_text(queries[case], encoding="utf-8")
         inputs = ["--abox", str(tmp_path / "a.abox"), "--query", str(tmp_path / "q.query")]

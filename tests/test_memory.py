@@ -59,14 +59,19 @@ def mvc_instance(prefix: str) -> tuple[ABox, OMQ]:
     return ABox(facts), OMQ(tbox, query)
 
 
-def test_repeated_scoring_retains_no_memory():
+@pytest.mark.parametrize("method", ["auto", "brute"])
+def test_repeated_scoring_retains_no_memory(method):
+    """`auto` takes the provenance pipeline for this Horn-extended TBox;
+    brute force keeps its own check."""
     retained = []
     tracemalloc.start()
     try:
         for i in range(4):
-            abox, omq = mvc_instance(f"run{i}")
-            assert score_all(abox, omq).histogram == {3: 2, 4: 3}
-            del abox, omq
+            abox, omq = mvc_instance(f"{method}{i}")
+            report = score_all(abox, omq, method=method)
+            assert report.histogram == {3: 2, 4: 3}
+            assert report.method == ("provenance" if method == "auto" else "brute")
+            del report, abox, omq
             gc.collect()
             retained.append(tracemalloc.get_traced_memory()[0])
     finally:

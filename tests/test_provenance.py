@@ -1,0 +1,253 @@
+"""The provenance pipeline: minimal supports of a ground atom under a
+Horn-extended TBox from the minimal why-provenance fixpoint, checked
+against brute force on seeded random KBs and, past brute force's cap,
+against the vertex-cover and simple-path oracles."""
+
+import random
+import tracemalloc
+from collections import Counter
+
+import pytest
+
+import respo.shapley
+from respo.generators import Graph, gen_mvc, gen_reachability, oracle_simple_paths
+from respo.model import (
+    ROLE_INCLUSION,
+    ABox,
+    Axiom,
+    CQ,
+    Fact,
+    InputError,
+    OMQ,
+    QualifiedExistsAxiom,
+    Role,
+    TBox,
+    UnsupportedTBoxError,
+    concept,
+    concept_atom,
+    const,
+    exists,
+    role_atom,
+    var,
+)
+from respo.provenance import minimal_why_provenance
+from respo.randgen import CONCEPT_NAMES, ROLE_NAMES, random_consistent_kb, random_horn_kb
+from respo.shapley import Plan, score_all
+from respo.textio import parse_abox, parse_query, parse_tbox
+
+
+def test_provenance_matches_brute_force_on_random_horn_kbs():
+    """Every fact's per-size counts agree with brute force on 1,000 seeded
+    KBs of up to 14 facts; the tallies show that the KBs exercise each
+    axiom shape the fixpoint handles."""
+    rng = random.Random(1101)
+    seen = Counter()
+    for i in range(1000):
+        tbox, abox, query = random_horn_kb(rng)
+        omq = OMQ(tbox, query)
+        histogram, counts = Plan(omq, "provenance").fact_counts(abox)
+        assert (histogram, counts) == Plan(omq, "brute").fact_counts(abox), (i, tbox, abox, query)
+        if not histogram.total():
+            continue
+        seen["with supports"] += 1
+        seen["12+ facts"] += len(abox) >= 12
+        seen["a support of 3+ facts"] += max(histogram.counts) >= 3
+        seen["2+ supports"] += histogram.total() >= 2
+        seen["role query"] += len(query.atoms[0].terms) == 2
+        seen["inverse exists R.A <= B"] += any(
+            isinstance(ax, QualifiedExistsAxiom) and ax.role.inverted for ax in tbox.horn_axioms
+        )
+        seen["inverse role inclusion"] += any(
+            ax.kind == ROLE_INCLUSION and (ax.lhs.inverted or ax.rhs.inverted)
+            for ax in tbox.axioms
+        )
+        seen["exists R <= A"] += any(
+            ax.kind != ROLE_INCLUSION and not ax.lhs.is_name and not ax.negated
+            for ax in tbox.axioms
+        )
+        seen["disjointness"] += any(ax.negated for ax in tbox.axioms)
+    assert min(seen.values()) >= 20 and len(seen) == 9, seen
+
+
+def test_provenance_matches_brute_force_on_dllite_kbs():
+    """Over a DL-Lite_R TBox, existential right-hand sides included, a
+    ground atom's supports come from the closure alone; brute force
+    checks them through the canonical model instead."""
+    rng = random.Random(1103)
+    constants = ("c", "d", "e")
+    atoms = [concept_atom(n, const(a)) for n in CONCEPT_NAMES for a in constants]
+    atoms += [
+        role_atom(n, const(a), const(b)) for n in ROLE_NAMES for a in constants for b in constants
+    ]
+    supported = 0
+    for _ in range(300):
+        tbox, abox = random_consistent_kb(rng, max_facts=6)
+        omq = OMQ(tbox, CQ((rng.choice(atoms),)))
+        histogram, counts = Plan(omq, "provenance").fact_counts(abox)
+        assert (histogram, counts) == Plan(omq, "brute").fact_counts(abox), (tbox, abox, omq.query)
+        supported += histogram.total() > 0
+    assert supported >= 50, supported
+
+
+def perrin(n: int) -> int:
+    p = [3, 0, 2]
+    while len(p) <= n:
+        p.append(p[-2] + p[-3])
+    return p[n]
+
+
+@pytest.mark.parametrize("n", range(14, 25))
+def test_cycle_vertex_covers_are_perrin_numbers(n):
+    """The minimal vertex covers of an n-cycle number P(n), and by
+    rotation every vertex lies in the same number of them."""
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = tuple(zip(vertices, vertices[1:] + vertices[:1]))
+    tbox, abox, query = gen_mvc(Graph(vertices, edges))
+    histogram, counts = Plan(OMQ(tbox, query), "auto").fact_counts(abox)
+    assert histogram.total() == perrin(n)
+    per_fact = {sum(c.values()) for c in counts.values()}
+    assert len(per_fact) == 1
+    assert sum(k * m for k, m in histogram.counts.items()) == n * per_fact.pop()
+
+
+def grid(side: int, both_ways: bool = False) -> tuple[Graph, str, str]:
+    """A side x side grid with edges right and down (and back when
+    both_ways), from the top-left to the bottom-right corner."""
+    name = "v{}_{}".format
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di < side and j + dj < side:
+                    edges.append((name(i, j), name(i + di, j + dj)))
+    if both_ways:
+        edges += [(v, u) for u, v in edges]
+    vertices = tuple(name(i, j) for i in range(side) for j in range(side))
+    return Graph(vertices, tuple(edges), directed=True), name(0, 0), name(side - 1, side - 1)
+
+
+REACH = QualifiedExistsAxiom(Role("edge"), "Reach", "Reach")
+
+
+def reach_encodings(graph: Graph, target: str, encoding: str) -> tuple[TBox, list[Fact]]:
+    """Reachability with each edge u -> v stated as edge(u, v) under
+    exists edge.Reach <= Reach, as edge(v, u) under exists edge-.Reach <=
+    Reach, or as back(v, u) with back <= edge-; one fact per edge, in edge
+    order, then the target marker."""
+    if encoding == "inverse filler":
+        inverse = QualifiedExistsAxiom(Role("edge", True), "Reach", "Reach")
+        tbox = TBox(frozenset(), frozenset({inverse}))
+        facts = [Fact(f"e{i}", "edge", (v, u)) for i, (u, v) in enumerate(graph.edges)]
+    elif encoding == "inverse inclusion":
+        back = Axiom(ROLE_INCLUSION, Role("back"), Role("edge", True))
+        tbox = TBox(frozenset({back}), frozenset({REACH}))
+        facts = [Fact(f"e{i}", "back", (v, u)) for i, (u, v) in enumerate(graph.edges)]
+    else:
+        tbox = TBox(frozenset(), frozenset({REACH}))
+        facts = [Fact(f"e{i}", "edge", (u, v)) for i, (u, v) in enumerate(graph.edges)]
+    return tbox, facts + [Fact("goal", "Reach", (target,))]
+
+
+@pytest.mark.parametrize("encoding", ["edge", "inverse filler", "inverse inclusion"])
+@pytest.mark.parametrize("side, both_ways", [(4, False), (5, False), (6, False), (4, True)],
+                         ids=["4x4", "5x5", "6x6", "4x4-both-ways"])
+def test_grid_reachability_matches_simple_paths(side, both_ways, encoding):
+    """The minimal supports of Reach(source) are the simple paths, each
+    with the target marker: the histogram is `oracle_simple_paths`
+    shifted by one, and an edge lies in as many supports as the paths
+    that the graph without it loses."""
+    graph, source, target = grid(side, both_ways)
+    tbox, facts = reach_encodings(graph, target, encoding)
+    if encoding == "edge":
+        assert (tbox, ABox(tuple(facts))) == gen_reachability(graph, source, target)[:2]
+    query = CQ((concept_atom("Reach", const(source)),))
+    histogram, counts = Plan(OMQ(tbox, query), "auto").fact_counts(ABox(tuple(facts)))
+    paths = oracle_simple_paths(graph, source, target)
+    assert histogram == {length + 1: m for length, m in paths.items()}
+    assert counts[facts[-1]] == dict(histogram.counts)
+    for fact, edge in zip(facts, graph.edges):
+        rest = Graph(graph.vertices, tuple(e for e in graph.edges if e != edge), directed=True)
+        lost = Counter(paths) - Counter(oracle_simple_paths(rest, source, target))
+        assert counts[fact] == {length + 1: m for length, m in sorted(lost.items())}, edge
+
+
+def wide_text(n: int, prefix: str = "") -> tuple[str, str]:
+    """The TBox and ABox text of W_n(g) with 2^n minimal supports, one of
+    x_i, y_i for each i; every name starts with the prefix."""
+    p = prefix
+    tbox = "".join(f"{p}X{i} <= {p}Z{i}\n{p}Y{i} <= {p}Z{i}\n" for i in range(1, n + 1))
+    tbox += f"{p}Z1 & {p}Z2 <= {p}W2\n"
+    tbox += "".join(f"{p}W{i - 1} & {p}Z{i} <= {p}W{i}\n" for i in range(3, n + 1))
+    abox = "".join(f"{p}x{i}: {p}X{i}(g)\n{p}y{i}: {p}Y{i}(g)\n" for i in range(1, n + 1))
+    return tbox, abox
+
+
+def wide_kb(n: int) -> tuple[ABox, OMQ]:
+    tbox, abox = wide_text(n)
+    return parse_abox(abox), OMQ(parse_tbox(tbox), parse_query(f"W{n}(g)\n"))
+
+
+def joined_wide_kb(n: int) -> tuple[tuple[Fact, ...], TBox]:
+    """Two wide chains P and Q of n steps and PW_n & QW_n <= R."""
+    (p_tbox, p_abox), (q_tbox, q_abox) = wide_text(n, "P"), wide_text(n, "Q")
+    tbox = parse_tbox(p_tbox + q_tbox + f"PW{n} & QW{n} <= R\n")
+    return tuple(parse_abox(p_abox + q_abox)), tbox
+
+
+def ground_atom(text: str):
+    return parse_query(text + "\n").disjuncts[0].atoms[0]
+
+
+def test_cap_bounds_each_derived_atom(monkeypatch):
+    abox, omq = wide_kb(5)
+    facts, atom = tuple(abox), omq.query.disjuncts[0].atoms[0]
+    assert len(minimal_why_provenance(facts, omq.tbox, atom, 32)) == 32
+    with pytest.raises(InputError, match="capped at 31 minimal supports"):
+        minimal_why_provenance(facts, omq.tbox, atom, 31)
+    monkeypatch.setattr(respo.shapley, "PROVENANCE_CAP", 31)
+    with pytest.raises(InputError, match="capped at 31"):
+        score_all(abox, omq)
+
+
+def test_budget_bounds_the_candidate_sets():
+    """P9 and Q9 each have 512 minimal supports, under a cap of 1,000, but
+    their conjunction queues 2^18 unions; the budget of cap x |facts|
+    candidate sets stops the run before they are built."""
+    facts, tbox = joined_wide_kb(9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="capped at 36000 candidate sets on 36 facts"):
+            minimal_why_provenance(facts, tbox, ground_atom("R(g)"), 1_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert len(minimal_why_provenance(facts, tbox, ground_atom("PW9(g)"), 1_000)) == 2**9
+
+
+def test_only_atoms_the_query_depends_on_are_derived():
+    """W14(g) is past the cap, but Z1(g) and W3(g) do not depend on it."""
+    abox, omq = wide_kb(14)
+    for query, supports in (("Z1(g)", 2), ("W3(g)", 8), ("x1(g, g)", 0)):
+        masks = minimal_why_provenance(tuple(abox), omq.tbox, ground_atom(query), 10_000)
+        assert len(masks) == supports
+
+
+def test_auto_takes_provenance_for_horn_tboxes_only(fig1, variant):
+    (omq, abox), (dllite, _) = fig1, variant
+    assert Plan(omq).method == "provenance"
+    assert Plan(dllite).method == "if"
+    assert score_all(abox, omq).scores == score_all(abox, omq, method="brute").scores
+
+
+def test_provenance_refuses_what_the_horn_evaluator_refuses(fig1):
+    omq, abox = fig1
+    open_query = CQ((concept_atom("FishBased", var("x")),))
+    for tbox in (omq.tbox, TBox()):
+        with pytest.raises(UnsupportedTBoxError, match="ground atomic queries only"):
+            Plan(OMQ(tbox, open_query), "provenance")
+    existential = TBox(
+        frozenset({Axiom("concept", concept("Fish"), exists(Role("hasIng")))}), omq.tbox.horn_axioms
+    )
+    with pytest.raises(UnsupportedTBoxError, match="existential right-hand sides"):
+        Plan(OMQ(existential, omq.query), "provenance").fact_counts(abox)

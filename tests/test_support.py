@@ -314,3 +314,25 @@ def test_rigid_candidates_need_no_hom_pruning():
             assert [c.cq for c in by_size[k]] == candidates
             seen += len(candidates) > 1
     assert seen >= 50, seen
+
+
+def test_counting_queries_rigidify_each_reduct_once(monkeypatch, variant):
+    """Compiling the variant's counting queries rigidifies each of its 104
+    reducts once, in the minimality test, and reuses that form for the
+    canonical search (twice per reduct before)."""
+    import respo.support
+    from respo.rewriter import rewrite
+
+    omq, _ = variant
+    ucq = rewrite(omq).result
+    calls = []
+
+    def counted(q, pins):
+        calls.append(q)
+        return with_all_pairs_neq(q, pins)
+
+    monkeypatch.setattr(respo.support, "with_all_pairs_neq", counted)
+    queries = counting_queries(ucq)
+    assert sum(map(len, queries.values())) == len(_all_reducts(ucq)) == 104
+    assert len(calls) == 104
+    assert len({canonicalize(q)[0] for q in calls}) == 104
