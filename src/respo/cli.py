@@ -173,8 +173,7 @@ def cmd_rewrite(args) -> int:
     from .rewriter import rewrite
 
     omq, _ = _load_inputs(args)
-    result = rewrite(omq)
-    sys.stdout.write(render_query(result.result))
+    sys.stdout.write(render_query(rewrite(omq)))
     return EXIT_OK
 
 
@@ -245,132 +244,83 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run four seeded suites, each comparing the `Plan` of one method with
+    the brute-force plan on random (OMQ, ABox) draws: the histogram and
+    every fact's per-size counts must agree, and a `RespoError` fails the
+    instance.  partition-vs-brute draws UCQs over plain databases,
+    interaction-free-vs-brute interaction-free DL-Lite_R OMQs and
+    horn-vs-brute Horn-extended KBs with a ground atomic query.
+    rewriting-soundness runs partition on consistent DL-Lite_R KBs, which
+    checks the rewriting on every sub-ABox: entailment over the
+    sub-ABoxes of a consistent KB is monotone, as is a UCQ without
+    disequalities, and two monotone properties of fact sets agree on
+    every subset iff they have the same minimal supports, whose counts
+    the suite compares."""
     _at_least_one(args, "instances")
-    rng = random.Random(args.seed)
-    failures = []
-
-    from .model import as_ucq
+    from .model import TBox
     from .randgen import (
+        random_abox,
         random_consistent_kb,
         random_cq,
         random_database,
+        random_horn_kb,
         random_interaction_free_omq,
         random_ucq,
     )
-    from .rewriter import rewrite
-    from .shapley import histogram_difference
-    from .support import (
-        counting_queries,
-        enumerate_minimal_supports,
-        make_subset_evaluator,
-        partition_fact_counts,
-        partition_histogram,
-        tally_fact_counts,
-        ucq_holds,
-    )
-    from .reasoner import entails_ucq
-
-    n = args.instances
-
-    for i in range(n):
-        ucq = random_ucq(rng)
-        facts = tuple(random_database(rng, bias=ucq))
-        supports = enumerate_minimal_supports(facts, lambda s: ucq_holds(ucq, s))
-        brute, brute_counts = tally_fact_counts(facts, supports)
-        queries = counting_queries(ucq)
-        part = partition_histogram(queries, facts)
-        part_full, part_counts = partition_fact_counts(queries, facts)
-        if brute != part or brute != part_full:
-            failures.append(f"partition mismatch on instance {i}: {brute} vs {part}, {part_full}")
-        elif brute_counts != part_counts:
-            f = next(f for f in facts if brute_counts[f] != part_counts[f])
-            failures.append(
-                f"partition per-fact mismatch on instance {i}, fact {f.label}:"
-                f" {brute_counts[f]} vs {part_counts[f]}"
-            )
-    print(f"partition-vs-brute: {n - len(failures)}/{n} ok")
-
-    before = len(failures)
-    for i in range(n):
-        cq = random_cq(rng, max_atoms=2, allow_neq=False)
-        tbox, abox = random_consistent_kb(rng, bias=UCQ((cq,)))
-        omq = OMQ(tbox, cq)
-        try:
-            rewritten = rewrite(omq).result
-        except RespoError as exc:
-            failures.append(f"rewrite failed on instance {i}: {exc}")
-            continue
-        from itertools import combinations
-
-        facts = tuple(abox)
-        ok = True
-        for k in range(len(facts) + 1):
-            for combo in combinations(facts, k):
-                sub = ABox(tuple(sorted(combo, key=lambda f: f.label)))
-                if ucq_holds(rewritten, combo) != entails_ucq(sub, tbox, as_ucq(cq)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            failures.append(f"rewriting unsound on instance {i}")
-    print(f"rewriting-soundness: {n - (len(failures) - before)}/{n} ok")
-
-    before = len(failures)
-    from .interaction_free import count_ms_interaction_free
-
-    n_if = max(1, n // 2)
-    for i in range(n_if):
-        plan = random_interaction_free_omq(rng)
-        omq = plan.omq
-        abox = random_abox_for_if(rng, omq)
-        from .reasoner import is_consistent
-
-        if not is_consistent(abox, omq.tbox):
-            continue
-        facts = tuple(abox)
-        evaluator = make_subset_evaluator(omq.tbox, omq.query)
-        supports = enumerate_minimal_supports(facts, evaluator)
-        brute, brute_counts = tally_fact_counts(facts, supports)
-        fast = count_ms_interaction_free(plan, abox)
-        if brute.total() != fast.total():
-            failures.append(f"interaction-free mismatch on instance {i}")
-            continue
-        for f in facts:
-            rest = count_ms_interaction_free(plan, abox.without(f))
-            fast_counts = histogram_difference(fast, rest)
-            if brute_counts[f] != fast_counts:
-                failures.append(
-                    f"interaction-free per-fact mismatch on instance {i}, fact {f.label}:"
-                    f" {brute_counts[f]} vs {fast_counts}"
-                )
-                break
-    print(f"interaction-free-vs-brute: {n_if - (len(failures) - before)}/{n_if} ok")
-
-    before = len(failures)
-    from .randgen import random_horn_kb
     from .shapley import Plan
 
-    for i in range(n):
-        tbox, abox, query = random_horn_kb(rng)
-        omq = OMQ(tbox, query)
-        brute = Plan(omq, "brute").fact_counts(abox)
-        fast = Plan(omq, "provenance").fact_counts(abox)
-        if brute != fast:
-            f = next((f for f in abox if brute[1][f] != fast[1][f]), None)
-            where = "" if f is None else f", fact {f.label}: {brute[1][f]} vs {fast[1][f]}"
-            failures.append(f"provenance mismatch on instance {i}{where}")
-    print(f"horn-vs-brute: {n - (len(failures) - before)}/{n} ok")
+    def database(rng):
+        ucq = random_ucq(rng)
+        return OMQ(TBox(), ucq), random_database(rng, bias=ucq)
 
+    def dllite(rng):
+        cq = random_cq(rng, max_atoms=2, allow_neq=False)
+        tbox, abox = random_consistent_kb(rng, bias=UCQ((cq,)))
+        return OMQ(tbox, cq), abox
+
+    def interaction_free(rng):
+        omq = random_interaction_free_omq(rng).omq
+        return omq, random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
+
+    def horn(rng):
+        tbox, abox, query = random_horn_kb(rng)
+        return OMQ(tbox, query), abox
+
+    def mismatch(omq: OMQ, abox: ABox, method: str) -> str | None:
+        try:
+            expected, expected_counts = Plan(omq, "brute").fact_counts(abox)
+            plan = Plan(omq, method)
+            histogram = plan.histogram(abox)
+            full, counts = plan.fact_counts(abox)
+        except RespoError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        if histogram != expected or full != expected:
+            return f"histogram {histogram}, {full} vs brute {expected}"
+        for f in abox:
+            if counts.get(f) != expected_counts[f]:
+                return f"fact {f.label}: {counts.get(f)} vs brute {expected_counts[f]}"
+        return None
+
+    n = args.instances
+    suites = (
+        ("partition-vs-brute", "partition", n, database),
+        ("rewriting-soundness", "partition", n, dllite),
+        ("interaction-free-vs-brute", "if", max(1, n // 2), interaction_free),
+        ("horn-vs-brute", "provenance", n, horn),
+    )
+    rng = random.Random(args.seed)
+    failures = []
+    for name, method, count, draw in suites:
+        failed = 0
+        for i in range(count):
+            problem = mismatch(*draw(rng), method)
+            if problem is not None:
+                failed += 1
+                failures.append(f"{name} instance {i}: {problem}")
+        print(f"{name}: {count - failed}/{count} ok")
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
     return EXIT_PROPERTY_FAILURE if failures else EXIT_OK
-
-
-def random_abox_for_if(rng: random.Random, omq: OMQ) -> ABox:
-    from .randgen import random_abox
-
-    return random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -200,16 +200,22 @@ def random_horn_kb(rng: random.Random, max_facts: int = 14) -> tuple[TBox, ABox,
     query.  The TBox mixes DL-Lite_R inclusions (inverse roles, exists R on
     either side, disjointness; no existential right-hand side, which the
     Horn evaluator refuses) with one to six A & B <= C and exists R.A <= B
-    axioms; the ABox holds up to `max_facts` facts over three constants (a
-    fact drawn twice is kept once).  One query in five is a role atom.
-    Three in four are atoms the KB entails but no single fact does, when
-    there are any, so that most supports need a Horn axiom to fire."""
+    axioms; one TBox in two also gets r <= s- for random role names r and
+    s, so that facts often stand in the reversed pair of an inverted
+    super-role.  The ABox holds up to `max_facts` facts over three
+    constants (a fact drawn twice is kept once).  One query in five is a
+    role atom.  Three in four are atoms the KB entails but no single fact
+    does, when there are any, so that most supports need a Horn axiom to
+    fire."""
     pool = CONSTANTS[:3]
     while True:
         axioms = frozenset(
             ax for ax in random_dllite_tbox(rng, max_axioms=4).axioms
             if ax.kind == ROLE_INCLUSION or ax.negated or ax.rhs.is_name
         )
+        if rng.random() < 0.5:
+            inverse = Role(rng.choice(ROLE_NAMES), True)
+            axioms |= {Axiom(ROLE_INCLUSION, Role(rng.choice(ROLE_NAMES)), inverse)}
         horn = set()
         for _ in range(rng.randint(1, 6)):
             if rng.random() < 0.5:

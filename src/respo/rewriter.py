@@ -16,8 +16,6 @@ suite against canonical-model entailment, not argued here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     Atom,
     BasicConcept,
@@ -49,13 +47,6 @@ class RewritingDivergedError(RespoError):
     DL-Lite_R inputs)."""
 
 
-@dataclass(frozen=True)
-class Rewriting:
-    source: OMQ
-    result: UCQ
-    steps: tuple[tuple[str, str], ...]  # (disjunct repr, applied rule) trace
-
-
 def _atomize(b: BasicConcept, anchor: Term, taken: set[str]) -> Atom:
     """B as an atom at the anchor term; exists-roles get a fresh witness."""
     if b.is_name:
@@ -82,9 +73,9 @@ def _unshared_positions(cq: CQ, atom: Atom) -> list[int]:
     return out
 
 
-def _applications(cq: CQ, sat) -> list[tuple[CQ, str]]:
+def _applications(cq: CQ, sat) -> list[CQ]:
     taken = set(cq.variables())
-    results: list[tuple[CQ, str]] = []
+    results: list[CQ] = []
 
     def replaced(old: Atom, new: Atom) -> CQ:
         atoms = [a for a in cq.atoms if a != old]
@@ -96,10 +87,7 @@ def _applications(cq: CQ, sat) -> list[tuple[CQ, str]]:
             target = BasicConcept(concept_name=atom.predicate)
             for sub, sups in sat.concept_subs.items():
                 if target in sups and sub != target:
-                    results.append(
-                        (replaced(atom, _atomize(sub, atom.terms[0], taken)),
-                         f"{sub!r} <= {atom.predicate}")
-                    )
+                    results.append(replaced(atom, _atomize(sub, atom.terms[0], taken)))
             continue
 
         # Role inclusions, in both orientations of the target atom (an
@@ -114,7 +102,7 @@ def _applications(cq: CQ, sat) -> list[tuple[CQ, str]]:
                     else role_atom(sub.name, t1, t2)
                 )
                 if new != atom:
-                    results.append((replaced(atom, new), f"{sub!r} <= {target_role!r}"))
+                    results.append(replaced(atom, new))
 
         # Witness rule: a role atom with a droppable variable stands for
         # exists R at the other term.
@@ -124,10 +112,7 @@ def _applications(cq: CQ, sat) -> list[tuple[CQ, str]]:
             exists_concept = BasicConcept(role=exists_role)
             for sub, sups in sat.concept_subs.items():
                 if exists_concept in sups and sub != exists_concept:
-                    results.append(
-                        (replaced(atom, _atomize(sub, anchor, taken)),
-                         f"{sub!r} <= exists {exists_role!r}")
-                    )
+                    results.append(replaced(atom, _atomize(sub, anchor, taken)))
     return results
 
 
@@ -146,7 +131,7 @@ def _unifications(cq: CQ) -> list[CQ]:
     return out
 
 
-def rewrite(omq: OMQ, max_rounds: int | None = None) -> Rewriting:
+def rewrite(omq: OMQ) -> UCQ:
     """Rewrite (T, q) into a UCQ over the ABox signature.
 
     For every ABox A consistent with T and every subset A' of A:
@@ -169,12 +154,10 @@ def rewrite(omq: OMQ, max_rounds: int | None = None) -> Rewriting:
         )
     sat = saturate(tbox)
 
-    if max_rounds is None:
-        size = len(tbox.axioms) + max(len(d.atoms) for d in omq.query.disjuncts)
-        max_rounds = max(16, size * size)
+    size = len(tbox.axioms) + max(len(d.atoms) for d in omq.query.disjuncts)
+    max_rounds = max(16, size * size)
 
     seen: dict[tuple, CQ] = {}
-    steps: list[tuple[str, str]] = []
     frontier: list[CQ] = []
     for d in omq.query.disjuncts:
         key, c = canonicalize(d)
@@ -191,16 +174,12 @@ def rewrite(omq: OMQ, max_rounds: int | None = None) -> Rewriting:
             )
         new_frontier: list[CQ] = []
         for cq in frontier:
-            produced = [(q, rule) for (q, rule) in _applications(cq, sat)]
-            produced.extend((q, "unify") for q in _unifications(cq))
-            for (q, rule) in produced:
+            for q in _applications(cq, sat) + _unifications(cq):
                 key, q = canonicalize(q)
                 if key not in seen:
                     seen[key] = q
                     new_frontier.append(q)
-                    steps.append((repr(q), rule))
         frontier = new_frontier
 
     # A disjunct that another disjunct maps into is subsumed by it.
-    disjuncts = hom_minimal(seen)
-    return Rewriting(source=omq, result=UCQ(tuple(disjuncts)), steps=tuple(steps))
+    return UCQ(tuple(hom_minimal(seen)))

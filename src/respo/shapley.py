@@ -268,7 +268,7 @@ class Plan:
         if method == "partition":
             from .rewriter import rewrite
 
-            self.rewriting = rewrite(omq).result if omq.tbox.axioms else omq.query
+            self.rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
             self.counting_queries = counting_queries(self.rewriting)
         if method == "provenance":
             self._tbox, self._atom = omq.tbox, ground_atom_query(omq.query)

@@ -215,7 +215,7 @@ def test_criterion_6_rewriting_soundness():
     suite = _rewriting_suite()
     agreements = 0
     for omq, abox in suite:
-        rewritten = rewrite(omq).result
+        rewritten = rewrite(omq)
         facts = tuple(abox)
         ok = True
         for k in range(len(facts) + 1):

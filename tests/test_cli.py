@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from respo.cli import main
+from respo.model import SupportHistogram
+from respo.shapley import Plan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -288,8 +290,49 @@ def test_score_if_equals_brute_byte_identical(capsys, tmp_path):
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "3", "--instances", "8")
     assert code == 0
-    assert "partition-vs-brute: 8/8 ok" in out
-    assert "horn-vs-brute: 8/8 ok" in out
+    assert out == (
+        "partition-vs-brute: 8/8 ok\n"
+        "rewriting-soundness: 8/8 ok\n"
+        "interaction-free-vs-brute: 4/4 ok\n"
+        "horn-vs-brute: 8/8 ok\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["histogram", "fact_counts"])
+@pytest.mark.parametrize(
+    "method, suites",
+    [
+        ("partition", ("partition-vs-brute", "rewriting-soundness")),
+        ("if", ("interaction-free-vs-brute",)),
+        ("provenance", ("horn-vs-brute",)),
+    ],
+    ids=["partition", "if", "provenance"],
+)
+def test_verify_checks_the_plan_that_scoring_runs(method, suites, name, capsys, monkeypatch):
+    """`verify` compares the `Plan` that `score` and `count-*` run with
+    brute force: a plan whose histogram, or one fact's counts, is one
+    support too high under one method fails every instance of that
+    method's suites and no other."""
+    original = getattr(Plan, name)
+
+    def corrupted(self, facts):
+        result = original(self, facts)
+        if self.method != method:
+            return result
+        if name == "histogram":
+            return SupportHistogram({**result.counts, 1: result[1] + 1})
+        full, counts = result
+        first = next(iter(counts))
+        return full, {**counts, first: {**counts[first], 1: counts[first].get(1, 0) + 1}}
+
+    monkeypatch.setattr(Plan, name, corrupted)
+    code, out, err = run(capsys, "verify", "--seed", "3", "--instances", "4")
+    assert code == 1
+    sizes = {"partition-vs-brute": 4, "rewriting-soundness": 4,
+             "interaction-free-vs-brute": 2, "horn-vs-brute": 4}
+    assert out == "".join(f"{s}: {0 if s in suites else k}/{k} ok\n" for s, k in sizes.items())
+    for suite in suites:
+        assert f"FAIL {suite} instance 0: " in err
 
 
 @pytest.mark.parametrize("command", [["score"], ["score", "--format", "table"],

@@ -324,7 +324,7 @@ def test_counting_queries_rigidify_each_reduct_once(monkeypatch, variant):
     from respo.rewriter import rewrite
 
     omq, _ = variant
-    ucq = rewrite(omq).result
+    ucq = rewrite(omq)
     calls = []
 
     def counted(q, pins):
