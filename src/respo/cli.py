@@ -37,7 +37,6 @@ from .model import (
     UCQ,
     UnsupportedTBoxError,
 )
-from .interaction_free import check_interaction_free
 from .textio import (
     ParseError,
     check_signature_consistency,
@@ -178,6 +177,8 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_check_if(args) -> int:
+    from .interaction_free import check_interaction_free
+
     omq, _ = _load_inputs(args)
     witness = check_interaction_free(omq)
     if witness is None:
@@ -279,14 +280,15 @@ def cmd_verify(args) -> int:
         return OMQ(tbox, cq), abox
 
     def interaction_free(rng):
-        omq = random_interaction_free_omq(rng).omq
-        return omq, random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
+        plan = random_interaction_free_omq(rng)  # reused by `Plan`
+        omq = plan.omq
+        return plan, random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
 
     def horn(rng):
         tbox, abox, query = random_horn_kb(rng)
         return OMQ(tbox, query), abox
 
-    def mismatch(omq: OMQ, abox: ABox, method: str) -> str | None:
+    def mismatch(omq, abox: ABox, method: str) -> str | None:
         try:
             expected, expected_counts = Plan(omq, "brute").fact_counts(abox)
             plan = Plan(omq, method)

@@ -9,18 +9,19 @@ constants or an anonymous witness) pair it satisfies, which
 interaction-freeness makes at most one row; the interaction-freeness
 check runs the same per-fact enumeration over generic facts.  Summing
 the facts' rows gives each atom a table from rows to weights, and weight
-products are summed over homomorphisms along a tree decomposition: each
-bag joins its atoms' tables with its children's messages, so an
-evaluation costs about the number of rows, and connected components
-multiply.
+products are summed over homomorphisms by variable elimination (bucket
+elimination, Dechter 1999): each variable in turn, the tables that hold
+it are hash-joined and it is summed out.  Along an order of minimal
+induced width, an evaluation of a query of bounded treewidth takes time
+polynomial in the number of rows, and linear in it for an acyclic one.
 
 A plan (`IFPlan`) is built once per OMQ: it runs the
-interaction-freeness check and keeps each component's tree decomposition
-and each fact's rows, so scoring every fact, which counts over D and
-over each D minus one fact, checks the OMQ once and builds one slice per
-fact and one decomposition per component.  Each of those |D| + 1 counts
-sums its facts' rows and joins them anew; an inside-outside pass over
-the decomposition would give every fact's count from one evaluation.
+interaction-freeness check and keeps the elimination order and each
+fact's rows, so scoring every fact, which counts over D and over each D
+minus one fact, checks the OMQ once and builds one slice per fact.  Each
+of those |D| + 1 counts sums its facts' rows and eliminates anew; a
+backward pass over the elimination steps would give every fact's count
+from one evaluation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .model import (
     CQ,
     Fact,
     OMQ,
-    RespoError,
     SupportHistogram,
     TBox,
     UnsupportedTBoxError,
@@ -179,17 +179,19 @@ def row_variables(atom: Atom) -> tuple[str, ...]:
 
 
 class IFPlan:
-    """What counting an interaction-free OMQ needs besides the data: the
-    connected components of its CQ with their tree decompositions, and the
-    rows of each fact seen so far.  Building a plan runs the
+    """What counting an interaction-free OMQ needs besides the data: its
+    CQ, the CQ's relational atoms, an elimination order of its variables,
+    and the rows of each fact seen so far.  Building a plan runs the
     interaction-freeness check once and raises `UnsupportedTBoxError`
     (`NotInteractionFreeError` for a failed check) when the OMQ is outside
     the pipeline.
 
-    A fact's rows depend on that fact alone, so the tables of any fact set
-    are the sums of its facts' rows, and one plan serves every subset of a
-    database: each fact's canonical slice is built once, for all
-    components together.
+    The order concatenates an `elimination_order` of each connected
+    component, so the exact search stays within its variable limit on
+    each component.  A fact's rows depend on that fact alone, so the
+    tables of any fact set are the sums of its facts' rows, and one plan
+    serves every subset of a database: each fact's canonical slice is
+    built once, for all atoms together.
     """
 
     def __init__(self, omq: OMQ):
@@ -198,31 +200,28 @@ class IFPlan:
             raise NotInteractionFreeError(f"OMQ is not interaction-free: {witness}")
         (cq,) = omq.query.disjuncts  # the check accepts single plain CQs only
         self.omq = omq
-        self.size = len(cq.relational_atoms())
-        self.components = [
-            (component, tree_decompose(component)) for component in connected_components(cq)
-        ]
-        # Every relational atom, and for each its component, its slot there,
-        # its row variables and whether that component has other atoms.
-        homes = [
-            (atom, (index, slot, row_variables(atom), len(component.relational_atoms()) > 1))
-            for index, (component, _) in enumerate(self.components)
-            for slot, atom in enumerate(component.relational_atoms())
-        ]
-        self._atoms = tuple(atom for atom, _ in homes)
-        self._homes = tuple(home for _, home in homes)
+        self.cq = cq
+        self.atoms = cq.relational_atoms()
+        self.order = tuple(
+            v for component in connected_components(cq) for v in elimination_order(component)
+        )
         self._shared = _shared_variables(cq)
-        self._rows: dict[Fact, tuple[tuple[int, int, tuple[str, ...]], ...]] = {}
+        # Each atom's row variables and whether it shares a variable with
+        # another atom.
+        self._homes = tuple(
+            (row_variables(atom), not self._shared.isdisjoint(atom.variables()))
+            for atom in self.atoms
+        )
+        self._rows: dict[Fact, tuple[tuple[int, tuple[str, ...]], ...]] = {}
 
-    def fact_entries(self, fact: Fact) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
-        """The (component, slot, row) triples the fact feeds, one per
-        (slot, assignment) pair it satisfies; interaction-freeness leaves
-        at most one.
+    def fact_entries(self, fact: Fact) -> tuple[tuple[int, tuple[str, ...]], ...]:
+        """The (slot, row) pairs the fact feeds, one per (slot, assignment)
+        pair it satisfies; interaction-freeness leaves at most one.
 
         A row holds the values of the slot atom's `row_variables`, with
         `anon_constant(slot)` standing for an anonymous value, so rows of
-        different atoms never alias.  A single-atom component keeps every
-        pair.  In a larger one a shared variable is never anonymous
+        different atoms never alias.  An atom that shares no variable keeps
+        every pair.  In a joined one a shared variable is never anonymous
         (Lemma 4), so besides all-named pairs only role atoms with a named
         shared end and an anonymous unshared end stay.
         """
@@ -230,36 +229,23 @@ class IFPlan:
         if known is not None:
             return known
         rows = []
-        for k, mu in _satisfying_pairs(self.omq.tbox, fact, self._atoms):
-            index, slot, variables, joined = self._homes[k]
+        for slot, mu in _satisfying_pairs(self.omq.tbox, fact, self.atoms):
+            variables, joined = self._homes[slot]
             anonymous = {v for v, value in mu.items() if value is ANON}
-            # Every atom of a larger component has a shared variable, so
-            # this keeps exactly the named-shared, anonymous-unshared role
-            # pairs.
+            # Past all-named pairs, a joined atom keeps those anonymous at
+            # exactly its unshared variables: as it has a shared one, the
+            # named-shared, anonymous-unshared role pairs.
             if joined and anonymous and anonymous != set(mu) - self._shared:
                 continue
             row = tuple(anon_constant(slot) if v in anonymous else mu[v] for v in variables)
-            rows.append((index, slot, row))
+            rows.append((slot, row))
         self._rows[fact] = tuple(rows)
         return self._rows[fact]
 
 
 # ---------------------------------------------------------------------------
-# Tree decomposition
+# Elimination order
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Bags of variables arranged in a forest (parent index per bag, -1
-    for roots)."""
-
-    bags: tuple[frozenset[str], ...]
-    parents: tuple[int, ...]
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
-
 
 EXACT_TREEWIDTH_LIMIT = 13
 
@@ -280,7 +266,7 @@ def _elimination_order_exact(variables: list[str], adj: dict[str, set[str]]) -> 
     """Minimal-width elimination order via subset dynamic programming.
 
     Q(S, v) counts the vertices outside S reachable from v through S;
-    eliminating v right after the prefix S yields a bag of that size.
+    eliminating v right after the prefix S leaves v that many neighbours.
     """
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
@@ -304,22 +290,12 @@ def _elimination_order_exact(variables: list[str], adj: dict[str, set[str]]) -> 
 
     best = {0: -1}
     choice: dict[int, int] = {}
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        masks_by_size[bin(mask).count("1")].append(mask)
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            value = None
-            pick = -1
-            for v in range(n):
-                if not mask >> v & 1:
-                    continue
-                prev = mask & ~(1 << v)
-                cand = max(best[prev], q(prev, v))
-                if value is None or cand < value:
-                    value, pick = cand, v
-            best[mask] = value
-            choice[mask] = pick
+    for mask in range(1, 1 << n):  # each set after its subsets
+        best[mask], choice[mask] = min(
+            (max(best[mask & ~(1 << v)], q(mask & ~(1 << v), v)), v)
+            for v in range(n)
+            if mask >> v & 1
+        )
     order = [""] * n
     mask = (1 << n) - 1
     for pos in range(n - 1, -1, -1):
@@ -357,43 +333,13 @@ def _elimination_order_minfill(variables: list[str], adj: dict[str, set[str]]) -
     return order
 
 
-def tree_decompose(cq: CQ) -> TreeDecomposition:
-    """A valid tree decomposition of the query's variable co-occurrence
-    graph: exact minimum width up to 13 variables, min-fill beyond."""
+def elimination_order(cq: CQ) -> list[str]:
+    """An order of the query's variables for `weighted_eval`: of minimum
+    induced width up to 13 variables, min-fill beyond."""
     variables, adj = _variable_graph(cq)
-    if not variables:
-        return TreeDecomposition((frozenset(),), (-1,))
     if len(variables) <= EXACT_TREEWIDTH_LIMIT:
-        order = _elimination_order_exact(variables, adj)
-    else:
-        order = _elimination_order_minfill(variables, adj)
-
-    work = {v: set(ns) for v, ns in adj.items()}
-    bags: list[frozenset[str]] = []
-    bag_of: dict[str, int] = {}
-    for v in order:
-        bag = frozenset({v} | work[v])
-        bag_of[v] = len(bags)
-        bags.append(bag)
-        ns = sorted(work[v])
-        for i, a in enumerate(ns):
-            for b in ns[i + 1:]:
-                work[a].add(b)
-                work[b].add(a)
-        for u in ns:
-            work[u].discard(v)
-        del work[v]
-
-    position = {v: i for i, v in enumerate(order)}
-    parents = []
-    for i, v in enumerate(order):
-        rest = [u for u in bags[i] if u != v]
-        if rest:
-            nxt = min(rest, key=lambda u: position[u])
-            parents.append(bag_of[nxt])
-        else:
-            parents.append(-1)
-    return TreeDecomposition(tuple(bags), tuple(parents))
+        return _elimination_order_exact(variables, adj)
+    return _elimination_order_minfill(variables, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -426,61 +372,38 @@ def _join(left: Factor, right: Factor) -> Factor:
     return lvars + tuple(rvars[i] for i in extra), rows
 
 
-def weighted_eval(cq: CQ, rows: Sequence[Table], td: TreeDecomposition) -> int:
-    """Sum over homomorphisms of the product of per-atom weights, by
-    message passing over the decomposition, where `rows[slot]` weighs the
-    values of the slot atom's `row_variables`.
+def weighted_eval(cq: CQ, rows: Sequence[Table], order: Sequence[str]) -> int:
+    """Sum over homomorphisms of the product of per-atom weights, where
+    `rows[slot]` weighs the values of the slot atom's `row_variables`, by
+    eliminating the query's variables in `order` (bucket elimination).
 
-    Each atom is charged to the first bag covering its variables and
-    contributes its table as a factor over those variables.  A bag
-    hash-joins those factors with its children's messages and sums out the
-    variables its parent bag lacks; the roots' totals multiply.  An
-    evaluation thus costs about the number of rows, not |dom|^|bag|.
-
-    No bag variable is enumerated over a domain, because each is bound by
-    a charged atom or a child's message.  Under `tree_decompose` the bag of
-    v holds v and its neighbours when v is eliminated, and an atom has at
-    most two variables.  So each variable u of the bag (v included) occurs
-    with v in an atom, charged to this bag or to an earlier one holding
-    both, or in a fill edge with v made by an earlier bag holding both.
-    Such an earlier bag lies below this one, and every bag on the way up
-    keeps u and v, so u reaches this bag in a child's message.  (In any
-    decomposition, a variable that no atom below a bag binds lies in its
-    parent bag too, and the message does not depend on it.)
+    Each atom contributes its table as a factor over its row variables.
+    Eliminating v hash-joins the factors that hold v, smallest first, and
+    sums v out of the product; the factors left at the end hold no
+    variables, and their weights multiply.  Every factor is a table of
+    rows and every join is on v at least, so no variable is enumerated
+    over a domain and no cross product is built.  A variable of induced
+    width w joins factors over w + 1 variables; along an order of width 1
+    (an acyclic query) that costs about the number of rows.
     """
-    factors: list[list[Factor]] = [[] for _ in td.bags]
-    for slot, atom in enumerate(cq.relational_atoms()):
-        vs = set(atom.variables())
-        home = next((i for i, bag in enumerate(td.bags) if vs <= bag), None)
-        if home is None:
-            raise RespoError("tree decomposition does not cover an atom")
-        factors[home].append((row_variables(atom), rows[slot]))
-    children: list[list[int]] = [[] for _ in td.bags]
-    for i, p in enumerate(td.parents):
-        if p != -1:
-            children[p].append(i)
-
-    def message(node: int, keep: frozenset[str]) -> Factor:
-        pending = factors[node] + [message(c, td.bags[node]) for c in children[node]]
-        pending.sort(key=lambda factor: len(factor[1]))
-        joined: Factor = pending.pop(0) if pending else ((), {(): 1})
-        while pending:
-            # The smallest factor sharing a variable with the join so far:
-            # no cross product is built while a join is possible.
-            i = next((i for i, f in enumerate(pending) if set(f[0]) & set(joined[0])), 0)
-            joined = _join(joined, pending.pop(i))
-        variables, rows = joined
-        kept = [i for i, v in enumerate(variables) if v in keep]
-        out: dict[tuple[str, ...], int] = {}
-        for key, w in rows.items():
+    factors: list[Factor] = [
+        (row_variables(atom), rows[slot]) for slot, atom in enumerate(cq.relational_atoms())
+    ]
+    for v in order:
+        bucket = sorted((f for f in factors if v in f[0]), key=lambda f: len(f[1]))
+        factors = [f for f in factors if v not in f[0]]
+        variables, joined = bucket[0]
+        for factor in bucket[1:]:
+            variables, joined = _join((variables, joined), factor)
+        kept = [i for i, u in enumerate(variables) if u != v]
+        out: Table = {}
+        for key, w in joined.items():
             k = tuple(key[i] for i in kept)
             out[k] = out.get(k, 0) + w
-        return tuple(variables[i] for i in kept), out
-
+        factors.append((tuple(variables[i] for i in kept), out))
     total = 1
-    for root, p in enumerate(td.parents):
-        if p == -1:
-            total *= message(root, frozenset())[1].get((), 0)
+    for _, table in factors:
+        total *= table.get((), 0)
     return total
 
 
@@ -489,20 +412,12 @@ def weighted_eval(cq: CQ, rows: Sequence[Table], td: TreeDecomposition) -> int:
 # ---------------------------------------------------------------------------
 
 def count_ms_interaction_free(plan: IFPlan, facts: Iterable[Fact]) -> SupportHistogram:
-    """countFMS for an interaction-free OMQ: the weighted evaluation of each
-    connected component, multiplied together, all supports having exactly
-    one fact per query atom.  The facts must be consistent with the TBox;
-    callers check the full ABox once, and its subsets are then too."""
-    tables: list[list[Table]] = [
-        [{} for _ in component.relational_atoms()] for component, _ in plan.components
-    ]
+    """countFMS for an interaction-free OMQ: one weighted evaluation of its
+    CQ over the facts' rows, all supports having exactly one fact per query
+    atom.  The facts must be consistent with the TBox; callers check the
+    full ABox once, and its subsets are then too."""
+    tables: list[Table] = [{} for _ in plan.atoms]
     for fact in facts:
-        for index, slot, row in plan.fact_entries(fact):
-            table = tables[index][slot]
-            table[row] = table.get(row, 0) + 1
-    total = 1
-    for (component, td), rows in zip(plan.components, tables):
-        total *= weighted_eval(component, rows, td)
-        if total == 0:
-            break
-    return SupportHistogram({plan.size: total})
+        for slot, row in plan.fact_entries(fact):
+            tables[slot][row] = tables[slot].get(row, 0) + 1
+    return SupportHistogram({len(plan.atoms): weighted_eval(plan.cq, tables, plan.order)})

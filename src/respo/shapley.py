@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .model import (
     ABox,
@@ -48,6 +48,9 @@ from .support import (
     partition_histogram,
     tally_fact_counts,
 )
+
+if TYPE_CHECKING:
+    from .interaction_free import IFPlan
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,9 @@ class Plan:
     plan holds the rewriting and the counting queries of every size; the
     provenance plan the TBox and the ground query atom, whose minimal
     supports `provenance.minimal_why_provenance` derives; the brute plan
-    the subset evaluator.  An unsupported OMQ raises
+    the subset evaluator.  An `IFPlan` given for the OMQ is taken as its
+    interaction-free plan, so its check does not run again; the other
+    methods use its OMQ.  An unsupported OMQ raises
     `UnsupportedTBoxError` here, brute force on more than
     `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates, and
     provenance raises it once a derived atom has more than
@@ -250,16 +255,19 @@ class Plan:
     `PROVENANCE_CAP` candidate sets per fact.
     """
 
-    def __init__(self, omq: OMQ, method: str = "auto"):
+    def __init__(self, omq: OMQ | IFPlan, method: str = "auto"):
         if method not in METHODS:
             raise RespoError(f"unknown scoring method {method!r}")
+        if_plan = None
+        if not isinstance(omq, OMQ):
+            if_plan, omq = omq, omq.omq
         if method == "auto" and omq.tbox.horn_extended:
             method = "provenance"
         if method in ("auto", "if"):
             from .interaction_free import IFPlan
 
             try:
-                self._if_plan = IFPlan(omq)
+                self._if_plan = if_plan or IFPlan(omq)
                 method = "if"
             except UnsupportedTBoxError:
                 if method == "if":

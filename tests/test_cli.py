@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,17 @@ def test_rewrite_prints_query(tmp_path, capsys):
     code, out, _ = run(capsys, "rewrite", "--tbox", str(tbox), "--query", str(query))
     assert code == 0
     assert "A(c)" in out and "B(c)" in out and "OR" in out
+
+
+def test_importing_the_cli_loads_no_interaction_free_pipeline():
+    """`check-if` imports the pipeline when it runs, as the other commands
+    import theirs, so `import respo.cli` does not load it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, respo.cli; print('respo.interaction_free' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 def test_check_if(capsys, tmp_path):

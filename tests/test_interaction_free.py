@@ -23,12 +23,19 @@ from respo.interaction_free import (
     NotInteractionFreeError,
     check_interaction_free,
     count_ms_interaction_free,
-    tree_decompose,
+    elimination_order,
     weighted_eval,
 )
+from respo.model import connected_components
 from respo.randgen import random_abox, random_interaction_free_omq
 from respo.reasoner import is_consistent
-from respo.support import count_fms_brute, make_subset_evaluator
+from respo.shapley import Plan
+from respo.support import (
+    count_fms_brute,
+    enumerate_minimal_supports,
+    make_subset_evaluator,
+    tally_fact_counts,
+)
 from respo.textio import parse_abox
 
 
@@ -84,16 +91,18 @@ def test_self_join_same_predicate_not_free():
 # Per-fact rows
 # ---------------------------------------------------------------------------
 
-def weighted_entries(omq, abox):
-    """The weights of a connected query's rows over the facts, keyed by
-    (slot, row)."""
-    plan = IFPlan(omq)
+def plan_entries(plan, abox):
+    """The weights of the plan's rows over the facts, keyed by (slot,
+    row)."""
     entries = {}
     for fact in abox:
-        for index, slot, row in plan.fact_entries(fact):
-            assert index == 0
+        for slot, row in plan.fact_entries(fact):
             entries[slot, row] = entries.get((slot, row), 0) + 1
     return entries
+
+
+def weighted_entries(omq, abox):
+    return plan_entries(IFPlan(omq), abox)
 
 
 def row_tables(cq, entries):
@@ -176,6 +185,16 @@ def test_shared_variable_gets_no_anonymous_entry():
     }
 
 
+def test_lone_atom_beside_another_component_keeps_anonymous_pairs():
+    # r(z, y) shares no variable, so B(c)'s anonymous r-successor counts
+    # although the query has another atom.
+    t = tb(Axiom(CONCEPT_INCLUSION, concept("B"), exists(Role("r"))))
+    omq = OMQ(t, CQ((concept_atom("A", var("x")), role_atom("r", var("z"), var("y")))))
+    abox = parse_abox("A(d)\nB(c)\n")
+    assert weighted_entries(omq, abox) == {(0, ("d",)): 1, (1, ("c", "anon#1")): 1}
+    assert count_ms_interaction_free(IFPlan(omq), abox) == {2: 1}
+
+
 def test_single_atom_keeps_double_anonymous_pairs():
     t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("s"))),
            Axiom(CONCEPT_INCLUSION, exists(Role("s", True)), exists(Role("r"))))
@@ -196,38 +215,43 @@ def test_rows_follow_first_occurrence_of_distinct_variables():
 
 
 # ---------------------------------------------------------------------------
-# Tree decomposition
+# Elimination order
 # ---------------------------------------------------------------------------
 
-def validate_decomposition(cq, td):
+def induced_width(cq, order):
+    """The most neighbours, fill edges included, that a variable has when
+    the query's variables are eliminated in `order`."""
+    assert sorted(order) == sorted(cq.variables())
+    adj = {v: set() for v in cq.variables()}
     for atom in cq.relational_atoms():
-        vs = set(atom.variables())
-        assert any(vs <= bag for bag in td.bags)
-    for v in cq.variables():
-        holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        # connected subtree: repeatedly contract parent links inside the set
-        nodes = set(holding)
-        reached = {holding[0]}
-        changed = True
-        while changed:
-            changed = False
-            for i in list(nodes - reached):
-                if td.parents[i] in reached or any(
-                    td.parents[j] == i for j in reached
-                ):
-                    reached.add(i)
-                    changed = True
-        assert reached == nodes, f"bags of {v} not connected"
+        for v in atom.variables():
+            adj[v] |= set(atom.variables()) - {v}
+    width = 0
+    for v in order:
+        neighbours = adj.pop(v)
+        width = max(width, len(neighbours))
+        for u in neighbours:
+            adj[u] |= neighbours - {u}
+            adj[u].discard(v)
+    return width
 
 
-def test_tree_decompose_path():
+def _grid():
+    """The 2x3 grid, of treewidth 2, one predicate per edge."""
+    def v(i, j):
+        return var(f"n{i}{j}")
+
+    grid = [role_atom(f"h{i}{j}", v(i, j), v(i, j + 1)) for i in range(2) for j in range(2)]
+    grid += [role_atom(f"v{j}", v(0, j), v(1, j)) for j in range(3)]
+    return CQ(tuple(grid))
+
+
+def test_elimination_order_path():
     query = CQ((role_atom("r", var("x"), var("y")), role_atom("r", var("y"), var("z"))))
-    td = tree_decompose(query)
-    assert td.width == 1
-    validate_decomposition(query, td)
+    assert induced_width(query, elimination_order(query)) == 1
 
 
-def test_tree_decompose_triangle():
+def test_elimination_order_triangle():
     query = CQ(
         (
             role_atom("r", var("x"), var("y")),
@@ -235,32 +259,28 @@ def test_tree_decompose_triangle():
             role_atom("t", var("z"), var("x")),
         )
     )
-    td = tree_decompose(query)
-    assert td.width == 2
-    validate_decomposition(query, td)
+    assert induced_width(query, elimination_order(query)) == 2
 
 
-def test_tree_decompose_single_atom():
-    td = tree_decompose(CQ((role_atom("r", var("x"), var("y")),)))
-    assert td.width <= 1
+def test_elimination_order_single_atom():
+    query = CQ((role_atom("r", var("x"), var("y")),))
+    assert induced_width(query, elimination_order(query)) <= 1
 
 
-def test_tree_decompose_grid_exact():
-    # 2x3 grid has treewidth 2.
-    atoms = []
-    def v(i, j):
-        return var(f"n{i}{j}")
-    pred = iter(f"p{k}" for k in range(100))
-    for i in range(2):
-        for j in range(3):
-            if j + 1 < 3:
-                atoms.append(role_atom(next(pred), v(i, j), v(i, j + 1)))
-            if i + 1 < 2:
-                atoms.append(role_atom(next(pred), v(i, j), v(i + 1, j)))
-    query = CQ(tuple(atoms))
-    td = tree_decompose(query)
-    assert td.width == 2
-    validate_decomposition(query, td)
+def test_elimination_order_grid_exact():
+    query = _grid()
+    assert induced_width(query, elimination_order(query)) == 2
+    # Eliminating a middle vertex first joins its three neighbours.
+    rest = [v for v in query.variables() if v != "n01"]
+    assert induced_width(query, ["n01"] + rest) == 3
+
+
+def test_plan_orders_each_component_in_turn():
+    x, y, z = var("x"), var("y"), var("z")
+    query = CQ((role_atom("r", x, y), concept_atom("C", const("a")), concept_atom("B", z),
+                concept_atom("A", x)))
+    plan = IFPlan(OMQ(TBox(), query))
+    assert plan.order in (("x", "y", "z"), ("y", "x", "z"))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +316,32 @@ def test_weighted_eval_plain_hom_count():
     omq = OMQ(TBox(), query)
     abox = parse_abox("A(c)\nr(c,d)\nr(c,e)\n")
     tables = row_tables(query, weighted_entries(omq, abox))
-    td = tree_decompose(query)
-    assert weighted_eval(query, tables, td) == 2
+    assert weighted_eval(query, tables, elimination_order(query)) == 2
 
 
 def test_weighted_eval_weight_three():
     query = CQ((concept_atom("A", var("x")),))
-    td = tree_decompose(query)
-    assert weighted_eval(query, [{("c",): 3}], td) == 3
+    assert weighted_eval(query, [{("c",): 3}], elimination_order(query)) == 3
+
+
+def test_weighted_eval_components_ground_atom_and_empty_table():
+    """Two components and a ground atom multiply, and an empty table of
+    any atom makes the sum 0."""
+    x, y, z = var("x"), var("y"), var("z")
+    query = CQ((concept_atom("A", x), role_atom("r", x, y), concept_atom("B", z),
+                concept_atom("C", const("a"))))
+    weights = {
+        "A": {("a",): 2, ("b",): 1},
+        "r": {("a", "b"): 3, ("b", "b"): 1, ("c", "a"): 5},
+        "B": {("c",): 2, ("a",): 1},
+        "C": {(): 2},
+    }
+    tables = [weights[atom.predicate] for atom in query.relational_atoms()]
+    order = IFPlan(OMQ(TBox(), query)).order
+    assert weighted_eval(query, tables, order) == naive_weighted_eval(query, tables) == 42
+    for slot in range(len(tables)):
+        emptied = tables[:slot] + [{}] + tables[slot + 1:]
+        assert weighted_eval(query, emptied, order) == naive_weighted_eval(query, emptied) == 0
 
 
 def _hand_built_tables():
@@ -316,17 +354,12 @@ def _hand_built_tables():
     values = ("a", "b", "c")
     x, y, z = var("x"), var("y"), var("z")
 
-    def n(i, j):
-        return var(f"n{i}{j}")
-
-    grid = [role_atom(f"h{i}{j}", n(i, j), n(i, j + 1)) for i in range(2) for j in range(2)]
-    grid += [role_atom(f"v{j}", n(0, j), n(1, j)) for j in range(3)]
     queries = [
         CQ((concept_atom("A", x), role_atom("r", x, x), role_atom("s", const("a"), x),
             role_atom("t", x, y))),
         CQ((role_atom("r", x, y), role_atom("s", y, z), role_atom("t", z, x),
             concept_atom("A", x))),
-        CQ(tuple(grid)),
+        _grid(),
     ]
     for cq in queries:
         tables = [
@@ -339,30 +372,25 @@ def _hand_built_tables():
         yield cq, tables
 
 
-def test_weighted_eval_decomposition_independent():
+def test_weighted_eval_order_independent():
+    """The plan's order, a random order and the naive sum agree, on the
+    hand-built tables and on the rows of seeded random instances."""
     rng = random.Random(13)
-    from respo.interaction_free import TreeDecomposition
-    from respo.model import connected_components
-
-    cases = list(_hand_built_tables())
-    assert [tree_decompose(cq).width for cq, _ in cases] == [1, 2, 2]
+    cases = [(cq, tables, elimination_order(cq)) for cq, tables in _hand_built_tables()]
+    assert [induced_width(cq, order) for cq, _, order in cases] == [1, 2, 2]
     for _ in range(40):
-        omq = random_interaction_free_omq(rng, max_atoms=3).omq
-        cq = omq.query.disjuncts[0]
-        abox = random_abox(rng, max_facts=5, bias=omq.query, tbox=omq.tbox)
-        if not is_consistent(abox, omq.tbox):
-            continue
-        for comp in connected_components(cq):
-            if len(comp.relational_atoms()) >= 2:
-                entries = weighted_entries(OMQ(omq.tbox, comp), abox)
-                cases.append((comp, row_tables(comp, entries)))
+        plan = random_interaction_free_omq(rng, max_atoms=3)
+        abox = random_abox(rng, max_facts=5, bias=plan.omq.query, tbox=plan.omq.tbox)
+        if is_consistent(abox, plan.omq.tbox):
+            cases.append((plan.cq, row_tables(plan.cq, plan_entries(plan, abox)), plan.order))
 
-    for comp, tables in cases:
-        exact = weighted_eval(comp, tables, tree_decompose(comp))
-        trivial = TreeDecomposition((frozenset(comp.variables()),), (-1,))
-        assert exact == weighted_eval(comp, tables, trivial)
-        assert exact == naive_weighted_eval(comp, tables)
-    assert all(naive_weighted_eval(cq, tables) > 1 for cq, tables in cases[:3])
+    for cq, tables, order in cases:
+        expected = naive_weighted_eval(cq, tables)
+        assert weighted_eval(cq, tables, order) == expected
+        shuffled = sorted(cq.variables(), key=lambda _: rng.random())
+        assert weighted_eval(cq, tables, shuffled) == expected
+    assert all(naive_weighted_eval(cq, tables) > 1 for cq, tables, _ in cases[:3])
+    assert sum(naive_weighted_eval(cq, tables) > 0 for cq, tables, _ in cases[3:]) >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +528,27 @@ def test_lemma3_constant_assignment_factorization():
             rhs *= count_fms_brute(tuple(abox), ev_atom).total()
         assert lhs == rhs
         done += 1
+
+
+def test_if_fact_counts_match_brute_force_on_larger_aboxes():
+    """IF `Plan.fact_counts` equals brute force, histogram and every
+    fact's counts, on seeded consistent ABoxes of 16 or more facts.  Every
+    minimal support holds one fact per atom, so brute force stops at the
+    atom count."""
+    rng = random.Random(5)
+    done = supported = multi = 0
+    while done < 30:
+        plan = random_interaction_free_omq(rng, max_atoms=3)
+        omq = plan.omq
+        abox = random_abox(rng, max_facts=40, bias=omq.query, tbox=omq.tbox)
+        if len(abox) < 16 or not is_consistent(abox, omq.tbox):
+            continue
+        evaluator = make_subset_evaluator(omq.tbox, omq.query)
+        supports = enumerate_minimal_supports(tuple(abox), evaluator, size_cap=len(plan.atoms))
+        expected = tally_fact_counts(abox, supports)
+        assert Plan(plan, "if").fact_counts(abox) == expected, (omq, list(abox))
+        if supports:
+            supported += 1
+            multi += len(connected_components(plan.cq)) > 1
+        done += 1
+    assert supported >= 25 and multi >= 10, (supported, multi)
