@@ -12,11 +12,14 @@ graph vertex, a graph line that is not two vertices, an edge on an
 undeclared vertex, a bipartition that overlaps, misses a vertex or holds
 an edge inside one side, `gen mvc` on a graph without edges and `gen pm`
 on a graph that is not bipartite with sides of equal size, all before
---out is created), 3 inconsistent KB, 4 unsupported TBox/method
-combination (one message per pipeline: a Horn-extended TBox outside
-brute force and provenance, a query that is not one ground atom under
-provenance or a Horn-extended TBox, or an interaction-free run on a UCQ,
-a disequality CQ or a CQ that fails the check).
+--out is created; a missing input file, an input path that is a
+directory, a TBox, ABox, query or graph file that is not UTF-8, an
+`--out` of `emit-sql` or `gen` that names an existing file), 3
+inconsistent KB, 4 unsupported TBox/method combination (one message
+per pipeline: a Horn-extended TBox outside brute force and provenance,
+a query that is not one ground atom under provenance or a Horn-extended
+TBox, or an interaction-free run on a UCQ, a disequality CQ or a CQ that
+fails the check).
 """
 
 from __future__ import annotations
@@ -57,7 +60,10 @@ EXIT_UNSUPPORTED = 4
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
@@ -409,6 +415,9 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RespoError as exc:
         print(f"error: {exc}", file=sys.stderr)

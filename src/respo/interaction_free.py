@@ -4,16 +4,18 @@ An OMQ is interaction-free when no single generic assertion can satisfy
 two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
 counting minimal supports factorizes.  Each fact gets one canonical slice
-of its own and yields one row for every (atom, assignment into its
-constants or an anonymous witness) pair it satisfies, which
-interaction-freeness makes at most one row; the interaction-freeness
-check runs the same per-fact enumeration over generic facts.  Summing
-the facts' rows gives each atom a table from rows to weights, and weight
-products are summed over homomorphisms by variable elimination (bucket
-elimination, Dechter 1999): each variable in turn, the tables that hold
-it are hash-joined and it is summed out.  Along an order of minimal
-induced width, an evaluation of a query of bounded treewidth takes time
-polynomial in the number of rows, and linear in it for an acyclic one.
+of its own, and one search per atom lists the atom's homomorphisms into
+it.  Each match, with every variable sent to its element's constant or
+to an anonymous witness, is an (atom, assignment) pair the fact
+satisfies and yields a row; interaction-freeness leaves at most one.
+The interaction-freeness check runs the same per-fact enumeration over
+generic facts.  Summing the facts' rows gives each atom a table from
+rows to weights, and weight products are summed over homomorphisms by
+variable elimination (bucket elimination, Dechter 1999): each variable
+in turn, the tables that hold it are hash-joined and it is summed out.
+Along an order of minimal induced width, an evaluation of a query of
+bounded treewidth takes time polynomial in the number of rows, and
+linear in it for an acyclic one.
 
 A plan (`IFPlan`) is built once per OMQ: it runs the
 interaction-freeness check and keeps the elimination order and each
@@ -27,7 +29,7 @@ from one evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .model import (
@@ -43,7 +45,7 @@ from .model import (
     UnsupportedTBoxError,
     connected_components,
 )
-from .reasoner import canonical_slice, is_consistent, query_depth
+from .reasoner import canonical_slice, is_consistent, query_depth, slice_assignments
 
 
 class NotInteractionFreeError(UnsupportedTBoxError):
@@ -118,18 +120,21 @@ def _fact_shapes(omq: OMQ, cq: CQ) -> list[Fact]:
 
 def _satisfying_pairs(tbox: TBox, fact: Fact, atoms: tuple[Atom, ...]):
     """Every (slot, assignment into const(f) + anon) pair of the atoms that
-    the single consistent fact satisfies, in slot order, all checked on one
-    canonical slice of {f} deep enough for every atom."""
+    the single consistent fact satisfies, read off each atom's
+    homomorphisms into one canonical slice of {f} deep enough for every
+    atom.  The pairs come in slot order, and within a slot in the order of
+    the atom's sorted variables' values: the fact's sorted constants, then
+    anon."""
     depth = max(query_depth(CQ((atom,)), tbox) for atom in atoms)
-    slice_ = canonical_slice(ABox((fact,)), tbox, depth)
-    values: list = sorted(set(fact.args)) + [ANON]
+    target = canonical_slice(ABox((fact,)), tbox, depth)
     for slot, atom in enumerate(atoms):
         single = CQ((atom,))
-        vs = sorted(set(atom.variables()))
-        for combo in product(values, repeat=len(vs)):
-            mu = dict(zip(vs, combo))
-            if slice_.holds(single, mu):
-                yield slot, mu
+        for values in sorted(slice_assignments(target, single), key=_anon_last):
+            yield slot, dict(zip(single.variables(), values))
+
+
+def _anon_last(values: tuple) -> tuple:
+    return tuple((value is ANON, "" if value is ANON else value) for value in values)
 
 
 def _assignment_key(mu: dict) -> tuple[tuple[str, str], ...]:

@@ -182,8 +182,9 @@ class HomTarget:
     container supporting iteration and `in`.  `image` sends a query
     constant's name to its element, or to None when the constant names no
     element: an atom using it then has no match, and a disequality with it
-    holds.  `distinct(a, b)` decides whether elements a and b satisfy a
-    disequality.
+    holds.  Distinct constants denote distinct elements (unique names), so
+    a disequality between two constants always holds.  `distinct(a, b)`
+    decides whether elements a and b satisfy a disequality.
 
     The target also keeps the argument indexes its searches probe (see
     `index`), so they live exactly as long as the target; `tuples` must
@@ -253,15 +254,13 @@ class _Step(NamedTuple):
     probe: tuple[int, tuple[str | None, object]] | None
 
 
-def _steps(
-    atoms: Iterable[Atom], target: HomTarget, binding: Mapping[str, object]
-) -> list[_Step] | None:
-    """The search plan of the atoms for homomorphisms extending `binding`,
-    or None when none can exist: constants resolved, the relational atoms
-    ordered most constrained first (fewest variables, then sharing a
-    variable with what is bound), and each disequality scheduled at the
-    step that binds its last variable."""
-    image, distinct, tuples = target.image, target.distinct, target.tuples
+def _steps(atoms: Iterable[Atom], target: HomTarget) -> list[_Step] | None:
+    """The search plan of the atoms, or None when no homomorphism can
+    exist: constants resolved, the relational atoms ordered most
+    constrained first (fewest variables, then sharing a variable with what
+    is bound), and each disequality scheduled at the step that binds its
+    last variable."""
+    image, tuples = target.image, target.tuples
     pending, neqs = [], []
     for atom in atoms:
         if atom.kind == NEQ_ATOM:
@@ -272,8 +271,7 @@ def _steps(
             return None
         pending.append((atom, key, {t.name for t in atom.terms if t.kind == VAR}))
     pending.sort(key=lambda p: len(p[2]))
-    bound = set(binding)
-    bound_at = dict.fromkeys(binding, -1)
+    bound: dict[str, int] = {}  # the step that binds each variable
     steps = []
     while pending:
         pick = next((i for i, p in enumerate(pending) if not p[2] or not p[2].isdisjoint(bound)), 0)
@@ -291,54 +289,48 @@ def _steps(
             ((pos, slot) for pos, slot in enumerate(slots) if slot[0] is None or slot[0] in bound),
             None,
         )
-        for name in names - bound:
-            bound_at[name] = len(steps)
-        steps.append(_Step(key, tuple(slots), names <= bound, [], probe))
-        bound |= names
+        steps.append(_Step(key, tuple(slots), names <= bound.keys(), [], probe))
+        for name in names:
+            bound.setdefault(name, len(steps) - 1)
 
     for atom in neqs:
         sides = []
         for t in atom.terms:
-            if t.is_var and t.name not in bound_at:
+            if t.is_var and t.name not in bound:
                 raise RespoError(
                     f"disequality variable ?{t.name} occurs in no relational atom"
                 )
             sides.append((t.name, None) if t.is_var else (None, image(t.name)))
         if any(name is None and value is None for name, value in sides):
             continue  # a constant naming no element differs from every element
-        at = max(-1 if name is None else bound_at[name] for name, _ in sides)
-        if at >= 0:
-            steps[at].checks.append(sides)
-        elif not distinct(*(value if name is None else binding[name] for name, value in sides)):
-            return None
+        names = [name for name, _ in sides if name is not None]
+        if names:  # two distinct constants denote distinct elements
+            steps[max(bound[name] for name in names)].checks.append(sides)
     return steps
 
 
 def _search(
     atoms: Iterable[Atom],
     target: HomTarget,
-    binding: dict[str, object],
-    value_filter: Mapping[str, Callable[[object], bool]],
     first_only: bool,
     visit: Callable[[Mapping[str, object]], None] | None = None,
 ) -> int:
     """The homomorphism search: backtracking over the steps of `_steps`,
     binding variables to the elements of candidate tuples.  Returns the
-    number of homomorphisms that extend `binding` (stopping at the first
-    one when `first_only`) and passes each one's binding to `visit` when
-    given.  A variable in `value_filter` only binds to elements its
-    filter accepts.  Each disequality is checked as soon as both sides
-    are bound.
+    number of homomorphisms (stopping at the first one when `first_only`)
+    and passes each one's binding to `visit` when given.  Each
+    disequality is checked as soon as both sides are bound.
 
     A closed step is a membership test.  A step with a probe takes as
     candidates the tuples that the target's index (`HomTarget.index`)
     holds under the probed argument's value, not every tuple of the
     predicate.
     """
-    steps = _steps(atoms, target, binding)
+    steps = _steps(atoms, target)
     if steps is None:
         return 0
     distinct, tuples, index = target.distinct, target.tuples, target.index
+    binding: dict[str, object] = {}
 
     def satisfied(checks) -> bool:
         for (n1, c1), (n2, c2) in checks:
@@ -370,8 +362,6 @@ def _search(
                 elif name in binding:
                     if binding[name] != value:
                         break
-                elif name in value_filter and not value_filter[name](value):
-                    break
                 else:
                     binding[name] = value
                     fresh.append(name)
@@ -387,16 +377,9 @@ def _search(
     return extend(0)
 
 
-def hom_exists(
-    cq: CQ,
-    target: HomTarget,
-    binding: Mapping[str, object] | None = None,
-    value_filter: Mapping[str, Callable[[object], bool]] | None = None,
-) -> bool:
-    """Is there a homomorphism of cq into the target that extends `binding`
-    and sends each variable of `value_filter` to an element its filter
-    accepts?"""
-    return _search(cq.atoms, target, dict(binding or {}), value_filter or {}, True) > 0
+def hom_exists(cq: CQ, target: HomTarget) -> bool:
+    """Is there a homomorphism of cq into the target?"""
+    return _search(cq.atoms, target, True) > 0
 
 
 def hom_count(cq: CQ, target: HomTarget) -> int:
@@ -404,7 +387,7 @@ def hom_count(cq: CQ, target: HomTarget) -> int:
     counts of its variable-connected components."""
     total = 1
     for component in _eval_components(cq):
-        total *= _search(component, target, {}, {}, False)
+        total *= _search(component, target, False)
         if total == 0:
             return 0
     return total
@@ -425,7 +408,7 @@ def hom_visit(
     own and changes after `visit` returns: copy it to keep it.  The atoms
     reach the search in `hom_count`'s order, component by component."""
     atoms = [atom for component in _eval_components(cq) for atom in component]
-    return _search(atoms, target, {}, {}, False, visit)
+    return _search(atoms, target, False, visit)
 
 
 def query_hom_exists(src: CQ, dst: CQ) -> bool:

@@ -5,9 +5,11 @@ for both TBox flavours: the closure of the TBox's DL-Lite inclusions
 (`saturate`), then, for a Horn-extended TBox, its A & B <= C and
 exists R.A <= B axioms fired to a fixpoint.  Consistency and ground-atom
 entailment read that data, and `provenance` fires the same rule table
-over sets of facts.  Boolean (U)CQ entailment and assignment-
-constrained matching, for DL-Lite_R only, run the homomorphism search in
-`queries` on a bounded slice of the canonical model.
+over sets of facts.  For DL-Lite_R only, `canonical_slice` builds the
+canonical model up to a depth as a `queries.HomTarget`: (U)CQ entailment
+asks the homomorphism search whether a query maps into it, and
+`slice_assignments` reads the assignments under which a query holds off
+its homomorphisms.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .model import (
     concept,
     exists,
 )
-from .queries import HomTarget, hom_exists
+from .queries import HomTarget, hom_exists, hom_visit
 
 # A canonical-model element is a word: (root constant, chain of roles).
 Word = tuple[str, tuple[Role, ...]]
@@ -393,60 +395,19 @@ def entails_exists(abox: Iterable[Fact], tbox: TBox, role: Role, individual: str
 # Canonical-model slices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalSlice:
-    """The canonical model truncated at a word-length depth.
+def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
+    """The canonical model of (abox, tbox) up to words of length `depth`,
+    as a homomorphism target.  The KB must be consistent; callers check
+    that first.
 
-    Elements are words a R1 ... Rn; the root layer carries the entailed
-    concept/role instance data of the named individuals, anonymous layers
-    follow the role-chain construction with its two guards (no named
-    witness for the first step, no immediate rollback later).
+    Elements are words (a, (R1, ..., Rn)).  The named ones, (a, ()), carry
+    the entailed concept and role instance data of the individuals.  The
+    anonymous ones follow the role-chain construction with its two guards:
+    no named witness for the first step, no immediate rollback later.
+    Each element enters `tuples` with its concepts and its edge to its
+    parent as it is built.  `image` sends an individual's name to its
+    named element, and disequalities require distinct elements.
     """
-
-    depth: int
-    elements: frozenset[Word]
-    concept_ext: dict[str, frozenset[Word]]
-    role_ext: dict[str, frozenset[tuple[Word, Word]]]
-
-    def has_concept(self, name: str, element: Word) -> bool:
-        return element in self.concept_ext.get(name, frozenset())
-
-    @cached_property
-    def target(self) -> HomTarget:
-        """The slice as a homomorphism target: constants denote their named
-        elements, and disequalities require distinct elements."""
-        tuples: dict = {(n, 1): {(w,) for w in ext} for n, ext in self.concept_ext.items()}
-        tuples.update(((n, 2), pairs) for n, pairs in self.role_ext.items())
-        named = {w[0]: w for w in self.elements if not _is_anonymous(w)}
-        return HomTarget(tuples, named.get, operator.ne)
-
-    def holds(self, cq: CQ, mu: Assignment) -> bool:
-        """A homomorphism of cq into the slice agreeing with mu on its
-        constant values and sending anon-assigned variables to anonymous
-        elements."""
-        pinned: dict[str, Word] = {}
-        anonymous = {}
-        for v in cq.variables():
-            if v not in mu:
-                raise ValueError(f"assignment is not total: missing ?{v}")
-            value = mu[v]
-            if value is ANON or value == ANON:
-                anonymous[v] = _is_anonymous
-            else:
-                element = self.target.image(value if isinstance(value, str) else value.name)
-                if element is None:
-                    return False
-                pinned[v] = element
-        return hom_exists(cq, self.target, pinned, anonymous)
-
-
-def _is_anonymous(word: Word) -> bool:
-    return bool(word[1])
-
-
-def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> CanonicalSlice:
-    """The canonical model of (abox, tbox) up to words of length `depth`.
-    The KB must be consistent; callers check that first."""
     _require_dllite(tbox, "canonical model construction")
     sat = saturate(tbox)
     types, role_pairs = _entailed_instance_data(abox, tbox)
@@ -455,73 +416,65 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> CanonicalSlice:
     role_names = sorted(tbox.role_names() | {f.predicate for f in abox if not f.is_concept})
     all_roles = [Role(n, inv) for n in role_names for inv in (False, True)]
 
+    tuples: dict[tuple[str, int], set[tuple[Word, ...]]] = {}
+
+    def add(name: str, *elements: Word):
+        tuples.setdefault((name, len(elements)), set()).add(elements)
+
     witnessed: dict[str, set[Role]] = {a: set() for a in individuals}
-    for name, pairs in role_pairs.items():
-        r, r_inverse = Role(name), Role(name, inverted=True)
-        for (a, b) in pairs:
-            witnessed[a].add(r)
-            witnessed[b].add(r_inverse)
-
-    elements: set[Word] = {(a, ()) for a in individuals}
-    frontier: list[Word] = []
-    for a in individuals:
-        for r in all_roles:
-            if exists(r) in types[a] and r not in witnessed[a]:
-                w = (a, (r,))
-                if depth >= 1:
-                    elements.add(w)
-                    frontier.append(w)
-    level = 1
-    while level < depth and frontier:
-        nxt: list[Word] = []
-        for (a, chain) in frontier:
-            last = chain[-1]
-            for r in all_roles:
-                if r == last.inverse():
-                    continue
-                if sat.entails_concept_inclusion(exists(last.inverse()), exists(r)):
-                    w = (a, chain + (r,))
-                    elements.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        level += 1
-
-    concept_names = sorted(
-        tbox.concept_names() | {f.predicate for f in abox if f.is_concept}
-    )
-    concept_ext: dict[str, set[Word]] = {n: set() for n in concept_names}
     for a in individuals:
         for b in types[a]:
             if b.is_name:
-                concept_ext.setdefault(b.concept_name, set()).add((a, ()))
-    for w in elements:
-        if not _is_anonymous(w):
-            continue
-        last = w[1][-1]
-        for b in sat.concept_sups(exists(last.inverse())):
-            if b.is_name:
-                concept_ext.setdefault(b.concept_name, set()).add(w)
-
-    role_ext: dict[str, set[tuple[Word, Word]]] = {n: set() for n in role_names}
+                add(b.concept_name, (a, ()))
     for name, pairs in role_pairs.items():
-        role_ext.setdefault(name, set()).update(((a, ()), (b, ())) for (a, b) in pairs)
-    for w in elements:
-        if not _is_anonymous(w):
-            continue
-        parent: Word = (w[0], w[1][:-1])
-        last = w[1][-1]
-        for name in role_names:
-            if sat.entails_role_inclusion(last, Role(name)):
-                role_ext[name].add((parent, w))
-            if sat.entails_role_inclusion(last, Role(name, inverted=True)):
-                role_ext[name].add((w, parent))
+        for (a, b) in pairs:
+            add(name, (a, ()), (b, ()))
+            witnessed[a].add(Role(name))
+            witnessed[b].add(Role(name, inverted=True))
 
-    return CanonicalSlice(
-        depth=depth,
-        elements=frozenset(elements),
-        concept_ext={n: frozenset(s) for n, s in concept_ext.items()},
-        role_ext={n: frozenset(s) for n, s in role_ext.items()},
-    )
+    def successor(parent: Word, r: Role) -> Word:
+        """The anonymous element reached from parent by r, with its
+        concepts and its edges to parent."""
+        w = (parent[0], parent[1] + (r,))
+        for b in sat.concept_sups(exists(r.inverse())):
+            if b.is_name:
+                add(b.concept_name, w)
+        for s in sat.role_sups(r):
+            add(s.name, *((w, parent) if s.inverted else (parent, w)))
+        return w
+
+    frontier = [
+        successor((a, ()), r)
+        for a in individuals
+        for r in all_roles
+        if depth >= 1 and exists(r) in types[a] and r not in witnessed[a]
+    ]
+    for _ in range(depth - 1):
+        frontier = [
+            successor(w, r)
+            for w in frontier
+            for r in all_roles
+            if r != w[1][-1].inverse()
+            and sat.entails_concept_inclusion(exists(w[1][-1].inverse()), exists(r))
+        ]
+
+    named = frozenset(individuals)
+    return HomTarget(tuples, lambda name: (name, ()) if name in named else None, operator.ne)
+
+
+def slice_assignments(target: HomTarget, cq: CQ) -> set[tuple]:
+    """The assignments under which cq holds in a canonical slice: for each
+    homomorphism of cq into it, the tuple that gives each variable, in
+    `cq.variables()` order, the constant of its named element, or ANON
+    for an anonymous one.  One search enumerates them all."""
+    variables = cq.variables()
+    found: set[tuple] = set()
+
+    def visit(binding):
+        found.add(tuple(ANON if binding[v][1] else binding[v][0] for v in variables))
+
+    hom_visit(cq, target, visit)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +504,24 @@ def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> b
         raise InconsistentKBError("CQ entailment over an inconsistent KB")
     if depth is None:
         depth = max(query_depth(d, tbox) for d in ucq.disjuncts)
-    target = canonical_slice(abox, tbox, depth).target
+    target = canonical_slice(abox, tbox, depth)
     return any(hom_exists(d, target) for d in ucq.disjuncts)
 
 
 def holds_under_assignment(
     abox: ABox, tbox: TBox, cq: CQ, mu: Assignment, depth: int | None = None
 ) -> bool:
-    """(A, T) |=_mu q; see `CanonicalSlice.holds`."""
+    """(A, T) |=_mu q: some homomorphism of cq into the canonical model
+    sends each variable to the named element of the constant mu gives it,
+    or to an anonymous element where mu gives ANON; see
+    `slice_assignments`."""
     if not is_consistent(abox, tbox):
         raise InconsistentKBError("assignment check over an inconsistent KB")
-    slice_ = canonical_slice(abox, tbox, query_depth(cq, tbox) if depth is None else depth)
-    return slice_.holds(cq, mu)
+    values = []
+    for v in cq.variables():
+        if v not in mu:
+            raise ValueError(f"assignment is not total: missing ?{v}")
+        value = mu[v]
+        values.append(value if isinstance(value, str) or value == ANON else value.name)
+    target = canonical_slice(abox, tbox, query_depth(cq, tbox) if depth is None else depth)
+    return tuple(values) in slice_assignments(target, cq)

@@ -411,6 +411,13 @@ def _weight_file(tmp_path, text):
         ["gen", "pm", "--graph", "UNCOVERED_GRAPH", "--out", "OUT_DIR"],
         ["gen", "pm", "--graph", "GRAPH", "--out", "OUT_DIR"],
         ["gen", "mvc", "--graph", "EDGELESS_GRAPH", "--out", "OUT_DIR"],
+        ["score", "--tbox", str(FIXTURES / "fig1.tbox"), "--abox", str(FIXTURES),
+         "--query", str(FIXTURES / "fig1.query")],
+        ["score", *fixture_args("fig1"), "--weight", f"file:{FIXTURES}"],
+        ["score", "--tbox", str(FIXTURES / "fig1.tbox"), "--abox", "LATIN1_ABOX",
+         "--query", str(FIXTURES / "fig1.query")],
+        ["emit-sql", *fixture_args("variant"), "--out", "OUT_FILE"],
+        ["gen", "mvc", "--graph", "GRAPH", "--out", "OUT_FILE"],
     ],
     ids=[
         "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
@@ -422,6 +429,8 @@ def _weight_file(tmp_path, text):
         "emit-sql-size-zero", "emit-sql-negative-size", "verify-zero-instances",
         "verify-negative-instances", "gen-reach-no-source", "gen-reach-unknown-vertex",
         "gen-bad-edge-line", "gen-pm-uncovered-vertex", "gen-pm-not-bipartite", "gen-mvc-no-edges",
+        "abox-is-directory", "weight-file-is-directory", "abox-not-utf8", "emit-sql-out-is-file",
+        "gen-out-is-file",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
@@ -477,9 +486,14 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         "JOIN_TBOX": p_tbox + q_tbox + "PW13 & QW13 <= R\n",
         "JOIN_ABOX": p_abox + q_abox,
         "JOIN_QUERY": "R(g)\n",
+        "LATIN1_ABOX": "f0: Seafood(caf\xe9)\n".encode("latin-1"),
+        "OUT_FILE": "",
     }
     for placeholder, text in files.items():
-        (tmp_path / placeholder).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (tmp_path / placeholder).write_bytes(text)
+        else:
+            (tmp_path / placeholder).write_text(text, encoding="utf-8")
     argv = [
         _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:")
         else str(big) if a == "BIG_ABOX"

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,9 +9,11 @@ from respo.model import (
     Axiom,
     CONCEPT_INCLUSION,
     CQ,
+    Fact,
     OMQ,
     Role,
     TBox,
+    as_ucq,
     concept,
     concept_atom,
     const,
@@ -21,14 +24,15 @@ from respo.model import (
 from respo.interaction_free import (
     IFPlan,
     NotInteractionFreeError,
+    _fact_shapes,
     check_interaction_free,
     count_ms_interaction_free,
     elimination_order,
     weighted_eval,
 )
 from respo.model import connected_components
-from respo.randgen import random_abox, random_interaction_free_omq
-from respo.reasoner import is_consistent
+from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
+from respo.reasoner import holds_under_assignment, is_consistent, query_depth
 from respo.shapley import Plan
 from respo.support import (
     count_fms_brute,
@@ -85,6 +89,72 @@ def test_constant_sensitive_interaction():
 def test_self_join_same_predicate_not_free():
     query = CQ((role_atom("r", var("x"), var("y")), role_atom("r", var("y"), var("z"))))
     assert check_interaction_free(OMQ(TBox(), query)) is not None
+
+
+def test_witness_takes_pairs_in_assignment_order():
+    """The witness is the first two (atom, assignment) pairs a consistent
+    generic fact satisfies: atoms in query order, and each atom's
+    assignments in product order over the fact's sorted constants, then
+    anon, each checked on its own by `holds_under_assignment`."""
+    rng = random.Random(4242)
+    witnesses = 0
+    for _ in range(150):
+        omq = OMQ(random_dllite_tbox(rng, max_axioms=4), as_ucq(random_cq(rng, allow_neq=False)))
+        cq = omq.query.disjuncts[0]
+        atoms = cq.relational_atoms()
+        depth = max(query_depth(CQ((atom,)), omq.tbox) for atom in atoms)
+        expected = None
+        for shape in _fact_shapes(omq, cq):
+            fact = ABox((shape,))
+            if not is_consistent(fact, omq.tbox):
+                continue
+            values = sorted(set(shape.args)) + [ANON]
+            pairs = [
+                (atom, tuple((v, "<anon>" if x is ANON else x) for v, x in zip(vs, combo)))
+                for atom in atoms
+                for vs in [sorted(set(atom.variables()))]
+                for combo in product(values, repeat=len(vs))
+                if holds_under_assignment(fact, omq.tbox, CQ((atom,)), dict(zip(vs, combo)), depth)
+            ]
+            if len(pairs) >= 2:
+                expected = (shape, *pairs[0], *pairs[1])
+                break
+        witness = check_interaction_free(omq)
+        found = None if witness is None else (
+            witness.fact_shape, witness.atom1, witness.assignment1,
+            witness.atom2, witness.assignment2,
+        )
+        assert found == expected, omq
+        witnesses += witness is not None
+    assert witnesses >= 30, witnesses
+
+
+def test_if_plan_searches_once_per_fact_and_atom(variant, monkeypatch):
+    """Building the variant's plan and taking every fact's rows on the
+    variant doubled run one homomorphism search per (generic or real
+    fact, atom) pair, not one per (atom, assignment) pair."""
+    import respo.queries as queries
+
+    omq, abox = variant
+    doubled = [
+        Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
+        for c in range(2) for f in abox
+    ]
+    cq = omq.query.disjuncts[0]
+    shapes = [s for s in _fact_shapes(omq, cq) if is_consistent(ABox((s,)), omq.tbox)]
+    assert (len(shapes), len(doubled), len(cq.relational_atoms())) == (22, 32, 6)
+    searches = []
+
+    def counting_search(*args, **kwargs):
+        searches.append(args[1])
+        return real(*args, **kwargs)
+
+    real = queries._search
+    monkeypatch.setattr(queries, "_search", counting_search)
+    plan = IFPlan(omq)
+    for fact in doubled:
+        plan.fact_entries(fact)
+    assert len(searches) == (22 + 32) * 6
 
 
 # ---------------------------------------------------------------------------
