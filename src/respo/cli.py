@@ -13,8 +13,8 @@ undeclared vertex, a bipartition that overlaps, misses a vertex or holds
 an edge inside one side, `gen mvc` on a graph without edges and `gen pm`
 on a graph that is not bipartite with sides of equal size, all before
 --out is created; a missing input file, an input path that is a
-directory, a TBox, ABox, query or graph file that is not UTF-8, an
-`--out` of `emit-sql` or `gen` that names an existing file), 3
+directory, a TBox, ABox, query, graph or weight-table file that is not
+UTF-8, an `--out` of `emit-sql` or `gen` that names an existing file), 3
 inconsistent KB, 4 unsupported TBox/method combination (one message
 per pipeline: a Horn-extended TBox outside brute force and provenance,
 a query that is not one ground atom under provenance or a Horn-extended
@@ -39,6 +39,7 @@ from .model import (
     SupportHistogram,
     UCQ,
     UnsupportedTBoxError,
+    read_text,
 )
 from .textio import (
     ParseError,
@@ -59,19 +60,12 @@ EXIT_INCONSISTENT = 3
 EXIT_UNSUPPORTED = 4
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
 def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
     if need_abox and not args.abox:
         raise InputError(f"{args.command} needs --abox")
-    tbox = parse_tbox(_read(args.tbox)) if args.tbox else None
-    abox = parse_abox(_read(args.abox)) if args.abox else None
-    query = parse_query(_read(args.query)) if args.query else None
+    tbox = parse_tbox(read_text(args.tbox)) if args.tbox else None
+    abox = parse_abox(read_text(args.abox)) if args.abox else None
+    query = parse_query(read_text(args.query)) if args.query else None
     check_signature_consistency(tbox, abox, query)
     if query is not None and getattr(args, "answer", None):
         variables = {v for d in query.disjuncts for v in d.variables()}
@@ -197,11 +191,14 @@ def cmd_check_if(args) -> int:
 def cmd_emit_sql(args) -> int:
     from .shapley import Plan
     from .sqlgen import build_manifest
+    from .support import counting_queries
 
     _at_least_one(args, "size")
     omq, abox = _load_inputs(args, need_abox=True)
     plan = Plan(omq, "partition")
-    queries = {k: qs for k, qs in plan.counting_queries.items() if args.size in (None, k)}
+    queries = {
+        k: qs for k, qs in counting_queries(plan.rewriting).items() if args.size in (None, k)
+    }
     manifest = build_manifest(plan.rewriting, queries, abox)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,7 +220,7 @@ def cmd_gen(args) -> int:
 
     if args.kind == "reach" and not (args.source and args.target):
         raise InputError("gen reach needs --source and --target")
-    graph = parse_graph(_read(args.graph))
+    graph = parse_graph(read_text(args.graph))
     if args.kind == "pm":
         instance = gen_perfect_matching(graph)
         files = {

@@ -1,6 +1,7 @@
 """Core vocabulary: terms, roles, axioms, facts, queries and the small
 value types (rationals, histograms, weighted databases) shared by every
-other module.  Everything here is immutable and safe to share.
+other module, with the errors and the UTF-8 reading of input files.
+Everything here is immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ class InconsistentKBError(RespoError):
 class InputError(RespoError):
     """Bad user input outside the parsed text formats: a missing argument,
     an unknown fact label or query variable, a malformed weight table."""
+
+
+def read_text(path: str) -> str:
+    """The text of an input file, which must be UTF-8: other bytes are an
+    `InputError` naming the file and the first bad byte."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 class UnsupportedTBoxError(RespoError):

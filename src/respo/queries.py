@@ -393,6 +393,12 @@ def hom_count(cq: CQ, target: HomTarget) -> int:
     return total
 
 
+def components(cq: CQ) -> list[CQ]:
+    """cq's variable-connected components, disequalities counting as
+    edges: the factors whose homomorphism counts `hom_count` multiplies."""
+    return [CQ(tuple(atoms)) for atoms in _eval_components(cq)]
+
+
 def hom_assignments(cq: CQ, target: HomTarget) -> list[dict[str, object]]:
     """Every homomorphism of cq into the target, as a variable binding."""
     found: list[dict[str, object]] = []

@@ -8,13 +8,14 @@ property checks used by the verification suites.
 
 Every count goes through a `Plan`: the OMQ compiled once for one
 pipeline (the method choice, the interaction-freeness check, the
-rewriting and counting queries, the ground query atom, or the subset
-evaluator), then asked for the support histogram of a fact set or for
-every fact's per-size counts of the minimal supports containing it.
+rewriting and its homomorphism basis, the ground query atom, or the
+subset evaluator), then asked for the support histogram of a fact set or
+for every fact's per-size counts of the minimal supports containing it.
 `score_all` builds one plan per call and asks it for every fact's counts
-once: partition runs one search per counting query, provenance and brute
-force tally the supports they find, and the interaction-free pipeline
-still subtracts the histogram over D minus each fact from the one over D.
+once: partition runs one search per component of each basis quotient,
+provenance and brute force tally the supports they find, and the
+interaction-free pipeline still subtracts the histogram over D minus
+each fact from the one over D.
 """
 
 from __future__ import annotations
@@ -35,17 +36,18 @@ from .model import (
     SupportHistogram,
     UnsupportedTBoxError,
     WeightFunction,
+    read_text,
 )
 from .support import (
     Evaluator,
     FactCounts,
     MinimalSupport,
-    counting_queries,
+    basis_fact_counts,
+    basis_histogram,
     enumerate_minimal_supports,
     ground_atom_query,
+    homomorphism_basis,
     make_subset_evaluator,
-    partition_fact_counts,
-    partition_histogram,
     tally_fact_counts,
 )
 
@@ -100,8 +102,7 @@ def resolve_weight(spec: str) -> WeightFunction:
         return _BUILTIN_WEIGHTS[spec]
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        with open(path, encoding="utf-8") as fh:
-            return weight_from_table(fh.read(), name=os.path.basename(path))
+        return weight_from_table(read_text(path), name=os.path.basename(path))
     raise InputError(f"unknown weight function {spec!r}")
 
 
@@ -242,7 +243,8 @@ class Plan:
     `auto` takes provenance for a Horn-extended TBox, the
     interaction-free pipeline when its check passes, and partition
     otherwise.  The interaction-free plan is an `IFPlan`; the partition
-    plan holds the rewriting and the counting queries of every size; the
+    plan holds the rewriting and its homomorphism basis of every size
+    (`support.homomorphism_basis`), never the counting queries; the
     provenance plan the TBox and the ground query atom, whose minimal
     supports `provenance.minimal_why_provenance` derives; the brute plan
     the subset evaluator.  An `IFPlan` given for the OMQ is taken as its
@@ -277,7 +279,7 @@ class Plan:
             from .rewriter import rewrite
 
             self.rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
-            self.counting_queries = counting_queries(self.rewriting)
+            self.basis = homomorphism_basis(self.rewriting)
         if method == "provenance":
             self._tbox, self._atom = omq.tbox, ground_atom_query(omq.query)
         if method == "brute":
@@ -292,14 +294,15 @@ class Plan:
             return count_ms_interaction_free(self._if_plan, facts)
         ordered = tuple(sorted(facts, key=lambda f: f.label))
         if self.method == "partition":
-            return partition_histogram(self.counting_queries, ordered)
+            return basis_histogram(self.basis, ordered)
         return SupportHistogram.from_sizes(len(s) for s in self._minimal_supports(ordered))
 
     def fact_counts(self, facts: Iterable[Fact]) -> tuple[SupportHistogram, FactCounts]:
         """countFMS over the facts, which must be consistent with the TBox,
         and each fact's per-size counts of the minimal supports containing
-        it.  Partition, provenance and brute force count every fact in one
-        pass; the interaction-free pipeline takes each fact's counts as the
+        it.  Partition (one search per component of each basis quotient),
+        provenance and brute force count every fact in one pass; the
+        interaction-free pipeline takes each fact's counts as the
         histogram over the facts minus the one over the rest."""
         facts = tuple(facts)
         if self.method == "if":
@@ -310,7 +313,7 @@ class Plan:
             }
         ordered = tuple(sorted(facts, key=lambda f: f.label))
         if self.method == "partition":
-            return partition_fact_counts(self.counting_queries, ordered)
+            return basis_fact_counts(self.basis, ordered)
         return tally_fact_counts(facts, self._minimal_supports(ordered))
 
     def _minimal_supports(self, ordered: tuple[Fact, ...]) -> list[MinimalSupport]:

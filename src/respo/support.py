@@ -1,6 +1,6 @@
 """Minimal-support counting.
 
-Three routes live here:
+Four routes live here:
 
   * a brute-force oracle that enumerates inclusion-minimal satisfying
     subsets behind any monotone evaluator;
@@ -8,14 +8,21 @@ Three routes live here:
     is the image of some query homomorphism, so inclusion-minimal images
     are exactly the minimal supports) that scales past subset enumeration;
   * the reduct/automorphism partition: per size k, the minimal supports of
-    a UCQ split across rigidified reducts, and each reduct's supports are
-    counted as homomorphisms divided by its automorphism count.  The same
-    homomorphisms, enumerated once per counting query, credit each fact
-    in their image and so give every fact's counts in one pass.
+    a UCQ split across rigidified reducts (the counting queries), and
+    each reduct's supports are counted as homomorphisms divided by its
+    automorphism count, by enumerating each counting query's
+    homomorphisms (`partition_histogram`, `partition_fact_counts`): the
+    oracle the basis is tested against, and what `emit-sql` emits;
+  * the homomorphism basis that scoring counts with: Moebius inversion
+    over labelled partitions turns the counting queries' injective counts
+    into a weighted sum of plain homomorphism counts of the disjuncts'
+    quotients, which factor over connected components, so every fact's
+    counts cost one search per component instead of one homomorphism per
+    support.
 
-The counting queries depend on the query alone: `counting_queries` builds
-those of every size from one enumeration of the reducts, and a
-`shapley.Plan` keeps them for every database.  Nothing here is cached.
+The counting queries and the basis depend on the query alone, each built
+from one enumeration of the disjuncts' quotients; a `shapley.Plan` keeps
+the basis for every database.  Nothing here is cached.
 
 Every homomorphism count, test and enumeration, into a `FactDB` or into
 another query, runs on the one search in `queries`.
@@ -27,7 +34,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from math import lcm, prod
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     ABox,
@@ -37,21 +45,23 @@ from .model import (
     RespoError,
     SupportHistogram,
     TBox,
+    Term,
     UCQ,
     UnsupportedTBoxError,
     as_ucq,
+    const,
+    var,
 )
 from .queries import (
     HomTarget,
     UnsatisfiableQuery,
-    canonicalize,
     canonicalize_counted,
+    components,
     hom_assignments,
     hom_count,
     hom_exists,
     hom_visit,
     max_relational_size,
-    query_hom_exists,
     query_target,
     substitute,
     with_all_pairs_neq,
@@ -242,18 +252,6 @@ def minimal_supports_via_hom_images(
 # Reducts and counting queries
 # ---------------------------------------------------------------------------
 
-def _partitions(items: list[str]):
-    """All set partitions, as lists of blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
 def ucq_constants(ucq: UCQ) -> tuple[str, ...]:
     out: set[str] = set()
     for d in ucq.disjuncts:
@@ -261,42 +259,83 @@ def ucq_constants(ucq: UCQ) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def _all_reducts(ucq: UCQ) -> dict[tuple, CQ]:
-    """Every reduct of any disjunct, keyed by canonical form: collapse
-    variable blocks onto a representative variable or onto a constant of
-    the union (a support can place a variable on any named constant,
-    including one only another disjunct mentions), drop duplicate atoms.
-    Collapses that identify the two sides of a disequality are
-    unsatisfiable and skipped."""
-    from .model import Term, CONST, var as mkvar
+# A labelled partition of a query's variables, as the term each variable
+# maps to, in `CQ.variables()` order: its block's first variable, or the
+# constant that labels its block.
+Images = tuple[Term, ...]
 
-    seen: dict[tuple, CQ] = {}
+
+def _labelled_partitions(names: Sequence[str], consts: Sequence[str]):
+    """Every labelled partition of the variables `names`: blocks of them,
+    each unlabelled or labelled by a distinct constant of `consts`, as
+    (images, mu).  mu is the Moebius value mu(bottom, pi) of the lattice
+    whose bottom holds each variable and each constant in a block of its
+    own and whose blocks never hold two constants: the product over
+    blocks of (-1)^(j-1) (j-1)!, j the variables and constants merged
+    into the block.  Joining a block of j members multiplies it by -j."""
+    members: dict[Term, int] = {const(c): 1 for c in consts}
+    images: list[Term] = []
+
+    def extend(i: int, mu: int):
+        if i == len(names):
+            yield tuple(images), mu
+            return
+        for target in (*members, var(names[i])):
+            j = members.get(target, 0)
+            members[target] = j + 1
+            images.append(target)
+            yield from extend(i + 1, -j * mu if j else mu)
+            images.pop()
+            if j:
+                members[target] = j
+            else:
+                del members[target]
+
+    yield from extend(0, 1)
+
+
+class _Quotient(NamedTuple):
+    """A reduct in canonical names, the variable orderings that attain its
+    canonical key, and its first realization: the disjunct's index and
+    the labelled partition that yields it."""
+
+    cq: CQ
+    ties: int
+    disjunct: int
+    images: Images
+
+
+def _quotients(ucq: UCQ) -> tuple[list[dict[Images, tuple | None]], dict[tuple, _Quotient]]:
+    """Every quotient d/rho of every disjunct d by a labelled partition
+    rho of its variables over the constants of the union (a support can
+    place a variable on any named constant, including one only another
+    disjunct mentions), canonicalized once: for each disjunct, the key of
+    d/rho by rho's images, None where rho collapses the two sides of a
+    disequality; and for each key its `_Quotient`."""
     consts = ucq_constants(ucq)
-    for disjunct in ucq.disjuncts:
-        names = list(disjunct.variables())
-        for part in _partitions(names):
-            targets_per_block = []
-            for block in part:
-                options: list[Term] = [mkvar(block[0])]
-                options.extend(Term(CONST, c) for c in consts)
-                targets_per_block.append(options)
+    tables: list[dict[Images, tuple | None]] = []
+    forms: dict[tuple, _Quotient] = {}
+    for i, disjunct in enumerate(ucq.disjuncts):
+        names = disjunct.variables()
+        table: dict[Images, tuple | None] = {}
+        for images, _ in _labelled_partitions(names, consts):
+            try:
+                key, cq, ties = canonicalize_counted(
+                    substitute(disjunct, dict(zip(names, images)))
+                )
+            except UnsatisfiableQuery:
+                key = None
+            else:
+                forms.setdefault(key, _Quotient(cq, ties, i, images))
+            table[images] = key
+        tables.append(table)
+    return tables, forms
 
-            def assign(i: int, mapping: dict[str, Term]):
-                if i == len(part):
-                    try:
-                        key, reduct = canonicalize(substitute(disjunct, dict(mapping)))
-                    except UnsatisfiableQuery:
-                        return
-                    seen.setdefault(key, reduct)
-                    return
-                for target in targets_per_block[i]:
-                    new = dict(mapping)
-                    for name in part[i]:
-                        new[name] = target
-                    assign(i + 1, new)
 
-            assign(0, {})
-    return seen
+def _all_reducts(ucq: UCQ) -> dict[tuple, CQ]:
+    """Every reduct of any disjunct, keyed by canonical form (see
+    `_quotients`)."""
+    return {key: q.cq for key, q in _quotients(ucq)[1].items()}
 
 
 def _rigid_reducts(ucq: UCQ) -> dict[int, list[tuple[CQ, CQ]]]:
@@ -311,17 +350,41 @@ def _rigid_reducts(ucq: UCQ) -> dict[int, list[tuple[CQ, CQ]]]:
     pins = ucq_constants(ucq)
     out = {}
     for k in range(1, max_relational_size(ucq) + 1):
-        smaller = [q for q in everything.values() if len(q.relational_atoms()) < k]
         minimal = []
         for key in sorted(everything):
             q = everything[key]
             if len(q.relational_atoms()) != k:
                 continue
             rigid = with_all_pairs_neq(q, pins)
-            if not any(query_hom_exists(small, rigid) for small in smaller):
+            if _minimal(ucq.disjuncts, rigid):
                 minimal.append((q, rigid))
         out[k] = minimal
     return out
+
+
+def _minimal(disjuncts: Iterable[CQ], rigid: CQ) -> bool:
+    """Does no smaller reduct of the disjuncts map into the rigid form?
+    Tested as: no disjunct maps into it with an image that misses one of
+    its relational atoms.  A smaller reduct d/rho mapping in composes with
+    d -> d/rho into such a map; such a map factors through the disjunct's
+    quotient by its kernel, a reduct onto whose atoms it is injective, so
+    smaller."""
+    target = query_target(rigid)
+    size = len(rigid.relational_atoms())
+    for d in disjuncts:
+        rel = d.relational_atoms()
+        sizes: list[int] = []
+
+        def image(binding):
+            sizes.append(len({
+                (a.predicate, tuple(binding[t.name] if t.is_var else t for t in a.terms))
+                for a in rel
+            }))
+
+        hom_visit(d, target, image)
+        if min(sizes, default=size) < size:
+            return False
+    return True
 
 
 def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
@@ -376,7 +439,163 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Partition counting
+# The homomorphism basis
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BasisTerm:
+    """A quotient of a disjunct, with the disjunct's own disequalities,
+    and its coefficient in the count of the minimal supports of one size."""
+
+    cq: CQ
+    coefficient: Fraction
+
+
+def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
+    """For every support size k, 1 up to the largest disjunct, quotients
+    s with coefficients c_s such that countFMS_k(D) = sum of c_s times the
+    number of homomorphisms of s into D, in canonical order, from one
+    enumeration of the quotients (`_quotients`).
+
+    countFMS_k is the gamma-weighted sum of the injective homomorphism
+    counts of the size-k counting queries (`counting_queries`).  A
+    counting query is the rigid form of a reduct d/rho, and the rigid
+    forms of two reducts are isomorphic iff their relational atoms are,
+    since a permutation of the variables keeps the all-pairs
+    disequalities; so reducts are merged by the canonical form of their
+    relational atoms alone, and gamma is 1 over the orderings that attain
+    it.  A class is kept when its rigid form passes the minimality test
+    of `_rigid_reducts` (`_minimal`), which reads only that form.  Every
+    homomorphism of d/rho factors uniquely as its quotient d/pi, for a
+    labelled coarsening pi of rho, followed by an injective one that
+    avoids the constants, so by Moebius inversion the injective count is
+    the sum over pi of mu(rho, pi) times the homomorphism count of d/pi.
+    A quotient that collapses a disequality has none and is left out.
+    """
+    ucq = as_ucq(ucq)
+    pins = ucq_constants(ucq)
+    tables, forms = _quotients(ucq)
+    classes: dict[tuple, tuple[_Quotient, int]] = {}
+    for key, q in forms.items():
+        ties = q.ties
+        if q.cq.neq_atoms():
+            key, _, ties = canonicalize_counted(CQ(q.cq.relational_atoms()))
+        classes.setdefault(key, (q, ties))
+    # Only a disjunct with a quotient of fewer than k atoms can witness
+    # that a size-k reduct is not minimal.
+    largest = max_relational_size(ucq)
+    smallest = [
+        min(
+            (len(forms[key].cq.relational_atoms()) for key in table.values() if key is not None),
+            default=largest,
+        )
+        for table in tables
+    ]
+    out = {}
+    for k in range(1, largest + 1):
+        witnesses = [d for d, n in zip(ucq.disjuncts, smallest) if n < k]
+        coefficients: dict[tuple, Fraction] = {}
+        for q, ties in classes.values():
+            if len(q.cq.relational_atoms()) != k or (
+                witnesses and not _minimal(witnesses, with_all_pairs_neq(q.cq, pins))
+            ):
+                continue
+            for key, mu in _moebius_terms(tables[q.disjunct], q.images, pins).items():
+                coefficients[key] = coefficients.get(key, 0) + Fraction(mu, ties)
+        out[k] = tuple(
+            BasisTerm(forms[key].cq, c) for key, c in sorted(coefficients.items()) if c
+        )
+    return out
+
+
+def _moebius_terms(
+    table: Mapping[Images, tuple | None], images: Images, consts: Sequence[str]
+) -> dict[tuple, int]:
+    """The sum of mu(rho, pi) per quotient key of d/pi, over the labelled
+    coarsenings pi of the labelled partition rho given by `images`, with
+    d's quotients looked up in `table`.  The coarsenings of rho are the
+    labelled partitions of its unlabelled blocks, each named by its first
+    variable, over the same constants, and mu(rho, pi) is their Moebius
+    value (see `_labelled_partitions`)."""
+    blocks = sorted({t.name for t in images if t.is_var})
+    sums: dict[tuple, int] = {}
+    for merged, mu in _labelled_partitions(blocks, consts):
+        step = dict(zip(blocks, merged))
+        key = table[tuple(step[t.name] if t.is_var else t for t in images)]
+        if key is not None:
+            sums[key] = sums.get(key, 0) + mu
+    return sums
+
+
+def basis_histogram(
+    basis: Mapping[int, Iterable[BasisTerm]], facts: Iterable[Fact] | FactDB
+) -> SupportHistogram:
+    """countFMS per size from the basis of each size (see
+    `homomorphism_basis`).  Each sum is integral by construction; a
+    fractional one signals a pipeline bug."""
+    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+    return SupportHistogram({
+        k: _integral(sum((t.coefficient * hom_count(t.cq, db) for t in terms), Fraction(0)))
+        for k, terms in basis.items()
+    })
+
+
+def basis_fact_counts(
+    basis: Mapping[int, Sequence[BasisTerm]], facts: Iterable[Fact] | FactDB
+) -> tuple[SupportHistogram, FactCounts]:
+    """`basis_histogram`, and each fact's non-zero per-size counts of the
+    minimal supports containing it, from one search per component of each
+    basis quotient.
+
+    A fact's size-k count is countFMS_k over D minus countFMS_k over D
+    without the fact, so a quotient s adds c_s times the number of its
+    homomorphisms whose image holds the fact.  Per component i of s, one
+    search yields H_i, its homomorphism count, and U_i(f), the number of
+    its homomorphisms whose image holds f; the homomorphisms of s that
+    avoid f number the product of H_i - U_i(f).  Crediting by image set,
+    not by atom, keeps this exact when two atoms map onto one fact.  The
+    sums run in integers scaled by the common denominator of the size's
+    coefficients, and every sum must be integral, like the totals.
+    """
+    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+    totals: dict[int, int] = {}
+    counts: FactCounts = {f: {} for f in db.facts}
+    for k, terms in basis.items():
+        scale = lcm(*(t.coefficient.denominator for t in terms))
+        total = 0
+        sums: dict[Fact, int] = {}
+        for t in terms:
+            weight = t.coefficient.numerator * (scale // t.coefficient.denominator)
+            factors = [_image_counts(c, db) for c in components(t.cq)]
+            homs = prod(h for h, _ in factors)
+            if not homs:
+                continue
+            total += weight * homs
+            for f in set().union(*(hits for _, hits in factors)):
+                avoiding = prod(h - hits.get(f, 0) for h, hits in factors)
+                sums[f] = sums.get(f, 0) + weight * (homs - avoiding)
+        totals[k] = _integral(Fraction(total, scale))
+        for f, n in sums.items():
+            if n:
+                counts[f][k] = _integral(Fraction(n, scale), f)
+    return SupportHistogram(totals), counts
+
+
+def _image_counts(cq: CQ, db: FactDB) -> tuple[int, dict[Fact, int]]:
+    """The number of homomorphisms of cq into db, and per fact the number
+    of them whose image holds it, from one search."""
+    rel = cq.relational_atoms()
+    hits: dict[Fact, int] = {}
+
+    def credit(binding):
+        for f in {db.fact_of(atom, binding) for atom in rel}:
+            hits[f] = hits.get(f, 0) + 1
+
+    return hom_visit(cq, db, credit), hits
+
+
+# ---------------------------------------------------------------------------
+# Partition counting by enumeration: the oracle of the basis
 # ---------------------------------------------------------------------------
 
 def count_fms_partition(

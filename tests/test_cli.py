@@ -414,6 +414,7 @@ def _weight_file(tmp_path, text):
         ["score", "--tbox", str(FIXTURES / "fig1.tbox"), "--abox", str(FIXTURES),
          "--query", str(FIXTURES / "fig1.query")],
         ["score", *fixture_args("fig1"), "--weight", f"file:{FIXTURES}"],
+        ["score", *fixture_args("fig1"), "--weight", "file:LATIN1_WEIGHTS"],
         ["score", "--tbox", str(FIXTURES / "fig1.tbox"), "--abox", "LATIN1_ABOX",
          "--query", str(FIXTURES / "fig1.query")],
         ["emit-sql", *fixture_args("variant"), "--out", "OUT_FILE"],
@@ -429,8 +430,8 @@ def _weight_file(tmp_path, text):
         "emit-sql-size-zero", "emit-sql-negative-size", "verify-zero-instances",
         "verify-negative-instances", "gen-reach-no-source", "gen-reach-unknown-vertex",
         "gen-bad-edge-line", "gen-pm-uncovered-vertex", "gen-pm-not-bipartite", "gen-mvc-no-edges",
-        "abox-is-directory", "weight-file-is-directory", "abox-not-utf8", "emit-sql-out-is-file",
-        "gen-out-is-file",
+        "abox-is-directory", "weight-file-is-directory", "weight-not-utf8", "abox-not-utf8",
+        "emit-sql-out-is-file", "gen-out-is-file",
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
@@ -440,8 +441,8 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         raise AssertionError("bad input must be rejected before scoring")
 
     # Every brute-force or partition count and every Shapley value runs
-    # through these: partition scoring through `partition_fact_counts`,
-    # the count commands through `partition_histogram`.  A missing
+    # through these: partition scoring through `basis_fact_counts`, the
+    # count commands through `basis_histogram`.  A missing
     # weight-table entry shows only once scoring needs it, and the Shapley
     # and provenance caps are checked by the computation itself: `auto`
     # takes provenance for the Horn-extended WIDE and JOIN TBoxes.
@@ -452,8 +453,8 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     if request.node.callspec.id not in checked_while_computing:
         for name in (
             "enumerate_minimal_supports",
-            "partition_histogram",
-            "partition_fact_counts",
+            "basis_histogram",
+            "basis_fact_counts",
             "shapley_brute_force",
         ):
             monkeypatch.setattr(respo.shapley, name, no_scoring)
@@ -487,6 +488,7 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         "JOIN_ABOX": p_abox + q_abox,
         "JOIN_QUERY": "R(g)\n",
         "LATIN1_ABOX": "f0: Seafood(caf\xe9)\n".encode("latin-1"),
+        "LATIN1_WEIGHTS": "3 8 1/2\xe9\n".encode("latin-1"),
         "OUT_FILE": "",
     }
     for placeholder, text in files.items():
@@ -498,6 +500,8 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         _weight_file(tmp_path, a[len("WEIGHTS:"):]) if a.startswith("WEIGHTS:")
         else str(big) if a == "BIG_ABOX"
         else str(tmp_path / a) if a in files
+        else f"file:{tmp_path / a[len('file:'):]}"
+        if a.startswith("file:") and a[len("file:"):] in files
         else str(tmp_path / "out") if a == "OUT_DIR" else a
         for a in argv
     ]

@@ -24,6 +24,7 @@ from respo.support import (
     FactDB,
     count_automorphisms,
     count_homomorphisms,
+    counting_queries,
     cq_holds,
     minimal_supports_via_hom_images,
 )
@@ -278,7 +279,8 @@ def test_hom_visit_searches_in_hom_count_order(monkeypatch, variant):
     """Counting a query's homomorphisms and visiting them hand `_search`
     the same atoms in the same order, so both run the same search."""
     omq, abox = variant
-    cq = next(q.cq for qs in Plan(omq, "partition").counting_queries.values() for q in qs)
+    queries_by_size = counting_queries(Plan(omq, "partition").rewriting)
+    cq = next(q.cq for qs in queries_by_size.values() for q in qs)
     received = []
     search = queries._search
 

@@ -403,15 +403,15 @@ def test_auto_scoring_checks_interaction_freeness_once(variant, monkeypatch):
 
 
 def test_partition_fact_counts_equal_histogram_differences():
-    """The partition plan's per-fact counts, from one search per counting
-    query, equal the histogram over D minus the one over D without the
-    fact, for every fact of seeded instances of up to 30 facts: plain
-    UCQs with constants and disequalities, symmetric queries whose
-    counting queries have gamma < 1, and rewritings of random DL-Lite_R
-    OMQs.  Its histogram is `partition_histogram` over D."""
+    """The partition plan's per-fact counts, from one search per component
+    of each basis quotient, equal the histogram over D minus the one over
+    D without the fact, for every fact of seeded instances of up to 30
+    facts: plain UCQs with constants and disequalities, symmetric queries
+    whose counting queries have gamma < 1, and rewritings of random
+    DL-Lite_R OMQs.  Its histogram is `partition_histogram` over D."""
     from respo.randgen import random_abox, random_cq, random_dllite_tbox
     from respo.shapley import histogram_difference
-    from respo.support import partition_histogram
+    from respo.support import counting_queries, partition_histogram
     from respo.textio import parse_query
 
     rng = random.Random(29)
@@ -438,9 +438,10 @@ def test_partition_fact_counts_equal_histogram_differences():
     credited = fractional = 0
     for omq, abox in instances:
         plan = Plan(omq, "partition")
-        fractional += any(q.gamma < 1 for qs in plan.counting_queries.values() for q in qs)
+        queries = counting_queries(plan.rewriting)
+        fractional += any(q.gamma < 1 for qs in queries.values() for q in qs)
         full, counts = plan.fact_counts(abox)
-        assert full == plan.histogram(abox) == partition_histogram(plan.counting_queries, abox)
+        assert full == plan.histogram(abox) == partition_histogram(queries, abox)
         everything = frozenset(abox)
         assert set(counts) == everything
         for f in abox:
@@ -451,14 +452,15 @@ def test_partition_fact_counts_equal_histogram_differences():
     assert fractional >= len(symmetric) and credited >= 100, (fractional, credited)
 
 
-def test_partition_scoring_searches_once_per_counting_query(variant, monkeypatch):
-    """A partition `score_all` maps each counting query into the facts
-    once, not once per histogram over D and over D minus each fact."""
+def test_partition_scoring_searches_once_per_basis_component(variant, monkeypatch):
+    """A partition `score_all` maps each component of each basis quotient
+    into the facts once: the variant's basis is its rewriting's two
+    disjuncts, of two components each, so four searches, where one search
+    per counting query made 104."""
     import respo.queries as queries
     from respo.support import FactDB
 
     omq, abox = variant
-    n_queries = sum(len(qs) for qs in Plan(omq, "partition").counting_queries.values())
     searches = []
 
     def counting_search(atoms, target, *args, **kwargs):
@@ -470,7 +472,29 @@ def test_partition_scoring_searches_once_per_counting_query(variant, monkeypatch
     monkeypatch.setattr(queries, "_search", counting_search)
     report = score_all(abox, omq, method="partition")
     assert report.histogram == {6: 6}
-    assert 0 < len(searches) <= n_queries, (len(searches), n_queries)
+    assert len(searches) == 4
+
+
+def test_partition_plan_counts_without_the_counting_queries(variant, monkeypatch):
+    """The partition plan compiles and counts through its basis: neither
+    the counting queries nor the enumerating search over them is called,
+    and the counts equal that search's."""
+    import respo.support as support
+
+    omq, abox = variant
+    oracle = support.partition_fact_counts(
+        support.counting_queries(Plan(omq, "partition").rewriting), abox
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the partition plan must not enumerate counting queries")
+
+    for name in ("counting_queries", "_rigid_reducts", "partition_histogram",
+                 "partition_fact_counts", "count_fms_partition"):
+        monkeypatch.setattr(support, name, forbidden)
+    plan = Plan(omq, "partition")
+    assert plan.histogram(abox) == oracle[0]
+    assert plan.fact_counts(abox) == oracle
 
 
 def test_partition_plan_searches_each_canonical_form_once(variant, monkeypatch):

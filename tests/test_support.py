@@ -3,7 +3,9 @@ from fractions import Fraction
 
 from respo.model import (
     CQ,
+    OMQ,
     Fact,
+    TBox,
     UCQ,
     concept_atom,
     const,
@@ -15,16 +17,21 @@ from respo.queries import canonicalize, canonicalize_counted, hom_minimal, with_
 from respo.randgen import random_database, random_ucq
 from respo.support import (
     _all_reducts,
+    basis_fact_counts,
+    basis_histogram,
     count_automorphisms,
     count_fms_brute,
     count_fms_partition,
     count_homomorphisms,
     counting_queries,
     enumerate_minimal_supports,
+    homomorphism_basis,
     make_subset_evaluator,
     minimal_supports_via_hom_images,
+    partition_fact_counts,
     partition_histogram,
     reducts,
+    tally_fact_counts,
     ucq_constants,
     ucq_holds,
 )
@@ -336,3 +343,133 @@ def test_counting_queries_rigidify_each_reduct_once(monkeypatch, variant):
     assert sum(map(len, queries.values())) == len(_all_reducts(ucq)) == 104
     assert len(calls) == 104
     assert len({canonicalize(q)[0] for q in calls}) == 104
+
+
+# ---------------------------------------------------------------------------
+# The homomorphism basis
+# ---------------------------------------------------------------------------
+
+def test_basis_equals_enumerating_search_randomized():
+    """The basis histogram and every fact's basis counts equal those of the
+    enumerating search over the counting queries, on 320 seeded UCQs of
+    up to three disjuncts of up to four atoms, with constants (also ones
+    that only another disjunct mentions), disequalities and self-joins,
+    over databases of up to 14 facts.  Every fourth UCQ is a CQ over A
+    and r alone, a cycle or a random often symmetric one, whose
+    coefficients are often fractional."""
+    rng = random.Random(1515)
+    seen = dict.fromkeys(
+        ("supports", "constants", "cross-disjunct constants", "disequalities",
+         "self-joins", "fractional coefficients"), 0)
+    for i in range(320):
+        if i % 4 == 3:
+            ucq = UCQ((rng.choice((cycle(2), cycle(3), one_concept_one_role(rng))),))
+        else:
+            ucq = random_ucq(rng, max_disjuncts=2 + i % 2, max_atoms=3 + i % 2)
+        db = tuple(random_database(rng, max_facts=14, bias=ucq))
+        queries, basis = counting_queries(ucq), homomorphism_basis(ucq)
+        histogram, counts = partition_fact_counts(queries, db)
+        assert basis_histogram(basis, db) == histogram, ucq
+        assert basis_fact_counts(basis, db) == (histogram, counts), ucq
+        seen["supports"] += histogram.total() > 0
+        seen["constants"] += bool(ucq_constants(ucq))
+        seen["cross-disjunct constants"] += any(
+            set(ucq_constants(ucq)) - set(d.constants()) for d in ucq.disjuncts
+        )
+        seen["disequalities"] += any(d.neq_atoms() for d in ucq.disjuncts)
+        seen["self-joins"] += any(
+            len({a.predicate for a in d.relational_atoms()}) < len(d.relational_atoms())
+            for d in ucq.disjuncts
+        )
+        seen["fractional coefficients"] += any(
+            t.coefficient.denominator > 1 for terms in basis.values() for t in terms
+        )
+    assert min(seen.values()) >= 30, seen
+
+
+def test_variant_basis_is_its_rewriting(variant):
+    """The variant rewriting's 104 counting queries, all of size 6,
+    collapse to the rewriting's two disjuncts, each with coefficient 1."""
+    from respo.rewriter import rewrite
+
+    omq, _ = variant
+    ucq = rewrite(omq)
+    basis = homomorphism_basis(ucq)
+    assert sum(len(qs) for qs in counting_queries(ucq).values()) == 104
+    assert {k: len(terms) for k, terms in basis.items()} == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 2}
+    assert [t.coefficient for t in basis[6]] == [1, 1]
+    assert sorted(canonicalize(t.cq)[0] for t in basis[6]) == sorted(
+        canonicalize(d)[0] for d in ucq.disjuncts
+    )
+
+
+def test_basis_merges_reducts_by_rigid_class():
+    """?z != d & s(?z,d), a reduct of the first disjunct, and s(?x,d), one
+    of the second, have different canonical forms but one rigid form (the
+    UCQ of `random_ucq` seed 142).  The basis counts their supports once,
+    with gamma from the relational atoms alone."""
+    z, x, w, d = var("z"), var("x"), var("w"), const("d")
+    ucq = UCQ((
+        CQ((neq_atom(z, d), role_atom("s", z, d))),
+        CQ((role_atom("s", x, w),)),
+    ))
+    assert ucq == random_ucq(random.Random(142))
+    db = facts(("s", ("e", "d")), ("s", ("d", "d")), ("s", ("c", "e")), ("A", ("d",)))
+    supports = enumerate_minimal_supports(db, lambda s: ucq_holds(ucq, s))
+    basis = homomorphism_basis(ucq)
+    assert basis_fact_counts(basis, db) == tally_fact_counts(db, supports)
+    assert basis_histogram(basis, db) == {1: 3}
+
+
+def test_basis_takes_gamma_from_the_rigid_form():
+    """A(?w), r(?y,?z), r(?z,?y), ?w != ?z keeps one ordering of its own,
+    the disequality breaking the swap of ?y and ?z, but its rigid form
+    keeps two: the basis divides by two, and counts the one support
+    once."""
+    w, y, z = var("w"), var("y"), var("z")
+    ucq = UCQ((CQ((concept_atom("A", w), role_atom("r", y, z), role_atom("r", z, y),
+                   neq_atom(w, z))),))
+    assert canonicalize_counted(ucq.disjuncts[0])[2] == 1
+    db = facts(("A", ("c",)), ("r", ("d", "e")), ("r", ("e", "d")), ("r", ("c", "d")))
+    supports = enumerate_minimal_supports(db, lambda s: ucq_holds(ucq, s))
+    assert [len(s) for s in supports] == [3]
+    assert basis_fact_counts(homomorphism_basis(ucq), db) == tally_fact_counts(db, supports)
+
+
+def plain_database(rng: random.Random, n: int) -> tuple[Fact, ...]:
+    """n distinct facts on A, B, C, r and s over ten constants, among them
+    the c and d that random queries mention."""
+    pool = ["c", "d", *(f"k{i}" for i in range(8))]
+    contents: dict[tuple, None] = {}
+    while len(contents) < n:
+        pred = rng.choice("ABCrs")
+        args = tuple(rng.choice(pool) for _ in range(1 + pred.islower()))
+        contents.setdefault((pred, args), None)
+    return facts(*contents)
+
+
+def test_partition_fact_counts_match_hom_images_past_100_facts(variant):
+    """A second oracle where subset enumeration cannot go: the partition
+    plan's histogram and every fact's counts equal the tally of the
+    inclusion-minimal homomorphism images, for the variant's rewriting
+    over the variant replicated 8 times (128 facts) and for seeded random
+    UCQs over plain databases of 100 facts."""
+    from respo.shapley import Plan
+
+    omq, abox = variant
+    replica = tuple(
+        Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
+        for c in range(8) for f in abox
+    )
+    plan = Plan(omq, "partition")
+    cases = [(plan, replica)]
+    rng = random.Random(100)
+    for _ in range(30):
+        cases.append((Plan(OMQ(TBox(), random_ucq(rng)), "partition"), plain_database(rng, 100)))
+    credited = []
+    for plan, db in cases:
+        expected = tally_fact_counts(db, minimal_supports_via_hom_images(plan.rewriting, db))
+        assert plan.fact_counts(db) == expected, plan.rewriting
+        credited.append(sum(bool(c) for c in expected[1].values()))
+    assert credited[0] == 128 - 8, credited
+    assert sum(credited[1:]) >= 600 and sum(map(bool, credited[1:])) >= 28, credited
