@@ -189,17 +189,15 @@ def cmd_check_if(args) -> int:
 
 
 def cmd_emit_sql(args) -> int:
-    from .shapley import Plan
+    from .rewriter import rewrite
     from .sqlgen import build_manifest
     from .support import counting_queries
 
     _at_least_one(args, "size")
     omq, abox = _load_inputs(args, need_abox=True)
-    plan = Plan(omq, "partition")
-    queries = {
-        k: qs for k, qs in counting_queries(plan.rewriting).items() if args.size in (None, k)
-    }
-    manifest = build_manifest(plan.rewriting, queries, abox)
+    rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
+    queries = {k: qs for k, qs in counting_queries(rewriting).items() if args.size in (None, k)}
+    manifest = build_manifest(rewriting, queries, abox)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "schema.sql").write_text(manifest.schema_sql, encoding="utf-8")

@@ -10,15 +10,76 @@ semirings", PODS 2007).  The fixpoint fires the rule table that
 generic in the semiring, Boolean entailment took two to three times as
 long.  The work grows with the number of supports, which can be
 exponential: counting them is #P-hard once the TBox encodes
-reachability.  Only the provenance pipeline imports this module.
+reachability.
+
+The module also holds what every pipeline that finds supports one by one
+shares: the `MinimalSupport` value, its per-fact tally and the ground
+atom that Horn-extended TBoxes take.  `shapley` imports it with itself,
+while the larger pipeline modules load only when a plan needs them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .model import CONCEPT_ATOM, Atom, BasicConcept, Fact, InputError, Role, TBox, concept
+from .model import (
+    CONCEPT_ATOM,
+    Atom,
+    BasicConcept,
+    CQ,
+    Fact,
+    InputError,
+    Role,
+    SupportHistogram,
+    TBox,
+    UCQ,
+    UnsupportedTBoxError,
+    as_ucq,
+    concept,
+)
 from .reasoner import _closure
+
+
+@dataclass(frozen=True)
+class MinimalSupport:
+    facts: frozenset[Fact]
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(sorted(f.label for f in self.facts))
+
+    def __len__(self) -> int:
+        return len(self.facts)
+
+
+# Each fact's per-size counts of the minimal supports containing it.
+FactCounts = dict[Fact, dict[int, int]]
+
+
+def tally_fact_counts(
+    facts: Iterable[Fact], supports: Iterable[MinimalSupport]
+) -> tuple[SupportHistogram, FactCounts]:
+    """The histogram of the supports and each fact's per-size counts of
+    those containing it, in one pass over the supports."""
+    supports = list(supports)
+    counts: FactCounts = {f: {} for f in facts}
+    for s in supports:
+        for f in s.facts:
+            counts[f][len(s)] = counts[f].get(len(s), 0) + 1
+    histogram = SupportHistogram.from_sizes(len(s) for s in supports)
+    return histogram, {f: dict(sorted(c.items())) for f, c in counts.items()}
+
+
+def ground_atom_query(query: CQ | UCQ) -> Atom:
+    """The query's one atom, which must be relational and ground: the
+    queries that Horn-extended TBoxes and the provenance pipeline take."""
+    ucq = as_ucq(query)
+    atoms = ucq.disjuncts[0].atoms if len(ucq.disjuncts) == 1 else ()
+    if len(atoms) != 1 or not atoms[0].is_relational or any(t.is_var for t in atoms[0].terms):
+        raise UnsupportedTBoxError(
+            "Horn-extended TBoxes and the provenance pipeline take ground atomic queries only"
+        )
+    return atoms[0]
 
 
 class _Antichain:

@@ -15,7 +15,9 @@ for every fact's per-size counts of the minimal supports containing it.
 once: partition runs one search per component of each basis quotient,
 provenance and brute force tally the supports they find, and the
 interaction-free pipeline still subtracts the histogram over D minus
-each fact from the one over D.
+each fact from the one over D.  Only the partition and brute-force
+branches import `support`, so interaction-free and provenance scoring
+never load it.
 """
 
 from __future__ import annotations
@@ -38,21 +40,18 @@ from .model import (
     WeightFunction,
     read_text,
 )
-from .support import (
-    Evaluator,
+from .provenance import (
     FactCounts,
     MinimalSupport,
-    basis_fact_counts,
-    basis_histogram,
-    enumerate_minimal_supports,
     ground_atom_query,
-    homomorphism_basis,
-    make_subset_evaluator,
+    minimal_why_provenance,
     tally_fact_counts,
 )
+from .reasoner import is_consistent
 
 if TYPE_CHECKING:
     from .interaction_free import IFPlan
+    from .support import Evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +124,8 @@ def drastic_wealth(evaluator: Evaluator) -> WealthFunction:
 
 
 def ms_wealth(evaluator: Evaluator) -> WealthFunction:
+    from .support import enumerate_minimal_supports
+
     def evaluate(s: frozenset[Fact]) -> Fraction:
         return Fraction(len(enumerate_minimal_supports(s, evaluator)))
 
@@ -182,6 +183,8 @@ def wsms_direct(
 ) -> Fraction:
     """Eq.-style direct sum over the enumerated minimal supports that
     contain the fact."""
+    from .support import enumerate_minimal_supports
+
     supports = enumerate_minimal_supports(tuple(abox), evaluator)
     total = Fraction(0)
     for s in supports:
@@ -244,7 +247,8 @@ class Plan:
     interaction-free pipeline when its check passes, and partition
     otherwise.  The interaction-free plan is an `IFPlan`; the partition
     plan holds the rewriting and its homomorphism basis of every size
-    (`support.homomorphism_basis`), never the counting queries; the
+    (`support.homomorphism_basis`, which enumerates the quotients of only
+    the disjuncts that can merge atoms), never the counting queries; the
     provenance plan the TBox and the ground query atom, whose minimal
     supports `provenance.minimal_why_provenance` derives; the brute plan
     the subset evaluator.  An `IFPlan` given for the OMQ is taken as its
@@ -277,12 +281,15 @@ class Plan:
                 method = "partition"
         if method == "partition":
             from .rewriter import rewrite
+            from .support import homomorphism_basis
 
             self.rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
             self.basis = homomorphism_basis(self.rewriting)
         if method == "provenance":
             self._tbox, self._atom = omq.tbox, ground_atom_query(omq.query)
         if method == "brute":
+            from .support import make_subset_evaluator
+
             self._evaluator = make_subset_evaluator(omq.tbox, omq.query)
         self.method = method
 
@@ -294,6 +301,8 @@ class Plan:
             return count_ms_interaction_free(self._if_plan, facts)
         ordered = tuple(sorted(facts, key=lambda f: f.label))
         if self.method == "partition":
+            from .support import basis_histogram
+
             return basis_histogram(self.basis, ordered)
         return SupportHistogram.from_sizes(len(s) for s in self._minimal_supports(ordered))
 
@@ -313,13 +322,13 @@ class Plan:
             }
         ordered = tuple(sorted(facts, key=lambda f: f.label))
         if self.method == "partition":
+            from .support import basis_fact_counts
+
             return basis_fact_counts(self.basis, ordered)
         return tally_fact_counts(facts, self._minimal_supports(ordered))
 
     def _minimal_supports(self, ordered: tuple[Fact, ...]) -> list[MinimalSupport]:
         if self.method == "provenance":
-            from .provenance import minimal_why_provenance
-
             masks = minimal_why_provenance(ordered, self._tbox, self._atom, PROVENANCE_CAP)
             return [
                 MinimalSupport(frozenset(f for i, f in enumerate(ordered) if m >> i & 1))
@@ -329,6 +338,8 @@ class Plan:
             raise InputError(
                 f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(ordered)}"
             )
+        from .support import enumerate_minimal_supports
+
         return enumerate_minimal_supports(ordered, self._evaluator)
 
 
@@ -340,8 +351,6 @@ def score_all(
 ) -> ScoreReport:
     """WSMS scores for every fact of the ABox, from one `Plan.fact_counts`
     call."""
-    from .reasoner import is_consistent
-
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot score an inconsistent KB")
     plan = Plan(omq, method)

@@ -20,9 +20,11 @@ Four routes live here:
     counts cost one search per component instead of one homomorphism per
     support.
 
-The counting queries and the basis depend on the query alone, each built
-from one enumeration of the disjuncts' quotients; a `shapley.Plan` keeps
-the basis for every database.  Nothing here is cached.
+The counting queries and the basis depend on the query alone, the
+counting queries built from one enumeration of every disjunct's
+quotients, the basis from one of the quotients of the disjuncts that can
+merge atoms; a `shapley.Plan` keeps the basis for every database.
+Nothing here is cached.
 
 Every homomorphism count, test and enumeration, into a `FactDB` or into
 another query, runs on the one search in `queries`.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     ABox,
@@ -52,6 +54,7 @@ from .model import (
     const,
     var,
 )
+from .provenance import FactCounts, MinimalSupport, ground_atom_query
 from .queries import (
     HomTarget,
     UnsatisfiableQuery,
@@ -150,32 +153,9 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
     return kb_eval
 
 
-def ground_atom_query(query: CQ | UCQ) -> Atom:
-    """The query's one atom, which must be relational and ground: the
-    queries that Horn-extended TBoxes and the provenance pipeline take."""
-    ucq = as_ucq(query)
-    atoms = ucq.disjuncts[0].atoms if len(ucq.disjuncts) == 1 else ()
-    if len(atoms) != 1 or not atoms[0].is_relational or any(t.is_var for t in atoms[0].terms):
-        raise UnsupportedTBoxError(
-            "Horn-extended TBoxes and the provenance pipeline take ground atomic queries only"
-        )
-    return atoms[0]
-
-
 # ---------------------------------------------------------------------------
 # Brute-force enumeration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MinimalSupport:
-    facts: frozenset[Fact]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(f.label for f in self.facts))
-
-    def __len__(self) -> int:
-        return len(self.facts)
-
 
 def enumerate_minimal_supports(
     facts: Iterable[Fact],
@@ -208,24 +188,6 @@ def count_fms_brute(
 ) -> SupportHistogram:
     supports = enumerate_minimal_supports(facts, evaluator, size_cap)
     return SupportHistogram.from_sizes(len(s) for s in supports)
-
-
-# Each fact's per-size counts of the minimal supports containing it.
-FactCounts = dict[Fact, dict[int, int]]
-
-
-def tally_fact_counts(
-    facts: Iterable[Fact], supports: Iterable[MinimalSupport]
-) -> tuple[SupportHistogram, FactCounts]:
-    """The histogram of the supports and each fact's per-size counts of
-    those containing it, in one pass over the supports."""
-    supports = list(supports)
-    counts: FactCounts = {f: {} for f in facts}
-    for s in supports:
-        for f in s.facts:
-            counts[f][len(s)] = counts[f].get(len(s), 0) + 1
-    histogram = SupportHistogram.from_sizes(len(s) for s in supports)
-    return histogram, {f: dict(sorted(c.items())) for f, c in counts.items()}
 
 
 def minimal_supports_via_hom_images(
@@ -305,20 +267,24 @@ class _Quotient(NamedTuple):
     images: Images
 
 
-def _quotients(ucq: UCQ) -> tuple[list[dict[Images, tuple | None]], dict[tuple, _Quotient]]:
+def _quotients(
+    ucq: UCQ, whole: Container[int] = ()
+) -> tuple[list[dict[Images, tuple | None]], dict[tuple, _Quotient]]:
     """Every quotient d/rho of every disjunct d by a labelled partition
     rho of its variables over the constants of the union (a support can
     place a variable on any named constant, including one only another
     disjunct mentions), canonicalized once: for each disjunct, the key of
     d/rho by rho's images, None where rho collapses the two sides of a
-    disequality; and for each key its `_Quotient`."""
+    disequality; and for each key its `_Quotient`.  A disjunct whose index
+    is in `whole` yields only itself, the quotient by the finest partition."""
     consts = ucq_constants(ucq)
     tables: list[dict[Images, tuple | None]] = []
     forms: dict[tuple, _Quotient] = {}
     for i, disjunct in enumerate(ucq.disjuncts):
         names = disjunct.variables()
         table: dict[Images, tuple | None] = {}
-        for images, _ in _labelled_partitions(names, consts):
+        finest = [(tuple(map(var, names)), 1)]
+        for images, _ in finest if i in whole else _labelled_partitions(names, consts):
             try:
                 key, cq, ties = canonicalize_counted(
                     substitute(disjunct, dict(zip(names, images)))
@@ -455,7 +421,8 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
     """For every support size k, 1 up to the largest disjunct, quotients
     s with coefficients c_s such that countFMS_k(D) = sum of c_s times the
     number of homomorphisms of s into D, in canonical order, from one
-    enumeration of the quotients (`_quotients`).
+    enumeration of the quotients of the disjuncts that can merge atoms
+    (`_quotients`).
 
     countFMS_k is the gamma-weighted sum of the injective homomorphism
     counts of the size-k counting queries (`counting_queries`).  A
@@ -471,12 +438,26 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
     avoids the constants, so by Moebius inversion the injective count is
     the sum over pi of mu(rho, pi) times the homomorphism count of d/pi.
     A quotient that collapses a disequality has none and is left out.
+
+    An unmergeable disjunct d (`_unmergeable`) is its own term, with
+    coefficient 1 at size |d|, and its quotients are not enumerated.  In
+    an image S of d each atom of d maps onto the one fact with its
+    predicate, so one homomorphism has image S and |S| = |d|.  A proper
+    subset of S misses a predicate of d, and no other disjunct e fits in
+    S, as pred(e) is no subset of pred(d): S is minimal, and no quotient
+    of e has image S.  So d adds hom(d, D) to countFMS_|d|, and as the
+    homomorphism counts of non-isomorphic queries are linearly
+    independent, the enumeration would find the same term.
     """
     ucq = as_ucq(ucq)
     pins = ucq_constants(ucq)
-    tables, forms = _quotients(ucq)
+    whole = _unmergeable(ucq.disjuncts)
+    tables, forms = _quotients(ucq, whole)
+    own = {key: len(q.cq.atoms) for key, q in forms.items() if q.disjunct in whole}
     classes: dict[tuple, tuple[_Quotient, int]] = {}
     for key, q in forms.items():
+        if q.disjunct in whole:
+            continue
         ties = q.ties
         if q.cq.neq_atoms():
             key, _, ties = canonicalize_counted(CQ(q.cq.relational_atoms()))
@@ -494,7 +475,7 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
     out = {}
     for k in range(1, largest + 1):
         witnesses = [d for d, n in zip(ucq.disjuncts, smallest) if n < k]
-        coefficients: dict[tuple, Fraction] = {}
+        coefficients: dict[tuple, Fraction] = {key: Fraction(1) for key, n in own.items() if n == k}
         for q, ties in classes.values():
             if len(q.cq.relational_atoms()) != k or (
                 witnesses and not _minimal(witnesses, with_all_pairs_neq(q.cq, pins))
@@ -506,6 +487,19 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
             BasisTerm(forms[key].cq, c) for key, c in sorted(coefficients.items()) if c
         )
     return out
+
+
+def _unmergeable(disjuncts: Sequence[CQ]) -> frozenset[int]:
+    """The indices of the disjuncts without disequalities whose relational
+    atoms have pairwise distinct predicates, and whose predicate set holds
+    no other disjunct's, equal sets included."""
+    preds = [[a.predicate for a in d.relational_atoms()] for d in disjuncts]
+    sets = [frozenset(p) for p in preds]
+    return frozenset(
+        i for i, d in enumerate(disjuncts)
+        if not d.neq_atoms() and len(sets[i]) == len(preds[i])
+        and not any(other <= sets[i] for j, other in enumerate(sets) if j != i)
+    )
 
 
 def _moebius_terms(

@@ -121,6 +121,25 @@ def test_importing_the_cli_loads_no_interaction_free_pipeline():
     assert done.stdout == "False\n"
 
 
+@pytest.mark.parametrize("stem, method", [("variant", "if"), ("fig1", "provenance")])
+def test_if_and_provenance_scoring_load_no_support_module(stem, method):
+    """`shapley` imports `support` only in the partition and brute-force
+    branches, so `score` under the interaction-free pipeline (the variant)
+    or provenance (fig1) never loads it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import contextlib, io, sys, respo.cli\n"
+        f"argv = ['score', *{fixture_args(stem)!r}, '--method', {method!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert respo.cli.main(argv) == 0\n"
+        "print('respo.support' in sys.modules, 'respo.shapley' in sys.modules, bool(out.getvalue()))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False True True\n"
+
+
 def test_check_if(capsys, tmp_path):
     code, out, _ = run(
         capsys,
@@ -436,6 +455,7 @@ def _weight_file(tmp_path, text):
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
     import respo.shapley
+    import respo.support
 
     def no_scoring(*args, **kwargs):
         raise AssertionError("bad input must be rejected before scoring")
@@ -451,13 +471,9 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         "count-fms-auto-brute-over-cap", "score-auto-provenance-over-budget",
     }
     if request.node.callspec.id not in checked_while_computing:
-        for name in (
-            "enumerate_minimal_supports",
-            "basis_histogram",
-            "basis_fact_counts",
-            "shapley_brute_force",
-        ):
-            monkeypatch.setattr(respo.shapley, name, no_scoring)
+        for name in ("enumerate_minimal_supports", "basis_histogram", "basis_fact_counts"):
+            monkeypatch.setattr(respo.support, name, no_scoring)
+        monkeypatch.setattr(respo.shapley, "shapley_brute_force", no_scoring)
     # One fact past the brute-force cap of 20.
     big = tmp_path / "big.abox"
     big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")

@@ -31,6 +31,7 @@ from respo.interaction_free import (
     weighted_eval,
 )
 from respo.model import connected_components
+from respo.provenance import tally_fact_counts
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
 from respo.reasoner import holds_under_assignment, is_consistent, query_depth
 from respo.shapley import Plan
@@ -38,7 +39,6 @@ from respo.support import (
     count_fms_brute,
     enumerate_minimal_supports,
     make_subset_evaluator,
-    tally_fact_counts,
 )
 from respo.textio import parse_abox
 

@@ -13,10 +13,12 @@ from respo.model import (
     role_atom,
     var,
 )
+from respo.provenance import tally_fact_counts
 from respo.queries import canonicalize, canonicalize_counted, hom_minimal, with_all_pairs_neq
 from respo.randgen import random_database, random_ucq
 from respo.support import (
     _all_reducts,
+    _unmergeable,
     basis_fact_counts,
     basis_histogram,
     count_automorphisms,
@@ -31,10 +33,10 @@ from respo.support import (
     partition_fact_counts,
     partition_histogram,
     reducts,
-    tally_fact_counts,
     ucq_constants,
     ucq_holds,
 )
+from respo.textio import parse_query, parse_tbox
 
 
 def facts(*specs):
@@ -356,11 +358,14 @@ def test_basis_equals_enumerating_search_randomized():
     that only another disjunct mentions), disequalities and self-joins,
     over databases of up to 14 facts.  Every fourth UCQ is a CQ over A
     and r alone, a cycle or a random often symmetric one, whose
-    coefficients are often fractional."""
+    coefficients are often fractional.  Many UCQs have unmergeable
+    disjuncts, which the basis takes without enumerating their
+    quotients, and many mix them with disjuncts it enumerates."""
     rng = random.Random(1515)
     seen = dict.fromkeys(
         ("supports", "constants", "cross-disjunct constants", "disequalities",
-         "self-joins", "fractional coefficients"), 0)
+         "self-joins", "fractional coefficients", "unmergeable disjuncts",
+         "UCQs mixing both kinds"), 0)
     for i in range(320):
         if i % 4 == 3:
             ucq = UCQ((rng.choice((cycle(2), cycle(3), one_concept_one_role(rng))),))
@@ -384,6 +389,9 @@ def test_basis_equals_enumerating_search_randomized():
         seen["fractional coefficients"] += any(
             t.coefficient.denominator > 1 for terms in basis.values() for t in terms
         )
+        whole = len(_unmergeable(ucq.disjuncts))
+        seen["unmergeable disjuncts"] += whole > 0
+        seen["UCQs mixing both kinds"] += 0 < whole < len(ucq.disjuncts)
     assert min(seen.values()) >= 30, seen
 
 
@@ -401,6 +409,91 @@ def test_variant_basis_is_its_rewriting(variant):
     assert sorted(canonicalize(t.cq)[0] for t in basis[6]) == sorted(
         canonicalize(d)[0] for d in ucq.disjuncts
     )
+
+
+def test_variant_basis_canonicalizes_each_disjunct_once(monkeypatch, variant):
+    """The variant rewriting's two disjuncts are unmergeable, so the basis
+    canonicalizes each of them once instead of enumerating their 104
+    quotients."""
+    import respo.support
+    from respo.rewriter import rewrite
+
+    omq, _ = variant
+    ucq = rewrite(omq)
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return canonicalize_counted(q)
+
+    monkeypatch.setattr(respo.support, "canonicalize_counted", counted)
+    basis = homomorphism_basis(ucq)
+    assert _unmergeable(ucq.disjuncts) == {0, 1}
+    assert calls == list(ucq.disjuncts)
+    assert [t.coefficient for t in basis[6]] == [1, 1]
+
+
+def chain_omq(n: int) -> OMQ:
+    """The interaction-free chain A0(?x0), r0(?x0,?x1), A1(?x1), ...,
+    A(n-1)(?x(n-1)) under B_i <= A_i and exists s_i <= A_i, whose
+    rewriting has 3^n disjuncts of 2n-1 atoms with distinct predicates."""
+    tbox = "".join(f"B{i} <= A{i}\nexists s{i} <= A{i}\n" for i in range(n))
+    atoms = [f"A{i}(?x{i})" for i in range(n)] + [f"r{i}(?x{i}, ?x{i + 1})" for i in range(n - 1)]
+    return OMQ(parse_tbox(tbox), parse_query(", ".join(atoms) + "\n"))
+
+
+def chain_abox(rng: random.Random, n: int, copies: int = 4) -> tuple[Fact, ...]:
+    """Seeded copies of the chain's data: each A_i, B_i and s_i fact of a
+    copy present with probability 1/2, each r_i edge within a copy with
+    probability 9/10 and across two copies with 1/5."""
+    specs = []
+    for c in range(copies):
+        for i in range(n):
+            for pred, args in (("A", (f"c{c}_{i}",)), ("B", (f"c{c}_{i}",)),
+                               ("s", (f"c{c}_{i}", f"w{c}_{i}"))):
+                if rng.random() < 0.5:
+                    specs.append((f"{pred}{i}", args))
+            for d in range(copies):
+                if i < n - 1 and rng.random() < (0.9 if c == d else 0.2):
+                    specs.append((f"r{i}", (f"c{c}_{i}", f"c{d}_{i + 1}")))
+    return facts(*specs)
+
+
+def test_chain_basis_equals_enumerating_search(monkeypatch):
+    """On the interaction-free chain family every disjunct is unmergeable:
+    for n <= 3 the basis histogram and every fact's basis counts equal the
+    enumerating search's on a seeded 4-copy ABox, and at n = 5 the basis
+    is the rewriting's 243 disjuncts, each canonicalized once and taken
+    with coefficient 1."""
+    import respo.support
+    from respo.rewriter import rewrite
+
+    rng = random.Random(316)
+    credited = []
+    for n in (1, 2, 3):
+        ucq = rewrite(chain_omq(n))
+        db = chain_abox(rng, n)
+        basis = homomorphism_basis(ucq)
+        histogram, counts = partition_fact_counts(counting_queries(ucq), db)
+        assert len(_unmergeable(ucq.disjuncts)) == len(ucq.disjuncts) == 3 ** n
+        assert basis_histogram(basis, db) == histogram
+        assert basis_fact_counts(basis, db) == (histogram, counts)
+        credited.append(sum(bool(c) for c in counts.values()))
+    assert min(credited) >= 5, credited
+
+    ucq = rewrite(chain_omq(5))
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        assert len(calls) <= 243, "an unmergeable disjunct's quotients were enumerated"
+        return canonicalize_counted(q)
+
+    monkeypatch.setattr(respo.support, "canonicalize_counted", counted)
+    basis = homomorphism_basis(ucq)
+    assert len(calls) == len(ucq.disjuncts) == 243
+    assert {k: len(terms) for k, terms in basis.items() if terms} == {9: 243}
+    assert {t.coefficient for t in basis[9]} == {1}
 
 
 def test_basis_merges_reducts_by_rigid_class():
