@@ -3,27 +3,22 @@
 An OMQ is interaction-free when no single generic assertion can satisfy
 two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
-counting minimal supports factorizes.  Each fact gets one canonical slice
-of its own, and one search per atom lists the atom's homomorphisms into
-it.  Each match, with every variable sent to its element's constant or
-to an anonymous witness, is an (atom, assignment) pair the fact
-satisfies and yields a row; interaction-freeness leaves at most one.
-The interaction-freeness check runs the same per-fact enumeration over
-generic facts.  Summing the facts' rows gives each atom a table from
-rows to weights, and weight products are summed over homomorphisms by
-variable elimination (bucket elimination, Dechter 1999): each variable
-in turn, the tables that hold it are hash-joined and it is summed out.
-Along an order of minimal induced width, an evaluation of a query of
-bounded treewidth takes time polynomial in the number of rows, and
-linear in it for an acyclic one.
+counting minimal supports factorizes.  The check walks the fact shapes
+(generic facts over the query's constants and two fresh ones) and reads
+each shape's pairs off one search per atom into its canonical slice;
+each pair yields a row.  DL-Lite_R tells no other constants apart, so a
+real fact feeds its shape's row, renamed.  Summing the facts' rows gives
+each atom a table from rows to weights, and weight products are summed
+over homomorphisms by variable elimination (bucket elimination, Dechter
+1999): each variable in turn, the tables that hold it are hash-joined
+and it is summed out.  Along an order of minimal induced width, this
+takes time polynomial in the number of rows for a query of bounded
+treewidth, and linear for an acyclic one.
 
-A plan (`IFPlan`) is built once per OMQ: it runs the
-interaction-freeness check and keeps the elimination order and each
-fact's rows, so scoring every fact, which counts over D and over each D
-minus one fact, checks the OMQ once and builds one slice per fact.  Each
-of those |D| + 1 counts sums its facts' rows and eliminates anew; a
-backward pass over the elimination steps would give every fact's count
-from one evaluation.
+An `IFPlan`, built once per OMQ, keeps the check's walk as its row table
+and the elimination order.  Scoring every fact counts over D and over
+each D minus one fact, |D| + 1 eliminations; a backward pass over the
+elimination steps would give every fact's count from one.
 """
 
 from __future__ import annotations
@@ -141,9 +136,10 @@ def _assignment_key(mu: dict) -> tuple[tuple[str, str], ...]:
     return tuple((v, "<anon>" if value is ANON else value) for v, value in mu.items())
 
 
-def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
+def check_interaction_free(omq: OMQ, pairs: dict | None = None) -> InteractionWitness | None:
     """None when interaction-free, otherwise the first violating witness
-    (deterministic order)."""
+    (deterministic order).  `pairs`, if given, maps each consistent shape's
+    (predicate, args) to its (slot, assignment) pairs, at most one if free."""
     if omq.tbox.horn_extended:
         raise UnsupportedTBoxError("interaction-freeness requires a DL-Lite_R TBox")
     cq = _query_cq(omq)
@@ -151,12 +147,14 @@ def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
     for shape in _fact_shapes(omq, cq):
         if not is_consistent(ABox((shape,)), omq.tbox):
             continue  # such a fact can occur in no consistent ABox
-        pairs = list(islice(_satisfying_pairs(omq.tbox, shape, atoms), 2))
-        if len(pairs) == 2:
-            (s1, mu1), (s2, mu2) = pairs
+        found = list(islice(_satisfying_pairs(omq.tbox, shape, atoms), 2))
+        if len(found) == 2:
+            (s1, mu1), (s2, mu2) = found
             return InteractionWitness(
                 shape, atoms[s1], _assignment_key(mu1), atoms[s2], _assignment_key(mu2)
             )
+        if pairs is not None:
+            pairs[shape.predicate, shape.args] = found
     return None
 
 
@@ -165,11 +163,8 @@ def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
 # ---------------------------------------------------------------------------
 
 def _shared_variables(cq: CQ) -> set[str]:
-    counts: dict[str, int] = {}
-    for atom in cq.relational_atoms():
-        for v in set(atom.variables()):
-            counts[v] = counts.get(v, 0) + 1
-    return {v for v, n in counts.items() if n >= 2}
+    atoms = cq.relational_atoms()
+    return {v for v in cq.variables() if sum(v in atom.variables() for atom in atoms) >= 2}
 
 
 def anon_constant(slot: int) -> str:
@@ -183,24 +178,45 @@ def row_variables(atom: Atom) -> tuple[str, ...]:
     return tuple(dict.fromkeys(atom.variables()))
 
 
+def _entries(cq: CQ, pairs) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """The (slot, row) pairs fed by a fact that satisfies the (slot,
+    assignment) `pairs`.  A row holds the values of the slot atom's
+    `row_variables`, with `anon_constant(slot)` for an anonymous value, so
+    rows of different atoms never alias.  An atom that shares no variable
+    keeps every pair.  In a joined one a shared variable is never anonymous
+    (Lemma 4), so past all-named pairs it keeps those anonymous at exactly
+    its unshared variables: the named-shared, anonymous-unshared role pairs.
+    """
+    shared = _shared_variables(cq)
+    atoms = cq.relational_atoms()
+    rows = []
+    for slot, mu in pairs:
+        anon = {v for v, value in mu.items() if value is ANON}
+        if anon and not shared.isdisjoint(mu) and anon != set(mu) - shared:
+            continue
+        row = (anon_constant(slot) if v in anon else mu[v] for v in row_variables(atoms[slot]))
+        rows.append((slot, tuple(row)))
+    return tuple(rows)
+
+
 class IFPlan:
     """What counting an interaction-free OMQ needs besides the data: its
     CQ, the CQ's relational atoms, an elimination order of its variables,
-    and the rows of each fact seen so far.  Building a plan runs the
+    and the rows of each fact shape.  Building a plan runs the
     interaction-freeness check once and raises `UnsupportedTBoxError`
     (`NotInteractionFreeError` for a failed check) when the OMQ is outside
     the pipeline.
 
     The order concatenates an `elimination_order` of each connected
     component, so the exact search stays within its variable limit on
-    each component.  A fact's rows depend on that fact alone, so the
-    tables of any fact set are the sums of its facts' rows, and one plan
-    serves every subset of a database: each fact's canonical slice is
-    built once, for all atoms together.
+    each component.  The check's walk is kept as the row table, so no real
+    fact gets a slice or a search.  The tables of any fact set are the sums
+    of its facts' rows, so one plan serves every subset of a database.
     """
 
     def __init__(self, omq: OMQ):
-        witness = check_interaction_free(omq)
+        pairs: dict[tuple[str, tuple[str, ...]], list] = {}
+        witness = check_interaction_free(omq, pairs)
         if witness is not None:
             raise NotInteractionFreeError(f"OMQ is not interaction-free: {witness}")
         (cq,) = omq.query.disjuncts  # the check accepts single plain CQs only
@@ -210,41 +226,25 @@ class IFPlan:
         self.order = tuple(
             v for component in connected_components(cq) for v in elimination_order(component)
         )
-        self._shared = _shared_variables(cq)
-        # Each atom's row variables and whether it shares a variable with
-        # another atom.
-        self._homes = tuple(
-            (row_variables(atom), not self._shared.isdisjoint(atom.variables()))
-            for atom in self.atoms
-        )
+        self._constants = frozenset(cq.constants())
+        self._table = {shape: _entries(cq, found) for shape, found in pairs.items()}
         self._rows: dict[Fact, tuple[tuple[int, tuple[str, ...]], ...]] = {}
 
     def fact_entries(self, fact: Fact) -> tuple[tuple[int, tuple[str, ...]], ...]:
-        """The (slot, row) pairs the fact feeds, one per (slot, assignment)
-        pair it satisfies; interaction-freeness leaves at most one.
-
-        A row holds the values of the slot atom's `row_variables`, with
-        `anon_constant(slot)` standing for an anonymous value, so rows of
-        different atoms never alias.  An atom that shares no variable keeps
-        every pair.  In a joined one a shared variable is never anonymous
-        (Lemma 4), so besides all-named pairs only role atoms with a named
-        shared end and an anonymous unshared end stay.
-        """
-        known = self._rows.get(fact)
-        if known is not None:
-            return known
-        rows = []
-        for slot, mu in _satisfying_pairs(self.omq.tbox, fact, self.atoms):
-            variables, joined = self._homes[slot]
-            anonymous = {v for v, value in mu.items() if value is ANON}
-            # Past all-named pairs, a joined atom keeps those anonymous at
-            # exactly its unshared variables: as it has a shared one, the
-            # named-shared, anonymous-unshared role pairs.
-            if joined and anonymous and anonymous != set(mu) - self._shared:
-                continue
-            row = tuple(anon_constant(slot) if v in anonymous else mu[v] for v in variables)
-            rows.append((slot, row))
-        self._rows[fact] = tuple(rows)
+        """The (slot, row) pairs the fact feeds (see `_entries`), at most
+        one: its shape's, where the fact's constants outside the query are
+        `fresh#1`, `fresh#2` in order of first occurrence, renamed back."""
+        if fact not in self._rows:
+            fresh: dict[str, str] = {}
+            for c in fact.args:
+                if c not in self._constants and c not in fresh:
+                    fresh[c] = f"fresh#{len(fresh) + 1}"
+            shape = (fact.predicate, tuple(fresh.get(c, c) for c in fact.args))
+            back = {name: c for c, name in fresh.items()}
+            self._rows[fact] = tuple(
+                (slot, tuple(back.get(value, value) for value in row))
+                for slot, row in self._table.get(shape, ())
+            )
         return self._rows[fact]
 
 

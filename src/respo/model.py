@@ -293,9 +293,6 @@ class ABox:
                 return f
         raise KeyError(label)
 
-    def without(self, fact: Fact) -> "ABox":
-        return ABox(tuple(f for f in self.facts if f is not fact and f.label != fact.label))
-
 
 # ---------------------------------------------------------------------------
 # Query atoms, CQs, UCQs, OMQs

@@ -430,9 +430,10 @@ def query_hom_exists(src: CQ, dst: CQ) -> bool:
 def hom_minimal(forms: Mapping[tuple, CQ]) -> list[CQ]:
     """The queries of `forms`, which maps canonical forms to queries,
     sorted by form, without each one that another query maps into.  Of a
-    hom-equivalent pair only the smaller canonical form stays.  Dropping a
-    query whose witness is dropped later is harmless, because
-    homomorphisms compose.
+    hom-equivalent pair only the one with fewer atoms stays, the smaller
+    canonical form on a tie, so a query's core wins over its padded
+    copies.  Dropping a query whose witness is dropped later is harmless,
+    because homomorphisms compose.
     """
     keys = sorted(forms)
     kept: list[CQ] = []
@@ -442,8 +443,8 @@ def hom_minimal(forms: Mapping[tuple, CQ]) -> list[CQ]:
             other = forms[other_key]
             if other_key == key or not query_hom_exists(other, q):
                 continue
-            if query_hom_exists(q, other) and key < other_key:
-                continue  # hom-equivalent pair: keep the smaller form only
+            if query_hom_exists(q, other) and (len(q.atoms), key) < (len(other.atoms), other_key):
+                continue  # hom-equivalent pair: keep the smaller query only
             break
         else:
             kept.append(q)

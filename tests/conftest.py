@@ -29,3 +29,28 @@ def fig1():
 def variant():
     tbox, abox, query = load_fixture("variant")
     return OMQ(tbox, query), abox
+
+
+def _witness_omq(rng):
+    """A random CQ, constants allowed, plus a role atom from one of its
+    variables to a fresh variable, under a TBox whose last axiom gives that
+    role an anonymous witness: the interaction-free rows then hold
+    `anon#slot` values."""
+    from respo.model import CONCEPT_INCLUSION, CQ, Axiom, Role, TBox, exists, role_atom, var
+    from respo.randgen import ROLE_NAMES, random_basic_concept, random_cq, random_dllite_tbox
+
+    role = Role(rng.choice(ROLE_NAMES), rng.random() < 0.4)
+    tbox = random_dllite_tbox(rng, max_axioms=2, allow_negative=False)
+    tbox = TBox(tbox.axioms | {Axiom(CONCEPT_INCLUSION, random_basic_concept(rng), exists(role))})
+    cq = random_cq(rng, max_atoms=2, allow_neq=False)
+    if not cq.variables():
+        return OMQ(tbox, cq)
+    ends = (var(rng.choice(cq.variables())), var("u"))
+    edge = role_atom(role.name, *(ends[::-1] if role.inverted else ends))
+    return OMQ(tbox, CQ(cq.atoms + (edge,)))
+
+
+@pytest.fixture(scope="session")
+def witness_omq():
+    """Draws a seeded OMQ whose role atom has an anonymous witness."""
+    return _witness_omq

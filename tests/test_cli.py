@@ -320,6 +320,24 @@ def test_score_if_equals_brute_byte_identical(capsys, tmp_path):
     assert json.loads(fast) == json.loads(part)
 
 
+def test_if_auto_and_partition_print_the_same_bytes_on_four_copies(capsys, tmp_path):
+    """`score` on the variant replicated four times (64 facts) prints the
+    same bytes under the interaction-free pipeline, `auto` (which picks
+    it) and partition."""
+    from respo.textio import parse_abox
+
+    abox = parse_abox((FIXTURES / "variant.abox").read_text(encoding="utf-8"))
+    (tmp_path / "x4.abox").write_text("".join(
+        f"c{c}{f.label}: {f.predicate}({', '.join(f'c{c}{a}' for a in f.args)})\n"
+        for c in range(4) for f in abox
+    ), encoding="utf-8")
+    args = [*fixture_args("variant")[:2], "--abox", str(tmp_path / "x4.abox"),
+            *fixture_args("variant")[4:]]
+    outputs = {m: run(capsys, "score", *args, "--method", m) for m in ("if", "auto", "partition")}
+    assert outputs["if"][:2] == outputs["auto"][:2] == outputs["partition"][:2]
+    assert outputs["if"][0] == 0 and len(json.loads(outputs["if"][1])) == 64
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "3", "--instances", "8")
     assert code == 0

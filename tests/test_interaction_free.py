@@ -24,7 +24,9 @@ from respo.model import (
 from respo.interaction_free import (
     IFPlan,
     NotInteractionFreeError,
+    _entries,
     _fact_shapes,
+    _satisfying_pairs,
     check_interaction_free,
     count_ms_interaction_free,
     elimination_order,
@@ -129,10 +131,11 @@ def test_witness_takes_pairs_in_assignment_order():
     assert witnesses >= 30, witnesses
 
 
-def test_if_plan_searches_once_per_fact_and_atom(variant, monkeypatch):
-    """Building the variant's plan and taking every fact's rows on the
-    variant doubled run one homomorphism search per (generic or real
-    fact, atom) pair, not one per (atom, assignment) pair."""
+def test_if_plan_searches_once_per_shape_and_atom(variant, monkeypatch):
+    """Building the variant's plan runs one homomorphism search per
+    (consistent fact shape, atom) pair, not one per (atom, assignment)
+    pair, and taking every fact's rows on the variant doubled runs none:
+    they are looked up in the shapes' table."""
     import respo.queries as queries
 
     omq, abox = variant
@@ -152,9 +155,10 @@ def test_if_plan_searches_once_per_fact_and_atom(variant, monkeypatch):
     real = queries._search
     monkeypatch.setattr(queries, "_search", counting_search)
     plan = IFPlan(omq)
+    assert len(searches) == 22 * 6
     for fact in doubled:
         plan.fact_entries(fact)
-    assert len(searches) == (22 + 32) * 6
+    assert len(searches) == 22 * 6
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +286,48 @@ def test_rows_follow_first_occurrence_of_distinct_variables():
         (0, ("d", "c")): 1,
         (1, ("c",)): 1,
     }
+
+
+def test_shape_rows_equal_rows_of_the_fact_slice(witness_omq):
+    """Every fact's rows, looked up by its shape, equal the rows read off
+    the fact's own canonical slice, on seeded interaction-free OMQs (random
+    ones and ones with anonymous role witnesses) and every fact over A, B,
+    C, r, s and the outside Z, q on the constants c, d (which the queries
+    mention), k1 and k2."""
+    rng = random.Random(5)
+    pool = ["c", "d", "k1", "k2"]
+    facts = [Fact(f"a{p}{x}", p, (x,)) for p in "ABCZ" for x in pool] + [
+        Fact(f"r{p}{x}{y}", p, (x, y)) for p in "rsq" for x in pool for y in pool
+    ]
+    seen = dict.fromkeys(
+        ("query constant", "repeated fresh", "repeated query constant", "fresh", "anonymous",
+         "outside"), 0)
+    omqs = 0
+    while omqs < 60:
+        omq = random_interaction_free_omq(rng, max_atoms=3).omq if omqs % 2 else witness_omq(rng)
+        try:
+            plan = IFPlan(omq)
+        except NotInteractionFreeError:
+            continue
+        constants = set(plan.cq.constants())
+        for fact in facts:
+            if not is_consistent(ABox((fact,)), omq.tbox):
+                continue
+            rows = plan.fact_entries(fact)
+            assert rows == _entries(plan.cq, _satisfying_pairs(omq.tbox, fact, plan.atoms)), (
+                omq, fact)
+            args = fact.args
+            seen["outside"] += fact.predicate in "Zq"
+            if not rows:
+                continue
+            seen["query constant"] += bool(constants.intersection(args))
+            seen["fresh"] += not constants.issuperset(args)
+            repeated = len(args) == 2 and args[0] == args[1]
+            seen["repeated query constant"] += repeated and args[0] in constants
+            seen["repeated fresh"] += repeated and args[0] not in constants
+            seen["anonymous"] += any("anon#" in value for _, row in rows for value in row)
+        omqs += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

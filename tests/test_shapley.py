@@ -225,25 +225,7 @@ def test_check_score_properties_flags_violation(fig1):
 
 
 
-def _witness_omq(rng):
-    """A random CQ plus a role atom from one of its variables to a fresh
-    variable, under a TBox whose last axiom gives that role an anonymous
-    witness: weighted databases then hold `anon#slot` entries."""
-    from respo.model import CONCEPT_INCLUSION, Axiom, Role, exists, role_atom
-    from respo.randgen import ROLE_NAMES, random_basic_concept, random_cq, random_dllite_tbox
-
-    role = Role(rng.choice(ROLE_NAMES), rng.random() < 0.4)
-    tbox = random_dllite_tbox(rng, max_axioms=2, allow_negative=False)
-    tbox = TBox(tbox.axioms | {Axiom(CONCEPT_INCLUSION, random_basic_concept(rng), exists(role))})
-    cq = random_cq(rng, max_atoms=2, allow_neq=False)
-    if not cq.variables():
-        return OMQ(tbox, cq)
-    ends = (var(rng.choice(cq.variables())), var("u"))
-    edge = role_atom(role.name, *(ends[::-1] if role.inverted else ends))
-    return OMQ(tbox, CQ(cq.atoms + (edge,)))
-
-
-def test_per_fact_scores_agree_across_pipelines():
+def test_per_fact_scores_agree_across_pipelines(witness_omq):
     """Every fact's invsq score is the same under brute force, partition
     and, where the check passes, the interaction-free pipeline, on seeded
     random instances of up to 8 facts: interaction-free OMQs, OMQs with
@@ -266,7 +248,7 @@ def test_per_fact_scores_agree_across_pipelines():
         if roll < 0.3:
             omq = random_interaction_free_omq(rng, max_atoms=3).omq
         elif roll < 0.6:
-            omq = _witness_omq(rng)
+            omq = witness_omq(rng)
         elif roll < 0.8:
             cq = random_cq(rng, max_atoms=3, allow_neq=False)
             omq = OMQ(random_dllite_tbox(rng, max_axioms=3), cq)
@@ -326,7 +308,7 @@ def _large_abox(rng, omq, n):
     return ABox(tuple(Fact(f"f{i}", p, args) for i, (p, args) in enumerate(contents)))
 
 
-def test_pooled_if_counts_match_fresh_counts():
+def test_pooled_if_counts_match_fresh_counts(witness_omq):
     """The interaction-free plan that `score_all` uses, which builds each
     fact's weighted-database entries once for every subset, gives each
     fact the per-size count of a fresh count over D minus a fresh count
@@ -339,7 +321,7 @@ def test_pooled_if_counts_match_fresh_counts():
     rng = random.Random(53)
     done = supported = 0
     while done < 12:
-        omq = random_interaction_free_omq(rng, max_atoms=3).omq if done % 2 else _witness_omq(rng)
+        omq = random_interaction_free_omq(rng, max_atoms=3).omq if done % 2 else witness_omq(rng)
         if check_interaction_free(omq) is not None:
             continue
         abox = _large_abox(rng, omq, rng.randint(12, 40))
@@ -357,9 +339,10 @@ def test_pooled_if_counts_match_fresh_counts():
     assert supported >= 40, supported
 
 
-def test_if_scoring_builds_one_slice_per_fact(variant, monkeypatch):
-    """`score_all` under the interaction-free pipeline builds one canonical
-    slice per fact, not one per fact and histogram."""
+def test_if_scoring_builds_no_slice_of_a_real_fact(variant, monkeypatch):
+    """`score_all` under the interaction-free pipeline builds canonical
+    slices of the 22 consistent fact shapes, once, and none of a real
+    fact: each fact's rows come from its shape's."""
     import respo.interaction_free as interaction_free
     from respo.model import ABox
 
@@ -371,16 +354,15 @@ def test_if_scoring_builds_one_slice_per_fact(variant, monkeypatch):
     built = []
 
     def counting_slice(slice_abox, *args):
-        # The interaction-freeness check builds slices of generic facts.
-        if len(slice_abox) == 1 and slice_abox.facts[0] in doubled.facts:
-            built.append(slice_abox.facts[0])
+        built.append(slice_abox.facts)
         return real(slice_abox, *args)
 
     real = interaction_free.canonical_slice
     monkeypatch.setattr(interaction_free, "canonical_slice", counting_slice)
     report = score_all(doubled, omq, method="if")
     assert report.histogram == {6: 24}
-    assert 0 < len(built) <= len(doubled), len(built)
+    assert len(built) == len(set(built)) == 22, len(built)
+    assert not {f for facts in built for f in facts} & set(doubled.facts)
 
 
 def test_auto_scoring_checks_interaction_freeness_once(variant, monkeypatch):
@@ -391,9 +373,9 @@ def test_auto_scoring_checks_interaction_freeness_once(variant, monkeypatch):
     omq, abox = variant
     calls = []
 
-    def counting_check(omq):
+    def counting_check(omq, *pairs):
         calls.append(omq)
-        return real(omq)
+        return real(omq, *pairs)
 
     real = interaction_free.check_interaction_free
     monkeypatch.setattr(interaction_free, "check_interaction_free", counting_check)

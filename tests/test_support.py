@@ -325,6 +325,16 @@ def test_rigid_candidates_need_no_hom_pruning():
     assert seen >= 50, seen
 
 
+def test_hom_minimal_keeps_the_core_of_a_hom_equivalent_pair():
+    """r(?x,?y), r(?x,?w), s(?w,?z) maps onto its core r(?x,?y), s(?y,?z)
+    and has the smaller canonical form; `hom_minimal` keeps the core."""
+    core = parse_query("r(?x, ?y), s(?y, ?z)\n").disjuncts[0]
+    padded = parse_query("r(?x, ?y), r(?x, ?w), s(?w, ?z)\n").disjuncts[0]
+    forms = {canonicalize(q)[0]: q for q in (core, padded)}
+    assert min(forms) == canonicalize(padded)[0]
+    assert hom_minimal(forms) == [core]
+
+
 def test_counting_queries_rigidify_each_reduct_once(monkeypatch, variant):
     """Compiling the variant's counting queries rigidifies each of its 104
     reducts once, in the minimality test, and reuses that form for the
@@ -433,11 +443,14 @@ def test_variant_basis_canonicalizes_each_disjunct_once(monkeypatch, variant):
     assert [t.coefficient for t in basis[6]] == [1, 1]
 
 
-def chain_omq(n: int) -> OMQ:
+def chain_omq(n: int, self_join: bool = False) -> OMQ:
     """The interaction-free chain A0(?x0), r0(?x0,?x1), A1(?x1), ...,
     A(n-1)(?x(n-1)) under B_i <= A_i and exists s_i <= A_i, whose
-    rewriting has 3^n disjuncts of 2n-1 atoms with distinct predicates."""
+    rewriting has 3^n disjuncts of 2n-1 atoms with distinct predicates.
+    With `self_join`, exists r0 <= A0 makes it not interaction-free, and
+    A0 can also be rewritten to a second r0 atom."""
     tbox = "".join(f"B{i} <= A{i}\nexists s{i} <= A{i}\n" for i in range(n))
+    tbox += "exists r0 <= A0\n" if self_join else ""
     atoms = [f"A{i}(?x{i})" for i in range(n)] + [f"r{i}(?x{i}, ?x{i + 1})" for i in range(n - 1)]
     return OMQ(parse_tbox(tbox), parse_query(", ".join(atoms) + "\n"))
 
@@ -494,6 +507,44 @@ def test_chain_basis_equals_enumerating_search(monkeypatch):
     assert len(calls) == len(ucq.disjuncts) == 243
     assert {k: len(terms) for k, terms in basis.items() if terms} == {9: 243}
     assert {t.coefficient for t in basis[9]} == {1}
+
+
+def test_self_join_chain_basis_equals_enumerating_search(monkeypatch):
+    """On the chain with exists r0 <= A0 the rewriting keeps each
+    disjunct's core, not a copy padded with a second r0 atom, so again
+    every disjunct is unmergeable: for n <= 3 the basis histogram and
+    every fact's basis counts equal the enumerating search's on a seeded
+    4-copy ABox, and at n = 5 the basis is the rewriting's 81 disjuncts,
+    each canonicalized once."""
+    import respo.support
+    from respo.rewriter import rewrite
+
+    rng = random.Random(317)
+    credited = []
+    for n, size in ((1, 4), (2, 3), (3, 9)):
+        ucq = rewrite(chain_omq(n, self_join=True))
+        db = chain_abox(rng, n)
+        basis = homomorphism_basis(ucq)
+        histogram, counts = partition_fact_counts(counting_queries(ucq), db)
+        assert len(_unmergeable(ucq.disjuncts)) == len(ucq.disjuncts) == size
+        assert basis_histogram(basis, db) == histogram
+        assert basis_fact_counts(basis, db) == (histogram, counts)
+        credited.append(sum(bool(c) for c in counts.values()))
+    assert min(credited) >= 5, credited
+
+    ucq = rewrite(chain_omq(5, self_join=True))
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        assert len(calls) <= 81, "an unmergeable disjunct's quotients were enumerated"
+        return canonicalize_counted(q)
+
+    monkeypatch.setattr(respo.support, "canonicalize_counted", counted)
+    basis = homomorphism_basis(ucq)
+    assert len(calls) == len(ucq.disjuncts) == 81
+    assert {k: len(terms) for k, terms in basis.items() if terms} == {8: 81}
+    assert {t.coefficient for t in basis[8]} == {1}
 
 
 def test_basis_merges_reducts_by_rigid_class():
