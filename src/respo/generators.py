@@ -11,7 +11,6 @@ Each generator comes with an independent combinatorial oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .model import (
@@ -29,11 +28,12 @@ from .model import (
     concept_atom,
     const,
     role_atom,
+    value_class,
     var,
 )
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Graph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -204,7 +204,7 @@ def oracle_simple_paths(graph: Graph, source: str, target: str) -> dict[int, int
 # Perfect matchings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class MatchingInstance:
     abox: ABox
     q1: UCQ

@@ -23,7 +23,6 @@ elimination steps would give every fact's count from one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -39,6 +38,7 @@ from .model import (
     TBox,
     UnsupportedTBoxError,
     connected_components,
+    value_class,
 )
 from .reasoner import canonical_slice, is_consistent, query_depth, slice_assignments
 
@@ -52,7 +52,7 @@ class NotInteractionFreeError(UnsupportedTBoxError):
 # Interaction-freeness check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class InteractionWitness:
     """A generic assertion satisfying two distinct (atom, assignment)
     pairs."""

@@ -2,11 +2,22 @@
 value types (rationals, histograms, weighted databases) shared by every
 other module, with the errors and the UTF-8 reading of input files.
 Everything here is immutable and safe to share.
+
+The value classes of every respo module are built by `value_class`, a
+small stand-in for `dataclasses.dataclass` that supports only what
+respo uses: `frozen`, `slots`, `eq=False`, `field(default_factory=,
+init=, repr=, compare=)`, `__post_init__`, and class-defined methods,
+which it keeps.  Each CLI op is a fresh interpreter that builds about
+25 of these classes, and `dataclasses` cost about 30 ms of it: importing
+the module pulls in `inspect`, `ast`, `dis` and `tokenize`, and each
+class took six `exec` calls.  `value_class` generates `__init__`,
+`__eq__` and `__hash__` in one `exec` with the code `dataclasses` emits,
+so instances, hashes and set orders are as before, and shares one
+`__repr__` and one pair of frozen guards among all classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -45,6 +56,136 @@ class UnsupportedTBoxError(RespoError):
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+
+
+class Field:
+    """One field of a value class: its name, its default (`_MISSING` for
+    none) or default factory, and whether `__init__`, `__repr__` and
+    `__eq__`/`__hash__` take it."""
+
+    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare")
+
+    def __init__(self, default_factory=_MISSING, init=True, repr=True, compare=True):
+        self.name = None
+        self.default = _MISSING
+        self.default_factory = default_factory
+        self.init = init
+        self.repr = repr
+        self.compare = compare
+
+
+def field(*, default_factory=_MISSING, init: bool = True, repr: bool = True,
+          compare: bool = True) -> Field:
+    """Field options for `value_class`; a default factory needs init=False."""
+    return Field(default_factory, init, repr, compare)
+
+
+def _value_repr(self) -> str:
+    cls = type(self)
+    inner = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in cls.__value_fields__ if f.repr)
+    return f"{cls.__qualname__}({inner})"
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def value_class(*, frozen: bool = False, slots: bool = False, eq: bool = True):
+    """A class decorator that turns the class's annotated names into fields,
+    as `dataclasses.dataclass` does with the same options: `__init__`
+    takes them in order (calling `__post_init__` last), `__eq__` compares
+    and `__hash__` hashes the tuple of compare fields, and `__repr__`
+    lists the repr fields.  Methods the class defines itself are kept.  A
+    frozen class refuses `setattr` and `delattr`; with `slots` the class
+    is rebuilt with `__slots__` naming its fields.  Fields come from the
+    class's own annotations only, not from base classes."""
+    return lambda cls: _build_value_class(cls, frozen, slots, eq)
+
+
+def _build_value_class(cls, frozen: bool, slots: bool, eq: bool):
+    body = cls.__dict__
+    fields: list[Field] = []
+    for name in body.get("__annotations__", {}):
+        spec = body.get(name, _MISSING)
+        if isinstance(spec, Field):
+            f = spec
+        else:
+            f = Field()
+            f.default = spec
+        if f.init == (f.default_factory is not _MISSING):
+            raise TypeError(f"{cls.__name__}.{name}: init=False goes with a default factory, and only with it")
+        f.name = name
+        fields.append(f)
+
+    # One exec defines every generated method; its globals hold the defaults.
+    scope = {"__name__": cls.__module__, "_setattr": object.__setattr__}
+    source: list[str] = []
+    if "__init__" not in body:
+        params, lines = ["self"], []
+        for f in fields:
+            value = f.name
+            if not f.init:
+                scope[f"_factory_{f.name}"] = f.default_factory
+                value = f"_factory_{f.name}()"
+            elif f.default is not _MISSING:
+                scope[f"_default_{f.name}"] = f.default
+                params.append(f"{f.name}=_default_{f.name}")
+            else:
+                params.append(f.name)
+            lines.append(f"_setattr(self, {f.name!r}, {value})" if frozen else f"self.{f.name} = {value}")
+        if hasattr(cls, "__post_init__"):
+            lines.append("self.__post_init__()")
+        source.append(f"def __init__({', '.join(params)}):\n " + "\n ".join(lines or ["pass"]))
+    compared = [f.name for f in fields if f.compare]
+    mine = "".join(f"self.{name}," for name in compared)
+    if eq and "__eq__" not in body:
+        theirs = "".join(f"other.{name}," for name in compared)
+        source.append(
+            "def __eq__(self, other):\n"
+            " if other.__class__ is self.__class__:\n"
+            f"  return ({mine}) == ({theirs})\n"
+            " return NotImplemented")
+    explicit_hash = body.get("__hash__") is not None
+    if eq and frozen and not explicit_hash:
+        source.append(f"def __hash__(self):\n return hash(({mine}))")
+    exec("\n".join(source), scope)
+
+    attrs = {name: scope[name] for name in ("__init__", "__eq__", "__hash__") if name in scope}
+    for fn in attrs.values():
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+    if eq and not frozen and not explicit_hash:
+        attrs["__hash__"] = None
+    attrs["__value_fields__"] = tuple(fields)
+    if "__repr__" not in body:
+        attrs["__repr__"] = _value_repr
+    if frozen:
+        attrs["__setattr__"] = _frozen_setattr
+        attrs["__delattr__"] = _frozen_delattr
+
+    names = {f.name for f in fields}
+    if slots:
+        kept = {k: v for k, v in body.items() if k not in names and k not in ("__dict__", "__weakref__")}
+        built = type(cls)(cls.__name__, cls.__bases__,
+                          {**kept, **attrs, "__slots__": tuple(f.name for f in fields)})
+        built.__qualname__ = cls.__qualname__
+        return built
+    for name in names:
+        if isinstance(body.get(name), Field):
+            delattr(cls, name)
+    for name, value in attrs.items():
+        setattr(cls, name, value)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms and roles
 # ---------------------------------------------------------------------------
 
@@ -53,7 +194,7 @@ CONST = "const"
 ANON_KIND = "anon"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class Term:
     kind: str
     name: str | None = None
@@ -93,7 +234,7 @@ def const(name: str) -> Term:
 ANON = Term(ANON_KIND)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class Role:
     """A role name, possibly inverted.  Double inversion is the identity."""
 
@@ -111,7 +252,7 @@ class Role:
 # Concepts and axioms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class BasicConcept:
     """Either a concept name or an unqualified existential over a role."""
 
@@ -144,7 +285,7 @@ CONCEPT_INCLUSION = "concept"
 ROLE_INCLUSION = "role"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class Axiom:
     """A concept inclusion B <= [!]C or a role inclusion R <= [!]S."""
 
@@ -164,7 +305,7 @@ class Axiom:
             raise ValueError(f"bad axiom kind {self.kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class ConjunctionAxiom:
     """Horn extension: A & B <= C over concept names."""
 
@@ -173,7 +314,7 @@ class ConjunctionAxiom:
     rhs: str
 
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class QualifiedExistsAxiom:
     """Horn extension: exists R.A <= B (qualified existential on the left)."""
 
@@ -185,7 +326,7 @@ class QualifiedExistsAxiom:
 HornAxiom = ConjunctionAxiom | QualifiedExistsAxiom
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class TBox:
     axioms: frozenset[Axiom] = frozenset()
     horn_axioms: frozenset[HornAxiom] = frozenset()
@@ -227,7 +368,7 @@ class TBox:
 # Facts and ABoxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class Fact:
     """A labeled concept or role assertion over constants."""
 
@@ -247,7 +388,7 @@ class Fact:
         return f"{self.label}: {self.predicate}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ABox:
     """An ordered, duplicate-free set of labeled facts.
 
@@ -303,7 +444,7 @@ ROLE_ATOM = "role"
 NEQ_ATOM = "neq"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class(frozen=True, slots=True)
 class Atom:
     kind: str
     predicate: str | None
@@ -362,7 +503,7 @@ def _atom_sort_key(atom: Atom):
     )
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class CQ:
     """A Boolean conjunctive query, possibly with disequality atoms and
     constants.  Stored as a deduplicated, deterministically ordered atom
@@ -399,7 +540,7 @@ class CQ:
         return " & ".join(repr(a) for a in self.atoms) or "<empty>"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class UCQ:
     disjuncts: tuple[CQ, ...]
 
@@ -415,7 +556,7 @@ def as_ucq(query: CQ | UCQ) -> UCQ:
     return query if isinstance(query, UCQ) else UCQ((query,))
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class OMQ:
     """An ontology-mediated query: a TBox paired with a Boolean (U)CQ."""
 
@@ -528,7 +669,7 @@ def decimal_approx(value: Fraction, places: int = 6) -> str:
 # Support histograms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SupportHistogram:
     """Map from support size k to the number of minimal supports of that
     size.  Zero-count entries are dropped."""
@@ -571,7 +712,7 @@ class SupportHistogram:
 # Weight functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class WeightFunction:
     """w(|S|, |D|) used by the weighted-sum scores.  Built-ins live in the
     scoring module; all of them are positive for |S| >= 1."""

@@ -20,7 +20,6 @@ while the larger pipeline modules load only when a plan needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
@@ -37,11 +36,12 @@ from .model import (
     UnsupportedTBoxError,
     as_ucq,
     concept,
+    value_class,
 )
 from .reasoner import _closure
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class MinimalSupport:
     facts: frozenset[Fact]
 

@@ -9,7 +9,6 @@ exists, how many there are, or lists them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
@@ -23,7 +22,9 @@ from .model import (
     Term,
     UCQ,
     const,
+    field,
     neq_atom,
+    value_class,
     var,
 )
 
@@ -174,7 +175,7 @@ def canonicalize_counted(cq: CQ) -> tuple[tuple, CQ, int]:
 # Homomorphism search
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@value_class(eq=False)
 class HomTarget:
     """What a homomorphism search maps a query into.
 
@@ -433,17 +434,19 @@ def hom_minimal(forms: Mapping[tuple, CQ]) -> list[CQ]:
     hom-equivalent pair only the one with fewer atoms stays, the smaller
     canonical form on a tie, so a query's core wins over its padded
     copies.  Dropping a query whose witness is dropped later is harmless,
-    because homomorphisms compose.
+    because homomorphisms compose.  Each query becomes a search target
+    once, and the target keeps its argument indexes for every search.
     """
     keys = sorted(forms)
+    targets = {key: query_target(forms[key]) for key in keys}
     kept: list[CQ] = []
     for key in keys:
         q = forms[key]
         for other_key in keys:
             other = forms[other_key]
-            if other_key == key or not query_hom_exists(other, q):
+            if other_key == key or not hom_exists(other, targets[key]):
                 continue
-            if query_hom_exists(q, other) and (len(q.atoms), key) < (len(other.atoms), other_key):
+            if hom_exists(q, targets[other_key]) and (len(q.atoms), key) < (len(other.atoms), other_key):
                 continue  # hom-equivalent pair: keep the smaller query only
             break
         else:

@@ -7,7 +7,6 @@ by the test suite and the `verify` command.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .model import (
     ABox,

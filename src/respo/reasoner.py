@@ -15,7 +15,6 @@ its homomorphisms.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -38,6 +37,8 @@ from .model import (
     UnsupportedTBoxError,
     concept,
     exists,
+    field,
+    value_class,
 )
 from .queries import HomTarget, hom_exists, hom_visit
 
@@ -54,7 +55,7 @@ def _require_dllite(tbox: TBox, operation: str):
 # Saturation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SaturatedTBox:
     """Closure of a TBox's DL-Lite_R inclusions under inclusion derivation.
 

@@ -23,7 +23,6 @@ never load it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -39,6 +38,7 @@ from .model import (
     UnsupportedTBoxError,
     WeightFunction,
     read_text,
+    value_class,
 )
 from .provenance import (
     FactCounts,
@@ -109,7 +109,7 @@ def resolve_weight(spec: str) -> WeightFunction:
 # Wealth functions and the brute-force Shapley value
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class WealthFunction:
     """xi: fact subsets -> rationals with xi(empty) = 0."""
 
@@ -228,7 +228,7 @@ def histogram_difference(
 # Whole-database scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ScoreReport:
     scores: dict[str, Fraction]  # fact label -> score, in ABox order
     method: str
@@ -363,7 +363,7 @@ def score_all(
 # Score property checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class PropertyVerdict:
     name: str
     passed: bool

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import ABox, CONCEPT_ATOM, CQ, UCQ, as_ucq, format_rational
+from .model import ABox, CONCEPT_ATOM, CQ, UCQ, as_ucq, format_rational, value_class
 from .support import CountingQuery
 
 _SQL_KEYWORDS = {
@@ -110,7 +109,7 @@ def emit_count_query(cq: CQ, tables: dict[str, str]) -> str:
     return sql
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ManifestEntry:
     query_id: str
     sql: str
@@ -119,7 +118,7 @@ class ManifestEntry:
     counting_query: CountingQuery  # retained for the internal evaluator
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class SqlManifest:
     """Schema, loader, and independently executable counting queries; the
     final aggregation instruction is: countFMS(k) equals the sum over the

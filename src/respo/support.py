@@ -33,7 +33,6 @@ another query, runs on the one search in `queries`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
@@ -52,6 +51,7 @@ from .model import (
     UnsupportedTBoxError,
     as_ucq,
     const,
+    value_class,
     var,
 )
 from .provenance import FactCounts, MinimalSupport, ground_atom_query
@@ -359,7 +359,7 @@ def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
     return {k: tuple(q for q, _ in found) for k, found in _rigid_reducts(as_ucq(ucq)).items()}
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class CountingQuery:
     """A rigidified reduct: all-pairs disequalities with coefficient
     gamma = 1 / |Auto|."""
@@ -408,7 +408,7 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
 # The homomorphism basis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class BasisTerm:
     """A quotient of a disjunct, with the disjunct's own disequalities,
     and its coefficient in the count of the minimal supports of one size."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .model import (
     ABox,
@@ -45,11 +44,12 @@ from .model import (
     format_rational,
     neq_atom,
     role_atom,
+    value_class,
     var,
 )
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ParseDiagnostic:
     line: int
     column: int

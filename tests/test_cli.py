@@ -140,6 +140,25 @@ def test_if_and_provenance_scoring_load_no_support_module(stem, method):
     assert done.stdout == "False True True\n"
 
 
+@pytest.mark.parametrize("method", ["partition", "if"])
+def test_scoring_loads_neither_dataclasses_nor_inspect(method):
+    """respo builds its value classes with `model.value_class`, so a cold
+    `score` op never imports `dataclasses`, nor the `inspect` that
+    importing it pulls in."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import contextlib, io, sys, respo.cli\n"
+        f"argv = ['score', *{fixture_args('variant')!r}, '--method', {method!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert respo.cli.main(argv) == 0\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules, bool(out.getvalue()))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False False True\n"
+
+
 def test_check_if(capsys, tmp_path):
     code, out, _ = run(
         capsys,

@@ -4,14 +4,29 @@ import pytest
 
 from respo.model import (
     ABox,
+    Atom,
+    Axiom,
+    BasicConcept,
+    CONCEPT_INCLUSION,
     CQ,
+    ConjunctionAxiom,
     Fact,
+    InputError,
+    OMQ,
+    QualifiedExistsAxiom,
     QueryStructureError,
     Role,
     SupportHistogram,
+    TBox,
+    Term,
+    UCQ,
+    WeightFunction,
+    concept,
     concept_atom,
     connected_components,
+    const,
     decimal_approx,
+    exists,
     format_rational,
     neq_atom,
     parse_rational,
@@ -114,3 +129,190 @@ def test_histogram_drops_zeroes_and_totals():
     assert h[5] == 0
     assert h == {2: 1, 3: 2}
     assert SupportHistogram.from_sizes([2, 3, 3]) == h
+
+
+# ---------------------------------------------------------------------------
+# Value classes: `value_class` against `dataclasses` as the reference
+# ---------------------------------------------------------------------------
+
+def _value_class_samples():
+    """A factory of one sample instance for every value class in respo,
+    keyed by module and class name."""
+    from respo.generators import Graph, MatchingInstance
+    from respo.interaction_free import InteractionWitness
+    from respo.provenance import MinimalSupport
+    from respo.queries import HomTarget
+    from respo.reasoner import SaturatedTBox
+    from respo.shapley import PropertyVerdict, ScoreReport, WealthFunction
+    from respo.sqlgen import ManifestEntry, SqlManifest
+    from respo.support import BasisTerm, CountingQuery
+    from respo.textio import ParseDiagnostic
+
+    axiom = Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r")), True)
+    tbox = TBox(frozenset({axiom}), frozenset({ConjunctionAxiom("A", "B", "C")}))
+    cq = CQ((role_atom("r", var("x"), const("c")), concept_atom("A", var("x"))))
+    facts = (Fact("f1", "A", ("a",)), Fact("f2", "r", ("a", "b")))
+    counting = CountingQuery(cq, Fraction(1, 2))
+    return {
+        "model.Term": lambda: Term("var", "x"),
+        "model.Role": lambda: Role("r", True),
+        "model.BasicConcept": lambda: BasicConcept(role=Role("r")),
+        "model.Axiom": lambda: Axiom(CONCEPT_INCLUSION, concept("A"), concept("B")),
+        "model.ConjunctionAxiom": lambda: ConjunctionAxiom("A", "B", "C"),
+        "model.QualifiedExistsAxiom": lambda: QualifiedExistsAxiom(Role("r"), "A", "B"),
+        "model.TBox": lambda: TBox(frozenset({axiom})),
+        "model.Fact": lambda: Fact("f2", "r", ("a", "b")),
+        "model.ABox": lambda: ABox(facts),
+        "model.Atom": lambda: Atom("role", "r", (var("x"), const("c"))),
+        "model.CQ": lambda: CQ(tuple(reversed(cq.atoms))),
+        "model.UCQ": lambda: UCQ((cq,)),
+        "model.OMQ": lambda: OMQ(tbox, cq),
+        "model.SupportHistogram": lambda: SupportHistogram({2: 3, 1: 0}),
+        "model.WeightFunction": lambda: WeightFunction("uniform", _one),
+        "generators.Graph": lambda: Graph(("u", "v"), (("u", "v"),), False, ("u",), ("v",)),
+        "generators.MatchingInstance": lambda: MatchingInstance(ABox(facts), UCQ((cq,)), UCQ((cq,))),
+        "interaction_free.InteractionWitness": lambda: InteractionWitness(
+            facts[1], cq.atoms[0], (("x", "a"),), cq.atoms[1], (("x", "b"),)),
+        "provenance.MinimalSupport": lambda: MinimalSupport(frozenset(facts)),
+        "queries.HomTarget": lambda: HomTarget({("r", 2): [("a", "b")]}, _one, _one),
+        "reasoner.SaturatedTBox": lambda: SaturatedTBox(
+            tbox, {concept("A"): frozenset({concept("A")})}, {}, frozenset(), frozenset()),
+        "shapley.WealthFunction": lambda: WealthFunction("drastic", _one),
+        "shapley.ScoreReport": lambda: ScoreReport(
+            {"f1": Fraction(1, 2)}, "if", SupportHistogram({1: 1})),
+        "shapley.PropertyVerdict": lambda: PropertyVerdict("null", True),
+        "sqlgen.ManifestEntry": lambda: ManifestEntry("q1", "SELECT 1", Fraction(1, 2), 2, counting),
+        "sqlgen.SqlManifest": lambda: SqlManifest(
+            "schema", "loader", (ManifestEntry("q1", "SELECT 1", Fraction(1, 2), 2, counting),),
+            {"A": "t_A"}),
+        "support.CountingQuery": lambda: CountingQuery(cq, Fraction(1, 2)),
+        "support.BasisTerm": lambda: BasisTerm(cq, Fraction(-1)),
+        "textio.ParseDiagnostic": lambda: ParseDiagnostic(3, 7, "bad token"),
+    }
+
+
+def _one(*args):
+    return 1
+
+
+#: The classes built with slots=True, and the one that is neither frozen
+#: nor compared by value.
+SLOTTED = {"model.Term", "model.Role", "model.BasicConcept", "model.Axiom",
+           "model.ConjunctionAxiom", "model.QualifiedExistsAxiom", "model.Fact", "model.Atom"}
+MUTABLE = {"queries.HomTarget"}
+#: The classes that define their own `__repr__`.
+CUSTOM_REPR = {"model.Term", "model.Role", "model.BasicConcept", "model.Fact", "model.Atom",
+               "model.CQ", "model.UCQ", "model.SupportHistogram"}
+SAMPLES = _value_class_samples()
+
+
+def _value_classes() -> dict[str, type]:
+    """Every class in respo's modules that `value_class` built."""
+    import importlib
+    import pkgutil
+
+    import respo
+
+    found = {}
+    for info in pkgutil.iter_modules(respo.__path__):
+        module = importlib.import_module(f"respo.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and "__value_fields__" in vars(cls)):
+                found[f"{info.name}.{cls.__name__}"] = cls
+    return found
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_every_value_class_has_a_sample():
+    assert sorted(_value_classes()) == sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_value_class_behaves_as_the_dataclass_it_replaced(name):
+    """Equality, hashing, repr, immutability and slots of each value class
+    match a `dataclasses` twin with the same fields and options."""
+    import dataclasses
+
+    cls = _value_classes()[name]
+    sample, again = SAMPLES[name](), SAMPLES[name]()
+    assert type(sample) is cls
+    fields = cls.__value_fields__
+    values = {f.name: getattr(sample, f.name) for f in fields}
+    by_value = name not in MUTABLE
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, object, dataclasses.field(repr=f.repr, compare=f.compare)) for f in fields],
+        frozen=by_value, eq=by_value)
+    twin.__qualname__ = cls.__qualname__
+    reference = twin(**values)
+
+    assert (sample == again) == by_value and sample != reference and reference != sample
+    if by_value:
+        assert _hash_or_error(sample) == _hash_or_error(again) == _hash_or_error(reference)
+        rebuilt = cls(**{f.name: getattr(sample, f.name) for f in fields if f.init})
+        assert rebuilt == sample
+    else:
+        assert hash(sample) == object.__hash__(sample)
+    assert (repr(sample) == repr(reference)) == (name not in CUSTOM_REPR)
+    assert hasattr(sample, "__dict__") == (name not in SLOTTED)
+    for f in fields:
+        if by_value:
+            with pytest.raises(AttributeError):
+                setattr(sample, f.name, values[f.name])
+            with pytest.raises(AttributeError):
+                delattr(sample, f.name)
+        else:
+            setattr(sample, f.name, values[f.name])
+    assert {f.name: getattr(sample, f.name) for f in fields} == values
+
+
+def test_fields_left_out_of_init_compare_or_repr():
+    """`compare=False` and `init=False` fields behave as their dataclass
+    options did: a weight function compares by name alone, and each
+    saturated TBox and search target gets its own empty cache, kept out of
+    its repr and of equality."""
+    from respo.queries import HomTarget, query_target
+    from respo.reasoner import saturate
+    from respo.support import FactDB
+
+    assert WeightFunction("w", _one) == WeightFunction("w", lambda s, d: 2)
+    assert hash(WeightFunction("w", _one)) == hash(WeightFunction("w", max))
+    assert WeightFunction("w", _one) != WeightFunction("v", _one)
+
+    first, second = saturate(TBox()), saturate(TBox())
+    assert first._rows == {} and first._rows is not second._rows
+    assert first._interned is not second._interned
+    first._rows["A"] = ("cached",)
+    assert first == second and "_rows" not in repr(first) and "_interned" not in repr(first)
+
+    query = CQ((role_atom("r", var("x"), var("y")),))
+    targets = [query_target(query), query_target(query), FactDB(())]
+    assert all(t._indexes == {} for t in targets)
+    assert len({id(t._indexes) for t in targets}) == 3
+    assert targets[0] != targets[1] and "_indexes" not in repr(targets[0])
+    with pytest.raises(TypeError):
+        HomTarget({}, _one, _one, {})
+
+
+def test_post_init_still_validates():
+    from respo.generators import Graph
+
+    with pytest.raises(ValueError, match="bad term kind"):
+        Term("bogus", "x")
+    with pytest.raises(ValueError):
+        Term("var")
+    with pytest.raises(ValueError, match="name xor"):
+        BasicConcept()
+    with pytest.raises(ValueError):
+        UCQ(())
+    with pytest.raises(InputError):
+        Graph(("u",), (("u", "v"),))
+    ordered = CQ((role_atom("r", var("x"), var("y")), concept_atom("A", var("x"))))
+    assert [atom.kind for atom in ordered.atoms] == ["concept", "role"]

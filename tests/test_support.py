@@ -455,6 +455,32 @@ def chain_omq(n: int, self_join: bool = False) -> OMQ:
     return OMQ(parse_tbox(tbox), parse_query(", ".join(atoms) + "\n"))
 
 
+def test_hom_minimal_builds_each_query_target_once(monkeypatch):
+    """`hom_minimal` makes each query a search target once, not once per
+    ordered pair it compares: rewriting the self-join chain at n = 3
+    compares 45 canonical forms and builds 45 targets (1,432 before)."""
+    import respo.queries
+    import respo.rewriter
+    from respo.queries import query_target
+    from respo.rewriter import rewrite
+
+    built, compared = [], []
+
+    def counted_target(dst):
+        built.append(dst)
+        return query_target(dst)
+
+    def recorded(forms):
+        compared.extend(forms[key] for key in sorted(forms))
+        return hom_minimal(forms)
+
+    monkeypatch.setattr(respo.queries, "query_target", counted_target)
+    monkeypatch.setattr(respo.rewriter, "hom_minimal", recorded)
+    ucq = rewrite(chain_omq(3, self_join=True))
+    assert len(ucq.disjuncts) == 9 and len(compared) == 45
+    assert built == compared
+
+
 def chain_abox(rng: random.Random, n: int, copies: int = 4) -> tuple[Fact, ...]:
     """Seeded copies of the chain's data: each A_i, B_i and s_i fact of a
     copy present with probability 1/2, each r_i edge within a copy with
