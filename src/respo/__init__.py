@@ -15,7 +15,6 @@ from .model import (
     Fact,
     InconsistentKBError,
     OMQ,
-    QueryStructureError,
     RespoError,
     Role,
     SupportHistogram,
@@ -35,7 +34,6 @@ __all__ = [
     "Fact",
     "InconsistentKBError",
     "OMQ",
-    "QueryStructureError",
     "RespoError",
     "Role",
     "SupportHistogram",

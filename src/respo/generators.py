@@ -33,7 +33,7 @@ from .model import (
 )
 
 
-@value_class(frozen=True)
+@value_class()
 class Graph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -204,7 +204,7 @@ def oracle_simple_paths(graph: Graph, source: str, target: str) -> dict[int, int
 # Perfect matchings
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class MatchingInstance:
     abox: ABox
     q1: UCQ

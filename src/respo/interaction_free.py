@@ -52,7 +52,7 @@ class NotInteractionFreeError(UnsupportedTBoxError):
 # Interaction-freeness check
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class InteractionWitness:
     """A generic assertion satisfying two distinct (atom, assignment)
     pairs."""

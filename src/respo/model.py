@@ -4,16 +4,16 @@ other module, with the errors and the UTF-8 reading of input files.
 Everything here is immutable and safe to share.
 
 The value classes of every respo module are built by `value_class`, a
-small stand-in for `dataclasses.dataclass` that supports only what
-respo uses: `frozen`, `slots`, `eq=False`, `field(default_factory=,
-init=, repr=, compare=)`, `__post_init__`, and class-defined methods,
-which it keeps.  Each CLI op is a fresh interpreter that builds about
-25 of these classes, and `dataclasses` cost about 30 ms of it: importing
-the module pulls in `inspect`, `ast`, `dis` and `tokenize`, and each
-class took six `exec` calls.  `value_class` generates `__init__`,
-`__eq__` and `__hash__` in one `exec` with the code `dataclasses` emits,
-so instances, hashes and set orders are as before, and shares one
-`__repr__` and one pair of frozen guards among all classes.
+small stand-in for `dataclasses.dataclass(frozen=True)`: each class is
+immutable, compares and hashes on all of its fields unless it defines
+its own `__eq__` and `__hash__`, and may ask for `__slots__`.  A class with per-instance caches, or with identity
+equality, is a plain class instead.  Each CLI op is a fresh interpreter
+that builds about 25 of these classes, and `dataclasses` cost about
+30 ms of it: importing the module pulls in `inspect`, `ast`, `dis` and
+`tokenize`, and each class took six `exec` calls.  `value_class`
+generates `__init__`, `__eq__` and `__hash__` in one `exec` with the
+code `dataclasses` emits, so hashes and set orders are the same, and
+shares one `__repr__` and one pair of frozen guards among all classes.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 class RespoError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class QueryStructureError(RespoError):
-    """A query violates a structural requirement (e.g. a disequality
-    spanning two connected components)."""
 
 
 class InconsistentKBError(RespoError):
@@ -59,34 +54,9 @@ class UnsupportedTBoxError(RespoError):
 # Value classes
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
-
-
-class Field:
-    """One field of a value class: its name, its default (`_MISSING` for
-    none) or default factory, and whether `__init__`, `__repr__` and
-    `__eq__`/`__hash__` take it."""
-
-    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare")
-
-    def __init__(self, default_factory=_MISSING, init=True, repr=True, compare=True):
-        self.name = None
-        self.default = _MISSING
-        self.default_factory = default_factory
-        self.init = init
-        self.repr = repr
-        self.compare = compare
-
-
-def field(*, default_factory=_MISSING, init: bool = True, repr: bool = True,
-          compare: bool = True) -> Field:
-    """Field options for `value_class`; a default factory needs init=False."""
-    return Field(default_factory, init, repr, compare)
-
-
 def _value_repr(self) -> str:
     cls = type(self)
-    inner = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in cls.__value_fields__ if f.repr)
+    inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in cls.__value_fields__)
     return f"{cls.__qualname__}({inner})"
 
 
@@ -98,88 +68,64 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def value_class(*, frozen: bool = False, slots: bool = False, eq: bool = True):
-    """A class decorator that turns the class's annotated names into fields,
-    as `dataclasses.dataclass` does with the same options: `__init__`
-    takes them in order (calling `__post_init__` last), `__eq__` compares
-    and `__hash__` hashes the tuple of compare fields, and `__repr__`
-    lists the repr fields.  Methods the class defines itself are kept.  A
-    frozen class refuses `setattr` and `delattr`; with `slots` the class
-    is rebuilt with `__slots__` naming its fields.  Fields come from the
-    class's own annotations only, not from base classes."""
-    return lambda cls: _build_value_class(cls, frozen, slots, eq)
+def value_class(*, slots: bool = False):
+    """A class decorator that turns the class's annotated names into the
+    fields of an immutable value, as `dataclasses.dataclass(frozen=True)`
+    does: `__init__` takes them in order, a class attribute being the
+    field's default, and calls `__post_init__` last; `__eq__` compares and
+    `__hash__` hashes the tuple of all fields; `__repr__` lists them; and
+    `setattr` and `delattr` are refused.  Methods the class defines itself
+    are kept.  With `slots` the class is rebuilt with `__slots__` naming
+    its fields.  Fields come from the class's own annotations only, not
+    from base classes."""
+    return lambda cls: _build_value_class(cls, slots)
 
 
-def _build_value_class(cls, frozen: bool, slots: bool, eq: bool):
+def _build_value_class(cls, slots: bool):
     body = cls.__dict__
-    fields: list[Field] = []
-    for name in body.get("__annotations__", {}):
-        spec = body.get(name, _MISSING)
-        if isinstance(spec, Field):
-            f = spec
-        else:
-            f = Field()
-            f.default = spec
-        if f.init == (f.default_factory is not _MISSING):
-            raise TypeError(f"{cls.__name__}.{name}: init=False goes with a default factory, and only with it")
-        f.name = name
-        fields.append(f)
+    fields = tuple(body.get("__annotations__", {}))
 
     # One exec defines every generated method; its globals hold the defaults.
     scope = {"__name__": cls.__module__, "_setattr": object.__setattr__}
     source: list[str] = []
     if "__init__" not in body:
         params, lines = ["self"], []
-        for f in fields:
-            value = f.name
-            if not f.init:
-                scope[f"_factory_{f.name}"] = f.default_factory
-                value = f"_factory_{f.name}()"
-            elif f.default is not _MISSING:
-                scope[f"_default_{f.name}"] = f.default
-                params.append(f"{f.name}=_default_{f.name}")
+        for name in fields:
+            if name in body:
+                scope[f"_default_{name}"] = body[name]
+                params.append(f"{name}=_default_{name}")
             else:
-                params.append(f.name)
-            lines.append(f"_setattr(self, {f.name!r}, {value})" if frozen else f"self.{f.name} = {value}")
+                params.append(name)
+            lines.append(f"_setattr(self, {name!r}, {name})")
         if hasattr(cls, "__post_init__"):
             lines.append("self.__post_init__()")
         source.append(f"def __init__({', '.join(params)}):\n " + "\n ".join(lines or ["pass"]))
-    compared = [f.name for f in fields if f.compare]
-    mine = "".join(f"self.{name}," for name in compared)
-    if eq and "__eq__" not in body:
-        theirs = "".join(f"other.{name}," for name in compared)
+    mine = "".join(f"self.{name}," for name in fields)
+    if "__eq__" not in body:
+        theirs = "".join(f"other.{name}," for name in fields)
         source.append(
             "def __eq__(self, other):\n"
             " if other.__class__ is self.__class__:\n"
             f"  return ({mine}) == ({theirs})\n"
             " return NotImplemented")
-    explicit_hash = body.get("__hash__") is not None
-    if eq and frozen and not explicit_hash:
+    if body.get("__hash__") is None:
         source.append(f"def __hash__(self):\n return hash(({mine}))")
     exec("\n".join(source), scope)
 
     attrs = {name: scope[name] for name in ("__init__", "__eq__", "__hash__") if name in scope}
     for fn in attrs.values():
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
-    if eq and not frozen and not explicit_hash:
-        attrs["__hash__"] = None
-    attrs["__value_fields__"] = tuple(fields)
+    attrs["__value_fields__"] = fields
     if "__repr__" not in body:
         attrs["__repr__"] = _value_repr
-    if frozen:
-        attrs["__setattr__"] = _frozen_setattr
-        attrs["__delattr__"] = _frozen_delattr
+    attrs["__setattr__"] = _frozen_setattr
+    attrs["__delattr__"] = _frozen_delattr
 
-    names = {f.name for f in fields}
     if slots:
-        kept = {k: v for k, v in body.items() if k not in names and k not in ("__dict__", "__weakref__")}
-        built = type(cls)(cls.__name__, cls.__bases__,
-                          {**kept, **attrs, "__slots__": tuple(f.name for f in fields)})
+        kept = {k: v for k, v in body.items() if k not in fields and k not in ("__dict__", "__weakref__")}
+        built = type(cls)(cls.__name__, cls.__bases__, {**kept, **attrs, "__slots__": fields})
         built.__qualname__ = cls.__qualname__
         return built
-    for name in names:
-        if isinstance(body.get(name), Field):
-            delattr(cls, name)
     for name, value in attrs.items():
         setattr(cls, name, value)
     return cls
@@ -194,7 +140,7 @@ CONST = "const"
 ANON_KIND = "anon"
 
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class Term:
     kind: str
     name: str | None = None
@@ -234,7 +180,7 @@ def const(name: str) -> Term:
 ANON = Term(ANON_KIND)
 
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class Role:
     """A role name, possibly inverted.  Double inversion is the identity."""
 
@@ -252,7 +198,7 @@ class Role:
 # Concepts and axioms
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class BasicConcept:
     """Either a concept name or an unqualified existential over a role."""
 
@@ -285,7 +231,7 @@ CONCEPT_INCLUSION = "concept"
 ROLE_INCLUSION = "role"
 
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class Axiom:
     """A concept inclusion B <= [!]C or a role inclusion R <= [!]S."""
 
@@ -305,7 +251,7 @@ class Axiom:
             raise ValueError(f"bad axiom kind {self.kind!r}")
 
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class ConjunctionAxiom:
     """Horn extension: A & B <= C over concept names."""
 
@@ -314,7 +260,7 @@ class ConjunctionAxiom:
     rhs: str
 
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class QualifiedExistsAxiom:
     """Horn extension: exists R.A <= B (qualified existential on the left)."""
 
@@ -326,7 +272,7 @@ class QualifiedExistsAxiom:
 HornAxiom = ConjunctionAxiom | QualifiedExistsAxiom
 
 
-@value_class(frozen=True)
+@value_class()
 class TBox:
     axioms: frozenset[Axiom] = frozenset()
     horn_axioms: frozenset[HornAxiom] = frozenset()
@@ -368,7 +314,7 @@ class TBox:
 # Facts and ABoxes
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class Fact:
     """A labeled concept or role assertion over constants."""
 
@@ -388,7 +334,7 @@ class Fact:
         return f"{self.label}: {self.predicate}({','.join(self.args)})"
 
 
-@value_class(frozen=True)
+@value_class()
 class ABox:
     """An ordered, duplicate-free set of labeled facts.
 
@@ -444,7 +390,7 @@ ROLE_ATOM = "role"
 NEQ_ATOM = "neq"
 
 
-@value_class(frozen=True, slots=True)
+@value_class(slots=True)
 class Atom:
     kind: str
     predicate: str | None
@@ -503,7 +449,7 @@ def _atom_sort_key(atom: Atom):
     )
 
 
-@value_class(frozen=True)
+@value_class()
 class CQ:
     """A Boolean conjunctive query, possibly with disequality atoms and
     constants.  Stored as a deduplicated, deterministically ordered atom
@@ -540,7 +486,7 @@ class CQ:
         return " & ".join(repr(a) for a in self.atoms) or "<empty>"
 
 
-@value_class(frozen=True)
+@value_class()
 class UCQ:
     disjuncts: tuple[CQ, ...]
 
@@ -556,7 +502,7 @@ def as_ucq(query: CQ | UCQ) -> UCQ:
     return query if isinstance(query, UCQ) else UCQ((query,))
 
 
-@value_class(frozen=True)
+@value_class()
 class OMQ:
     """An ontology-mediated query: a TBox paired with a Boolean (U)CQ."""
 
@@ -577,62 +523,28 @@ Assignment = Mapping[str, "str | Term"]
 # ---------------------------------------------------------------------------
 
 def connected_components(cq: CQ) -> list[CQ]:
-    """Split a CQ into its inclusion-maximal connected subqueries.
-
-    Two relational atoms share a component iff they are linked through
-    shared variables.  Disequality atoms attach to the component holding
-    their variables; a disequality whose variables straddle two components
-    is rejected, as is a disequality variable that occurs in no relational
-    atom.  Ground atoms (and ground disequalities) attach deterministically.
-    """
-    rel = [a for a in cq.atoms if a.is_relational]
-    if not rel:
-        raise QueryStructureError("query has no relational atoms")
-
-    parent = list(range(len(rel)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    var_home: dict[str, int] = {}
-    for i, atom in enumerate(rel):
-        for v in atom.variables():
-            if v in var_home:
-                union(i, var_home[v])
-            else:
-                var_home[v] = i
-
-    groups: dict[int, list[Atom]] = {}
-    order: list[int] = []
-    for i, atom in enumerate(rel):
-        root = find(i)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(atom)
-
-    for atom in cq.neq_atoms():
-        vs = atom.variables()
-        homes = set()
-        for v in vs:
-            if v not in var_home:
-                raise QueryStructureError(
-                    f"disequality variable ?{v} occurs in no relational atom")
-            homes.add(find(var_home[v]))
-        if len(homes) > 1:
-            raise QueryStructureError("disequality spans two query components")
-        target = homes.pop() if homes else order[0]
-        groups[target].append(atom)
-
-    return [CQ(tuple(groups[root])) for root in order]
+    """cq's connected components, in the order of their first atoms: two
+    atoms share a component iff a chain of atoms, disequalities included,
+    links them through shared variables, so an atom without variables is a
+    component of its own.  A homomorphism count is the product of the
+    counts of the components."""
+    groups: list[tuple[set[str], list[Atom]]] = []  # in order of first atom
+    for atom in cq.atoms:
+        names = set(atom.variables())
+        linked = [group for group in groups if not names.isdisjoint(group[0])]
+        if not linked:
+            groups.append((names, [atom]))
+            continue
+        first = linked[0]
+        first[0].update(names)
+        first[1].append(atom)
+        for group in linked[1:]:
+            first[0].update(group[0])
+            first[1].extend(group[1])
+            groups.remove(group)
+    if len(groups) == 1:
+        return [cq]
+    return [CQ(tuple(atoms)) for _, atoms in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +581,7 @@ def decimal_approx(value: Fraction, places: int = 6) -> str:
 # Support histograms
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class SupportHistogram:
     """Map from support size k to the number of minimal supports of that
     size.  Zero-count entries are dropped."""
@@ -712,13 +624,22 @@ class SupportHistogram:
 # Weight functions
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class WeightFunction:
     """w(|S|, |D|) used by the weighted-sum scores.  Built-ins live in the
-    scoring module; all of them are positive for |S| >= 1."""
+    scoring module; all of them are positive for |S| >= 1.  Two weight
+    functions are equal when their names are."""
 
     name: str
-    evaluate: Callable[[int, int], Fraction] = field(compare=False)
+    evaluate: Callable[[int, int], Fraction]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __call__(self, support_size: int, db_size: int) -> Fraction:
         return self.evaluate(support_size, db_size)

@@ -41,7 +41,7 @@ from .model import (
 from .reasoner import _closure
 
 
-@value_class(frozen=True)
+@value_class()
 class MinimalSupport:
     facts: frozenset[Fact]
 

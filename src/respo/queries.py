@@ -4,7 +4,9 @@ augmentation, and the package's one homomorphism search.
 
 The search maps a query into a `HomTarget` (fact databases, other
 queries, canonical-model slices) and answers whether a homomorphism
-exists, how many there are, or lists them.
+exists, how many there are, or lists them.  Counting and listing take
+the query one connected component (`model.connected_components`) at a
+time.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from .model import (
     RespoError,
     Term,
     UCQ,
+    connected_components,
     const,
-    field,
     neq_atom,
-    value_class,
     var,
 )
 
@@ -175,7 +176,6 @@ def canonicalize_counted(cq: CQ) -> tuple[tuple, CQ, int]:
 # Homomorphism search
 # ---------------------------------------------------------------------------
 
-@value_class(eq=False)
 class HomTarget:
     """What a homomorphism search maps a query into.
 
@@ -192,10 +192,16 @@ class HomTarget:
     not change once a search has run.
     """
 
-    tuples: Mapping[tuple[str, int], Collection[tuple]]
-    image: Callable[[str], object]
-    distinct: Callable[[object, object], bool]
-    _indexes: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(
+        self,
+        tuples: Mapping[tuple[str, int], Collection[tuple]],
+        image: Callable[[str], object],
+        distinct: Callable[[object, object], bool],
+    ):
+        self.tuples = tuples
+        self.image = image
+        self.distinct = distinct
+        self._indexes: dict[tuple[tuple[str, int], int], dict[object, list[tuple]]] = {}
 
     def index(self, key: tuple[str, int], position: int) -> dict[object, list[tuple]]:
         """The tuples of `key` grouped by their element at `position`,
@@ -224,21 +230,6 @@ def query_target(dst: CQ) -> HomTarget:
         return (t1, t2) in pairs or (t1 != t2 and t1.is_const and t2.is_const)
 
     return HomTarget(tuples, const, distinct)
-
-
-def _eval_components(cq: CQ) -> list[list[Atom]]:
-    """Group atoms by variable connectivity, counting disequalities as
-    edges (unlike the query-level component split, which rejects
-    cross-component disequalities)."""
-    groups: list[tuple[set[str], list[Atom]]] = []
-    for atom in cq.atoms:
-        names, members = set(atom.variables()), [atom]
-        for group in [g for g in groups if not names.isdisjoint(g[0])]:
-            groups.remove(group)
-            names |= group[0]
-            members += group[1]
-        groups.append((names, members))
-    return [members for _, members in groups]
 
 
 class _Step(NamedTuple):
@@ -385,19 +376,13 @@ def hom_exists(cq: CQ, target: HomTarget) -> bool:
 
 def hom_count(cq: CQ, target: HomTarget) -> int:
     """Number of homomorphisms of cq into the target: the product of the
-    counts of its variable-connected components."""
+    counts of its connected components."""
     total = 1
-    for component in _eval_components(cq):
-        total *= _search(component, target, False)
+    for component in connected_components(cq):
+        total *= _search(component.atoms, target, False)
         if total == 0:
             return 0
     return total
-
-
-def components(cq: CQ) -> list[CQ]:
-    """cq's variable-connected components, disequalities counting as
-    edges: the factors whose homomorphism counts `hom_count` multiplies."""
-    return [CQ(tuple(atoms)) for atoms in _eval_components(cq)]
 
 
 def hom_assignments(cq: CQ, target: HomTarget) -> list[dict[str, object]]:
@@ -414,18 +399,8 @@ def hom_visit(
     search, and return their number.  The binding passed is the search's
     own and changes after `visit` returns: copy it to keep it.  The atoms
     reach the search in `hom_count`'s order, component by component."""
-    atoms = [atom for component in _eval_components(cq) for atom in component]
+    atoms = [atom for component in connected_components(cq) for atom in component.atoms]
     return _search(atoms, target, False, visit)
-
-
-def query_hom_exists(src: CQ, dst: CQ) -> bool:
-    """Is there a homomorphism src -> dst?
-
-    Constants are fixed, relational atoms must map onto atoms of dst, and
-    each disequality of src must land on a pair that dst guarantees
-    distinct (a disequality atom of dst, or two distinct constants).
-    """
-    return hom_exists(src, query_target(dst))
 
 
 def hom_minimal(forms: Mapping[tuple, CQ]) -> list[CQ]:

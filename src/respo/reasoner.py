@@ -37,8 +37,6 @@ from .model import (
     UnsupportedTBoxError,
     concept,
     exists,
-    field,
-    value_class,
 )
 from .queries import HomTarget, hom_exists, hom_visit
 
@@ -55,7 +53,6 @@ def _require_dllite(tbox: TBox, operation: str):
 # Saturation
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
 class SaturatedTBox:
     """Closure of a TBox's DL-Lite_R inclusions under inclusion derivation.
 
@@ -67,13 +64,21 @@ class SaturatedTBox:
     are looked up here too, so they are built once per TBox.
     """
 
-    tbox: TBox
-    concept_subs: dict[BasicConcept, frozenset[BasicConcept]]
-    role_subs: dict[Role, frozenset[Role]]
-    disjoint_concepts: frozenset[tuple[BasicConcept, BasicConcept]]
-    disjoint_roles: frozenset[tuple[Role, Role]]
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        tbox: TBox,
+        concept_subs: dict[BasicConcept, frozenset[BasicConcept]],
+        role_subs: dict[Role, frozenset[Role]],
+        disjoint_concepts: frozenset[tuple[BasicConcept, BasicConcept]],
+        disjoint_roles: frozenset[tuple[Role, Role]],
+    ):
+        self.tbox = tbox
+        self.concept_subs = concept_subs
+        self.role_subs = role_subs
+        self.disjoint_concepts = disjoint_concepts
+        self.disjoint_roles = disjoint_roles
+        self._rows: dict[tuple[str, int], object] = {}
+        self._interned: dict[BasicConcept, BasicConcept] = {}
 
     def concept_sups(self, b: BasicConcept) -> frozenset[BasicConcept]:
         return self.concept_subs.get(b, frozenset((b,)))
@@ -490,11 +495,6 @@ def query_depth(cq: CQ, tbox: TBox) -> int:
     repeats a role on the way down and can be moved up to the first
     occurrence."""
     return len(cq.variables()) + 1 + len(saturate(tbox).generating_roles)
-
-
-def entails_cq(abox: ABox, tbox: TBox, cq: CQ, depth: int | None = None) -> bool:
-    """(A, T) |= q for a single CQ; see `entails_ucq`."""
-    return entails_ucq(abox, tbox, UCQ((cq,)), depth)
 
 
 def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> bool:

@@ -109,7 +109,7 @@ def resolve_weight(spec: str) -> WeightFunction:
 # Wealth functions and the brute-force Shapley value
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class WealthFunction:
     """xi: fact subsets -> rationals with xi(empty) = 0."""
 
@@ -228,7 +228,7 @@ def histogram_difference(
 # Whole-database scoring
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class ScoreReport:
     scores: dict[str, Fraction]  # fact label -> score, in ABox order
     method: str
@@ -363,7 +363,7 @@ def score_all(
 # Score property checks
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class PropertyVerdict:
     name: str
     passed: bool

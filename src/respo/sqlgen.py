@@ -109,7 +109,7 @@ def emit_count_query(cq: CQ, tables: dict[str, str]) -> str:
     return sql
 
 
-@value_class(frozen=True)
+@value_class()
 class ManifestEntry:
     query_id: str
     sql: str
@@ -118,7 +118,7 @@ class ManifestEntry:
     counting_query: CountingQuery  # retained for the internal evaluator
 
 
-@value_class(frozen=True)
+@value_class()
 class SqlManifest:
     """Schema, loader, and independently executable counting queries; the
     final aggregation instruction is: countFMS(k) equals the sum over the

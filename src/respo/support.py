@@ -16,9 +16,9 @@ Four routes live here:
   * the homomorphism basis that scoring counts with: Moebius inversion
     over labelled partitions turns the counting queries' injective counts
     into a weighted sum of plain homomorphism counts of the disjuncts'
-    quotients, which factor over connected components, so every fact's
-    counts cost one search per component instead of one homomorphism per
-    support.
+    quotients, which factor over their connected components
+    (`model.connected_components`), so every fact's counts cost one
+    search per component instead of one homomorphism per support.
 
 The counting queries and the basis depend on the query alone, the
 counting queries built from one enumeration of every disjunct's
@@ -50,6 +50,7 @@ from .model import (
     UCQ,
     UnsupportedTBoxError,
     as_ucq,
+    connected_components,
     const,
     value_class,
     var,
@@ -59,7 +60,6 @@ from .queries import (
     HomTarget,
     UnsatisfiableQuery,
     canonicalize_counted,
-    components,
     hom_assignments,
     hom_count,
     hom_exists,
@@ -104,13 +104,9 @@ def count_homomorphisms(cq: CQ, facts: Iterable[Fact] | FactDB) -> int:
     return hom_count(cq, db)
 
 
-def cq_holds(cq: CQ, db: FactDB) -> bool:
-    return hom_exists(cq, db)
-
-
 def ucq_holds(ucq: UCQ, facts: Iterable[Fact] | FactDB) -> bool:
     db = facts if isinstance(facts, FactDB) else FactDB(facts)
-    return any(cq_holds(d, db) for d in ucq.disjuncts)
+    return any(hom_exists(d, db) for d in ucq.disjuncts)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +355,7 @@ def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
     return {k: tuple(q for q, _ in found) for k, found in _rigid_reducts(as_ucq(ucq)).items()}
 
 
-@value_class(frozen=True)
+@value_class()
 class CountingQuery:
     """A rigidified reduct: all-pairs disequalities with coefficient
     gamma = 1 / |Auto|."""
@@ -408,7 +404,7 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
 # The homomorphism basis
 # ---------------------------------------------------------------------------
 
-@value_class(frozen=True)
+@value_class()
 class BasisTerm:
     """A quotient of a disjunct, with the disjunct's own disequalities,
     and its coefficient in the count of the minimal supports of one size."""
@@ -560,7 +556,7 @@ def basis_fact_counts(
         sums: dict[Fact, int] = {}
         for t in terms:
             weight = t.coefficient.numerator * (scale // t.coefficient.denominator)
-            factors = [_image_counts(c, db) for c in components(t.cq)]
+            factors = [_image_counts(c, db) for c in connected_components(t.cq)]
             homs = prod(h for h, _ in factors)
             if not homs:
                 continue

@@ -49,7 +49,7 @@ from .model import (
 )
 
 
-@value_class(frozen=True)
+@value_class()
 class ParseDiagnostic:
     line: int
     column: int
@@ -264,8 +264,12 @@ def _split_atoms(line: str):
     return [p.strip() for p in parts if p.strip()]
 
 
-def parse_query(text: str, arity: _ArityTracker | None = None) -> UCQ:
-    arity = arity or _ArityTracker()
+def parse_query(text: str) -> UCQ:
+    """The UCQ of a query file.  Each disjunct needs a relational atom,
+    and each disequality must relate terms of one connected component of
+    the disjunct's relational atoms: a failure names the line of the
+    disjunct, or of the disequality at fault."""
+    arity = _ArityTracker()
     disjunct_chunks: list[list[tuple[int, str]]] = [[]]
     for lineno, line in _lines(text):
         if line == "OR":
@@ -278,6 +282,7 @@ def parse_query(text: str, arity: _ArityTracker | None = None) -> UCQ:
         if not chunk:
             _fail(1, "empty disjunct")
         atoms: list[Atom] = []
+        neqs: list[tuple[int, Atom]] = []
         for lineno, line in chunk:
             for atom_s in _split_atoms(line):
                 neq = _NEQ_RE.match(atom_s)
@@ -286,7 +291,7 @@ def parse_query(text: str, arity: _ArityTracker | None = None) -> UCQ:
                     t2 = _parse_term(neq.group(2), lineno)
                     if t1 == t2:
                         _fail(lineno, "disequality terms must differ")
-                    atoms.append(neq_atom(t1, t2))
+                    neqs.append((lineno, neq_atom(t1, t2)))
                     continue
                 m = _ATOM_RE.match(atom_s)
                 if not m:
@@ -301,12 +306,20 @@ def parse_query(text: str, arity: _ArityTracker | None = None) -> UCQ:
                     atoms.append(role_atom(pred, terms[0], terms[1]))
                 else:
                     _fail(lineno, f"atom {pred!r} needs one or two arguments")
-        cq = CQ(tuple(atoms))
-        try:
-            connected_components(cq)  # validates disequality placement
-        except RespoError as exc:
-            _fail(chunk[0][0], str(exc))
-        disjuncts.append(cq)
+        if not atoms:
+            _fail(chunk[0][0], "query has no relational atoms")
+        home = {
+            v: i
+            for i, component in enumerate(connected_components(CQ(tuple(atoms))))
+            for v in component.variables()
+        }
+        for lineno, neq in neqs:
+            for v in neq.variables():
+                if v not in home:
+                    _fail(lineno, f"disequality variable ?{v} occurs in no relational atom")
+            if len({home[v] for v in neq.variables()}) > 1:
+                _fail(lineno, "disequality spans two query components")
+        disjuncts.append(CQ(tuple(atoms + [neq for _, neq in neqs])))
     return UCQ(tuple(disjuncts))
 
 

@@ -309,6 +309,15 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert code == 2
 
+    # disequality across two query components -> 2, naming its line
+    split_query = tmp_path / "split.query"
+    split_query.write_text("A(?x)\nB(?y), ?x != ?y\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "count-ms", "--abox", str(abox), "--query", str(split_query)
+    )
+    assert code == 2
+    assert err == "parse error: 2:1: error: disequality spans two query components\n"
+
 
 def test_score_if_equals_brute_byte_identical(capsys, tmp_path):
     # small interaction-free fixture: brute and if must agree byte for byte

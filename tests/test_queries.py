@@ -7,25 +7,36 @@ import random
 from itertools import product
 
 from respo import queries
-from respo.model import ANON, CQ, UCQ, Atom, Fact, concept_atom, const, neq_atom, role_atom, var
+from respo.model import (
+    ANON,
+    CQ,
+    UCQ,
+    Atom,
+    Fact,
+    concept_atom,
+    connected_components,
+    const,
+    neq_atom,
+    role_atom,
+    var,
+)
 from respo.queries import (
     canonicalize,
     hom_assignments,
     hom_count,
     hom_exists,
     hom_visit,
-    query_hom_exists,
+    query_target,
     with_all_pairs_neq,
 )
 from respo.randgen import random_consistent_kb
-from respo.reasoner import canonical_slice, entails_cq, holds_under_assignment, query_depth
+from respo.reasoner import canonical_slice, entails_ucq, holds_under_assignment, query_depth
 from respo.shapley import Plan
 from respo.support import (
     FactDB,
     count_automorphisms,
     count_homomorphisms,
     counting_queries,
-    cq_holds,
     minimal_supports_via_hom_images,
 )
 
@@ -147,7 +158,7 @@ def sorted_items(binding: dict) -> tuple:
 
 
 def hom_order(cq: CQ) -> list:
-    return [atom for component in queries._eval_components(cq) for atom in component]
+    return [atom for component in connected_components(cq) for atom in component.atoms]
 
 
 def tally_step(seen: dict, step) -> None:
@@ -171,7 +182,7 @@ def test_fact_db_search_matches_oracle():
         images = db_homs(cq, facts)
         db = FactDB(facts)
         assert count_homomorphisms(cq, db) == len(images), cq
-        assert cq_holds(cq, db) == bool(images), cq
+        assert hom_exists(cq, db) == bool(images), cq
         minimal = {s for s in images if not any(o < s for o in images)}
         found = {s.facts for s in minimal_supports_via_hom_images(cq, facts)}
         assert found == minimal, cq
@@ -209,8 +220,8 @@ def test_query_search_matches_oracle():
         src = random_query(rng, ["c", "d"], max_atoms=2)
         if rng.random() < 0.5:
             dst = with_all_pairs_neq(dst, ("c",))
-        assert query_hom_exists(src, dst) == (cq_homs(src, dst) > 0), (src, dst)
-        assert query_hom_exists(dst, dst)
+        assert hom_exists(src, query_target(dst)) == (cq_homs(src, dst) > 0), (src, dst)
+        assert hom_exists(dst, query_target(dst))
         for q in (src, dst):
             assert count_automorphisms(q) == cq_homs(q, q), q
 
@@ -247,7 +258,7 @@ def test_slice_search_matches_oracle():
         target = canonical_slice(abox, tbox, query_depth(cq, tbox))
         elements = {w for values in target.tuples.values() for t in values for w in t}
         matches = slice_matches(target, cq, {}, elements)
-        assert entails_cq(abox, tbox, cq) == bool(matches), (tbox, abox, cq)
+        assert entails_ucq(abox, tbox, UCQ((cq,))) == bool(matches), (tbox, abox, cq)
         anonymous = {w for w in elements if w[1]}
         for _ in range(4):
             # Half of the assignments are read off a match, pinning its

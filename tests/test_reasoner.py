@@ -14,6 +14,7 @@ from respo.model import (
     ROLE_INCLUSION,
     Role,
     TBox,
+    UCQ,
     UnsupportedTBoxError,
     as_ucq,
     concept,
@@ -33,8 +34,8 @@ from respo.randgen import (
 )
 from respo.reasoner import (
     canonical_slice,
-    entails_cq,
     entails_ground_atom,
+    entails_ucq,
     holds_under_assignment,
     is_consistent,
     query_depth,
@@ -142,7 +143,8 @@ def test_horn_path_agrees_with_dllite_path():
             for n in ROLE_NAMES for a in individuals for b in individuals
         ]
         for atom in ground:
-            assert entails_ground_atom(abox, horn, atom) == entails_cq(abox, plain, CQ((atom,)))
+            assert entails_ground_atom(abox, horn, atom) == entails_ucq(
+                abox, plain, UCQ((CQ((atom,)),)))
         atoms += len(ground)
     assert inconsistent > 10 and atoms > 3000
 
@@ -232,9 +234,9 @@ def test_entails_cq_examples():
         Axiom(CONCEPT_INCLUSION, exists(Role("r", True)), concept("B")),
     )
     abox = parse_abox("A(c)\n")
-    assert entails_cq(abox, t, CQ((concept_atom("B", var("x")),)))
-    assert not entails_cq(abox, t, CQ((concept_atom("B", const("c")),)))
-    assert not entails_cq(ABox(()), t, CQ((concept_atom("A", const("c")),)))
+    assert entails_ucq(abox, t, UCQ((CQ((concept_atom("B", var("x")),)),)))
+    assert not entails_ucq(abox, t, UCQ((CQ((concept_atom("B", const("c")),)),)))
+    assert not entails_ucq(ABox(()), t, UCQ((CQ((concept_atom("A", const("c")),)),)))
 
 
 def test_holds_under_assignment_examples():
@@ -255,7 +257,7 @@ def test_inconsistent_kb_raises():
     t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), concept("B"), True))
     abox = parse_abox("A(c)\nB(c)\n")
     with pytest.raises(InconsistentKBError):
-        entails_cq(abox, t, CQ((concept_atom("A", var("x")),)))
+        entails_ucq(abox, t, UCQ((CQ((concept_atom("A", var("x")),)),)))
 
 
 def test_oracle_agreement_atomic_queries():
@@ -268,8 +270,8 @@ def test_oracle_agreement_atomic_queries():
         if not individuals:
             continue
         atom = concept_atom(rng.choice(["A", "B", "C"]), const(rng.choice(individuals)))
-        assert entails_ground_atom(abox, tbox, atom) == entails_cq(
-            abox, tbox, CQ((atom,))
+        assert entails_ground_atom(abox, tbox, atom) == entails_ucq(
+            abox, tbox, UCQ((CQ((atom,)),))
         )
         checked += 1
 
@@ -282,9 +284,9 @@ def test_depth_sufficiency():
     while checked < 60:
         cq = random_cq(rng, max_atoms=4, allow_neq=False)
         tbox, abox = random_consistent_kb(rng, max_axioms=4, max_facts=5, bias=as_ucq(cq))
-        shallow = entails_cq(abox, tbox, cq)
+        shallow = entails_ucq(abox, tbox, UCQ((cq,)))
         depth = query_depth(cq, tbox) + len(cq.variables()) + 1
-        deep = entails_cq(abox, tbox, cq, depth=depth)
+        deep = entails_ucq(abox, tbox, UCQ((cq,)), depth=depth)
         assert shallow == deep
         checked += 1
 
@@ -298,8 +300,8 @@ def test_depth_counts_generating_roles():
     query = CQ((concept_atom("A", var("x")),))
     assert saturate(tbox).generating_roles == {Role("r"), Role("s"), Role("t")}
     assert query_depth(query, tbox) == 5
-    assert entails_cq(parse_abox("f0: B(c)\n"), tbox, query)
-    assert not entails_cq(parse_abox("f0: B(c)\n"), tbox, query, depth=2)
+    assert entails_ucq(parse_abox("f0: B(c)\n"), tbox, UCQ((query,)))
+    assert not entails_ucq(parse_abox("f0: B(c)\n"), tbox, UCQ((query,)), depth=2)
     # With r- <= s, exists r entails exists s-, which gets an element of
     # its own, and an element reached by r gets an s-successor.
     lifted = parse_tbox("A <= exists r\nrole: r- <= s\n")

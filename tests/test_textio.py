@@ -110,9 +110,32 @@ def test_parse_query_disjuncts():
     assert len(ucq.disjuncts) == 2
 
 
+def _parse_query_error(text: str) -> str:
+    with pytest.raises(ParseError) as error:
+        parse_query(text)
+    return str(error.value)
+
+
+def test_parse_query_rejects_a_disjunct_without_relational_atoms():
+    """The error names the disjunct's first line."""
+    assert _parse_query_error("A(?x)\nOR\n?x != ?y\n") == (
+        "3:1: error: query has no relational atoms")
+
+
+def test_parse_query_rejects_an_unanchored_disequality_variable():
+    """The error names the disequality's line."""
+    assert _parse_query_error("A(?x)\n# anchored by A only\n?x != ?z\n") == (
+        "3:1: error: disequality variable ?z occurs in no relational atom")
+
+
 def test_parse_query_rejects_cross_component_disequality():
-    with pytest.raises(ParseError):
-        parse_query("A(?x), B(?y), ?x != ?y\n")
+    """The error names the disequality's line, not the disjunct's first."""
+    assert _parse_query_error("A(?x), B(?y), ?x != ?y\n") == (
+        "1:1: error: disequality spans two query components")
+    assert _parse_query_error("A(?x)\nB(?y), ?x != ?y\n") == (
+        "2:1: error: disequality spans two query components")
+    assert _parse_query_error("B(?y)\nOR\nA(?x)\nB(?y), ?x != ?y\n") == (
+        "4:1: error: disequality spans two query components")
 
 
 def test_round_trips():
