@@ -1,8 +1,10 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 property failure, 2 parse error or bad input
-(missing --abox, unknown fact label or answer variable, malformed weight
-table, weight table without an entry the scores need, a `--size` or
+(missing --abox, unknown fact label or answer variable, an --answer
+value that is not a constant, an --answer that binds a variable twice
+or collapses a disequality in every disjunct, malformed weight table,
+weight table without an entry the scores need, a `--size` or
 `--instances` below 1, a `score`, `count-ms` or `count-fms` that
 resolves to brute force or a `shapley-drastic` run on more facts than
 the cap of 20, a `score`, `count-ms` or `count-fms` that resolves to
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +45,7 @@ from .model import (
     read_text,
 )
 from .textio import (
+    _CONSTTOK,
     ParseError,
     check_signature_consistency,
     instantiate_query,
@@ -77,6 +81,10 @@ def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
             name = name.lstrip("?")
             if name not in variables:
                 raise InputError(f"--answer names ?{name}, which the query does not use")
+            if name in bindings:
+                raise InputError(f"--answer binds ?{name} twice")
+            if not re.fullmatch(_CONSTTOK, value):
+                raise InputError(f"--answer value {value!r} for ?{name} is not a constant")
             bindings[name] = value
         query = instantiate_query(query, bindings)
     if abox is not None and getattr(args, "fact", None):

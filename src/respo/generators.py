@@ -6,12 +6,11 @@
     CQ/UCQ pair whose minimal-support difference equals the number of
     perfect matchings.
 
-Each generator comes with an independent combinatorial oracle.
+The tests check each generator against an independent combinatorial
+count of what it encodes, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .model import (
     ABox,
@@ -21,7 +20,6 @@ from .model import (
     Fact,
     InputError,
     QualifiedExistsAxiom,
-    RespoError,
     Role,
     TBox,
     UCQ,
@@ -140,23 +138,6 @@ def gen_mvc(graph: Graph) -> tuple[TBox, ABox, UCQ]:
     return tbox, ABox(facts), query
 
 
-def oracle_count_mvc(graph: Graph) -> int:
-    """Exhaustive count of inclusion-minimal vertex covers."""
-    if len(graph.vertices) > 12:
-        raise RespoError("oracle limited to 12 vertices")
-
-    def covers(subset: frozenset[str]) -> bool:
-        return all(u in subset or v in subset for (u, v) in graph.edges)
-
-    total = 0
-    for k in range(len(graph.vertices) + 1):
-        for combo in combinations(graph.vertices, k):
-            s = frozenset(combo)
-            if covers(s) and all(not covers(s - {v}) for v in s):
-                total += 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Reachability
 # ---------------------------------------------------------------------------
@@ -177,27 +158,6 @@ def gen_reachability(graph: Graph, source: str, target: str) -> tuple[TBox, ABox
     facts.append(Fact("goal", "Reach", (target,)))
     query = UCQ((CQ((concept_atom("Reach", const(source)),)),))
     return tbox, ABox(tuple(facts)), query
-
-
-def oracle_simple_paths(graph: Graph, source: str, target: str) -> dict[int, int]:
-    """Histogram (length -> count) of simple directed paths; the empty
-    path counts when source equals target."""
-    adjacency: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for (u, v) in graph.edges:
-        adjacency[u].append(v)
-
-    counts: dict[int, int] = {}
-
-    def walk(node: str, visited: set[str], length: int):
-        if node == target:
-            counts[length] = counts.get(length, 0) + 1
-            return
-        for nxt in adjacency[node]:
-            if nxt not in visited:
-                walk(nxt, visited | {nxt}, length + 1)
-
-    walk(source, {source}, 0)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +273,3 @@ def gen_perfect_matching(graph: Graph) -> MatchingInstance:
     q2 = UCQ(tuple(disjuncts))
 
     return MatchingInstance(ABox(tuple(facts)), UCQ((q1,)), q2)
-
-
-def oracle_count_matchings(graph: Graph) -> int:
-    if not graph.bipartite:
-        raise RespoError("matching oracle needs a bipartite graph")
-    a = list(graph.part_a)
-    adjacency = {u: set() for u in a}
-    for (u, v) in graph.edges:
-        if u in adjacency:
-            adjacency[u].add(v)
-        else:
-            adjacency[v].add(u)
-
-    def count(i: int, used: frozenset[str]) -> int:
-        if i == len(a):
-            return 1
-        total = 0
-        for b in adjacency[a[i]]:
-            if b not in used:
-                total += count(i + 1, used | {b})
-        return total
-
-    if len(graph.part_a) != len(graph.part_b):
-        return 0
-    return count(0, frozenset())

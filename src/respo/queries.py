@@ -164,7 +164,7 @@ def canonicalize_counted(cq: CQ) -> tuple[tuple, CQ, int]:
     variables' signatures, so the number is the count of those
     permutations.  On a rigid query (`with_all_pairs_neq`) every
     homomorphism into itself is such a permutation, so the number is its
-    automorphism count, `support.count_automorphisms`.
+    automorphism count.
     """
     key, order, ties = _canonical(cq)
     if not order:
@@ -383,13 +383,6 @@ def hom_count(cq: CQ, target: HomTarget) -> int:
         if total == 0:
             return 0
     return total
-
-
-def hom_assignments(cq: CQ, target: HomTarget) -> list[dict[str, object]]:
-    """Every homomorphism of cq into the target, as a variable binding."""
-    found: list[dict[str, object]] = []
-    hom_visit(cq, target, lambda binding: found.append(dict(binding)))
-    return found
 
 
 def hom_visit(

@@ -24,7 +24,6 @@ from .model import (
     CONCEPT_INCLUSION,
     ROLE_INCLUSION,
     ABox,
-    Assignment,
     Atom,
     BasicConcept,
     CQ,
@@ -88,9 +87,6 @@ class SaturatedTBox:
 
     def entails_concept_inclusion(self, lhs: BasicConcept, rhs: BasicConcept) -> bool:
         return rhs in self.concept_sups(lhs)
-
-    def entails_role_inclusion(self, lhs: Role, rhs: Role) -> bool:
-        return rhs in self.role_sups(lhs)
 
     @cached_property
     def generating_roles(self) -> frozenset[Role]:
@@ -391,12 +387,6 @@ def entails_ground_atom(abox: Iterable[Fact], tbox: TBox, atom: Atom) -> bool:
     return args in role_pairs.get(atom.predicate, ())
 
 
-def entails_exists(abox: Iterable[Fact], tbox: TBox, role: Role, individual: str) -> bool:
-    """(A, T) |= exists R(a)."""
-    types, _ = _entailed_instance_data(abox, tbox)
-    return exists(role) in types.get(individual, ())
-
-
 # ---------------------------------------------------------------------------
 # Canonical-model slices
 # ---------------------------------------------------------------------------
@@ -507,22 +497,3 @@ def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> b
         depth = max(query_depth(d, tbox) for d in ucq.disjuncts)
     target = canonical_slice(abox, tbox, depth)
     return any(hom_exists(d, target) for d in ucq.disjuncts)
-
-
-def holds_under_assignment(
-    abox: ABox, tbox: TBox, cq: CQ, mu: Assignment, depth: int | None = None
-) -> bool:
-    """(A, T) |=_mu q: some homomorphism of cq into the canonical model
-    sends each variable to the named element of the constant mu gives it,
-    or to an anonymous element where mu gives ANON; see
-    `slice_assignments`."""
-    if not is_consistent(abox, tbox):
-        raise InconsistentKBError("assignment check over an inconsistent KB")
-    values = []
-    for v in cq.variables():
-        if v not in mu:
-            raise ValueError(f"assignment is not total: missing ?{v}")
-        value = mu[v]
-        values.append(value if isinstance(value, str) or value == ANON else value.name)
-    target = canonical_slice(abox, tbox, query_depth(cq, tbox) if depth is None else depth)
-    return tuple(values) in slice_assignments(target, cq)

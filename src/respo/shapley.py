@@ -1,10 +1,11 @@
 """Responsibility scores.
 
 Weighted sums of minimal supports (the fact's score is the sum of
-w(|S|, |D|) over the minimal supports S containing it), the brute-force
-Shapley value for arbitrary wealth functions (drastic 0/1 and
-number-of-minimal-supports wealths built in), and the symmetry/null
-property checks used by the verification suites.
+w(|S|, |D|) over the minimal supports S containing it), and the
+brute-force Shapley value for arbitrary wealth functions (the drastic
+0/1 wealth built in).  The symmetry/null property checks, the direct
+WSMS sum and the number-of-minimal-supports wealth are oracles that only
+the tests run; they live in `tests/oracles.py`.
 
 Every count goes through a `Plan`: the OMQ compiled once for one
 pipeline (the method choice, the interaction-freeness check, the
@@ -25,7 +26,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .model import (
     ABox,
@@ -123,15 +124,6 @@ def drastic_wealth(evaluator: Evaluator) -> WealthFunction:
     )
 
 
-def ms_wealth(evaluator: Evaluator) -> WealthFunction:
-    from .support import enumerate_minimal_supports
-
-    def evaluate(s: frozenset[Fact]) -> Fraction:
-        return Fraction(len(enumerate_minimal_supports(s, evaluator)))
-
-    return WealthFunction("ms", evaluate)
-
-
 # The largest database brute force takes by default: 2^20 coalitions.
 BRUTE_FORCE_CAP = 20
 
@@ -178,21 +170,6 @@ def shapley_brute_force(
 # WSMS
 # ---------------------------------------------------------------------------
 
-def wsms_direct(
-    abox: ABox, evaluator: Evaluator, fact: Fact, weight: WeightFunction
-) -> Fraction:
-    """Eq.-style direct sum over the enumerated minimal supports that
-    contain the fact."""
-    from .support import enumerate_minimal_supports
-
-    supports = enumerate_minimal_supports(tuple(abox), evaluator)
-    total = Fraction(0)
-    for s in supports:
-        if fact in s.facts:
-            total += weight(len(s), len(abox))
-    return total
-
-
 def wsms_via_histogram(
     fact_counts: Mapping[int, int], db_size: int, weight: WeightFunction
 ) -> Fraction:
@@ -203,17 +180,6 @@ def wsms_via_histogram(
         if count:
             total += weight(k, db_size) * count
     return total
-
-
-def per_fact_counts(
-    abox: ABox,
-    histogram_provider: Callable[[frozenset[Fact]], SupportHistogram],
-    fact: Fact,
-) -> dict[int, int]:
-    """Per-size counts of minimal supports containing the fact, as the
-    difference between the histograms over D and D minus the fact."""
-    full = histogram_provider(frozenset(abox))
-    return histogram_difference(full, histogram_provider(frozenset(abox) - {fact}))
 
 
 def histogram_difference(
@@ -357,69 +323,3 @@ def score_all(
     full, counts = plan.fact_counts(abox)
     scores = {f.label: wsms_via_histogram(counts[f], len(abox), weight) for f in abox}
     return ScoreReport(scores=scores, method=plan.method, histogram=full)
-
-
-# ---------------------------------------------------------------------------
-# Score property checks
-# ---------------------------------------------------------------------------
-
-@value_class()
-class PropertyVerdict:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def check_score_properties(
-    report: ScoreReport,
-    minsups: Iterable[MinimalSupport],
-    orderings: Sequence[tuple[str, str]] = (),
-) -> list[PropertyVerdict]:
-    """Symmetry: facts lying in exactly the same minimal supports score
-    equally.  Null: a fact scores zero iff it lies in no minimal support,
-    positively otherwise.  Optional strict orderings (greater, smaller)
-    cover fixture-specific expectations."""
-    supports = list(minsups)
-    membership: dict[str, frozenset[int]] = {}
-    for label in report.scores:
-        membership[label] = frozenset(
-            i for i, s in enumerate(supports) if any(f.label == label for f in s.facts)
-        )
-
-    verdicts: list[PropertyVerdict] = []
-
-    sym_ok, sym_detail = True, ""
-    labels = list(report.scores)
-    for i, l1 in enumerate(labels):
-        for l2 in labels[i + 1:]:
-            if membership[l1] == membership[l2] and report.scores[l1] != report.scores[l2]:
-                sym_ok = False
-                sym_detail = f"{l1} and {l2} share supports but score differently"
-                break
-        if not sym_ok:
-            break
-    verdicts.append(PropertyVerdict("Sym-db", sym_ok, sym_detail))
-
-    null_ok, null_detail = True, ""
-    for label, score in report.scores.items():
-        relevant = bool(membership[label])
-        if relevant and score <= 0:
-            null_ok = False
-            null_detail = f"{label} lies in a minimal support but scores {score}"
-            break
-        if not relevant and score != 0:
-            null_ok = False
-            null_detail = f"{label} is irrelevant but scores {score}"
-            break
-    verdicts.append(PropertyVerdict("Null-db", null_ok, null_detail))
-
-    for greater, smaller in orderings:
-        ok = report.scores[greater] > report.scores[smaller]
-        verdicts.append(
-            PropertyVerdict(
-                f"ordering {greater}>{smaller}",
-                ok,
-                "" if ok else f"{report.scores[greater]} <= {report.scores[smaller]}",
-            )
-        )
-    return verdicts

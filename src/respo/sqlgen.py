@@ -115,7 +115,6 @@ class ManifestEntry:
     sql: str
     gamma: Fraction
     size: int
-    counting_query: CountingQuery  # retained for the internal evaluator
 
 
 @value_class()
@@ -165,7 +164,6 @@ def build_manifest(
                     sql=emit_count_query(cq.cq, tables),
                     gamma=cq.gamma,
                     size=k,
-                    counting_query=cq,
                 )
             )
     return SqlManifest(
@@ -174,16 +172,3 @@ def build_manifest(
         entries=tuple(entries),
         tables=tables,
     )
-
-
-def evaluate_manifest(manifest: SqlManifest, abox: ABox) -> dict[int, Fraction]:
-    """Execute the manifest against the internal homomorphism counter (the
-    reference semantics for the emitted SQL) and aggregate per size."""
-    from .support import FactDB, count_homomorphisms
-
-    db = FactDB(tuple(abox))
-    totals: dict[int, Fraction] = {}
-    for e in manifest.entries:
-        n = count_homomorphisms(e.counting_query.cq, db)
-        totals[e.size] = totals.get(e.size, Fraction(0)) + n * e.gamma
-    return totals

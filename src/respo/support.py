@@ -1,18 +1,13 @@
 """Minimal-support counting.
 
-Four routes live here:
+Three pieces live here:
 
-  * a brute-force oracle that enumerates inclusion-minimal satisfying
-    subsets behind any monotone evaluator;
-  * an image-based enumerator for plain databases (every minimal support
-    is the image of some query homomorphism, so inclusion-minimal images
-    are exactly the minimal supports) that scales past subset enumeration;
+  * brute-force enumeration of the inclusion-minimal satisfying subsets
+    behind any monotone evaluator, which brute-force scoring runs;
   * the reduct/automorphism partition: per size k, the minimal supports of
-    a UCQ split across rigidified reducts (the counting queries), and
-    each reduct's supports are counted as homomorphisms divided by its
-    automorphism count, by enumerating each counting query's
-    homomorphisms (`partition_histogram`, `partition_fact_counts`): the
-    oracle the basis is tested against, and what `emit-sql` emits;
+    a UCQ split across rigidified reducts (the counting queries), each
+    reduct's supports counted as homomorphisms divided by its
+    automorphism count; `emit-sql` emits these queries;
   * the homomorphism basis that scoring counts with: Moebius inversion
     over labelled partitions turns the counting queries' injective counts
     into a weighted sum of plain homomorphism counts of the disjuncts'
@@ -27,7 +22,10 @@ merge atoms; a `shapley.Plan` keeps the basis for every database.
 Nothing here is cached.
 
 Every homomorphism count, test and enumeration, into a `FactDB` or into
-another query, runs on the one search in `queries`.
+another query, runs on the one search in `queries`.  The tests hold these
+counts to the reference implementations in `tests/oracles.py`: the
+brute-force histogram, the minimal homomorphism images, the automorphism
+count by search and the enumerating partition count.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from .queries import (
     HomTarget,
     UnsatisfiableQuery,
     canonicalize_counted,
-    hom_assignments,
     hom_count,
     hom_exists,
     hom_visit,
@@ -95,13 +92,6 @@ class FactDB(HomTarget):
         relational atom onto."""
         args = tuple(binding[t.name] if t.is_var else t.name for t in atom.terms)
         return self.tuples[(atom.predicate, len(atom.terms))][args]
-
-
-def count_homomorphisms(cq: CQ, facts: Iterable[Fact] | FactDB) -> int:
-    """Number of assignments of cq's variables into the database constants
-    satisfying every atom (constants fixed, disequalities as distinctness)."""
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
-    return hom_count(cq, db)
 
 
 def ucq_holds(ucq: UCQ, facts: Iterable[Fact] | FactDB) -> bool:
@@ -177,33 +167,6 @@ def enumerate_minimal_supports(
             if not any(m.facts <= s for m in out) and evaluator(s):
                 out.append(MinimalSupport(s))
     return out
-
-
-def count_fms_brute(
-    facts: Iterable[Fact], evaluator: Evaluator, size_cap: int | None = None
-) -> SupportHistogram:
-    supports = enumerate_minimal_supports(facts, evaluator, size_cap)
-    return SupportHistogram.from_sizes(len(s) for s in supports)
-
-
-def minimal_supports_via_hom_images(
-    ucq: CQ | UCQ, facts: Iterable[Fact]
-) -> list[MinimalSupport]:
-    """Minimal supports of a UCQ over a plain database, as the
-    inclusion-minimal homomorphism images.  Sound because every minimal
-    support is covered exactly by some homomorphism image, and every image
-    is a support."""
-    ucq = as_ucq(ucq)
-    db = FactDB(facts)
-    images: set[frozenset[Fact]] = set()
-    for disjunct in ucq.disjuncts:
-        rel = disjunct.relational_atoms()
-        for binding in hom_assignments(disjunct, db):
-            images.add(frozenset(db.fact_of(atom, binding) for atom in rel))
-    minimal = [
-        s for s in images if not any(other < s for other in images)
-    ]
-    return [MinimalSupport(s) for s in sorted(minimal, key=lambda s: sorted(f.label for f in s))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +312,6 @@ def _minimal(disjuncts: Iterable[CQ], rigid: CQ) -> bool:
     return True
 
 
-def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
-    """The reducts of every size k that no smaller reduct maps into (see
-    `_rigid_reducts`)."""
-    return {k: tuple(q for q, _ in found) for k, found in _rigid_reducts(as_ucq(ucq)).items()}
-
-
 @value_class()
 class CountingQuery:
     """A rigidified reduct: all-pairs disequalities with coefficient
@@ -362,16 +319,6 @@ class CountingQuery:
 
     cq: CQ
     gamma: Fraction
-
-
-def count_automorphisms(cq: CQ) -> int:
-    """Number of disequality-respecting homomorphisms of cq onto itself,
-    by a search: the oracle for the gamma that `counting_queries` reads
-    off the canonical search."""
-    n = hom_count(cq, query_target(cq))
-    if n < 1:
-        raise RespoError("a satisfiable query has at least the identity automorphism")
-    return n
 
 
 def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
@@ -387,8 +334,8 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
 
     gamma comes from the same canonical search: on a rigid query, the
     variable orderings that attain its canonical key number |Auto| (see
-    `queries.canonicalize_counted`).  `count_automorphisms` is the
-    independent check the tests hold it to.
+    `queries.canonicalize_counted`); the tests check it against an
+    automorphism count by search.
     """
     out = {}
     for k, found in _rigid_reducts(as_ucq(ucq)).items():
@@ -582,75 +529,6 @@ def _image_counts(cq: CQ, db: FactDB) -> tuple[int, dict[Fact, int]]:
             hits[f] = hits.get(f, 0) + 1
 
     return hom_visit(cq, db, credit), hits
-
-
-# ---------------------------------------------------------------------------
-# Partition counting by enumeration: the oracle of the basis
-# ---------------------------------------------------------------------------
-
-def count_fms_partition(
-    queries: Iterable[CountingQuery], facts: Iterable[Fact] | FactDB
-) -> int:
-    """countFMS(k) as the gamma-weighted sum of homomorphism counts over
-    the size-k counting queries.  The sum is integral by construction; a
-    fractional result signals a pipeline bug."""
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
-    total = Fraction(0)
-    for cq in queries:
-        n = count_homomorphisms(cq.cq, db)
-        total += n * cq.gamma
-    if total.denominator != 1:
-        raise RespoError(f"non-integral partition count {total}")
-    return int(total)
-
-
-def partition_histogram(
-    queries: Mapping[int, Iterable[CountingQuery]], facts: Iterable[Fact] | FactDB
-) -> SupportHistogram:
-    """countFMS per size from the counting queries of each size (see
-    `counting_queries`)."""
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
-    return SupportHistogram({k: count_fms_partition(qs, db) for k, qs in queries.items()})
-
-
-def partition_fact_counts(
-    queries: Mapping[int, Iterable[CountingQuery]], facts: Iterable[Fact] | FactDB
-) -> tuple[SupportHistogram, FactCounts]:
-    """`partition_histogram`, and each fact's per-size counts of the
-    minimal supports containing it, from one search per counting query.
-
-    A counting query is rigid, so each of its homomorphisms is injective
-    and its image is one size-k support; each size-k minimal support is
-    the image of |Auto_q| homomorphisms of exactly one size-k counting
-    query q, which gamma_q = 1/|Auto_q| cancels.  A fact's size-k count,
-    the size-k histogram over D minus the one over D without the fact, is
-    therefore the sum over q of gamma_q times the number of q's
-    homomorphisms whose image holds the fact.  The integer hits of each
-    (query, fact) pair are weighted by gamma once, and every sum must be
-    integral, like the totals.
-    """
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
-    totals: dict[int, int] = {}
-    counts: FactCounts = {f: {} for f in db.facts}
-    for k, qs in queries.items():
-        total = Fraction(0)
-        sums: dict[Fact, Fraction] = {}
-        for q in qs:
-            hits: dict[Fact, int] = {}
-            rel = q.cq.relational_atoms()
-
-            def credit(binding):
-                for atom in rel:
-                    f = db.fact_of(atom, binding)
-                    hits[f] = hits.get(f, 0) + 1
-
-            total += hom_visit(q.cq, db, credit) * q.gamma
-            for f, n in hits.items():
-                sums[f] = sums.get(f, 0) + n * q.gamma
-        totals[k] = _integral(total)
-        for f, value in sums.items():
-            counts[f][k] = _integral(value, f)
-    return SupportHistogram(totals), counts
 
 
 def _integral(value: Fraction, fact: Fact | None = None) -> int:

@@ -28,6 +28,7 @@ from .model import (
     CQ,
     ConjunctionAxiom,
     Fact,
+    InputError,
     QualifiedExistsAxiom,
     ROLE_INCLUSION,
     RespoError,
@@ -363,11 +364,21 @@ def check_signature_consistency(tbox: TBox | None, abox: ABox | None, query: UCQ
 
 
 def instantiate_query(ucq: UCQ, bindings: dict[str, str]) -> UCQ:
-    """Substitute constants for (answer) variables before scoring."""
-    from .queries import substitute
+    """Substitute constants for (answer) variables before scoring.  A
+    disjunct in which the binding collapses a disequality is false, so it
+    is dropped; `InputError` if every disjunct is."""
+    from .queries import UnsatisfiableQuery, substitute
 
     mapping = {name: const(value) for name, value in bindings.items()}
-    return UCQ(tuple(substitute(d, mapping) for d in ucq.disjuncts))
+    kept = []
+    for d in ucq.disjuncts:
+        try:
+            kept.append(substitute(d, mapping))
+        except UnsatisfiableQuery as exc:
+            collapsed = exc
+    if not kept:
+        raise InputError(f"the answer binding makes the query false: {collapsed}")
+    return UCQ(tuple(kept))
 
 
 # ---------------------------------------------------------------------------

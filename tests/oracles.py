@@ -1,0 +1,371 @@
+"""Reference implementations that the tests check respo against.
+
+respo does not run any of these.  Each one counts or decides the same
+thing as a pipeline in `src/respo` by a simpler route, usually by
+enumeration:
+
+  * minimal supports: the brute-force histogram, the inclusion-minimal
+    homomorphism images of a UCQ, the reducts, the automorphism count by
+    search, and the partition counts by enumerating each counting
+    query's homomorphisms (the oracle of the homomorphism basis);
+  * scores: the direct WSMS sum over enumerated supports, the histogram
+    difference per fact, the number-of-minimal-supports wealth, and the
+    symmetry/null property checks;
+  * reasoning: query entailment under one assignment and exists R(a)
+    entailment;
+  * generators: the combinatorial counts that the hardness constructions
+    encode (minimal vertex covers, simple paths, perfect matchings);
+  * SQL: the emitted manifest run in sqlite.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+from fractions import Fraction
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, Sequence
+
+from respo.generators import Graph
+from respo.model import (
+    ABox,
+    ANON,
+    Assignment,
+    CQ,
+    Fact,
+    InconsistentKBError,
+    RespoError,
+    Role,
+    SupportHistogram,
+    TBox,
+    UCQ,
+    WeightFunction,
+    as_ucq,
+    exists,
+    value_class,
+)
+from respo.provenance import FactCounts, MinimalSupport
+from respo.queries import HomTarget, hom_count, hom_visit, query_target
+from respo.reasoner import (
+    _entailed_instance_data,
+    canonical_slice,
+    is_consistent,
+    query_depth,
+    slice_assignments,
+)
+from respo.shapley import ScoreReport, WealthFunction, histogram_difference
+from respo.sqlgen import SqlManifest
+from respo.support import (
+    CountingQuery,
+    Evaluator,
+    FactDB,
+    _integral,
+    _rigid_reducts,
+    enumerate_minimal_supports,
+)
+
+
+# ---------------------------------------------------------------------------
+# Minimal supports
+# ---------------------------------------------------------------------------
+
+def count_fms_brute(
+    facts: Iterable[Fact], evaluator: Evaluator, size_cap: int | None = None
+) -> SupportHistogram:
+    supports = enumerate_minimal_supports(facts, evaluator, size_cap)
+    return SupportHistogram.from_sizes(len(s) for s in supports)
+
+
+def hom_assignments(cq: CQ, target: HomTarget) -> list[dict[str, object]]:
+    """Every homomorphism of cq into the target, as a variable binding."""
+    found: list[dict[str, object]] = []
+    hom_visit(cq, target, lambda binding: found.append(dict(binding)))
+    return found
+
+
+def minimal_supports_via_hom_images(
+    ucq: CQ | UCQ, facts: Iterable[Fact]
+) -> list[MinimalSupport]:
+    """Minimal supports of a UCQ over a plain database, as the
+    inclusion-minimal homomorphism images.  Sound because every minimal
+    support is covered exactly by some homomorphism image, and every image
+    is a support."""
+    ucq = as_ucq(ucq)
+    db = FactDB(facts)
+    images: set[frozenset[Fact]] = set()
+    for disjunct in ucq.disjuncts:
+        rel = disjunct.relational_atoms()
+        for binding in hom_assignments(disjunct, db):
+            images.add(frozenset(db.fact_of(atom, binding) for atom in rel))
+    minimal = [
+        s for s in images if not any(other < s for other in images)
+    ]
+    return [MinimalSupport(s) for s in sorted(minimal, key=lambda s: sorted(f.label for f in s))]
+
+
+def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
+    """The reducts of every size k that no smaller reduct maps into (see
+    `support._rigid_reducts`)."""
+    return {k: tuple(q for q, _ in found) for k, found in _rigid_reducts(as_ucq(ucq)).items()}
+
+
+def count_automorphisms(cq: CQ) -> int:
+    """Number of disequality-respecting homomorphisms of cq onto itself,
+    by a search: the oracle for the gamma that `support.counting_queries`
+    reads off the canonical search."""
+    n = hom_count(cq, query_target(cq))
+    if n < 1:
+        raise RespoError("a satisfiable query has at least the identity automorphism")
+    return n
+
+
+def partition_fact_counts(
+    queries: Mapping[int, Iterable[CountingQuery]], facts: Iterable[Fact] | FactDB
+) -> tuple[SupportHistogram, FactCounts]:
+    """countFMS per size from the counting queries of each size (see
+    `support.counting_queries`), and each fact's per-size counts of the
+    minimal supports containing it, from one search per counting query.
+
+    A counting query is rigid, so each of its homomorphisms is injective
+    and its image is one size-k support; each size-k minimal support is
+    the image of |Auto_q| homomorphisms of exactly one size-k counting
+    query q, which gamma_q = 1/|Auto_q| cancels.  A fact's size-k count,
+    the size-k histogram over D minus the one over D without the fact, is
+    therefore the sum over q of gamma_q times the number of q's
+    homomorphisms whose image holds the fact.  The integer hits of each
+    (query, fact) pair are weighted by gamma once, and every sum must be
+    integral, like the totals.
+    """
+    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+    totals: dict[int, int] = {}
+    counts: FactCounts = {f: {} for f in db.facts}
+    for k, qs in queries.items():
+        total = Fraction(0)
+        sums: dict[Fact, Fraction] = {}
+        for q in qs:
+            hits: dict[Fact, int] = {}
+            rel = q.cq.relational_atoms()
+
+            def credit(binding):
+                for atom in rel:
+                    f = db.fact_of(atom, binding)
+                    hits[f] = hits.get(f, 0) + 1
+
+            total += hom_visit(q.cq, db, credit) * q.gamma
+            for f, n in hits.items():
+                sums[f] = sums.get(f, 0) + n * q.gamma
+        totals[k] = _integral(total)
+        for f, value in sums.items():
+            counts[f][k] = _integral(value, f)
+    return SupportHistogram(totals), counts
+
+
+# ---------------------------------------------------------------------------
+# Scores
+# ---------------------------------------------------------------------------
+
+def ms_wealth(evaluator: Evaluator) -> WealthFunction:
+    def evaluate(s: frozenset[Fact]) -> Fraction:
+        return Fraction(len(enumerate_minimal_supports(s, evaluator)))
+
+    return WealthFunction("ms", evaluate)
+
+
+def wsms_direct(
+    abox: ABox, evaluator: Evaluator, fact: Fact, weight: WeightFunction
+) -> Fraction:
+    """Eq.-style direct sum over the enumerated minimal supports that
+    contain the fact."""
+    supports = enumerate_minimal_supports(tuple(abox), evaluator)
+    total = Fraction(0)
+    for s in supports:
+        if fact in s.facts:
+            total += weight(len(s), len(abox))
+    return total
+
+
+def per_fact_counts(
+    abox: ABox,
+    histogram_provider: Callable[[frozenset[Fact]], SupportHistogram],
+    fact: Fact,
+) -> dict[int, int]:
+    """Per-size counts of minimal supports containing the fact, as the
+    difference between the histograms over D and D minus the fact."""
+    full = histogram_provider(frozenset(abox))
+    return histogram_difference(full, histogram_provider(frozenset(abox) - {fact}))
+
+
+@value_class()
+class PropertyVerdict:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+def check_score_properties(
+    report: ScoreReport,
+    minsups: Iterable[MinimalSupport],
+    orderings: Sequence[tuple[str, str]] = (),
+) -> list[PropertyVerdict]:
+    """Symmetry: facts lying in exactly the same minimal supports score
+    equally.  Null: a fact scores zero iff it lies in no minimal support,
+    positively otherwise.  Optional strict orderings (greater, smaller)
+    cover fixture-specific expectations."""
+    supports = list(minsups)
+    membership: dict[str, frozenset[int]] = {}
+    for label in report.scores:
+        membership[label] = frozenset(
+            i for i, s in enumerate(supports) if any(f.label == label for f in s.facts)
+        )
+
+    verdicts: list[PropertyVerdict] = []
+
+    sym_ok, sym_detail = True, ""
+    labels = list(report.scores)
+    for i, l1 in enumerate(labels):
+        for l2 in labels[i + 1:]:
+            if membership[l1] == membership[l2] and report.scores[l1] != report.scores[l2]:
+                sym_ok = False
+                sym_detail = f"{l1} and {l2} share supports but score differently"
+                break
+        if not sym_ok:
+            break
+    verdicts.append(PropertyVerdict("Sym-db", sym_ok, sym_detail))
+
+    null_ok, null_detail = True, ""
+    for label, score in report.scores.items():
+        relevant = bool(membership[label])
+        if relevant and score <= 0:
+            null_ok = False
+            null_detail = f"{label} lies in a minimal support but scores {score}"
+            break
+        if not relevant and score != 0:
+            null_ok = False
+            null_detail = f"{label} is irrelevant but scores {score}"
+            break
+    verdicts.append(PropertyVerdict("Null-db", null_ok, null_detail))
+
+    for greater, smaller in orderings:
+        ok = report.scores[greater] > report.scores[smaller]
+        verdicts.append(
+            PropertyVerdict(
+                f"ordering {greater}>{smaller}",
+                ok,
+                "" if ok else f"{report.scores[greater]} <= {report.scores[smaller]}",
+            )
+        )
+    return verdicts
+
+
+# ---------------------------------------------------------------------------
+# Reasoning
+# ---------------------------------------------------------------------------
+
+def holds_under_assignment(
+    abox: ABox, tbox: TBox, cq: CQ, mu: Assignment, depth: int | None = None
+) -> bool:
+    """(A, T) |=_mu q: some homomorphism of cq into the canonical model
+    sends each variable to the named element of the constant mu gives it,
+    or to an anonymous element where mu gives ANON; see
+    `slice_assignments`."""
+    if not is_consistent(abox, tbox):
+        raise InconsistentKBError("assignment check over an inconsistent KB")
+    values = []
+    for v in cq.variables():
+        if v not in mu:
+            raise ValueError(f"assignment is not total: missing ?{v}")
+        value = mu[v]
+        values.append(value if isinstance(value, str) or value == ANON else value.name)
+    target = canonical_slice(abox, tbox, query_depth(cq, tbox) if depth is None else depth)
+    return tuple(values) in slice_assignments(target, cq)
+
+
+def entails_exists(abox: Iterable[Fact], tbox: TBox, role: Role, individual: str) -> bool:
+    """(A, T) |= exists R(a)."""
+    types, _ = _entailed_instance_data(abox, tbox)
+    return exists(role) in types.get(individual, ())
+
+
+# ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
+
+def oracle_count_mvc(graph: Graph) -> int:
+    """Exhaustive count of inclusion-minimal vertex covers."""
+    if len(graph.vertices) > 12:
+        raise RespoError("oracle limited to 12 vertices")
+
+    def covers(subset: frozenset[str]) -> bool:
+        return all(u in subset or v in subset for (u, v) in graph.edges)
+
+    total = 0
+    for k in range(len(graph.vertices) + 1):
+        for combo in combinations(graph.vertices, k):
+            s = frozenset(combo)
+            if covers(s) and all(not covers(s - {v}) for v in s):
+                total += 1
+    return total
+
+
+def oracle_simple_paths(graph: Graph, source: str, target: str) -> dict[int, int]:
+    """Histogram (length -> count) of simple directed paths; the empty
+    path counts when source equals target."""
+    adjacency: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for (u, v) in graph.edges:
+        adjacency[u].append(v)
+
+    counts: dict[int, int] = {}
+
+    def walk(node: str, visited: set[str], length: int):
+        if node == target:
+            counts[length] = counts.get(length, 0) + 1
+            return
+        for nxt in adjacency[node]:
+            if nxt not in visited:
+                walk(nxt, visited | {nxt}, length + 1)
+
+    walk(source, {source}, 0)
+    return counts
+
+
+def oracle_count_matchings(graph: Graph) -> int:
+    if not graph.bipartite:
+        raise RespoError("matching oracle needs a bipartite graph")
+    a = list(graph.part_a)
+    adjacency = {u: set() for u in a}
+    for (u, v) in graph.edges:
+        if u in adjacency:
+            adjacency[u].add(v)
+        else:
+            adjacency[v].add(u)
+
+    def count(i: int, used: frozenset[str]) -> int:
+        if i == len(a):
+            return 1
+        total = 0
+        for b in adjacency[a[i]]:
+            if b not in used:
+                total += count(i + 1, used | {b})
+        return total
+
+    if len(graph.part_a) != len(graph.part_b):
+        return 0
+    return count(0, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# SQL
+# ---------------------------------------------------------------------------
+
+def sqlite_counts(manifest: SqlManifest) -> dict[int, Fraction]:
+    """Run the manifest's schema, loader and counting queries in sqlite and
+    sum count times gamma per support size."""
+    conn = sqlite3.connect(":memory:")
+    conn.executescript(manifest.schema_sql)
+    conn.executescript(manifest.loader_sql)
+    out = {}
+    for e in manifest.entries:
+        (n,) = conn.execute(e.sql).fetchone()
+        out.setdefault(e.size, Fraction(0))
+        out[e.size] += n * e.gamma
+    conn.close()
+    return out

@@ -13,9 +13,6 @@ from respo.generators import (
     gen_mvc,
     gen_perfect_matching,
     gen_reachability,
-    oracle_count_matchings,
-    oracle_count_mvc,
-    oracle_simple_paths,
 )
 from respo.interaction_free import IFPlan, check_interaction_free, count_ms_interaction_free
 from respo.model import (
@@ -48,26 +45,33 @@ from respo.reasoner import entails_ucq, is_consistent
 from respo.rewriter import rewrite
 from respo.shapley import (
     WEIGHT_MS,
-    check_score_properties,
     drastic_wealth,
-    per_fact_counts,
     score_all,
     shapley_brute_force,
-    wsms_direct,
     wsms_via_histogram,
 )
-from respo.sqlgen import build_manifest, evaluate_manifest
+from respo.queries import hom_count
+from respo.sqlgen import build_manifest
 from respo.support import (
-    count_automorphisms,
-    count_fms_brute,
-    count_fms_partition,
-    count_homomorphisms,
+    FactDB,
     counting_queries,
     enumerate_minimal_supports,
     make_subset_evaluator,
-    minimal_supports_via_hom_images,
-    partition_histogram,
     ucq_holds,
+)
+
+from oracles import (
+    check_score_properties,
+    count_automorphisms,
+    count_fms_brute,
+    minimal_supports_via_hom_images,
+    oracle_count_matchings,
+    oracle_count_mvc,
+    oracle_simple_paths,
+    partition_fact_counts,
+    per_fact_counts,
+    sqlite_counts,
+    wsms_direct,
 )
 
 REPORT: list[str] = []
@@ -175,7 +179,7 @@ def test_criterion_4_partition_equivalence():
     agreements = 0
     for ucq, db in suite:
         brute = count_fms_brute(tuple(db), lambda s: ucq_holds(ucq, s))
-        if partition_histogram(counting_queries(ucq), tuple(db)) == brute:
+        if partition_fact_counts(counting_queries(ucq), tuple(db))[0] == brute:
             agreements += 1
     elapsed = time.perf_counter() - start
     report(
@@ -191,7 +195,7 @@ def test_criterion_5_claim2():
     for ucq, db in _thm2_suite():
         for queries in counting_queries(ucq).values():
             for counting in queries:
-                homs = count_homomorphisms(counting.cq, tuple(db))
+                homs = hom_count(counting.cq, FactDB(db))
                 sups = enumerate_minimal_supports(
                     tuple(db), lambda s: ucq_holds(as_ucq(counting.cq), s)
                 )
@@ -538,18 +542,17 @@ def test_criterion_12_sql_manifest():
     for ucq, db in _thm2_suite(120, seed=2401):
         queries = counting_queries(ucq)
         manifest = build_manifest(ucq, queries, db)
-        internal = evaluate_manifest(manifest, db)
         size = max(len(d.atoms) for d in ucq.disjuncts)
-        for entry in manifest.entries:
-            if len(entry.counting_query.cq.atoms) > (2 * size + 2) ** 2:
-                ok_size = False
-        for k, value in internal.items():
-            if value.denominator != 1 or int(value) != count_fms_partition(
-                queries[k], tuple(db)
-            ):
+        for qs in queries.values():
+            for q in qs:
+                if len(q.cq.atoms) > (2 * size + 2) ** 2:
+                    ok_size = False
+        totals = partition_fact_counts(queries, tuple(db))[0]
+        for k, value in sqlite_counts(manifest).items():
+            if value.denominator != 1 or int(value) != totals[k]:
                 ok_counts = False
     report(
         "12 (SQL manifest)",
         ok_counts and ok_size,
-        "aggregated counts match countFMSPartition; quadratic atom bound",
+        "sqlite counts match countFMSPartition; quadratic atom bound",
     )

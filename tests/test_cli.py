@@ -67,6 +67,21 @@ def test_score_answer_binding(tmp_path, capsys):
     assert json.loads(out)["f3"]["score"] == "2/3"
 
 
+@pytest.mark.parametrize("method", ["brute", "partition"])
+def test_answer_drops_the_disjunct_it_makes_false(tmp_path, capsys, method):
+    """Binding ?x and ?y to one constant makes the disjunct with ?x != ?y
+    false, so the UCQ scores as its other disjunct alone."""
+    abox = tmp_path / "a.abox"
+    abox.write_text("f1: r(c, c)\nf2: s(c, c)\nf3: s(c, d)\nf4: r(c, d)\n", encoding="utf-8")
+    ucq, alone = tmp_path / "ucq.query", tmp_path / "alone.query"
+    ucq.write_text("r(?x, ?y), ?x != ?y\nOR\ns(?x, ?y)\n", encoding="utf-8")
+    alone.write_text("s(c, c)\n", encoding="utf-8")
+    inputs = ["score", "--abox", str(abox), "--method", method]
+    bound = run(capsys, *inputs, "--query", str(ucq), "--answer", "x=c", "--answer", "y=c")
+    assert bound == run(capsys, *inputs, "--query", str(alone))
+    assert bound[0] == 0 and json.loads(bound[1])["f2"]["score"] == "1"
+
+
 def test_shapley_drastic_fig1(capsys):
     code, out, _ = run(capsys, "shapley-drastic", *fixture_args("fig1"))
     assert code == 0
@@ -454,6 +469,12 @@ def _weight_file(tmp_path, text):
         ["score", *fixture_args("fig1"), "--fact", "nope"],
         ["shapley-drastic", *fixture_args("fig1"), "--fact", "nope"],
         ["score", *fixture_args("fig1"), "--answer", "zz=foo"],
+        ["count-fms", "--abox", "R_ABOX", "--query", "R_QUERY", "--method", "if",
+         "--answer", "y=fresh#1"],
+        ["count-fms", "--abox", "R_ABOX", "--query", "R_QUERY", "--answer", "x="],
+        ["count-fms", "--abox", "R_ABOX", "--query", "R_QUERY", "--answer", "x=c",
+         "--answer", "x=d"],
+        ["score", "--abox", "R_ABOX", "--query", "NEQ_QUERY", "--answer", "x=c", "--answer", "y=c"],
         ["score", *fixture_args("fig1"), "--weight", "nope"],
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 8 1/0\n"],
         ["score", *fixture_args("fig1"), "--weight", "WEIGHTS:3 x 1/2\n"],
@@ -488,6 +509,8 @@ def _weight_file(tmp_path, text):
     ids=[
         "score-no-abox", "count-ms-no-abox", "count-fms-no-abox", "shapley-no-abox",
         "score-unknown-fact", "shapley-unknown-fact", "unknown-answer-variable",
+        "answer-not-a-constant", "answer-empty-value", "answer-bound-twice",
+        "answer-collapses-disequality",
         "unknown-weight", "weight-zero-denominator", "weight-non-integer-size",
         "weight-missing-entry", "score-brute-over-cap", "score-auto-brute-over-cap",
         "count-ms-brute-over-cap", "count-fms-brute-over-cap", "count-fms-auto-brute-over-cap",
@@ -552,6 +575,9 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         "LATIN1_ABOX": "f0: Seafood(caf\xe9)\n".encode("latin-1"),
         "LATIN1_WEIGHTS": "3 8 1/2\xe9\n".encode("latin-1"),
         "OUT_FILE": "",
+        "R_ABOX": "f1: r(c, c)\nf2: r(d, e)\n",
+        "R_QUERY": "r(?x, ?y)\n",
+        "NEQ_QUERY": "r(?x, ?y), ?x != ?y\n",
     }
     for placeholder, text in files.items():
         if isinstance(text, bytes):

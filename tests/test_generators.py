@@ -8,16 +8,17 @@ from respo.generators import (
     gen_mvc,
     gen_perfect_matching,
     gen_reachability,
-    oracle_count_matchings,
-    oracle_count_mvc,
-    oracle_simple_paths,
     parse_graph,
 )
 from respo.model import InputError, RespoError, SupportHistogram
-from respo.support import (
+from respo.support import make_subset_evaluator
+
+from oracles import (
     count_fms_brute,
-    make_subset_evaluator,
     minimal_supports_via_hom_images,
+    oracle_count_matchings,
+    oracle_count_mvc,
+    oracle_simple_paths,
 )
 
 

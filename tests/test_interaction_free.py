@@ -35,14 +35,12 @@ from respo.interaction_free import (
 from respo.model import connected_components
 from respo.provenance import tally_fact_counts
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
-from respo.reasoner import holds_under_assignment, is_consistent, query_depth
+from respo.reasoner import is_consistent, query_depth
 from respo.shapley import Plan
-from respo.support import (
-    count_fms_brute,
-    enumerate_minimal_supports,
-    make_subset_evaluator,
-)
+from respo.support import enumerate_minimal_supports, make_subset_evaluator
 from respo.textio import parse_abox
+
+from oracles import count_fms_brute, holds_under_assignment
 
 
 def tb(*axioms):
@@ -593,7 +591,6 @@ def test_lemma4_shared_variables_stay_named():
     from itertools import product as iproduct
 
     from respo.interaction_free import _shared_variables
-    from respo.reasoner import holds_under_assignment
 
     rng = random.Random(43)
     checked = 0

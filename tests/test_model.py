@@ -211,7 +211,7 @@ def _value_class_samples():
     from respo.generators import Graph, MatchingInstance
     from respo.interaction_free import InteractionWitness
     from respo.provenance import MinimalSupport
-    from respo.shapley import PropertyVerdict, ScoreReport, WealthFunction
+    from respo.shapley import ScoreReport, WealthFunction
     from respo.sqlgen import ManifestEntry, SqlManifest
     from respo.support import BasisTerm, CountingQuery
     from respo.textio import ParseDiagnostic
@@ -220,7 +220,6 @@ def _value_class_samples():
     tbox = TBox(frozenset({axiom}), frozenset({ConjunctionAxiom("A", "B", "C")}))
     cq = CQ((role_atom("r", var("x"), const("c")), concept_atom("A", var("x"))))
     facts = (Fact("f1", "A", ("a",)), Fact("f2", "r", ("a", "b")))
-    counting = CountingQuery(cq, Fraction(1, 2))
     return {
         "model.Term": lambda: Term("var", "x"),
         "model.Role": lambda: Role("r", True),
@@ -245,10 +244,9 @@ def _value_class_samples():
         "shapley.WealthFunction": lambda: WealthFunction("drastic", _one),
         "shapley.ScoreReport": lambda: ScoreReport(
             {"f1": Fraction(1, 2)}, "if", SupportHistogram({1: 1})),
-        "shapley.PropertyVerdict": lambda: PropertyVerdict("null", True),
-        "sqlgen.ManifestEntry": lambda: ManifestEntry("q1", "SELECT 1", Fraction(1, 2), 2, counting),
+        "sqlgen.ManifestEntry": lambda: ManifestEntry("q1", "SELECT 1", Fraction(1, 2), 2),
         "sqlgen.SqlManifest": lambda: SqlManifest(
-            "schema", "loader", (ManifestEntry("q1", "SELECT 1", Fraction(1, 2), 2, counting),),
+            "schema", "loader", (ManifestEntry("q1", "SELECT 1", Fraction(1, 2), 2),),
             {"A": "t_A"}),
         "support.CountingQuery": lambda: CountingQuery(cq, Fraction(1, 2)),
         "support.BasisTerm": lambda: BasisTerm(cq, Fraction(-1)),

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import respo.shapley
-from respo.generators import Graph, gen_mvc, gen_reachability, oracle_simple_paths
+from respo.generators import Graph, gen_mvc, gen_reachability
 from respo.model import (
     ROLE_INCLUSION,
     ABox,
@@ -34,6 +34,8 @@ from respo.provenance import minimal_why_provenance
 from respo.randgen import CONCEPT_NAMES, ROLE_NAMES, random_consistent_kb, random_horn_kb
 from respo.shapley import Plan, score_all
 from respo.textio import parse_abox, parse_query, parse_tbox
+
+from oracles import oracle_simple_paths
 
 
 def test_provenance_matches_brute_force_on_random_horn_kbs():

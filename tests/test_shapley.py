@@ -18,22 +18,22 @@ from respo.shapley import (
     WEIGHT_INVSQ,
     WEIGHT_MS,
     WEIGHT_UNIFORM,
-    check_score_properties,
     drastic_wealth,
-    ms_wealth,
-    per_fact_counts,
     resolve_weight,
     score_all,
     shapley_brute_force,
     weight_from_table,
-    wsms_direct,
     wsms_via_histogram,
 )
-from respo.support import (
+from respo.support import enumerate_minimal_supports, make_subset_evaluator, ucq_holds
+
+from oracles import (
+    check_score_properties,
     count_fms_brute,
-    enumerate_minimal_supports,
-    make_subset_evaluator,
-    ucq_holds,
+    ms_wealth,
+    partition_fact_counts,
+    per_fact_counts,
+    wsms_direct,
 )
 
 
@@ -390,10 +390,11 @@ def test_partition_fact_counts_equal_histogram_differences():
     D without the fact, for every fact of seeded instances of up to 30
     facts: plain UCQs with constants and disequalities, symmetric queries
     whose counting queries have gamma < 1, and rewritings of random
-    DL-Lite_R OMQs.  Its histogram is `partition_histogram` over D."""
+    DL-Lite_R OMQs.  Its histogram is the enumerating search's over D
+    (`oracles.partition_fact_counts`)."""
     from respo.randgen import random_abox, random_cq, random_dllite_tbox
     from respo.shapley import histogram_difference
-    from respo.support import counting_queries, partition_histogram
+    from respo.support import counting_queries
     from respo.textio import parse_query
 
     rng = random.Random(29)
@@ -423,7 +424,7 @@ def test_partition_fact_counts_equal_histogram_differences():
         queries = counting_queries(plan.rewriting)
         fractional += any(q.gamma < 1 for qs in queries.values() for q in qs)
         full, counts = plan.fact_counts(abox)
-        assert full == plan.histogram(abox) == partition_histogram(queries, abox)
+        assert full == plan.histogram(abox) == partition_fact_counts(queries, abox)[0]
         everything = frozenset(abox)
         assert set(counts) == everything
         for f in abox:
@@ -464,15 +465,14 @@ def test_partition_plan_counts_without_the_counting_queries(variant, monkeypatch
     import respo.support as support
 
     omq, abox = variant
-    oracle = support.partition_fact_counts(
+    oracle = partition_fact_counts(
         support.counting_queries(Plan(omq, "partition").rewriting), abox
     )
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the partition plan must not enumerate counting queries")
 
-    for name in ("counting_queries", "_rigid_reducts", "partition_histogram",
-                 "partition_fact_counts", "count_fms_partition"):
+    for name in ("counting_queries", "_rigid_reducts"):
         monkeypatch.setattr(support, name, forbidden)
     plan = Plan(omq, "partition")
     assert plan.histogram(abox) == oracle[0]
