@@ -96,17 +96,16 @@ def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
     return omq, abox
 
 
-def _add_kb_args(p, query: bool = True):
+def _add_kb_args(p):
     p.add_argument("--tbox", help="TBox file")
     p.add_argument("--abox", help="ABox file")
-    if query:
-        p.add_argument("--query", required=True, help="query file")
-        p.add_argument(
-            "--answer",
-            action="append",
-            default=[],
-            help="answer binding var=const (repeatable); instantiates free variables before scoring",
-        )
+    p.add_argument("--query", required=True, help="query file")
+    p.add_argument(
+        "--answer",
+        action="append",
+        default=[],
+        help="answer binding var=const (repeatable); instantiates free variables before scoring",
+    )
 
 
 def _at_least_one(args, name: str):
@@ -289,9 +288,8 @@ def cmd_verify(args) -> int:
         return OMQ(tbox, cq), abox
 
     def interaction_free(rng):
-        plan = random_interaction_free_omq(rng)  # reused by `Plan`
-        omq = plan.omq
-        return plan, random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
+        omq = random_interaction_free_omq(rng).omq
+        return omq, random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
 
     def horn(rng):
         tbox, abox, query = random_horn_kb(rng)

@@ -58,11 +58,11 @@ def substitute(cq: CQ, mapping: dict[str, Term]) -> CQ:
     return CQ(tuple(atoms))
 
 
-def fresh_var(taken: set[str], prefix: str = "w") -> str:
+def fresh_var(taken: set[str]) -> str:
     i = 0
-    while f"{prefix}{i}" in taken:
+    while f"w{i}" in taken:
         i += 1
-    return f"{prefix}{i}"
+    return f"w{i}"
 
 
 # ---------------------------------------------------------------------------

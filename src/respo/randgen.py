@@ -115,7 +115,6 @@ def random_cq(
     max_atoms: int = 3,
     allow_constants: bool = True,
     allow_neq: bool = True,
-    connected_neq_only: bool = True,
 ) -> CQ:
     """A random Boolean CQ(+/-) whose disequalities stay inside one
     component (the parser-level requirement)."""
@@ -136,7 +135,7 @@ def random_cq(
         from .model import connected_components
 
         components = connected_components(cq)
-        target = components[rng.randrange(len(components))] if connected_neq_only else cq
+        target = components[rng.randrange(len(components))]
         terms = [var(v) for v in target.variables()]
         terms.extend(const(c) for c in target.constants())
         if len(terms) >= 2:
@@ -194,14 +193,14 @@ def random_interaction_free_omq(rng: random.Random, max_atoms: int = 4) -> IFPla
             continue
 
 
-def random_horn_kb(rng: random.Random, max_facts: int = 14) -> tuple[TBox, ABox, CQ]:
+def random_horn_kb(rng: random.Random) -> tuple[TBox, ABox, CQ]:
     """Rejection-sample a consistent Horn-extended KB and a ground atomic
     query.  The TBox mixes DL-Lite_R inclusions (inverse roles, exists R on
     either side, disjointness; no existential right-hand side, which the
     Horn evaluator refuses) with one to six A & B <= C and exists R.A <= B
     axioms; one TBox in two also gets r <= s- for random role names r and
     s, so that facts often stand in the reversed pair of an inverted
-    super-role.  The ABox holds up to `max_facts` facts over three
+    super-role.  The ABox holds up to 14 facts over three
     constants (a fact drawn twice is kept once).  One query in five is a
     role atom.  Three in four are atoms the KB entails but no single fact
     does, when there are any, so that most supports need a Horn axiom to
@@ -226,7 +225,7 @@ def random_horn_kb(rng: random.Random, max_facts: int = 14) -> tuple[TBox, ABox,
                 horn.add(QualifiedExistsAxiom(role, filler, rhs))
         tbox = TBox(axioms, frozenset(horn))
         contents: dict[tuple, Fact] = {}
-        for _ in range(rng.randint(1, max_facts)):
+        for _ in range(rng.randint(1, 14)):
             if rng.random() < 0.5:
                 pred, args = rng.choice(CONCEPT_NAMES), (rng.choice(pool),)
             else:

@@ -51,7 +51,6 @@ from .provenance import (
 from .reasoner import is_consistent
 
 if TYPE_CHECKING:
-    from .interaction_free import IFPlan
     from .support import Evaluator
 
 
@@ -213,13 +212,12 @@ class Plan:
     interaction-free pipeline when its check passes, and partition
     otherwise.  The interaction-free plan is an `IFPlan`; the partition
     plan holds the rewriting and its homomorphism basis of every size
-    (`support.homomorphism_basis`, which enumerates the quotients of only
-    the disjuncts that can merge atoms), never the counting queries; the
+    (`support.homomorphism_basis`: the minimal-reduct pass that also
+    yields `emit-sql`'s counting queries, run over only the disjuncts
+    that can merge atoms), never the counting queries; the
     provenance plan the TBox and the ground query atom, whose minimal
     supports `provenance.minimal_why_provenance` derives; the brute plan
-    the subset evaluator.  An `IFPlan` given for the OMQ is taken as its
-    interaction-free plan, so its check does not run again; the other
-    methods use its OMQ.  An unsupported OMQ raises
+    the subset evaluator.  An unsupported OMQ raises
     `UnsupportedTBoxError` here, brute force on more than
     `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates, and
     provenance raises it once a derived atom has more than
@@ -227,19 +225,16 @@ class Plan:
     `PROVENANCE_CAP` candidate sets per fact.
     """
 
-    def __init__(self, omq: OMQ | IFPlan, method: str = "auto"):
+    def __init__(self, omq: OMQ, method: str = "auto"):
         if method not in METHODS:
             raise RespoError(f"unknown scoring method {method!r}")
-        if_plan = None
-        if not isinstance(omq, OMQ):
-            if_plan, omq = omq, omq.omq
         if method == "auto" and omq.tbox.horn_extended:
             method = "provenance"
         if method in ("auto", "if"):
             from .interaction_free import IFPlan
 
             try:
-                self._if_plan = if_plan or IFPlan(omq)
+                self._if_plan = IFPlan(omq)
                 method = "if"
             except UnsupportedTBoxError:
                 if method == "if":

@@ -15,17 +15,20 @@ Three pieces live here:
     (`model.connected_components`), so every fact's counts cost one
     search per component instead of one homomorphism per support.
 
-The counting queries and the basis depend on the query alone, the
-counting queries built from one enumeration of every disjunct's
-quotients, the basis from one of the quotients of the disjuncts that can
-merge atoms; a `shapley.Plan` keeps the basis for every database.
-Nothing here is cached.
+The counting queries and the basis depend on the query alone, and both
+come from one pass, `_minimal_classes`: it enumerates the disjuncts'
+quotients, merges the reducts into classes of isomorphic rigid forms and
+keeps the classes that no smaller reduct maps into.  The counting
+queries take that pass over every disjunct, the basis over the
+disjuncts that can merge atoms; a `shapley.Plan` keeps the basis for
+every database.  Nothing here is cached.
 
 Every homomorphism count, test and enumeration, into a `FactDB` or into
 another query, runs on the one search in `queries`.  The tests hold these
 counts to the reference implementations in `tests/oracles.py`: the
-brute-force histogram, the minimal homomorphism images, the automorphism
-count by search and the enumerating partition count.
+brute-force histogram, the minimal homomorphism images, the counting
+queries built reduct by reduct, the automorphism count by search and the
+enumerating partition count.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ class FactDB(HomTarget):
         return self.tuples[(atom.predicate, len(atom.terms))][args]
 
 
-def ucq_holds(ucq: UCQ, facts: Iterable[Fact] | FactDB) -> bool:
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+def ucq_holds(ucq: UCQ, facts: Iterable[Fact]) -> bool:
+    db = FactDB(facts)
     return any(hom_exists(d, db) for d in ucq.disjuncts)
 
 
@@ -227,7 +230,7 @@ class _Quotient(NamedTuple):
 
 
 def _quotients(
-    ucq: UCQ, whole: Container[int] = ()
+    ucq: UCQ, whole: Container[int]
 ) -> tuple[list[dict[Images, tuple | None]], dict[tuple, _Quotient]]:
     """Every quotient d/rho of every disjunct d by a labelled partition
     rho of its variables over the constants of the union (a support can
@@ -257,34 +260,60 @@ def _quotients(
     return tables, forms
 
 
-def _all_reducts(ucq: UCQ) -> dict[tuple, CQ]:
-    """Every reduct of any disjunct, keyed by canonical form (see
-    `_quotients`)."""
-    return {key: q.cq for key, q in _quotients(ucq)[1].items()}
+class _Class(NamedTuple):
+    """A class of reducts with isomorphic rigid forms: its first quotient,
+    that quotient's rigid form, and |Auto| of the rigid form."""
+
+    quotient: _Quotient
+    rigid: CQ
+    ties: int
 
 
-def _rigid_reducts(ucq: UCQ) -> dict[int, list[tuple[CQ, CQ]]]:
-    """Each reduct of every size k, 1 up to the largest disjunct, that no
-    smaller reduct maps into, with its disequality-completed (rigid) form,
-    from one enumeration of all reducts.  The minimality test targets the
-    rigid form of the candidate: that is the shape whose supports are
-    rigid, so a smaller reduct mapping into it witnesses a smaller support
-    inside every one of its supports.  Each reduct is rigidified once, and
-    `counting_queries` reuses the form."""
-    everything = _all_reducts(ucq)
+def _minimal_classes(
+    ucq: UCQ, whole: Container[int]
+) -> tuple[list[dict[Images, tuple | None]], dict[tuple, _Quotient], dict[int, list[_Class]]]:
+    """The quotients of the disjuncts (`_quotients`), and for every size k,
+    1 up to the largest disjunct, the classes of size-k reducts that no
+    smaller reduct maps into; a disjunct in `whole` yields itself and no
+    class.
+
+    The rigid (disequality-completed) forms of two reducts are isomorphic
+    iff their relational atoms are, since a permutation of the variables
+    keeps the all-pairs disequalities; so reducts are merged by the
+    canonical form of their relational atoms alone, and the orderings
+    that attain it number the automorphisms of the rigid form.  Each
+    class is rigidified once.  The minimality test (`_minimal`) targets
+    the rigid form: that is the shape whose supports are rigid, so a
+    smaller reduct mapping into it witnesses a smaller support inside
+    every one of its supports.  Only a disjunct with a quotient of fewer
+    than k atoms can be that witness, so the test maps in those alone.
+    """
     pins = ucq_constants(ucq)
-    out = {}
-    for k in range(1, max_relational_size(ucq) + 1):
-        minimal = []
-        for key in sorted(everything):
-            q = everything[key]
-            if len(q.relational_atoms()) != k:
-                continue
-            rigid = with_all_pairs_neq(q, pins)
-            if _minimal(ucq.disjuncts, rigid):
-                minimal.append((q, rigid))
-        out[k] = minimal
-    return out
+    tables, forms = _quotients(ucq, whole)
+    classes: dict[tuple, _Class] = {}
+    for key, q in forms.items():
+        if q.disjunct in whole:
+            continue
+        ties = q.ties
+        if q.cq.neq_atoms():
+            key, _, ties = canonicalize_counted(CQ(q.cq.relational_atoms()))
+        if key not in classes:
+            classes[key] = _Class(q, with_all_pairs_neq(q.cq, pins), ties)
+    largest = max_relational_size(ucq)
+    smallest = [
+        min(
+            (len(forms[key].cq.relational_atoms()) for key in table.values() if key is not None),
+            default=largest,
+        )
+        for table in tables
+    ]
+    minimal: dict[int, list[_Class]] = {k: [] for k in range(1, largest + 1)}
+    for cls in classes.values():
+        k = len(cls.quotient.cq.relational_atoms())
+        witnesses = [d for d, n in zip(ucq.disjuncts, smallest) if n < k]
+        if not witnesses or _minimal(witnesses, cls.rigid):
+            minimal[k].append(cls)
+    return tables, forms, minimal
 
 
 def _minimal(disjuncts: Iterable[CQ], rigid: CQ) -> bool:
@@ -323,27 +352,24 @@ class CountingQuery:
 
 def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
     """The counting queries of every support size, 1 up to the largest
-    disjunct: each size's reducts rigidified, isomorphic copies dropped, in
-    canonical order.  They depend on the query alone, so one set serves
-    every database.
+    disjunct: the rigid form of each minimal class of reducts
+    (`_minimal_classes`), in canonical order.  They depend on the query
+    alone, so one set serves every database.
 
     The rigid queries need no further pruning: a homomorphism between two
     of them is injective on terms (all pairs are distinct), so it maps the
     k atoms of one onto the k atoms of the other and is an isomorphism,
-    which the canonical form already merged.
+    which the classes already merged.
 
-    gamma comes from the same canonical search: on a rigid query, the
-    variable orderings that attain its canonical key number |Auto| (see
+    gamma comes from the canonical search of the rigid form: the variable
+    orderings that attain its canonical key number |Auto| (see
     `queries.canonicalize_counted`); the tests check it against an
     automorphism count by search.
     """
     out = {}
-    for k, found in _rigid_reducts(as_ucq(ucq)).items():
-        rigid: dict[tuple, CountingQuery] = {}
-        for _, form in found:
-            key, aug, automorphisms = canonicalize_counted(form)
-            rigid.setdefault(key, CountingQuery(cq=aug, gamma=Fraction(1, automorphisms)))
-        out[k] = tuple(rigid[key] for key in sorted(rigid))
+    for k, classes in _minimal_classes(as_ucq(ucq), ())[2].items():
+        forms = sorted((canonicalize_counted(cls.rigid) for cls in classes), key=lambda f: f[0])
+        out[k] = tuple(CountingQuery(cq=aug, gamma=Fraction(1, n)) for _, aug, n in forms)
     return out
 
 
@@ -364,20 +390,14 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
     """For every support size k, 1 up to the largest disjunct, quotients
     s with coefficients c_s such that countFMS_k(D) = sum of c_s times the
     number of homomorphisms of s into D, in canonical order, from one
-    enumeration of the quotients of the disjuncts that can merge atoms
-    (`_quotients`).
+    enumeration of the quotients of the disjuncts that can merge atoms.
 
     countFMS_k is the gamma-weighted sum of the injective homomorphism
-    counts of the size-k counting queries (`counting_queries`).  A
-    counting query is the rigid form of a reduct d/rho, and the rigid
-    forms of two reducts are isomorphic iff their relational atoms are,
-    since a permutation of the variables keeps the all-pairs
-    disequalities; so reducts are merged by the canonical form of their
-    relational atoms alone, and gamma is 1 over the orderings that attain
-    it.  A class is kept when its rigid form passes the minimality test
-    of `_rigid_reducts` (`_minimal`), which reads only that form.  Every
-    homomorphism of d/rho factors uniquely as its quotient d/pi, for a
-    labelled coarsening pi of rho, followed by an injective one that
+    counts of the size-k counting queries (`counting_queries`), the rigid
+    forms of the minimal classes of reducts (`_minimal_classes`), with
+    gamma 1 over the automorphisms of that form.  Every homomorphism of a
+    class's first reduct d/rho factors uniquely as its quotient d/pi, for
+    a labelled coarsening pi of rho, followed by an injective one that
     avoids the constants, so by Moebius inversion the injective count is
     the sum over pi of mu(rho, pi) times the homomorphism count of d/pi.
     A quotient that collapses a disequality has none and is left out.
@@ -395,37 +415,17 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
     ucq = as_ucq(ucq)
     pins = ucq_constants(ucq)
     whole = _unmergeable(ucq.disjuncts)
-    tables, forms = _quotients(ucq, whole)
-    own = {key: len(q.cq.atoms) for key, q in forms.items() if q.disjunct in whole}
-    classes: dict[tuple, tuple[_Quotient, int]] = {}
-    for key, q in forms.items():
-        if q.disjunct in whole:
-            continue
-        ties = q.ties
-        if q.cq.neq_atoms():
-            key, _, ties = canonicalize_counted(CQ(q.cq.relational_atoms()))
-        classes.setdefault(key, (q, ties))
-    # Only a disjunct with a quotient of fewer than k atoms can witness
-    # that a size-k reduct is not minimal.
-    largest = max_relational_size(ucq)
-    smallest = [
-        min(
-            (len(forms[key].cq.relational_atoms()) for key in table.values() if key is not None),
-            default=largest,
-        )
-        for table in tables
-    ]
+    tables, forms, minimal = _minimal_classes(ucq, whole)
     out = {}
-    for k in range(1, largest + 1):
-        witnesses = [d for d, n in zip(ucq.disjuncts, smallest) if n < k]
-        coefficients: dict[tuple, Fraction] = {key: Fraction(1) for key, n in own.items() if n == k}
-        for q, ties in classes.values():
-            if len(q.cq.relational_atoms()) != k or (
-                witnesses and not _minimal(witnesses, with_all_pairs_neq(q.cq, pins))
-            ):
-                continue
+    for k, classes in minimal.items():
+        coefficients: dict[tuple, Fraction] = {
+            key: Fraction(1) for key, q in forms.items()
+            if q.disjunct in whole and len(q.cq.atoms) == k
+        }
+        for cls in classes:
+            q = cls.quotient
             for key, mu in _moebius_terms(tables[q.disjunct], q.images, pins).items():
-                coefficients[key] = coefficients.get(key, 0) + Fraction(mu, ties)
+                coefficients[key] = coefficients.get(key, 0) + Fraction(mu, cls.ties)
         out[k] = tuple(
             BasisTerm(forms[key].cq, c) for key, c in sorted(coefficients.items()) if c
         )
@@ -465,12 +465,12 @@ def _moebius_terms(
 
 
 def basis_histogram(
-    basis: Mapping[int, Iterable[BasisTerm]], facts: Iterable[Fact] | FactDB
+    basis: Mapping[int, Iterable[BasisTerm]], facts: Iterable[Fact]
 ) -> SupportHistogram:
     """countFMS per size from the basis of each size (see
     `homomorphism_basis`).  Each sum is integral by construction; a
     fractional one signals a pipeline bug."""
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+    db = FactDB(facts)
     return SupportHistogram({
         k: _integral(sum((t.coefficient * hom_count(t.cq, db) for t in terms), Fraction(0)))
         for k, terms in basis.items()
@@ -478,7 +478,7 @@ def basis_histogram(
 
 
 def basis_fact_counts(
-    basis: Mapping[int, Sequence[BasisTerm]], facts: Iterable[Fact] | FactDB
+    basis: Mapping[int, Sequence[BasisTerm]], facts: Iterable[Fact]
 ) -> tuple[SupportHistogram, FactCounts]:
     """`basis_histogram`, and each fact's non-zero per-size counts of the
     minimal supports containing it, from one search per component of each
@@ -494,7 +494,7 @@ def basis_fact_counts(
     sums run in integers scaled by the common denominator of the size's
     coefficients, and every sum must be integral, like the totals.
     """
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+    db = FactDB(facts)
     totals: dict[int, int] = {}
     counts: FactCounts = {f: {} for f in db.facts}
     for k, terms in basis.items():

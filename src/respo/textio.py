@@ -45,32 +45,15 @@ from .model import (
     format_rational,
     neq_atom,
     role_atom,
-    value_class,
     var,
 )
 
 
-@value_class()
-class ParseDiagnostic:
-    line: int
-    column: int
-    message: str
-    severity: str = "error"
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
-
-
 class ParseError(RespoError):
-    def __init__(self, diagnostics: list[ParseDiagnostic] | ParseDiagnostic):
-        if isinstance(diagnostics, ParseDiagnostic):
-            diagnostics = [diagnostics]
-        self.diagnostics = diagnostics
-        super().__init__("; ".join(str(d) for d in diagnostics))
+    """A malformed input line, reported as "<line>:1: error: <message>"."""
 
-
-def _fail(line: int, message: str, column: int = 1):
-    raise ParseError(ParseDiagnostic(line, column, message))
+    def __init__(self, line: int, message: str):
+        super().__init__(f"{line}:1: error: {message}")
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -94,7 +77,7 @@ def _lines(text: str):
 def _parse_role(token: str, lineno: int) -> Role:
     m = _ROLE_RE.match(token.strip())
     if not m:
-        _fail(lineno, f"bad role {token!r}")
+        raise ParseError(lineno, f"bad role {token!r}")
     return Role(m.group(1), m.group(2) == "-")
 
 
@@ -103,10 +86,10 @@ def _parse_basic(token: str, lineno: int):
     if token.startswith("exists"):
         rest = token[len("exists"):].strip()
         if not rest:
-            _fail(lineno, "exists needs a role")
+            raise ParseError(lineno, "exists needs a role")
         return exists(_parse_role(rest, lineno))
     if not re.fullmatch(_NAME, token):
-        _fail(lineno, f"bad concept name {token!r}")
+        raise ParseError(lineno, f"bad concept name {token!r}")
     return concept(token)
 
 
@@ -119,7 +102,7 @@ class _ArityTracker:
     def note(self, name: str, kind: str, lineno: int):
         before = self.seen.setdefault(name, kind)
         if before != kind:
-            _fail(lineno, f"{name!r} used as both a {before} and a {kind}")
+            raise ParseError(lineno, f"{name!r} used as both a {before} and a {kind}")
 
 
 def parse_tbox(text: str) -> TBox:
@@ -130,7 +113,7 @@ def parse_tbox(text: str) -> TBox:
         if line.startswith("role:"):
             body = line[len("role:"):]
             if "<=" not in body:
-                _fail(lineno, "role inclusion needs '<='")
+                raise ParseError(lineno, "role inclusion needs '<='")
             lhs_s, rhs_s = body.split("<=", 1)
             negated = False
             rhs_s = rhs_s.strip()
@@ -160,12 +143,12 @@ def parse_tbox(text: str) -> TBox:
             continue
 
         if "<=" not in line:
-            _fail(lineno, f"unrecognized axiom {line!r}")
+            raise ParseError(lineno, f"unrecognized axiom {line!r}")
         lhs_s, rhs_s = line.split("<=", 1)
         lhs_s = lhs_s.strip()
         rhs_s = rhs_s.strip()
         if lhs_s.startswith("!"):
-            _fail(lineno, "left-hand sides cannot be negated")
+            raise ParseError(lineno, "left-hand sides cannot be negated")
         negated = False
         if rhs_s.startswith("!"):
             negated = True
@@ -209,16 +192,16 @@ def parse_abox(text: str) -> ABox:
     for lineno, line in _lines(text):
         m = _FACT_RE.match(line)
         if not m:
-            _fail(lineno, f"bad fact {line!r}")
+            raise ParseError(lineno, f"bad fact {line!r}")
         label, pred, a1, a2 = m.groups()
         if label is None:
             label = f"f{len(facts)}"
         args = (a1,) if a2 is None else (a1, a2)
         arity.note(pred, "concept" if len(args) == 1 else "role", lineno)
         if label in labels:
-            _fail(lineno, f"duplicate fact label {label!r}")
+            raise ParseError(lineno, f"duplicate fact label {label!r}")
         if (pred, args) in assertions:
-            _fail(lineno, f"duplicate assertion {pred}({','.join(args)})")
+            raise ParseError(lineno, f"duplicate assertion {pred}({','.join(args)})")
         labels.add(label)
         assertions.add((pred, args))
         facts.append(Fact(label, pred, args))
@@ -242,7 +225,7 @@ _NEQ_RE = re.compile(r"^(\S+)\s*!=\s*(\S+)$")
 def _parse_term(token: str, lineno: int) -> Term:
     m = _TERM_RE.match(token.strip())
     if not m:
-        _fail(lineno, f"bad term {token!r}")
+        raise ParseError(lineno, f"bad term {token!r}")
     if m.group(1):
         return var(m.group(1))
     return const(m.group(2))
@@ -281,7 +264,7 @@ def parse_query(text: str) -> UCQ:
     disjuncts: list[CQ] = []
     for chunk in disjunct_chunks:
         if not chunk:
-            _fail(1, "empty disjunct")
+            raise ParseError(1, "empty disjunct")
         atoms: list[Atom] = []
         neqs: list[tuple[int, Atom]] = []
         for lineno, line in chunk:
@@ -291,12 +274,12 @@ def parse_query(text: str) -> UCQ:
                     t1 = _parse_term(neq.group(1), lineno)
                     t2 = _parse_term(neq.group(2), lineno)
                     if t1 == t2:
-                        _fail(lineno, "disequality terms must differ")
+                        raise ParseError(lineno, "disequality terms must differ")
                     neqs.append((lineno, neq_atom(t1, t2)))
                     continue
                 m = _ATOM_RE.match(atom_s)
                 if not m:
-                    _fail(lineno, f"bad atom {atom_s!r}")
+                    raise ParseError(lineno, f"bad atom {atom_s!r}")
                 pred, args_s = m.groups()
                 terms = [_parse_term(t, lineno) for t in args_s.split(",")] if args_s.strip() else []
                 if len(terms) == 1:
@@ -306,9 +289,9 @@ def parse_query(text: str) -> UCQ:
                     arity.note(pred, "role", lineno)
                     atoms.append(role_atom(pred, terms[0], terms[1]))
                 else:
-                    _fail(lineno, f"atom {pred!r} needs one or two arguments")
+                    raise ParseError(lineno, f"atom {pred!r} needs one or two arguments")
         if not atoms:
-            _fail(chunk[0][0], "query has no relational atoms")
+            raise ParseError(chunk[0][0], "query has no relational atoms")
         home = {
             v: i
             for i, component in enumerate(connected_components(CQ(tuple(atoms))))
@@ -317,9 +300,11 @@ def parse_query(text: str) -> UCQ:
         for lineno, neq in neqs:
             for v in neq.variables():
                 if v not in home:
-                    _fail(lineno, f"disequality variable ?{v} occurs in no relational atom")
+                    raise ParseError(
+                        lineno, f"disequality variable ?{v} occurs in no relational atom"
+                    )
             if len({home[v] for v in neq.variables()}) > 1:
-                _fail(lineno, "disequality spans two query components")
+                raise ParseError(lineno, "disequality spans two query components")
         disjuncts.append(CQ(tuple(atoms + [neq for _, neq in neqs])))
     return UCQ(tuple(disjuncts))
 

@@ -5,9 +5,10 @@ thing as a pipeline in `src/respo` by a simpler route, usually by
 enumeration:
 
   * minimal supports: the brute-force histogram, the inclusion-minimal
-    homomorphism images of a UCQ, the reducts, the automorphism count by
-    search, and the partition counts by enumerating each counting
-    query's homomorphisms (the oracle of the homomorphism basis);
+    homomorphism images of a UCQ, the reducts and the counting queries
+    built reduct by reduct, the automorphism count by search, and the
+    partition counts by enumerating each counting query's homomorphisms
+    (the oracle of the homomorphism basis);
   * scores: the direct WSMS sum over enumerated supports, the histogram
     difference per fact, the number-of-minimal-supports wealth, and the
     symmetry/null property checks;
@@ -44,7 +45,15 @@ from respo.model import (
     value_class,
 )
 from respo.provenance import FactCounts, MinimalSupport
-from respo.queries import HomTarget, hom_count, hom_visit, query_target
+from respo.queries import (
+    HomTarget,
+    canonicalize_counted,
+    hom_count,
+    hom_visit,
+    max_relational_size,
+    query_target,
+    with_all_pairs_neq,
+)
 from respo.reasoner import (
     _entailed_instance_data,
     canonical_slice,
@@ -59,8 +68,10 @@ from respo.support import (
     Evaluator,
     FactDB,
     _integral,
-    _rigid_reducts,
+    _minimal,
+    _quotients,
     enumerate_minimal_supports,
+    ucq_constants,
 )
 
 
@@ -102,10 +113,54 @@ def minimal_supports_via_hom_images(
     return [MinimalSupport(s) for s in sorted(minimal, key=lambda s: sorted(f.label for f in s))]
 
 
+def all_reducts(ucq: UCQ) -> dict[tuple, CQ]:
+    """Every reduct of any disjunct, keyed by canonical form (see
+    `support._quotients`)."""
+    return {key: q.cq for key, q in _quotients(ucq, ())[1].items()}
+
+
+def rigid_reducts(ucq: UCQ) -> dict[int, list[tuple[CQ, CQ]]]:
+    """Each reduct of every size k, 1 up to the largest disjunct, that no
+    smaller reduct maps into, with its disequality-completed (rigid) form,
+    reduct by reduct: every reduct is rigidified and tested against every
+    disjunct (`support._minimal`), without merging reducts into classes
+    or pruning the disjuncts that test it."""
+    everything = all_reducts(ucq)
+    pins = ucq_constants(ucq)
+    out = {}
+    for k in range(1, max_relational_size(ucq) + 1):
+        minimal = []
+        for key in sorted(everything):
+            q = everything[key]
+            if len(q.relational_atoms()) != k:
+                continue
+            rigid = with_all_pairs_neq(q, pins)
+            if _minimal(ucq.disjuncts, rigid):
+                minimal.append((q, rigid))
+        out[k] = minimal
+    return out
+
+
 def reducts(ucq: CQ | UCQ) -> dict[int, tuple[CQ, ...]]:
     """The reducts of every size k that no smaller reduct maps into (see
-    `support._rigid_reducts`)."""
-    return {k: tuple(q for q, _ in found) for k, found in _rigid_reducts(as_ucq(ucq)).items()}
+    `rigid_reducts`)."""
+    return {k: tuple(q for q, _ in found) for k, found in rigid_reducts(as_ucq(ucq)).items()}
+
+
+def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
+    """The counting queries of every size from `rigid_reducts`: each
+    minimal reduct's rigid form, isomorphic copies dropped, in canonical
+    order, with gamma 1 over the orderings that attain its canonical key.
+    The reference for `support.counting_queries`, which builds them from
+    one class per rigid form."""
+    out = {}
+    for k, found in rigid_reducts(as_ucq(ucq)).items():
+        rigid: dict[tuple, CountingQuery] = {}
+        for _, form in found:
+            key, aug, automorphisms = canonicalize_counted(form)
+            rigid.setdefault(key, CountingQuery(cq=aug, gamma=Fraction(1, automorphisms)))
+        out[k] = tuple(rigid[key] for key in sorted(rigid))
+    return out
 
 
 def count_automorphisms(cq: CQ) -> int:

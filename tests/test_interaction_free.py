@@ -659,7 +659,7 @@ def test_if_fact_counts_match_brute_force_on_larger_aboxes():
         evaluator = make_subset_evaluator(omq.tbox, omq.query)
         supports = enumerate_minimal_supports(tuple(abox), evaluator, size_cap=len(plan.atoms))
         expected = tally_fact_counts(abox, supports)
-        assert Plan(plan, "if").fact_counts(abox) == expected, (omq, list(abox))
+        assert Plan(omq, "if").fact_counts(abox) == expected, (omq, list(abox))
         if supports:
             supported += 1
             multi += len(connected_components(plan.cq)) > 1

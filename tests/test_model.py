@@ -214,7 +214,6 @@ def _value_class_samples():
     from respo.shapley import ScoreReport, WealthFunction
     from respo.sqlgen import ManifestEntry, SqlManifest
     from respo.support import BasisTerm, CountingQuery
-    from respo.textio import ParseDiagnostic
 
     axiom = Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r")), True)
     tbox = TBox(frozenset({axiom}), frozenset({ConjunctionAxiom("A", "B", "C")}))
@@ -250,7 +249,6 @@ def _value_class_samples():
             {"A": "t_A"}),
         "support.CountingQuery": lambda: CountingQuery(cq, Fraction(1, 2)),
         "support.BasisTerm": lambda: BasisTerm(cq, Fraction(-1)),
-        "textio.ParseDiagnostic": lambda: ParseDiagnostic(3, 7, "bad token"),
     }
 
 

@@ -18,7 +18,6 @@ from respo.queries import canonicalize, canonicalize_counted, hom_count, hom_min
 from respo.randgen import random_database, random_ucq
 from respo.support import (
     FactDB,
-    _all_reducts,
     _unmergeable,
     basis_fact_counts,
     basis_histogram,
@@ -31,7 +30,9 @@ from respo.support import (
 )
 from respo.textio import parse_query, parse_tbox
 
+import oracles
 from oracles import (
+    all_reducts,
     count_automorphisms,
     count_fms_brute,
     minimal_supports_via_hom_images,
@@ -194,7 +195,7 @@ def test_gamma_from_canonical_search_matches_automorphism_count():
     seen = {"constants": 0, "repeated predicates": 0, "symmetric": 0}
     for ucq in ucqs:
         pins = ucq_constants(ucq)
-        for q in _all_reducts(ucq).values():
+        for q in all_reducts(ucq).values():
             rigid = with_all_pairs_neq(q, pins)
             key, renamed, automorphisms = canonicalize_counted(rigid)
             assert automorphisms == count_automorphisms(rigid), q
@@ -339,8 +340,8 @@ def test_hom_minimal_keeps_the_core_of_a_hom_equivalent_pair():
 
 def test_counting_queries_rigidify_each_reduct_once(monkeypatch, variant):
     """Compiling the variant's counting queries rigidifies each of its 104
-    reducts once, in the minimality test, and reuses that form for the
-    canonical search (twice per reduct before)."""
+    reducts once, as its class is formed, and reuses that form for the
+    canonical search; they equal the reduct-by-reduct reference."""
     import respo.support
     from respo.rewriter import rewrite
 
@@ -354,9 +355,11 @@ def test_counting_queries_rigidify_each_reduct_once(monkeypatch, variant):
 
     monkeypatch.setattr(respo.support, "with_all_pairs_neq", counted)
     queries = counting_queries(ucq)
-    assert sum(map(len, queries.values())) == len(_all_reducts(ucq)) == 104
+    assert sum(map(len, queries.values())) == len(all_reducts(ucq)) == 104
     assert len(calls) == 104
     assert len({canonicalize(q)[0] for q in calls}) == 104
+    monkeypatch.undo()
+    assert queries == oracles.counting_queries(ucq)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +367,14 @@ def test_counting_queries_rigidify_each_reduct_once(monkeypatch, variant):
 # ---------------------------------------------------------------------------
 
 def test_basis_equals_enumerating_search_randomized():
-    """The basis histogram and every fact's basis counts equal those of the
-    enumerating search over the counting queries, on 320 seeded UCQs of
-    up to three disjuncts of up to four atoms, with constants (also ones
-    that only another disjunct mentions), disequalities and self-joins,
-    over databases of up to 14 facts.  Every fourth UCQ is a CQ over A
-    and r alone, a cycle or a random often symmetric one, whose
-    coefficients are often fractional.  Many UCQs have unmergeable
+    """The counting queries equal the reduct-by-reduct reference, and the
+    basis histogram and every fact's basis counts equal those of the
+    enumerating search over the reference's counting queries, on 320
+    seeded UCQs of up to three disjuncts of up to four atoms, with
+    constants (also ones that only another disjunct mentions),
+    disequalities and self-joins, over databases of up to 14 facts.
+    Every fourth UCQ is a CQ over A and r alone, a cycle or a random
+    often symmetric one, whose coefficients are often fractional.  Many UCQs have unmergeable
     disjuncts, which the basis takes without enumerating their
     quotients, and many mix them with disjuncts it enumerates."""
     rng = random.Random(1515)
@@ -384,7 +388,8 @@ def test_basis_equals_enumerating_search_randomized():
         else:
             ucq = random_ucq(rng, max_disjuncts=2 + i % 2, max_atoms=3 + i % 2)
         db = tuple(random_database(rng, max_facts=14, bias=ucq))
-        queries, basis = counting_queries(ucq), homomorphism_basis(ucq)
+        queries, basis = oracles.counting_queries(ucq), homomorphism_basis(ucq)
+        assert counting_queries(ucq) == queries, ucq
         histogram, counts = partition_fact_counts(queries, db)
         assert basis_histogram(basis, db) == histogram, ucq
         assert basis_fact_counts(basis, db) == (histogram, counts), ucq
@@ -415,7 +420,7 @@ def test_variant_basis_is_its_rewriting(variant):
     omq, _ = variant
     ucq = rewrite(omq)
     basis = homomorphism_basis(ucq)
-    assert sum(len(qs) for qs in counting_queries(ucq).values()) == 104
+    assert sum(len(qs) for qs in oracles.counting_queries(ucq).values()) == 104
     assert {k: len(terms) for k, terms in basis.items()} == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 2}
     assert [t.coefficient for t in basis[6]] == [1, 1]
     assert sorted(canonicalize(t.cq)[0] for t in basis[6]) == sorted(
@@ -502,10 +507,11 @@ def chain_abox(rng: random.Random, n: int, copies: int = 4) -> tuple[Fact, ...]:
 
 def test_chain_basis_equals_enumerating_search(monkeypatch):
     """On the interaction-free chain family every disjunct is unmergeable:
-    for n <= 3 the basis histogram and every fact's basis counts equal the
-    enumerating search's on a seeded 4-copy ABox, and at n = 5 the basis
-    is the rewriting's 243 disjuncts, each canonicalized once and taken
-    with coefficient 1."""
+    for n <= 3 the counting queries equal the reduct-by-reduct reference,
+    and the basis histogram and every fact's basis counts equal the
+    enumerating search's over them on a seeded 4-copy ABox; at n = 5 the
+    basis is the rewriting's 243 disjuncts, each canonicalized once and
+    taken with coefficient 1."""
     import respo.support
     from respo.rewriter import rewrite
 
@@ -514,8 +520,9 @@ def test_chain_basis_equals_enumerating_search(monkeypatch):
     for n in (1, 2, 3):
         ucq = rewrite(chain_omq(n))
         db = chain_abox(rng, n)
-        basis = homomorphism_basis(ucq)
-        histogram, counts = partition_fact_counts(counting_queries(ucq), db)
+        basis, queries = homomorphism_basis(ucq), oracles.counting_queries(ucq)
+        assert counting_queries(ucq) == queries
+        histogram, counts = partition_fact_counts(queries, db)
         assert len(_unmergeable(ucq.disjuncts)) == len(ucq.disjuncts) == 3 ** n
         assert basis_histogram(basis, db) == histogram
         assert basis_fact_counts(basis, db) == (histogram, counts)
@@ -540,9 +547,10 @@ def test_chain_basis_equals_enumerating_search(monkeypatch):
 def test_self_join_chain_basis_equals_enumerating_search(monkeypatch):
     """On the chain with exists r0 <= A0 the rewriting keeps each
     disjunct's core, not a copy padded with a second r0 atom, so again
-    every disjunct is unmergeable: for n <= 3 the basis histogram and
-    every fact's basis counts equal the enumerating search's on a seeded
-    4-copy ABox, and at n = 5 the basis is the rewriting's 81 disjuncts,
+    every disjunct is unmergeable: for n <= 3 the counting queries equal
+    the reduct-by-reduct reference, and the basis histogram and every
+    fact's basis counts equal the enumerating search's over them on a
+    seeded 4-copy ABox; at n = 5 the basis is the rewriting's 81 disjuncts,
     each canonicalized once."""
     import respo.support
     from respo.rewriter import rewrite
@@ -552,8 +560,9 @@ def test_self_join_chain_basis_equals_enumerating_search(monkeypatch):
     for n, size in ((1, 4), (2, 3), (3, 9)):
         ucq = rewrite(chain_omq(n, self_join=True))
         db = chain_abox(rng, n)
-        basis = homomorphism_basis(ucq)
-        histogram, counts = partition_fact_counts(counting_queries(ucq), db)
+        basis, queries = homomorphism_basis(ucq), oracles.counting_queries(ucq)
+        assert counting_queries(ucq) == queries
+        histogram, counts = partition_fact_counts(queries, db)
         assert len(_unmergeable(ucq.disjuncts)) == len(ucq.disjuncts) == size
         assert basis_histogram(basis, db) == histogram
         assert basis_fact_counts(basis, db) == (histogram, counts)
