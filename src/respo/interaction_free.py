@@ -9,22 +9,20 @@ each shape's pairs off one search per atom into its canonical slice;
 each pair yields a row.  DL-Lite_R tells no other constants apart, so a
 real fact feeds its shape's row, renamed.  Summing the facts' rows gives
 each atom a table from rows to weights, and weight products are summed
-over homomorphisms by variable elimination (bucket elimination, Dechter
-1999): each variable in turn, the tables that hold it are hash-joined
-and it is summed out.  Along an order of minimal induced width, this
-takes time polynomial in the number of rows for a query of bounded
-treewidth, and linear for an acyclic one.
+over homomorphisms by the variable elimination that partition counting
+runs too (`queries.weighted_eval`): polynomial in the number of rows for
+a query of bounded treewidth, linear for an acyclic one.
 
 An `IFPlan`, built once per OMQ, keeps the check's walk as its row table
 and the elimination order.  Scoring every fact counts over D and over
-each D minus one fact, |D| + 1 eliminations; a backward pass over the
-elimination steps would give every fact's count from one.
+each D minus one fact, |D| + 1 eliminations; `queries.marginals` would
+give every fact's count from one.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
     ANON,
@@ -37,9 +35,9 @@ from .model import (
     SupportHistogram,
     TBox,
     UnsupportedTBoxError,
-    connected_components,
     value_class,
 )
+from .queries import Table, elimination_order, row_variables, weighted_eval
 from .reasoner import canonical_slice, is_consistent, query_depth, slice_assignments
 
 
@@ -172,12 +170,6 @@ def anon_constant(slot: int) -> str:
     return f"anon#{slot}"
 
 
-def row_variables(atom: Atom) -> tuple[str, ...]:
-    """The atom's distinct variables in order of first occurrence: the
-    columns of its rows."""
-    return tuple(dict.fromkeys(atom.variables()))
-
-
 def _entries(cq: CQ, pairs) -> tuple[tuple[int, tuple[str, ...]], ...]:
     """The (slot, row) pairs fed by a fact that satisfies the (slot,
     assignment) `pairs`.  A row holds the values of the slot atom's
@@ -207,11 +199,9 @@ class IFPlan:
     (`NotInteractionFreeError` for a failed check) when the OMQ is outside
     the pipeline.
 
-    The order concatenates an `elimination_order` of each connected
-    component, so the exact search stays within its variable limit on
-    each component.  The check's walk is kept as the row table, so no real
-    fact gets a slice or a search.  The tables of any fact set are the sums
-    of its facts' rows, so one plan serves every subset of a database.
+    The check's walk is kept as the row table, so no real fact gets a
+    slice or a search.  The tables of any fact set are the sums of its
+    facts' rows, so one plan serves every subset of a database.
     """
 
     def __init__(self, omq: OMQ):
@@ -223,9 +213,7 @@ class IFPlan:
         self.omq = omq
         self.cq = cq
         self.atoms = cq.relational_atoms()
-        self.order = tuple(
-            v for component in connected_components(cq) for v in elimination_order(component)
-        )
+        self.order = tuple(elimination_order(cq))
         self._constants = frozenset(cq.constants())
         self._table = {shape: _entries(cq, found) for shape, found in pairs.items()}
         self._rows: dict[Fact, tuple[tuple[int, tuple[str, ...]], ...]] = {}
@@ -246,170 +234,6 @@ class IFPlan:
                 for slot, row in self._table.get(shape, ())
             )
         return self._rows[fact]
-
-
-# ---------------------------------------------------------------------------
-# Elimination order
-# ---------------------------------------------------------------------------
-
-EXACT_TREEWIDTH_LIMIT = 13
-
-
-def _variable_graph(cq: CQ) -> tuple[list[str], dict[str, set[str]]]:
-    variables = list(cq.variables())
-    adj: dict[str, set[str]] = {v: set() for v in variables}
-    for atom in cq.relational_atoms():
-        vs = sorted(set(atom.variables()))
-        for i, v1 in enumerate(vs):
-            for v2 in vs[i + 1:]:
-                adj[v1].add(v2)
-                adj[v2].add(v1)
-    return variables, adj
-
-
-def _elimination_order_exact(variables: list[str], adj: dict[str, set[str]]) -> list[str]:
-    """Minimal-width elimination order via subset dynamic programming.
-
-    Q(S, v) counts the vertices outside S reachable from v through S;
-    eliminating v right after the prefix S leaves v that many neighbours.
-    """
-    n = len(variables)
-    index = {v: i for i, v in enumerate(variables)}
-
-    def q(s_mask: int, v: int) -> int:
-        seen = 1 << v
-        stack = [v]
-        reach = 0
-        while stack:
-            u = stack.pop()
-            for w_name in adj[variables[u]]:
-                w = index[w_name]
-                if seen >> w & 1:
-                    continue
-                seen |= 1 << w
-                if s_mask >> w & 1:
-                    stack.append(w)
-                else:
-                    reach += 1
-        return reach
-
-    best = {0: -1}
-    choice: dict[int, int] = {}
-    for mask in range(1, 1 << n):  # each set after its subsets
-        best[mask], choice[mask] = min(
-            (max(best[mask & ~(1 << v)], q(mask & ~(1 << v), v)), v)
-            for v in range(n)
-            if mask >> v & 1
-        )
-    order = [""] * n
-    mask = (1 << n) - 1
-    for pos in range(n - 1, -1, -1):
-        v = choice[mask]
-        order[pos] = variables[v]
-        mask &= ~(1 << v)
-    return order
-
-
-def _elimination_order_minfill(variables: list[str], adj: dict[str, set[str]]) -> list[str]:
-    work = {v: set(ns) for v, ns in adj.items()}
-    order = []
-    remaining = set(variables)
-    while remaining:
-        def fill(v: str) -> int:
-            ns = sorted(work[v])
-            return sum(
-                1
-                for i, a in enumerate(ns)
-                for b in ns[i + 1:]
-                if b not in work[a]
-            )
-
-        v = min(sorted(remaining), key=fill)
-        order.append(v)
-        ns = sorted(work[v])
-        for i, a in enumerate(ns):
-            for b in ns[i + 1:]:
-                work[a].add(b)
-                work[b].add(a)
-        for u in ns:
-            work[u].discard(v)
-        del work[v]
-        remaining.remove(v)
-    return order
-
-
-def elimination_order(cq: CQ) -> list[str]:
-    """An order of the query's variables for `weighted_eval`: of minimum
-    induced width up to 13 variables, min-fill beyond."""
-    variables, adj = _variable_graph(cq)
-    if len(variables) <= EXACT_TREEWIDTH_LIMIT:
-        return _elimination_order_exact(variables, adj)
-    return _elimination_order_minfill(variables, adj)
-
-
-# ---------------------------------------------------------------------------
-# Weighted evaluation
-# ---------------------------------------------------------------------------
-
-# A factor maps each tuple of values of its variables to a weight.
-Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
-
-# The weight of each row of one atom, keyed as in `IFPlan.fact_entries`.
-Table = dict[tuple[str, ...], int]
-
-
-def _join(left: Factor, right: Factor) -> Factor:
-    """The product of two factors, by a hash join on their shared variables."""
-    (lvars, lrows), (rvars, rrows) = left, right
-    probe = [lvars.index(v) for v in rvars if v in lvars]
-    shared = [i for i, v in enumerate(rvars) if v in lvars]
-    extra = [i for i, v in enumerate(rvars) if v not in lvars]
-    index: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
-    for key, w in rrows.items():
-        index.setdefault(tuple(key[i] for i in shared), []).append(
-            (tuple(key[i] for i in extra), w)
-        )
-    rows = {
-        key + rest: w * w2
-        for key, w in lrows.items()
-        for rest, w2 in index.get(tuple(key[i] for i in probe), ())
-    }
-    return lvars + tuple(rvars[i] for i in extra), rows
-
-
-def weighted_eval(cq: CQ, rows: Sequence[Table], order: Sequence[str]) -> int:
-    """Sum over homomorphisms of the product of per-atom weights, where
-    `rows[slot]` weighs the values of the slot atom's `row_variables`, by
-    eliminating the query's variables in `order` (bucket elimination).
-
-    Each atom contributes its table as a factor over its row variables.
-    Eliminating v hash-joins the factors that hold v, smallest first, and
-    sums v out of the product; the factors left at the end hold no
-    variables, and their weights multiply.  Every factor is a table of
-    rows and every join is on v at least, so no variable is enumerated
-    over a domain and no cross product is built.  A variable of induced
-    width w joins factors over w + 1 variables; along an order of width 1
-    (an acyclic query) that costs about the number of rows.
-    """
-    factors: list[Factor] = [
-        (row_variables(atom), rows[slot]) for slot, atom in enumerate(cq.relational_atoms())
-    ]
-    for v in order:
-        bucket = sorted((f for f in factors if v in f[0]), key=lambda f: len(f[1]))
-        factors = [f for f in factors if v not in f[0]]
-        variables, joined = bucket[0]
-        for factor in bucket[1:]:
-            variables, joined = _join((variables, joined), factor)
-        kept = [i for i, u in enumerate(variables) if u != v]
-        out: Table = {}
-        for key, w in joined.items():
-            k = tuple(key[i] for i in kept)
-            out[k] = out.get(k, 0) + w
-        factors.append((tuple(variables[i] for i in kept), out))
-    total = 1
-    for _, table in factors:
-        total *= table.get((), 0)
-    return total
 
 
 # ---------------------------------------------------------------------------

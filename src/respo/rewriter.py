@@ -16,6 +16,8 @@ suite against canonical-model entailment, not argued here.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .model import (
     Atom,
     BasicConcept,
@@ -37,7 +39,7 @@ from .queries import (
     fresh_var,
     hom_minimal,
     substitute,
-    unify_atoms,
+    unify_terms,
 )
 from .reasoner import saturate
 
@@ -117,17 +119,16 @@ def _applications(cq: CQ, sat) -> list[CQ]:
 
 
 def _unifications(cq: CQ) -> list[CQ]:
-    rel = cq.relational_atoms()
     out = []
-    for i in range(len(rel)):
-        for j in range(i + 1, len(rel)):
-            mgu = unify_atoms(rel[i], rel[j])
-            if mgu is None or not mgu:
-                continue
-            try:
-                out.append(substitute(cq, mgu))
-            except UnsatisfiableQuery:
-                continue
+    for a, b in combinations(cq.relational_atoms(), 2):
+        same = (a.kind, a.predicate) == (b.kind, b.predicate)
+        mgu = same and unify_terms(zip(a.terms, b.terms))
+        if not mgu:
+            continue
+        try:
+            out.append(substitute(cq, mgu))
+        except UnsatisfiableQuery:
+            continue
     return out
 
 

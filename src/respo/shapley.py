@@ -8,12 +8,10 @@ WSMS sum and the number-of-minimal-supports wealth are oracles that only
 the tests run; they live in `tests/oracles.py`.
 
 Every count goes through a `Plan`: the OMQ compiled once for one
-pipeline (the method choice, the interaction-freeness check, the
-rewriting and its homomorphism basis, the ground query atom, or the
-subset evaluator), then asked for the support histogram of a fact set or
-for every fact's per-size counts of the minimal supports containing it.
+pipeline, then asked for the support histogram of a fact set or for
+every fact's per-size counts of the minimal supports containing it.
 `score_all` builds one plan per call and asks it for every fact's counts
-once: partition runs one search per component of each basis quotient,
+once: partition reads them off variable elimination over its basis,
 provenance and brute force tally the supports they find, and the
 interaction-free pipeline still subtracts the histogram over D minus
 each fact from the one over D.  Only the partition and brute-force
@@ -212,12 +210,10 @@ class Plan:
     interaction-free pipeline when its check passes, and partition
     otherwise.  The interaction-free plan is an `IFPlan`; the partition
     plan holds the rewriting and its homomorphism basis of every size
-    (`support.homomorphism_basis`: the minimal-reduct pass that also
-    yields `emit-sql`'s counting queries, run over only the disjuncts
-    that can merge atoms), never the counting queries; the
-    provenance plan the TBox and the ground query atom, whose minimal
-    supports `provenance.minimal_why_provenance` derives; the brute plan
-    the subset evaluator.  An unsupported OMQ raises
+    (`support.homomorphism_basis`), whose terms carry their elimination
+    orders and inclusion-exclusion quotients; the provenance
+    plan the TBox and the ground query atom; the brute plan the subset
+    evaluator.  An unsupported OMQ raises
     `UnsupportedTBoxError` here, brute force on more than
     `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates, and
     provenance raises it once a derived atom has more than
@@ -270,9 +266,8 @@ class Plan:
     def fact_counts(self, facts: Iterable[Fact]) -> tuple[SupportHistogram, FactCounts]:
         """countFMS over the facts, which must be consistent with the TBox,
         and each fact's per-size counts of the minimal supports containing
-        it.  Partition (one search per component of each basis quotient),
-        provenance and brute force count every fact in one pass; the
-        interaction-free pipeline takes each fact's counts as the
+        it.  Partition, provenance and brute force count every fact in one
+        pass; the interaction-free pipeline takes each fact's counts as the
         histogram over the facts minus the one over the rest."""
         facts = tuple(facts)
         if self.method == "if":

@@ -10,25 +10,18 @@ Three pieces live here:
     automorphism count; `emit-sql` emits these queries;
   * the homomorphism basis that scoring counts with: Moebius inversion
     over labelled partitions turns the counting queries' injective counts
-    into a weighted sum of plain homomorphism counts of the disjuncts'
-    quotients, which factor over their connected components
-    (`model.connected_components`), so every fact's counts cost one
-    search per component instead of one homomorphism per support.
+    into a weighted sum of homomorphism counts of plain quotients of the
+    disjuncts.  Each term counts by variable elimination
+    (`queries.weighted_eval`), and every fact's counts come from the
+    per-atom marginals of one pass (`queries.marginals`), so no
+    homomorphism into the data is enumerated.
 
 The counting queries and the basis depend on the query alone, and both
-come from one pass, `_minimal_classes`: it enumerates the disjuncts'
-quotients, merges the reducts into classes of isomorphic rigid forms and
-keeps the classes that no smaller reduct maps into.  The counting
-queries take that pass over every disjunct, the basis over the
-disjuncts that can merge atoms; a `shapley.Plan` keeps the basis for
-every database.  Nothing here is cached.
-
-Every homomorphism count, test and enumeration, into a `FactDB` or into
-another query, runs on the one search in `queries`.  The tests hold these
-counts to the reference implementations in `tests/oracles.py`: the
-brute-force histogram, the minimal homomorphism images, the counting
-queries built reduct by reduct, the automorphism count by search and the
-enumerating partition count.
+come from one pass, `_minimal_classes`, over the disjuncts' quotients; a
+`shapley.Plan` keeps the basis, with each term's elimination order and
+inclusion-exclusion quotients, for every database.  Nothing here is
+cached.  The tests hold these counts to the reference
+implementations in `tests/oracles.py`, most of them by enumeration.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
@@ -51,7 +44,6 @@ from .model import (
     UCQ,
     UnsupportedTBoxError,
     as_ucq,
-    connected_components,
     const,
     value_class,
     var,
@@ -59,14 +51,19 @@ from .model import (
 from .provenance import FactCounts, MinimalSupport, ground_atom_query
 from .queries import (
     HomTarget,
+    Table,
     UnsatisfiableQuery,
+    canonicalize,
     canonicalize_counted,
-    hom_count,
+    elimination_order,
     hom_exists,
     hom_visit,
+    marginals,
     max_relational_size,
     query_target,
     substitute,
+    unify_terms,
+    weighted_eval,
     with_all_pairs_neq,
 )
 from .reasoner import entails_ground_atom, entails_ucq
@@ -80,21 +77,14 @@ Evaluator = Callable[[frozenset[Fact]], bool]
 
 class FactDB(HomTarget):
     """A fact set as a homomorphism target: the argument tuples of each
-    (predicate, arity), each mapped to its fact.  Constants denote
-    themselves, and a disequality holds between distinct constants."""
+    (predicate, arity), in fact order.  Constants denote themselves, and a
+    disequality holds between distinct constants."""
 
     def __init__(self, facts: Iterable[Fact]):
-        self.facts = tuple(facts)
-        tuples: dict[tuple[str, int], dict[tuple[str, ...], Fact]] = {}
-        for f in self.facts:
-            tuples.setdefault((f.predicate, len(f.args)), {})[f.args] = f
+        tuples: dict[tuple[str, int], dict[tuple[str, ...], None]] = {}
+        for f in facts:
+            tuples.setdefault((f.predicate, len(f.args)), {})[f.args] = None
         super().__init__(tuples, lambda name: name, operator.ne)
-
-    def fact_of(self, atom: Atom, binding: Mapping[str, object]) -> Fact:
-        """The fact that a homomorphism with this binding maps the
-        relational atom onto."""
-        args = tuple(binding[t.name] if t.is_var else t.name for t in atom.terms)
-        return self.tuples[(atom.predicate, len(atom.terms))][args]
 
 
 def ucq_holds(ucq: UCQ, facts: Iterable[Fact]) -> bool:
@@ -379,11 +369,16 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
 
 @value_class()
 class BasisTerm:
-    """A quotient of a disjunct, with the disjunct's own disequalities,
-    and its coefficient in the count of the minimal supports of one size."""
+    """A quotient of a disjunct without disequalities and its coefficient in
+    the count of the minimal supports of one size, with what counts it over
+    any facts: an `elimination_order` of its variables and its `_pieces`."""
 
     cq: CQ
     coefficient: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "order", tuple(elimination_order(self.cq)))
+        object.__setattr__(self, "pieces", _pieces(self.cq))
 
 
 def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
@@ -400,7 +395,10 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
     a labelled coarsening pi of rho, followed by an injective one that
     avoids the constants, so by Moebius inversion the injective count is
     the sum over pi of mu(rho, pi) times the homomorphism count of d/pi.
-    A quotient that collapses a disequality has none and is left out.
+    A quotient that collapses a disequality has none and is left out; as
+    hom(q & x != y) = hom(q) - hom(q[x := y]), each other one q adds, per
+    subset F of its disequalities, (-1)^|F| times the quotient that merges
+    the sides of each one in F, so no term keeps a disequality.
 
     An unmergeable disjunct d (`_unmergeable`) is its own term, with
     coefficient 1 at size |d|, and its quotients are not enumerated.  In
@@ -426,9 +424,20 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
             q = cls.quotient
             for key, mu in _moebius_terms(tables[q.disjunct], q.images, pins).items():
                 coefficients[key] = coefficients.get(key, 0) + Fraction(mu, cls.ties)
-        out[k] = tuple(
-            BasisTerm(forms[key].cq, c) for key, c in sorted(coefficients.items()) if c
-        )
+        plain: dict[tuple, Fraction] = {}
+        plain_cqs: dict[tuple, CQ] = {}
+        for key, c in coefficients.items():
+            q = forms[key].cq
+            neqs = q.neq_atoms()
+            for n in range(len(neqs) + 1):
+                for merged in combinations(neqs, n):
+                    mapping = unify_terms(atom.terms for atom in merged)
+                    if mapping is not None:
+                        merged_cq = substitute(CQ(q.relational_atoms()), mapping)
+                        plain_key, plain_cq = canonicalize(merged_cq) if neqs else (key, q)
+                        plain_cqs[plain_key] = plain_cq
+                        plain[plain_key] = plain.get(plain_key, 0) + c * (-1) ** n
+        out[k] = tuple(BasisTerm(plain_cqs[key], c) for key, c in sorted(plain.items()) if c)
     return out
 
 
@@ -464,16 +473,86 @@ def _moebius_terms(
     return sums
 
 
+def _pieces(cq: CQ) -> tuple[tuple[CQ, tuple[tuple[int, int], ...]], ...]:
+    """cq and quotients of it, each with (slot, sign) pairs, whose signed
+    `queries.marginals` of the slot atoms, read at a fact's row, sum to
+    cq's homomorphisms whose image holds the fact.  By inclusion-exclusion
+    a set S of atoms with the fact's predicate adds (-1)^(|S|+1) times the
+    homomorphisms that map all of S onto it: those of the quotient that
+    unifies S (if any) that map the merged atom onto it.  With pairwise
+    distinct predicates only cq's own atoms remain.  The quotients'
+    variables are cq's, so they share its order."""
+    atoms = cq.relational_atoms()
+    groups: dict[tuple[str, int], list[Atom]] = {}
+    for atom in atoms:
+        groups.setdefault((atom.predicate, len(atom.terms)), []).append(atom)
+    signs: dict[CQ, dict[Atom, int]] = {}
+    for group in groups.values():
+        for n in range(2, len(group) + 1):
+            for first, *rest in combinations(group, n):
+                mapping = unify_terms(p for atom in rest for p in zip(first.terms, atom.terms))
+                if mapping is not None:
+                    q = signs.setdefault(substitute(cq, mapping), {})
+                    atom = substitute(CQ((first,)), mapping).atoms[0]
+                    q[atom] = q.get(atom, 0) + (-1) ** (n + 1)
+    return ((cq, tuple((slot, 1) for slot in range(len(atoms)))), *(
+        (q, tuple((q.relational_atoms().index(a), sign) for a, sign in slots.items() if sign))
+        for q, slots in signs.items() if any(slots.values())
+    ))
+
+
+def _tables(facts: Sequence[Fact]) -> Callable[[Atom], tuple[dict[int, tuple], Table]]:
+    """Each atom's table over the facts, built on first use: the row of
+    `queries.row_variables` values of each fact (by index) that agrees with
+    the atom's predicate, constants and repeated variables; each weighs 1."""
+    by_key: dict[tuple[str, int], list[int]] = {}
+    for i, f in enumerate(facts):
+        by_key.setdefault((f.predicate, len(f.args)), []).append(i)
+    built: dict[Atom, tuple[dict[int, tuple], Table]] = {}
+
+    def table(atom: Atom) -> tuple[dict[int, tuple], Table]:
+        if atom not in built:
+            rows: dict[int, tuple] = {}
+            for i in by_key.get((atom.predicate, len(atom.terms)), ()):
+                row: dict[str, str] = {}
+                if all((row.setdefault(t.name, value) if t.is_var else t.name) == value
+                       for t, value in zip(atom.terms, facts[i].args)):
+                    rows[i] = tuple(row.values())
+            built[atom] = rows, dict.fromkeys(rows.values(), 1)
+        return built[atom]
+
+    return table
+
+
+def _counts(term: BasisTerm, table) -> tuple[int, dict[int, int]]:
+    """The term's homomorphisms, and per fact index those whose image holds it."""
+    homs, hits = None, {}
+    for q, slots in term.pieces:
+        tables = [table(atom) for atom in q.relational_atoms()]
+        total, derived = marginals(q, [weights for _, weights in tables], term.order)
+        if homs is None and not (homs := total):  # the first piece is the term itself
+            break
+        for slot, sign in slots:
+            for i, row in tables[slot][0].items():
+                if n := derived[slot].get(row):
+                    hits[i] = hits.get(i, 0) + sign * n
+    return homs, hits
+
+
 def basis_histogram(
     basis: Mapping[int, Iterable[BasisTerm]], facts: Iterable[Fact]
 ) -> SupportHistogram:
     """countFMS per size from the basis of each size (see
-    `homomorphism_basis`).  Each sum is integral by construction; a
-    fractional one signals a pipeline bug."""
-    db = FactDB(facts)
+    `homomorphism_basis`), each term counted by `queries.weighted_eval`.
+    Each sum is integral by construction; a fractional one signals a
+    pipeline bug."""
+    table = _tables(tuple(facts))
+
+    def homs(t: BasisTerm) -> int:
+        return weighted_eval(t.cq, [table(atom)[1] for atom in t.cq.relational_atoms()], t.order)
+
     return SupportHistogram({
-        k: _integral(sum((t.coefficient * hom_count(t.cq, db) for t in terms), Fraction(0)))
-        for k, terms in basis.items()
+        k: _integral(sum(t.coefficient * homs(t) for t in terms)) for k, terms in basis.items()
     })
 
 
@@ -481,54 +560,28 @@ def basis_fact_counts(
     basis: Mapping[int, Sequence[BasisTerm]], facts: Iterable[Fact]
 ) -> tuple[SupportHistogram, FactCounts]:
     """`basis_histogram`, and each fact's non-zero per-size counts of the
-    minimal supports containing it, from one search per component of each
-    basis quotient.
-
-    A fact's size-k count is countFMS_k over D minus countFMS_k over D
-    without the fact, so a quotient s adds c_s times the number of its
-    homomorphisms whose image holds the fact.  Per component i of s, one
-    search yields H_i, its homomorphism count, and U_i(f), the number of
-    its homomorphisms whose image holds f; the homomorphisms of s that
-    avoid f number the product of H_i - U_i(f).  Crediting by image set,
-    not by atom, keeps this exact when two atoms map onto one fact.  The
-    sums run in integers scaled by the common denominator of the size's
-    coefficients, and every sum must be integral, like the totals.
-    """
-    db = FactDB(facts)
+    minimal supports containing it: countFMS_k over D minus over D without
+    the fact, to which a term adds its coefficient times its homomorphisms
+    whose image holds the fact (`_counts`).  The sums run in integers
+    scaled by the size's common denominator, and each must be integral."""
+    facts = tuple(facts)
+    table = _tables(facts)
     totals: dict[int, int] = {}
-    counts: FactCounts = {f: {} for f in db.facts}
+    counts: FactCounts = {f: {} for f in facts}
     for k, terms in basis.items():
         scale = lcm(*(t.coefficient.denominator for t in terms))
-        total = 0
-        sums: dict[Fact, int] = {}
+        total, sums = 0, {}
         for t in terms:
             weight = t.coefficient.numerator * (scale // t.coefficient.denominator)
-            factors = [_image_counts(c, db) for c in connected_components(t.cq)]
-            homs = prod(h for h, _ in factors)
-            if not homs:
-                continue
+            homs, hits = _counts(t, table)
             total += weight * homs
-            for f in set().union(*(hits for _, hits in factors)):
-                avoiding = prod(h - hits.get(f, 0) for h, hits in factors)
-                sums[f] = sums.get(f, 0) + weight * (homs - avoiding)
+            for i, n in hits.items():
+                sums[i] = sums.get(i, 0) + weight * n
         totals[k] = _integral(Fraction(total, scale))
-        for f, n in sums.items():
+        for i, n in sums.items():
             if n:
-                counts[f][k] = _integral(Fraction(n, scale), f)
+                counts[facts[i]][k] = _integral(Fraction(n, scale), facts[i]) if scale > 1 else n
     return SupportHistogram(totals), counts
-
-
-def _image_counts(cq: CQ, db: FactDB) -> tuple[int, dict[Fact, int]]:
-    """The number of homomorphisms of cq into db, and per fact the number
-    of them whose image holds it, from one search."""
-    rel = cq.relational_atoms()
-    hits: dict[Fact, int] = {}
-
-    def credit(binding):
-        for f in {db.fact_of(atom, binding) for atom in rel}:
-            hits[f] = hits.get(f, 0) + 1
-
-    return hom_visit(cq, db, credit), hits
 
 
 def _integral(value: Fraction, fact: Fact | None = None) -> int:

@@ -31,6 +31,7 @@ from respo.model import (
     ABox,
     ANON,
     Assignment,
+    Atom,
     CQ,
     Fact,
     InconsistentKBError,
@@ -41,6 +42,7 @@ from respo.model import (
     UCQ,
     WeightFunction,
     as_ucq,
+    connected_components,
     exists,
     value_class,
 )
@@ -48,7 +50,6 @@ from respo.provenance import FactCounts, MinimalSupport
 from respo.queries import (
     HomTarget,
     canonicalize_counted,
-    hom_count,
     hom_visit,
     max_relational_size,
     query_target,
@@ -86,6 +87,25 @@ def count_fms_brute(
     return SupportHistogram.from_sizes(len(s) for s in supports)
 
 
+def hom_count(cq: CQ, target: HomTarget) -> int:
+    """Number of homomorphisms of cq into the target, by search: the
+    product of the counts of its connected components."""
+    total = 1
+    for component in connected_components(cq):
+        total *= hom_visit(component, target, lambda binding: None)
+    return total
+
+
+def fact_of(facts: Mapping[tuple, Fact], atom: Atom, binding: Mapping[str, object]) -> Fact:
+    """The fact, of `facts` keyed by (predicate, args), that a
+    homomorphism with this binding maps the relational atom onto."""
+    return facts[atom.predicate, tuple(binding[t.name] if t.is_var else t.name for t in atom.terms)]
+
+
+def _by_contents(facts: Iterable[Fact]) -> dict[tuple, Fact]:
+    return {(f.predicate, f.args): f for f in facts}
+
+
 def hom_assignments(cq: CQ, target: HomTarget) -> list[dict[str, object]]:
     """Every homomorphism of cq into the target, as a variable binding."""
     found: list[dict[str, object]] = []
@@ -101,12 +121,13 @@ def minimal_supports_via_hom_images(
     support is covered exactly by some homomorphism image, and every image
     is a support."""
     ucq = as_ucq(ucq)
-    db = FactDB(facts)
+    facts = _by_contents(facts)
+    db = FactDB(facts.values())
     images: set[frozenset[Fact]] = set()
     for disjunct in ucq.disjuncts:
         rel = disjunct.relational_atoms()
         for binding in hom_assignments(disjunct, db):
-            images.add(frozenset(db.fact_of(atom, binding) for atom in rel))
+            images.add(frozenset(fact_of(facts, atom, binding) for atom in rel))
     minimal = [
         s for s in images if not any(other < s for other in images)
     ]
@@ -174,7 +195,7 @@ def count_automorphisms(cq: CQ) -> int:
 
 
 def partition_fact_counts(
-    queries: Mapping[int, Iterable[CountingQuery]], facts: Iterable[Fact] | FactDB
+    queries: Mapping[int, Iterable[CountingQuery]], facts: Iterable[Fact]
 ) -> tuple[SupportHistogram, FactCounts]:
     """countFMS per size from the counting queries of each size (see
     `support.counting_queries`), and each fact's per-size counts of the
@@ -190,9 +211,10 @@ def partition_fact_counts(
     (query, fact) pair are weighted by gamma once, and every sum must be
     integral, like the totals.
     """
-    db = facts if isinstance(facts, FactDB) else FactDB(facts)
+    facts = _by_contents(facts)
+    db = FactDB(facts.values())
     totals: dict[int, int] = {}
-    counts: FactCounts = {f: {} for f in db.facts}
+    counts: FactCounts = {f: {} for f in facts.values()}
     for k, qs in queries.items():
         total = Fraction(0)
         sums: dict[Fact, Fraction] = {}
@@ -202,7 +224,7 @@ def partition_fact_counts(
 
             def credit(binding):
                 for atom in rel:
-                    f = db.fact_of(atom, binding)
+                    f = fact_of(facts, atom, binding)
                     hits[f] = hits.get(f, 0) + 1
 
             total += hom_visit(q.cq, db, credit) * q.gamma

@@ -50,7 +50,6 @@ from respo.shapley import (
     shapley_brute_force,
     wsms_via_histogram,
 )
-from respo.queries import hom_count
 from respo.sqlgen import build_manifest
 from respo.support import (
     FactDB,
@@ -64,6 +63,7 @@ from oracles import (
     check_score_properties,
     count_automorphisms,
     count_fms_brute,
+    hom_count,
     minimal_supports_via_hom_images,
     oracle_count_matchings,
     oracle_count_mvc,

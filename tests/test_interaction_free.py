@@ -29,11 +29,10 @@ from respo.interaction_free import (
     _satisfying_pairs,
     check_interaction_free,
     count_ms_interaction_free,
-    elimination_order,
-    weighted_eval,
 )
 from respo.model import connected_components
 from respo.provenance import tally_fact_counts
+from respo.queries import elimination_order, weighted_eval
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
 from respo.reasoner import is_consistent, query_depth
 from respo.shapley import Plan

@@ -328,10 +328,9 @@ def test_value_class_behaves_as_the_dataclass_it_replaced(name):
 
 def test_weight_functions_compare_by_name_and_caches_are_per_instance():
     """A weight function compares and hashes by name alone, and each
-    saturated TBox and search target gets its own empty cache."""
-    from respo.queries import HomTarget, query_target
+    saturated TBox gets its own empty cache."""
+    from respo.queries import HomTarget
     from respo.reasoner import saturate
-    from respo.support import FactDB
 
     assert WeightFunction("w", _one) == WeightFunction("w", lambda s, d: 2)
     assert hash(WeightFunction("w", _one)) == hash(WeightFunction("w", max))
@@ -342,12 +341,6 @@ def test_weight_functions_compare_by_name_and_caches_are_per_instance():
     assert first._interned is not second._interned
     first._rows["A"] = ("cached",)
     assert second._rows == {} and "_rows" not in repr(first)
-
-    query = CQ((role_atom("r", var("x"), var("y")),))
-    targets = [query_target(query), query_target(query), FactDB(())]
-    assert all(t._indexes == {} for t in targets)
-    assert len({id(t._indexes) for t in targets}) == 3
-    assert targets[0] != targets[1] and "_indexes" not in repr(targets[0])
     with pytest.raises(TypeError):
         HomTarget({}, _one, _one, {})
 

@@ -22,20 +22,18 @@ from respo.model import (
 )
 from respo.queries import (
     canonicalize,
-    hom_count,
     hom_exists,
-    hom_visit,
     query_target,
     with_all_pairs_neq,
 )
 from respo.randgen import random_consistent_kb
 from respo.reasoner import canonical_slice, entails_ucq, query_depth
-from respo.shapley import Plan
-from respo.support import FactDB, counting_queries
+from respo.support import FactDB
 
 from oracles import (
     count_automorphisms,
     hom_assignments,
+    hom_count,
     holds_under_assignment,
     minimal_supports_via_hom_images,
 )
@@ -127,14 +125,14 @@ def oracle_assignments(cq: CQ, facts) -> list[dict]:
 
 
 def test_indexed_search_matches_oracle():
-    """The search, which probes the target's argument index wherever a
-    step has a bound argument, agrees with the naive oracle.  Each fact
-    database serves four queries, so later searches reuse the indexes
-    earlier ones built, and the queries cover each way an argument is
-    bound or checked at a step."""
+    """The search into fact databases agrees with the naive oracle on the
+    bindings, the count and existence.  Each database serves four
+    queries, and the queries cover each way an argument is bound or
+    checked at a step: a constant, a repeated variable, a disequality
+    checked at the step, and a closed step, which is a membership test."""
     rng = random.Random(1010)
     seen = dict.fromkeys(
-        ["constant probe", "repeated variable", "disequality at probe", "closed"], 0)
+        ["constant", "repeated variable", "disequality at step", "closed"], 0)
     pool = ["c", "d", "e", "g"]
     for _ in range(120):
         facts = random_facts(rng, pool, max_facts=12)
@@ -167,11 +165,9 @@ def tally_step(seen: dict, step) -> None:
         seen["closed"] += 1
     elif len(set(names)) < len(names):
         seen["repeated variable"] += 1
-    if step.probe is None or step.closed:
-        return
-    _, (name, _) = step.probe
-    seen["constant probe"] += name is None
-    seen["disequality at probe"] += bool(step.checks)
+    if not step.closed:
+        seen["constant"] += len(names) < len(step.slots)
+        seen["disequality at step"] += bool(step.checks)
 
 
 def test_fact_db_search_matches_oracle():
@@ -284,51 +280,3 @@ def test_canonical_form_ignores_disequality_orientation():
     backward = CQ((neq_atom(x, y), role_atom("r", y, x)))
     assert canonicalize(forward) == canonicalize(backward)
     assert canonicalize(forward)[0] != canonicalize(CQ((role_atom("r", x, y),)))[0]
-
-
-def test_hom_visit_searches_in_hom_count_order(monkeypatch, variant):
-    """Counting a query's homomorphisms and visiting them hand `_search`
-    the same atoms in the same order, so both run the same search."""
-    omq, abox = variant
-    queries_by_size = counting_queries(Plan(omq, "partition").rewriting)
-    cq = next(q.cq for qs in queries_by_size.values() for q in qs)
-    received = []
-    search = queries._search
-
-    def recording(atoms, *args):
-        received.append(list(atoms))
-        return search(atoms, *args)
-
-    monkeypatch.setattr(queries, "_search", recording)
-    db = FactDB(abox)
-    assert hom_count(cq, db) == hom_visit(cq, db, lambda binding: None)
-    assert len(received) == 2 and received[0] == received[1]
-
-
-def test_partition_histogram_builds_each_index_once(monkeypatch, variant):
-    """A partition histogram over 256 facts probes one fact database with
-    many searches, and each (predicate, arity, position) index it uses is
-    built once and then reused by every later search."""
-    omq, abox = variant
-    facts = [
-        Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
-        for c in range(16)
-        for f in abox
-    ]
-    plan = Plan(omq, "partition")
-    probes = []
-    real = queries.HomTarget.index
-
-    def recording(target, key, position):
-        found = real(target, key, position)
-        probes.append((target, key, position, found))
-        return found
-
-    monkeypatch.setattr(queries.HomTarget, "index", recording)
-    assert plan.histogram(facts) == {6: 6 * 16 * 16}
-    built: dict[tuple, set[int]] = {}
-    for target, key, position, found in probes:
-        built.setdefault((id(target), key, position), set()).add(id(found))
-    assert len({target for target, *_ in probes}) == 1
-    assert len(probes) > len(built) > 0
-    assert all(len(ids) == 1 for ids in built.values()), built

@@ -398,16 +398,10 @@ def test_partition_fact_counts_equal_histogram_differences():
     from respo.shapley import histogram_difference
     from respo.textio import parse_query
 
+    from test_support import SYMMETRIC_QUERIES
+
     rng = random.Random(29)
-    symmetric = [
-        parse_query(text) for text in (
-            "r(?x,?y), r(?y,?x)\n",
-            "r(?x,?y), r(?y,?z), r(?z,?x)\n",
-            "r(?x,?y), r(?y,?z), r(?z,?w), r(?w,?x)\n",
-            "r(?x,?y), r(?x,?z), ?y != ?z\n",
-            "r(?x,?y), r(?y,?x), A(?x), A(?y)\n",
-        )
-    ]
+    symmetric = [parse_query(text) for text in SYMMETRIC_QUERIES]
     instances = []
     for _ in range(12):
         ucq = random_ucq(rng)
@@ -436,11 +430,11 @@ def test_partition_fact_counts_equal_histogram_differences():
     assert fractional >= len(symmetric) and credited >= 100, (fractional, credited)
 
 
-def test_partition_scoring_searches_once_per_basis_component(variant, monkeypatch):
-    """A partition `score_all` maps each component of each basis quotient
-    into the facts once: the variant's basis is its rewriting's two
-    disjuncts, of two components each, so four searches, where one search
-    per counting query made 104."""
+def test_partition_counting_runs_no_search_into_the_facts(variant, monkeypatch):
+    """Partition `score_all` and `Plan.histogram` count the basis by
+    variable elimination alone: no homomorphism search runs into a fact
+    database, where enumerating each basis component's homomorphisms ran
+    four."""
     import respo.queries as queries
     from respo.support import FactDB
 
@@ -455,8 +449,9 @@ def test_partition_scoring_searches_once_per_basis_component(variant, monkeypatc
     real = queries._search
     monkeypatch.setattr(queries, "_search", counting_search)
     report = score_all(abox, omq, method="partition")
-    assert report.histogram == {6: 6}
-    assert len(searches) == 4
+    assert report.histogram == Plan(omq, "partition").histogram(abox) == {6: 6}
+    assert sum(map(bool, report.scores.values())) == 15
+    assert searches == []
 
 
 def test_partition_plan_counts_without_the_counting_queries(variant, monkeypatch):
@@ -542,6 +537,7 @@ def _horn(kind):
 IDENTITY_CASES = {
     "partition-variant-x64": ("partition", lambda variant: _variant_copies(variant, 64)),
     "partition-hub-250": ("partition", lambda variant: _hub(250)),
+    "partition-hub-1000": ("partition", lambda variant: _hub(1000)),
     **{
         f"partition-{'self-join-' * s}chain-{n}": ("partition", lambda variant, n=n, s=s: _chain(n, s))
         for n in (1, 2, 3, 4) for s in (False, True)
@@ -556,8 +552,8 @@ IDENTITY_CASES = {
 def test_fact_counts_sum_to_size_times_histogram(case, variant):
     """Each size-k minimal support holds k facts, so the size-k counts of
     all facts sum to k times the size-k histogram: checked where no oracle
-    reaches, on the variant replicated 64 times (1,024 facts) and a hub
-    of 500 facts under partition, on the chains up to n = 4, on the
+    reaches, on the variant replicated 64 times (1,024 facts) and hubs of
+    500 and 2,000 facts under partition, on the chains up to n = 4, on the
     variant replicated 8 times under interaction-free, and on the
     12-cycle vertex covers and the 3x3 grid reachability under
     provenance."""
