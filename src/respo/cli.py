@@ -96,18 +96,6 @@ def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
     return omq, abox
 
 
-def _add_kb_args(p):
-    p.add_argument("--tbox", help="TBox file")
-    p.add_argument("--abox", help="ABox file")
-    p.add_argument("--query", required=True, help="query file")
-    p.add_argument(
-        "--answer",
-        action="append",
-        default=[],
-        help="answer binding var=const (repeatable); instantiates free variables before scoring",
-    )
-
-
 def _at_least_one(args, name: str):
     value = getattr(args, name)
     if value is not None and value < 1:
@@ -332,74 +320,70 @@ def cmd_verify(args) -> int:
     return EXIT_PROPERTY_FAILURE if failures else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser with the sub-command that argv[0] names, or with all of
+    them when it names none (--help, an unknown command, no argument).
+    A lone sub-command keeps the full list in the usage line, so every
+    message reads as it does with all of them built."""
     from .shapley import BRUTE_FORCE_CAP, METHODS
 
+    kb = (  # the options of every command that reads a KB
+        ("--tbox", {"help": "TBox file"}),
+        ("--abox", {"help": "ABox file"}),
+        ("--query", {"required": True, "help": "query file"}),
+        ("--answer", {
+            "action": "append",
+            "default": [],
+            "help": "answer binding var=const (repeatable); instantiates free variables before scoring",
+        }),
+    )
+    method = ("--method", {"default": "auto", "choices": METHODS})
+    fact = ("--fact", {"help": "restrict output to one fact label"})
+    form = ("--format", {"default": "json", "choices": ["json", "table"]})
+    out = ("--out", {"required": True, "help": "output directory"})
+    commands = {  # name: (help, handler, options in order)
+        "score": ("WSMS scores for every fact", cmd_score, (
+            *kb, ("--weight", {"default": "ms", "help": "ms|uniform|invsq|file:<path>"}),
+            method, fact, form)),
+        "shapley-drastic": ("brute-force drastic Shapley values", cmd_shapley_drastic, (
+            *kb, fact,
+            ("--cap", {"type": int, "default": BRUTE_FORCE_CAP, "help": "max ABox size"}), form)),
+        "count-ms": ("total number of minimal supports", cmd_count_ms, (*kb, method)),
+        "count-fms": ("minimal supports per size", cmd_count_fms, (
+            *kb,
+            ("--size", {"type": int, "help": "one size k; omit for the full histogram"}), method)),
+        "rewrite": ("rewrite the OMQ into a UCQ", cmd_rewrite, kb),
+        "check-if": ("interaction-freeness check", cmd_check_if, kb),
+        "emit-sql": ("emit schema, loader, and counting queries", cmd_emit_sql, (
+            *kb, ("--size", {"type": int, "help": "restrict to one support size"}), out)),
+        "gen": ("generate a hardness benchmark instance", cmd_gen, (
+            ("kind", {"choices": ["mvc", "reach", "pm"]}),
+            ("--graph", {"required": True, "help": "edge-list file"}), out,
+            ("--source", {"help": "reachability source vertex"}),
+            ("--target", {"help": "reachability target vertex"}))),
+        "verify": ("run the cross-pipeline property suites", cmd_verify, (
+            ("--seed", {"type": int, "default": 0}),
+            ("--instances", {"type": int, "default": 25}))),
+    }
     parser = argparse.ArgumentParser(
         prog="respo",
         description="Responsibility scores for ontology-mediated query answers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("score", help="WSMS scores for every fact")
-    _add_kb_args(p)
-    p.add_argument("--weight", default="ms", help="ms|uniform|invsq|file:<path>")
-    p.add_argument("--method", default="auto", choices=METHODS)
-    p.add_argument("--fact", help="restrict output to one fact label")
-    p.add_argument("--format", default="json", choices=["json", "table"])
-    p.set_defaults(fn=cmd_score)
-
-    p = sub.add_parser("shapley-drastic", help="brute-force drastic Shapley values")
-    _add_kb_args(p)
-    p.add_argument("--fact", help="restrict output to one fact label")
-    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP, help="max ABox size")
-    p.add_argument("--format", default="json", choices=["json", "table"])
-    p.set_defaults(fn=cmd_shapley_drastic)
-
-    p = sub.add_parser("count-ms", help="total number of minimal supports")
-    _add_kb_args(p)
-    p.add_argument("--method", default="auto", choices=METHODS)
-    p.set_defaults(fn=cmd_count_ms)
-
-    p = sub.add_parser("count-fms", help="minimal supports per size")
-    _add_kb_args(p)
-    p.add_argument("--size", type=int, help="one size k; omit for the full histogram")
-    p.add_argument("--method", default="auto", choices=METHODS)
-    p.set_defaults(fn=cmd_count_fms)
-
-    p = sub.add_parser("rewrite", help="rewrite the OMQ into a UCQ")
-    _add_kb_args(p)
-    p.set_defaults(fn=cmd_rewrite)
-
-    p = sub.add_parser("check-if", help="interaction-freeness check")
-    _add_kb_args(p)
-    p.set_defaults(fn=cmd_check_if)
-
-    p = sub.add_parser("emit-sql", help="emit schema, loader, and counting queries")
-    _add_kb_args(p)
-    p.add_argument("--size", type=int, help="restrict to one support size")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_emit_sql)
-
-    p = sub.add_parser("gen", help="generate a hardness benchmark instance")
-    p.add_argument("kind", choices=["mvc", "reach", "pm"])
-    p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--source", help="reachability source vertex")
-    p.add_argument("--target", help="reachability target vertex")
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("verify", help="run the cross-pipeline property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=25)
-    p.set_defaults(fn=cmd_verify)
-
+    chosen = argv[:1] if argv[:1] and argv[0] in commands else list(commands)
+    listed = "{" + ",".join(commands) + "}" if len(chosen) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in chosen:
+        help_, handler, options = commands[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

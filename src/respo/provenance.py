@@ -4,18 +4,20 @@ A Horn-extended TBox that respo accepts has no existential right-hand
 side, so with the ABox it is a datalog program, and the minimal supports
 of a ground atom are its minimal why-provenance: the inclusion-minimal
 fact sets that derive it (Green, Karvounarakis and Tannen, "Provenance
-semirings", PODS 2007).  The fixpoint fires the rule table that
-`reasoner` builds for Boolean entailment (`SaturatedTBox.fact_row` and
-`horn_rules`), but keeps its own worklist: run through a worklist
-generic in the semiring, Boolean entailment took two to three times as
-long.  The work grows with the number of supports, which can be
-exponential: counting them is #P-hard once the TBox encodes
+semirings", PODS 2007).  `HornProgram` compiles, once per TBox and
+query atom, the part of the rule table that `reasoner` builds for
+Boolean entailment (`SaturatedTBox.horn_rules` and `fact_row`) that can
+derive the atom, over small integer concept ids.  The fixpoint then
+runs on bit masks over the facts' positions and keeps its own worklist:
+run through a worklist generic in the semiring, Boolean entailment took
+two to three times as long.  The work grows with the number of supports,
+which can be exponential: counting them is #P-hard once the TBox encodes
 reachability.
 
-The module also holds what every pipeline that finds supports one by one
-shares: the `MinimalSupport` value, its per-fact tally and the ground
-atom that Horn-extended TBoxes take.  `shapley` imports it with itself,
-while the larger pipeline modules load only when a plan needs them.
+The module also holds the per-fact tally of supports given as masks,
+which provenance and brute force share, and the ground atom that
+Horn-extended TBoxes take.  `shapley` imports it with itself, while the
+larger pipeline modules load only when a plan needs them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Iterable, Sequence
 from .model import (
     CONCEPT_ATOM,
     Atom,
-    BasicConcept,
     CQ,
     Fact,
     InputError,
@@ -36,38 +37,30 @@ from .model import (
     UnsupportedTBoxError,
     as_ucq,
     concept,
-    value_class,
 )
 from .reasoner import _closure
-
-
-@value_class()
-class MinimalSupport:
-    facts: frozenset[Fact]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(f.label for f in self.facts))
-
-    def __len__(self) -> int:
-        return len(self.facts)
-
 
 # Each fact's per-size counts of the minimal supports containing it.
 FactCounts = dict[Fact, dict[int, int]]
 
 
-def tally_fact_counts(
-    facts: Iterable[Fact], supports: Iterable[MinimalSupport]
+def tally_masks(
+    facts: Sequence[Fact], masks: Iterable[int]
 ) -> tuple[SupportHistogram, FactCounts]:
-    """The histogram of the supports and each fact's per-size counts of
-    those containing it, in one pass over the supports."""
-    supports = list(supports)
-    counts: FactCounts = {f: {} for f in facts}
-    for s in supports:
-        for f in s.facts:
-            counts[f][len(s)] = counts[f].get(len(s), 0) + 1
-    histogram = SupportHistogram.from_sizes(len(s) for s in supports)
-    return histogram, {f: dict(sorted(c.items())) for f, c in counts.items()}
+    """The histogram of the supports, each a bit mask over the facts'
+    positions, and each fact's per-size counts of those containing it,
+    in one pass over the masks."""
+    sizes: dict[int, int] = {}
+    per_fact: list[dict[int, int]] = [{} for _ in facts]
+    for mask in masks:
+        k = mask.bit_count()
+        sizes[k] = sizes.get(k, 0) + 1
+        while mask:
+            low = mask & -mask
+            counts = per_fact[low.bit_length() - 1]
+            counts[k] = counts.get(k, 0) + 1
+            mask ^= low
+    return SupportHistogram(sizes), {f: dict(sorted(c.items())) for f, c in zip(facts, per_fact)}
 
 
 def ground_atom_query(query: CQ | UCQ) -> Atom:
@@ -82,102 +75,170 @@ def ground_atom_query(query: CQ | UCQ) -> Atom:
     return atoms[0]
 
 
+class HornProgram:
+    """The Horn rules that can take part in deriving a ground atom, over
+    integer ids: concept 0 is the atom's own, and the others are every
+    concept whose atoms can derive it, numbered as one reverse walk over
+    the rules reaches them.  Concept c fires `joins[c]`, the (other
+    conjunct, head ids) of each A & B <= C, and `steps[c]`, the (role id,
+    head ids) of each exists R.A <= B; a role atom's role has id 0.  Rule
+    bodies and heads are concept names, so the walk keys them by name."""
+
+    __slots__ = ("joins", "steps", "args", "_sat", "_ids", "_roles", "_rows")
+
+    def __init__(self, tbox: TBox, atom: Atom):
+        self._sat = sat = _closure(tbox)
+        rules, _ = sat.horn_rules
+        fires: dict[str, tuple] = {}
+        derived_by: dict[str, list[str]] = {}  # a head -> the bodies of its rules
+        for body, fired in rules.items():
+            fires[body.concept_name] = fired
+            for _, head in fired:
+                for h in head:
+                    derived_by.setdefault(h.concept_name, []).append(body.concept_name)
+        concept_atom = atom.kind == CONCEPT_ATOM
+        order = [atom.predicate] if concept_atom else []
+        self._ids = ids = {name: i for i, name in enumerate(order)}
+        for name in order:  # grows while it is read
+            for body in derived_by.get(name, ()):
+                if body not in ids:
+                    ids[body] = len(order)
+                    order.append(body)
+        self._roles = roles = {} if concept_atom else {(atom.predicate, False): 0}
+        self.joins: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
+        self.steps: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
+        for c, name in enumerate(order):
+            for side, head in fires.get(name, ()):
+                heads = tuple(ids[h.concept_name] for h in head if h.concept_name in ids)
+                if heads and isinstance(side, Role):
+                    rid = roles.setdefault((side.name, side.inverted), len(roles))
+                    self.steps[c].append((rid, heads))
+                elif heads:
+                    self.joins[c].append((ids[side.concept_name], heads))
+        self.args = tuple(t.name for t in atom.terms)
+        self._rows: dict[tuple[str, int], tuple] = {}
+
+    def row(self, predicate: str, arity: int) -> tuple:
+        """What a fact of the predicate seeds, built once per predicate:
+        for A(a) the ids of a's concepts; for r(a, b) those of a, those
+        of b, and a (role id, same) pair per role of `steps` above r,
+        where `same` says that the role's predecessor of b is a (else
+        the one of a is b)."""
+        row = self._rows.get((predicate, arity))
+        if row is None:
+            found, ids = self._sat.fact_row(predicate, arity), self._ids
+            concepts = (found,) if arity == 1 else found[:2]
+            row = tuple(
+                tuple(ids[c.concept_name] for c in side if c.concept_name in ids)
+                for side in concepts
+            )
+            if arity == 2:
+                row += (tuple(
+                    (rid, inverted == role_inverted)
+                    for name, inverted in found[2]
+                    for (role, role_inverted), rid in self._roles.items()
+                    if role == name
+                ),)
+            self._rows[predicate, arity] = row
+        return row
+
+
 class _Antichain:
     """Inclusion-minimal fact sets, as bit masks over the facts' positions,
     added in order of size, so that a set already here never holds a new
     one.  The column of a fact has bit k set when set k holds the fact: set
     k lies inside a new set exactly when it misses the columns of every
-    fact outside the new set, so one OR over those columns decides
-    subsumption."""
+    fact outside the new set, so one OR over the columns of the facts
+    that the chain holds and the new set lacks decides subsumption."""
 
-    __slots__ = ("masks", "columns")
+    __slots__ = ("masks", "columns", "held")
 
     def __init__(self):
         self.masks: list[int] = []
         self.columns: dict[int, int] = {}  # a fact's bit -> its column
+        self.held = 0  # the union of the masks
 
     def add(self, mask: int) -> bool:
-        outside = 0
-        for fact, column in self.columns.items():
-            if not mask & fact:
-                outside |= column
+        columns, outside, rest = self.columns, 0, self.held & ~mask
+        while rest:
+            fact = rest & -rest
+            outside |= columns[fact]
+            rest ^= fact
         k = len(self.masks)
         if outside != (1 << k) - 1:
             return False
         self.masks.append(mask)
+        self.held |= mask
         while mask:
             fact = mask & -mask
-            self.columns[fact] = self.columns.get(fact, 0) | 1 << k
+            columns[fact] = columns.get(fact, 0) | 1 << k
             mask ^= fact
         return True
 
 
-def minimal_why_provenance(
-    facts: Sequence[Fact], tbox: TBox, atom: Atom, cap: int
-) -> list[int]:
-    """The inclusion-minimal subsets of the facts from which the TBox
-    entails the ground atom, each as a bit mask (bit i for facts[i]).
+def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int) -> list[int]:
+    """The inclusion-minimal subsets of the facts from which the
+    program's TBox entails its ground atom, each as a bit mask (bit i for
+    facts[i]).
 
     The worklist of `reasoner._entailed_instance_data` in the PosBool
-    semiring: each fact seeds {f} on every atom its `fact_row` closure
+    semiring: each fact seeds {f} on every atom its `HornProgram.row`
     names, a Horn rule joins a new set of its body with each set of the
-    other conjunct or of the role pair, and every (individual, concept)
-    atom keeps an `_Antichain`. Only the concepts the query atom can
-    depend on are derived (`_rules_toward`). Candidate sets wait in one
-    queue per size and enter their atom in size order, so each set that
-    enters is final and is joined once. Role pairs keep the singletons of
-    the facts that entail them: no Horn rule derives a role. More than
-    `cap` sets on one atom, or more than `cap` candidate sets per fact in
-    the queues, raise `InputError`; the second bounds the joins of two
-    antichains that are each under the cap. The facts must be consistent
-    with the TBox.
+    other conjunct or of the role pair, and every (individual, concept
+    id) atom keeps an `_Antichain`.  Candidate sets wait in one queue per
+    size and enter their atom in size order, so each set that enters is
+    final and is joined once.  Role pairs keep the singletons of the
+    facts that entail them: no Horn rule derives a role.  More than `cap`
+    sets on one atom, or more than `cap` candidate sets per fact in the
+    queues, raise `InputError`; the second bounds the joins of two
+    antichains that are each under the cap.  The facts must be
+    consistent with the TBox.
     """
-    sat = _closure(tbox)
-    rules, _ = sat.horn_rules
-    goal = {concept(atom.predicate)} if atom.kind == CONCEPT_ATOM else set()
-    fire = _rules_toward(rules, goal)
     budget, queued = cap * len(facts), 0
     pending: list[list] = [[] for _ in range(len(facts) + 1)]
-    role_pairs: dict[str, dict[tuple[str, str], set[int]]] = {}
+    seeds = pending[1]
+    # exists R.A <= B under A(a) joins with the R-predecessors of a.
+    predecessors: dict[tuple[int, str], dict[str, set[int]]] = {}
     for i, f in enumerate(facts):
-        row, single = sat.fact_row(f.predicate, len(f.args)), 1 << i
+        row, single = program.row(f.predicate, len(f.args)), 1 << i
+        seeds.extend((x, ids, single) for x, ids in zip(f.args, row))  # each argument's ids
         if f.is_concept:
-            pending[1].extend((f.args[0], c, single) for c in row if c in goal)
             continue
         a, b = f.args
-        subject, object_, sups = row
-        pending[1].extend((a, c, single) for c in subject if c in goal)
-        pending[1].extend((b, c, single) for c in object_ if c in goal)
-        for name, inverted in sups:
-            pairs = role_pairs.setdefault(name, {})
-            pairs.setdefault((b, a) if inverted else (a, b), set()).add(single)
-    # exists R.A <= B under A(a) joins with the R-predecessors of a.
-    predecessors: dict[tuple[str, bool, str], list] = {}
-    for name, pairs in role_pairs.items():
-        for (x, y), masks in pairs.items():
-            predecessors.setdefault((name, False, y), []).append((x, masks))
-            predecessors.setdefault((name, True, x), []).append((y, masks))
+        for rid, same in row[2]:
+            key, partner = ((rid, b), a) if same else ((rid, a), b)
+            predecessors.setdefault(key, {}).setdefault(partner, set()).add(single)
+    if not program.joins:  # a role atom: no Horn rule derives a role
+        x, y = program.args
+        return list(predecessors.get((0, y), {}).get(x, ()))
 
-    chains: dict[tuple[str, BasicConcept], _Antichain] = {}
+    joins, steps = program.joins, program.steps
+    chains: dict[str, list[_Antichain | None]] = {}  # an individual's chain per concept id
     for queue in pending:
-        for a, c, mask in queue:  # grows while it is read
-            chain = chains.get((a, c))
-            if chain is None:
-                chain = chains[a, c] = _Antichain()
-            if not chain.add(mask):
-                continue
-            if len(chain.masks) > cap:
-                raise InputError(
-                    f"provenance scoring is capped at {cap} minimal supports per derived atom"
-                )
-            for side, head in fire.get(c, ()):
-                if isinstance(side, Role):
-                    partners = predecessors.get((side.name, side.inverted, a), ())
-                elif (a, side) in chains:
-                    partners = ((a, chains[a, side].masks),)
-                else:
+        for a, heads, mask in queue:  # grows while it is read
+            slots = chains.get(a)
+            if slots is None:
+                slots = chains[a] = [None] * len(joins)
+            for c in heads:
+                chain = slots[c]
+                if chain is None:
+                    chain = slots[c] = _Antichain()
+                if not chain.add(mask):
                     continue
-                for x, masks in partners:
+                if len(chain.masks) > cap:
+                    raise InputError(
+                        f"provenance scoring is capped at {cap} minimal supports per derived atom"
+                    )
+                fired = [
+                    (a, other.masks, head)
+                    for side, head in joins[c]
+                    if (other := slots[side]) is not None
+                ]
+                for rid, head in steps[c]:
+                    fired.extend(
+                        (x, masks, head) for x, masks in predecessors.get((rid, a), {}).items()
+                    )
+                for x, masks, head in fired:
                     queued += len(masks) * len(head)
                     if queued > budget:
                         raise InputError(
@@ -186,34 +247,8 @@ def minimal_why_provenance(
                         )
                     for m in masks:
                         union = mask | m
-                        pending[union.bit_count()].extend((x, h, union) for h in head)
+                        pending[union.bit_count()].append((x, head, union))
         queue.clear()
 
-    args = tuple(t.name for t in atom.terms)
-    if atom.kind == CONCEPT_ATOM:
-        chain = chains.get((args[0], concept(atom.predicate)))
-        return chain.masks if chain is not None else []
-    return list(role_pairs.get(atom.predicate, {}).get(args, ()))
-
-
-def _rules_toward(rules: dict, goal: set) -> dict:
-    """The Horn rules that can take part in deriving a goal concept, each
-    with the goal concepts of its head; `goal` grows to every concept whose
-    atoms can: the goal, and each body and other conjunct of a rule whose
-    head holds one."""
-    grew = True
-    while grew:
-        grew = False
-        for body, fired in rules.items():
-            if body not in goal and any(not head.isdisjoint(goal) for _, head in fired):
-                goal.add(body)
-                grew = True
-    return {
-        body: [
-            (side, [h for h in head if h in goal])
-            for side, head in fired
-            if not head.isdisjoint(goal)
-        ]
-        for body, fired in rules.items()
-        if body in goal
-    }
+    slots = chains.get(program.args[0])
+    return slots[0].masks if slots is not None and slots[0] is not None else []

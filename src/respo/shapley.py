@@ -12,18 +12,20 @@ pipeline, then asked for the support histogram of a fact set or for
 every fact's per-size counts of the minimal supports containing it.
 `score_all` builds one plan per call and asks it for every fact's counts
 once: partition reads them off variable elimination over its basis,
-provenance and brute force tally the supports they find, and the
-interaction-free pipeline still subtracts the histogram over D minus
-each fact from the one over D.  Only the partition and brute-force
-branches import `support`, so interaction-free and provenance scoring
-never load it.
+provenance and brute force tally the supports they find as bit masks
+over the facts, and the interaction-free pipeline still subtracts the
+histogram over D minus each fact from the one over D.  The provenance
+plan compiles the query atom's rule program once.  Only the partition
+and brute-force branches import `support`, so interaction-free and
+provenance scoring never load it.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .model import (
@@ -41,10 +43,10 @@ from .model import (
 )
 from .provenance import (
     FactCounts,
-    MinimalSupport,
+    HornProgram,
     ground_atom_query,
     minimal_why_provenance,
-    tally_fact_counts,
+    tally_masks,
 )
 from .reasoner import is_consistent
 
@@ -168,15 +170,14 @@ def shapley_brute_force(
 # ---------------------------------------------------------------------------
 
 def wsms_via_histogram(
-    fact_counts: Mapping[int, int], db_size: int, weight: WeightFunction
+    fact_counts: Mapping[int, int], db_size: int, weight: Callable[[int, int], Fraction]
 ) -> Fraction:
     """Sum of w(k, |D|) times the number of size-k minimal supports
-    containing the fact (from `Plan.fact_counts` upstream)."""
-    total = Fraction(0)
-    for k, count in fact_counts.items():
-        if count:
-            total += weight(k, db_size) * count
-    return total
+    containing the fact (from `Plan.fact_counts` upstream), added up in
+    integers over the weights' common denominator."""
+    terms = [(weight(k, db_size), count) for k, count in fact_counts.items() if count]
+    scale = lcm(*(w.denominator for w, _ in terms))
+    return Fraction(sum(w.numerator * (scale // w.denominator) * n for w, n in terms), scale)
 
 
 def histogram_difference(
@@ -212,8 +213,8 @@ class Plan:
     plan holds the rewriting and its homomorphism basis of every size
     (`support.homomorphism_basis`), whose terms carry their elimination
     orders and inclusion-exclusion quotients; the provenance
-    plan the TBox and the ground query atom; the brute plan the subset
-    evaluator.  An unsupported OMQ raises
+    plan the query atom's rule program (`provenance.HornProgram`); the
+    brute plan the subset evaluator.  An unsupported OMQ raises
     `UnsupportedTBoxError` here, brute force on more than
     `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates, and
     provenance raises it once a derived atom has more than
@@ -243,7 +244,7 @@ class Plan:
             self.rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
             self.basis = homomorphism_basis(self.rewriting)
         if method == "provenance":
-            self._tbox, self._atom = omq.tbox, ground_atom_query(omq.query)
+            self._program = HornProgram(omq.tbox, ground_atom_query(omq.query))
         if method == "brute":
             from .support import make_subset_evaluator
 
@@ -261,7 +262,7 @@ class Plan:
             from .support import basis_histogram
 
             return basis_histogram(self.basis, ordered)
-        return SupportHistogram.from_sizes(len(s) for s in self._minimal_supports(ordered))
+        return SupportHistogram.from_sizes(m.bit_count() for m in self._support_masks(ordered))
 
     def fact_counts(self, facts: Iterable[Fact]) -> tuple[SupportHistogram, FactCounts]:
         """countFMS over the facts, which must be consistent with the TBox,
@@ -281,22 +282,23 @@ class Plan:
             from .support import basis_fact_counts
 
             return basis_fact_counts(self.basis, ordered)
-        return tally_fact_counts(facts, self._minimal_supports(ordered))
+        return tally_masks(ordered, self._support_masks(ordered))
 
-    def _minimal_supports(self, ordered: tuple[Fact, ...]) -> list[MinimalSupport]:
+    def _support_masks(self, ordered: tuple[Fact, ...]) -> list[int]:
+        """The minimal supports as bit masks over the facts' positions."""
         if self.method == "provenance":
-            masks = minimal_why_provenance(ordered, self._tbox, self._atom, PROVENANCE_CAP)
-            return [
-                MinimalSupport(frozenset(f for i, f in enumerate(ordered) if m >> i & 1))
-                for m in masks
-            ]
+            return minimal_why_provenance(ordered, self._program, PROVENANCE_CAP)
         if len(ordered) > BRUTE_FORCE_CAP:
             raise InputError(
                 f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(ordered)}"
             )
         from .support import enumerate_minimal_supports
 
-        return enumerate_minimal_supports(ordered, self._evaluator)
+        bit = {f: 1 << i for i, f in enumerate(ordered)}
+        return [
+            sum(bit[f] for f in s.facts)
+            for s in enumerate_minimal_supports(ordered, self._evaluator)
+        ]
 
 
 def score_all(
@@ -306,10 +308,12 @@ def score_all(
     method: str = "auto",
 ) -> ScoreReport:
     """WSMS scores for every fact of the ABox, from one `Plan.fact_counts`
-    call."""
+    call; w(k, |D|) is evaluated once per size k, when a fact first needs
+    it."""
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot score an inconsistent KB")
     plan = Plan(omq, method)
     full, counts = plan.fact_counts(abox)
-    scores = {f.label: wsms_via_histogram(counts[f], len(abox), weight) for f in abox}
+    once = cache(weight)
+    scores = {f.label: wsms_via_histogram(counts[f], len(abox), once) for f in abox}
     return ScoreReport(scores=scores, method=plan.method, histogram=full)

@@ -48,7 +48,7 @@ from .model import (
     value_class,
     var,
 )
-from .provenance import FactCounts, MinimalSupport, ground_atom_query
+from .provenance import FactCounts, ground_atom_query
 from .queries import (
     HomTarget,
     Table,
@@ -135,6 +135,17 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
 # ---------------------------------------------------------------------------
 # Brute-force enumeration
 # ---------------------------------------------------------------------------
+
+@value_class()
+class MinimalSupport:
+    facts: frozenset[Fact]
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(sorted(f.label for f in self.facts))
+
+    def __len__(self) -> int:
+        return len(self.facts)
+
 
 def enumerate_minimal_supports(
     facts: Iterable[Fact],

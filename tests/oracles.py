@@ -4,7 +4,9 @@ respo does not run any of these.  Each one counts or decides the same
 thing as a pipeline in `src/respo` by a simpler route, usually by
 enumeration:
 
-  * minimal supports: the brute-force histogram, the inclusion-minimal
+  * minimal supports: the brute-force histogram, the per-fact tally of
+    supports given as fact sets (the oracle of the mask tally), the
+    inclusion-minimal
     homomorphism images of a UCQ, the reducts and the counting queries
     built reduct by reduct, the automorphism count by search, and the
     partition counts by enumerating each counting query's homomorphisms
@@ -46,7 +48,7 @@ from respo.model import (
     exists,
     value_class,
 )
-from respo.provenance import FactCounts, MinimalSupport
+from respo.provenance import FactCounts
 from respo.queries import (
     HomTarget,
     canonicalize_counted,
@@ -68,6 +70,7 @@ from respo.support import (
     CountingQuery,
     Evaluator,
     FactDB,
+    MinimalSupport,
     _integral,
     _minimal,
     _quotients,
@@ -85,6 +88,20 @@ def count_fms_brute(
 ) -> SupportHistogram:
     supports = enumerate_minimal_supports(facts, evaluator, size_cap)
     return SupportHistogram.from_sizes(len(s) for s in supports)
+
+
+def tally_fact_counts(
+    facts: Iterable[Fact], supports: Iterable[MinimalSupport]
+) -> tuple[SupportHistogram, FactCounts]:
+    """The histogram of the supports and each fact's per-size counts of
+    those containing it, in one pass over the supports."""
+    supports = list(supports)
+    counts: FactCounts = {f: {} for f in facts}
+    for s in supports:
+        for f in s.facts:
+            counts[f][len(s)] = counts[f].get(len(s), 0) + 1
+    histogram = SupportHistogram.from_sizes(len(s) for s in supports)
+    return histogram, {f: dict(sorted(c.items())) for f, c in counts.items()}
 
 
 def hom_count(cq: CQ, target: HomTarget) -> int:

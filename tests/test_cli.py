@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from respo.cli import main
+from respo.cli import build_parser, main
 from respo.model import SupportHistogram
 from respo.shapley import Plan
 
@@ -123,6 +125,44 @@ def test_rewrite_prints_query(tmp_path, capsys):
     code, out, _ = run(capsys, "rewrite", "--tbox", str(tbox), "--query", str(query))
     assert code == 0
     assert "A(c)" in out and "B(c)" in out and "OR" in out
+
+
+COMMANDS = (
+    "score", "shapley-drastic", "count-ms", "count-fms", "rewrite", "check-if", "emit-sql", "gen",
+    "verify",
+)
+
+
+def parse(parser, argv: list[str]):
+    """What parsing argv returns or exits with, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["sc"],
+    *([name, *rest] for name in COMMANDS for rest in (
+        ["--help"], [], ["--bogus"], ["extra"], ["--query"], ["--query", "q"], ["mvc", "--graph"],
+    )),
+], ids=" ".join)
+def test_the_parser_of_one_sub_command_prints_what_the_full_parser_prints(argv):
+    """`main` builds only the sub-command that argv[0] names: its help,
+    its errors (the top-level usage of an unrecognised argument among
+    them) and what it parses are those of the parser with every
+    sub-command, which any other argv builds."""
+    full = build_parser([])
+    assert parse(build_parser(argv), argv) == parse(full, argv)
+    if argv[:1] in ([name] for name in COMMANDS):
+        listed = [
+            line.split()[0] for line in build_parser(argv).format_help().splitlines()
+            if line.startswith("    ") and line.split()[0] in COMMANDS
+        ]
+        assert listed == argv[:1]
 
 
 def test_importing_the_cli_loads_no_interaction_free_pipeline():

@@ -31,7 +31,6 @@ from respo.interaction_free import (
     count_ms_interaction_free,
 )
 from respo.model import connected_components
-from respo.provenance import tally_fact_counts
 from respo.queries import elimination_order, weighted_eval
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
 from respo.reasoner import is_consistent, query_depth
@@ -39,7 +38,7 @@ from respo.shapley import Plan
 from respo.support import enumerate_minimal_supports, make_subset_evaluator
 from respo.textio import parse_abox
 
-from oracles import count_fms_brute, holds_under_assignment
+from oracles import count_fms_brute, holds_under_assignment, tally_fact_counts
 
 
 def tb(*axioms):

@@ -210,10 +210,9 @@ def _value_class_samples():
     keyed by module and class name."""
     from respo.generators import Graph, MatchingInstance
     from respo.interaction_free import InteractionWitness
-    from respo.provenance import MinimalSupport
     from respo.shapley import ScoreReport, WealthFunction
     from respo.sqlgen import ManifestEntry, SqlManifest
-    from respo.support import BasisTerm, CountingQuery
+    from respo.support import BasisTerm, CountingQuery, MinimalSupport
 
     axiom = Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r")), True)
     tbox = TBox(frozenset({axiom}), frozenset({ConjunctionAxiom("A", "B", "C")}))
@@ -239,7 +238,7 @@ def _value_class_samples():
         "generators.MatchingInstance": lambda: MatchingInstance(ABox(facts), UCQ((cq,)), UCQ((cq,))),
         "interaction_free.InteractionWitness": lambda: InteractionWitness(
             facts[1], cq.atoms[0], (("x", "a"),), cq.atoms[1], (("x", "b"),)),
-        "provenance.MinimalSupport": lambda: MinimalSupport(frozenset(facts)),
+        "support.MinimalSupport": lambda: MinimalSupport(frozenset(facts)),
         "shapley.WealthFunction": lambda: WealthFunction("drastic", _one),
         "shapley.ScoreReport": lambda: ScoreReport(
             {"f1": Fraction(1, 2)}, "if", SupportHistogram({1: 1})),

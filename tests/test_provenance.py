@@ -30,12 +30,20 @@ from respo.model import (
     role_atom,
     var,
 )
-from respo.provenance import minimal_why_provenance
+from respo.provenance import (
+    HornProgram,
+    _Antichain,
+    ground_atom_query,
+    minimal_why_provenance,
+    tally_masks,
+)
 from respo.randgen import CONCEPT_NAMES, ROLE_NAMES, random_consistent_kb, random_horn_kb
+from respo.reasoner import SaturatedTBox, _closure
 from respo.shapley import Plan, score_all
+from respo.support import MinimalSupport
 from respo.textio import parse_abox, parse_query, parse_tbox
 
-from oracles import oracle_simple_paths
+from oracles import oracle_simple_paths, tally_fact_counts
 
 
 def test_provenance_matches_brute_force_on_random_horn_kbs():
@@ -69,6 +77,24 @@ def test_provenance_matches_brute_force_on_random_horn_kbs():
         )
         seen["disjointness"] += any(ax.negated for ax in tbox.axioms)
     assert min(seen.values()) >= 20 and len(seen) == 9, seen
+
+
+def test_mask_tally_matches_the_set_tally_on_random_horn_kbs():
+    """On the 1,000 KBs above, the tally of the supports as bit masks
+    equals the tally of the same supports as fact sets."""
+    rng = random.Random(1101)
+    high = 0
+    for i in range(1000):
+        tbox, abox, query = random_horn_kb(rng)
+        facts = tuple(sorted(abox, key=lambda f: f.label))
+        program = HornProgram(tbox, ground_atom_query(query))
+        masks = minimal_why_provenance(facts, program, 10_000)
+        supports = [
+            MinimalSupport(frozenset(f for j, f in enumerate(facts) if m >> j & 1)) for m in masks
+        ]
+        assert tally_masks(facts, masks) == tally_fact_counts(facts, supports), i
+        high += any(m >> (len(facts) - 1) for m in masks)
+    assert high >= 20, high
 
 
 def test_provenance_matches_brute_force_on_dllite_kbs():
@@ -203,9 +229,9 @@ def ground_atom(text: str):
 def test_cap_bounds_each_derived_atom(monkeypatch):
     abox, omq = wide_kb(5)
     facts, atom = tuple(abox), omq.query.disjuncts[0].atoms[0]
-    assert len(minimal_why_provenance(facts, omq.tbox, atom, 32)) == 32
+    assert len(minimal_why_provenance(facts, HornProgram(omq.tbox, atom), 32)) == 32
     with pytest.raises(InputError, match="capped at 31 minimal supports"):
-        minimal_why_provenance(facts, omq.tbox, atom, 31)
+        minimal_why_provenance(facts, HornProgram(omq.tbox, atom), 31)
     monkeypatch.setattr(respo.shapley, "PROVENANCE_CAP", 31)
     with pytest.raises(InputError, match="capped at 31"):
         score_all(abox, omq)
@@ -219,19 +245,20 @@ def test_budget_bounds_the_candidate_sets():
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="capped at 36000 candidate sets on 36 facts"):
-            minimal_why_provenance(facts, tbox, ground_atom("R(g)"), 1_000)
+            minimal_why_provenance(facts, HornProgram(tbox, ground_atom("R(g)")), 1_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
-    assert len(minimal_why_provenance(facts, tbox, ground_atom("PW9(g)"), 1_000)) == 2**9
+    assert len(minimal_why_provenance(facts, HornProgram(tbox, ground_atom("PW9(g)")), 1_000)) == 2**9
 
 
 def test_only_atoms_the_query_depends_on_are_derived():
     """W14(g) is past the cap, but Z1(g) and W3(g) do not depend on it."""
     abox, omq = wide_kb(14)
     for query, supports in (("Z1(g)", 2), ("W3(g)", 8), ("x1(g, g)", 0)):
-        masks = minimal_why_provenance(tuple(abox), omq.tbox, ground_atom(query), 10_000)
+        program = HornProgram(omq.tbox, ground_atom(query))
+        masks = minimal_why_provenance(tuple(abox), program, 10_000)
         assert len(masks) == supports
 
 
@@ -253,3 +280,90 @@ def test_provenance_refuses_what_the_horn_evaluator_refuses(fig1):
     )
     with pytest.raises(UnsupportedTBoxError, match="existential right-hand sides"):
         Plan(OMQ(existential, omq.query), "provenance").fact_counts(abox)
+
+
+def test_one_plan_compiles_its_rule_program_once(monkeypatch):
+    """Two `fact_counts` calls on one provenance plan, over different fact
+    sets, build the rule program once and each predicate's row once."""
+    built, rows = [], Counter()
+
+    class Counted(HornProgram):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    fact_row = SaturatedTBox.fact_row
+
+    def counted_row(self, predicate, arity):
+        rows[predicate] += 1
+        return fact_row(self, predicate, arity)
+
+    abox, omq = wide_kb(4)
+    facts = tuple(abox)
+    parts = {part: Plan(omq, "brute").fact_counts(part) for part in (facts[2:], facts)}
+    monkeypatch.setattr(respo.shapley, "HornProgram", Counted)
+    monkeypatch.setattr(SaturatedTBox, "fact_row", counted_row)
+    plan = Plan(omq, "provenance")
+    for part, expected in parts.items():
+        assert plan.fact_counts(part) == expected
+    assert len(built) == 1
+    assert rows == {f.predicate: 1 for f in facts}
+
+
+def cycle_kb(n: int) -> tuple[ABox, OMQ]:
+    vertices = tuple(f"v{i:02d}" for i in range(n))
+    tbox, abox, query = gen_mvc(Graph(vertices, tuple(zip(vertices, vertices[1:] + vertices[:1]))))
+    return abox, OMQ(tbox, query)
+
+
+def grid_kb(side: int) -> tuple[ABox, OMQ]:
+    graph, source, target = grid(side)
+    tbox, abox, query = gen_reachability(graph, source, target)
+    return abox, OMQ(tbox, query)
+
+
+@pytest.mark.parametrize("kb, attempts", [(cycle_kb(12), 254), (grid_kb(3), 19)],
+                         ids=["12-cycle mvc", "3x3 reach"])
+def test_the_fixpoint_tries_no_more_antichain_inserts(kb, attempts, monkeypatch):
+    """A timing-free guard on the benchmark's two Horn instances: scoring
+    the 12-cycle tries 254 antichain inserts and the 3x3 grid 19.  Each
+    attempt is a candidate set the rules built, so a rise means more
+    joins."""
+    tried = []
+    add = _Antichain.add
+
+    def counted(self, mask):
+        tried.append(mask)
+        return add(self, mask)
+
+    monkeypatch.setattr(_Antichain, "add", counted)
+    abox, omq = kb
+    score_all(abox, omq)
+    assert len(tried) <= attempts
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_the_goal_closure_visits_each_rule_at_most_twice(n):
+    """Compiling the program reads each concept's rules once to index
+    them by head and once more if the goal needs them, however long the
+    chain of conjunctions toward the goal is."""
+    visits = Counter()
+
+    class Visited(tuple):
+        def __iter__(self):
+            visits[self.body] += 1
+            return super().__iter__()
+
+    abox, omq = cycle_kb(n)
+    sat = _closure(omq.tbox)
+    rules, bodies = sat.horn_rules
+    watched = {}
+    for body, fired in rules.items():
+        watched[body] = Visited(fired)
+        watched[body].body = body
+    vars(sat)["horn_rules"] = watched, bodies
+    HornProgram(omq.tbox, ground_atom_query(omq.query))
+    assert set(visits) == set(rules)
+    assert max(visits.values()) <= 2

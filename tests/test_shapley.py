@@ -114,6 +114,52 @@ def test_wsms_via_histogram_agrees_with_direct(fig1):
         )
 
 
+def _horn_instances(fig1):
+    """fig1, the minimal vertex covers of a 6-cycle and the simple paths
+    of a 3x3 grid, as (ABox, OMQ)."""
+    from respo.generators import Graph, gen_mvc, gen_reachability
+
+    omq, abox = fig1
+    cycle = tuple(f"v{i}" for i in range(6))
+    tbox, mvc, query = gen_mvc(Graph(cycle, tuple(zip(cycle, cycle[1:] + cycle[:1]))))
+    grid = [(f"g{i}{j}", f"g{i + di}{j + dj}")
+            for i in range(3) for j in range(3) for di, dj in ((0, 1), (1, 0))
+            if i + di < 3 and j + dj < 3]
+    vertices = tuple(dict.fromkeys(v for edge in grid for v in edge))
+    r_tbox, reach, r_query = gen_reachability(
+        Graph(vertices, tuple(grid), directed=True), "g00", "g22")
+    return [(abox, omq), (mvc, OMQ(tbox, query)), (reach, OMQ(r_tbox, r_query))]
+
+
+def test_score_all_weighs_each_size_once_and_equals_the_direct_sum(fig1):
+    """Under provenance and brute force, `score_all` evaluates each
+    w(k, |D|) at most once, and every fact's score is the direct WSMS sum
+    over the enumerated minimal supports, for the built-in weights and a
+    weight table."""
+    from collections import Counter
+    from functools import cache
+
+    from respo.model import WeightFunction
+
+    for abox, omq in _horn_instances(fig1):
+        n = len(abox)
+        table = weight_from_table("".join(f"{k} {n} {k}/{k + 3}\n" for k in range(1, n + 1)))
+        evaluator = cache(make_subset_evaluator(omq.tbox, omq.query))
+        for weight in (WEIGHT_MS, WEIGHT_UNIFORM, WEIGHT_INVSQ, table):
+            direct = {f.label: wsms_direct(abox, evaluator, f, weight) for f in abox}
+            assert any(direct.values())
+            for method in ("provenance", "brute"):
+                calls = Counter()
+
+                def counted(k, size, weight=weight, calls=calls):
+                    calls[k, size] += 1
+                    return weight(k, size)
+
+                report = score_all(abox, omq, WeightFunction(weight.name, counted), method)
+                assert report.scores == direct, (weight.name, method)
+                assert set(calls.values()) == {1}, (weight.name, method, calls)
+
+
 def test_score_all_methods_agree(fig1, variant):
     omq, abox = fig1
     brute = score_all(abox, omq, WEIGHT_MS, method="brute")

@@ -13,7 +13,6 @@ from respo.model import (
     role_atom,
     var,
 )
-from respo.provenance import tally_fact_counts
 from respo.queries import canonicalize, canonicalize_counted, hom_minimal, with_all_pairs_neq
 from respo.randgen import random_database, random_ucq
 from respo.support import (
@@ -39,6 +38,7 @@ from oracles import (
     minimal_supports_via_hom_images,
     partition_fact_counts,
     reducts,
+    tally_fact_counts,
 )
 
 
