@@ -194,6 +194,8 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
     antichains that are each under the cap.  The facts must be
     consistent with the TBox.
     """
+    if not facts:
+        return []
     budget, queued = cap * len(facts), 0
     pending: list[list] = [[] for _ in range(len(facts) + 1)]
     seeds = pending[1]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .model import (
@@ -173,11 +173,12 @@ def wsms_via_histogram(
     fact_counts: Mapping[int, int], db_size: int, weight: Callable[[int, int], Fraction]
 ) -> Fraction:
     """Sum of w(k, |D|) times the number of size-k minimal supports
-    containing the fact (from `Plan.fact_counts` upstream), added up in
-    integers over the weights' common denominator."""
-    terms = [(weight(k, db_size), count) for k, count in fact_counts.items() if count]
-    scale = lcm(*(w.denominator for w, _ in terms))
-    return Fraction(sum(w.numerator * (scale // w.denominator) * n for w, n in terms), scale)
+    containing the fact (from `Plan.fact_counts` upstream)."""
+    total = Fraction(0)
+    for k, count in fact_counts.items():
+        if count:
+            total += weight(k, db_size) * count
+    return total
 
 
 def histogram_difference(

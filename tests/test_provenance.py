@@ -312,6 +312,21 @@ def test_one_plan_compiles_its_rule_program_once(monkeypatch):
     assert rows == {f.predicate: 1 for f in facts}
 
 
+@pytest.mark.parametrize("query", ["A(a)", "s(a, b)"])
+def test_an_empty_abox_has_no_supports(query):
+    """With no facts, a concept atom and a role atom of a Horn TBox have
+    no minimal support: empty scores, an empty histogram."""
+    tbox = parse_tbox("role: r <= s\nexists r.A <= B\nA & B <= C\n")
+    omq = OMQ(tbox, parse_query(query + "\n"))
+    assert tbox.horn_extended
+    for method in ("auto", "provenance"):
+        report = score_all(ABox(()), omq, method=method)
+        assert (report.scores, report.method, report.histogram.total()) == ({}, "provenance", 0)
+    plan = Plan(omq, "provenance")
+    assert plan.histogram(ABox(())).total() == 0
+    assert plan.fact_counts(ABox(()))[1] == {}
+
+
 def cycle_kb(n: int) -> tuple[ABox, OMQ]:
     vertices = tuple(f"v{i:02d}" for i in range(n))
     tbox, abox, query = gen_mvc(Graph(vertices, tuple(zip(vertices, vertices[1:] + vertices[:1]))))
