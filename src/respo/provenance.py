@@ -7,7 +7,8 @@ fact sets that derive it (Green, Karvounarakis and Tannen, "Provenance
 semirings", PODS 2007).  `HornProgram` compiles, once per TBox and
 query atom, the part of the rule table that `reasoner` builds for
 Boolean entailment (`SaturatedTBox.horn_rules` and `fact_row`) that can
-derive the atom, over small integer concept ids.  The fixpoint then
+derive the atom, over small integer concept ids.  Both are keyed by
+concept name, which the program numbers directly.  The fixpoint then
 runs on bit masks over the facts' positions and keeps its own worklist:
 run through a worklist generic in the semiring, Boolean entailment took
 two to three times as long.  The work grows with the number of supports,
@@ -36,11 +37,10 @@ from .model import (
     UCQ,
     UnsupportedTBoxError,
     as_ucq,
-    concept,
 )
 from .reasoner import _closure
 
-# Each fact's per-size counts of the minimal supports containing it.
+# Each fact's non-zero per-size counts of the minimal supports containing it.
 FactCounts = dict[Fact, dict[int, int]]
 
 
@@ -81,21 +81,18 @@ class HornProgram:
     concept whose atoms can derive it, numbered as one reverse walk over
     the rules reaches them.  Concept c fires `joins[c]`, the (other
     conjunct, head ids) of each A & B <= C, and `steps[c]`, the (role id,
-    head ids) of each exists R.A <= B; a role atom's role has id 0.  Rule
-    bodies and heads are concept names, so the walk keys them by name."""
+    head ids) of each exists R.A <= B; a role atom's role has id 0."""
 
     __slots__ = ("joins", "steps", "args", "_sat", "_ids", "_roles", "_rows")
 
     def __init__(self, tbox: TBox, atom: Atom):
         self._sat = sat = _closure(tbox)
         rules, _ = sat.horn_rules
-        fires: dict[str, tuple] = {}
         derived_by: dict[str, list[str]] = {}  # a head -> the bodies of its rules
         for body, fired in rules.items():
-            fires[body.concept_name] = fired
             for _, head in fired:
                 for h in head:
-                    derived_by.setdefault(h.concept_name, []).append(body.concept_name)
+                    derived_by.setdefault(h, []).append(body)
         concept_atom = atom.kind == CONCEPT_ATOM
         order = [atom.predicate] if concept_atom else []
         self._ids = ids = {name: i for i, name in enumerate(order)}
@@ -108,30 +105,27 @@ class HornProgram:
         self.joins: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
         self.steps: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
         for c, name in enumerate(order):
-            for side, head in fires.get(name, ()):
-                heads = tuple(ids[h.concept_name] for h in head if h.concept_name in ids)
+            for side, head in rules.get(name, ()):
+                heads = tuple(ids[h] for h in head if h in ids)
                 if heads and isinstance(side, Role):
                     rid = roles.setdefault((side.name, side.inverted), len(roles))
                     self.steps[c].append((rid, heads))
                 elif heads:
-                    self.joins[c].append((ids[side.concept_name], heads))
+                    self.joins[c].append((ids[side], heads))
         self.args = tuple(t.name for t in atom.terms)
         self._rows: dict[tuple[str, int], tuple] = {}
 
     def row(self, predicate: str, arity: int) -> tuple:
-        """What a fact of the predicate seeds, built once per predicate:
-        for A(a) the ids of a's concepts; for r(a, b) those of a, those
-        of b, and a (role id, same) pair per role of `steps` above r,
-        where `same` says that the role's predecessor of b is a (else
-        the one of a is b)."""
+        """What a fact of the predicate seeds, built once per predicate
+        from `SaturatedTBox.fact_row`: for A(a) the ids of a's concepts;
+        for r(a, b) those of a, those of b, and a (role id, same) pair
+        per role of `steps` above r, where `same` says that the role's
+        predecessor of b is a (else the one of a is b)."""
         row = self._rows.get((predicate, arity))
         if row is None:
             found, ids = self._sat.fact_row(predicate, arity), self._ids
             concepts = (found,) if arity == 1 else found[:2]
-            row = tuple(
-                tuple(ids[c.concept_name] for c in side if c.concept_name in ids)
-                for side in concepts
-            )
+            row = tuple(tuple(ids[c] for c in side if c in ids) for side in concepts)
             if arity == 2:
                 row += (tuple(
                     (rid, inverted == role_inverted)

@@ -3,13 +3,15 @@
 One engine computes the entailed instance data of the named individuals
 for both TBox flavours: the closure of the TBox's DL-Lite inclusions
 (`saturate`), then, for a Horn-extended TBox, its A & B <= C and
-exists R.A <= B axioms fired to a fixpoint.  Consistency and ground-atom
-entailment read that data, and `provenance` fires the same rule table
-over sets of facts.  For DL-Lite_R only, `canonical_slice` builds the
-canonical model up to a depth as a `queries.HomTarget`: (U)CQ entailment
-asks the homomorphism search whether a query maps into it, and
-`slice_assignments` reads the assignments under which a query holds off
-its homomorphisms.
+exists R.A <= B axioms fired to a fixpoint.  The data keys a basic
+concept by name, exists R by R, and the rule table, built once per
+TBox, keys rules by concept name: firing them builds no `BasicConcept`.
+Consistency and ground-atom entailment read that data, and
+`provenance` fires the same rule table over sets of facts.  For
+DL-Lite_R only, `canonical_slice` builds the canonical model up to a
+depth as a `queries.HomTarget`: (U)CQ entailment asks the homomorphism
+search whether a query maps into it, and `slice_assignments` reads the
+assignments under which a query holds off its homomorphisms.
 """
 
 from __future__ import annotations
@@ -34,13 +36,19 @@ from .model import (
     TBox,
     UCQ,
     UnsupportedTBoxError,
-    concept,
     exists,
 )
 from .queries import HomTarget, hom_exists, hom_visit
 
 # A canonical-model element is a word: (root constant, chain of roles).
 Word = tuple[str, tuple[Role, ...]]
+
+# A basic concept in the instance data: a concept name, or R for exists R.
+ConceptKey = str | Role
+
+
+def _key(b: BasicConcept) -> ConceptKey:
+    return b.concept_name if b.is_name else b.role
 
 
 def _require_dllite(tbox: TBox, operation: str):
@@ -60,7 +68,8 @@ class SaturatedTBox:
     contraposition through the positive closure, and an empty role (R
     disjoint with itself) empties both of its exists-concepts.  The
     closure of each fact predicate and the Horn axioms, keyed for firing,
-    are looked up here too, so they are built once per TBox.
+    are looked up here too, so they are built once per TBox.  Those two
+    and the disjoint pairs hold concepts by key (`ConceptKey`).
     """
 
     def __init__(
@@ -68,7 +77,7 @@ class SaturatedTBox:
         tbox: TBox,
         concept_subs: dict[BasicConcept, frozenset[BasicConcept]],
         role_subs: dict[Role, frozenset[Role]],
-        disjoint_concepts: frozenset[tuple[BasicConcept, BasicConcept]],
+        disjoint_concepts: frozenset[tuple[ConceptKey, ConceptKey]],
         disjoint_roles: frozenset[tuple[Role, Role]],
     ):
         self.tbox = tbox
@@ -77,7 +86,6 @@ class SaturatedTBox:
         self.disjoint_concepts = disjoint_concepts
         self.disjoint_roles = disjoint_roles
         self._rows: dict[tuple[str, int], object] = {}
-        self._interned: dict[BasicConcept, BasicConcept] = {}
 
     def concept_sups(self, b: BasicConcept) -> frozenset[BasicConcept]:
         return self.concept_subs.get(b, frozenset((b,)))
@@ -113,25 +121,25 @@ class SaturatedTBox:
 
     def fact_row(self, predicate: str, arity: int):
         """What a fact entails, looked up once per predicate: for A(a) the
-        basic concepts of a, for r(a, b) those of a, those of b, and
-        (name, inverted) of every role above r."""
+        keys of a's basic concepts, for r(a, b) those of a, those of b,
+        and (name, inverted) of every role above r."""
         row = self._rows.get((predicate, arity))
         if row is None:
             if arity == 1:
-                row = self._intern_sups(concept(predicate))
+                row = self._key_sups(predicate)
             else:
                 r = Role(predicate)
                 sups = tuple((s.name, s.inverted) for s in self.role_sups(r))
-                row = self._intern_sups(exists(r)), self._intern_sups(exists(r.inverse())), sups
+                row = self._key_sups(r), self._key_sups(r.inverse()), sups
             self._rows[predicate, arity] = row
         return row
 
     @cached_property
-    def horn_rules(self) -> tuple[dict[BasicConcept, tuple], frozenset[BasicConcept]]:
+    def horn_rules(self) -> tuple[dict[str, tuple], frozenset[str]]:
         """The Horn axioms keyed by each concept name that fires them, with
-        the closure of the axiom's head: A & B <= C under A with B and
-        under B with A, and exists R.A <= B under A with R; and the set of
-        those concept names."""
+        the closure of the axiom's head as concept names: A & B <= C under
+        A with B and under B with A, and exists R.A <= B under A with R;
+        and the set of those concept names.  No `BasicConcept` is built."""
         if self.tbox.horn_extended and any(
             ax.kind == CONCEPT_INCLUSION and not ax.negated and not ax.rhs.is_name
             for ax in self.tbox.axioms
@@ -139,24 +147,23 @@ class SaturatedTBox:
             raise UnsupportedTBoxError(
                 "existential right-hand sides are unsupported by the Horn evaluator"
             )
-        rules: dict[BasicConcept, dict] = {}
+        rules: dict[str, dict] = {}
         for ax in self.tbox.horn_axioms:
-            head = self._intern_sups(concept(ax.rhs))
+            head = self._key_sups(ax.rhs)
             if isinstance(ax, ConjunctionAxiom):
-                a, b = self._intern(concept(ax.lhs1)), self._intern(concept(ax.lhs2))
-                rules.setdefault(a, {})[b, head] = None
-                rules.setdefault(b, {})[a, head] = None
+                rules.setdefault(ax.lhs1, {})[ax.lhs2, head] = None
+                rules.setdefault(ax.lhs2, {})[ax.lhs1, head] = None
             else:
-                rules.setdefault(self._intern(concept(ax.filler)), {})[ax.role, head] = None
+                rules.setdefault(ax.filler, {})[ax.role, head] = None
         return {body: tuple(found) for body, found in rules.items()}, frozenset(rules)
 
-    def _intern(self, b: BasicConcept) -> BasicConcept:
-        """One object per basic concept in the instance data, so that set
-        operations on it match concepts by identity, not by `__eq__`."""
-        return self._interned.setdefault(b, b)
+    def _key_sups(self, key: ConceptKey) -> frozenset[ConceptKey]:
+        """The keys of the basic concepts above the one keyed `key`."""
+        return self._keyed_subs.get(key) or frozenset((key,))
 
-    def _intern_sups(self, b: BasicConcept) -> frozenset[BasicConcept]:
-        return frozenset(map(self._intern, self.concept_sups(b)))
+    @cached_property
+    def _keyed_subs(self) -> dict[ConceptKey, frozenset[ConceptKey]]:
+        return {_key(b): frozenset(map(_key, sups)) for b, sups in self.concept_subs.items()}
 
 
 def saturate(tbox: TBox) -> SaturatedTBox:
@@ -269,7 +276,7 @@ def _closure(tbox: TBox) -> SaturatedTBox:
         tbox=tbox,
         concept_subs={c: frozenset(s) for c, s in concept_edges.items()},
         role_subs={r: frozenset(s) for r, s in role_edges.items()},
-        disjoint_concepts=frozenset(neg_concepts),
+        disjoint_concepts=frozenset((_key(x), _key(y)) for x, y in neg_concepts),
         disjoint_roles=frozenset(neg_roles),
     )
     object.__setattr__(tbox, "_saturation", sat)
@@ -294,8 +301,9 @@ def _transitive_close(edges: dict):
 # ---------------------------------------------------------------------------
 
 def _entailed_instance_data(abox: Iterable[Fact], tbox: TBox):
-    """Per individual its entailed basic concepts, and per role name its
-    entailed pairs of named individuals, in the role's own direction.
+    """Per individual the keys of its entailed basic concepts, and per
+    role name its entailed pairs of named individuals, in the role's own
+    direction.
 
     One pass takes each fact through the closure of the TBox's DL-Lite
     inclusions.  A Horn-extended TBox then fires its Horn axioms from a
@@ -305,7 +313,7 @@ def _entailed_instance_data(abox: Iterable[Fact], tbox: TBox):
     """
     sat = _closure(tbox)
     rules, bodies = sat.horn_rules
-    types: dict[str, set[BasicConcept]] = {}
+    types: dict[str, set[ConceptKey]] = {}
     role_pairs: dict[str, set[tuple[str, str]]] = {}
     for f in abox:
         row = sat.fact_row(f.predicate, len(f.args))
@@ -383,7 +391,7 @@ def entails_ground_atom(abox: Iterable[Fact], tbox: TBox, atom: Atom) -> bool:
         raise ValueError("entails_ground_atom expects a ground atom")
     args = tuple(t.name for t in atom.terms)
     if atom.kind == CONCEPT_ATOM:
-        return concept(atom.predicate) in types.get(args[0], ())
+        return atom.predicate in types.get(args[0], ())
     return args in role_pairs.get(atom.predicate, ())
 
 
@@ -420,8 +428,8 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
     witnessed: dict[str, set[Role]] = {a: set() for a in individuals}
     for a in individuals:
         for b in types[a]:
-            if b.is_name:
-                add(b.concept_name, (a, ()))
+            if isinstance(b, str):
+                add(b, (a, ()))
     for name, pairs in role_pairs.items():
         for (a, b) in pairs:
             add(name, (a, ()), (b, ()))
@@ -443,7 +451,7 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
         successor((a, ()), r)
         for a in individuals
         for r in all_roles
-        if depth >= 1 and exists(r) in types[a] and r not in witnessed[a]
+        if depth >= 1 and r in types[a] and r not in witnessed[a]
     ]
     for _ in range(depth - 1):
         frontier = [

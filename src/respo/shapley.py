@@ -4,8 +4,9 @@ Weighted sums of minimal supports (the fact's score is the sum of
 w(|S|, |D|) over the minimal supports S containing it), and the
 brute-force Shapley value for arbitrary wealth functions (the drastic
 0/1 wealth built in).  The symmetry/null property checks, the direct
-WSMS sum and the number-of-minimal-supports wealth are oracles that only
-the tests run; they live in `tests/oracles.py`.
+WSMS sum, the per-fact `Fraction` sum of a fact's counts and the
+number-of-minimal-supports wealth are oracles that only the tests run;
+they live in `tests/oracles.py`.
 
 Every count goes through a `Plan`: the OMQ compiled once for one
 pipeline, then asked for the support histogram of a fact set or for
@@ -15,18 +16,18 @@ once: partition reads them off variable elimination over its basis,
 provenance and brute force tally the supports they find as bit masks
 over the facts, and the interaction-free pipeline still subtracts the
 histogram over D minus each fact from the one over D.  The provenance
-plan compiles the query atom's rule program once.  Only the partition
-and brute-force branches import `support`, so interaction-free and
-provenance scoring never load it.
+plan compiles the query atom's rule program once.  `score_all` weighs
+the counts in integers over the weights' common denominator.  Only the
+partition and brute-force branches import `support`, so
+interaction-free and provenance scoring never load it.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cache
-from math import factorial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from math import factorial, lcm
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .model import (
     ABox,
@@ -169,18 +170,6 @@ def shapley_brute_force(
 # WSMS
 # ---------------------------------------------------------------------------
 
-def wsms_via_histogram(
-    fact_counts: Mapping[int, int], db_size: int, weight: Callable[[int, int], Fraction]
-) -> Fraction:
-    """Sum of w(k, |D|) times the number of size-k minimal supports
-    containing the fact (from `Plan.fact_counts` upstream)."""
-    total = Fraction(0)
-    for k, count in fact_counts.items():
-        if count:
-            total += weight(k, db_size) * count
-    return total
-
-
 def histogram_difference(
     full: SupportHistogram, reduced: SupportHistogram
 ) -> dict[int, int]:
@@ -309,12 +298,21 @@ def score_all(
     method: str = "auto",
 ) -> ScoreReport:
     """WSMS scores for every fact of the ABox, from one `Plan.fact_counts`
-    call; w(k, |D|) is evaluated once per size k, when a fact first needs
-    it."""
+    call.  w(k, |D|) is evaluated once per size k, in the order the facts
+    first need it, and each score is one integer sum over the weights'
+    common denominator."""
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot score an inconsistent KB")
     plan = Plan(omq, method)
     full, counts = plan.fact_counts(abox)
-    once = cache(weight)
-    scores = {f.label: wsms_via_histogram(counts[f], len(abox), once) for f in abox}
+    weights: dict[int, Fraction] = {}
+    for f in abox:
+        for k in counts[f]:
+            if k not in weights:
+                weights[k] = weight(k, len(abox))
+    common = lcm(*(w.denominator for w in weights.values()))
+    scaled = {k: w.numerator * (common // w.denominator) for k, w in weights.items()}
+    scores = {
+        f.label: Fraction(sum(scaled[k] * c for k, c in counts[f].items()), common) for f in abox
+    }
     return ScoreReport(scores=scores, method=plan.method, histogram=full)

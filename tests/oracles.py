@@ -11,9 +11,10 @@ enumeration:
     built reduct by reduct, the automorphism count by search, and the
     partition counts by enumerating each counting query's homomorphisms
     (the oracle of the homomorphism basis);
-  * scores: the direct WSMS sum over enumerated supports, the histogram
-    difference per fact, the number-of-minimal-supports wealth, and the
-    symmetry/null property checks;
+  * scores: the direct WSMS sum over enumerated supports, the per-fact
+    `Fraction` sum of a fact's counts, the histogram difference per
+    fact, the number-of-minimal-supports wealth, and the symmetry/null
+    property checks;
   * reasoning: query entailment under one assignment and exists R(a)
     entailment;
   * generators: the combinatorial counts that the hardness constructions
@@ -45,7 +46,6 @@ from respo.model import (
     WeightFunction,
     as_ucq,
     connected_components,
-    exists,
     value_class,
 )
 from respo.provenance import FactCounts
@@ -277,6 +277,20 @@ def wsms_direct(
     return total
 
 
+def wsms_via_histogram(
+    fact_counts: Mapping[int, int], db_size: int, weight: Callable[[int, int], Fraction]
+) -> Fraction:
+    """Sum of w(k, |D|) times the number of size-k minimal supports
+    containing the fact (as `Plan.fact_counts` gives them), one
+    `Fraction` at a time: the reference for `score_all`, which sums in
+    integers over the weights' common denominator."""
+    total = Fraction(0)
+    for k, count in fact_counts.items():
+        if count:
+            total += weight(k, db_size) * count
+    return total
+
+
 def per_fact_counts(
     abox: ABox,
     histogram_provider: Callable[[frozenset[Fact]], SupportHistogram],
@@ -376,7 +390,7 @@ def holds_under_assignment(
 def entails_exists(abox: Iterable[Fact], tbox: TBox, role: Role, individual: str) -> bool:
     """(A, T) |= exists R(a)."""
     types, _ = _entailed_instance_data(abox, tbox)
-    return exists(role) in types.get(individual, ())
+    return role in types.get(individual, ())
 
 
 # ---------------------------------------------------------------------------

@@ -38,17 +38,18 @@ from respo.randgen import (
     random_consistent_kb,
     random_cq,
     random_database,
+    random_dllite_tbox,
     random_interaction_free_omq,
     random_ucq,
 )
 from respo.reasoner import entails_ucq, is_consistent
 from respo.rewriter import rewrite
 from respo.shapley import (
+    WEIGHT_INVSQ,
     WEIGHT_MS,
     drastic_wealth,
     score_all,
     shapley_brute_force,
-    wsms_via_histogram,
 )
 from respo.sqlgen import build_manifest
 from respo.support import (
@@ -72,6 +73,7 @@ from oracles import (
     per_fact_counts,
     sqlite_counts,
     wsms_direct,
+    wsms_via_histogram,
 )
 
 REPORT: list[str] = []
@@ -472,6 +474,47 @@ def test_support_size_bound_keeps_every_minimal_support():
         capped += bound < len(abox) and any(len(s) == bound for s in full)
     # The bound is tight and below |D| on many instances.
     assert capped >= 10, capped
+
+
+def test_per_fact_scores_agree_across_pipelines_on_20_to_30_facts(witness_omq):
+    """Every fact's invsq score is the same under brute force, partition
+    and, where the check passes, the interaction-free pipeline, on 40
+    seeded DL-Lite_R instances of 20 to 30 facts: interaction-free OMQs,
+    OMQs with anonymous role witnesses and random CQs under random
+    TBoxes.  Brute force enumerates up to `_support_size_bound`, since
+    `score_all` refuses it past 20 facts."""
+    rng = random.Random(2311)
+    seen = {"instances": 0, "if": 0, "20+ supports": 0}
+    while seen["instances"] < 40:
+        roll = rng.random()
+        if roll < 0.3:
+            omq = random_interaction_free_omq(rng, max_atoms=3).omq
+        elif roll < 0.6:
+            omq = witness_omq(rng)
+        else:
+            tbox = random_dllite_tbox(rng, max_axioms=3)
+            omq = OMQ(tbox, random_cq(rng, max_atoms=3, allow_neq=False))
+        abox = random_abox(rng, max_facts=60, bias=omq.query, tbox=omq.tbox)
+        if not 20 <= len(abox) <= 30 or not is_consistent(abox, omq.tbox):
+            continue
+        evaluator = make_subset_evaluator(omq.tbox, omq.query)
+        supports = enumerate_minimal_supports(
+            tuple(abox), evaluator, size_cap=_support_size_bound(omq)
+        )
+        brute = {
+            f.label: sum(
+                (WEIGHT_INVSQ(len(s), len(abox)) for s in supports if f in s.facts), Fraction(0)
+            )
+            for f in abox
+        }
+        methods = ["partition"] + (["if"] if check_interaction_free(omq) is None else [])
+        for method in methods:
+            report = score_all(abox, omq, WEIGHT_INVSQ, method=method)
+            assert report.scores == brute, (method, omq, list(abox))
+        seen["instances"] += 1
+        seen["if"] += len(methods) == 2
+        seen["20+ supports"] += len(supports) >= 20
+    assert seen["if"] >= 15 and seen["20+ supports"] >= 5, seen
 
 
 def test_criterion_10_score_properties(fig1, variant):

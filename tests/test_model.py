@@ -337,7 +337,7 @@ def test_weight_functions_compare_by_name_and_caches_are_per_instance():
 
     first, second = saturate(TBox()), saturate(TBox())
     assert first._rows == {} and first._rows is not second._rows
-    assert first._interned is not second._interned
+    assert first._keyed_subs == {} and first._keyed_subs is not second._keyed_subs
     first._rows["A"] = ("cached",)
     assert second._rows == {} and "_rows" not in repr(first)
     with pytest.raises(TypeError):

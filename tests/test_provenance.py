@@ -15,6 +15,7 @@ from respo.model import (
     ROLE_INCLUSION,
     ABox,
     Axiom,
+    BasicConcept,
     CQ,
     Fact,
     InputError,
@@ -357,6 +358,29 @@ def test_the_fixpoint_tries_no_more_antichain_inserts(kb, attempts, monkeypatch)
     abox, omq = kb
     score_all(abox, omq)
     assert len(tried) <= attempts
+
+
+@pytest.mark.parametrize("make, size", [(cycle_kb, 12), (grid_kb, 3)],
+                         ids=["12-cycle mvc", "3x3 reach"])
+def test_a_provenance_plan_builds_no_basic_concept(make, size, monkeypatch):
+    """A timing-free guard on the benchmark's two Horn instances: on a
+    fresh KB, neither building the provenance plan nor its `fact_counts`
+    builds a `BasicConcept`, since the rule table and the fact rows key
+    concepts by name.  Keyed by `BasicConcept`, the 12-cycle built 105
+    and 12."""
+    built = []
+    init = BasicConcept.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    abox, omq = make(size)
+    monkeypatch.setattr(BasicConcept, "__init__", counted)
+    plan = Plan(omq, "provenance")
+    assert len(built) == 0, built
+    plan.fact_counts(abox)
+    assert len(built) == 0, built
 
 
 @pytest.mark.parametrize("n", [12, 24])

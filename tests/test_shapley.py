@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from respo.model import (
+    ABox,
     CQ,
     Fact,
+    InputError,
     OMQ,
     RespoError,
     TBox,
@@ -23,7 +25,6 @@ from respo.shapley import (
     score_all,
     shapley_brute_force,
     weight_from_table,
-    wsms_via_histogram,
 )
 from respo.support import enumerate_minimal_supports, make_subset_evaluator, ucq_holds
 
@@ -35,6 +36,7 @@ from oracles import (
     partition_fact_counts,
     per_fact_counts,
     wsms_direct,
+    wsms_via_histogram,
 )
 
 
@@ -131,11 +133,23 @@ def _horn_instances(fig1):
     return [(abox, omq), (mvc, OMQ(tbox, query)), (reach, OMQ(r_tbox, r_query))]
 
 
+def _coprime_table(n: int):
+    """w(k, n) = k / p_k for 1 <= k <= n, p_k the k-th prime past 10^6:
+    large, pairwise coprime denominators, whose common denominator is
+    their product."""
+    primes, p = [], 10**6
+    while len(primes) < n:
+        p += 1
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            primes.append(p)
+    return weight_from_table("".join(f"{k} {n} {k}/{q}\n" for k, q in enumerate(primes, 1)))
+
+
 def test_score_all_weighs_each_size_once_and_equals_the_direct_sum(fig1):
     """Under provenance and brute force, `score_all` evaluates each
     w(k, |D|) at most once, and every fact's score is the direct WSMS sum
-    over the enumerated minimal supports, for the built-in weights and a
-    weight table."""
+    over the enumerated minimal supports, for the built-in weights and two
+    weight tables, one with large pairwise coprime denominators."""
     from collections import Counter
     from functools import cache
 
@@ -145,7 +159,7 @@ def test_score_all_weighs_each_size_once_and_equals_the_direct_sum(fig1):
         n = len(abox)
         table = weight_from_table("".join(f"{k} {n} {k}/{k + 3}\n" for k in range(1, n + 1)))
         evaluator = cache(make_subset_evaluator(omq.tbox, omq.query))
-        for weight in (WEIGHT_MS, WEIGHT_UNIFORM, WEIGHT_INVSQ, table):
+        for weight in (WEIGHT_MS, WEIGHT_UNIFORM, WEIGHT_INVSQ, table, _coprime_table(n)):
             direct = {f.label: wsms_direct(abox, evaluator, f, weight) for f in abox}
             assert any(direct.values())
             for method in ("provenance", "brute"):
@@ -221,6 +235,9 @@ def test_efficiency_identity_drastic():
 
 
 def test_wsms_direct_equals_histogram_all_methods_randomized():
+    """Every pipeline's scores equal the direct WSMS sum under the
+    built-in weights and a table with large pairwise coprime
+    denominators."""
     rng = random.Random(88)
     from respo.randgen import random_abox, random_interaction_free_omq
     from respo.reasoner import is_consistent
@@ -232,11 +249,30 @@ def test_wsms_direct_equals_histogram_all_methods_randomized():
         if not is_consistent(abox, omq.tbox):
             continue
         ev = make_subset_evaluator(omq.tbox, omq.query)
-        direct = {f.label: wsms_direct(abox, ev, f, WEIGHT_MS) for f in abox}
-        for method in ("brute", "partition", "if"):
-            report = score_all(abox, omq, WEIGHT_MS, method=method)
-            assert report.scores == direct, method
+        for weight in (WEIGHT_MS, WEIGHT_UNIFORM, WEIGHT_INVSQ, _coprime_table(len(abox))):
+            direct = {f.label: wsms_direct(abox, ev, f, weight) for f in abox}
+            for method in ("brute", "partition", "if"):
+                report = score_all(abox, omq, weight, method=method)
+                assert report.scores == direct, (weight.name, method)
         done += 1
+
+
+def test_a_missing_weight_entry_names_the_size_the_facts_first_need(fig1):
+    """`score_all` asks for w(k, |D|) in the order the facts, in ABox
+    order, first need each size, as the per-fact sum does: with f3 (only
+    in size-3 supports) ahead of f1 (in one of size 2), a table without
+    either size names size 3."""
+    omq, abox = fig1
+    ordered = ABox(tuple(sorted(abox, key=lambda f: f.label != "f3")))
+    table = weight_from_table(f"1 {len(abox)} 1/2\n")
+    counts = Plan(omq).fact_counts(ordered)[1]
+    with pytest.raises(InputError) as first:
+        for f in ordered:
+            wsms_via_histogram(counts[f], len(abox), table)
+    assert "support size 3," in str(first.value)
+    with pytest.raises(InputError) as raised:
+        score_all(ordered, omq, table)
+    assert str(raised.value) == str(first.value)
 
 
 def test_ms_wealth_counts_supports(fig1):
