@@ -102,13 +102,7 @@ def _at_least_one(args, name: str):
         raise InputError(f"--{name} must be at least 1, got {value}")
 
 
-def cmd_score(args) -> int:
-    from .shapley import resolve_weight, score_all
-
-    omq, abox = _load_inputs(args, need_abox=True)
-    weight = resolve_weight(args.weight)
-    report = score_all(abox, omq, weight, method=args.method)
-    scores = report.scores
+def _write_scores(args, scores) -> int:
     if args.fact:
         scores = {args.fact: scores[args.fact]}
     if args.format == "json":
@@ -118,22 +112,19 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_shapley_drastic(args) -> int:
-    from .shapley import drastic_wealth, shapley_brute_force
-    from .support import make_subset_evaluator
-    from .reasoner import is_consistent
+def cmd_score(args) -> int:
+    from .shapley import resolve_weight, score_all
 
     omq, abox = _load_inputs(args, need_abox=True)
-    if not is_consistent(abox, omq.tbox):
-        raise InconsistentKBError("cannot score an inconsistent KB")
-    wealth = drastic_wealth(make_subset_evaluator(omq.tbox, omq.query))
-    facts = [abox.by_label(args.fact)] if args.fact else list(abox)
-    scores = {f.label: shapley_brute_force(abox, wealth, f, cap=args.cap) for f in facts}
-    if args.format == "json":
-        sys.stdout.write(render_scores_json(scores))
-    else:
-        sys.stdout.write(render_scores_table(scores))
-    return EXIT_OK
+    weight = resolve_weight(args.weight)
+    return _write_scores(args, score_all(abox, omq, weight, method=args.method).scores)
+
+
+def cmd_shapley_drastic(args) -> int:
+    from .shapley import drastic_scores
+
+    omq, abox = _load_inputs(args, need_abox=True)
+    return _write_scores(args, drastic_scores(abox, omq, args.cap))
 
 
 def _histogram(args, omq: OMQ, abox: ABox) -> SupportHistogram:

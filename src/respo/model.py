@@ -19,7 +19,7 @@ shares one `__repr__` and one pair of frozen guards among all classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 class RespoError(Exception):
@@ -594,13 +594,6 @@ class SupportHistogram:
             if k < 0 or v < 0:
                 raise ValueError("histogram entries must be natural numbers")
         object.__setattr__(self, "counts", cleaned)
-
-    @staticmethod
-    def from_sizes(sizes: Iterable[int]) -> "SupportHistogram":
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
-        return SupportHistogram(counts)
 
     def total(self) -> int:
         return sum(self.counts.values())

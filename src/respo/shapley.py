@@ -1,12 +1,13 @@
 """Responsibility scores.
 
 Weighted sums of minimal supports (the fact's score is the sum of
-w(|S|, |D|) over the minimal supports S containing it), and the
-brute-force Shapley value for arbitrary wealth functions (the drastic
-0/1 wealth built in).  The symmetry/null property checks, the direct
-WSMS sum, the per-fact `Fraction` sum of a fact's counts and the
-number-of-minimal-supports wealth are oracles that only the tests run;
-they live in `tests/oracles.py`.
+w(|S|, |D|) over the minimal supports S containing it), and the drastic
+Shapley value of every fact, computed from the same minimal supports in
+one bit-parallel pass over the coalitions.  The brute-force Shapley
+value for arbitrary wealth functions, the symmetry/null property checks,
+the direct WSMS sum, the per-fact `Fraction` sum of a fact's counts and
+the number-of-minimal-supports wealth are oracles that only the tests
+run; they live in `tests/oracles.py`.
 
 Every count goes through a `Plan`: the OMQ compiled once for one
 pipeline, then asked for the support histogram of a fact set or for
@@ -15,11 +16,13 @@ every fact's per-size counts of the minimal supports containing it.
 once: partition reads them off variable elimination over its basis,
 provenance and brute force tally the supports they find as bit masks
 over the facts, and the interaction-free pipeline still subtracts the
-histogram over D minus each fact from the one over D.  The provenance
+histogram over D minus each fact from the one over D.  A histogram
+alone is the first half of those counts, except under the
+interaction-free pipeline, which counts it directly.  The provenance
 plan compiles the query atom's rule program once.  `score_all` weighs
 the counts in integers over the weights' common denominator.  Only the
-partition and brute-force branches import `support`, so
-interaction-free and provenance scoring never load it.
+partition and brute-force branches and the drastic Shapley value import
+`support`, so interaction-free and provenance scoring never load it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import factorial, lcm
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Iterable
 
 from .model import (
     ABox,
@@ -50,9 +53,6 @@ from .provenance import (
     tally_masks,
 )
 from .reasoner import is_consistent
-
-if TYPE_CHECKING:
-    from .support import Evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -107,63 +107,17 @@ def resolve_weight(spec: str) -> WeightFunction:
 
 
 # ---------------------------------------------------------------------------
-# Wealth functions and the brute-force Shapley value
+# Caps
 # ---------------------------------------------------------------------------
 
-@value_class()
-class WealthFunction:
-    """xi: fact subsets -> rationals with xi(empty) = 0."""
-
-    name: str
-    evaluate: Callable[[frozenset[Fact]], Fraction]
-
-
-def drastic_wealth(evaluator: Evaluator) -> WealthFunction:
-    return WealthFunction(
-        "drastic", lambda s: Fraction(1) if s and evaluator(s) else Fraction(0)
-    )
-
-
-# The largest database brute force takes by default: 2^20 coalitions.
+# The largest database brute force and the drastic Shapley value take by
+# default: 2^20 coalitions.
 BRUTE_FORCE_CAP = 20
 
 # The most minimal supports the provenance pipeline keeps for one derived
 # atom, and the most candidate sets per fact it queues; one more stops the
 # run with `InputError`.
 PROVENANCE_CAP = 10_000
-
-
-def shapley_brute_force(
-    abox: ABox,
-    wealth: WealthFunction,
-    fact: Fact,
-    cap: int = BRUTE_FORCE_CAP,
-) -> Fraction:
-    """Exact Shapley value of the fact in the cooperative game (D, xi):
-    the coefficient-weighted sum of marginal contributions over all
-    coalitions not containing the fact."""
-    n = len(abox)
-    if n > cap:
-        raise InputError(f"brute-force Shapley capped at {cap} facts, got {n}")
-    others = [f for f in abox if f.label != fact.label]
-    memo: dict[frozenset[Fact], Fraction] = {}
-
-    def xi(s: frozenset[Fact]) -> Fraction:
-        if s not in memo:
-            memo[s] = wealth.evaluate(s)
-        return memo[s]
-
-    total = Fraction(0)
-    n_fact = factorial(n)
-    for mask in range(1 << len(others)):
-        subset = frozenset(
-            others[i] for i in range(len(others)) if mask >> i & 1
-        )
-        coeff = Fraction(
-            factorial(len(subset)) * factorial(n - len(subset) - 1), n_fact
-        )
-        total += coeff * (xi(subset | {fact}) - xi(subset))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +196,14 @@ class Plan:
         self.method = method
 
     def histogram(self, facts: Iterable[Fact]) -> SupportHistogram:
-        """countFMS over the facts, which must be consistent with the TBox."""
+        """countFMS over the facts, which must be consistent with the TBox:
+        the histogram half of `fact_counts`, except under the
+        interaction-free pipeline, which counts it directly."""
         if self.method == "if":
             from .interaction_free import count_ms_interaction_free
 
             return count_ms_interaction_free(self._if_plan, facts)
-        ordered = tuple(sorted(facts, key=lambda f: f.label))
-        if self.method == "partition":
-            from .support import basis_histogram
-
-            return basis_histogram(self.basis, ordered)
-        return SupportHistogram.from_sizes(m.bit_count() for m in self._support_masks(ordered))
+        return self.fact_counts(facts)[0]
 
     def fact_counts(self, facts: Iterable[Fact]) -> tuple[SupportHistogram, FactCounts]:
         """countFMS over the facts, which must be consistent with the TBox,
@@ -316,3 +267,52 @@ def score_all(
         f.label: Fraction(sum(scaled[k] * c for k, c in counts[f].items()), common) for f in abox
     }
     return ScoreReport(scores=scores, method=plan.method, histogram=full)
+
+
+# ---------------------------------------------------------------------------
+# The drastic Shapley value
+# ---------------------------------------------------------------------------
+
+def drastic_scores(abox: ABox, omq: OMQ, cap: int) -> dict[str, Fraction]:
+    """The Shapley value of every fact in the drastic game, in ABox order:
+    a coalition of facts has wealth 1 if it entails the query, and 0
+    otherwise (the empty one never does: every disjunct has a relational
+    atom).  The game is monotone, so a coalition wins iff it holds a
+    minimal support, and the supports are enumerated once, behind the
+    subset evaluator.
+
+    A set of coalitions is one 2^n-bit integer: bit c stands for the
+    coalition of the facts at the set bits of c.  The supports' bits are
+    closed upward with one shift-and-or per fact, and a fact's value sums
+    (k-1)!(n-k)!/n! over the size-k winning coalitions that hold it and
+    lose without it.  More than `cap` facts raise `InputError` before
+    anything is enumerated."""
+    from .support import enumerate_minimal_supports, make_subset_evaluator
+
+    if not is_consistent(abox, omq.tbox):
+        raise InconsistentKBError("cannot score an inconsistent KB")
+    evaluator = make_subset_evaluator(omq.tbox, omq.query)
+    facts, n = tuple(abox), len(abox)
+    if not facts:
+        return {}
+    if n > cap:
+        raise InputError(f"brute-force Shapley capped at {cap} facts, got {n}")
+    holds: list[int] = []  # per fact, the coalitions that hold it
+    layers = [1]  # per size k, the coalitions of k facts
+    for i in range(n):
+        width = 1 << i
+        holds = [h | (h << width) for h in holds] + [((1 << width) - 1) << width]
+        layers = [low | (high << width) for low, high in zip(layers + [0], [0] + layers)]
+    bit = {f: 1 << i for i, f in enumerate(facts)}
+    wins = 0
+    for s in enumerate_minimal_supports(facts, evaluator):
+        wins |= 1 << sum(bit[f] for f in s.facts)
+    for i, h in enumerate(holds):
+        wins |= (wins << (1 << i)) & h
+    coefficients = [factorial(k - 1) * factorial(n - k) for k in range(1, n + 1)]
+    scores = {}
+    for i, (f, h) in enumerate(zip(facts, holds)):
+        pivotal = wins & ~(wins << (1 << i)) & h
+        total = sum(c * (pivotal & layer).bit_count() for c, layer in zip(coefficients, layers[1:]))
+        scores[f.label] = Fraction(total, factorial(n))
+    return scores

@@ -3,7 +3,8 @@
 Three pieces live here:
 
   * brute-force enumeration of the inclusion-minimal satisfying subsets
-    behind any monotone evaluator, which brute-force scoring runs;
+    behind any monotone evaluator, which brute-force scoring and the
+    drastic Shapley value run;
   * the reduct/automorphism partition: per size k, the minimal supports of
     a UCQ split across rigidified reducts (the counting queries), each
     reduct's supports counted as homomorphisms divided by its
@@ -11,10 +12,10 @@ Three pieces live here:
   * the homomorphism basis that scoring counts with: Moebius inversion
     over labelled partitions turns the counting queries' injective counts
     into a weighted sum of homomorphism counts of plain quotients of the
-    disjuncts.  Each term counts by variable elimination
-    (`queries.weighted_eval`), and every fact's counts come from the
-    per-atom marginals of one pass (`queries.marginals`), so no
-    homomorphism into the data is enumerated.
+    disjuncts.  Each term counts by variable elimination, and its
+    homomorphisms and every fact's counts come from the per-atom
+    marginals of one pass (`queries.marginals`), so no homomorphism into
+    the data is enumerated.
 
 The counting queries and the basis depend on the query alone, and both
 come from one pass, `_minimal_classes`, over the disjuncts' quotients; a
@@ -63,7 +64,6 @@ from .queries import (
     query_target,
     substitute,
     unify_terms,
-    weighted_eval,
     with_all_pairs_neq,
 )
 from .reasoner import entails_ground_atom, entails_ucq
@@ -550,31 +550,16 @@ def _counts(term: BasisTerm, table) -> tuple[int, dict[int, int]]:
     return homs, hits
 
 
-def basis_histogram(
-    basis: Mapping[int, Iterable[BasisTerm]], facts: Iterable[Fact]
-) -> SupportHistogram:
-    """countFMS per size from the basis of each size (see
-    `homomorphism_basis`), each term counted by `queries.weighted_eval`.
-    Each sum is integral by construction; a fractional one signals a
-    pipeline bug."""
-    table = _tables(tuple(facts))
-
-    def homs(t: BasisTerm) -> int:
-        return weighted_eval(t.cq, [table(atom)[1] for atom in t.cq.relational_atoms()], t.order)
-
-    return SupportHistogram({
-        k: _integral(sum(t.coefficient * homs(t) for t in terms)) for k, terms in basis.items()
-    })
-
-
 def basis_fact_counts(
     basis: Mapping[int, Sequence[BasisTerm]], facts: Iterable[Fact]
 ) -> tuple[SupportHistogram, FactCounts]:
-    """`basis_histogram`, and each fact's non-zero per-size counts of the
+    """countFMS per size from the basis of each size (see
+    `homomorphism_basis`), and each fact's non-zero per-size counts of the
     minimal supports containing it: countFMS_k over D minus over D without
     the fact, to which a term adds its coefficient times its homomorphisms
     whose image holds the fact (`_counts`).  The sums run in integers
-    scaled by the size's common denominator, and each must be integral."""
+    scaled by the size's common denominator, and each must be integral;
+    a fractional one signals a pipeline bug."""
     facts = tuple(facts)
     table = _tables(facts)
     totals: dict[int, int] = {}

@@ -13,8 +13,10 @@ enumeration:
     (the oracle of the homomorphism basis);
   * scores: the direct WSMS sum over enumerated supports, the per-fact
     `Fraction` sum of a fact's counts, the histogram difference per
-    fact, the number-of-minimal-supports wealth, and the symmetry/null
-    property checks;
+    fact, the brute-force Shapley value of any wealth function over all
+    coalitions (the oracle of the bit-parallel drastic Shapley value)
+    with the drastic and the number-of-minimal-supports wealth, and the
+    symmetry/null property checks;
   * reasoning: query entailment under one assignment and exists R(a)
     entailment;
   * generators: the combinatorial counts that the hardness constructions
@@ -25,8 +27,10 @@ enumeration:
 from __future__ import annotations
 
 import sqlite3
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from respo.generators import Graph
@@ -38,6 +42,7 @@ from respo.model import (
     CQ,
     Fact,
     InconsistentKBError,
+    InputError,
     RespoError,
     Role,
     SupportHistogram,
@@ -64,7 +69,7 @@ from respo.reasoner import (
     query_depth,
     slice_assignments,
 )
-from respo.shapley import ScoreReport, WealthFunction, histogram_difference
+from respo.shapley import BRUTE_FORCE_CAP, ScoreReport, histogram_difference
 from respo.sqlgen import SqlManifest
 from respo.support import (
     CountingQuery,
@@ -87,7 +92,7 @@ def count_fms_brute(
     facts: Iterable[Fact], evaluator: Evaluator, size_cap: int | None = None
 ) -> SupportHistogram:
     supports = enumerate_minimal_supports(facts, evaluator, size_cap)
-    return SupportHistogram.from_sizes(len(s) for s in supports)
+    return SupportHistogram(Counter(len(s) for s in supports))
 
 
 def tally_fact_counts(
@@ -100,7 +105,7 @@ def tally_fact_counts(
     for s in supports:
         for f in s.facts:
             counts[f][len(s)] = counts[f].get(len(s), 0) + 1
-    histogram = SupportHistogram.from_sizes(len(s) for s in supports)
+    histogram = SupportHistogram(Counter(len(s) for s in supports))
     return histogram, {f: dict(sorted(c.items())) for f, c in counts.items()}
 
 
@@ -256,6 +261,54 @@ def partition_fact_counts(
 # ---------------------------------------------------------------------------
 # Scores
 # ---------------------------------------------------------------------------
+
+@value_class()
+class WealthFunction:
+    """xi: fact subsets -> rationals with xi(empty) = 0."""
+
+    name: str
+    evaluate: Callable[[frozenset[Fact]], Fraction]
+
+
+def drastic_wealth(evaluator: Evaluator) -> WealthFunction:
+    return WealthFunction(
+        "drastic", lambda s: Fraction(1) if s and evaluator(s) else Fraction(0)
+    )
+
+
+def shapley_brute_force(
+    abox: ABox,
+    wealth: WealthFunction,
+    fact: Fact,
+    cap: int = BRUTE_FORCE_CAP,
+) -> Fraction:
+    """Exact Shapley value of the fact in the cooperative game (D, xi):
+    the coefficient-weighted sum of marginal contributions over all
+    coalitions not containing the fact.  The reference for
+    `shapley.drastic_scores`."""
+    n = len(abox)
+    if n > cap:
+        raise InputError(f"brute-force Shapley capped at {cap} facts, got {n}")
+    others = [f for f in abox if f.label != fact.label]
+    memo: dict[frozenset[Fact], Fraction] = {}
+
+    def xi(s: frozenset[Fact]) -> Fraction:
+        if s not in memo:
+            memo[s] = wealth.evaluate(s)
+        return memo[s]
+
+    total = Fraction(0)
+    n_fact = factorial(n)
+    for mask in range(1 << len(others)):
+        subset = frozenset(
+            others[i] for i in range(len(others)) if mask >> i & 1
+        )
+        coeff = Fraction(
+            factorial(len(subset)) * factorial(n - len(subset) - 1), n_fact
+        )
+        total += coeff * (xi(subset | {fact}) - xi(subset))
+    return total
+
 
 def ms_wealth(evaluator: Evaluator) -> WealthFunction:
     def evaluate(s: frozenset[Fact]) -> Fraction:

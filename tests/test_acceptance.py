@@ -45,11 +45,11 @@ from respo.randgen import (
 from respo.reasoner import entails_ucq, is_consistent
 from respo.rewriter import rewrite
 from respo.shapley import (
+    BRUTE_FORCE_CAP,
     WEIGHT_INVSQ,
     WEIGHT_MS,
-    drastic_wealth,
+    drastic_scores,
     score_all,
-    shapley_brute_force,
 )
 from respo.sqlgen import build_manifest
 from respo.support import (
@@ -113,12 +113,8 @@ TABLE1_MS = {
 
 def test_criterion_1_table1_drastic(fig1):
     omq, abox = fig1
-    wealth = drastic_wealth(make_subset_evaluator(omq.tbox, omq.query))
     start = time.perf_counter()
-    got = {
-        label: shapley_brute_force(abox, wealth, abox.by_label(label))
-        for label in TABLE1_DRASTIC
-    }
+    got = drastic_scores(abox, omq, BRUTE_FORCE_CAP)
     elapsed = time.perf_counter() - start
     report(
         "1 (Table 1 drastic)",
@@ -561,15 +557,13 @@ def test_criterion_11_efficiency_identities(fig1):
         ucq = random_ucq(rng, max_disjuncts=2, max_atoms=2)
         db = random_database(rng, max_facts=6, bias=ucq)
         ev = make_subset_evaluator(TBox(), ucq)
-        wealth = drastic_wealth(ev)
-        total = sum(shapley_brute_force(db, wealth, f) for f in db)
+        total = sum(drastic_scores(db, OMQ(TBox(), ucq), BRUTE_FORCE_CAP).values())
         expected = Fraction(1) if ev(frozenset(db)) else Fraction(0)
         if total != expected:
             failures.append(f"drastic efficiency: {total} != {expected}")
         drastic_checked += 1
 
-    wealth = drastic_wealth(make_subset_evaluator(omq.tbox, omq.query))
-    if sum(shapley_brute_force(abox, wealth, f) for f in abox) != 1:
+    if sum(drastic_scores(abox, omq, BRUTE_FORCE_CAP).values()) != 1:
         failures.append("drastic efficiency (fig1)")
 
     report(

@@ -93,6 +93,30 @@ def test_shapley_drastic_fig1(capsys):
     assert scores["f4"]["score"] == "8/105"
 
 
+def test_shapley_drastic_asks_each_coalition_at_most_once(capsys, monkeypatch):
+    """All of fig1's 8 facts take at most 2^8 subset-evaluator calls: the
+    minimal supports are enumerated once for every fact, not once per
+    fact."""
+    import respo.support
+
+    calls = []
+    make = respo.support.make_subset_evaluator
+
+    def counted(tbox, query):
+        evaluator = make(tbox, query)
+
+        def evaluate(facts):
+            calls.append(facts)
+            return evaluator(facts)
+
+        return evaluate
+
+    monkeypatch.setattr(respo.support, "make_subset_evaluator", counted)
+    code, out, _ = run(capsys, "shapley-drastic", *fixture_args("fig1"))
+    assert code == 0 and json.loads(out)["f1"]["score"] == "17/70"
+    assert 0 < len(calls) <= 2 ** 8
+
+
 def test_count_ms_and_fms(capsys):
     code, out, _ = run(capsys, "count-ms", *fixture_args("fig1"), "--method", "brute")
     assert code == 0 and out.strip() == "3"
@@ -563,26 +587,26 @@ def _weight_file(tmp_path, text):
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
-    import respo.shapley
     import respo.support
 
     def no_scoring(*args, **kwargs):
         raise AssertionError("bad input must be rejected before scoring")
 
     # Every brute-force or partition count and every Shapley value runs
-    # through these: partition scoring through `basis_fact_counts`, the
-    # count commands through `basis_histogram`.  A missing
-    # weight-table entry shows only once scoring needs it, and the Shapley
-    # and provenance caps are checked by the computation itself: `auto`
-    # takes provenance for the Horn-extended WIDE and JOIN TBoxes.
+    # through these: partition scoring and counting through
+    # `basis_fact_counts`, brute force and the drastic Shapley value
+    # through `enumerate_minimal_supports`, which the Shapley cap precedes.
+    # A missing weight-table entry shows only once scoring needs it, and
+    # the brute-force and provenance caps are checked by the computation
+    # itself: `auto` takes provenance for the Horn-extended WIDE and JOIN
+    # TBoxes.
     checked_while_computing = {
-        "weight-missing-entry", "shapley-over-cap", "score-auto-brute-over-cap",
+        "weight-missing-entry", "score-auto-brute-over-cap",
         "count-fms-auto-brute-over-cap", "score-auto-provenance-over-budget",
     }
     if request.node.callspec.id not in checked_while_computing:
-        for name in ("enumerate_minimal_supports", "basis_histogram", "basis_fact_counts"):
+        for name in ("enumerate_minimal_supports", "basis_fact_counts"):
             monkeypatch.setattr(respo.support, name, no_scoring)
-        monkeypatch.setattr(respo.shapley, "shapley_brute_force", no_scoring)
     # One fact past the brute-force cap of 20.
     big = tmp_path / "big.abox"
     big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")

@@ -198,7 +198,6 @@ def test_histogram_drops_zeroes_and_totals():
     assert h.total() == 3
     assert h[5] == 0
     assert h == {2: 1, 3: 2}
-    assert SupportHistogram.from_sizes([2, 3, 3]) == h
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def _value_class_samples():
     keyed by module and class name."""
     from respo.generators import Graph, MatchingInstance
     from respo.interaction_free import InteractionWitness
-    from respo.shapley import ScoreReport, WealthFunction
+    from respo.shapley import ScoreReport
     from respo.sqlgen import ManifestEntry, SqlManifest
     from respo.support import BasisTerm, CountingQuery, MinimalSupport
 
@@ -239,7 +238,6 @@ def _value_class_samples():
         "interaction_free.InteractionWitness": lambda: InteractionWitness(
             facts[1], cq.atoms[0], (("x", "a"),), cq.atoms[1], (("x", "b"),)),
         "support.MinimalSupport": lambda: MinimalSupport(frozenset(facts)),
-        "shapley.WealthFunction": lambda: WealthFunction("drastic", _one),
         "shapley.ScoreReport": lambda: ScoreReport(
             {"f1": Fraction(1, 2)}, "if", SupportHistogram({1: 1})),
         "sqlgen.ManifestEntry": lambda: ManifestEntry("q1", "SELECT 1", Fraction(1, 2), 2),

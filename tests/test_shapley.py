@@ -11,19 +11,20 @@ from respo.model import (
     OMQ,
     RespoError,
     TBox,
+    UCQ,
     concept_atom,
     var,
 )
 from respo.randgen import random_database, random_ucq
 from respo.shapley import (
+    BRUTE_FORCE_CAP,
     Plan,
     WEIGHT_INVSQ,
     WEIGHT_MS,
     WEIGHT_UNIFORM,
-    drastic_wealth,
+    drastic_scores,
     resolve_weight,
     score_all,
-    shapley_brute_force,
     weight_from_table,
 )
 from respo.support import enumerate_minimal_supports, make_subset_evaluator, ucq_holds
@@ -32,9 +33,11 @@ from oracles import (
     check_score_properties,
     count_fms_brute,
     counting_queries,
+    drastic_wealth,
     ms_wealth,
     partition_fact_counts,
     per_fact_counts,
+    shapley_brute_force,
     wsms_direct,
     wsms_via_histogram,
 )
@@ -77,21 +80,141 @@ def test_shapley_cap():
         shapley_brute_force(abox, wealth, abox.facts[0], cap=4)
 
 
+TABLE1_DRASTIC = {
+    "f0": Fraction(0),
+    "f1": Fraction(1224, 5040),
+    "f2": Fraction(1224, 5040),
+    "f3": Fraction(1056, 5040),
+    "f4": Fraction(384, 5040),
+    "f5": Fraction(384, 5040),
+    "f6": Fraction(384, 5040),
+    "f7": Fraction(384, 5040),
+}
+
+
+def _coalition_oracle(abox, omq):
+    """Every fact's drastic Shapley value over all coalitions, each
+    coalition evaluated once for all facts."""
+    from functools import cache
+
+    wealth = drastic_wealth(cache(make_subset_evaluator(omq.tbox, omq.query)))
+    return {f.label: shapley_brute_force(abox, wealth, f) for f in abox}
+
+
 def test_table1_drastic(fig1):
     omq, abox = fig1
-    wealth = drastic_wealth(make_subset_evaluator(omq.tbox, omq.query))
-    expected = {
-        "f0": Fraction(0),
-        "f1": Fraction(1224, 5040),
-        "f2": Fraction(1224, 5040),
-        "f3": Fraction(1056, 5040),
-        "f4": Fraction(384, 5040),
-        "f5": Fraction(384, 5040),
-        "f6": Fraction(384, 5040),
-        "f7": Fraction(384, 5040),
-    }
-    for label, want in expected.items():
-        assert shapley_brute_force(abox, wealth, abox.by_label(label)) == want
+    assert _coalition_oracle(abox, omq) == TABLE1_DRASTIC
+    assert drastic_scores(abox, omq, BRUTE_FORCE_CAP) == TABLE1_DRASTIC
+    assert list(drastic_scores(abox, omq, BRUTE_FORCE_CAP)) == [f.label for f in abox]
+
+
+def test_drastic_scores_cap_and_empty_abox(fig1):
+    omq, abox = fig1
+    with pytest.raises(InputError, match="^brute-force Shapley capped at 7 facts, got 8$"):
+        drastic_scores(abox, omq, 7)
+    assert drastic_scores(ABox(()), omq, -1) == {}
+
+
+def _differential(draws, min_relevant):
+    """drastic_scores equals the coalition oracle on every (ABox, OMQ)
+    drawn, of which at least `min_relevant` have a fact of non-zero value."""
+    relevant = 0
+    for abox, omq in draws:
+        got = drastic_scores(abox, omq, BRUTE_FORCE_CAP)
+        assert got == _coalition_oracle(abox, omq), (abox, omq)
+        relevant += any(got.values())
+    assert relevant >= min_relevant
+
+
+def test_drastic_scores_equal_the_oracle_on_dllite_kbs():
+    """Seeded DL-Lite_R KBs with CQs, through the rewriting evaluator."""
+    from respo.randgen import random_consistent_kb, random_cq
+
+    rng = random.Random(2607)
+
+    def draws():
+        for _ in range(30):
+            cq = random_cq(rng, max_atoms=2, allow_neq=False)
+            tbox, abox = random_consistent_kb(rng, max_facts=6, bias=UCQ((cq,)))
+            yield abox, OMQ(tbox, cq)
+
+    _differential(draws(), 15)
+
+
+def test_drastic_scores_equal_the_oracle_on_ucqs_with_disequalities():
+    """Seeded UCQs with a disequality over plain databases."""
+    rng = random.Random(2602)
+
+    def draws():
+        taken = 0
+        while taken < 40:
+            ucq = random_ucq(rng)
+            if any(d.neq_atoms() for d in ucq.disjuncts):
+                taken += 1
+                yield random_database(rng, max_facts=10, bias=ucq), OMQ(TBox(), ucq)
+
+    _differential(draws(), 15)
+
+
+def test_drastic_scores_equal_the_oracle_on_horn_kbs():
+    """Seeded Horn-extended KBs of at most 10 facts with a ground atomic
+    query, through the Horn evaluator."""
+    from respo.randgen import random_horn_kb
+
+    rng = random.Random(2603)
+
+    def draws():
+        taken = 0
+        while taken < 15:
+            tbox, abox, query = random_horn_kb(rng)
+            if len(abox) <= 10:
+                taken += 1
+                yield abox, OMQ(tbox, query)
+
+    _differential(draws(), 8)
+
+
+def _large_instances():
+    """(ABox, OMQ, counting method) with 12 to 16 facts: the minimal vertex
+    covers of a 12-cycle, the simple paths of a 3x3 grid towards and
+    against its edges, and seeded UCQs over plain databases."""
+    from respo.generators import Graph, gen_mvc, gen_reachability
+
+    cycle = tuple(f"v{i}" for i in range(12))
+    tbox, mvc, query = gen_mvc(Graph(cycle, tuple(zip(cycle, cycle[1:] + cycle[:1]))))
+    yield mvc, OMQ(tbox, query), "provenance"
+    grid = tuple((f"g{i}{j}", f"g{i + di}{j + dj}")
+                 for i in range(3) for j in range(3) for di, dj in ((0, 1), (1, 0))
+                 if i + di < 3 and j + dj < 3)
+    graph = Graph(tuple(dict.fromkeys(v for edge in grid for v in edge)), grid, directed=True)
+    for source, target in (("g00", "g22"), ("g22", "g00")):
+        tbox, reach, query = gen_reachability(graph, source, target)
+        yield reach, OMQ(tbox, query), "provenance"
+    rng = random.Random(2604)
+    taken = 0
+    while taken < 3:
+        ucq = random_ucq(rng, max_disjuncts=2, max_atoms=3)
+        db = random_database(rng, max_facts=40, bias=ucq)
+        if 12 <= len(db) <= 16:
+            taken += 1
+            yield db, OMQ(TBox(), ucq), "partition"
+
+
+def test_drastic_scores_sum_to_the_query_and_vanish_off_the_supports():
+    """On 12 to 16 facts, without the coalition oracle: the values sum to
+    1 when the facts entail the query and to 0 otherwise, and exactly the
+    facts in no minimal support (per a counting pipeline) get 0."""
+    sums, zeros = set(), 0
+    for abox, omq, method in _large_instances():
+        assert 12 <= len(abox) <= 16
+        scores = drastic_scores(abox, omq, BRUTE_FORCE_CAP)
+        histogram, counts = Plan(omq, method).fact_counts(abox)
+        assert sum(scores.values()) == (1 if histogram.total() else 0)
+        for f in abox:
+            assert (scores[f.label] > 0) == bool(counts[f]), f
+        sums.add(sum(scores.values()))
+        zeros += not all(scores.values())
+    assert sums == {0, 1} and zeros >= 2
 
 
 def test_wsms_direct_table1(fig1):
@@ -280,6 +403,18 @@ def test_ms_wealth_counts_supports(fig1):
     ev = make_subset_evaluator(omq.tbox, omq.query)
     wealth = ms_wealth(ev)
     assert wealth.evaluate(frozenset(abox)) == 3
+
+
+def test_shapley_value_of_the_ms_wealth_is_the_ms_score(fig1):
+    """The number-of-minimal-supports game is the sum of one unanimity game
+    per minimal support, so its Shapley value gives each fact the sum of
+    1/|S| over the supports S holding it: the ms WSMS score."""
+    from functools import cache
+
+    omq, abox = fig1
+    wealth = ms_wealth(cache(make_subset_evaluator(omq.tbox, omq.query)))
+    scores = score_all(abox, omq, WEIGHT_MS, method="brute").scores
+    assert {f.label: shapley_brute_force(abox, wealth, f) for f in abox} == scores
 
 
 def test_check_score_properties(fig1):
