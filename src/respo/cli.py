@@ -6,9 +6,10 @@ value that is not a constant, an --answer that binds a variable twice
 or collapses a disequality in every disjunct, malformed weight table,
 weight table without an entry the scores need, a `--size` or
 `--instances` below 1, a `score`, `count-ms` or `count-fms` that
-resolves to brute force or a `shapley-drastic` run on more facts than
-the cap of 20, a `score`, `count-ms` or `count-fms` that resolves to
-provenance and derives an atom with more than 10,000 minimal supports;
+resolves to brute force on more than 20 facts, a `shapley-drastic` run
+on more facts than its `--cap` (20 by default), a run that resolves to
+provenance (as `shapley-drastic` does on a Horn-extended TBox) past
+10,000 minimal supports of a derived atom or candidate sets per fact;
 `gen reach` without --source and --target or with one that is not a
 graph vertex, a graph line that is not two vertices, an edge on an
 undeclared vertex, a bipartition that overlaps, misses a vertex or holds

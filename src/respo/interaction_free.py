@@ -8,10 +8,10 @@ counting minimal supports factorizes.  The check walks the fact shapes
 each shape's pairs off one search per atom into its canonical slice;
 each pair yields a row.  DL-Lite_R tells no other constants apart, so a
 real fact feeds its shape's row, renamed.  Summing the facts' rows gives
-each atom a table from rows to weights, and weight products are summed
-over homomorphisms by the variable elimination that partition counting
-runs too (`queries.weighted_eval`): polynomial in the number of rows for
-a query of bounded treewidth, linear for an acyclic one.
+each atom a table from rows to weights, and `queries.weighted_eval` sums
+weight products over homomorphisms by the variable elimination that
+partition counting runs in `queries.marginals`: polynomial in the number
+of rows for a query of bounded treewidth, linear for an acyclic one.
 
 An `IFPlan`, built once per OMQ, keeps the check's walk as its row table
 and the elimination order.  Scoring every fact counts over D and over

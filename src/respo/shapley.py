@@ -2,12 +2,13 @@
 
 Weighted sums of minimal supports (the fact's score is the sum of
 w(|S|, |D|) over the minimal supports S containing it), and the drastic
-Shapley value of every fact, computed from the same minimal supports in
-one bit-parallel pass over the coalitions.  The brute-force Shapley
-value for arbitrary wealth functions, the symmetry/null property checks,
-the direct WSMS sum, the per-fact `Fraction` sum of a fact's counts and
-the number-of-minimal-supports wealth are oracles that only the tests
-run; they live in `tests/oracles.py`.
+Shapley value of every fact, from the minimal supports a `Plan` finds as
+bit masks, in one bit-parallel pass over the coalitions.  The
+brute-force Shapley value for arbitrary wealth functions, the
+symmetry/null property checks, the direct WSMS sum, the per-fact
+`Fraction` sum of a fact's counts and the number-of-minimal-supports
+wealth are oracles that only the tests run; they live in
+`tests/oracles.py`.
 
 Every count goes through a `Plan`: the OMQ compiled once for one
 pipeline, then asked for the support histogram of a fact set or for
@@ -21,8 +22,8 @@ alone is the first half of those counts, except under the
 interaction-free pipeline, which counts it directly.  The provenance
 plan compiles the query atom's rule program once.  `score_all` weighs
 the counts in integers over the weights' common denominator.  Only the
-partition and brute-force branches and the drastic Shapley value import
-`support`, so interaction-free and provenance scoring never load it.
+partition and brute-force branches import `support`, so scoring under
+IF or provenance and the drastic Shapley value of a Horn KB never load it.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class Plan:
     orders and inclusion-exclusion quotients; the provenance
     plan the query atom's rule program (`provenance.HornProgram`); the
     brute plan the subset evaluator.  An unsupported OMQ raises
-    `UnsupportedTBoxError` here, brute force on more than
+    `UnsupportedTBoxError` here, brute-force `fact_counts` on more than
     `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates, and
     provenance raises it once a derived atom has more than
     `PROVENANCE_CAP` minimal supports or it has queued more than
@@ -223,16 +224,16 @@ class Plan:
             from .support import basis_fact_counts
 
             return basis_fact_counts(self.basis, ordered)
+        if self.method == "brute" and len(ordered) > BRUTE_FORCE_CAP:
+            raise InputError(
+                f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(ordered)}"
+            )
         return tally_masks(ordered, self._support_masks(ordered))
 
     def _support_masks(self, ordered: tuple[Fact, ...]) -> list[int]:
         """The minimal supports as bit masks over the facts' positions."""
         if self.method == "provenance":
             return minimal_why_provenance(ordered, self._program, PROVENANCE_CAP)
-        if len(ordered) > BRUTE_FORCE_CAP:
-            raise InputError(
-                f"brute-force scoring is capped at {BRUTE_FORCE_CAP} facts, got {len(ordered)}"
-            )
         from .support import enumerate_minimal_supports
 
         bit = {f: 1 << i for i, f in enumerate(ordered)}
@@ -278,22 +279,21 @@ def drastic_scores(abox: ABox, omq: OMQ, cap: int) -> dict[str, Fraction]:
     a coalition of facts has wealth 1 if it entails the query, and 0
     otherwise (the empty one never does: every disjunct has a relational
     atom).  The game is monotone, so a coalition wins iff it holds a
-    minimal support, and the supports are enumerated once, behind the
-    subset evaluator.
+    minimal support.  The supports are a `Plan`'s bit masks over the
+    label-sorted facts: the provenance fixpoint's for a Horn-extended
+    TBox, brute-force enumeration behind the subset evaluator otherwise.
 
     A set of coalitions is one 2^n-bit integer: bit c stands for the
     coalition of the facts at the set bits of c.  The supports' bits are
     closed upward with one shift-and-or per fact, and a fact's value sums
     (k-1)!(n-k)!/n! over the size-k winning coalitions that hold it and
     lose without it.  More than `cap` facts raise `InputError` before
-    anything is enumerated."""
-    from .support import enumerate_minimal_supports, make_subset_evaluator
-
+    any support is sought."""
     if not is_consistent(abox, omq.tbox):
         raise InconsistentKBError("cannot score an inconsistent KB")
-    evaluator = make_subset_evaluator(omq.tbox, omq.query)
-    facts, n = tuple(abox), len(abox)
-    if not facts:
+    plan = Plan(omq, "provenance" if omq.tbox.horn_extended else "brute")
+    n = len(abox)
+    if not n:
         return {}
     if n > cap:
         raise InputError(f"brute-force Shapley capped at {cap} facts, got {n}")
@@ -303,16 +303,14 @@ def drastic_scores(abox: ABox, omq: OMQ, cap: int) -> dict[str, Fraction]:
         width = 1 << i
         holds = [h | (h << width) for h in holds] + [((1 << width) - 1) << width]
         layers = [low | (high << width) for low, high in zip(layers + [0], [0] + layers)]
-    bit = {f: 1 << i for i, f in enumerate(facts)}
-    wins = 0
-    for s in enumerate_minimal_supports(facts, evaluator):
-        wins |= 1 << sum(bit[f] for f in s.facts)
+    ordered = tuple(sorted(abox, key=lambda f: f.label))
+    wins = sum(1 << mask for mask in set(plan._support_masks(ordered)))
     for i, h in enumerate(holds):
         wins |= (wins << (1 << i)) & h
     coefficients = [factorial(k - 1) * factorial(n - k) for k in range(1, n + 1)]
-    scores = {}
-    for i, (f, h) in enumerate(zip(facts, holds)):
+    values = {}
+    for i, (f, h) in enumerate(zip(ordered, holds)):
         pivotal = wins & ~(wins << (1 << i)) & h
         total = sum(c * (pivotal & layer).bit_count() for c, layer in zip(coefficients, layers[1:]))
-        scores[f.label] = Fraction(total, factorial(n))
-    return scores
+        values[f.label] = Fraction(total, factorial(n))
+    return {f.label: values[f.label] for f in abox}

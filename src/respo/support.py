@@ -4,7 +4,7 @@ Three pieces live here:
 
   * brute-force enumeration of the inclusion-minimal satisfying subsets
     behind any monotone evaluator, which brute-force scoring and the
-    drastic Shapley value run;
+    drastic Shapley value off Horn-extended TBoxes run;
   * the reduct/automorphism partition: per size k, the minimal supports of
     a UCQ split across rigidified reducts (the counting queries), each
     reduct's supports counted as homomorphisms divided by its
@@ -153,8 +153,8 @@ def enumerate_minimal_supports(
     size_cap: int | None = None,
 ) -> list[MinimalSupport]:
     """All inclusion-minimal satisfying subsets (monotone evaluator), by
-    exhaustive subset search in order of size.  Exponential; oracle use
-    only.
+    exhaustive subset search in order of size.  Exponential: a brute
+    `shapley.Plan` runs it, and its callers cap the number of facts.
 
     A subset holding a support found at a smaller size is skipped
     unevaluated.  Any other subset that satisfies is minimal: a

@@ -93,10 +93,11 @@ def test_shapley_drastic_fig1(capsys):
     assert scores["f4"]["score"] == "8/105"
 
 
-def test_shapley_drastic_asks_each_coalition_at_most_once(capsys, monkeypatch):
-    """All of fig1's 8 facts take at most 2^8 subset-evaluator calls: the
-    minimal supports are enumerated once for every fact, not once per
-    fact."""
+def test_shapley_drastic_asks_each_coalition_at_most_once(capsys, monkeypatch, tmp_path):
+    """The minimal supports are found once for every fact, not once per
+    fact: a DL-Lite_R KB of 5 facts takes at most 2^5 subset-evaluator
+    calls, and fig1, whose TBox is Horn-extended, takes none, since its
+    supports come from the provenance fixpoint."""
     import respo.support
 
     calls = []
@@ -114,7 +115,22 @@ def test_shapley_drastic_asks_each_coalition_at_most_once(capsys, monkeypatch):
     monkeypatch.setattr(respo.support, "make_subset_evaluator", counted)
     code, out, _ = run(capsys, "shapley-drastic", *fixture_args("fig1"))
     assert code == 0 and json.loads(out)["f1"]["score"] == "17/70"
-    assert 0 < len(calls) <= 2 ** 8
+    assert calls == []
+    kb = {
+        "tbox": "role: s <= r\nB <= A\n",
+        "abox": "f0: A(a)\nf1: B(a)\nf2: r(a, b)\nf3: s(a, c)\nf4: r(b, a)\n",
+        "query": "A(?x), r(?x, ?y)\n",
+    }
+    argv = ["shapley-drastic"]
+    for part, text in kb.items():
+        (tmp_path / part).write_text(text, encoding="utf-8")
+        argv += [f"--{part}", str(tmp_path / part)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert {label: v["score"] for label, v in json.loads(out).items()} == {
+        "f0": "1/4", "f1": "1/4", "f2": "1/4", "f3": "1/4", "f4": "0"
+    }
+    assert 0 < len(calls) <= 2 ** 5
 
 
 def test_count_ms_and_fms(capsys):
@@ -200,18 +216,22 @@ def test_importing_the_cli_loads_no_interaction_free_pipeline():
     assert done.stdout == "False\n"
 
 
-@pytest.mark.parametrize("stem, method", [("variant", "if"), ("fig1", "provenance")])
-def test_if_and_provenance_scoring_load_no_support_module(stem, method):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["score", *fixture_args("variant"), "--method", "if"], id="variant-if"),
+    pytest.param(["score", *fixture_args("fig1"), "--method", "provenance"], id="fig1-provenance"),
+    pytest.param(["shapley-drastic", *fixture_args("fig1")], id="fig1-shapley-drastic"),
+])
+def test_if_and_provenance_scoring_load_no_support_module(argv):
     """`shapley` imports `support` only in the partition and brute-force
     branches, so `score` under the interaction-free pipeline (the variant)
-    or provenance (fig1) never loads it."""
+    or provenance (fig1), and the drastic Shapley value of fig1, whose
+    supports come from provenance, never load it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import contextlib, io, sys, respo.cli\n"
-        f"argv = ['score', *{fixture_args(stem)!r}, '--method', {method!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "    assert respo.cli.main(argv) == 0\n"
+        f"    assert respo.cli.main({argv!r}) == 0\n"
         "print('respo.support' in sys.modules, 'respo.shapley' in sys.modules, bool(out.getvalue()))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -587,15 +607,17 @@ def _weight_file(tmp_path, text):
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, request):
+    import respo.shapley
     import respo.support
 
     def no_scoring(*args, **kwargs):
         raise AssertionError("bad input must be rejected before scoring")
 
-    # Every brute-force or partition count and every Shapley value runs
+    # Every count and every Shapley value that needs minimal supports runs
     # through these: partition scoring and counting through
-    # `basis_fact_counts`, brute force and the drastic Shapley value
-    # through `enumerate_minimal_supports`, which the Shapley cap precedes.
+    # `basis_fact_counts`, brute force through `enumerate_minimal_supports`
+    # and provenance through `minimal_why_provenance`; the Shapley cap
+    # precedes the last two.
     # A missing weight-table entry shows only once scoring needs it, and
     # the brute-force and provenance caps are checked by the computation
     # itself: `auto` takes provenance for the Horn-extended WIDE and JOIN
@@ -607,6 +629,7 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     if request.node.callspec.id not in checked_while_computing:
         for name in ("enumerate_minimal_supports", "basis_fact_counts"):
             monkeypatch.setattr(respo.support, name, no_scoring)
+        monkeypatch.setattr(respo.shapley, "minimal_why_provenance", no_scoring)
     # One fact past the brute-force cap of 20.
     big = tmp_path / "big.abox"
     big.write_text("".join(f"f{i}: Seafood(dish{i})\n" for i in range(21)), encoding="utf-8")
@@ -676,28 +699,35 @@ GROUND_ONLY = (
 )
 
 
-@pytest.mark.parametrize("command", ["score", "count-fms", "count-ms"])
+UNSUPPORTED = [
+    ("non-if", "if", NOT_INTERACTION_FREE),
+    ("ucq", "if", "unsupported: interaction-freeness is defined for single CQs"),
+    ("neq", "if",
+     "unsupported: interaction-freeness is defined for plain CQs (no disequalities)"),
+    ("horn", "partition",
+     "unsupported: Horn-extended TBoxes admit no finite UCQ rewriting in general"),
+    ("horn", "if", "unsupported: interaction-freeness requires a DL-Lite_R TBox"),
+    ("horn-open", "auto", GROUND_ONLY),
+    ("horn-open", "brute", GROUND_ONLY),
+    ("horn-open", "provenance", GROUND_ONLY),
+    ("ucq", "provenance", GROUND_ONLY),
+    ("horn-exists-empty", "auto",
+     "unsupported: existential right-hand sides are unsupported by the Horn evaluator"),
+]
+
+
+# `shapley-drastic` takes no --method: on a Horn-extended TBox it runs
+# provenance, as `auto` does, so it shares the `auto` cases.
 @pytest.mark.parametrize(
-    "case, method, message",
-    [
-        ("non-if", "if", NOT_INTERACTION_FREE),
-        ("ucq", "if", "unsupported: interaction-freeness is defined for single CQs"),
-        ("neq", "if",
-         "unsupported: interaction-freeness is defined for plain CQs (no disequalities)"),
-        ("horn", "partition",
-         "unsupported: Horn-extended TBoxes admit no finite UCQ rewriting in general"),
-        ("horn", "if", "unsupported: interaction-freeness requires a DL-Lite_R TBox"),
-        ("horn-open", "auto", GROUND_ONLY),
-        ("horn-open", "brute", GROUND_ONLY),
-        ("horn-open", "provenance", GROUND_ONLY),
-        ("ucq", "provenance", GROUND_ONLY),
-    ],
+    "case, method, message, command",
+    [(*row, command) for row in UNSUPPORTED for command in ("score", "count-fms", "count-ms")]
+    + [(*row, "shapley-drastic") for row in UNSUPPORTED if row[1] == "auto"],
 )
 def test_unsupported_pipeline_exits_4_with_one_line(
     command, case, method, message, capsys, tmp_path
 ):
     """Each unsupported OMQ/method pair ends in the same one-line message
-    under every command."""
+    under every command, also when the ABox is empty."""
     (tmp_path / "t.tbox").write_text("A <= exists r\n", encoding="utf-8")
     (tmp_path / "a.abox").write_text("f0: A(a)\nf1: r(a,b)\n", encoding="utf-8")
     queries = {
@@ -710,10 +740,18 @@ def test_unsupported_pipeline_exits_4_with_one_line(
     elif case == "horn-open":
         (tmp_path / "q.query").write_text("FishBased(?x)\n", encoding="utf-8")
         inputs = [*fixture_args("fig1")[:4], "--query", str(tmp_path / "q.query")]
+    elif case == "horn-exists-empty":
+        (tmp_path / "h.tbox").write_text("A <= exists r\nA & B <= C\n", encoding="utf-8")
+        (tmp_path / "e.abox").write_text("", encoding="utf-8")
+        (tmp_path / "q.query").write_text("C(a)\n", encoding="utf-8")
+        inputs = ["--tbox", str(tmp_path / "h.tbox"), "--abox", str(tmp_path / "e.abox"),
+                  "--query", str(tmp_path / "q.query")]
     else:
         (tmp_path / "q.query").write_text(queries[case], encoding="utf-8")
         inputs = ["--abox", str(tmp_path / "a.abox"), "--query", str(tmp_path / "q.query")]
         if case == "non-if":
             inputs += ["--tbox", str(tmp_path / "t.tbox")]
-    code, out, err = run(capsys, command, *inputs, "--method", method)
+    if command != "shapley-drastic":
+        inputs += ["--method", method]
+    code, out, err = run(capsys, command, *inputs)
     assert (code, out, err) == (4, "", message + "\n")

@@ -174,21 +174,80 @@ def test_drastic_scores_equal_the_oracle_on_horn_kbs():
     _differential(draws(), 8)
 
 
-def _large_instances():
-    """(ABox, OMQ, counting method) with 12 to 16 facts: the minimal vertex
-    covers of a 12-cycle, the simple paths of a 3x3 grid towards and
-    against its edges, and seeded UCQs over plain databases."""
-    from respo.generators import Graph, gen_mvc, gen_reachability
+def _cycle(n, *extra):
+    """The graph of an n-cycle over v0..v(n-1), plus the extra edges."""
+    from respo.generators import Graph
 
-    cycle = tuple(f"v{i}" for i in range(12))
-    tbox, mvc, query = gen_mvc(Graph(cycle, tuple(zip(cycle, cycle[1:] + cycle[:1]))))
-    yield mvc, OMQ(tbox, query), "provenance"
+    cycle = tuple(f"v{i}" for i in range(n))
+    return Graph(cycle, tuple(zip(cycle, cycle[1:] + cycle[:1])) + extra)
+
+
+def _grid_reach(source, target):
+    """The simple paths from source to target in a 3x3 grid whose edges
+    point right and down, as a Horn KB."""
+    from respo.generators import Graph, gen_reachability
+
     grid = tuple((f"g{i}{j}", f"g{i + di}{j + dj}")
                  for i in range(3) for j in range(3) for di, dj in ((0, 1), (1, 0))
                  if i + di < 3 and j + dj < 3)
     graph = Graph(tuple(dict.fromkeys(v for edge in grid for v in edge)), grid, directed=True)
+    return gen_reachability(graph, source, target)
+
+
+def test_drastic_scores_equal_the_oracle_on_larger_horn_kbs():
+    """The provenance masks on 12 and 13 facts: the minimal vertex covers
+    of a 12-cycle with a chord and the simple paths across a 3x3 grid.
+    Each ABox lists its facts in reverse, so ABox order (f11, f10, ...)
+    differs from the label order of the masks (f0, f1, f10, ...), and the
+    values are not all equal, so reading a mask position as the fact at
+    that ABox position changes them."""
+    from respo.generators import gen_mvc
+
+    for tbox, abox, query in (gen_mvc(_cycle(12, ("v0", "v4"))), _grid_reach("g00", "g22")):
+        reversed_abox = ABox(abox.facts[::-1])
+        omq = OMQ(tbox, query)
+        got = drastic_scores(reversed_abox, omq, BRUTE_FORCE_CAP)
+        assert list(got) == [f.label for f in reversed_abox]
+        assert len(set(got.values())) > 2
+        assert got == _coalition_oracle(reversed_abox, omq)
+
+
+def test_drastic_scores_past_the_default_cap_through_provenance(monkeypatch):
+    """A raised cap scores 21 facts with no subset enumerated: the minimal
+    vertex covers of a 20-cycle plus an isolated vertex come from the
+    provenance fixpoint.  By symmetry each cycle vertex gets 1/20, and the
+    isolated one, in no support, gets 0."""
+    import respo.support
+    from respo.generators import Graph, gen_mvc
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Horn KB takes its supports from provenance")
+
+    monkeypatch.setattr(respo.support, "enumerate_minimal_supports", forbidden)
+    monkeypatch.setattr(respo.support, "make_subset_evaluator", forbidden)
+    cycle = _cycle(20)
+    tbox, abox, query = gen_mvc(Graph((*cycle.vertices, "lone"), cycle.edges))
+    omq = OMQ(tbox, query)
+    assert len(abox) == 21 > BRUTE_FORCE_CAP
+    with pytest.raises(InputError, match="^brute-force Shapley capped at 20 facts, got 21$"):
+        drastic_scores(abox, omq, BRUTE_FORCE_CAP)
+    scores = drastic_scores(abox, omq, 21)
+    assert sum(scores.values()) == 1
+    assert scores == {
+        f.label: Fraction(0) if f.predicate == "In_lone" else Fraction(1, 20) for f in abox
+    }
+
+
+def _large_instances():
+    """(ABox, OMQ, counting method) with 12 to 16 facts: the minimal vertex
+    covers of a 12-cycle, the simple paths of a 3x3 grid towards and
+    against its edges, and seeded UCQs over plain databases."""
+    from respo.generators import gen_mvc
+
+    tbox, mvc, query = gen_mvc(_cycle(12))
+    yield mvc, OMQ(tbox, query), "provenance"
     for source, target in (("g00", "g22"), ("g22", "g00")):
-        tbox, reach, query = gen_reachability(graph, source, target)
+        tbox, reach, query = _grid_reach(source, target)
         yield reach, OMQ(tbox, query), "provenance"
     rng = random.Random(2604)
     taken = 0
