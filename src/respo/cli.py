@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 value that is not a constant, an --answer that binds a variable twice
 or collapses a disequality in every disjunct, malformed weight table,
 weight table without an entry the scores need, a `--size` or
-`--instances` below 1, a `score`, `count-ms` or `count-fms` that
-resolves to brute force on more than 20 facts, a `shapley-drastic` run
-on more facts than its `--cap` (20 by default), a run that resolves to
-provenance (as `shapley-drastic` does on a Horn-extended TBox) past
-10,000 minimal supports of a derived atom or candidate sets per fact;
+`--instances` below 1, a `--cap` below 0, a `score`, `count-ms` or
+`count-fms` that resolves to brute force on more than 20 facts, a
+`shapley-drastic` run on more facts than its `--cap` (20 by default), a
+run that resolves to provenance (as `shapley-drastic` does on a
+Horn-extended TBox) past 10,000 minimal supports of a derived atom or
+candidate sets per fact;
 `gen reach` without --source and --target or with one that is not a
 graph vertex, a graph line that is not two vertices, an edge on an
 undeclared vertex, a bipartition that overlaps, misses a vertex or holds
@@ -97,10 +98,10 @@ def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
     return omq, abox
 
 
-def _at_least_one(args, name: str):
+def _at_least(args, name: str, least: int):
     value = getattr(args, name)
-    if value is not None and value < 1:
-        raise InputError(f"--{name} must be at least 1, got {value}")
+    if value is not None and value < least:
+        raise InputError(f"--{name} must be at least {least}, got {value}")
 
 
 def _write_scores(args, scores) -> int:
@@ -124,6 +125,7 @@ def cmd_score(args) -> int:
 def cmd_shapley_drastic(args) -> int:
     from .shapley import drastic_scores
 
+    _at_least(args, "cap", 0)
     omq, abox = _load_inputs(args, need_abox=True)
     return _write_scores(args, drastic_scores(abox, omq, args.cap))
 
@@ -145,7 +147,7 @@ def cmd_count_ms(args) -> int:
 
 
 def cmd_count_fms(args) -> int:
-    _at_least_one(args, "size")
+    _at_least(args, "size", 1)
     omq, abox = _load_inputs(args, need_abox=True)
     hist = _histogram(args, omq, abox)
     if args.size is not None:
@@ -180,7 +182,7 @@ def cmd_emit_sql(args) -> int:
     from .sqlgen import build_manifest
     from .support import counting_queries
 
-    _at_least_one(args, "size")
+    _at_least(args, "size", 1)
     omq, abox = _load_inputs(args, need_abox=True)
     rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
     queries = {k: qs for k, qs in counting_queries(rewriting).items() if args.size in (None, k)}
@@ -245,7 +247,7 @@ def cmd_verify(args) -> int:
     disequalities, and two monotone properties of fact sets agree on
     every subset iff they have the same minimal supports, whose counts
     the suite compares."""
-    _at_least_one(args, "instances")
+    _at_least(args, "instances", 1)
     from .model import TBox
     from .randgen import (
         random_abox,

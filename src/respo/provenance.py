@@ -11,8 +11,10 @@ derive the atom, over small integer concept ids.  Both are keyed by
 concept name, which the program numbers directly.  The fixpoint then
 runs on bit masks over the facts' positions and keeps its own worklist:
 run through a worklist generic in the semiring, Boolean entailment took
-two to three times as long.  The work grows with the number of supports,
-which can be exponential: counting them is #P-hard once the TBox encodes
+two to three times as long.  Each atom keeps its minimal sets in an
+`_Antichain`, whose subsumption test is straight-line arithmetic on
+whole integers.  The work grows with the number of supports, which can
+be exponential: counting them is #P-hard once the TBox encodes
 reachability.
 
 The module also holds the per-fact tally of supports given as masks,
@@ -138,36 +140,52 @@ class HornProgram:
 
 
 class _Antichain:
-    """Inclusion-minimal fact sets, as bit masks over the facts' positions,
-    added in order of size, so that a set already here never holds a new
-    one.  The column of a fact has bit k set when set k holds the fact: set
-    k lies inside a new set exactly when it misses the columns of every
-    fact outside the new set, so one OR over the columns of the facts
-    that the chain holds and the new set lacks decides subsumption."""
+    """Inclusion-minimal fact sets, as bit masks over `width` facts'
+    positions, added in order of size, so that a set already here never
+    holds a new one.
 
-    __slots__ = ("masks", "columns", "held")
+    A kept set of the new set's size lies inside it only if the two are
+    equal: `same` holds the kept sets of the current size.  All kept
+    masks also sit side by side in `packed`, set k in the field of
+    width + 1 bits at k * (width + 1), its top bit clear.  `reps`, `full`
+    and `tops` hold bit 0, all-ones and the top bit of each field of a
+    set smaller than the current size.  So one test on whole integers,
+    with no loop over facts or sets, finds a smaller kept set inside a
+    new set S: its field of `packed & reps * (ones ^ S)` is zero, and
+    adding `full` sets a field's top bit exactly when the field is not
+    zero (the "has a zero field" test of Lamport, "Multiple byte
+    processing with full-word instructions", CACM 1975)."""
 
-    def __init__(self):
+    __slots__ = ("masks", "same", "size", "ones", "stride", "packed", "reps", "full", "tops")
+
+    def __init__(self, width: int):
         self.masks: list[int] = []
-        self.columns: dict[int, int] = {}  # a fact's bit -> its column
-        self.held = 0  # the union of the masks
+        self.same: set[int] = set()
+        self.size = 0  # the size of the last kept set
+        self.ones = (1 << width) - 1
+        self.stride = width + 1
+        self.packed = self.reps = self.full = self.tops = 0
 
     def add(self, mask: int) -> bool:
-        columns, outside, rest = self.columns, 0, self.held & ~mask
-        while rest:
-            fact = rest & -rest
-            outside |= columns[fact]
-            rest ^= fact
-        k = len(self.masks)
-        if outside != (1 << k) - 1:
+        size = mask.bit_count()
+        if size != self.size:
+            self._grow(size)
+        lacking = self.packed & self.reps * (self.ones ^ mask)
+        if mask in self.same or (lacking + self.full) & self.tops != self.tops:
             return False
+        self.packed |= mask << len(self.masks) * self.stride
         self.masks.append(mask)
-        self.held |= mask
-        while mask:
-            fact = mask & -mask
-            columns[fact] = columns.get(fact, 0) | 1 << k
-            mask ^= fact
+        self.same.add(mask)
         return True
+
+    def _grow(self, size: int) -> None:
+        """Move to a larger size: every kept set is now smaller."""
+        stride = self.stride
+        self.size, self.same = size, set()
+        # The sum of 1 << k * stride over the kept sets k.
+        self.reps = reps = ((1 << len(self.masks) * stride) - 1) // ((1 << stride) - 1)
+        self.full = reps * self.ones
+        self.tops = reps << stride - 1
 
 
 def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int) -> list[int]:
@@ -177,15 +195,16 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
 
     The worklist of `reasoner._entailed_instance_data` in the PosBool
     semiring: each fact seeds {f} on every atom its `HornProgram.row`
-    names, a Horn rule joins a new set of its body with each set of the
-    other conjunct or of the role pair, and every (individual, concept
-    id) atom keeps an `_Antichain`.  Candidate sets wait in one queue per
-    size and enter their atom in size order, so each set that enters is
-    final and is joined once.  Role pairs keep the singletons of the
-    facts that entail them: no Horn rule derives a role.  More than `cap`
-    sets on one atom, or more than `cap` candidate sets per fact in the
-    queues, raise `InputError`; the second bounds the joins of two
-    antichains that are each under the cap.  The facts must be
+    names, a Horn rule queues the union of a new set of its body with
+    each set of the other conjunct's antichain or each predecessor's
+    singleton, and every (individual, concept id) atom keeps an
+    `_Antichain`.  Candidate sets wait in one queue per size and enter
+    their atom in size order, so each set that enters is final and is
+    joined once.  Role pairs keep the singletons of the facts that entail
+    them: no Horn rule derives a role.  More than `cap` sets on one atom,
+    or more than `cap` candidate sets per fact in the queues, raise
+    `InputError`; the second bounds the joins of two antichains that are
+    each under the cap.  The facts must be
     consistent with the TBox.
     """
     if not facts:
@@ -218,33 +237,38 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
             for c in heads:
                 chain = slots[c]
                 if chain is None:
-                    chain = slots[c] = _Antichain()
+                    chain = slots[c] = _Antichain(len(facts))
                 if not chain.add(mask):
                     continue
                 if len(chain.masks) > cap:
                     raise InputError(
                         f"provenance scoring is capped at {cap} minimal supports per derived atom"
                     )
-                fired = [
-                    (a, other.masks, head)
-                    for side, head in joins[c]
-                    if (other := slots[side]) is not None
-                ]
-                for rid, head in steps[c]:
-                    fired.extend(
-                        (x, masks, head) for x, masks in predecessors.get((rid, a), {}).items()
-                    )
-                for x, masks, head in fired:
-                    queued += len(masks) * len(head)
+                for side, head in joins[c]:
+                    other = slots[side]
+                    if other is None:
+                        continue
+                    queued += len(other.masks) * len(head)
                     if queued > budget:
-                        raise InputError(
-                            f"provenance scoring is capped at {budget} candidate sets"
-                            f" on {len(facts)} facts"
-                        )
-                    for m in masks:
+                        raise _over_budget(budget, facts)
+                    for m in other.masks:
                         union = mask | m
-                        pending[union.bit_count()].append((x, head, union))
+                        pending[union.bit_count()].append((a, head, union))
+                for rid, head in steps[c]:
+                    for x, masks in predecessors.get((rid, a), {}).items():
+                        queued += len(masks) * len(head)
+                        if queued > budget:
+                            raise _over_budget(budget, facts)
+                        for m in masks:
+                            union = mask | m
+                            pending[union.bit_count()].append((x, head, union))
         queue.clear()
 
     slots = chains.get(program.args[0])
     return slots[0].masks if slots is not None and slots[0] is not None else []
+
+
+def _over_budget(budget: int, facts: Sequence[Fact]) -> InputError:
+    return InputError(
+        f"provenance scoring is capped at {budget} candidate sets on {len(facts)} facts"
+    )

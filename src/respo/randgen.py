@@ -68,11 +68,15 @@ def random_abox(
     max_facts: int = 5,
     bias: "UCQ | None" = None,
     tbox: TBox | None = None,
+    constants: int = 3,
 ) -> ABox:
-    """A random ABox.  When `bias` (and optionally a TBox) is given, most
-    facts instantiate the query's atoms or the TBox's left-hand sides over
-    a small constant pool, so entailment is non-trivially exercised."""
-    pool = CONSTANTS[:3]
+    """A random ABox over the first `constants` names of `CONSTANTS`,
+    then c5, c6 and so on.  When `bias` (and optionally a TBox) is given,
+    most facts instantiate the query's atoms or the TBox's left-hand
+    sides, so entailment is non-trivially exercised.  Three constants
+    hold at most 27 distinct facts over `CONCEPT_NAMES` and `ROLE_NAMES`;
+    a wider pool makes larger instances."""
+    pool = (CONSTANTS + [f"c{i}" for i in range(len(CONSTANTS), constants)])[:constants]
     shapes: list[tuple[str, int]] = []
     if bias is not None:
         for d in bias.disjuncts:

@@ -46,6 +46,7 @@ from respo.reasoner import entails_ucq, is_consistent
 from respo.rewriter import rewrite
 from respo.shapley import (
     BRUTE_FORCE_CAP,
+    Plan,
     WEIGHT_INVSQ,
     WEIGHT_MS,
     drastic_scores,
@@ -511,6 +512,31 @@ def test_per_fact_scores_agree_across_pipelines_on_20_to_30_facts(witness_omq):
         seen["if"] += len(methods) == 2
         seen["20+ supports"] += len(supports) >= 20
     assert seen["if"] >= 15 and seen["20+ supports"] >= 5, seen
+
+
+def test_every_fact_counts_the_same_under_partition_and_if_on_100_to_250_facts(witness_omq):
+    """Partition and the interaction-free pipeline share no compile step:
+    one rewrites the query, the other walks fact shapes.  So on 30 seeded
+    interaction-free OMQs, some with an anonymous role witness, over
+    ABoxes of 100 to 250 facts on 12 constants, every fact's per-size
+    counts agree between them, with no oracle."""
+    rng = random.Random(2801)
+    seen = {"instances": 0, "witness": 0, "50+ supports": 0, "20+ facts in a support": 0}
+    while seen["instances"] < 30:
+        witness = rng.random() < 0.5
+        omq = witness_omq(rng) if witness else random_interaction_free_omq(rng, max_atoms=3).omq
+        if witness and check_interaction_free(omq) is not None:
+            continue
+        abox = random_abox(rng, max_facts=300, bias=omq.query, tbox=omq.tbox, constants=12)
+        if not 100 <= len(abox) <= 250 or not is_consistent(abox, omq.tbox):
+            continue
+        histogram, counts = Plan(omq, "partition").fact_counts(abox)
+        assert (histogram, counts) == Plan(omq, "if").fact_counts(abox), (omq, list(abox))
+        seen["instances"] += 1
+        seen["witness"] += witness
+        seen["50+ supports"] += histogram.total() >= 50
+        seen["20+ facts in a support"] += sum(1 for c in counts.values() if c) >= 20
+    assert min(seen.values()) >= 5, seen
 
 
 def test_criterion_10_score_properties(fig1, variant):

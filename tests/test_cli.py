@@ -570,6 +570,8 @@ def _weight_file(tmp_path, text):
         ["count-fms", "--tbox", "WIDE_TBOX", "--abox", "WIDE_ABOX", "--query", "WIDE_QUERY"],
         ["score", "--tbox", "JOIN_TBOX", "--abox", "JOIN_ABOX", "--query", "JOIN_QUERY"],
         ["shapley-drastic", *fixture_args("fig1"), "--abox", "BIG_ABOX"],
+        ["shapley-drastic", *fixture_args("fig1"), "--cap", "-1"],
+        ["shapley-drastic", *fixture_args("fig1"), "--abox", "EMPTY_ABOX", "--cap", "-1"],
         ["count-fms", *fixture_args("variant"), "--size", "0"],
         ["emit-sql", *fixture_args("variant"), "--size", "0", "--out", "OUT_DIR"],
         ["emit-sql", *fixture_args("variant"), "--size", "-2", "--out", "OUT_DIR"],
@@ -598,7 +600,8 @@ def _weight_file(tmp_path, text):
         "unknown-weight", "weight-zero-denominator", "weight-non-integer-size",
         "weight-missing-entry", "score-brute-over-cap", "score-auto-brute-over-cap",
         "count-ms-brute-over-cap", "count-fms-brute-over-cap", "count-fms-auto-brute-over-cap",
-        "score-auto-provenance-over-budget", "shapley-over-cap", "count-fms-size-zero",
+        "score-auto-provenance-over-budget", "shapley-over-cap", "shapley-negative-cap",
+        "shapley-negative-cap-empty-abox", "count-fms-size-zero",
         "emit-sql-size-zero", "emit-sql-negative-size", "verify-zero-instances",
         "verify-negative-instances", "gen-reach-no-source", "gen-reach-unknown-vertex",
         "gen-bad-edge-line", "gen-pm-uncovered-vertex", "gen-pm-not-bipartite", "gen-mvc-no-edges",
@@ -662,6 +665,7 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
         "LATIN1_ABOX": "f0: Seafood(caf\xe9)\n".encode("latin-1"),
         "LATIN1_WEIGHTS": "3 8 1/2\xe9\n".encode("latin-1"),
         "OUT_FILE": "",
+        "EMPTY_ABOX": "",
         "R_ABOX": "f1: r(c, c)\nf2: r(d, e)\n",
         "R_QUERY": "r(?x, ?y)\n",
         "NEQ_QUERY": "r(?x, ?y), ?x != ?y\n",
@@ -686,6 +690,20 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch, re
     assert not err.startswith("parse error"), err
     assert len(err.strip().splitlines()) == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_cap_is_refused_as_a_size_below_one_is(capsys, tmp_path):
+    """`shapley-drastic --cap -1` names the option, as `--size 0` does,
+    also on an empty ABox; a cap of 0 keeps the cap's own message."""
+    (tmp_path / "empty.abox").write_text("", encoding="utf-8")
+    empty = [*fixture_args("fig1"), "--abox", str(tmp_path / "empty.abox")]
+    for inputs in (fixture_args("fig1"), empty):
+        assert run(capsys, "shapley-drastic", *inputs, "--cap", "-1") == (
+            2, "", "error: --cap must be at least 0, got -1\n"
+        )
+    assert run(capsys, "shapley-drastic", *fixture_args("fig1"), "--cap", "0") == (
+        2, "", "error: brute-force Shapley capped at 0 facts, got 8\n"
+    )
 
 
 NOT_INTERACTION_FREE = (

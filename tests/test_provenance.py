@@ -4,6 +4,7 @@ against brute force on seeded random KBs and, past brute force's cap,
 against the vertex-cover and simple-path oracles."""
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -116,6 +117,51 @@ def test_provenance_matches_brute_force_on_dllite_kbs():
         assert (histogram, counts) == Plan(omq, "brute").fact_counts(abox), (tbox, abox, omq.query)
         supported += histogram.total() > 0
     assert supported >= 50, supported
+
+
+def _draw_masks(rng: random.Random, width: int) -> list[int]:
+    """Up to 40 non-empty masks over `width` facts, sorted by size: random
+    ones of one of a few sizes, duplicates, supersets of earlier masks and
+    masks disjoint from earlier ones."""
+    ones, drawn = (1 << width) - 1, []
+    sizes = rng.sample(range(1, width + 1), min(width, 3))
+    for _ in range(rng.randint(1, 40)):
+        roll = rng.random()
+        if drawn and roll < 0.15:
+            drawn.append(rng.choice(drawn))
+        elif drawn and roll < 0.3:
+            drawn.append(rng.choice(drawn) | 1 << rng.randrange(width))
+        elif drawn and roll < 0.45 and rng.choice(drawn) != ones:
+            rest = ones ^ rng.choice(drawn)
+            drawn.append(rest & rng.getrandbits(width) or rest & -rest)
+        else:
+            drawn.append(sum(1 << i for i in rng.sample(range(width), rng.choice(sizes))))
+    return sorted(drawn, key=int.bit_count)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 29, 30, 31, 59, 62, 63, 64, 65, 97, 129, 130])
+def test_the_antichain_keeps_what_a_naive_minimal_set_filter_keeps(width):
+    """Fed masks in order of size, `_Antichain.add` accepts exactly the
+    masks that no earlier kept mask lies inside, on seeded draws whose
+    packed fields cross machine words at every width but the smallest.
+    An empty chain accepts any mask."""
+    rng = random.Random(2800 + width)
+    seen = Counter()
+    for _ in range(40):
+        chain, kept = _Antichain(width), []
+        for mask in _draw_masks(rng, width):
+            inside = [k for k in kept if k & ~mask == 0]
+            assert chain.add(mask) == (not inside), (width, kept, mask)
+            if not inside:
+                seen["kept beside a disjoint set"] += any(k & mask == 0 for k in kept)
+                kept.append(mask)
+            seen["a duplicate"] += mask in inside
+            seen["a strictly smaller set inside"] += any(k != mask for k in inside)
+        assert chain.masks == kept
+        seen["10+ kept"] += len(kept) >= 10
+    assert _Antichain(width).add((1 << width) - 1)
+    shapes = 1 if width == 1 else 3 if width < 8 else 4
+    assert sum(count >= 2 for count in seen.values()) == shapes, seen
 
 
 def perrin(n: int) -> int:
@@ -358,6 +404,39 @@ def test_the_fixpoint_tries_no_more_antichain_inserts(kb, attempts, monkeypatch)
     abox, omq = kb
     score_all(abox, omq)
     assert len(tried) <= attempts
+
+
+def test_an_antichain_insert_runs_a_bounded_number_of_lines():
+    """A timing-free guard on the cost of one insert: while the fixpoint
+    derives the 4,096 supports of W12(g), the methods of `_Antichain`
+    run at most 10 lines per `add` call on average (about 8), however
+    many sets the chain holds.  A loop over the facts outside each new
+    set ran 91.8 lines per call."""
+    abox, omq = wide_kb(12)
+    program = HornProgram(omq.tbox, ground_atom_query(omq.query))
+    methods = {f.__code__ for f in vars(_Antichain).values() if callable(f)}
+    calls = lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    def trace(frame, event, arg):
+        nonlocal calls
+        if frame.f_code not in methods:
+            return None
+        calls += frame.f_code is _Antichain.add.__code__
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        masks = minimal_why_provenance(tuple(abox), program, 10_000)
+    finally:
+        sys.settrace(previous)
+    assert len(masks) == 2**12
+    assert calls and lines <= 10 * calls, (lines, calls)
 
 
 @pytest.mark.parametrize("make, size", [(cycle_kb, 12), (grid_kb, 3)],
