@@ -12,10 +12,10 @@ concept name, which the program numbers directly.  The fixpoint then
 runs on bit masks over the facts' positions and keeps its own worklist:
 run through a worklist generic in the semiring, Boolean entailment took
 two to three times as long.  Each atom keeps its minimal sets in an
-`_Antichain`, whose subsumption test is straight-line arithmetic on
-whole integers.  The work grows with the number of supports, which can
-be exponential: counting them is #P-hard once the TBox encodes
-reachability.
+`_Antichain`, whose subsumption test is a few operations on whole
+integers as wide as the facts the chain holds.  The work grows with the
+number of supports, which can be exponential: counting them is #P-hard
+once the TBox encodes reachability.
 
 The module also holds the per-fact tally of supports given as masks,
 which provenance and brute force share, and the ground atom that
@@ -139,53 +139,87 @@ class HornProgram:
         return row
 
 
+# The width of a chain's first window: fields narrower than a few machine
+# words save nothing, and a chain over the first this many facts never
+# re-packs.
+_FIRST_WINDOW = 64
+
+
 class _Antichain:
-    """Inclusion-minimal fact sets, as bit masks over `width` facts'
-    positions, added in order of size, so that a set already here never
-    holds a new one.
+    """Inclusion-minimal fact sets, as bit masks over the positions of
+    `facts` facts, added in order of size, so that a set already here
+    never holds a new one.
 
     A kept set of the new set's size lies inside it only if the two are
-    equal: `same` holds the kept sets of the current size.  All kept
-    masks also sit side by side in `packed`, set k in the field of
-    width + 1 bits at k * (width + 1), its top bit clear.  `reps`, `full`
-    and `tops` hold bit 0, all-ones and the top bit of each field of a
-    set smaller than the current size.  So one test on whole integers,
-    with no loop over facts or sets, finds a smaller kept set inside a
-    new set S: its field of `packed & reps * (ones ^ S)` is zero, and
-    adding `full` sets a field's top bit exactly when the field is not
-    zero (the "has a zero field" test of Lamport, "Multiple byte
-    processing with full-word instructions", CACM 1975)."""
+    equal: `same` holds the kept sets of the current size.  The smaller
+    kept sets are tested all at once, on whole integers.  `window` has a
+    bit for each of the stride - 1 facts from `low` on and covers every
+    kept set; `packed` holds kept set k shifted up by k * stride, so that
+    each set has a field of `stride` bits whose top bit is clear.
+    `reps`, `full` and `tops` hold bit 0, the window and the top bit of
+    each field of a set smaller than the current size.  Such a set lies
+    inside a new set S exactly when its field of
+    `packed & reps * (window & ~S)` is zero, and adding `full` sets a
+    field's top bit exactly when the field is not zero (the "has a zero
+    field" test of Lamport, "Multiple byte processing with full-word
+    instructions", CACM 1975).  So a test works on integers of the kept
+    sets times the window's width in bits, not times the number of
+    facts: the window starts on the first `_FIRST_WINDOW` facts, and a
+    kept set reaching outside it moves it over the facts the chain holds,
+    at least doubling its width."""
 
-    __slots__ = ("masks", "same", "size", "ones", "stride", "packed", "reps", "full", "tops")
+    __slots__ = (
+        "masks", "same", "size", "facts", "low", "stride", "window", "packed", "reps", "full",
+        "tops",
+    )
 
-    def __init__(self, width: int):
+    def __init__(self, facts: int):
+        self.facts = facts
         self.masks: list[int] = []
         self.same: set[int] = set()
         self.size = 0  # the size of the last kept set
-        self.ones = (1 << width) - 1
-        self.stride = width + 1
-        self.packed = self.reps = self.full = self.tops = 0
+        self.packed = self.reps = self.full = self.tops = self.low = 0
+        width = min(facts, _FIRST_WINDOW)
+        self.stride, self.window = width + 1, (1 << width) - 1
 
     def add(self, mask: int) -> bool:
         size = mask.bit_count()
         if size != self.size:
-            self._grow(size)
-        lacking = self.packed & self.reps * (self.ones ^ mask)
+            self.size, self.same = size, set()
+            self._fields(len(self.masks))
+        lacking = self.packed & self.reps * (self.window & ~mask)
         if mask in self.same or (lacking + self.full) & self.tops != self.tops:
             return False
+        if mask | self.window != self.window:
+            self._repack(mask)
         self.packed |= mask << len(self.masks) * self.stride
         self.masks.append(mask)
         self.same.add(mask)
         return True
 
-    def _grow(self, size: int) -> None:
-        """Move to a larger size: every kept set is now smaller."""
+    def _fields(self, smaller: int) -> None:
+        """Set `reps`, `full` and `tops` for the first `smaller` fields."""
         stride = self.stride
-        self.size, self.same = size, set()
-        # The sum of 1 << k * stride over the kept sets k.
-        self.reps = reps = ((1 << len(self.masks) * stride) - 1) // ((1 << stride) - 1)
-        self.full = reps * self.ones
-        self.tops = reps << stride - 1
+        # The sum of 1 << k * stride for k below `smaller`.
+        self.reps = reps = ((1 << smaller * stride) - 1) // ((1 << stride) - 1)
+        self.full = reps * self.window
+        self.tops = reps << self.low + stride - 1
+
+    def _repack(self, mask: int) -> None:
+        """Move the window over the facts of the kept sets and the mask,
+        at least doubling its width, so that a chain re-packs at most
+        about log2(facts) times."""
+        held = mask
+        for kept in self.masks:
+            held |= kept
+        low = (held & -held).bit_length() - 1
+        width = min(max(held.bit_length() - low, 2 * (self.stride - 1)), self.facts)
+        self.low = low = min(low, self.facts - width)
+        self.stride, self.window = width + 1, ((1 << width) - 1) << low
+        self.packed = 0
+        for k, kept in enumerate(self.masks):
+            self.packed |= kept << k * self.stride
+        self._fields(len(self.masks) - len(self.same))
 
 
 def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int) -> list[int]:
@@ -204,29 +238,51 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
     them: no Horn rule derives a role.  More than `cap` sets on one atom,
     or more than `cap` candidate sets per fact in the queues, raise
     `InputError`; the second bounds the joins of two antichains that are
-    each under the cap.  The facts must be
-    consistent with the TBox.
+    each under the cap.  Past `_FIRST_WINDOW` facts, only the facts that
+    seed an atom take a bit, numbered individual by individual, so that
+    the chains of atoms that one individual's facts derive get narrow
+    windows, and the masks go back to the facts' positions at the end.
+    The facts must be consistent with the TBox.
     """
-    if not facts:
-        return []
+    rows = [program.row(f.predicate, len(f.args)) for f in facts]
+    if not program.joins:  # a role atom: no Horn rule derives a role
+        x, y = program.args
+        return list({
+            1 << i
+            for i, (f, row) in enumerate(zip(facts, rows)) if not f.is_concept
+            for rid, same in row[2] if rid == 0 and f.args == ((x, y) if same else (y, x))
+        })
+    # Bit j stands for facts[positions[j]].  Within the first window the
+    # numbering cannot narrow a field, so each fact keeps its position.
+    renumbered = len(facts) > _FIRST_WINDOW
+    positions = range(len(facts))
+    if renumbered:
+        positions = sorted((i for i in positions if any(rows[i])), key=lambda i: facts[i].args)
+    bits = [0] * len(facts)
+    for j, i in enumerate(positions):
+        bits[i] = 1 << j
     budget, queued = cap * len(facts), 0
-    pending: list[list] = [[] for _ in range(len(facts) + 1)]
-    seeds = pending[1]
-    # exists R.A <= B under A(a) joins with the R-predecessors of a.
-    predecessors: dict[tuple[int, str], dict[str, set[int]]] = {}
-    for i, f in enumerate(facts):
-        row, single = program.row(f.predicate, len(f.args)), 1 << i
+    seeds: list = []
+    # exists R.A <= B under A(a) joins with the R-predecessors of a, each
+    # with the bits of the facts that make it one.  They are collected as a
+    # set of 1 << i for facts[i] and, once renumbered, listed in the set's
+    # order, so that the masks come out in the same order either way.
+    predecessors: dict[tuple[int, str], dict[str, set[int] | list[int]]] = {}
+    for i, (f, row, single) in enumerate(zip(facts, rows, bits)):
+        if not single:
+            continue
         seeds.extend((x, ids, single) for x, ids in zip(f.args, row))  # each argument's ids
         if f.is_concept:
             continue
         a, b = f.args
         for rid, same in row[2]:
             key, partner = ((rid, b), a) if same else ((rid, a), b)
-            predecessors.setdefault(key, {}).setdefault(partner, set()).add(single)
-    if not program.joins:  # a role atom: no Horn rule derives a role
-        x, y = program.args
-        return list(predecessors.get((0, y), {}).get(x, ()))
-
+            predecessors.setdefault(key, {}).setdefault(partner, set()).add(1 << i)
+    if renumbered:
+        for partners in predecessors.values():
+            for x, found in partners.items():
+                partners[x] = [bits[m.bit_length() - 1] for m in found]
+    pending: list[list] = [[], seeds] + [[] for _ in range(len(positions) - 1)]
     joins, steps = program.joins, program.steps
     chains: dict[str, list[_Antichain | None]] = {}  # an individual's chain per concept id
     for queue in pending:
@@ -237,7 +293,7 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
             for c in heads:
                 chain = slots[c]
                 if chain is None:
-                    chain = slots[c] = _Antichain(len(facts))
+                    chain = slots[c] = _Antichain(len(positions))
                 if not chain.add(mask):
                     continue
                 if len(chain.masks) > cap:
@@ -265,7 +321,18 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
         queue.clear()
 
     slots = chains.get(program.args[0])
-    return slots[0].masks if slots is not None and slots[0] is not None else []
+    masks = slots[0].masks if slots is not None and slots[0] is not None else []
+    if not renumbered:
+        return masks
+    spread = []
+    for mask in masks:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << positions[low.bit_length() - 1]
+            mask ^= low
+        spread.append(out)
+    return spread
 
 
 def _over_budget(budget: int, facts: Sequence[Fact]) -> InputError:

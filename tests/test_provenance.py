@@ -40,7 +40,7 @@ from respo.provenance import (
     tally_masks,
 )
 from respo.randgen import CONCEPT_NAMES, ROLE_NAMES, random_consistent_kb, random_horn_kb
-from respo.reasoner import SaturatedTBox, _closure
+from respo.reasoner import SaturatedTBox, _closure, is_consistent
 from respo.shapley import Plan, score_all
 from respo.support import MinimalSupport
 from respo.textio import parse_abox, parse_query, parse_tbox
@@ -99,6 +99,50 @@ def test_mask_tally_matches_the_set_tally_on_random_horn_kbs():
     assert high >= 20, high
 
 
+def test_renumbered_facts_keep_their_supports():
+    """Past 64 facts the fixpoint numbers only the facts that seed an
+    atom, individual by individual, and maps the masks back: the seeded
+    KBs above, each among 70 facts about fresh individuals (11 to 59 of
+    which seed atoms) labelled to sort among the KB's own, have the
+    supports of the KB alone."""
+    rng = random.Random(1101)
+    seen = Counter()
+    for i in range(300):
+        tbox, abox, query = random_horn_kb(rng)
+        program = HornProgram(tbox, ground_atom_query(query))
+        names = (*CONCEPT_NAMES, "Unused")
+        padding = tuple(
+            Fact(f"f{k % 14}~{k}", names[k % len(names)], (f"p{k}",)) if k % 3
+            else Fact(f"f{k % 14}~{k}", ROLE_NAMES[k % len(ROLE_NAMES)], (f"p{k}", f"q{k}"))
+            for k in range(70)
+        )
+        if not is_consistent(abox.facts + padding, tbox):
+            continue
+        alone = tuple(sorted(abox, key=lambda f: f.label))
+        padded = tuple(sorted(abox.facts + padding, key=lambda f: f.label))
+        want = minimal_why_provenance(alone, program, 10_000)
+        got = minimal_why_provenance(padded, program, 10_000)
+        assert sorted(_labels(got, padded)) == sorted(_labels(want, alone)), i
+        seen["padded"] += 1
+        seen["with supports"] += bool(want)
+        seen["a role fact in a support"] += any(
+            not f.is_concept for m in want for j, f in enumerate(alone) if m >> j & 1
+        )
+    assert min(seen.values()) >= 50 and len(seen) == 3, seen
+
+
+def _labels(masks: list[int], facts: tuple[Fact, ...]) -> list[list[str]]:
+    """Each mask's facts' labels, sorted."""
+    found = []
+    for mask in masks:
+        found.append([])
+        while mask:
+            found[-1].append(facts[mask.bit_length() - 1].label)
+            mask &= ~(1 << mask.bit_length() - 1)
+        found[-1].sort()
+    return found
+
+
 def test_provenance_matches_brute_force_on_dllite_kbs():
     """Over a DL-Lite_R TBox, existential right-hand sides included, a
     ground atom's supports come from the closure alone; brute force
@@ -144,12 +188,15 @@ def test_the_antichain_keeps_what_a_naive_minimal_set_filter_keeps(width):
     """Fed masks in order of size, `_Antichain.add` accepts exactly the
     masks that no earlier kept mask lies inside, on seeded draws whose
     packed fields cross machine words at every width but the smallest.
-    An empty chain accepts any mask."""
+    Each draw sits at an offset of up to 100 facts, and its new facts
+    widen the chain's window as they come.  An empty chain accepts any
+    mask."""
     rng = random.Random(2800 + width)
     seen = Counter()
-    for _ in range(40):
-        chain, kept = _Antichain(width), []
-        for mask in _draw_masks(rng, width):
+    for trial in range(40):
+        offset = trial * 37 % 101
+        chain, kept = _Antichain(width + offset), []
+        for mask in (m << offset for m in _draw_masks(rng, width)):
             inside = [k for k in kept if k & ~mask == 0]
             assert chain.add(mask) == (not inside), (width, kept, mask)
             if not inside:
@@ -409,7 +456,7 @@ def test_the_fixpoint_tries_no_more_antichain_inserts(kb, attempts, monkeypatch)
 def test_an_antichain_insert_runs_a_bounded_number_of_lines():
     """A timing-free guard on the cost of one insert: while the fixpoint
     derives the 4,096 supports of W12(g), the methods of `_Antichain`
-    run at most 10 lines per `add` call on average (about 8), however
+    run at most 10 lines per `add` call on average (about 9), however
     many sets the chain holds.  A loop over the facts outside each new
     set ran 91.8 lines per call."""
     abox, omq = wide_kb(12)
@@ -437,6 +484,35 @@ def test_an_antichain_insert_runs_a_bounded_number_of_lines():
         sys.settrace(previous)
     assert len(masks) == 2**12
     assert calls and lines <= 10 * calls, (lines, calls)
+
+
+def test_facts_the_query_never_touches_leave_the_fields_narrow(monkeypatch):
+    """A timing-free guard on the width of a chain's fields: W12(g) among
+    10,000 facts that seed no atom and 1,000 that seed atoms on other
+    individuals, labelled to sort among W12's own, yields the supports of
+    W12(g) alone in the same order, and no chain's fields grow past
+    2 * 64 + 1 bits.  Fields as wide as the ABox (11,025 bits) took this
+    run about 13 s in process, and the parent's loop over the facts 0.6 s."""
+    tbox, abox = wide_text(12)
+    abox += "".join(f"x1_{i:05d}: Unused(u{i})\n" for i in range(10_000))
+    abox += "".join(f"x9_{i:04d}: X{1 + i % 12}({'a' if i % 2 else 'z'}{i})\n" for i in range(1000))
+    facts = tuple(sorted(parse_abox(abox), key=lambda f: f.label))
+    omq = OMQ(parse_tbox(tbox), parse_query("W12(g)\n"))
+    program = HornProgram(omq.tbox, ground_atom_query(omq.query))
+    strides = set()
+    add = _Antichain.add
+
+    def watched(self, mask):
+        strides.add(self.stride)
+        return add(self, mask)
+
+    monkeypatch.setattr(_Antichain, "add", watched)
+    padded = minimal_why_provenance(facts, program, 10_000)
+    alone, _ = wide_kb(12)
+    alone = tuple(sorted(alone, key=lambda f: f.label))
+
+    assert _labels(padded, facts) == _labels(minimal_why_provenance(alone, program, 10_000), alone)
+    assert len(padded) == 2**12 and max(strides) <= 2 * 64 + 1, sorted(strides)
 
 
 @pytest.mark.parametrize("make, size", [(cycle_kb, 12), (grid_kb, 3)],
