@@ -1,5 +1,10 @@
 """Command-line front door.
 
+The scoring and counting commands run here.  The tool commands
+(`rewrite`, `check-if`, `emit-sql`, `gen` and `verify`) run from
+`tools`, which loads only when one of them runs, so a scoring or
+counting command compiles none of them.
+
 Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 (missing --abox, unknown fact label or answer variable, an --answer
 value that is not a constant, an --answer that binds a variable twice
@@ -30,10 +35,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-from pathlib import Path
 
 from .model import (
     ABox,
@@ -42,7 +45,6 @@ from .model import (
     OMQ,
     RespoError,
     SupportHistogram,
-    UCQ,
     UnsupportedTBoxError,
     read_text,
 )
@@ -54,7 +56,6 @@ from .textio import (
     parse_abox,
     parse_query,
     parse_tbox,
-    render_query,
     render_scores_json,
     render_scores_table,
 )
@@ -157,161 +158,18 @@ def cmd_count_fms(args) -> int:
     return EXIT_OK
 
 
-def cmd_rewrite(args) -> int:
-    from .rewriter import rewrite
+def _tool(args) -> int:
+    """Run a tool command from `tools`, which loads only here."""
+    from . import tools
 
-    omq, _ = _load_inputs(args)
-    sys.stdout.write(render_query(rewrite(omq)))
-    return EXIT_OK
-
-
-def cmd_check_if(args) -> int:
-    from .interaction_free import check_interaction_free
-
-    omq, _ = _load_inputs(args)
-    witness = check_interaction_free(omq)
-    if witness is None:
-        print("ok")
-    else:
-        print(f"witness: {witness}")
-    return EXIT_OK
-
-
-def cmd_emit_sql(args) -> int:
-    from .rewriter import rewrite
-    from .sqlgen import build_manifest
-    from .support import counting_queries
-
-    _at_least(args, "size", 1)
-    omq, abox = _load_inputs(args, need_abox=True)
-    rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
-    queries = {k: qs for k, qs in counting_queries(rewriting).items() if args.size in (None, k)}
-    manifest = build_manifest(rewriting, queries, abox)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "schema.sql").write_text(manifest.schema_sql, encoding="utf-8")
-    (out / "load.sql").write_text(manifest.loader_sql, encoding="utf-8")
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
-    print(f"wrote {len(manifest.entries)} queries to {out}")
-    return EXIT_OK
-
-
-def cmd_gen(args) -> int:
-    from .generators import (
-        gen_mvc,
-        gen_perfect_matching,
-        gen_reachability,
-        parse_graph,
-    )
-    from .textio import render_abox, render_query, render_tbox
-
-    if args.kind == "reach" and not (args.source and args.target):
-        raise InputError("gen reach needs --source and --target")
-    graph = parse_graph(read_text(args.graph))
-    if args.kind == "pm":
-        instance = gen_perfect_matching(graph)
-        files = {
-            "tbox.txt": "",
-            "abox.txt": render_abox(instance.abox),
-            "q1.query": render_query(instance.q1),
-            "q2.query": render_query(instance.q2),
-        }
-    else:
-        tbox, abox, query = (
-            gen_mvc(graph) if args.kind == "mvc"
-            else gen_reachability(graph, args.source, args.target)
-        )
-        files = {
-            "tbox.txt": render_tbox(tbox),
-            "abox.txt": render_abox(abox),
-            "query.txt": render_query(query),
-        }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
-    print(f"wrote {'matching' if args.kind == 'pm' else args.kind} instance to {out}")
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    """Run four seeded suites, each comparing the `Plan` of one method with
-    the brute-force plan on random (OMQ, ABox) draws: the histogram and
-    every fact's per-size counts must agree, and a `RespoError` fails the
-    instance.  partition-vs-brute draws UCQs over plain databases,
-    interaction-free-vs-brute interaction-free DL-Lite_R OMQs and
-    horn-vs-brute Horn-extended KBs with a ground atomic query.
-    rewriting-soundness runs partition on consistent DL-Lite_R KBs, which
-    checks the rewriting on every sub-ABox: entailment over the
-    sub-ABoxes of a consistent KB is monotone, as is a UCQ without
-    disequalities, and two monotone properties of fact sets agree on
-    every subset iff they have the same minimal supports, whose counts
-    the suite compares."""
-    _at_least(args, "instances", 1)
-    from .model import TBox
-    from .randgen import (
-        random_abox,
-        random_consistent_kb,
-        random_cq,
-        random_database,
-        random_horn_kb,
-        random_interaction_free_omq,
-        random_ucq,
-    )
-    from .shapley import Plan
-
-    def database(rng):
-        ucq = random_ucq(rng)
-        return OMQ(TBox(), ucq), random_database(rng, bias=ucq)
-
-    def dllite(rng):
-        cq = random_cq(rng, max_atoms=2, allow_neq=False)
-        tbox, abox = random_consistent_kb(rng, bias=UCQ((cq,)))
-        return OMQ(tbox, cq), abox
-
-    def interaction_free(rng):
-        omq = random_interaction_free_omq(rng).omq
-        return omq, random_abox(rng, max_facts=6, bias=omq.query, tbox=omq.tbox)
-
-    def horn(rng):
-        tbox, abox, query = random_horn_kb(rng)
-        return OMQ(tbox, query), abox
-
-    def mismatch(omq, abox: ABox, method: str) -> str | None:
-        try:
-            expected, expected_counts = Plan(omq, "brute").fact_counts(abox)
-            plan = Plan(omq, method)
-            histogram = plan.histogram(abox)
-            full, counts = plan.fact_counts(abox)
-        except RespoError as exc:
-            return f"{type(exc).__name__}: {exc}"
-        if histogram != expected or full != expected:
-            return f"histogram {histogram}, {full} vs brute {expected}"
-        for f in abox:
-            if counts.get(f) != expected_counts[f]:
-                return f"fact {f.label}: {counts.get(f)} vs brute {expected_counts[f]}"
-        return None
-
-    n = args.instances
-    suites = (
-        ("partition-vs-brute", "partition", n, database),
-        ("rewriting-soundness", "partition", n, dllite),
-        ("interaction-free-vs-brute", "if", max(1, n // 2), interaction_free),
-        ("horn-vs-brute", "provenance", n, horn),
-    )
-    rng = random.Random(args.seed)
-    failures = []
-    for name, method, count, draw in suites:
-        failed = 0
-        for i in range(count):
-            problem = mismatch(*draw(rng), method)
-            if problem is not None:
-                failed += 1
-                failures.append(f"{name} instance {i}: {problem}")
-        print(f"{name}: {count - failed}/{count} ok")
-    for f in failures:
-        print(f"FAIL {f}", file=sys.stderr)
-    return EXIT_PROPERTY_FAILURE if failures else EXIT_OK
+    handlers = {
+        "rewrite": tools.cmd_rewrite,
+        "check-if": tools.cmd_check_if,
+        "emit-sql": tools.cmd_emit_sql,
+        "gen": tools.cmd_gen,
+        "verify": tools.cmd_verify,
+    }
+    return handlers[args.command](args)
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -346,16 +204,16 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         "count-fms": ("minimal supports per size", cmd_count_fms, (
             *kb,
             ("--size", {"type": int, "help": "one size k; omit for the full histogram"}), method)),
-        "rewrite": ("rewrite the OMQ into a UCQ", cmd_rewrite, kb),
-        "check-if": ("interaction-freeness check", cmd_check_if, kb),
-        "emit-sql": ("emit schema, loader, and counting queries", cmd_emit_sql, (
+        "rewrite": ("rewrite the OMQ into a UCQ", _tool, kb),
+        "check-if": ("interaction-freeness check", _tool, kb),
+        "emit-sql": ("emit schema, loader, and counting queries", _tool, (
             *kb, ("--size", {"type": int, "help": "restrict to one support size"}), out)),
-        "gen": ("generate a hardness benchmark instance", cmd_gen, (
+        "gen": ("generate a hardness benchmark instance", _tool, (
             ("kind", {"choices": ["mvc", "reach", "pm"]}),
             ("--graph", {"required": True, "help": "edge-list file"}), out,
             ("--source", {"help": "reachability source vertex"}),
             ("--target", {"help": "reachability target vertex"}))),
-        "verify": ("run the cross-pipeline property suites", cmd_verify, (
+        "verify": ("run the cross-pipeline property suites", _tool, (
             ("--seed", {"type": int, "default": 0}),
             ("--instances", {"type": int, "default": 25}))),
     }

@@ -5,18 +5,20 @@ two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
 counting minimal supports factorizes.  The check walks the fact shapes
 (generic facts over the query's constants and two fresh ones) and reads
-each shape's pairs off one search per atom into its canonical slice;
-each pair yields a row.  DL-Lite_R tells no other constants apart, so a
-real fact feeds its shape's row, renamed.  Summing the facts' rows gives
+each shape's pairs off one search per atom into its canonical slice
+(`canonical`), whose depth and one-atom queries it builds once per
+check; each pair yields a row.  DL-Lite_R tells no other constants
+apart, so a real fact feeds its shape's row, renamed.  Summing the facts' rows gives
 each atom a table from rows to weights, and `queries.weighted_eval` sums
 weight products over homomorphisms by the variable elimination that
 partition counting runs in `queries.marginals`: polynomial in the number
 of rows for a query of bounded treewidth, linear for an acyclic one.
 
-An `IFPlan`, built once per OMQ, keeps the check's walk as its row table
-and the elimination order.  Scoring every fact counts over D and over
-each D minus one fact, |D| + 1 eliminations; `queries.marginals` would
-give every fact's count from one.
+An `IFPlan`, built once per OMQ, keeps the check's walk as its row table,
+built with the CQ's shared variables found once, and the elimination
+order.  Scoring every fact counts over D and over each D minus one fact,
+|D| + 1 eliminations; `queries.marginals` would give every fact's count
+from one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable
 
+from .canonical import canonical_slice, query_depth, slice_assignments
 from .model import (
     ANON,
     ABox,
@@ -38,7 +41,7 @@ from .model import (
     value_class,
 )
 from .queries import Table, elimination_order, row_variables, weighted_eval
-from .reasoner import canonical_slice, is_consistent, query_depth, slice_assignments
+from .reasoner import is_consistent
 
 
 class NotInteractionFreeError(UnsupportedTBoxError):
@@ -111,19 +114,18 @@ def _fact_shapes(omq: OMQ, cq: CQ) -> list[Fact]:
     return shapes
 
 
-def _satisfying_pairs(tbox: TBox, fact: Fact, atoms: tuple[Atom, ...]):
+def _satisfying_pairs(tbox: TBox, fact: Fact, singles: tuple[CQ, ...], depth: int):
     """Every (slot, assignment into const(f) + anon) pair of the atoms that
-    the single consistent fact satisfies, read off each atom's
-    homomorphisms into one canonical slice of {f} deep enough for every
-    atom.  The pairs come in slot order, and within a slot in the order of
-    the atom's sorted variables' values: the fact's sorted constants, then
-    anon."""
-    depth = max(query_depth(CQ((atom,)), tbox) for atom in atoms)
+    the single consistent fact satisfies, read off the homomorphisms of
+    each atom's one-atom CQ in `singles` into one canonical slice of {f}
+    at `depth`, deep enough for every atom.  The pairs come in slot order,
+    and within a slot in the order of the atom's sorted variables' values:
+    the fact's sorted constants, then anon."""
     target = canonical_slice(ABox((fact,)), tbox, depth)
-    for slot, atom in enumerate(atoms):
-        single = CQ((atom,))
+    for slot, single in enumerate(singles):
+        variables = single.variables()
         for values in sorted(slice_assignments(target, single), key=_anon_last):
-            yield slot, dict(zip(single.variables(), values))
+            yield slot, dict(zip(variables, values))
 
 
 def _anon_last(values: tuple) -> tuple:
@@ -142,10 +144,12 @@ def check_interaction_free(omq: OMQ, pairs: dict | None = None) -> InteractionWi
         raise UnsupportedTBoxError("interaction-freeness requires a DL-Lite_R TBox")
     cq = _query_cq(omq)
     atoms = cq.relational_atoms()
+    singles = tuple(CQ((atom,)) for atom in atoms)
+    depth = max(query_depth(single, omq.tbox) for single in singles)
     for shape in _fact_shapes(omq, cq):
         if not is_consistent(ABox((shape,)), omq.tbox):
             continue  # such a fact can occur in no consistent ABox
-        found = list(islice(_satisfying_pairs(omq.tbox, shape, atoms), 2))
+        found = list(islice(_satisfying_pairs(omq.tbox, shape, singles, depth), 2))
         if len(found) == 2:
             (s1, mu1), (s2, mu2) = found
             return InteractionWitness(
@@ -170,17 +174,18 @@ def anon_constant(slot: int) -> str:
     return f"anon#{slot}"
 
 
-def _entries(cq: CQ, pairs) -> tuple[tuple[int, tuple[str, ...]], ...]:
+def _entries(
+    atoms: tuple[Atom, ...], shared: set[str], pairs
+) -> tuple[tuple[int, tuple[str, ...]], ...]:
     """The (slot, row) pairs fed by a fact that satisfies the (slot,
-    assignment) `pairs`.  A row holds the values of the slot atom's
-    `row_variables`, with `anon_constant(slot)` for an anonymous value, so
-    rows of different atoms never alias.  An atom that shares no variable
+    assignment) `pairs` of the CQ's relational `atoms`, whose variables in
+    two or more atoms are `shared`.  A row holds the values of the slot
+    atom's `row_variables`, with `anon_constant(slot)` for an anonymous
+    value, so rows of different atoms never alias.  An atom that shares no variable
     keeps every pair.  In a joined one a shared variable is never anonymous
     (Lemma 4), so past all-named pairs it keeps those anonymous at exactly
     its unshared variables: the named-shared, anonymous-unshared role pairs.
     """
-    shared = _shared_variables(cq)
-    atoms = cq.relational_atoms()
     rows = []
     for slot, mu in pairs:
         anon = {v for v, value in mu.items() if value is ANON}
@@ -215,7 +220,10 @@ class IFPlan:
         self.atoms = cq.relational_atoms()
         self.order = tuple(elimination_order(cq))
         self._constants = frozenset(cq.constants())
-        self._table = {shape: _entries(cq, found) for shape, found in pairs.items()}
+        shared = _shared_variables(cq)
+        self._table = {
+            shape: _entries(self.atoms, shared, found) for shape, found in pairs.items()
+        }
         self._rows: dict[Fact, tuple[tuple[int, tuple[str, ...]], ...]] = {}
 
     def fact_entries(self, fact: Fact) -> tuple[tuple[int, tuple[str, ...]], ...]:

@@ -13,14 +13,18 @@ runs on bit masks over the facts' positions and keeps its own worklist:
 run through a worklist generic in the semiring, Boolean entailment took
 two to three times as long.  Each atom keeps its minimal sets in an
 `_Antichain`, whose subsumption test is a few operations on whole
-integers as wide as the facts the chain holds.  The work grows with the
+integers as wide as the facts the chain holds.  Only facts about
+individuals whose atoms can reach the query atom's take part: those its
+individual reaches through role facts of the program's
+`exists R.A <= B` roles.  The work grows with the
 number of supports, which can be exponential: counting them is #P-hard
 once the TBox encodes reachability.
 
 The module also holds the per-fact tally of supports given as masks,
 which provenance and brute force share, and the ground atom that
 Horn-extended TBoxes take.  `shapley` imports it with itself, while the
-larger pipeline modules load only when a plan needs them.
+larger pipeline modules load only when a plan needs them; neither this
+module nor `reasoner` imports the homomorphism engine of `queries`.
 """
 
 from __future__ import annotations
@@ -238,11 +242,14 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
     them: no Horn rule derives a role.  More than `cap` sets on one atom,
     or more than `cap` candidate sets per fact in the queues, raise
     `InputError`; the second bounds the joins of two antichains that are
-    each under the cap.  Past `_FIRST_WINDOW` facts, only the facts that
-    seed an atom take a bit, numbered individual by individual, so that
-    the chains of atoms that one individual's facts derive get narrow
-    windows, and the masks go back to the facts' positions at the end.
-    The facts must be consistent with the TBox.
+    each under the cap.  Only the individuals that `_reached` finds get
+    chains, and sets queued for any other are dropped, so atoms the query
+    atom cannot depend on fill no chain.  Past `_FIRST_WINDOW` facts,
+    only the facts that seed an atom and name such an individual take a
+    bit, numbered individual by individual, so that the chains of atoms
+    that one individual's facts derive get narrow windows, and the masks
+    go back to the facts' positions at the end.  The facts must be
+    consistent with the TBox.
     """
     rows = [program.row(f.predicate, len(f.args)) for f in facts]
     if not program.joins:  # a role atom: no Horn rule derives a role
@@ -252,12 +259,17 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
             for i, (f, row) in enumerate(zip(facts, rows)) if not f.is_concept
             for rid, same in row[2] if rid == 0 and f.args == ((x, y) if same else (y, x))
         })
+    reach = _reached(facts, rows, program.args[0])
     # Bit j stands for facts[positions[j]].  Within the first window the
     # numbering cannot narrow a field, so each fact keeps its position.
     renumbered = len(facts) > _FIRST_WINDOW
     positions = range(len(facts))
     if renumbered:
-        positions = sorted((i for i in positions if any(rows[i])), key=lambda i: facts[i].args)
+        positions = sorted(
+            (i for i in positions
+             if any(rows[i]) and (facts[i].args[0] in reach or facts[i].args[-1] in reach)),
+            key=lambda i: facts[i].args,
+        )
     bits = [0] * len(facts)
     for j, i in enumerate(positions):
         bits[i] = 1 << j
@@ -284,12 +296,13 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
                 partners[x] = [bits[m.bit_length() - 1] for m in found]
     pending: list[list] = [[], seeds] + [[] for _ in range(len(positions) - 1)]
     joins, steps = program.joins, program.steps
-    chains: dict[str, list[_Antichain | None]] = {}  # an individual's chain per concept id
+    # A reached individual's chain per concept id; the others derive nothing.
+    chains: dict[str, list[_Antichain | None]] = {x: [None] * len(joins) for x in reach}
     for queue in pending:
         for a, heads, mask in queue:  # grows while it is read
             slots = chains.get(a)
             if slots is None:
-                slots = chains[a] = [None] * len(joins)
+                continue
             for c in heads:
                 chain = slots[c]
                 if chain is None:
@@ -320,8 +333,8 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
                             pending[union.bit_count()].append((x, head, union))
         queue.clear()
 
-    slots = chains.get(program.args[0])
-    masks = slots[0].masks if slots is not None and slots[0] is not None else []
+    goal = chains[program.args[0]][0]
+    masks = goal.masks if goal is not None else []
     if not renumbered:
         return masks
     spread = []
@@ -333,6 +346,29 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
             mask ^= low
         spread.append(out)
     return spread
+
+
+def _reached(facts: Sequence[Fact], rows: list[tuple], goal: str) -> set[str]:
+    """The individuals whose atoms can take part in deriving an atom of
+    `goal`: those the goal reaches over role facts of the program's steps,
+    each from an individual to the one whose atoms derive its own (b from
+    a when the role's predecessor of b is a).  A rule derives an atom of
+    an individual from atoms of that individual and, through a step, of
+    such a neighbour only, so facts about no individual found here
+    cannot take part in a support of the goal's atoms."""
+    after: dict[str, list[str]] = {}
+    for f, row in zip(facts, rows):
+        if not f.is_concept:
+            a, b = f.args
+            for _, same in row[2]:
+                after.setdefault(a if same else b, []).append(b if same else a)
+    found, frontier = {goal}, [goal]
+    while frontier:
+        for y in after.get(frontier.pop(), ()):
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+    return found
 
 
 def _over_budget(budget: int, facts: Sequence[Fact]) -> InputError:

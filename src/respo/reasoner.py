@@ -7,41 +7,31 @@ exists R.A <= B axioms fired to a fixpoint.  The data keys a basic
 concept by name, exists R by R, and the rule table, built once per
 TBox, keys rules by concept name: firing them builds no `BasicConcept`.
 Consistency and ground-atom entailment read that data, and
-`provenance` fires the same rule table over sets of facts.  For
-DL-Lite_R only, `canonical_slice` builds the canonical model up to a
-depth as a `queries.HomTarget`: (U)CQ entailment asks the homomorphism
-search whether a query maps into it, and `slice_assignments` reads the
-assignments under which a query holds off its homomorphisms.
+`provenance` fires the same rule table over sets of facts.  The
+canonical model of a DL-Lite_R KB and (U)CQ entailment over it live in
+`canonical`, which imports the homomorphism engine of `queries`; this
+module imports neither, so Horn scoring loads neither.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from typing import Iterable
 
 from .model import (
-    ANON,
     CONCEPT_ATOM,
     CONCEPT_INCLUSION,
     ROLE_INCLUSION,
-    ABox,
     Atom,
     BasicConcept,
-    CQ,
     ConjunctionAxiom,
     Fact,
     InconsistentKBError,
     Role,
     TBox,
-    UCQ,
     UnsupportedTBoxError,
     exists,
 )
-from .queries import HomTarget, hom_exists, hom_visit
-
-# A canonical-model element is a word: (root constant, chain of roles).
-Word = tuple[str, tuple[Role, ...]]
 
 # A basic concept in the instance data: a concept name, or R for exists R.
 ConceptKey = str | Role
@@ -393,115 +383,3 @@ def entails_ground_atom(abox: Iterable[Fact], tbox: TBox, atom: Atom) -> bool:
     if atom.kind == CONCEPT_ATOM:
         return atom.predicate in types.get(args[0], ())
     return args in role_pairs.get(atom.predicate, ())
-
-
-# ---------------------------------------------------------------------------
-# Canonical-model slices
-# ---------------------------------------------------------------------------
-
-def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
-    """The canonical model of (abox, tbox) up to words of length `depth`,
-    as a homomorphism target.  The KB must be consistent; callers check
-    that first.
-
-    Elements are words (a, (R1, ..., Rn)).  The named ones, (a, ()), carry
-    the entailed concept and role instance data of the individuals.  The
-    anonymous ones follow the role-chain construction with its two guards:
-    no named witness for the first step, no immediate rollback later.
-    Each element enters `tuples` with its concepts and its edge to its
-    parent as it is built.  `image` sends an individual's name to its
-    named element, and disequalities require distinct elements.
-    """
-    _require_dllite(tbox, "canonical model construction")
-    sat = saturate(tbox)
-    types, role_pairs = _entailed_instance_data(abox, tbox)
-
-    individuals = sorted(abox.individuals)
-    role_names = sorted(tbox.role_names() | {f.predicate for f in abox if not f.is_concept})
-    all_roles = [Role(n, inv) for n in role_names for inv in (False, True)]
-
-    tuples: dict[tuple[str, int], set[tuple[Word, ...]]] = {}
-
-    def add(name: str, *elements: Word):
-        tuples.setdefault((name, len(elements)), set()).add(elements)
-
-    witnessed: dict[str, set[Role]] = {a: set() for a in individuals}
-    for a in individuals:
-        for b in types[a]:
-            if isinstance(b, str):
-                add(b, (a, ()))
-    for name, pairs in role_pairs.items():
-        for (a, b) in pairs:
-            add(name, (a, ()), (b, ()))
-            witnessed[a].add(Role(name))
-            witnessed[b].add(Role(name, inverted=True))
-
-    def successor(parent: Word, r: Role) -> Word:
-        """The anonymous element reached from parent by r, with its
-        concepts and its edges to parent."""
-        w = (parent[0], parent[1] + (r,))
-        for b in sat.concept_sups(exists(r.inverse())):
-            if b.is_name:
-                add(b.concept_name, w)
-        for s in sat.role_sups(r):
-            add(s.name, *((w, parent) if s.inverted else (parent, w)))
-        return w
-
-    frontier = [
-        successor((a, ()), r)
-        for a in individuals
-        for r in all_roles
-        if depth >= 1 and r in types[a] and r not in witnessed[a]
-    ]
-    for _ in range(depth - 1):
-        frontier = [
-            successor(w, r)
-            for w in frontier
-            for r in all_roles
-            if r != w[1][-1].inverse()
-            and sat.entails_concept_inclusion(exists(w[1][-1].inverse()), exists(r))
-        ]
-
-    named = frozenset(individuals)
-    return HomTarget(tuples, lambda name: (name, ()) if name in named else None, operator.ne)
-
-
-def slice_assignments(target: HomTarget, cq: CQ) -> set[tuple]:
-    """The assignments under which cq holds in a canonical slice: for each
-    homomorphism of cq into it, the tuple that gives each variable, in
-    `cq.variables()` order, the constant of its named element, or ANON
-    for an anonymous one.  One search enumerates them all."""
-    variables = cq.variables()
-    found: set[tuple] = set()
-
-    def visit(binding):
-        found.add(tuple(ANON if binding[v][1] else binding[v][0] for v in variables))
-
-    hom_visit(cq, target, visit)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# CQ entailment over slices
-# ---------------------------------------------------------------------------
-
-def query_depth(cq: CQ, tbox: TBox) -> int:
-    """A canonical-model depth at which every match of cq has a copy: one
-    level per generating role, then |vars(q)| + 1.  An anonymous element's
-    subtree and concepts depend only on the role leading to it, so a match
-    whose topmost element lies deeper than the number of generating roles
-    repeats a role on the way down and can be moved up to the first
-    occurrence."""
-    return len(cq.variables()) + 1 + len(saturate(tbox).generating_roles)
-
-
-def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> bool:
-    """(A, T) |= q via a homomorphism of some disjunct into the canonical
-    model truncated at `query_depth`, taking the largest depth over the
-    disjuncts so that one slice serves them all."""
-    if not is_consistent(abox, tbox):
-        raise InconsistentKBError("CQ entailment over an inconsistent KB")
-    if depth is None:
-        depth = max(query_depth(d, tbox) for d in ucq.disjuncts)
-    target = canonical_slice(abox, tbox, depth)
-    return any(hom_exists(d, target) for d in ucq.disjuncts)

@@ -4,7 +4,10 @@ Three pieces live here:
 
   * brute-force enumeration of the inclusion-minimal satisfying subsets
     behind any monotone evaluator, which brute-force scoring and the
-    drastic Shapley value off Horn-extended TBoxes run;
+    drastic Shapley value off Horn-extended TBoxes run; the evaluator of
+    a DL-Lite_R KB with positive inclusions matches the query into its
+    canonical model, and only it imports `canonical`, so partition
+    scoring compiles none of it;
   * the reduct/automorphism partition: per size k, the minimal supports of
     a UCQ split across rigidified reducts (the counting queries), each
     reduct's supports counted as homomorphisms divided by its
@@ -66,7 +69,7 @@ from .queries import (
     unify_terms,
     with_all_pairs_neq,
 )
-from .reasoner import entails_ground_atom, entails_ucq
+from .reasoner import entails_ground_atom
 
 Evaluator = Callable[[frozenset[Fact]], bool]
 
@@ -124,6 +127,7 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
         raise UnsupportedTBoxError(
             "disequality queries are supported over plain databases only"
         )
+    from .canonical import entails_ucq
 
     def kb_eval(facts: frozenset[Fact]) -> bool:
         abox = ABox(tuple(sorted(facts, key=lambda f: f.label)))

@@ -33,6 +33,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
+from respo.canonical import canonical_slice, query_depth, slice_assignments
 from respo.generators import Graph
 from respo.model import (
     ABox,
@@ -62,13 +63,7 @@ from respo.queries import (
     query_target,
     with_all_pairs_neq,
 )
-from respo.reasoner import (
-    _entailed_instance_data,
-    canonical_slice,
-    is_consistent,
-    query_depth,
-    slice_assignments,
-)
+from respo.reasoner import _entailed_instance_data, is_consistent
 from respo.shapley import BRUTE_FORCE_CAP, ScoreReport, histogram_difference
 from respo.sqlgen import SqlManifest
 from respo.support import (

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from respo.canonical import entails_ucq
 from respo.generators import (
     Graph,
     gen_mvc,
@@ -42,7 +43,7 @@ from respo.randgen import (
     random_interaction_free_omq,
     random_ucq,
 )
-from respo.reasoner import entails_ucq, is_consistent
+from respo.reasoner import is_consistent
 from respo.rewriter import rewrite
 from respo.shapley import (
     BRUTE_FORCE_CAP,
@@ -518,24 +519,33 @@ def test_every_fact_counts_the_same_under_partition_and_if_on_100_to_250_facts(w
     """Partition and the interaction-free pipeline share no compile step:
     one rewrites the query, the other walks fact shapes.  So on 30 seeded
     interaction-free OMQs, some with an anonymous role witness, over
-    ABoxes of 100 to 250 facts on 12 constants, every fact's per-size
-    counts agree between them, with no oracle."""
+    ABoxes of 100 to 250 facts on 12 constants, and on 8 more over 200 to
+    300 facts on 24 constants, every fact's per-size counts agree between
+    them, with no oracle."""
     rng = random.Random(2801)
-    seen = {"instances": 0, "witness": 0, "50+ supports": 0, "20+ facts in a support": 0}
-    while seen["instances"] < 30:
-        witness = rng.random() < 0.5
-        omq = witness_omq(rng) if witness else random_interaction_free_omq(rng, max_atoms=3).omq
-        if witness and check_interaction_free(omq) is not None:
-            continue
-        abox = random_abox(rng, max_facts=300, bias=omq.query, tbox=omq.tbox, constants=12)
-        if not 100 <= len(abox) <= 250 or not is_consistent(abox, omq.tbox):
-            continue
-        histogram, counts = Plan(omq, "partition").fact_counts(abox)
-        assert (histogram, counts) == Plan(omq, "if").fact_counts(abox), (omq, list(abox))
-        seen["instances"] += 1
-        seen["witness"] += witness
-        seen["50+ supports"] += histogram.total() >= 50
-        seen["20+ facts in a support"] += sum(1 for c in counts.values() if c) >= 20
+    seen = {"instances": 0, "witness": 0, "50+ supports": 0, "20+ facts in a support": 0,
+            "200+ facts": 0}
+    phases = ((30, 12, 300, 100, 250), (8, 24, 600, 200, 300))  # draws, pool, max_facts, sizes
+    for draws, constants, most, smallest, largest in phases:
+        drawn = 0
+        while drawn < draws:
+            witness = rng.random() < 0.5
+            omq = (witness_omq(rng) if witness
+                   else random_interaction_free_omq(rng, max_atoms=3).omq)
+            if witness and check_interaction_free(omq) is not None:
+                continue
+            abox = random_abox(rng, max_facts=most, bias=omq.query, tbox=omq.tbox,
+                               constants=constants)
+            if not smallest <= len(abox) <= largest or not is_consistent(abox, omq.tbox):
+                continue
+            histogram, counts = Plan(omq, "partition").fact_counts(abox)
+            assert (histogram, counts) == Plan(omq, "if").fact_counts(abox), (omq, list(abox))
+            drawn += 1
+            seen["instances"] += 1
+            seen["witness"] += witness
+            seen["50+ supports"] += histogram.total() >= 50
+            seen["20+ facts in a support"] += sum(1 for c in counts.values() if c) >= 20
+            seen["200+ facts"] += len(abox) >= 200
     assert min(seen.values()) >= 5, seen
 
 

@@ -205,38 +205,81 @@ def test_the_parser_of_one_sub_command_prints_what_the_full_parser_prints(argv):
         assert listed == argv[:1]
 
 
-def test_importing_the_cli_loads_no_interaction_free_pipeline():
-    """`check-if` imports the pipeline when it runs, as the other commands
-    import theirs, so `import respo.cli` does not load it."""
+def loaded_after(code: str) -> tuple[set[str], set[str]]:
+    """The respo modules that `code` loads in a fresh interpreter, and the
+    names of the functions they define, so of all the respo code compiled."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, respo.cli; print('respo.interaction_free' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    probe = code + (
+        "\nimport json, sys\n"
+        "modules = {n: m for n, m in sys.modules.items() if n.startswith('respo')}\n"
+        "defined = {k for n, m in modules.items() for k, v in vars(m).items()\n"
+        "           if callable(v) and getattr(v, '__module__', None) == n}\n"
+        "print(json.dumps([sorted(modules), sorted(defined)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True)
-    assert done.stdout == "False\n"
+    modules, defined = json.loads(done.stdout.splitlines()[-1])
+    return set(modules), set(defined)
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["score", *fixture_args("variant"), "--method", "if"], id="variant-if"),
-    pytest.param(["score", *fixture_args("fig1"), "--method", "provenance"], id="fig1-provenance"),
-    pytest.param(["shapley-drastic", *fixture_args("fig1")], id="fig1-shapley-drastic"),
+def cli_code(argv: list[str]) -> str:
+    """Code that runs `respo.cli.main(argv)` to exit 0 with some output."""
+    return (
+        "import contextlib, io, respo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert respo.cli.main({argv!r}) == 0\n"
+        "assert out.getvalue()\n"
+    )
+
+
+@pytest.mark.parametrize("absent", [
+    pytest.param("respo.interaction_free", id="interaction-free"),
+    pytest.param("cmd_rewrite", id="tool-handlers"),
 ])
-def test_if_and_provenance_scoring_load_no_support_module(argv):
+def test_importing_the_cli_loads_no_interaction_free_pipeline(absent):
+    """`check-if` imports the pipeline when it runs, as the other commands
+    import theirs, and the tool commands' handlers live in `tools`, which
+    loads when one of them runs, so `import respo.cli` compiles neither."""
+    modules, defined = loaded_after("import respo.cli")
+    assert absent not in modules | defined
+
+
+CYCLE_12_SCORE = (
+    "from respo.generators import Graph, gen_mvc\n"
+    "from respo.model import OMQ\n"
+    "from respo.shapley import score_all\n"
+    "vertices = tuple(f'v{i}' for i in range(12))\n"
+    "edges = tuple((vertices[i], vertices[(i + 1) % 12]) for i in range(12))\n"
+    "tbox, abox, query = gen_mvc(Graph(vertices, edges))\n"
+    "assert score_all(abox, OMQ(tbox, query)).method == 'provenance'\n"
+)
+
+
+@pytest.mark.parametrize("code, absent", [
+    pytest.param(cli_code(["score", *fixture_args("variant"), "--method", "if"]),
+                 ("respo.support",), id="variant-if"),
+    pytest.param(cli_code(["score", *fixture_args("fig1"), "--method", "provenance"]),
+                 ("respo.support",), id="fig1-provenance"),
+    pytest.param(cli_code(["shapley-drastic", *fixture_args("fig1")]),
+                 ("respo.support",), id="fig1-shapley-drastic"),
+    pytest.param(cli_code(["score", *fixture_args("variant"), "--method", "partition"]),
+                 ("canonical_slice", "entails_ucq"), id="variant-partition"),
+    pytest.param(CYCLE_12_SCORE,
+                 ("respo.queries", "respo.support", "canonical_slice"), id="cycle12-score-all"),
+])
+def test_if_and_provenance_scoring_load_no_support_module(code, absent):
     """`shapley` imports `support` only in the partition and brute-force
     branches, so `score` under the interaction-free pipeline (the variant)
     or provenance (fig1), and the drastic Shapley value of fig1, whose
-    supports come from provenance, never load it."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    code = (
-        "import contextlib, io, sys, respo.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        f"    assert respo.cli.main({argv!r}) == 0\n"
-        "print('respo.support' in sys.modules, 'respo.shapley' in sys.modules, bool(out.getvalue()))"
-    )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout == "False True True\n"
+    supports come from provenance, never load it.  The canonical model
+    lives in `canonical`, which only the interaction-freeness check and
+    the brute-force evaluator of a DL-Lite_R KB load: partition scoring
+    compiles none of it, and Horn scoring (`score_all` on a 12-cycle)
+    loads neither it nor the homomorphism engine of `queries`."""
+    modules, defined = loaded_after(code)
+    assert "respo.shapley" in modules
+    assert not set(absent) & (modules | defined)
 
 
 @pytest.mark.parametrize("method", ["partition", "if"])

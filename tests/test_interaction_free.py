@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from respo.canonical import query_depth
 from respo.model import (
     ANON,
     ABox,
@@ -27,13 +28,14 @@ from respo.interaction_free import (
     _entries,
     _fact_shapes,
     _satisfying_pairs,
+    _shared_variables,
     check_interaction_free,
     count_ms_interaction_free,
 )
 from respo.model import connected_components
 from respo.queries import elimination_order, weighted_eval
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
-from respo.reasoner import is_consistent, query_depth
+from respo.reasoner import is_consistent
 from respo.shapley import Plan
 from respo.support import enumerate_minimal_supports, make_subset_evaluator
 from respo.textio import parse_abox
@@ -306,12 +308,15 @@ def test_shape_rows_equal_rows_of_the_fact_slice(witness_omq):
         except NotInteractionFreeError:
             continue
         constants = set(plan.cq.constants())
+        singles = tuple(CQ((atom,)) for atom in plan.atoms)
+        depth = max(query_depth(single, omq.tbox) for single in singles)
+        shared = _shared_variables(plan.cq)
         for fact in facts:
             if not is_consistent(ABox((fact,)), omq.tbox):
                 continue
             rows = plan.fact_entries(fact)
-            assert rows == _entries(plan.cq, _satisfying_pairs(omq.tbox, fact, plan.atoms)), (
-                omq, fact)
+            pairs = _satisfying_pairs(omq.tbox, fact, singles, depth)
+            assert rows == _entries(plan.atoms, shared, pairs), (omq, fact)
             args = fact.args
             seen["outside"] += fact.predicate in "Zq"
             if not rows:
@@ -587,8 +592,6 @@ def test_lemma4_shared_variables_stay_named():
     sends a shared variable to an anonymous element: every assignment
     placing one on the anonymous marker must fail."""
     from itertools import product as iproduct
-
-    from respo.interaction_free import _shared_variables
 
     rng = random.Random(43)
     checked = 0

@@ -356,6 +356,30 @@ def test_only_atoms_the_query_depends_on_are_derived():
         assert len(masks) == supports
 
 
+def test_facts_about_individuals_the_query_cannot_reach_take_no_bit(tmp_path, capsys):
+    """W14(g) has one minimal support, X1..X14 about g.  The 28 facts of
+    wide_kb(14), moved onto h, give W14(h) 2^14 supports, past the cap.
+    r(h, g) under exists r.Z1 <= Z1 lets atoms of g derive atoms of h but
+    none the other way, so g does not reach h: h's facts seed no atom and
+    `count-fms` counts the one support."""
+    from respo.cli import main
+
+    tbox, abox = wide_text(14)
+    about_h = "".join("h" + line for line in abox.replace("(g)", "(h)").splitlines(True))
+    about_g = "".join(f"g{i}: X{i}(g)\n" for i in range(1, 15))
+    files = {
+        "t.tbox": tbox + "exists r.Z1 <= Z1\n",
+        "a.abox": about_h + about_g + "hg: r(h, g)\n",
+        "q.query": "W14(g)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = ["count-fms", "--tbox", str(tmp_path / "t.tbox"), "--abox", str(tmp_path / "a.abox"),
+            "--query", str(tmp_path / "q.query")]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ('{"14": 1}\n', "")
+
+
 def test_auto_takes_provenance_for_horn_tboxes_only(fig1, variant):
     (omq, abox), (dllite, _) = fig1, variant
     assert Plan(omq).method == "provenance"

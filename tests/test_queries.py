@@ -7,6 +7,7 @@ import random
 from itertools import product
 
 from respo import queries
+from respo.canonical import canonical_slice, entails_ucq, query_depth
 from respo.model import (
     ANON,
     CQ,
@@ -27,7 +28,6 @@ from respo.queries import (
     with_all_pairs_neq,
 )
 from respo.randgen import random_consistent_kb
-from respo.reasoner import canonical_slice, entails_ucq, query_depth
 from respo.support import FactDB
 
 from oracles import (

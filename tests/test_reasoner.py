@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from respo.canonical import canonical_slice, entails_ucq, query_depth
 from respo.model import (
     ABox,
     ANON,
@@ -32,14 +33,7 @@ from respo.randgen import (
     random_cq,
     random_dllite_tbox,
 )
-from respo.reasoner import (
-    canonical_slice,
-    entails_ground_atom,
-    entails_ucq,
-    is_consistent,
-    query_depth,
-    saturate,
-)
+from respo.reasoner import entails_ground_atom, is_consistent, saturate
 from respo.textio import parse_abox, parse_tbox
 
 from oracles import entails_exists, holds_under_assignment

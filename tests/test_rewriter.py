@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from respo.canonical import entails_ucq
 from respo.model import (
     ABox,
     Axiom,
@@ -23,7 +24,6 @@ from respo.model import (
 )
 from respo.queries import canonicalize
 from respo.randgen import random_cq, random_consistent_kb
-from respo.reasoner import entails_ucq
 from respo.rewriter import rewrite
 from respo.support import ucq_holds
 from respo.textio import parse_tbox
