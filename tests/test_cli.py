@@ -207,7 +207,8 @@ def test_the_parser_of_one_sub_command_prints_what_the_full_parser_prints(argv):
 
 def loaded_after(code: str) -> tuple[set[str], set[str]]:
     """The respo modules that `code` loads in a fresh interpreter, and the
-    names of the functions they define, so of all the respo code compiled."""
+    names of the functions those modules define: every respo function
+    that was compiled."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     probe = code + (
