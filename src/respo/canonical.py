@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import operator
 
-from .model import ANON, ABox, CQ, InconsistentKBError, Role, TBox, UCQ, exists
+from .model import ANON, ABox, CQ, InconsistentKBError, Role, TBox, UCQ, UnsupportedTBoxError
 from .queries import HomTarget, hom_exists, hom_visit
-from .reasoner import _entailed_instance_data, _require_dllite, is_consistent, saturate
+from .reasoner import entailed_instance_data, is_consistent, saturate
 
 # A canonical-model element is a word: (root constant, chain of roles).
 Word = tuple[str, tuple[Role, ...]]
@@ -36,9 +36,10 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
     parent as it is built.  `image` sends an individual's name to its
     named element, and disequalities require distinct elements.
     """
-    _require_dllite(tbox, "canonical model construction")
+    if tbox.horn_extended:
+        raise UnsupportedTBoxError("canonical model construction requires a pure DL-Lite_R TBox")
     sat = saturate(tbox)
-    types, role_pairs = _entailed_instance_data(abox, tbox)
+    types, role_pairs = entailed_instance_data(abox, tbox)
 
     individuals = sorted(abox.individuals)
     role_names = sorted(tbox.role_names() | {f.predicate for f in abox if not f.is_concept})
@@ -64,9 +65,9 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
         """The anonymous element reached from parent by r, with its
         concepts and its edges to parent."""
         w = (parent[0], parent[1] + (r,))
-        for b in sat.concept_sups(exists(r.inverse())):
-            if b.is_name:
-                add(b.concept_name, w)
+        for b in sat.concept_sups(r.inverse()):
+            if isinstance(b, str):
+                add(b, w)
         for s in sat.role_sups(r):
             add(s.name, *((w, parent) if s.inverted else (parent, w)))
         return w
@@ -83,7 +84,7 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
             for w in frontier
             for r in all_roles
             if r != w[1][-1].inverse()
-            and sat.entails_concept_inclusion(exists(w[1][-1].inverse()), exists(r))
+            and r in sat.concept_sups(w[1][-1].inverse())
         ]
 
     named = frozenset(individuals)
@@ -119,13 +120,12 @@ def query_depth(cq: CQ, tbox: TBox) -> int:
     return len(cq.variables()) + 1 + len(saturate(tbox).generating_roles)
 
 
-def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ, depth: int | None = None) -> bool:
+def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ) -> bool:
     """(A, T) |= q via a homomorphism of some disjunct into the canonical
     model truncated at `query_depth`, taking the largest depth over the
     disjuncts so that one slice serves them all."""
     if not is_consistent(abox, tbox):
         raise InconsistentKBError("CQ entailment over an inconsistent KB")
-    if depth is None:
-        depth = max(query_depth(d, tbox) for d in ucq.disjuncts)
+    depth = max(query_depth(d, tbox) for d in ucq.disjuncts)
     target = canonical_slice(abox, tbox, depth)
     return any(hom_exists(d, target) for d in ucq.disjuncts)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .model import (
@@ -46,16 +45,11 @@ from .model import (
     RespoError,
     SupportHistogram,
     UnsupportedTBoxError,
-    read_text,
 )
 from .textio import (
-    _CONSTTOK,
     ParseError,
-    check_signature_consistency,
-    instantiate_query,
-    parse_abox,
-    parse_query,
-    parse_tbox,
+    at_least,
+    load_inputs,
     render_scores_json,
     render_scores_table,
 )
@@ -65,44 +59,6 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_INCONSISTENT = 3
 EXIT_UNSUPPORTED = 4
-
-
-def _load_inputs(args, need_abox: bool = False) -> tuple[OMQ, ABox]:
-    if need_abox and not args.abox:
-        raise InputError(f"{args.command} needs --abox")
-    tbox = parse_tbox(read_text(args.tbox)) if args.tbox else None
-    abox = parse_abox(read_text(args.abox)) if args.abox else None
-    query = parse_query(read_text(args.query)) if args.query else None
-    check_signature_consistency(tbox, abox, query)
-    if query is not None and getattr(args, "answer", None):
-        variables = {v for d in query.disjuncts for v in d.variables()}
-        bindings = {}
-        for item in args.answer:
-            if "=" not in item:
-                raise InputError(f"--answer expects var=const, got {item!r}")
-            name, value = item.split("=", 1)
-            name = name.lstrip("?")
-            if name not in variables:
-                raise InputError(f"--answer names ?{name}, which the query does not use")
-            if name in bindings:
-                raise InputError(f"--answer binds ?{name} twice")
-            if not re.fullmatch(_CONSTTOK, value):
-                raise InputError(f"--answer value {value!r} for ?{name} is not a constant")
-            bindings[name] = value
-        query = instantiate_query(query, bindings)
-    if abox is not None and getattr(args, "fact", None):
-        if args.fact not in {f.label for f in abox}:
-            raise InputError(f"unknown fact label {args.fact!r}")
-    from .model import TBox
-
-    omq = OMQ(tbox if tbox is not None else TBox(), query) if query is not None else None
-    return omq, abox
-
-
-def _at_least(args, name: str, least: int):
-    value = getattr(args, name)
-    if value is not None and value < least:
-        raise InputError(f"--{name} must be at least {least}, got {value}")
 
 
 def _write_scores(args, scores) -> int:
@@ -118,7 +74,7 @@ def _write_scores(args, scores) -> int:
 def cmd_score(args) -> int:
     from .shapley import resolve_weight, score_all
 
-    omq, abox = _load_inputs(args, need_abox=True)
+    omq, abox = load_inputs(args, need_abox=True)
     weight = resolve_weight(args.weight)
     return _write_scores(args, score_all(abox, omq, weight, method=args.method).scores)
 
@@ -126,8 +82,8 @@ def cmd_score(args) -> int:
 def cmd_shapley_drastic(args) -> int:
     from .shapley import drastic_scores
 
-    _at_least(args, "cap", 0)
-    omq, abox = _load_inputs(args, need_abox=True)
+    at_least(args, "cap", 0)
+    omq, abox = load_inputs(args, need_abox=True)
     return _write_scores(args, drastic_scores(abox, omq, args.cap))
 
 
@@ -141,15 +97,15 @@ def _histogram(args, omq: OMQ, abox: ABox) -> SupportHistogram:
 
 
 def cmd_count_ms(args) -> int:
-    omq, abox = _load_inputs(args, need_abox=True)
+    omq, abox = load_inputs(args, need_abox=True)
     hist = _histogram(args, omq, abox)
     print(hist.total())
     return EXIT_OK
 
 
 def cmd_count_fms(args) -> int:
-    _at_least(args, "size", 1)
-    omq, abox = _load_inputs(args, need_abox=True)
+    at_least(args, "size", 1)
+    omq, abox = load_inputs(args, need_abox=True)
     hist = _histogram(args, omq, abox)
     if args.size is not None:
         print(hist[args.size])

@@ -1,6 +1,6 @@
 """Core vocabulary: terms, roles, axioms, facts, queries and the small
-value types (rationals, histograms, weighted databases) shared by every
-other module, with the errors and the UTF-8 reading of input files.
+value types (rationals, support histograms, weight functions) shared by
+every other module, with the errors and the UTF-8 reading of input files.
 Everything here is immutable and safe to share.
 
 The value classes of every respo module are built by `value_class`, a
@@ -565,16 +565,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_approx(value: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal rendering for display; scores themselves stay exact."""
+def decimal_approx(value: Fraction) -> str:
+    """Fixed-point decimal rendering to 6 places, rounded half up, for
+    display; scores themselves stay exact."""
     sign = "-" if value < 0 else ""
     value = abs(value)
-    scaled = value.numerator * 10**places
-    whole, rem = divmod(scaled, value.denominator)
+    whole, rem = divmod(value.numerator * 10**6, value.denominator)
     if 2 * rem >= value.denominator:
         whole += 1
-    digits = str(whole).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(whole).rjust(7, "0")
+    return f"{sign}{digits[:-6]}.{digits[-6:]}"
 
 
 # ---------------------------------------------------------------------------

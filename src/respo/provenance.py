@@ -44,7 +44,7 @@ from .model import (
     UnsupportedTBoxError,
     as_ucq,
 )
-from .reasoner import _closure
+from .reasoner import saturate
 
 # Each fact's non-zero per-size counts of the minimal supports containing it.
 FactCounts = dict[Fact, dict[int, int]]
@@ -92,7 +92,7 @@ class HornProgram:
     __slots__ = ("joins", "steps", "args", "_sat", "_ids", "_roles", "_rows")
 
     def __init__(self, tbox: TBox, atom: Atom):
-        self._sat = sat = _closure(tbox)
+        self._sat = sat = saturate(tbox)
         rules, _ = sat.horn_rules
         derived_by: dict[str, list[str]] = {}  # a head -> the bodies of its rules
         for body, fired in rules.items():
@@ -231,7 +231,7 @@ def minimal_why_provenance(facts: Sequence[Fact], program: HornProgram, cap: int
     program's TBox entails its ground atom, each as a bit mask (bit i for
     facts[i]).
 
-    The worklist of `reasoner._entailed_instance_data` in the PosBool
+    The worklist of `reasoner.entailed_instance_data` in the PosBool
     semiring: each fact seeds {f} on every atom its `HornProgram.row`
     names, a Horn rule queues the union of a new set of its body with
     each set of the other conjunct's antichain or each predecessor's

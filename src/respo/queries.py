@@ -147,28 +147,21 @@ def _render_atom(atom: Atom, rename: dict[str, int]):
     return (atom.kind, atom.predicate or "", tuple(parts))
 
 
-def canonicalize(cq: CQ) -> tuple[tuple, CQ]:
-    """The canonical form of cq, a renaming-invariant key, and cq with
-    canonical variable names v0, v1, ..., from one search.
+def canonicalize(cq: CQ) -> tuple[tuple, CQ, int]:
+    """The canonical form of cq, a renaming-invariant key; cq with
+    canonical variable names v0, v1, ...; and the number of variable
+    orderings that attain the key, all from one search.
 
     Two CQs have equal canonical forms iff they are identical up to
     variable renaming and the orientation of disequalities.  Intended for
     the small queries handled by the reduct/rewriting machinery.
-    """
-    key, renamed, _ = canonicalize_counted(cq)
-    return key, renamed
 
-
-def canonicalize_counted(cq: CQ) -> tuple[tuple, CQ, int]:
-    """`canonicalize`, and the number of variable orderings that attain
-    the canonical key, from the same search.
-
-    Two such orderings differ by a permutation of the variables that maps
-    cq's atoms onto themselves, and every such permutation preserves the
-    variables' signatures, so the number is the count of those
-    permutations.  On a rigid query (`with_all_pairs_neq`) every
-    homomorphism into itself is such a permutation, so the number is its
-    automorphism count.
+    Two orderings that attain the key differ by a permutation of the
+    variables that maps cq's atoms onto themselves, and every such
+    permutation preserves the variables' signatures, so the number is
+    the count of those permutations.  On a rigid query
+    (`with_all_pairs_neq`) every homomorphism into itself is such a
+    permutation, so the number is its automorphism count.
     """
     key, order, ties = _canonical(cq)
     if not order:

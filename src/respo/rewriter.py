@@ -20,7 +20,6 @@ from itertools import combinations
 
 from .model import (
     Atom,
-    BasicConcept,
     CONCEPT_ATOM,
     CQ,
     OMQ,
@@ -41,7 +40,7 @@ from .queries import (
     substitute,
     unify_terms,
 )
-from .reasoner import saturate
+from .reasoner import ConceptKey, saturate
 
 
 class RewritingDivergedError(RespoError):
@@ -49,15 +48,15 @@ class RewritingDivergedError(RespoError):
     DL-Lite_R inputs)."""
 
 
-def _atomize(b: BasicConcept, anchor: Term, taken: set[str]) -> Atom:
-    """B as an atom at the anchor term; exists-roles get a fresh witness."""
-    if b.is_name:
-        return concept_atom(b.concept_name, anchor)
+def _atomize(key: ConceptKey, anchor: Term, taken: set[str]) -> Atom:
+    """The basic concept keyed `key` as an atom at the anchor term;
+    exists R gets a fresh witness."""
+    if isinstance(key, str):
+        return concept_atom(key, anchor)
     w = var(fresh_var(taken))
-    r = b.role
-    if r.inverted:
-        return role_atom(r.name, w, anchor)
-    return role_atom(r.name, anchor, w)
+    if key.inverted:
+        return role_atom(key.name, w, anchor)
+    return role_atom(key.name, anchor, w)
 
 
 def _unshared_positions(cq: CQ, atom: Atom) -> list[int]:
@@ -86,7 +85,7 @@ def _applications(cq: CQ, sat) -> list[CQ]:
 
     for atom in cq.relational_atoms():
         if atom.kind == CONCEPT_ATOM:
-            target = BasicConcept(concept_name=atom.predicate)
+            target = atom.predicate
             for sub, sups in sat.concept_subs.items():
                 if target in sups and sub != target:
                     results.append(replaced(atom, _atomize(sub, atom.terms[0], taken)))
@@ -111,9 +110,8 @@ def _applications(cq: CQ, sat) -> list[CQ]:
         for pos in _unshared_positions(cq, atom):
             anchor = atom.terms[1 - pos]
             exists_role = Role(atom.predicate, inverted=(pos == 0))
-            exists_concept = BasicConcept(role=exists_role)
             for sub, sups in sat.concept_subs.items():
-                if exists_concept in sups and sub != exists_concept:
+                if exists_role in sups and sub != exists_role:
                     results.append(replaced(atom, _atomize(sub, anchor, taken)))
     return results
 
@@ -161,7 +159,7 @@ def rewrite(omq: OMQ) -> UCQ:
     seen: dict[tuple, CQ] = {}
     frontier: list[CQ] = []
     for d in omq.query.disjuncts:
-        key, c = canonicalize(d)
+        key, c, _ = canonicalize(d)
         if key not in seen:
             seen[key] = c
             frontier.append(c)
@@ -176,7 +174,7 @@ def rewrite(omq: OMQ) -> UCQ:
         new_frontier: list[CQ] = []
         for cq in frontier:
             for q in _applications(cq, sat) + _unifications(cq):
-                key, q = canonicalize(q)
+                key, q, _ = canonicalize(q)
                 if key not in seen:
                     seen[key] = q
                     new_frontier.append(q)

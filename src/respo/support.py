@@ -58,7 +58,6 @@ from .queries import (
     Table,
     UnsatisfiableQuery,
     canonicalize,
-    canonicalize_counted,
     elimination_order,
     hom_exists,
     hom_visit,
@@ -253,7 +252,7 @@ def _quotients(
         finest = [(tuple(map(var, names)), 1)]
         for images, _ in finest if i in whole else _labelled_partitions(names, consts):
             try:
-                key, cq, ties = canonicalize_counted(
+                key, cq, ties = canonicalize(
                     substitute(disjunct, dict(zip(names, images)))
                 )
             except UnsatisfiableQuery:
@@ -301,7 +300,7 @@ def _minimal_classes(
             continue
         ties = q.ties
         if q.cq.neq_atoms():
-            key, _, ties = canonicalize_counted(CQ(q.cq.relational_atoms()))
+            key, _, ties = canonicalize(CQ(q.cq.relational_atoms()))
         if key not in classes:
             classes[key] = _Class(q, with_all_pairs_neq(q.cq, pins), ties)
     largest = max_relational_size(ucq)
@@ -368,12 +367,12 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
 
     gamma comes from the canonical search of the rigid form: the variable
     orderings that attain its canonical key number |Auto| (see
-    `queries.canonicalize_counted`); the tests check it against an
+    `queries.canonicalize`); the tests check it against an
     automorphism count by search.
     """
     out = {}
     for k, classes in _minimal_classes(as_ucq(ucq), ())[2].items():
-        forms = sorted((canonicalize_counted(cls.rigid) for cls in classes), key=lambda f: f[0])
+        forms = sorted((canonicalize(cls.rigid) for cls in classes), key=lambda f: f[0])
         out[k] = tuple(CountingQuery(cq=aug, gamma=Fraction(1, n)) for _, aug, n in forms)
     return out
 
@@ -449,7 +448,7 @@ def homomorphism_basis(ucq: CQ | UCQ) -> dict[int, tuple[BasisTerm, ...]]:
                     mapping = unify_terms(atom.terms for atom in merged)
                     if mapping is not None:
                         merged_cq = substitute(CQ(q.relational_atoms()), mapping)
-                        plain_key, plain_cq = canonicalize(merged_cq) if neqs else (key, q)
+                        plain_key, plain_cq = canonicalize(merged_cq)[:2] if neqs else (key, q)
                         plain_cqs[plain_key] = plain_cq
                         plain[plain_key] = plain.get(plain_key, 0) + c * (-1) ** n
         out[k] = tuple(BasisTerm(plain_cqs[key], c) for key, c in sorted(plain.items()) if c)

@@ -1,4 +1,5 @@
-"""Parsing and serialization of TBox, ABox, query, and result files.
+"""Parsing and serialization of TBox, ABox, query, and result files, and
+the loading of a command's input files (`load_inputs`).
 
 TBox grammar (one axiom per line, '#' comments, blank lines skipped):
 
@@ -29,6 +30,7 @@ from .model import (
     ConjunctionAxiom,
     Fact,
     InputError,
+    OMQ,
     QualifiedExistsAxiom,
     ROLE_INCLUSION,
     RespoError,
@@ -44,6 +46,7 @@ from .model import (
     exists,
     format_rational,
     neq_atom,
+    read_text,
     role_atom,
     var,
 )
@@ -364,6 +367,46 @@ def instantiate_query(ucq: UCQ, bindings: dict[str, str]) -> UCQ:
     if not kept:
         raise InputError(f"the answer binding makes the query false: {collapsed}")
     return UCQ(tuple(kept))
+
+
+def load_inputs(args, need_abox: bool = False) -> tuple[OMQ | None, ABox | None]:
+    """The OMQ and the ABox that a command's --tbox, --abox, --query,
+    --answer and --fact options name, read, parsed and checked against
+    each other."""
+    if need_abox and not args.abox:
+        raise InputError(f"{args.command} needs --abox")
+    tbox = parse_tbox(read_text(args.tbox)) if args.tbox else None
+    abox = parse_abox(read_text(args.abox)) if args.abox else None
+    query = parse_query(read_text(args.query)) if args.query else None
+    check_signature_consistency(tbox, abox, query)
+    if query is not None and getattr(args, "answer", None):
+        variables = {v for d in query.disjuncts for v in d.variables()}
+        bindings = {}
+        for item in args.answer:
+            if "=" not in item:
+                raise InputError(f"--answer expects var=const, got {item!r}")
+            name, value = item.split("=", 1)
+            name = name.lstrip("?")
+            if name not in variables:
+                raise InputError(f"--answer names ?{name}, which the query does not use")
+            if name in bindings:
+                raise InputError(f"--answer binds ?{name} twice")
+            if not re.fullmatch(_CONSTTOK, value):
+                raise InputError(f"--answer value {value!r} for ?{name} is not a constant")
+            bindings[name] = value
+        query = instantiate_query(query, bindings)
+    if abox is not None and getattr(args, "fact", None):
+        if args.fact not in {f.label for f in abox}:
+            raise InputError(f"unknown fact label {args.fact!r}")
+    omq = OMQ(tbox if tbox is not None else TBox(), query) if query is not None else None
+    return omq, abox
+
+
+def at_least(args, name: str, least: int):
+    """Reject an option --name set below `least`."""
+    value = getattr(args, name)
+    if value is not None and value < least:
+        raise InputError(f"--{name} must be at least {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------

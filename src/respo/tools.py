@@ -1,10 +1,13 @@
 """The tool commands of the command line: `rewrite`, `check-if`,
 `emit-sql`, `gen` and `verify`.
 
-`cli` parses their options, loads their inputs and maps their errors to
-exit codes; it imports this module only when one of them runs, so that
-importing `cli` and a scoring or counting command compile none of it.
-Each handler imports the pipeline it runs when it runs.
+`cli` parses their options and maps their errors to exit codes; it
+imports this module only when one of them runs, so that importing `cli`
+and a scoring or counting command compile none of it.  This module
+imports nothing from `cli`: the inputs load through `textio`, and each
+handler returns the exit code of its outcome, 0 on success and 1 for a
+failed property (`verify`), as `cli` documents them.  Each handler
+imports the pipeline it runs when it runs.
 """
 
 from __future__ import annotations
@@ -13,29 +16,28 @@ import random
 import sys
 from pathlib import Path
 
-from .cli import EXIT_OK, EXIT_PROPERTY_FAILURE, _at_least, _load_inputs
 from .model import ABox, InputError, OMQ, RespoError, TBox, UCQ, read_text
-from .textio import render_abox, render_query, render_tbox
+from .textio import at_least, load_inputs, render_abox, render_query, render_tbox
 
 
 def cmd_rewrite(args) -> int:
     from .rewriter import rewrite
 
-    omq, _ = _load_inputs(args)
+    omq, _ = load_inputs(args)
     sys.stdout.write(render_query(rewrite(omq)))
-    return EXIT_OK
+    return 0
 
 
 def cmd_check_if(args) -> int:
     from .interaction_free import check_interaction_free
 
-    omq, _ = _load_inputs(args)
+    omq, _ = load_inputs(args)
     witness = check_interaction_free(omq)
     if witness is None:
         print("ok")
     else:
         print(f"witness: {witness}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_emit_sql(args) -> int:
@@ -43,8 +45,8 @@ def cmd_emit_sql(args) -> int:
     from .sqlgen import build_manifest
     from .support import counting_queries
 
-    _at_least(args, "size", 1)
-    omq, abox = _load_inputs(args, need_abox=True)
+    at_least(args, "size", 1)
+    omq, abox = load_inputs(args, need_abox=True)
     rewriting = rewrite(omq) if omq.tbox.axioms else omq.query
     queries = {k: qs for k, qs in counting_queries(rewriting).items() if args.size in (None, k)}
     manifest = build_manifest(rewriting, queries, abox)
@@ -54,7 +56,7 @@ def cmd_emit_sql(args) -> int:
     (out / "load.sql").write_text(manifest.loader_sql, encoding="utf-8")
     (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     print(f"wrote {len(manifest.entries)} queries to {out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -91,7 +93,7 @@ def cmd_gen(args) -> int:
     for name, text in files.items():
         (out / name).write_text(text, encoding="utf-8")
     print(f"wrote {'matching' if args.kind == 'pm' else args.kind} instance to {out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -107,7 +109,7 @@ def cmd_verify(args) -> int:
     disequalities, and two monotone properties of fact sets agree on
     every subset iff they have the same minimal supports, whose counts
     the suite compares."""
-    _at_least(args, "instances", 1)
+    at_least(args, "instances", 1)
     from .randgen import (
         random_abox,
         random_consistent_kb,
@@ -170,4 +172,4 @@ def cmd_verify(args) -> int:
         print(f"{name}: {count - failed}/{count} ok")
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
-    return EXIT_PROPERTY_FAILURE if failures else EXIT_OK
+    return 1 if failures else 0

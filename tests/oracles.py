@@ -57,13 +57,13 @@ from respo.model import (
 from respo.provenance import FactCounts
 from respo.queries import (
     HomTarget,
-    canonicalize_counted,
+    canonicalize,
     hom_visit,
     max_relational_size,
     query_target,
     with_all_pairs_neq,
 )
-from respo.reasoner import _entailed_instance_data, is_consistent
+from respo.reasoner import entailed_instance_data, is_consistent
 from respo.shapley import BRUTE_FORCE_CAP, ScoreReport, histogram_difference
 from respo.sqlgen import SqlManifest
 from respo.support import (
@@ -195,7 +195,7 @@ def counting_queries(ucq: CQ | UCQ) -> dict[int, tuple[CountingQuery, ...]]:
     for k, found in rigid_reducts(as_ucq(ucq)).items():
         rigid: dict[tuple, CountingQuery] = {}
         for _, form in found:
-            key, aug, automorphisms = canonicalize_counted(form)
+            key, aug, automorphisms = canonicalize(form)
             rigid.setdefault(key, CountingQuery(cq=aug, gamma=Fraction(1, automorphisms)))
         out[k] = tuple(rigid[key] for key in sorted(rigid))
     return out
@@ -437,7 +437,7 @@ def holds_under_assignment(
 
 def entails_exists(abox: Iterable[Fact], tbox: TBox, role: Role, individual: str) -> bool:
     """(A, T) |= exists R(a)."""
-    types, _ = _entailed_instance_data(abox, tbox)
+    types, _ = entailed_instance_data(abox, tbox)
     return role in types.get(individual, ())
 
 

@@ -246,6 +246,21 @@ def test_importing_the_cli_loads_no_interaction_free_pipeline(absent):
     assert absent not in modules | defined
 
 
+def test_a_tool_command_run_as_a_module_imports_the_cli_once():
+    """`python -m respo.cli <tool>` runs `cli` as `__main__`, and `tools`
+    imports nothing from `cli`, so the run never imports `respo.cli`,
+    which would compile it a second time."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["rewrite", *fixture_args("variant")]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "respo.cli", *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert done.stdout and "respo.tools" in imported
+    assert "respo.cli" not in imported
+
+
 CYCLE_12_SCORE = (
     "from respo.generators import Graph, gen_mvc\n"
     "from respo.model import OMQ\n"

@@ -9,6 +9,9 @@ implementations that only the tests call belong in `tests/oracles.py`.
 Every defaulted parameter of a package function or method must be
 passed by some call in `src` or `tests`, by keyword or by position: an
 option that no caller sets is a branch that nothing runs.
+
+No module of the package imports another module's `_private` name: a
+name that another module needs is public in the module that defines it.
 """
 
 import ast
@@ -127,6 +130,27 @@ def unpassed_defaults(package: Path = PACKAGE, callers: tuple[Path, ...] = (TEST
     return out
 
 
+def private_imports(package: Path = PACKAGE) -> list[str]:
+    """`importer: module.name` for each `_private` name that a module of
+    the package imports from another of its modules, at any depth of its
+    code; imports from outside the package do not count."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and not module.startswith(f"{package.name}."):
+                continue
+            module = module.rsplit(".", 1)[-1]
+            out.extend(
+                f"{path.stem}: {module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            )
+    return out
+
+
 def test_every_top_level_name_is_referenced_by_the_package():
     assert [name for name in unreferenced() if name not in ALLOWED] == []
 
@@ -169,3 +193,24 @@ def test_the_knob_guard_sees_calls_that_pass_the_parameter(tmp_path):
     assert unpassed_defaults(package, (callers,)) == ["a.f(unset)", "a.C.m(w)"]
     assert unpassed_defaults(package, ()) == [
         "a.f(knob)", "a.f(flag)", "a.f(unset)", "a.C(y)", "a.C.m(z)", "a.C.m(w)"]
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert [name for name in private_imports() if name not in ALLOWED] == []
+
+
+def test_the_private_import_guard_sees_package_imports_only(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "def _helper():\n    pass\n\ndef public():\n    pass\n", encoding="utf-8"
+    )
+    (package / "b.py").write_text(
+        '"""from .a import _helper in a docstring imports nothing."""\n'
+        "from __future__ import annotations\n"
+        "from functools import _lru_cache_wrapper\n"
+        "from .a import __doc__, _helper, public\n\n"
+        "def later():\n    from pkg.a import _helper as h\n    return h\n",
+        encoding="utf-8",
+    )
+    assert private_imports(package) == ["b: a._helper", "b: a._helper"]

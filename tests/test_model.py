@@ -188,8 +188,10 @@ def test_rational_round_trip():
 def test_decimal_approx():
     assert decimal_approx(Fraction(1, 2)) == "0.500000"
     assert decimal_approx(Fraction(17, 70)) == "0.242857"
-    assert decimal_approx(Fraction(-1, 3), places=3) == "-0.333"
-    assert decimal_approx(Fraction(2, 3), places=3) == "0.667"
+    assert decimal_approx(Fraction(-1, 3)) == "-0.333333"
+    assert decimal_approx(Fraction(2, 3)) == "0.666667"
+    assert decimal_approx(Fraction(-1, 2_000_000)) == "-0.000001"
+    assert decimal_approx(Fraction(3)) == "3.000000"
 
 
 def test_histogram_drops_zeroes_and_totals():
@@ -335,7 +337,7 @@ def test_weight_functions_compare_by_name_and_caches_are_per_instance():
 
     first, second = saturate(TBox()), saturate(TBox())
     assert first._rows == {} and first._rows is not second._rows
-    assert first._keyed_subs == {} and first._keyed_subs is not second._keyed_subs
+    assert first.horn_rules == ({}, frozenset()) and "horn_rules" not in vars(second)
     first._rows["A"] = ("cached",)
     assert second._rows == {} and "_rows" not in repr(first)
     with pytest.raises(TypeError):

@@ -40,7 +40,7 @@ from respo.provenance import (
     tally_masks,
 )
 from respo.randgen import CONCEPT_NAMES, ROLE_NAMES, random_consistent_kb, random_horn_kb
-from respo.reasoner import SaturatedTBox, _closure, is_consistent
+from respo.reasoner import SaturatedTBox, is_consistent, saturate
 from respo.shapley import Plan, score_all
 from respo.support import MinimalSupport
 from respo.textio import parse_abox, parse_query, parse_tbox
@@ -575,7 +575,7 @@ def test_the_goal_closure_visits_each_rule_at_most_twice(n):
             return super().__iter__()
 
     abox, omq = cycle_kb(n)
-    sat = _closure(omq.tbox)
+    sat = saturate(omq.tbox)
     rules, bodies = sat.horn_rules
     watched = {}
     for body, fired in rules.items():

@@ -7,11 +7,13 @@ from respo.model import (
     ABox,
     ANON,
     Axiom,
+    BasicConcept,
     CONCEPT_INCLUSION,
     CQ,
     ConjunctionAxiom,
     Fact,
     InconsistentKBError,
+    OMQ,
     ROLE_INCLUSION,
     Role,
     TBox,
@@ -33,7 +35,9 @@ from respo.randgen import (
     random_cq,
     random_dllite_tbox,
 )
+from respo.queries import hom_exists
 from respo.reasoner import entails_ground_atom, is_consistent, saturate
+from respo.rewriter import rewrite
 from respo.textio import parse_abox, parse_tbox
 
 from oracles import entails_exists, holds_under_assignment
@@ -48,7 +52,7 @@ def test_saturate_transitivity():
         Axiom(CONCEPT_INCLUSION, concept("A"), concept("B")),
         Axiom(CONCEPT_INCLUSION, concept("B"), concept("C")),
     )
-    assert saturate(t).entails_concept_inclusion(concept("A"), concept("C"))
+    assert saturate(t).concept_sups("A") == {"A", "B", "C"}
 
 
 def test_saturate_role_lifting():
@@ -57,19 +61,52 @@ def test_saturate_role_lifting():
         Axiom(CONCEPT_INCLUSION, exists(Role("s")), concept("C")),
     )
     sat = saturate(t)
-    assert sat.entails_concept_inclusion(exists(Role("r")), concept("C"))
+    assert sat.concept_sups(Role("r")) == {Role("r"), Role("s"), "C"}
+    assert sat.concept_sups(Role("r", True)) == {Role("r", True), Role("s", True)}
     assert Role("s", True) in sat.role_sups(Role("r", True))
 
 
 def test_saturate_reflexive_on_empty():
     sat = saturate(TBox())
-    assert sat.entails_concept_inclusion(concept("X"), concept("X"))
+    assert sat.concept_sups("X") == {"X"}
+    assert sat.concept_sups(Role("r")) == {Role("r")}
 
 
-def test_saturate_refuses_horn():
-    horn = parse_tbox("A & B <= C\n")
-    with pytest.raises(UnsupportedTBoxError):
-        saturate(horn)
+def test_saturate_builds_no_basic_concept(monkeypatch):
+    """The closure holds every basic concept by its key, so saturating a
+    TBox with role inclusions, existentials and negative inclusions, and
+    reading its generating roles and fact rows, builds no `BasicConcept`."""
+    tbox = parse_tbox(
+        "A <= exists r\nexists r- <= B\nrole: r <= s-\nB <= !C\n"
+        "exists s <= !D\nrole: s <= !t\n"
+    )
+    built = []
+    init = BasicConcept.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasicConcept, "__init__", counted)
+    sat = saturate(tbox)
+    assert sat.generating_roles == {Role("r"), Role("s", True), Role("s")}
+    assert sat.fact_row("A", 1) == {"A", Role("r"), Role("s", True)}
+    assert sat.fact_row("r", 2)[1] == {Role("r", True), Role("s"), "B"}
+    assert ("B", "C") in sat.disjoint_concepts
+    assert built == []
+
+
+def test_rewrite_and_the_canonical_model_refuse_horn():
+    """`saturate` takes a Horn-extended TBox, whose closure leaves its
+    Horn axioms out; the rewriting and the canonical model refuse it."""
+    horn = parse_tbox("A <= B\nA & B <= C\n")
+    assert saturate(horn).concept_sups("A") == {"A", "B"}
+    with pytest.raises(UnsupportedTBoxError, match="^Horn-extended TBoxes admit no finite UCQ"):
+        rewrite(OMQ(horn, CQ((concept_atom("C", const("c")),))))
+    with pytest.raises(
+        UnsupportedTBoxError, match="^canonical model construction requires a pure DL-Lite_R TBox$"
+    ):
+        canonical_slice(parse_abox("A(c)\n"), horn, 1)
 
 
 def test_consistency_examples():
@@ -279,7 +316,7 @@ def test_depth_sufficiency():
         tbox, abox = random_consistent_kb(rng, max_axioms=4, max_facts=5, bias=as_ucq(cq))
         shallow = entails_ucq(abox, tbox, UCQ((cq,)))
         depth = query_depth(cq, tbox) + len(cq.variables()) + 1
-        deep = entails_ucq(abox, tbox, UCQ((cq,)), depth=depth)
+        deep = hom_exists(cq, canonical_slice(abox, tbox, depth))
         assert shallow == deep
         checked += 1
 
@@ -294,7 +331,7 @@ def test_depth_counts_generating_roles():
     assert saturate(tbox).generating_roles == {Role("r"), Role("s"), Role("t")}
     assert query_depth(query, tbox) == 5
     assert entails_ucq(parse_abox("f0: B(c)\n"), tbox, UCQ((query,)))
-    assert not entails_ucq(parse_abox("f0: B(c)\n"), tbox, UCQ((query,)), depth=2)
+    assert not hom_exists(query, canonical_slice(parse_abox("f0: B(c)\n"), tbox, 2))
     # With r- <= s, exists r entails exists s-, which gets an element of
     # its own, and an element reached by r gets an s-successor.
     lifted = parse_tbox("A <= exists r\nrole: r- <= s\n")

@@ -13,7 +13,7 @@ from respo.model import (
     role_atom,
     var,
 )
-from respo.queries import canonicalize, canonicalize_counted, hom_minimal, with_all_pairs_neq
+from respo.queries import canonicalize, hom_minimal, with_all_pairs_neq
 from respo.randgen import random_database, random_ucq
 from respo.support import (
     FactDB,
@@ -197,9 +197,8 @@ def test_gamma_from_canonical_search_matches_automorphism_count():
         pins = ucq_constants(ucq)
         for q in all_reducts(ucq).values():
             rigid = with_all_pairs_neq(q, pins)
-            key, renamed, automorphisms = canonicalize_counted(rigid)
+            automorphisms = canonicalize(rigid)[2]
             assert automorphisms == count_automorphisms(rigid), q
-            assert (key, renamed) == canonicalize(rigid)
             predicates = [a.predicate for a in q.relational_atoms()]
             seen["constants"] += bool(q.constants())
             seen["repeated predicates"] += len(set(predicates)) < len(predicates)
@@ -221,13 +220,13 @@ def test_gamma_is_counted_on_the_rigid_query():
     counts on the rigid form too."""
     x, y, z = var("x"), var("y"), var("z")
     q = CQ((concept_atom("A", x), concept_atom("A", y), concept_atom("A", z), neq_atom(x, y)))
-    assert canonicalize_counted(with_all_pairs_neq(q))[2] == 6
-    assert canonicalize_counted(q)[2] == 2
+    assert canonicalize(with_all_pairs_neq(q))[2] == 6
+    assert canonicalize(q)[2] == 2
     assert count_automorphisms(with_all_pairs_neq(q)) == 6
     # The directed 3-cycle with ?x0 != ?x1 is a size-3 counting query: its
     # rotations are automorphisms of the rigid form, not of the reduct.
     looped = CQ(cycle(3).atoms + (neq_atom(var("x0"), var("x1")),))
-    assert canonicalize_counted(looped)[2] == 1
+    assert canonicalize(looped)[2] == 1
     cycle_query, collapsed = counting_queries(looped)[3]
     assert len(cycle_query.cq.variables()) == 3 and cycle_query.gamma == Fraction(1, 3)
     assert len(collapsed.cq.variables()) == 2 and collapsed.gamma == 1
@@ -319,7 +318,7 @@ def test_rigid_candidates_need_no_hom_pruning():
         for k, qs in reducts(ucq).items():
             rigid = {}
             for q in qs:
-                key, aug = canonicalize(with_all_pairs_neq(q, pins))
+                key, aug, _ = canonicalize(with_all_pairs_neq(q, pins))
                 rigid.setdefault(key, aug)
             candidates = [rigid[key] for key in sorted(rigid)]
             assert hom_minimal(rigid) == candidates, ucq
@@ -440,9 +439,9 @@ def test_variant_basis_canonicalizes_each_disjunct_once(monkeypatch, variant):
 
     def counted(q):
         calls.append(q)
-        return canonicalize_counted(q)
+        return canonicalize(q)
 
-    monkeypatch.setattr(respo.support, "canonicalize_counted", counted)
+    monkeypatch.setattr(respo.support, "canonicalize", counted)
     basis = homomorphism_basis(ucq)
     assert _unmergeable(ucq.disjuncts) == {0, 1}
     assert calls == list(ucq.disjuncts)
@@ -533,9 +532,9 @@ def test_chain_basis_equals_enumerating_search(monkeypatch):
     def counted(q):
         calls.append(q)
         assert len(calls) <= 243, "an unmergeable disjunct's quotients were enumerated"
-        return canonicalize_counted(q)
+        return canonicalize(q)
 
-    monkeypatch.setattr(respo.support, "canonicalize_counted", counted)
+    monkeypatch.setattr(respo.support, "canonicalize", counted)
     basis = homomorphism_basis(ucq)
     assert len(calls) == len(ucq.disjuncts) == 243
     assert {k: len(terms) for k, terms in basis.items() if terms} == {9: 243}
@@ -572,9 +571,9 @@ def test_self_join_chain_basis_equals_enumerating_search(monkeypatch):
     def counted(q):
         calls.append(q)
         assert len(calls) <= 81, "an unmergeable disjunct's quotients were enumerated"
-        return canonicalize_counted(q)
+        return canonicalize(q)
 
-    monkeypatch.setattr(respo.support, "canonicalize_counted", counted)
+    monkeypatch.setattr(respo.support, "canonicalize", counted)
     basis = homomorphism_basis(ucq)
     assert len(calls) == len(ucq.disjuncts) == 81
     assert {k: len(terms) for k, terms in basis.items() if terms} == {8: 81}
@@ -609,7 +608,7 @@ def test_basis_takes_gamma_from_the_rigid_form():
     w, y, z = var("w"), var("y"), var("z")
     ucq = UCQ((CQ((concept_atom("A", w), role_atom("r", y, z), role_atom("r", z, y),
                    neq_atom(w, z))),))
-    assert canonicalize_counted(ucq.disjuncts[0])[2] == 1
+    assert canonicalize(ucq.disjuncts[0])[2] == 1
     db = facts(("A", ("c",)), ("r", ("d", "e")), ("r", ("e", "d")), ("r", ("c", "d")))
     supports = enumerate_minimal_supports(db, lambda s: ucq_holds(ucq, s))
     assert [len(s) for s in supports] == [3]
