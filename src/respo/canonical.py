@@ -3,20 +3,20 @@ entailment over it.
 
 `canonical_slice` builds the canonical model up to a depth as a
 `queries.HomTarget` from the entailed instance data that `reasoner`
-computes: (U)CQ entailment asks the homomorphism search whether a query
-maps into it, and `slice_assignments` reads the assignments under which
-a query holds off its homomorphisms.  `query_depth` bounds the depth a
-query needs.  The interaction-freeness check and the brute-force
-evaluator of a DL-Lite_R KB with positive inclusions import this module;
-Horn reasoning and provenance never do, so they load no `queries`.
+computes, and (U)CQ entailment asks the homomorphism search whether a
+query maps into it; `query_depth` bounds the depth a query needs.  Only
+the brute-force evaluator of a DL-Lite_R KB with positive inclusions
+imports this module: the interaction-freeness check reads one-atom
+matches off the TBox closure, and Horn reasoning and provenance never
+build the model, so none of them loads it.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .model import ANON, ABox, CQ, InconsistentKBError, Role, TBox, UCQ, UnsupportedTBoxError
-from .queries import HomTarget, hom_exists, hom_visit
+from .model import ABox, CQ, InconsistentKBError, Role, TBox, UCQ, UnsupportedTBoxError
+from .queries import HomTarget, hom_exists
 from .reasoner import entailed_instance_data, is_consistent, saturate
 
 # A canonical-model element is a word: (root constant, chain of roles).
@@ -89,21 +89,6 @@ def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
 
     named = frozenset(individuals)
     return HomTarget(tuples, lambda name: (name, ()) if name in named else None, operator.ne)
-
-
-def slice_assignments(target: HomTarget, cq: CQ) -> set[tuple]:
-    """The assignments under which cq holds in a canonical slice: for each
-    homomorphism of cq into it, the tuple that gives each variable, in
-    `cq.variables()` order, the constant of its named element, or ANON
-    for an anonymous one.  One search enumerates them all."""
-    variables = cq.variables()
-    found: set[tuple] = set()
-
-    def visit(binding):
-        found.add(tuple(ANON if binding[v][1] else binding[v][0] for v in variables))
-
-    hom_visit(cq, target, visit)
-    return found
 
 
 # ---------------------------------------------------------------------------

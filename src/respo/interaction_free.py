@@ -5,20 +5,20 @@ two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
 counting minimal supports factorizes.  The check walks the fact shapes
 (generic facts over the query's constants and two fresh ones) and reads
-each shape's pairs off one search per atom into its canonical slice
-(`canonical`), whose depth and one-atom queries it builds once per
-check; each pair yields a row.  DL-Lite_R tells no other constants
-apart, so a real fact feeds its shape's row, renamed.  Summing the facts' rows gives
-each atom a table from rows to weights, and `queries.weighted_eval` sums
-weight products over homomorphisms by the variable elimination that
-partition counting runs in `queries.marginals`: polynomial in the number
-of rows for a query of bounded treewidth, linear for an acyclic one.
+each shape's one-atom matches off the TBox closure: the canonical model
+of the one fact, folded so that an anonymous element is known by the role
+leading to it, which takes time polynomial in the TBox.  A real fact's
+pairs are read the same way, once per plan, and each pair yields a row.
+Summing the facts' rows gives each atom a table from rows to weights, and
+`queries.weighted_eval` sums weight products over homomorphisms by the
+variable elimination that partition counting runs in `queries.marginals`:
+polynomial in the number of rows for a query of bounded treewidth, linear
+for an acyclic one.
 
-An `IFPlan`, built once per OMQ, keeps the check's walk as its row table,
-built with the CQ's shared variables found once, and the elimination
-order.  Scoring every fact counts over D and over each D minus one fact,
-|D| + 1 eliminations; `queries.marginals` would give every fact's count
-from one.
+An `IFPlan`, built once per OMQ, keeps the CQ's shared variables, the
+elimination order and each fact's rows.  Scoring every fact counts over D
+and over each D minus one fact, |D| + 1 eliminations; `queries.marginals`
+would give every fact's count from one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable
 
-from .canonical import canonical_slice, query_depth, slice_assignments
 from .model import (
     ANON,
     ABox,
@@ -35,13 +34,13 @@ from .model import (
     CQ,
     Fact,
     OMQ,
+    Role,
     SupportHistogram,
-    TBox,
     UnsupportedTBoxError,
     value_class,
 )
 from .queries import Table, elimination_order, row_variables, weighted_eval
-from .reasoner import is_consistent
+from .reasoner import SaturatedTBox, entailed_instance_data, is_consistent, saturate
 
 
 class NotInteractionFreeError(UnsupportedTBoxError):
@@ -92,71 +91,101 @@ def _fact_shapes(omq: OMQ, cq: CQ) -> list[Fact]:
     the query: concept/role facts over the query's constants plus two
     fresh ones (DL-Lite_R axioms cannot distinguish further constants;
     the repeated-constant role shape covers self-loops)."""
-    concepts = sorted(
-        omq.tbox.concept_names() | {a.predicate for a in cq.atoms if a.kind == CONCEPT_ATOM}
-    )
-    roles = sorted(
-        omq.tbox.role_names()
-        | {a.predicate for a in cq.atoms if a.is_relational and a.kind != CONCEPT_ATOM}
-    )
+    atoms = cq.relational_atoms()
+    concepts = omq.tbox.concept_names() | {a.predicate for a in atoms if a.kind == CONCEPT_ATOM}
+    roles = omq.tbox.role_names() | {a.predicate for a in atoms if a.kind != CONCEPT_ATOM}
     pool = list(cq.constants()) + ["fresh#1", "fresh#2"]
-    shapes: list[Fact] = []
-    i = 0
-    for name in concepts:
-        for c in pool:
-            shapes.append(Fact(f"shape{i}", name, (c,)))
-            i += 1
-    for name in roles:
-        for c1 in pool:
-            for c2 in pool:
-                shapes.append(Fact(f"shape{i}", name, (c1, c2)))
-                i += 1
-    return shapes
+    shapes = [(name, (c,)) for name in sorted(concepts) for c in pool]
+    shapes += [(name, (c1, c2)) for name in sorted(roles) for c1 in pool for c2 in pool]
+    return [Fact(f"shape{i}", name, args) for i, (name, args) in enumerate(shapes)]
 
 
-def _satisfying_pairs(tbox: TBox, fact: Fact, singles: tuple[CQ, ...], depth: int):
-    """Every (slot, assignment into const(f) + anon) pair of the atoms that
-    the single consistent fact satisfies, read off the homomorphisms of
-    each atom's one-atom CQ in `singles` into one canonical slice of {f}
-    at `depth`, deep enough for every atom.  The pairs come in slot order,
-    and within a slot in the order of the atom's sorted variables' values:
-    the fact's sorted constants, then anon."""
-    target = canonical_slice(ABox((fact,)), tbox, depth)
-    for slot, single in enumerate(singles):
-        variables = single.variables()
-        for values in sorted(slice_assignments(target, single), key=_anon_last):
+def _model_tuples(sat: SaturatedTBox, fact: Fact) -> dict[tuple[str, int], set[tuple]]:
+    """The tuples of the canonical model of {fact}, keyed by (predicate,
+    arity), with every anonymous element read as ANON: the fact's entailed
+    instance data, then one worklist over (parent, role) pairs.  A child
+    reached by R has the concept names above exists R-, edges to its
+    parent by the roles above R, and children by the roles above exists
+    R- but R-.  A named parent appears only on the first level, for the
+    roles its named pairs do not witness; below it a child depends only on
+    R, so each (ANON, R) is read once."""
+    types, role_pairs = entailed_instance_data((fact,), sat.tbox)
+    tuples: dict[tuple[str, int], set[tuple]] = {}
+
+    def add(name: str, *values):
+        tuples.setdefault((name, len(values)), set()).add(values)
+
+    witnessed: set[tuple[str, Role]] = set()
+    for name, pairs in role_pairs.items():
+        for a, b in pairs:
+            add(name, a, b)
+            witnessed |= {(a, Role(name)), (b, Role(name, inverted=True))}
+    work = []
+    for a, keys in types.items():
+        for key in keys:
+            if isinstance(key, str):
+                add(key, a)
+            elif (a, key) not in witnessed:
+                work.append((a, key))
+    seen = set(work)
+    while work:
+        parent, r = work.pop()
+        for s in sat.role_sups(r):
+            add(s.name, *((ANON, parent) if s.inverted else (parent, ANON)))
+        for key in sat.concept_sups(r.inverse()):
+            if isinstance(key, str):
+                add(key, ANON)
+            elif key != r.inverse() and (ANON, key) not in seen:
+                seen.add((ANON, key))
+                work.append((ANON, key))
+    return tuples
+
+
+def _satisfying_pairs(sat: SaturatedTBox, fact: Fact, atoms: tuple[Atom, ...]):
+    """Every (slot, assignment into const(f) + anon) pair of the `atoms`
+    that the single consistent fact satisfies, matched against its
+    `_model_tuples`.  A repeated variable never takes ANON: the model is a
+    tree, so no edge joins an anonymous element to itself.  The pairs come
+    in slot order, and within a slot in the order of the atom's sorted
+    variables' values: the fact's sorted constants, then anon."""
+    tuples = _model_tuples(sat, fact)
+    for slot, atom in enumerate(atoms):
+        variables = sorted(set(atom.variables()))
+        found = set()
+        for values in tuples.get((atom.predicate, len(atom.terms)), ()):
+            mu: dict[str, object] = {}
+            for term, value in zip(atom.terms, values):
+                if term.is_var and term.name not in mu:
+                    mu[term.name] = value
+                elif value is ANON or value != (mu[term.name] if term.is_var else term.name):
+                    break
+            else:
+                found.add(tuple(mu[v] for v in variables))
+        for values in sorted(found, key=lambda vs: [(v is ANON, str(v)) for v in vs]):
             yield slot, dict(zip(variables, values))
-
-
-def _anon_last(values: tuple) -> tuple:
-    return tuple((value is ANON, "" if value is ANON else value) for value in values)
 
 
 def _assignment_key(mu: dict) -> tuple[tuple[str, str], ...]:
     return tuple((v, "<anon>" if value is ANON else value) for v, value in mu.items())
 
 
-def check_interaction_free(omq: OMQ, pairs: dict | None = None) -> InteractionWitness | None:
+def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
     """None when interaction-free, otherwise the first violating witness
-    (deterministic order).  `pairs`, if given, maps each consistent shape's
-    (predicate, args) to its (slot, assignment) pairs, at most one if free."""
+    (deterministic order)."""
     if omq.tbox.horn_extended:
         raise UnsupportedTBoxError("interaction-freeness requires a DL-Lite_R TBox")
     cq = _query_cq(omq)
     atoms = cq.relational_atoms()
-    singles = tuple(CQ((atom,)) for atom in atoms)
-    depth = max(query_depth(single, omq.tbox) for single in singles)
+    sat = saturate(omq.tbox)
     for shape in _fact_shapes(omq, cq):
         if not is_consistent(ABox((shape,)), omq.tbox):
             continue  # such a fact can occur in no consistent ABox
-        found = list(islice(_satisfying_pairs(omq.tbox, shape, singles, depth), 2))
+        found = list(islice(_satisfying_pairs(sat, shape, atoms), 2))
         if len(found) == 2:
             (s1, mu1), (s2, mu2) = found
             return InteractionWitness(
                 shape, atoms[s1], _assignment_key(mu1), atoms[s2], _assignment_key(mu2)
             )
-        if pairs is not None:
-            pairs[shape.predicate, shape.args] = found
     return None
 
 
@@ -199,19 +228,17 @@ def _entries(
 class IFPlan:
     """What counting an interaction-free OMQ needs besides the data: its
     CQ, the CQ's relational atoms, an elimination order of its variables,
-    and the rows of each fact shape.  Building a plan runs the
-    interaction-freeness check once and raises `UnsupportedTBoxError`
-    (`NotInteractionFreeError` for a failed check) when the OMQ is outside
-    the pipeline.
+    and each fact's rows.  Building a plan runs the interaction-freeness
+    check once and raises `UnsupportedTBoxError` (`NotInteractionFreeError`
+    for a failed check) when the OMQ is outside the pipeline.
 
-    The check's walk is kept as the row table, so no real fact gets a
-    slice or a search.  The tables of any fact set are the sums of its
+    A fact's rows are read once, off its one-atom matches in the TBox
+    closure, and kept.  The tables of any fact set are the sums of its
     facts' rows, so one plan serves every subset of a database.
     """
 
     def __init__(self, omq: OMQ):
-        pairs: dict[tuple[str, tuple[str, ...]], list] = {}
-        witness = check_interaction_free(omq, pairs)
+        witness = check_interaction_free(omq)
         if witness is not None:
             raise NotInteractionFreeError(f"OMQ is not interaction-free: {witness}")
         (cq,) = omq.query.disjuncts  # the check accepts single plain CQs only
@@ -219,28 +246,16 @@ class IFPlan:
         self.cq = cq
         self.atoms = cq.relational_atoms()
         self.order = tuple(elimination_order(cq))
-        self._constants = frozenset(cq.constants())
-        shared = _shared_variables(cq)
-        self._table = {
-            shape: _entries(self.atoms, shared, found) for shape, found in pairs.items()
-        }
+        self._sat = saturate(omq.tbox)
+        self._shared = _shared_variables(cq)
         self._rows: dict[Fact, tuple[tuple[int, tuple[str, ...]], ...]] = {}
 
     def fact_entries(self, fact: Fact) -> tuple[tuple[int, tuple[str, ...]], ...]:
         """The (slot, row) pairs the fact feeds (see `_entries`), at most
-        one: its shape's, where the fact's constants outside the query are
-        `fresh#1`, `fresh#2` in order of first occurrence, renamed back."""
+        one.  The fact must be consistent with the TBox."""
         if fact not in self._rows:
-            fresh: dict[str, str] = {}
-            for c in fact.args:
-                if c not in self._constants and c not in fresh:
-                    fresh[c] = f"fresh#{len(fresh) + 1}"
-            shape = (fact.predicate, tuple(fresh.get(c, c) for c in fact.args))
-            back = {name: c for c, name in fresh.items()}
-            self._rows[fact] = tuple(
-                (slot, tuple(back.get(value, value) for value in row))
-                for slot, row in self._table.get(shape, ())
-            )
+            pairs = _satisfying_pairs(self._sat, fact, self.atoms)
+            self._rows[fact] = _entries(self.atoms, self._shared, pairs)
         return self._rows[fact]
 
 

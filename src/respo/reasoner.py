@@ -3,8 +3,8 @@
 Everything here reads one object, the closure of the TBox's DL-Lite
 inclusions, which `saturate` builds once per TBox and which holds every
 basic concept by one key (`ConceptKey`): a concept name, or the role R
-for exists R.  The rewriter, the canonical model and provenance read
-the same closure, so no part of reasoning builds a `BasicConcept`.
+for exists R.  The rewriter, the canonical model, the interaction-free
+check and provenance read it, so no part builds a `BasicConcept`.
 
 One engine computes the entailed instance data of the named individuals
 for both TBox flavours: a pass of the facts through the closure, then,

@@ -17,8 +17,10 @@ enumeration:
     coalitions (the oracle of the bit-parallel drastic Shapley value)
     with the drastic and the number-of-minimal-supports wealth, and the
     symmetry/null property checks;
-  * reasoning: query entailment under one assignment and exists R(a)
-    entailment;
+  * reasoning: query entailment under one assignment, exists R(a)
+    entailment, and a single fact's one-atom matches read off its
+    canonical-model tree (the oracle of the interaction-free check's
+    reading of the TBox closure);
   * generators: the combinatorial counts that the hardness constructions
     encode (minimal vertex covers, simple paths, perfect matchings);
   * SQL: the emitted manifest run in sqlite.
@@ -33,7 +35,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from respo.canonical import canonical_slice, query_depth, slice_assignments
+from respo.canonical import canonical_slice, query_depth
 from respo.generators import Graph
 from respo.model import (
     ABox,
@@ -415,6 +417,42 @@ def check_score_properties(
 # ---------------------------------------------------------------------------
 # Reasoning
 # ---------------------------------------------------------------------------
+
+def slice_assignments(target: HomTarget, cq: CQ) -> set[tuple]:
+    """The assignments under which cq holds in a canonical slice: for each
+    homomorphism of cq into it, the tuple that gives each variable, in
+    `cq.variables()` order, the constant of its named element, or ANON
+    for an anonymous one.  One search enumerates them all."""
+    variables = cq.variables()
+    found: set[tuple] = set()
+
+    def visit(binding):
+        found.add(tuple(ANON if binding[v][1] else binding[v][0] for v in variables))
+
+    hom_visit(cq, target, visit)
+    return found
+
+
+def tree_pairs(tbox: TBox, fact: Fact, atoms: Sequence[Atom]) -> list[tuple[int, dict]]:
+    """Every (slot, assignment into const(f) + anon) pair of the atoms
+    that the single consistent fact satisfies, read off the homomorphisms
+    of each atom's one-atom CQ into one canonical slice of {f}, deep
+    enough for every atom; the oracle of the interaction-free check's
+    reading of the TBox closure.  Same order: slots, then each atom's
+    sorted variables' values, the fact's sorted constants before anon."""
+    singles = [CQ((atom,)) for atom in atoms]
+    depth = max(query_depth(single, tbox) for single in singles)
+    target = canonical_slice(ABox((fact,)), tbox, depth)
+
+    def anon_last(values):
+        return tuple((value is ANON, "" if value is ANON else value) for value in values)
+
+    return [
+        (slot, dict(zip(single.variables(), values)))
+        for slot, single in enumerate(singles)
+        for values in sorted(slice_assignments(target, single), key=anon_last)
+    ]
+
 
 def holds_under_assignment(
     abox: ABox, tbox: TBox, cq: CQ, mu: Assignment, depth: int | None = None

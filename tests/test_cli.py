@@ -274,7 +274,7 @@ CYCLE_12_SCORE = (
 
 @pytest.mark.parametrize("code, absent", [
     pytest.param(cli_code(["score", *fixture_args("variant"), "--method", "if"]),
-                 ("respo.support",), id="variant-if"),
+                 ("respo.support", "respo.canonical"), id="variant-if"),
     pytest.param(cli_code(["score", *fixture_args("fig1"), "--method", "provenance"]),
                  ("respo.support",), id="fig1-provenance"),
     pytest.param(cli_code(["shapley-drastic", *fixture_args("fig1")]),
@@ -289,10 +289,10 @@ def test_if_and_provenance_scoring_load_no_support_module(code, absent):
     branches, so `score` under the interaction-free pipeline (the variant)
     or provenance (fig1), and the drastic Shapley value of fig1, whose
     supports come from provenance, never load it.  The canonical model
-    lives in `canonical`, which only the interaction-freeness check and
-    the brute-force evaluator of a DL-Lite_R KB load: partition scoring
-    compiles none of it, and Horn scoring (`score_all` on a 12-cycle)
-    loads neither it nor the homomorphism engine of `queries`."""
+    lives in `canonical`, which only the brute-force evaluator of a
+    DL-Lite_R KB loads: interaction-free and partition scoring compile
+    none of it, and Horn scoring (`score_all` on a 12-cycle) loads
+    neither it nor the homomorphism engine of `queries`."""
     modules, defined = loaded_after(code)
     assert "respo.shapley" in modules
     assert not set(absent) & (modules | defined)

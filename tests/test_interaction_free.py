@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -35,12 +36,12 @@ from respo.interaction_free import (
 from respo.model import connected_components
 from respo.queries import elimination_order, weighted_eval
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
-from respo.reasoner import is_consistent
+from respo.reasoner import is_consistent, saturate
 from respo.shapley import Plan
 from respo.support import enumerate_minimal_supports, make_subset_evaluator
-from respo.textio import parse_abox
+from respo.textio import parse_abox, parse_query, parse_tbox
 
-from oracles import count_fms_brute, holds_under_assignment, tally_fact_counts
+from oracles import count_fms_brute, holds_under_assignment, tally_fact_counts, tree_pairs
 
 
 def tb(*axioms):
@@ -129,11 +130,11 @@ def test_witness_takes_pairs_in_assignment_order():
     assert witnesses >= 30, witnesses
 
 
-def test_if_plan_searches_once_per_shape_and_atom(variant, monkeypatch):
-    """Building the variant's plan runs one homomorphism search per
-    (consistent fact shape, atom) pair, not one per (atom, assignment)
-    pair, and taking every fact's rows on the variant doubled runs none:
-    they are looked up in the shapes' table."""
+def test_if_plan_runs_no_search_and_builds_no_slice(variant, monkeypatch):
+    """Building the variant's plan and taking every fact's rows on the
+    variant doubled run no homomorphism search and build no canonical
+    slice: the check and the rows read the TBox closure."""
+    import respo.canonical as canonical
     import respo.queries as queries
 
     omq, abox = variant
@@ -141,22 +142,105 @@ def test_if_plan_searches_once_per_shape_and_atom(variant, monkeypatch):
         Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
         for c in range(2) for f in abox
     ]
-    cq = omq.query.disjuncts[0]
-    shapes = [s for s in _fact_shapes(omq, cq) if is_consistent(ABox((s,)), omq.tbox)]
-    assert (len(shapes), len(doubled), len(cq.relational_atoms())) == (22, 32, 6)
-    searches = []
+    calls = []
 
-    def counting_search(*args, **kwargs):
-        searches.append(args[1])
-        return real(*args, **kwargs)
+    def refuse(name):
+        return lambda *args, **kwargs: calls.append(name)
 
-    real = queries._search
-    monkeypatch.setattr(queries, "_search", counting_search)
+    monkeypatch.setattr(queries, "_search", refuse("_search"))
+    monkeypatch.setattr(canonical, "canonical_slice", refuse("canonical_slice"))
     plan = IFPlan(omq)
-    assert len(searches) == 22 * 6
-    for fact in doubled:
-        plan.fact_entries(fact)
-    assert len(searches) == 22 * 6
+    rows = [plan.fact_entries(fact) for fact in doubled]
+    assert sum(map(len, rows)) == 30
+    assert not calls, calls
+
+
+def test_closure_pairs_equal_tree_pairs_on_random_omqs():
+    """The check's reading of the TBox closure gives the same (slot,
+    assignment) pairs, in the same order, as the homomorphisms of each
+    atom into the canonical-model tree of the fact (`oracles.tree_pairs`),
+    on 2,000 seeded OMQs with TBoxes of up to 10 axioms and, for each, up
+    to four of its consistent fact shapes."""
+    rng = random.Random(31)
+    seen = dict.fromkeys(("anonymous", "repeated variable", "query constant"), 0)
+    for _ in range(2000):
+        omq = OMQ(random_dllite_tbox(rng, max_axioms=10), as_ucq(random_cq(rng, allow_neq=False)))
+        cq = omq.query.disjuncts[0]
+        atoms = cq.relational_atoms()
+        sat = saturate(omq.tbox)
+        shapes = [s for s in _fact_shapes(omq, cq) if is_consistent(ABox((s,)), omq.tbox)]
+        for shape in rng.sample(shapes, min(4, len(shapes))):
+            pairs = list(_satisfying_pairs(sat, shape, atoms))
+            assert pairs == tree_pairs(omq.tbox, shape, atoms), (omq, shape)
+            seen["anonymous"] += any(ANON in mu.values() for _, mu in pairs)
+            seen["repeated variable"] += any(
+                len(set(atoms[slot].variables())) < len(atoms[slot].variables())
+                for slot, _ in pairs)
+            seen["query constant"] += bool(cq.constants()) and bool(pairs)
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("axioms, query", [
+    ("exists r- <= exists r\n", "r(?x, ?x), B(?y)"),
+    ("exists r- <= exists r\nA <= exists r\n", "r(?x, ?x)"),
+    ("role: r <= r-\nA <= exists r\n", "r(?x, ?x), r(?x, ?y)"),
+    ("A <= exists r-\nexists r <= exists s-\nexists s <= B\n", "s(?y, ?x), B(?x)"),
+    ("A <= exists r\nexists r- <= exists r\n", "r(c, ?x), r(?x, ?y), A(c)"),
+    ("role: r <= s-\nexists s <= A\n", "s(?x, c), A(c), r(c, ?y)"),
+])
+def test_closure_pairs_equal_tree_pairs_on_hand_cases(axioms, query):
+    """Self-loops (`exists r- <= exists r` puts an r-chain below every r-
+    element, but no anonymous element is its own r-successor), a
+    symmetric role, inverse roles and query constants: every consistent
+    fact shape's pairs equal the tree's."""
+    omq = OMQ(parse_tbox(axioms), parse_query(query))
+    cq = omq.query.disjuncts[0]
+    sat = saturate(omq.tbox)
+    compared = 0
+    for shape in _fact_shapes(omq, cq):
+        if is_consistent(ABox((shape,)), omq.tbox):
+            pairs = list(_satisfying_pairs(sat, shape, cq.relational_atoms()))
+            assert pairs == tree_pairs(omq.tbox, shape, cq.relational_atoms()), shape
+            compared += bool(pairs)
+    assert compared >= 2, compared
+
+
+def test_a_repeated_variable_never_takes_anon_twice():
+    """Under exists r- <= exists r the fact r(c, d) has an endless
+    anonymous r-chain below d, but r(?x, ?x) holds only on a named
+    self-loop."""
+    omq = OMQ(parse_tbox("exists r- <= exists r\n"), parse_query("r(?x, ?x), B(?y)"))
+    sat = saturate(omq.tbox)
+    atoms = omq.query.disjuncts[0].relational_atoms()
+    assert list(_satisfying_pairs(sat, Fact("f", "r", ("c", "d")), atoms)) == []
+    assert list(_satisfying_pairs(sat, Fact("f", "r", ("c", "c")), atoms)) == [(1, {"x": "c"})]
+
+
+def role_family(k: int) -> OMQ:
+    """The role family R_k: A <= exists r0, and for all i, j < k,
+    exists ri- <= exists rj and exists ri- <= Bi, under the IF query
+    C(?x), s(?x, ?y), D(?y).  Its canonical model branches k ways at
+    every anonymous element."""
+    lines = ["A <= exists r0"] + [
+        line for i in range(k) for line in (
+            *(f"exists r{i}- <= exists r{j}" for j in range(k)), f"exists r{i}- <= B{i}")
+    ]
+    return OMQ(parse_tbox("".join(f"{line}\n" for line in lines)),
+               parse_query("C(?x), s(?x, ?y), D(?y)"))
+
+
+def test_if_plan_compiles_the_role_family_in_polynomial_time():
+    """The check reads each fact shape's model once per (parent, role)
+    pair, not a tree of depth k + 3 branching k ways: the plans of R_5
+    and R_8 compile in well under 0.1 s and 1 s (a tree search takes
+    minutes from R_5 on)."""
+    elapsed = {}
+    for k in (5, 8):
+        omq = role_family(k)
+        start = time.perf_counter()
+        IFPlan(omq)
+        elapsed[k] = time.perf_counter() - start
+    assert elapsed[5] < 0.1 and elapsed[8] < 1.0, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +370,12 @@ def test_rows_follow_first_occurrence_of_distinct_variables():
     }
 
 
-def test_shape_rows_equal_rows_of_the_fact_slice(witness_omq):
-    """Every fact's rows, looked up by its shape, equal the rows read off
-    the fact's own canonical slice, on seeded interaction-free OMQs (random
-    ones and ones with anonymous role witnesses) and every fact over A, B,
-    C, r, s and the outside Z, q on the constants c, d (which the queries
-    mention), k1 and k2."""
+def test_fact_rows_equal_rows_of_the_fact_tree(witness_omq):
+    """Every fact's rows equal the rows of the pairs read off the fact's
+    own canonical-model tree (`oracles.tree_pairs`), on seeded
+    interaction-free OMQs (random ones and ones with anonymous role
+    witnesses) and every fact over A, B, C, r, s and the outside Z, q on
+    the constants c, d (which the queries mention), k1 and k2."""
     rng = random.Random(5)
     pool = ["c", "d", "k1", "k2"]
     facts = [Fact(f"a{p}{x}", p, (x,)) for p in "ABCZ" for x in pool] + [
@@ -308,14 +392,12 @@ def test_shape_rows_equal_rows_of_the_fact_slice(witness_omq):
         except NotInteractionFreeError:
             continue
         constants = set(plan.cq.constants())
-        singles = tuple(CQ((atom,)) for atom in plan.atoms)
-        depth = max(query_depth(single, omq.tbox) for single in singles)
         shared = _shared_variables(plan.cq)
         for fact in facts:
             if not is_consistent(ABox((fact,)), omq.tbox):
                 continue
             rows = plan.fact_entries(fact)
-            pairs = _satisfying_pairs(omq.tbox, fact, singles, depth)
+            pairs = tree_pairs(omq.tbox, fact, plan.atoms)
             assert rows == _entries(plan.atoms, shared, pairs), (omq, fact)
             args = fact.args
             seen["outside"] += fact.predicate in "Zq"

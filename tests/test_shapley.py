@@ -616,11 +616,13 @@ def test_pooled_if_counts_match_fresh_counts(witness_omq):
     assert supported >= 40, supported
 
 
-def test_if_scoring_builds_no_slice_of_a_real_fact(variant, monkeypatch):
-    """`score_all` under the interaction-free pipeline builds canonical
-    slices of the 22 consistent fact shapes, once, and none of a real
-    fact: each fact's rows come from its shape's."""
-    import respo.interaction_free as interaction_free
+def test_if_scoring_runs_no_search_and_builds_no_slice(variant, monkeypatch):
+    """`score_all` under the interaction-free pipeline runs no
+    homomorphism search and builds no canonical slice, neither for the
+    check nor for a real fact: each fact's rows are read off the TBox
+    closure, and counting is variable elimination."""
+    import respo.canonical as canonical
+    import respo.queries as queries
     from respo.model import ABox
 
     omq, abox = variant
@@ -628,18 +630,16 @@ def test_if_scoring_builds_no_slice_of_a_real_fact(variant, monkeypatch):
         Fact(f"c{c}{f.label}", f.predicate, tuple(f"c{c}{a}" for a in f.args))
         for c in range(2) for f in abox
     ))
-    built = []
+    calls = []
 
-    def counting_slice(slice_abox, *args):
-        built.append(slice_abox.facts)
-        return real(slice_abox, *args)
+    def refuse(name):
+        return lambda *args, **kwargs: calls.append(name)
 
-    real = interaction_free.canonical_slice
-    monkeypatch.setattr(interaction_free, "canonical_slice", counting_slice)
+    monkeypatch.setattr(queries, "_search", refuse("_search"))
+    monkeypatch.setattr(canonical, "canonical_slice", refuse("canonical_slice"))
     report = score_all(doubled, omq, method="if")
     assert report.histogram == {6: 24}
-    assert len(built) == len(set(built)) == 22, len(built)
-    assert not {f for facts in built for f in facts} & set(doubled.facts)
+    assert not calls, calls
 
 
 def test_auto_scoring_checks_interaction_freeness_once(variant, monkeypatch):
