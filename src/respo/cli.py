@@ -3,7 +3,9 @@
 The scoring and counting commands run here.  The tool commands
 (`rewrite`, `check-if`, `emit-sql`, `gen` and `verify`) run from
 `tools`, which loads only when one of them runs, so a scoring or
-counting command compiles none of them.
+counting command compiles none of them.  The parser reads the scoring
+methods and the brute-force cap from `model`, so a tool command loads
+`shapley` only when it scores (`verify`).
 
 Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 (missing --abox, unknown fact label or answer variable, an --answer
@@ -38,6 +40,8 @@ import json
 import sys
 
 from .model import (
+    BRUTE_FORCE_CAP,
+    METHODS,
     ABox,
     InconsistentKBError,
     InputError,
@@ -133,8 +137,6 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     them when it names none (--help, an unknown command, no argument).
     A lone sub-command keeps the full list in the usage line, so every
     message reads as it does with all of them built."""
-    from .shapley import BRUTE_FORCE_CAP, METHODS
-
     kb = (  # the options of every command that reads a KB
         ("--tbox", {"help": "TBox file"}),
         ("--abox", {"help": "ABox file"}),

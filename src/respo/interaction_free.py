@@ -10,15 +10,16 @@ of the one fact, folded so that an anonymous element is known by the role
 leading to it, which takes time polynomial in the TBox.  A real fact's
 pairs are read the same way, once per plan, and each pair yields a row.
 Summing the facts' rows gives each atom a table from rows to weights, and
-`queries.weighted_eval` sums weight products over homomorphisms by the
-variable elimination that partition counting runs in `queries.marginals`:
-polynomial in the number of rows for a query of bounded treewidth, linear
-for an acyclic one.
+`elimination.weighted_eval` sums weight products over homomorphisms by
+the variable elimination that partition counting runs in
+`elimination.marginals`: polynomial in the number of rows for a query of
+bounded treewidth, linear for an acyclic one.
 
 An `IFPlan`, built once per OMQ, keeps the CQ's shared variables, the
 elimination order and each fact's rows.  Scoring every fact counts over D
-and over each D minus one fact, |D| + 1 eliminations; `queries.marginals`
-would give every fact's count from one.
+and over each D minus one fact, |D| + 1 eliminations;
+`elimination.marginals` would give every fact's count from one.  Nothing
+here imports `queries`, so the pipeline compiles no homomorphism search.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable
 
+from .elimination import Table, elimination_order, row_variables, weighted_eval
 from .model import (
     ANON,
     ABox,
@@ -39,7 +41,6 @@ from .model import (
     UnsupportedTBoxError,
     value_class,
 )
-from .queries import Table, elimination_order, row_variables, weighted_eval
 from .reasoner import SaturatedTBox, entailed_instance_data, is_consistent, saturate
 
 

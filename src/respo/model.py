@@ -1,7 +1,8 @@
 """Core vocabulary: terms, roles, axioms, facts, queries and the small
 value types (rationals, support histograms, weight functions) shared by
-every other module, with the errors and the UTF-8 reading of input files.
-Everything here is immutable and safe to share.
+every other module, with the errors, the UTF-8 reading of input files,
+and the scoring methods' names and brute-force cap that the command line
+offers.  Everything here is immutable and safe to share.
 
 The value classes of every respo module are built by `value_class`, a
 small stand-in for `dataclasses.dataclass(frozen=True)`: each class is
@@ -636,3 +637,17 @@ class WeightFunction:
 
     def __call__(self, support_size: int, db_size: int) -> Fraction:
         return self.evaluate(support_size, db_size)
+
+
+# ---------------------------------------------------------------------------
+# Scoring methods and caps
+# ---------------------------------------------------------------------------
+
+# The pipelines a `shapley.Plan` runs, by name; `auto` picks one.  The
+# names and the cap live here so that `cli` builds its parser without
+# loading `shapley`.
+METHODS = ("auto", "brute", "partition", "if", "provenance")
+
+# The largest database brute force and the drastic Shapley value take by
+# default: 2^20 coalitions.
+BRUTE_FORCE_CAP = 20

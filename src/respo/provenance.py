@@ -24,7 +24,8 @@ The module also holds the per-fact tally of supports given as masks,
 which provenance and brute force share, and the ground atom that
 Horn-extended TBoxes take.  `shapley` imports it with itself, while the
 larger pipeline modules load only when a plan needs them; neither this
-module nor `reasoner` imports the homomorphism engine of `queries`.
+module nor `reasoner` imports the homomorphism search of `queries` or
+the elimination engine of `elimination`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ fired to a fixpoint from a rule table keyed by concept name and built
 once per TBox.  Consistency and ground-atom entailment read that data,
 and `provenance` fires the same rule table over sets of facts.  The
 canonical model of a DL-Lite_R KB and (U)CQ entailment over it live in
-`canonical`, which imports the homomorphism engine of `queries`; this
+`canonical`, which imports the homomorphism search of `queries`; this
 module imports neither, so Horn scoring loads neither.
 """
 

@@ -34,6 +34,8 @@ from math import factorial, lcm
 from typing import Iterable
 
 from .model import (
+    BRUTE_FORCE_CAP,
+    METHODS,
     ABox,
     Fact,
     InconsistentKBError,
@@ -111,10 +113,6 @@ def resolve_weight(spec: str) -> WeightFunction:
 # Caps
 # ---------------------------------------------------------------------------
 
-# The largest database brute force and the drastic Shapley value take by
-# default: 2^20 coalitions.
-BRUTE_FORCE_CAP = 20
-
 # The most minimal supports the provenance pipeline keeps for one derived
 # atom, and the most candidate sets per fact it queues; one more stops the
 # run with `InputError`.
@@ -142,9 +140,6 @@ class ScoreReport:
     scores: dict[str, Fraction]  # fact label -> score, in ABox order
     method: str
     histogram: SupportHistogram  # countFMS over the full database
-
-
-METHODS = ("auto", "brute", "partition", "if", "provenance")
 
 
 class Plan:

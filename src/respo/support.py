@@ -17,7 +17,7 @@ Three pieces live here:
     into a weighted sum of homomorphism counts of plain quotients of the
     disjuncts.  Each term counts by variable elimination, and its
     homomorphisms and every fact's counts come from the per-atom
-    marginals of one pass (`queries.marginals`), so no homomorphism into
+    marginals of one pass (`elimination.marginals`), so no homomorphism into
     the data is enumerated.
 
 The counting queries and the basis depend on the query alone, and both
@@ -36,6 +36,7 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
+from .elimination import Table, elimination_order, marginals
 from .model import (
     ABox,
     Atom,
@@ -55,13 +56,10 @@ from .model import (
 from .provenance import FactCounts, ground_atom_query
 from .queries import (
     HomTarget,
-    Table,
     UnsatisfiableQuery,
     canonicalize,
-    elimination_order,
     hom_exists,
     hom_visit,
-    marginals,
     max_relational_size,
     query_target,
     substitute,
@@ -489,7 +487,7 @@ def _moebius_terms(
 
 def _pieces(cq: CQ) -> tuple[tuple[CQ, tuple[tuple[int, int], ...]], ...]:
     """cq and quotients of it, each with (slot, sign) pairs, whose signed
-    `queries.marginals` of the slot atoms, read at a fact's row, sum to
+    `elimination.marginals` of the slot atoms, read at a fact's row, sum to
     cq's homomorphisms whose image holds the fact.  By inclusion-exclusion
     a set S of atoms with the fact's predicate adds (-1)^(|S|+1) times the
     homomorphisms that map all of S onto it: those of the quotient that
@@ -517,7 +515,7 @@ def _pieces(cq: CQ) -> tuple[tuple[CQ, tuple[tuple[int, int], ...]], ...]:
 
 def _tables(facts: Sequence[Fact]) -> Callable[[Atom], tuple[dict[int, tuple], Table]]:
     """Each atom's table over the facts, built on first use: the row of
-    `queries.row_variables` values of each fact (by index) that agrees with
+    `elimination.row_variables` values of each fact (by index) that agrees with
     the atom's predicate, constants and repeated variables; each weighs 1."""
     by_key: dict[tuple[str, int], list[int]] = {}
     for i, f in enumerate(facts):

@@ -261,6 +261,16 @@ def test_a_tool_command_run_as_a_module_imports_the_cli_once():
     assert "respo.cli" not in imported
 
 
+@pytest.mark.parametrize("command", ["rewrite", "check-if"])
+def test_a_tool_command_loads_no_scoring_module(command):
+    """`build_parser` reads the scoring methods and the brute-force cap
+    from `model`, so `rewrite` and `check-if` load neither `shapley` nor
+    the `provenance` it imports."""
+    modules, _ = loaded_after(cli_code([command, *fixture_args("variant")]))
+    assert "respo.tools" in modules
+    assert not {"respo.shapley", "respo.provenance"} & modules
+
+
 CYCLE_12_SCORE = (
     "from respo.generators import Graph, gen_mvc\n"
     "from respo.model import OMQ\n"
@@ -274,7 +284,7 @@ CYCLE_12_SCORE = (
 
 @pytest.mark.parametrize("code, absent", [
     pytest.param(cli_code(["score", *fixture_args("variant"), "--method", "if"]),
-                 ("respo.support", "respo.canonical"), id="variant-if"),
+                 ("respo.support", "respo.canonical", "respo.queries"), id="variant-if"),
     pytest.param(cli_code(["score", *fixture_args("fig1"), "--method", "provenance"]),
                  ("respo.support",), id="fig1-provenance"),
     pytest.param(cli_code(["shapley-drastic", *fixture_args("fig1")]),
@@ -282,7 +292,8 @@ CYCLE_12_SCORE = (
     pytest.param(cli_code(["score", *fixture_args("variant"), "--method", "partition"]),
                  ("canonical_slice", "entails_ucq"), id="variant-partition"),
     pytest.param(CYCLE_12_SCORE,
-                 ("respo.queries", "respo.support", "canonical_slice"), id="cycle12-score-all"),
+                 ("respo.queries", "respo.elimination", "respo.support", "canonical_slice"),
+                 id="cycle12-score-all"),
 ])
 def test_if_and_provenance_scoring_load_no_support_module(code, absent):
     """`shapley` imports `support` only in the partition and brute-force
@@ -291,11 +302,19 @@ def test_if_and_provenance_scoring_load_no_support_module(code, absent):
     supports come from provenance, never load it.  The canonical model
     lives in `canonical`, which only the brute-force evaluator of a
     DL-Lite_R KB loads: interaction-free and partition scoring compile
-    none of it, and Horn scoring (`score_all` on a 12-cycle) loads
-    neither it nor the homomorphism engine of `queries`."""
+    none of it.  Interaction-free scoring counts with `elimination` and
+    loads no homomorphism search (`queries`), and Horn scoring
+    (`score_all` on a 12-cycle) loads neither."""
     modules, defined = loaded_after(code)
     assert "respo.shapley" in modules
     assert not set(absent) & (modules | defined)
+
+
+def test_the_elimination_engine_imports_only_the_model():
+    """`elimination` imports only `model`, so loading the counting
+    engine loads no `queries`."""
+    modules, _ = loaded_after("import respo.elimination")
+    assert modules == {"respo", "respo.model", "respo.elimination"}
 
 
 @pytest.mark.parametrize("method", ["partition", "if"])

@@ -34,7 +34,7 @@ from respo.interaction_free import (
     count_ms_interaction_free,
 )
 from respo.model import connected_components
-from respo.queries import elimination_order, weighted_eval
+from respo.elimination import elimination_order, weighted_eval
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
 from respo.reasoner import is_consistent, saturate
 from respo.shapley import Plan
