@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 property failure, 2 parse error or bad input
 (missing --abox, unknown fact label or answer variable, an --answer
 value that is not a constant, an --answer that binds a variable twice
 or collapses a disequality in every disjunct, malformed weight table,
-weight table without an entry the scores need, a `--size` or
+weight table without an entry the scores need, a name used as a concept
+in one input and as a role in another, a `--size` or
 `--instances` below 1, a `--cap` below 0, a `score`, `count-ms` or
 `count-fms` that resolves to brute force on more than 20 facts, a
 `shapley-drastic` run on more facts than its `--cap` (20 by default), a

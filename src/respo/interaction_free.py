@@ -5,9 +5,9 @@ two distinct (atom, assignment) pairs of the query under the TBox.  For
 such OMQs every minimal support picks exactly one fact per query atom, so
 counting minimal supports factorizes.  The check walks the fact shapes
 (generic facts over the query's constants and two fresh ones) and reads
-each shape's one-atom matches off the TBox closure: the canonical model
-of the one fact, folded so that an anonymous element is known by the role
-leading to it, which takes time polynomial in the TBox.  A real fact's
+each shape's one-atom matches off the canonical model of the one fact,
+walked by `reasoner.canonical_model` with each role's subtree unfolded
+once, which takes time polynomial in the TBox.  A real fact's
 pairs are read the same way, once per plan, and each pair yields a row.
 Summing the facts' rows gives each atom a table from rows to weights, and
 `elimination.weighted_eval` sums weight products over homomorphisms by
@@ -19,7 +19,8 @@ An `IFPlan`, built once per OMQ, keeps the CQ's shared variables, the
 elimination order and each fact's rows.  Scoring every fact counts over D
 and over each D minus one fact, |D| + 1 eliminations;
 `elimination.marginals` would give every fact's count from one.  Nothing
-here imports `queries`, so the pipeline compiles no homomorphism search.
+here imports `queries` or `canonical`, so the pipeline compiles no
+homomorphism search.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from .model import (
     CQ,
     Fact,
     OMQ,
-    Role,
     SupportHistogram,
     UnsupportedTBoxError,
     value_class,
 )
-from .reasoner import SaturatedTBox, entailed_instance_data, is_consistent, saturate
+from .reasoner import SaturatedTBox, canonical_model, is_consistent, saturate
 
 
 class NotInteractionFreeError(UnsupportedTBoxError):
@@ -101,55 +101,19 @@ def _fact_shapes(omq: OMQ, cq: CQ) -> list[Fact]:
     return [Fact(f"shape{i}", name, args) for i, (name, args) in enumerate(shapes)]
 
 
-def _model_tuples(sat: SaturatedTBox, fact: Fact) -> dict[tuple[str, int], set[tuple]]:
-    """The tuples of the canonical model of {fact}, keyed by (predicate,
-    arity), with every anonymous element read as ANON: the fact's entailed
-    instance data, then one worklist over (parent, role) pairs.  A child
-    reached by R has the concept names above exists R-, edges to its
-    parent by the roles above R, and children by the roles above exists
-    R- but R-.  A named parent appears only on the first level, for the
-    roles its named pairs do not witness; below it a child depends only on
-    R, so each (ANON, R) is read once."""
-    types, role_pairs = entailed_instance_data((fact,), sat.tbox)
-    tuples: dict[tuple[str, int], set[tuple]] = {}
-
-    def add(name: str, *values):
-        tuples.setdefault((name, len(values)), set()).add(values)
-
-    witnessed: set[tuple[str, Role]] = set()
-    for name, pairs in role_pairs.items():
-        for a, b in pairs:
-            add(name, a, b)
-            witnessed |= {(a, Role(name)), (b, Role(name, inverted=True))}
-    work = []
-    for a, keys in types.items():
-        for key in keys:
-            if isinstance(key, str):
-                add(key, a)
-            elif (a, key) not in witnessed:
-                work.append((a, key))
-    seen = set(work)
-    while work:
-        parent, r = work.pop()
-        for s in sat.role_sups(r):
-            add(s.name, *((ANON, parent) if s.inverted else (parent, ANON)))
-        for key in sat.concept_sups(r.inverse()):
-            if isinstance(key, str):
-                add(key, ANON)
-            elif key != r.inverse() and (ANON, key) not in seen:
-                seen.add((ANON, key))
-                work.append((ANON, key))
-    return tuples
-
-
 def _satisfying_pairs(sat: SaturatedTBox, fact: Fact, atoms: tuple[Atom, ...]):
     """Every (slot, assignment into const(f) + anon) pair of the `atoms`
-    that the single consistent fact satisfies, matched against its
-    `_model_tuples`.  A repeated variable never takes ANON: the model is a
-    tree, so no edge joins an anonymous element to itself.  The pairs come
-    in slot order, and within a slot in the order of the atom's sorted
-    variables' values: the fact's sorted constants, then anon."""
-    tuples = _model_tuples(sat, fact)
+    that the single consistent fact satisfies, matched against the folded
+    canonical model of {fact} (`reasoner.canonical_model` with no depth),
+    its named elements read as their constants and its anonymous ones as
+    ANON.  A repeated variable never takes ANON: the model is a tree, so no
+    edge joins an anonymous element to itself.  The pairs come in slot
+    order, and within a slot in the order of the atom's sorted variables'
+    values: the fact's sorted constants, then anon."""
+    tuples: dict[tuple[str, int], set[tuple]] = {}
+    for name, elements in canonical_model((fact,), sat.tbox):
+        values = tuple(ANON if path else a for a, path in elements)
+        tuples.setdefault((name, len(values)), set()).add(values)
     for slot, atom in enumerate(atoms):
         variables = sorted(set(atom.variables()))
         found = set()

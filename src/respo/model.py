@@ -1,8 +1,9 @@
 """Core vocabulary: terms, roles, axioms, facts, queries and the small
-value types (rationals, support histograms, weight functions) shared by
-every other module, with the errors, the UTF-8 reading of input files,
-and the scoring methods' names and brute-force cap that the command line
-offers.  Everything here is immutable and safe to share.
+value types (rationals, support histograms and per-fact counts, weight
+functions) shared by every other module, with the errors, the UTF-8
+reading of input files, and the scoring methods' names and brute-force
+cap that the command line offers.  Everything here is immutable and safe
+to share.
 
 The value classes of every respo module are built by `value_class`, a
 small stand-in for `dataclasses.dataclass(frozen=True)`: each class is
@@ -612,6 +613,10 @@ class SupportHistogram:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in self.counts.items())
         return "{" + inner + "}"
+
+
+# Each fact's non-zero per-size counts of the minimal supports containing it.
+FactCounts = dict[Fact, dict[int, int]]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .model import (
     Atom,
     CQ,
     Fact,
+    FactCounts,
     InputError,
     Role,
     SupportHistogram,
@@ -46,9 +47,6 @@ from .model import (
     as_ucq,
 )
 from .reasoner import saturate
-
-# Each fact's non-zero per-size counts of the minimal supports containing it.
-FactCounts = dict[Fact, dict[int, int]]
 
 
 def tally_masks(

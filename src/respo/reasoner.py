@@ -11,10 +11,14 @@ for both TBox flavours: a pass of the facts through the closure, then,
 for a Horn-extended TBox, its A & B <= C and exists R.A <= B axioms
 fired to a fixpoint from a rule table keyed by concept name and built
 once per TBox.  Consistency and ground-atom entailment read that data,
-and `provenance` fires the same rule table over sets of facts.  The
-canonical model of a DL-Lite_R KB and (U)CQ entailment over it live in
-`canonical`, which imports the homomorphism search of `queries`; this
-module imports neither, so Horn scoring loads neither.
+and `provenance` fires the same rule table over sets of facts.
+
+The canonical model of a DL-Lite_R KB is walked here too, by
+`canonical_model`, from that data and one per-role successor rule
+(`SaturatedTBox.successor`).  `canonical` gathers its tuples up to a
+depth into a homomorphism target for (U)CQ entailment, and the
+interaction-free check reads the folded walk of one fact.  This module
+imports no homomorphism search, so Horn scoring loads none.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from .model import (
 
 # A basic concept by key: a concept name, or the role R for exists R.
 ConceptKey = str | Role
+
+# A canonical-model element is a word: (root individual, chain of roles).
+Word = tuple[str, tuple[Role, ...]]
 
 
 def _key(b: BasicConcept) -> ConceptKey:
@@ -65,6 +72,7 @@ class SaturatedTBox:
     def __init__(self, tbox: TBox):
         self.tbox = tbox
         self._rows: dict[tuple[str, int], object] = {}
+        self._successors: dict[Role, tuple] = {}
 
         roles: set[Role] = set()
         concepts: set[ConceptKey] = set()
@@ -169,9 +177,8 @@ class SaturatedTBox:
     def generating_roles(self) -> frozenset[Role]:
         """The roles that can lead to an anonymous element of the canonical
         model: every R with exists R entailed by the exists-concept on the
-        right-hand side of a positive concept inclusion, and below an
-        element reached by R, every S other than R- with
-        exists R- <= exists S."""
+        right-hand side of a positive concept inclusion, and the child
+        roles (`successor`) of each of them."""
         found = {
             sup
             for ax in self.tbox.axioms
@@ -181,12 +188,28 @@ class SaturatedTBox:
         }
         frontier = list(found)
         while frontier:
-            r = frontier.pop()
-            for sup in self.concept_sups(r.inverse()):
-                if not isinstance(sup, str) and sup != r.inverse() and sup not in found:
-                    found.add(sup)
-                    frontier.append(sup)
+            for child in self.successor(frontier.pop())[2]:
+                if child not in found:
+                    found.add(child)
+                    frontier.append(child)
         return frozenset(found)
+
+    def successor(self, r: Role) -> tuple[tuple[str, ...], tuple, tuple[Role, ...]]:
+        """What an anonymous element reached by r has, looked up once per
+        role: the concept names above exists r-; (name, inverted) of every
+        role above r, its edges from its parent; and its child roles, the
+        roles above exists r- but r- itself, since the element already has
+        its parent as an r--successor."""
+        found = self._successors.get(r)
+        if found is None:
+            below = self.concept_sups(r.inverse())
+            found = (
+                tuple(key for key in below if isinstance(key, str)),
+                tuple((s.name, s.inverted) for s in self.role_sups(r)),
+                tuple(key for key in below if not isinstance(key, str) and key != r.inverse()),
+            )
+            self._successors[r] = found
+        return found
 
     def fact_row(self, predicate: str, arity: int):
         """What a fact entails, looked up once per predicate: for A(a) the
@@ -307,6 +330,55 @@ def entailed_instance_data(abox: Iterable[Fact], tbox: TBox):
 def _role_pairs(role_pairs: dict[str, set[tuple[str, str]]], role: Role):
     pairs = role_pairs.get(role.name, set())
     return {(b, a) for a, b in pairs} if role.inverted else pairs
+
+
+# ---------------------------------------------------------------------------
+# The canonical model
+# ---------------------------------------------------------------------------
+
+def canonical_model(abox: Iterable[Fact], tbox: TBox, depth: int | None = None):
+    """The tuples of the canonical model of (abox, tbox), as (predicate,
+    elements) pairs over words (`Word`): (a, ()) is the individual a, and
+    (a, (R1, ..., Rn)) the anonymous element reached from a by R1, ..., Rn.
+
+    The named elements carry the entailed instance data.  An individual
+    gets an R-child for each exists R it is in that no named pair
+    witnesses, and an element reached by R gets the concepts, the edges
+    from its parent and the children that `SaturatedTBox.successor`
+    gives R.  With a `depth`, words go down to that length.  With none,
+    each role's subtree below the first level is unfolded once: an
+    anonymous element's subtree depends only on the role leading to it,
+    so, with every anonymous element read as one value, these are all the
+    model's tuples.  The KB must be consistent.
+    """
+    sat = saturate(tbox)
+    types, role_pairs = entailed_instance_data(abox, tbox)
+    witnessed: set[tuple[str, Role]] = set()
+    for name, pairs in role_pairs.items():
+        for a, b in pairs:
+            yield name, ((a, ()), (b, ()))
+            witnessed |= {(a, Role(name)), (b, Role(name, inverted=True))}
+    work: list[tuple[Word, Role]] = []
+    for a, keys in types.items():
+        for key in keys:
+            if isinstance(key, str):
+                yield key, ((a, ()),)
+            elif (a, key) not in witnessed and depth != 0:
+                work.append(((a, ()), key))
+    unfolded: set[Role] = set()
+    while work:
+        parent, r = work.pop()
+        w = (parent[0], parent[1] + (r,))
+        names, edges, children = sat.successor(r)
+        for name in names:
+            yield name, (w,)
+        for name, inverted in edges:
+            yield name, ((w, parent) if inverted else (parent, w))
+        if depth is None:
+            work.extend((w, s) for s in children if s not in unfolded)
+            unfolded.update(children)
+        elif len(w[1]) < depth:
+            work.extend((w, s) for s in children)
 
 
 # ---------------------------------------------------------------------------

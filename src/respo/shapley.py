@@ -38,6 +38,7 @@ from .model import (
     METHODS,
     ABox,
     Fact,
+    FactCounts,
     InconsistentKBError,
     InputError,
     OMQ,
@@ -49,7 +50,6 @@ from .model import (
     value_class,
 )
 from .provenance import (
-    FactCounts,
     HornProgram,
     ground_atom_query,
     minimal_why_provenance,

@@ -42,6 +42,7 @@ from .model import (
     Atom,
     CQ,
     Fact,
+    FactCounts,
     RespoError,
     SupportHistogram,
     TBox,
@@ -53,7 +54,6 @@ from .model import (
     value_class,
     var,
 )
-from .provenance import FactCounts, ground_atom_query
 from .queries import (
     HomTarget,
     UnsatisfiableQuery,
@@ -102,6 +102,8 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
     ucq = as_ucq(query)
 
     if tbox.horn_extended:
+        from .provenance import ground_atom_query
+
         ground = ground_atom_query(ucq)
 
         def horn_eval(facts: frozenset[Fact]) -> bool:

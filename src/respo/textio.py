@@ -255,19 +255,22 @@ def parse_query(text: str) -> UCQ:
     """The UCQ of a query file.  Each disjunct needs a relational atom,
     and each disequality must relate terms of one connected component of
     the disjunct's relational atoms: a failure names the line of the
-    disjunct, or of the disequality at fault."""
+    disjunct, or of the disequality at fault; an empty disjunct, the line
+    of the OR before it, or after it for the first."""
     arity = _ArityTracker()
     disjunct_chunks: list[list[tuple[int, str]]] = [[]]
+    or_lines: list[int] = []
     for lineno, line in _lines(text):
         if line == "OR":
             disjunct_chunks.append([])
+            or_lines.append(lineno)
             continue
         disjunct_chunks[-1].append((lineno, line))
 
     disjuncts: list[CQ] = []
-    for chunk in disjunct_chunks:
+    for i, chunk in enumerate(disjunct_chunks):
         if not chunk:
-            raise ParseError(1, "empty disjunct")
+            raise ParseError(or_lines[max(i - 1, 0)] if or_lines else 1, "empty disjunct")
         atoms: list[Atom] = []
         neqs: list[tuple[int, Atom]] = []
         for lineno, line in chunk:
@@ -331,24 +334,26 @@ def render_query(ucq: UCQ) -> str:
 
 
 def check_signature_consistency(tbox: TBox | None, abox: ABox | None, query: UCQ | None):
-    """Reject a name used as a concept in one input and a role in another."""
-    tracker = _ArityTracker()
+    """Reject a name used as a concept in one input and a role in another
+    with an `InputError` that names both inputs; each parser has already
+    rejected such a name within its own input, at its line."""
+    uses: list[tuple[str, str, str]] = []
     if tbox is not None:
-        for name in tbox.concept_names():
-            tracker.note(name, "concept", 0)
-        for name in tbox.role_names():
-            tracker.note(name, "role", 0)
+        uses += [(name, "concept", "TBox") for name in tbox.concept_names()]
+        uses += [(name, "role", "TBox") for name in tbox.role_names()]
     if abox is not None:
-        for f in abox:
-            tracker.note(f.predicate, "concept" if f.is_concept else "role", 0)
+        uses += [(f.predicate, "concept" if f.is_concept else "role", "ABox") for f in abox]
     if query is not None:
-        for d in query.disjuncts:
-            for atom in d.relational_atoms():
-                tracker.note(
-                    atom.predicate,
-                    "concept" if len(atom.terms) == 1 else "role",
-                    0,
-                )
+        uses += [
+            (atom.predicate, "concept" if len(atom.terms) == 1 else "role", "query")
+            for d in query.disjuncts
+            for atom in d.relational_atoms()
+        ]
+    seen: dict[str, tuple[str, str]] = {}
+    for name, kind, source in uses:
+        before, where = seen.setdefault(name, (kind, source))
+        if before != kind:
+            raise InputError(f"{name!r} is a {before} in the {where} and a {kind} in the {source}")
 
 
 def instantiate_query(ucq: UCQ, bindings: dict[str, str]) -> UCQ:

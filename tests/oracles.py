@@ -44,6 +44,7 @@ from respo.model import (
     Atom,
     CQ,
     Fact,
+    FactCounts,
     InconsistentKBError,
     InputError,
     RespoError,
@@ -56,7 +57,6 @@ from respo.model import (
     connected_components,
     value_class,
 )
-from respo.provenance import FactCounts
 from respo.queries import (
     HomTarget,
     canonicalize,

@@ -36,7 +36,7 @@ from respo.interaction_free import (
 from respo.model import connected_components
 from respo.elimination import elimination_order, weighted_eval
 from respo.randgen import random_abox, random_cq, random_dllite_tbox, random_interaction_free_omq
-from respo.reasoner import is_consistent, saturate
+from respo.reasoner import SaturatedTBox, is_consistent, saturate
 from respo.shapley import Plan
 from respo.support import enumerate_minimal_supports, make_subset_evaluator
 from respo.textio import parse_abox, parse_query, parse_tbox
@@ -241,6 +241,31 @@ def test_if_plan_compiles_the_role_family_in_polynomial_time():
         IFPlan(omq)
         elapsed[k] = time.perf_counter() - start
     assert elapsed[5] < 0.1 and elapsed[8] < 1.0, elapsed
+
+
+def test_each_role_successor_is_computed_once_per_tbox(variant, monkeypatch):
+    """The walk looks a role's successor up at every anonymous element it
+    reaches by the role, and the closure computes the lookup once per
+    TBox: over the IF plan and the rows of the variant (which has no
+    anonymous element) and of R_4, every lookup of a role returns the
+    object its first lookup built."""
+    looked_up: dict[tuple[int, Role], list] = {}
+    successor = SaturatedTBox.successor
+
+    def spied(self, r):
+        found = successor(self, r)
+        looked_up.setdefault((id(self), r), []).append(found)
+        return found
+
+    monkeypatch.setattr(SaturatedTBox, "successor", spied)
+    omq, abox = variant
+    r4 = role_family(4)
+    for plan, facts in ((IFPlan(omq), abox), (IFPlan(r4), parse_abox("A(a)\nC(a)\ns(a, b)\n"))):
+        for fact in facts:
+            plan.fact_entries(fact)
+    assert {r for _, r in looked_up} == {Role(f"r{i}") for i in range(4)}
+    assert sum(map(len, looked_up.values())) > 4 * len(looked_up)
+    assert all(found is calls[0] for calls in looked_up.values() for found in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from respo.randgen import (
     random_dllite_tbox,
 )
 from respo.queries import hom_exists
-from respo.reasoner import entails_ground_atom, is_consistent, saturate
+from respo.reasoner import canonical_model, entails_ground_atom, is_consistent, saturate
 from respo.rewriter import rewrite
 from respo.textio import parse_abox, parse_tbox
 
@@ -341,3 +341,45 @@ def test_depth_counts_generating_roles():
         (Role("r"),), (Role("s", True),), (Role("r"), Role("s"))
     }
     assert not saturate(parse_tbox("role: r <= s\n")).generating_roles
+
+
+@pytest.mark.parametrize("axioms, role, expected", [
+    pytest.param("A <= exists r\n", Role("r"), (set(), {("r", False)}, set()),
+                 id="no-step-back"),
+    pytest.param("A <= exists r-\nexists r <= B\nexists r <= exists s\n", Role("r", True),
+                 ({"B"}, {("r", True)}, {Role("s")}), id="inverse"),
+    pytest.param("role: r <= s-\nexists s <= A\n", Role("r"),
+                 ({"A"}, {("r", False), ("s", True)}, {Role("s")}), id="r-below-s-inverse"),
+    pytest.param("role: r <= r-\n", Role("r"),
+                 (set(), {("r", False), ("r", True)}, {Role("r")}), id="symmetric"),
+    pytest.param("exists r- <= exists r\n", Role("r"), (set(), {("r", False)}, {Role("r")}),
+                 id="loop-by-r"),
+    pytest.param("exists r- <= exists r\n", Role("r", True), (set(), {("r", True)}, set()),
+                 id="loop-by-r-inverse"),
+])
+def test_successor_lookup(axioms, role, expected):
+    """An element reached by R has the concept names above exists R-, the
+    edges of the roles above R to its parent, and a child for each role
+    above exists R- but R-, by which its parent already succeeds it: under
+    exists r- <= exists r an element reached by r gets an r-child, one
+    reached by r- none."""
+    names, edges, children = saturate(parse_tbox(axioms)).successor(role)
+    assert (set(names), set(edges), set(children)) == expected
+    assert len(children) == len(set(children)) and role.inverse() not in children
+
+
+def test_the_walk_unfolds_each_role_once_without_a_depth():
+    """Under A <= exists r and exists r- <= exists r the fact A(c) has an
+    endless anonymous r-chain.  A walk to depth 3 gives its first three
+    elements; with no depth the r-subtree below the first level is
+    unfolded once."""
+    tbox = parse_tbox("A <= exists r\nexists r- <= exists r\n")
+    r = Role("r")
+
+    def words(depth):
+        return {w for _, elements in canonical_model(parse_abox("A(c)\n"), tbox, depth)
+                for w in elements}
+
+    assert words(0) == {("c", ())}
+    assert words(3) == {("c", ()), ("c", (r,)), ("c", (r, r)), ("c", (r, r, r))}
+    assert words(None) == {("c", ()), ("c", (r,)), ("c", (r, r))}

@@ -102,6 +102,26 @@ def test_rewriting_equivalence_on_all_sub_aboxes():
                 assert ucq_holds(rewritten, combo) == entails_ucq(sub, tbox, as_ucq(cq))
 
 
+def test_rewriting_equivalence_on_larger_tboxes():
+    """The same on 300 seeded KBs with TBoxes of up to 10 axioms.  The
+    rewriter reads the TBox closure but never walks the canonical model,
+    so this checks the walk's successor rule from outside."""
+    rng = random.Random(9)
+    entailed = 0
+    for _ in range(300):
+        cq = random_cq(rng, max_atoms=2, allow_neq=False)
+        tbox, abox = random_consistent_kb(rng, max_axioms=10, max_facts=4, bias=as_ucq(cq))
+        rewritten = rewrite(OMQ(tbox, cq))
+        facts = tuple(abox)
+        for k in range(len(facts) + 1):
+            for combo in combinations(facts, k):
+                sub = ABox(tuple(sorted(combo, key=lambda f: f.label)))
+                holds = entails_ucq(sub, tbox, as_ucq(cq))
+                assert ucq_holds(rewritten, combo) == holds
+                entailed += holds
+    assert entailed >= 300, entailed
+
+
 def test_disequality_queries_refused_over_positive_tboxes():
     # A named witness can displace the anonymous witness that satisfied a
     # disequality (q = s(w,z) & w != z, T = {B <= exists s-}: {B(e)}

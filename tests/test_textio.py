@@ -138,6 +138,19 @@ def test_parse_query_rejects_cross_component_disequality():
         "4:1: error: disequality spans two query components")
 
 
+@pytest.mark.parametrize("text, line", [
+    pytest.param("A(?x)\nOR\n", 2, id="last"),
+    pytest.param("# c\n\nOR\nA(?x)\n", 3, id="first"),
+    pytest.param("A(?x)\nOR\n\nOR\nB(?x)\n", 2, id="between"),
+    pytest.param("# only a comment\n", 1, id="no-or"),
+])
+def test_parse_query_names_the_or_next_to_an_empty_disjunct(text, line):
+    """An empty disjunct has no line of its own: the error names the OR
+    before it, or after it for the first disjunct, and line 1 for a query
+    with no line at all."""
+    assert _parse_query_error(text) == f"{line}:1: error: empty disjunct"
+
+
 def test_round_trips():
     tbox_text = (
         "Seafood <= FishBased\n"
