@@ -171,7 +171,7 @@ class MatchingInstance:
     q2: UCQ
 
 
-def _exactly_one_chain(row: int, xs: list, taken: set[str]) -> list[Atom]:
+def _exactly_one_chain(row: int, xs: list) -> list[Atom]:
     """Chained exists-unique gadgets over the row's variables: each gadget
     consumes the running result and one input, blocking whenever two
     inputs are true, and the chain's output must be One."""
@@ -183,7 +183,6 @@ def _exactly_one_chain(row: int, xs: list, taken: set[str]) -> list[Atom]:
     for j, x in enumerate(xs[1:], start=1):
         w = var(f"w_{row}_{j}")
         z = var(f"z_{row}_{j}")
-        taken.update((w.name, z.name))
         atoms.append(role_atom(f"ORina_{row}_{j}", current, w))
         atoms.append(role_atom(f"ORinb_{row}_{j}", x, w))
         atoms.append(role_atom(f"ORout_{row}_{j}", w, z))
@@ -237,16 +236,13 @@ def gen_perfect_matching(graph: Graph) -> MatchingInstance:
         add(f"One_{i}", "1")
         add(f"Zero_{i}", "0")
 
-    taken: set[str] = set()
     q1_atoms: list[Atom] = []
     for (i, j) in sorted(edges):
-        x = var(f"x_{i}_{j}")
-        taken.add(x.name)
-        q1_atoms.append(concept_atom(f"Val_{i}_{j}", x))
+        q1_atoms.append(concept_atom(f"Val_{i}_{j}", var(f"x_{i}_{j}")))
     for i in range(1, n + 1):
         row_vars = [var(f"x_{i}_{j}") for (i2, j) in sorted(edges) if i2 == i]
         if row_vars:
-            q1_atoms.extend(_exactly_one_chain(i, row_vars, taken))
+            q1_atoms.extend(_exactly_one_chain(i, row_vars))
         else:
             # Isolated left vertex: no perfect matching exists, so this
             # row contributes an unsatisfiable block (One forces 1, but

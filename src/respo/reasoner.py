@@ -3,8 +3,11 @@
 Everything here reads one object, the closure of the TBox's DL-Lite
 inclusions, which `saturate` builds once per TBox and which holds every
 basic concept by one key (`ConceptKey`): a concept name, or the role R
-for exists R.  The rewriter, the canonical model, the interaction-free
-check and provenance read it, so no part builds a `BasicConcept`.
+for exists R.  It is computed once in both directions, the keys above a
+key and the keys below it, and its negative inclusions come from one
+pass that finds the empty keys.  The rewriter, the canonical model, the
+interaction-free check and provenance read it through its lookups, so
+no part builds a `BasicConcept` or scans its maps.
 
 One engine computes the entailed instance data of the named individuals
 for both TBox flavours: a pass of the facts through the closure, then,
@@ -59,14 +62,18 @@ class SaturatedTBox:
     """Closure of a TBox's DL-Lite_R inclusions under inclusion derivation,
     which leaves out its Horn axioms.  `saturate` builds it once per TBox.
 
-    Every basic concept is held by its key (`ConceptKey`): concept_subs
-    maps a key to the keys above it, role_subs a role to the roles above
-    it.  Both are reflexive-transitive; role inclusions are lifted to
-    their exists-concepts; negative inclusions are closed under
-    contraposition through the positive closure, and an empty role (R
-    disjoint with itself) empties both of its exists-concepts.  The
-    closure of each fact predicate and the Horn axioms, keyed for firing,
-    are looked up here too, so they are built once per TBox.
+    Every basic concept is held by its key (`ConceptKey`).  The positive
+    closure is kept both ways, reflexive-transitive and with role
+    inclusions lifted to their exists-concepts: `concept_sups` and
+    `role_sups` give the keys above a key, `concept_subs` and `role_subs`
+    the keys below it.  `disjoint_concepts` holds, both ways, every pair
+    of keys below the two sides of a negative concept inclusion, and
+    (k, k) for each empty key k; `disjoint_roles` the same for the roles,
+    inverses included, with (R, R) for each empty role.  A key is empty
+    when it lies below both sides of a negative inclusion or below an
+    empty key, and exists R is empty with exists R-.  The closure of each
+    fact predicate and the Horn axioms, keyed for firing, are looked up
+    here too, so they are built once per TBox.
     """
 
     def __init__(self, tbox: TBox):
@@ -83,95 +90,68 @@ class SaturatedTBox:
         roles |= {r.inverse() for r in roles}
         concepts |= roles
 
-        # Positive role closure: axiom edges plus their inverse
-        # counterparts, reflexive-transitive.
+        # The positive closures: role-inclusion edges with their inverse
+        # counterparts, and concept-inclusion edges plus the lift of the
+        # role closure to exists-concepts, both reflexive-transitive.
         role_edges: dict[Role, set[Role]] = {r: {r} for r in roles}
-        for ax in tbox.axioms:
-            if ax.kind == ROLE_INCLUSION and not ax.negated:
-                role_edges[ax.lhs].add(ax.rhs)
-                role_edges[ax.lhs.inverse()].add(ax.rhs.inverse())
-        _transitive_close(role_edges)
-
-        # Positive concept closure: concept-inclusion edges plus the lift
-        # of the role closure to exists-concepts.
         concept_edges: dict[ConceptKey, set[ConceptKey]] = {c: {c} for c in concepts}
+        concept_nis: list[tuple[ConceptKey, ConceptKey]] = []
+        role_nis: list[tuple[Role, Role]] = []
         for ax in tbox.axioms:
-            if ax.kind == CONCEPT_INCLUSION and not ax.negated:
-                concept_edges[_key(ax.lhs)].add(_key(ax.rhs))
+            if ax.kind == CONCEPT_INCLUSION:
+                pair = _key(ax.lhs), _key(ax.rhs)
+                if ax.negated:
+                    concept_nis.append(pair)
+                else:
+                    concept_edges[pair[0]].add(pair[1])
+            else:
+                pairs = (ax.lhs, ax.rhs), (ax.lhs.inverse(), ax.rhs.inverse())
+                if ax.negated:
+                    role_nis += pairs
+                else:
+                    for sub, sup in pairs:
+                        role_edges[sub].add(sup)
+        _transitive_close(role_edges)
         for r, sups in role_edges.items():
             concept_edges[r] |= sups
         _transitive_close(concept_edges)
+        self._concept_sups, self._concept_subs = _both_ways(concept_edges)
+        self._role_sups, self._role_subs = _both_ways(role_edges)
 
-        # Negative closure.  B <= !C is symmetric (disjointness) and
-        # composes with the positive closures on both sides; an entailed
-        # R <= !R forces exists R and exists R- to be empty, which feeds
-        # back into the concept-level disjointness.
-        neg_concepts: set[tuple[ConceptKey, ConceptKey]] = set()
-        neg_roles: set[tuple[Role, Role]] = set()
-        for ax in tbox.axioms:
-            if not ax.negated:
-                continue
-            if ax.kind == CONCEPT_INCLUSION:
-                neg_concepts.add((_key(ax.lhs), _key(ax.rhs)))
-            else:
-                neg_roles.add((ax.lhs, ax.rhs))
-                neg_roles.add((ax.lhs.inverse(), ax.rhs.inverse()))
-
-        subs_of_concept: dict[ConceptKey, set[ConceptKey]] = {c: set() for c in concepts}
-        for sub, sups in concept_edges.items():
-            for sup in sups:
-                subs_of_concept.setdefault(sup, set()).add(sub)
-        subs_of_role: dict[Role, set[Role]] = {r: set() for r in roles}
-        for sub, sups in role_edges.items():
-            for sup in sups:
-                subs_of_role.setdefault(sup, set()).add(sub)
-
-        changed = True
-        while changed:
-            changed = False
-            new_nc = set()
-            for (x, y) in neg_concepts:
-                for x2 in subs_of_concept.get(x, (x,)):
-                    for y2 in subs_of_concept.get(y, (y,)):
-                        new_nc.add((x2, y2))
-                        new_nc.add((y2, x2))
-            if not new_nc <= neg_concepts:
-                neg_concepts |= new_nc
-                changed = True
-            new_nr = set()
-            for (r, s) in neg_roles:
-                for r2 in subs_of_role.get(r, (r,)):
-                    for s2 in subs_of_role.get(s, (s,)):
-                        new_nr.add((r2, s2))
-                        new_nr.add((s2, r2))
-            if not new_nr <= neg_roles:
-                neg_roles |= new_nr
-                changed = True
-            # Empty-role propagation, both directions: R <= !R empties
-            # exists R and exists R-, whose keys are R and R-.
-            for r in roles:
-                if (r, r) in neg_roles:
-                    for c in (r, r.inverse()):
-                        if (c, c) not in neg_concepts:
-                            neg_concepts.add((c, c))
-                            changed = True
-            for r in roles:
-                for c in (r, r.inverse()):
-                    if (c, c) in neg_concepts and (r, r) not in neg_roles:
-                        neg_roles.add((r, r))
-                        changed = True
-
-        self.concept_subs = {c: frozenset(s) for c, s in concept_edges.items()}
-        self.role_subs = {r: frozenset(s) for r, s in role_edges.items()}
-        self.disjoint_concepts = frozenset(neg_concepts)
-        self.disjoint_roles = frozenset(neg_roles)
+        # Negative inclusions.  B <= !C is disjointness, so it holds both
+        # ways of every pair of keys below B and C, and R <= !S of R- and
+        # S- too.  A key paired with itself lies below both sides, so it
+        # is empty, and so is each key below an empty key, and exists R
+        # when exists R- is: R is then an empty role.
+        disjoint_concepts = _disjoint(concept_nis, self.concept_subs)
+        disjoint_roles = _disjoint(role_nis, self.role_subs)
+        work = [x for x, y in disjoint_concepts | disjoint_roles if x == y]
+        empty: set[ConceptKey] = set()
+        while work:
+            key = work.pop()
+            if key not in empty:
+                empty.add(key)
+                work.extend(self.concept_subs(key))
+                if isinstance(key, Role):
+                    work.append(key.inverse())
+        self.disjoint_concepts = frozenset(disjoint_concepts | {(k, k) for k in empty})
+        self.disjoint_roles = frozenset(
+            disjoint_roles | {(r, r) for r in empty if isinstance(r, Role)}
+        )
 
     def concept_sups(self, key: ConceptKey) -> frozenset[ConceptKey]:
         """The keys of the basic concepts above the one keyed `key`."""
-        return self.concept_subs.get(key) or frozenset((key,))
+        return self._concept_sups.get(key) or frozenset((key,))
+
+    def concept_subs(self, key: ConceptKey) -> frozenset[ConceptKey]:
+        """The keys of the basic concepts below the one keyed `key`."""
+        return self._concept_subs.get(key) or frozenset((key,))
 
     def role_sups(self, r: Role) -> frozenset[Role]:
-        return self.role_subs.get(r, frozenset((r,)))
+        return self._role_sups.get(r) or frozenset((r,))
+
+    def role_subs(self, r: Role) -> frozenset[Role]:
+        return self._role_subs.get(r) or frozenset((r,))
 
     @cached_property
     def generating_roles(self) -> frozenset[Role]:
@@ -199,7 +179,13 @@ class SaturatedTBox:
         role: the concept names above exists r-; (name, inverted) of every
         role above r, its edges from its parent; and its child roles, the
         roles above exists r- but r- itself, since the element already has
-        its parent as an r--successor."""
+        its parent as an r--successor.
+
+        This is the word-based canonical model of DL-Lite (Kontchakov et
+        al., KR 2010): a word w.r.s needs exists r- <= exists s and s != r-.
+        A child s is kept also when a role inclusion r <= s- already makes
+        the parent an s-successor; the model stays homomorphically
+        equivalent to the restricted chase, which would drop it."""
         found = self._successors.get(r)
         if found is None:
             below = self.concept_sups(r.inverse())
@@ -259,6 +245,24 @@ def saturate(tbox: TBox) -> SaturatedTBox:
         sat = SaturatedTBox(tbox)
         object.__setattr__(tbox, "_saturation", sat)
     return sat
+
+
+def _both_ways(edges: dict) -> tuple[dict, dict]:
+    """A reflexive-transitive closure as the keys above each key, the way
+    `edges` holds it, and as the keys below each key."""
+    below: dict = {}
+    for sub, sups in edges.items():
+        for sup in sups:
+            below.setdefault(sup, set()).add(sub)
+    return tuple({key: frozenset(found) for key, found in m.items()} for m in (edges, below))
+
+
+def _disjoint(nis, below) -> set:
+    """The pairs of keys below the two sides of each negative inclusion
+    in `nis`, both ways."""
+    return {
+        pair for b, c in nis for x in below(b) for y in below(c) for pair in ((x, y), (y, x))
+    }
 
 
 def _transitive_close(edges: dict):

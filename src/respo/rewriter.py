@@ -10,6 +10,11 @@ atom unification, to a fixpoint over canonical query forms:
   * role atoms rewrite along entailed role inclusions (both orientations);
   * unifying two atoms of a disjunct can unblock the witness rule.
 
+Each rule reads the keys below its target straight off the TBox closure
+(`SaturatedTBox.concept_subs` and `role_subs`), so no step scans the
+closure's maps.  The result is sorted by canonical form, so it does not
+depend on the order those lookups iterate in.
+
 Soundness and completeness are enforced by the randomized equivalence
 suite against canonical-model entailment, not argued here.
 """
@@ -86,8 +91,8 @@ def _applications(cq: CQ, sat) -> list[CQ]:
     for atom in cq.relational_atoms():
         if atom.kind == CONCEPT_ATOM:
             target = atom.predicate
-            for sub, sups in sat.concept_subs.items():
-                if target in sups and sub != target:
+            for sub in sat.concept_subs(target):
+                if sub != target:
                     results.append(replaced(atom, _atomize(sub, atom.terms[0], taken)))
             continue
 
@@ -95,23 +100,18 @@ def _applications(cq: CQ, sat) -> list[CQ]:
         # entailed r- <= r legitimately flips the atom).
         t1, t2 = atom.terms
         target_role = Role(atom.predicate)
-        for sub, sups in sat.role_subs.items():
-            if target_role in sups:
-                new = (
-                    role_atom(sub.name, t2, t1)
-                    if sub.inverted
-                    else role_atom(sub.name, t1, t2)
-                )
-                if new != atom:
-                    results.append(replaced(atom, new))
+        for sub in sat.role_subs(target_role):
+            new = role_atom(sub.name, t2, t1) if sub.inverted else role_atom(sub.name, t1, t2)
+            if new != atom:
+                results.append(replaced(atom, new))
 
         # Witness rule: a role atom with a droppable variable stands for
         # exists R at the other term.
         for pos in _unshared_positions(cq, atom):
             anchor = atom.terms[1 - pos]
             exists_role = Role(atom.predicate, inverted=(pos == 0))
-            for sub, sups in sat.concept_subs.items():
-                if exists_role in sups and sub != exists_role:
+            for sub in sat.concept_subs(exists_role):
+                if sub != exists_role:
                     results.append(replaced(atom, _atomize(sub, anchor, taken)))
     return results
 

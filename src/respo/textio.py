@@ -170,21 +170,14 @@ def parse_tbox(text: str) -> TBox:
 def render_tbox(tbox: TBox) -> str:
     lines = []
     for ax in sorted(tbox.axioms, key=repr):
-        bang = "!" if ax.negated else ""
-        if ax.kind == ROLE_INCLUSION:
-            lines.append(f"role: {ax.lhs!r} <= {bang}{ax.rhs!r}")
-        else:
-            lines.append(f"{_render_basic(ax.lhs)} <= {bang}{_render_basic(ax.rhs)}")
+        prefix = "role: " if ax.kind == ROLE_INCLUSION else ""
+        lines.append(f"{prefix}{ax.lhs!r} <= {'!' if ax.negated else ''}{ax.rhs!r}")
     for ax in sorted(tbox.horn_axioms, key=repr):
         if isinstance(ax, ConjunctionAxiom):
             lines.append(f"{ax.lhs1} & {ax.lhs2} <= {ax.rhs}")
         else:
             lines.append(f"exists {ax.role!r}.{ax.filler} <= {ax.rhs}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _render_basic(b) -> str:
-    return b.concept_name if b.is_name else f"exists {b.role!r}"
 
 
 def parse_abox(text: str) -> ABox:

@@ -18,7 +18,8 @@ enumeration:
     with the drastic and the number-of-minimal-supports wealth, and the
     symmetry/null property checks;
   * reasoning: query entailment under one assignment, exists R(a)
-    entailment, and a single fact's one-atom matches read off its
+    entailment, consistency read off the chase (the oracle of
+    `is_consistent`), and a single fact's one-atom matches read off its
     canonical-model tree (the oracle of the interaction-free check's
     reading of the TBox closure);
   * generators: the combinatorial counts that the hardness constructions
@@ -40,6 +41,7 @@ from respo.generators import Graph
 from respo.model import (
     ABox,
     ANON,
+    CONCEPT_INCLUSION,
     Assignment,
     Atom,
     CQ,
@@ -65,7 +67,7 @@ from respo.queries import (
     query_target,
     with_all_pairs_neq,
 )
-from respo.reasoner import entailed_instance_data, is_consistent
+from respo.reasoner import canonical_model, entailed_instance_data, is_consistent, saturate
 from respo.shapley import BRUTE_FORCE_CAP, ScoreReport, histogram_difference
 from respo.sqlgen import SqlManifest
 from respo.support import (
@@ -477,6 +479,40 @@ def entails_exists(abox: Iterable[Fact], tbox: TBox, role: Role, individual: str
     """(A, T) |= exists R(a)."""
     types, _ = entailed_instance_data(abox, tbox)
     return role in types.get(individual, ())
+
+
+def chase_consistent(abox: Iterable[Fact], tbox: TBox) -> bool:
+    """Whether (A, T) is consistent, read off the chase: the canonical
+    model walked to depth len(generating roles) + 2, which reads only the
+    positive closure, with each negative inclusion of T checked literally
+    on its tuples; the oracle of `is_consistent`.  An element is in
+    exists R when it has an R-edge, counted only above the last level,
+    whose elements have no child edges."""
+    depth = len(saturate(tbox).generating_roles) + 2
+    names: dict[str, set] = {}
+    edges: dict[str, set] = {}
+    for predicate, elements in canonical_model(abox, tbox, depth):
+        if len(elements) == 1:
+            names.setdefault(predicate, set()).add(elements[0])
+        else:
+            edges.setdefault(predicate, set()).add(elements)
+
+    def pairs(role: Role) -> set:
+        found = edges.get(role.name, set())
+        return {(y, x) for x, y in found} if role.inverted else found
+
+    def members(b) -> set:
+        if b.is_name:
+            return names.get(b.concept_name, set())
+        return {x for x, _ in pairs(b.role) if len(x[1]) < depth}
+
+    return not any(
+        (members(ax.lhs) & members(ax.rhs))
+        if ax.kind == CONCEPT_INCLUSION
+        else (pairs(ax.lhs) & pairs(ax.rhs))
+        for ax in tbox.axioms
+        if ax.negated
+    )
 
 
 # ---------------------------------------------------------------------------

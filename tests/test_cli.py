@@ -356,6 +356,22 @@ def test_check_if(capsys, tmp_path):
     assert code == 0 and out.startswith("witness")
 
 
+def test_check_if_reads_the_word_model_child_below_an_inverse_role_inclusion(capsys, tmp_path):
+    """Under A <= exists r and r <= s-, the element reached by r has its
+    parent as an s-successor and, in the word-based canonical model of
+    DL-Lite, an anonymous s-child too; the check sees both s-pairs."""
+    tbox = tmp_path / "t.tbox"
+    tbox.write_text("A <= exists r\nrole: r <= s-\n", encoding="utf-8")
+    query = tmp_path / "q.query"
+    query.write_text("s(?x, ?y), B(?z)\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-if", "--tbox", str(tbox), "--query", str(query))
+    assert (code, err) == (0, "")
+    assert out == (
+        "witness: fact A(fresh#1) satisfies both s(?x,?y) [?x-><anon>, ?y->fresh#1]"
+        " and s(?x,?y) [?x-><anon>, ?y-><anon>]\n"
+    )
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
