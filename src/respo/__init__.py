@@ -10,7 +10,6 @@ from .model import (
     ABox,
     Atom,
     Axiom,
-    BasicConcept,
     CQ,
     Fact,
     InconsistentKBError,
@@ -29,7 +28,6 @@ __all__ = [
     "ABox",
     "Atom",
     "Axiom",
-    "BasicConcept",
     "CQ",
     "Fact",
     "InconsistentKBError",

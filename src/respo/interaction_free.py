@@ -130,7 +130,7 @@ def _satisfying_pairs(sat: SaturatedTBox, fact: Fact, atoms: tuple[Atom, ...]):
             yield slot, dict(zip(variables, values))
 
 
-def _assignment_key(mu: dict) -> tuple[tuple[str, str], ...]:
+def _witness_assignment(mu: dict) -> tuple[tuple[str, str], ...]:
     return tuple((v, "<anon>" if value is ANON else value) for v, value in mu.items())
 
 
@@ -149,7 +149,7 @@ def check_interaction_free(omq: OMQ) -> InteractionWitness | None:
         if len(found) == 2:
             (s1, mu1), (s2, mu2) = found
             return InteractionWitness(
-                shape, atoms[s1], _assignment_key(mu1), atoms[s2], _assignment_key(mu2)
+                shape, atoms[s1], _witness_assignment(mu1), atoms[s2], _witness_assignment(mu2)
             )
     return None
 

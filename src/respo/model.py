@@ -5,6 +5,13 @@ reading of input files, and the scoring methods' names and brute-force
 cap that the command line offers.  Everything here is immutable and safe
 to share.
 
+A basic concept B ::= A | exists R has one form, its `ConceptKey`: the
+concept name A, or the role R standing for exists R.  A concept
+inclusion holds one on each side, and the TBox closure, the rewriter,
+the interaction-free check and provenance read the same keys.  `ANON`,
+the one instance of its own class, marks an anonymous element in the
+assignments of the interaction-free check; it is no query term.
+
 The value classes of every respo module are built by `value_class`, a
 small stand-in for `dataclasses.dataclass(frozen=True)`: each class is
 immutable, compares and hashes on all of its fields unless it defines
@@ -139,20 +146,17 @@ def _build_value_class(cls, slots: bool):
 
 VAR = "var"
 CONST = "const"
-ANON_KIND = "anon"
 
 
 @value_class(slots=True)
 class Term:
     kind: str
-    name: str | None = None
+    name: str
 
     def __post_init__(self):
-        if self.kind not in (VAR, CONST, ANON_KIND):
+        if self.kind not in (VAR, CONST):
             raise ValueError(f"bad term kind {self.kind!r}")
-        if self.kind == ANON_KIND and self.name is not None:
-            raise ValueError("the anonymous marker carries no name")
-        if self.kind != ANON_KIND and not self.name:
+        if not self.name:
             raise ValueError("variables and constants need a name")
 
     @property
@@ -164,9 +168,7 @@ class Term:
         return self.kind == CONST
 
     def __repr__(self) -> str:
-        if self.kind == ANON_KIND:
-            return "<anon>"
-        return f"?{self.name}" if self.kind == VAR else str(self.name)
+        return f"?{self.name}" if self.kind == VAR else self.name
 
 
 def var(name: str) -> Term:
@@ -177,9 +179,19 @@ def const(name: str) -> Term:
     return Term(CONST, name)
 
 
-#: The distinguished "maps to an anonymous element" marker used in
-#: assignments.  A single value, never equal to any constant.
-ANON = Term(ANON_KIND)
+class _Anonymous:
+    """The type of `ANON`, which has this one instance."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<anon>"
+
+
+#: The distinguished "maps to an anonymous element" marker of the
+#: assignments that the interaction-free check reads: a single value,
+#: never equal to a constant name, and never a query term.
+ANON = _Anonymous()
 
 
 @value_class(slots=True)
@@ -200,33 +212,9 @@ class Role:
 # Concepts and axioms
 # ---------------------------------------------------------------------------
 
-@value_class(slots=True)
-class BasicConcept:
-    """Either a concept name or an unqualified existential over a role."""
-
-    concept_name: str | None = None
-    role: Role | None = None
-
-    def __post_init__(self):
-        if (self.concept_name is None) == (self.role is None):
-            raise ValueError("a basic concept is a name xor an exists-role")
-
-    @property
-    def is_name(self) -> bool:
-        return self.concept_name is not None
-
-    def __repr__(self) -> str:
-        if self.concept_name is not None:
-            return self.concept_name
-        return f"exists {self.role!r}"
-
-
-def concept(name: str) -> BasicConcept:
-    return BasicConcept(concept_name=name)
-
-
-def exists(role: Role) -> BasicConcept:
-    return BasicConcept(role=role)
+# A basic concept B ::= A | exists R by its key: a concept name, or the
+# role R standing for exists R.
+ConceptKey = str | Role
 
 
 CONCEPT_INCLUSION = "concept"
@@ -235,17 +223,18 @@ ROLE_INCLUSION = "role"
 
 @value_class(slots=True)
 class Axiom:
-    """A concept inclusion B <= [!]C or a role inclusion R <= [!]S."""
+    """A concept inclusion B <= [!]C, each side a `ConceptKey`, or a role
+    inclusion R <= [!]S, each side a `Role`."""
 
     kind: str
-    lhs: BasicConcept | Role
-    rhs: BasicConcept | Role
+    lhs: ConceptKey
+    rhs: ConceptKey
     negated: bool = False
 
     def __post_init__(self):
         if self.kind == CONCEPT_INCLUSION:
-            if not (isinstance(self.lhs, BasicConcept) and isinstance(self.rhs, BasicConcept)):
-                raise ValueError("concept inclusion sides must be basic concepts")
+            if not (isinstance(self.lhs, (str, Role)) and isinstance(self.rhs, (str, Role))):
+                raise ValueError("concept inclusion sides must be concept names or roles")
         elif self.kind == ROLE_INCLUSION:
             if not (isinstance(self.lhs, Role) and isinstance(self.rhs, Role)):
                 raise ValueError("role inclusion sides must be roles")
@@ -284,12 +273,9 @@ class TBox:
         return bool(self.horn_axioms)
 
     def concept_names(self) -> set[str]:
-        names: set[str] = set()
-        for ax in self.axioms:
-            if ax.kind == CONCEPT_INCLUSION:
-                for side in (ax.lhs, ax.rhs):
-                    if side.is_name:
-                        names.add(side.concept_name)
+        names = {
+            side for ax in self.axioms for side in (ax.lhs, ax.rhs) if isinstance(side, str)
+        }
         for ax in self.horn_axioms:
             if isinstance(ax, ConjunctionAxiom):
                 names.update((ax.lhs1, ax.lhs2, ax.rhs))
@@ -298,17 +284,12 @@ class TBox:
         return names
 
     def role_names(self) -> set[str]:
-        names: set[str] = set()
-        for ax in self.axioms:
-            if ax.kind == ROLE_INCLUSION:
-                names.update((ax.lhs.name, ax.rhs.name))
-            else:
-                for side in (ax.lhs, ax.rhs):
-                    if not side.is_name:
-                        names.add(side.role.name)
-        for ax in self.horn_axioms:
-            if isinstance(ax, QualifiedExistsAxiom):
-                names.add(ax.role.name)
+        names = {
+            side.name for ax in self.axioms for side in (ax.lhs, ax.rhs) if isinstance(side, Role)
+        }
+        names.update(
+            ax.role.name for ax in self.horn_axioms if isinstance(ax, QualifiedExistsAxiom)
+        )
         return names
 
 
@@ -410,9 +391,6 @@ class Atom:
                 raise ValueError("disequalities relate two terms")
             if self.terms[0] == self.terms[1]:
                 raise ValueError("disequality arguments must be distinct terms")
-            for t in self.terms:
-                if t.kind == ANON_KIND:
-                    raise ValueError("disequalities relate variables/constants only")
         else:
             raise ValueError(f"bad atom kind {self.kind!r}")
 
@@ -439,15 +417,15 @@ def role_atom(predicate: str, t1: Term, t2: Term) -> Atom:
 
 def neq_atom(t1: Term, t2: Term) -> Atom:
     # Normalized order keeps atom sets canonical.
-    a, b = sorted((t1, t2), key=lambda t: (t.kind, t.name or ""))
+    a, b = sorted((t1, t2), key=lambda t: (t.kind, t.name))
     return Atom(NEQ_ATOM, None, (a, b))
 
 
-def _atom_sort_key(atom: Atom):
+def _atom_order(atom: Atom):
     return (
         atom.kind,
         atom.predicate or "",
-        tuple((t.kind, t.name or "") for t in atom.terms),
+        tuple((t.kind, t.name) for t in atom.terms),
     )
 
 
@@ -460,7 +438,7 @@ class CQ:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.atoms), key=_atom_sort_key))
+        ordered = tuple(sorted(set(self.atoms), key=_atom_order))
         object.__setattr__(self, "atoms", ordered)
 
     def variables(self) -> tuple[str, ...]:
@@ -517,7 +495,7 @@ class OMQ:
 
 
 # An assignment maps variable names to constant names or to ANON.
-Assignment = Mapping[str, "str | Term"]
+Assignment = Mapping[str, "str | _Anonymous"]
 
 
 # ---------------------------------------------------------------------------

@@ -129,14 +129,7 @@ def _group_orderings(groups: list[list[str]]):
 
 
 def _render_atom(atom: Atom, rename: dict[str, int]):
-    parts = []
-    for t in atom.terms:
-        if t.is_var:
-            parts.append(("v", rename[t.name]))
-        elif t.is_const:
-            parts.append(("c", t.name))
-        else:
-            parts.append(("a", ""))
+    parts = [("v", rename[t.name]) if t.is_var else ("c", t.name) for t in atom.terms]
     if atom.kind == NEQ_ATOM:
         parts.sort()  # x != y and y != x are the same atom
     return (atom.kind, atom.predicate or "", tuple(parts))

@@ -14,6 +14,7 @@ from .model import (
     Axiom,
     CONCEPT_INCLUSION,
     CQ,
+    ConceptKey,
     ConjunctionAxiom,
     Fact,
     OMQ,
@@ -22,10 +23,8 @@ from .model import (
     Role,
     TBox,
     UCQ,
-    concept,
     concept_atom,
     const,
-    exists,
     neq_atom,
     role_atom,
     var,
@@ -39,10 +38,10 @@ CONSTANTS = ["c", "d", "e", "g", "h"]
 VARIABLES = ["x", "y", "z", "w"]
 
 
-def random_basic_concept(rng: random.Random) -> object:
+def random_basic_concept(rng: random.Random) -> ConceptKey:
     if rng.random() < 0.55:
-        return concept(rng.choice(CONCEPT_NAMES))
-    return exists(Role(rng.choice(ROLE_NAMES), rng.random() < 0.4))
+        return rng.choice(CONCEPT_NAMES)
+    return Role(rng.choice(ROLE_NAMES), rng.random() < 0.4)
 
 
 def random_dllite_tbox(
@@ -84,14 +83,8 @@ def random_abox(
                 shapes.append((atom.predicate, len(atom.terms)))
     if tbox is not None:
         for ax in tbox.axioms:
-            if ax.negated:
-                continue
-            if ax.kind == ROLE_INCLUSION:
-                shapes.append((ax.lhs.name, 2))
-            elif ax.lhs.is_name:
-                shapes.append((ax.lhs.concept_name, 1))
-            else:
-                shapes.append((ax.lhs.role.name, 2))
+            if not ax.negated:
+                shapes.append((ax.lhs, 1) if isinstance(ax.lhs, str) else (ax.lhs.name, 2))
     # TBox axioms live in a frozenset; sort so instance generation does not
     # depend on hash seeding.
     shapes.sort()
@@ -213,7 +206,7 @@ def random_horn_kb(rng: random.Random) -> tuple[TBox, ABox, CQ]:
     while True:
         axioms = frozenset(
             ax for ax in random_dllite_tbox(rng, max_axioms=4).axioms
-            if ax.kind == ROLE_INCLUSION or ax.negated or ax.rhs.is_name
+            if ax.kind == ROLE_INCLUSION or ax.negated or isinstance(ax.rhs, str)
         )
         if rng.random() < 0.5:
             inverse = Role(rng.choice(ROLE_NAMES), True)

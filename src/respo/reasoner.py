@@ -1,13 +1,13 @@
 """Reasoning over DL-Lite_R TBoxes and their Horn extension.
 
 Everything here reads one object, the closure of the TBox's DL-Lite
-inclusions, which `saturate` builds once per TBox and which holds every
-basic concept by one key (`ConceptKey`): a concept name, or the role R
-for exists R.  It is computed once in both directions, the keys above a
-key and the keys below it, and its negative inclusions come from one
-pass that finds the empty keys.  The rewriter, the canonical model, the
-interaction-free check and provenance read it through its lookups, so
-no part builds a `BasicConcept` or scans its maps.
+inclusions, which `saturate` builds once per TBox.  It holds every basic
+concept in the one form the axioms hold it, `model.ConceptKey`: a
+concept name, or the role R for exists R.  It is computed once in both
+directions, the keys above a key and the keys below it, and its negative
+inclusions come from one pass that finds the empty keys.  The rewriter,
+the canonical model, the interaction-free check and provenance read it
+through its lookups, so no part scans its maps.
 
 One engine computes the entailed instance data of the named individuals
 for both TBox flavours: a pass of the facts through the closure, then,
@@ -32,9 +32,8 @@ from typing import Iterable
 from .model import (
     CONCEPT_ATOM,
     CONCEPT_INCLUSION,
-    ROLE_INCLUSION,
     Atom,
-    BasicConcept,
+    ConceptKey,
     ConjunctionAxiom,
     Fact,
     InconsistentKBError,
@@ -43,15 +42,8 @@ from .model import (
     UnsupportedTBoxError,
 )
 
-# A basic concept by key: a concept name, or the role R for exists R.
-ConceptKey = str | Role
-
 # A canonical-model element is a word: (root individual, chain of roles).
 Word = tuple[str, tuple[Role, ...]]
-
-
-def _key(b: BasicConcept) -> ConceptKey:
-    return b.concept_name if b.is_name else b.role
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +77,7 @@ class SaturatedTBox:
         concepts: set[ConceptKey] = set()
         for ax in tbox.axioms:
             for side in (ax.lhs, ax.rhs):
-                key = side if ax.kind == ROLE_INCLUSION else _key(side)
-                (concepts if isinstance(key, str) else roles).add(key)
+                (concepts if isinstance(side, str) else roles).add(side)
         roles |= {r.inverse() for r in roles}
         concepts |= roles
 
@@ -99,11 +90,10 @@ class SaturatedTBox:
         role_nis: list[tuple[Role, Role]] = []
         for ax in tbox.axioms:
             if ax.kind == CONCEPT_INCLUSION:
-                pair = _key(ax.lhs), _key(ax.rhs)
                 if ax.negated:
-                    concept_nis.append(pair)
+                    concept_nis.append((ax.lhs, ax.rhs))
                 else:
-                    concept_edges[pair[0]].add(pair[1])
+                    concept_edges[ax.lhs].add(ax.rhs)
             else:
                 pairs = (ax.lhs, ax.rhs), (ax.lhs.inverse(), ax.rhs.inverse())
                 if ax.negated:
@@ -162,8 +152,8 @@ class SaturatedTBox:
         found = {
             sup
             for ax in self.tbox.axioms
-            if ax.kind == CONCEPT_INCLUSION and not ax.negated and not ax.rhs.is_name
-            for sup in self.concept_sups(ax.rhs.role)
+            if ax.kind == CONCEPT_INCLUSION and not ax.negated and isinstance(ax.rhs, Role)
+            for sup in self.concept_sups(ax.rhs)
             if not isinstance(sup, str)
         }
         frontier = list(found)
@@ -219,7 +209,7 @@ class SaturatedTBox:
         A with B and under B with A, and exists R.A <= B under A with R;
         and the set of those concept names."""
         if self.tbox.horn_extended and any(
-            ax.kind == CONCEPT_INCLUSION and not ax.negated and not ax.rhs.is_name
+            ax.kind == CONCEPT_INCLUSION and not ax.negated and isinstance(ax.rhs, Role)
             for ax in self.tbox.axioms
         ):
             raise UnsupportedTBoxError(

@@ -27,6 +27,7 @@ from .model import (
     Atom,
     CONCEPT_ATOM,
     CQ,
+    ConceptKey,
     OMQ,
     RespoError,
     Role,
@@ -45,7 +46,7 @@ from .queries import (
     substitute,
     unify_terms,
 )
-from .reasoner import ConceptKey, saturate
+from .reasoner import saturate
 
 
 class RewritingDivergedError(RespoError):

@@ -4,11 +4,15 @@ the loading of a command's input files (`load_inputs`).
 TBox grammar (one axiom per line, '#' comments, blank lines skipped):
 
     concept-incl  := basic "<=" ["!"] basic
-    basic         := NAME | "exists" ROLE
+    basic         := NAME | "exists" WS ROLE
     role-incl     := "role:" ROLE "<=" ["!"] ROLE
     ROLE          := NAME ["-"]
-    horn-conj     := NAME "&" NAME "<=" NAME            (Horn extension)
-    horn-qexists  := "exists" ROLE "." NAME "<=" NAME   (Horn extension)
+    horn-conj     := NAME "&" NAME "<=" NAME               (Horn extension)
+    horn-qexists  := "exists" WS ROLE "." NAME "<=" NAME   (Horn extension)
+
+WS is one or more whitespace characters, so `existsA` is a concept name.
+A basic concept parses to its `model.ConceptKey`: the concept name, or
+the role R of exists R.
 
 ABox lines are "[LABEL:] NAME(const[, const])"; unlabeled facts are
 auto-labeled f0, f1, ... in file order.  Query files hold comma-separated
@@ -27,6 +31,7 @@ from .model import (
     Axiom,
     CONCEPT_INCLUSION,
     CQ,
+    ConceptKey,
     ConjunctionAxiom,
     Fact,
     InputError,
@@ -38,12 +43,10 @@ from .model import (
     TBox,
     Term,
     UCQ,
-    concept,
     concept_atom,
     connected_components,
     const,
     decimal_approx,
-    exists,
     format_rational,
     neq_atom,
     read_text,
@@ -63,6 +66,7 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _CONSTTOK = r"[A-Za-z0-9_]+"
 
 _ROLE_RE = re.compile(rf"({_NAME})(-?)$")
+_EXISTS_RE = re.compile(r"exists(?:\s+(.*))?$")
 _FACT_RE = re.compile(
     rf"^(?:({_NAME})\s*:\s*)?({_NAME})\s*\(\s*({_CONSTTOK})\s*(?:,\s*({_CONSTTOK})\s*)?\)$"
 )
@@ -84,16 +88,16 @@ def _parse_role(token: str, lineno: int) -> Role:
     return Role(m.group(1), m.group(2) == "-")
 
 
-def _parse_basic(token: str, lineno: int):
+def _parse_basic(token: str, lineno: int) -> ConceptKey:
     token = token.strip()
-    if token.startswith("exists"):
-        rest = token[len("exists"):].strip()
-        if not rest:
+    m = _EXISTS_RE.match(token)
+    if m:
+        if m.group(1) is None:
             raise ParseError(lineno, "exists needs a role")
-        return exists(_parse_role(rest, lineno))
+        return _parse_role(m.group(1), lineno)
     if not re.fullmatch(_NAME, token):
         raise ParseError(lineno, f"bad concept name {token!r}")
-    return concept(token)
+    return token
 
 
 class _ArityTracker:
@@ -159,19 +163,34 @@ def parse_tbox(text: str) -> TBox:
         lhs = _parse_basic(lhs_s, lineno)
         rhs = _parse_basic(rhs_s, lineno)
         for side in (lhs, rhs):
-            if side.is_name:
-                arity.note(side.concept_name, "concept", lineno)
+            if isinstance(side, str):
+                arity.note(side, "concept", lineno)
             else:
-                arity.note(side.role.name, "role", lineno)
+                arity.note(side.name, "role", lineno)
         axioms.append(Axiom(CONCEPT_INCLUSION, lhs, rhs, negated))
     return TBox(frozenset(axioms), frozenset(horn))
 
 
+def _render_side(kind: str, side: ConceptKey) -> str:
+    """An axiom side as the TBox grammar writes it: a role on a side of a
+    concept inclusion stands for exists R."""
+    if isinstance(side, str):
+        return side
+    return repr(side) if kind == ROLE_INCLUSION else f"exists {side!r}"
+
+
 def render_tbox(tbox: TBox) -> str:
-    lines = []
-    for ax in sorted(tbox.axioms, key=repr):
-        prefix = "role: " if ax.kind == ROLE_INCLUSION else ""
-        lines.append(f"{prefix}{ax.lhs!r} <= {'!' if ax.negated else ''}{ax.rhs!r}")
+    """The TBox's lines: its DL-Lite inclusions, concept inclusions first,
+    each kind ordered by left side, right side, then sign; then its Horn
+    axioms."""
+    rows = sorted(
+        (ax.kind, _render_side(ax.kind, ax.lhs), _render_side(ax.kind, ax.rhs), ax.negated)
+        for ax in tbox.axioms
+    )
+    lines = [
+        f"{'role: ' if kind == ROLE_INCLUSION else ''}{lhs} <= {'!' if negated else ''}{rhs}"
+        for kind, lhs, rhs, negated in rows
+    ]
     for ax in sorted(tbox.horn_axioms, key=repr):
         if isinstance(ax, ConjunctionAxiom):
             lines.append(f"{ax.lhs1} & {ax.lhs2} <= {ax.rhs}")

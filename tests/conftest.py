@@ -36,12 +36,12 @@ def _witness_omq(rng):
     variables to a fresh variable, under a TBox whose last axiom gives that
     role an anonymous witness: the interaction-free rows then hold
     `anon#slot` values."""
-    from respo.model import CONCEPT_INCLUSION, CQ, Axiom, Role, TBox, exists, role_atom, var
+    from respo.model import CONCEPT_INCLUSION, CQ, Axiom, Role, TBox, role_atom, var
     from respo.randgen import ROLE_NAMES, random_basic_concept, random_cq, random_dllite_tbox
 
     role = Role(rng.choice(ROLE_NAMES), rng.random() < 0.4)
     tbox = random_dllite_tbox(rng, max_axioms=2, allow_negative=False)
-    tbox = TBox(tbox.axioms | {Axiom(CONCEPT_INCLUSION, random_basic_concept(rng), exists(role))})
+    tbox = TBox(tbox.axioms | {Axiom(CONCEPT_INCLUSION, random_basic_concept(rng), role)})
     cq = random_cq(rng, max_atoms=2, allow_neq=False)
     if not cq.variables():
         return OMQ(tbox, cq)

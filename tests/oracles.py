@@ -469,8 +469,7 @@ def holds_under_assignment(
     for v in cq.variables():
         if v not in mu:
             raise ValueError(f"assignment is not total: missing ?{v}")
-        value = mu[v]
-        values.append(value if isinstance(value, str) or value == ANON else value.name)
+        values.append(mu[v])
     target = canonical_slice(abox, tbox, query_depth(cq, tbox) if depth is None else depth)
     return tuple(values) in slice_assignments(target, cq)
 
@@ -502,9 +501,9 @@ def chase_consistent(abox: Iterable[Fact], tbox: TBox) -> bool:
         return {(y, x) for x, y in found} if role.inverted else found
 
     def members(b) -> set:
-        if b.is_name:
-            return names.get(b.concept_name, set())
-        return {x for x, _ in pairs(b.role) if len(x[1]) < depth}
+        if isinstance(b, str):
+            return names.get(b, set())
+        return {x for x, _ in pairs(b) if len(x[1]) < depth}
 
     return not any(
         (members(ax.lhs) & members(ax.rhs))

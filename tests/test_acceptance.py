@@ -27,10 +27,8 @@ from respo.model import (
     TBox,
     UCQ,
     as_ucq,
-    concept,
     concept_atom,
     const,
-    exists,
     role_atom,
     var,
 )
@@ -253,8 +251,8 @@ def example3_instance():
     t = TBox(
         frozenset(
             {
-                Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))),
-                Axiom(CONCEPT_INCLUSION, exists(Role("r", True)), concept("B")),
+                Axiom(CONCEPT_INCLUSION, "A", Role("r")),
+                Axiom(CONCEPT_INCLUSION, Role("r", True), "B"),
             }
         )
     )
@@ -290,15 +288,15 @@ def test_criterion_8_example2_classification():
         TBox(
             frozenset(
                 {
-                    Axiom(CONCEPT_INCLUSION, exists(Role("r")), concept("A")),
-                    Axiom(CONCEPT_INCLUSION, exists(Role("r", True)), concept("A")),
+                    Axiom(CONCEPT_INCLUSION, Role("r"), "A"),
+                    Axiom(CONCEPT_INCLUSION, Role("r", True), "A"),
                 }
             )
         ),
         CQ((concept_atom("A", var("x")),)),
     )
     c = OMQ(
-        TBox(frozenset({Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r")))})),
+        TBox(frozenset({Axiom(CONCEPT_INCLUSION, "A", Role("r"))})),
         CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y")))),
     )
     verdicts = [

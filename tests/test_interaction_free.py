@@ -16,10 +16,8 @@ from respo.model import (
     Role,
     TBox,
     as_ucq,
-    concept,
     concept_atom,
     const,
-    exists,
     role_atom,
     var,
 )
@@ -59,8 +57,8 @@ def test_example2a_self_join_but_free():
 
 def test_example2b_single_atom_two_ways():
     t = tb(
-        Axiom(CONCEPT_INCLUSION, exists(Role("r")), concept("A")),
-        Axiom(CONCEPT_INCLUSION, exists(Role("r", True)), concept("A")),
+        Axiom(CONCEPT_INCLUSION, Role("r"), "A"),
+        Axiom(CONCEPT_INCLUSION, Role("r", True), "A"),
     )
     witness = check_interaction_free(OMQ(t, CQ((concept_atom("A", var("x")),))))
     assert witness is not None
@@ -70,7 +68,7 @@ def test_example2b_single_atom_two_ways():
 
 
 def test_example2c_ontology_bridges_atoms():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
+    t = tb(Axiom(CONCEPT_INCLUSION, "A", Role("r")))
     query = CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y"))))
     witness = check_interaction_free(OMQ(t, query))
     assert witness is not None
@@ -82,7 +80,7 @@ def test_constant_sensitive_interaction():
     # With T = {exists r- <= B}, the single fact r(c,e) satisfies both
     # r(c,x) and B(x) at x -> e; interaction requires the query constant
     # in the shape pool.
-    t = tb(Axiom(CONCEPT_INCLUSION, exists(Role("r", True)), concept("B")))
+    t = tb(Axiom(CONCEPT_INCLUSION, Role("r", True), "B"))
     query = CQ((role_atom("r", const("c"), var("x")), concept_atom("B", var("x"))))
     assert check_interaction_free(OMQ(t, query)) is not None
 
@@ -304,7 +302,7 @@ def test_atom_weight_role_inclusion():
 
 
 def test_atom_weight_anonymous_guard():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
+    t = tb(Axiom(CONCEPT_INCLUSION, "A", Role("r")))
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
     # A(c) supplies an anonymous r-successor of c; r(c,d) does not, since
@@ -314,7 +312,7 @@ def test_atom_weight_anonymous_guard():
 
 
 def test_extend_with_anonymous():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
+    t = tb(Axiom(CONCEPT_INCLUSION, "A", Role("r")))
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
     assert weighted_entries(OMQ(t, query), abox) == {
@@ -353,8 +351,8 @@ def test_extend_no_axioms_no_anonymous():
 
 
 def test_shared_variable_gets_no_anonymous_entry():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("s"))),
-           Axiom(CONCEPT_INCLUSION, exists(Role("s", True)), concept("C")))
+    t = tb(Axiom(CONCEPT_INCLUSION, "A", Role("s")),
+           Axiom(CONCEPT_INCLUSION, Role("s", True), "C"))
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     # A(c) puts C on an anonymous element, but x is shared (Lemma 4).
     assert weighted_entries(OMQ(t, query), parse_abox("A(c)\nr(c,d)\n")) == {
@@ -369,7 +367,7 @@ def test_shared_variable_gets_no_anonymous_entry():
 def test_lone_atom_beside_another_component_keeps_anonymous_pairs():
     # r(z, y) shares no variable, so B(c)'s anonymous r-successor counts
     # although the query has another atom.
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("B"), exists(Role("r"))))
+    t = tb(Axiom(CONCEPT_INCLUSION, "B", Role("r")))
     omq = OMQ(t, CQ((concept_atom("A", var("x")), role_atom("r", var("z"), var("y")))))
     abox = parse_abox("A(d)\nB(c)\n")
     assert weighted_entries(omq, abox) == {(0, ("d",)): 1, (1, ("c", "anon#1")): 1}
@@ -377,8 +375,8 @@ def test_lone_atom_beside_another_component_keeps_anonymous_pairs():
 
 
 def test_single_atom_keeps_double_anonymous_pairs():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("s"))),
-           Axiom(CONCEPT_INCLUSION, exists(Role("s", True)), exists(Role("r"))))
+    t = tb(Axiom(CONCEPT_INCLUSION, "A", Role("s")),
+           Axiom(CONCEPT_INCLUSION, Role("s", True), Role("r")))
     query = CQ((role_atom("r", var("x"), var("y")),))
     # A(c) entails an anonymous s-successor of c, which has an anonymous
     # r-successor: both ends of r(x, y) anonymous.
@@ -623,8 +621,8 @@ def test_weighted_eval_order_independent():
 
 def test_example3_anonymous_support():
     t = tb(
-        Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))),
-        Axiom(CONCEPT_INCLUSION, exists(Role("r", True)), concept("B")),
+        Axiom(CONCEPT_INCLUSION, "A", Role("r")),
+        Axiom(CONCEPT_INCLUSION, Role("r", True), "B"),
     )
     omq = OMQ(t, CQ((concept_atom("B", var("x")),)))
     abox = parse_abox("A(c)\n")
@@ -641,7 +639,7 @@ def test_lemma5_component_product():
 
 
 def test_pipeline_anonymous_extension_case():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
+    t = tb(Axiom(CONCEPT_INCLUSION, "A", Role("r")))
     query = CQ((concept_atom("C", var("x")), role_atom("r", var("x"), var("y"))))
     omq = OMQ(t, query)
     abox = parse_abox("C(c)\nA(c)\nr(c,d)\n")
@@ -655,7 +653,7 @@ def test_pipeline_anonymous_extension_case():
 
 
 def test_refuses_non_interaction_free():
-    t = tb(Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r"))))
+    t = tb(Axiom(CONCEPT_INCLUSION, "A", Role("r")))
     query = CQ((concept_atom("A", var("x")), role_atom("r", var("x"), var("y"))))
     with pytest.raises(NotInteractionFreeError):
         IFPlan(OMQ(t, query))

@@ -12,6 +12,9 @@ option that no caller sets is a branch that nothing runs.
 
 No module of the package imports another module's `_private` name: a
 name that another module needs is public in the module that defines it.
+
+Every name in `respo.__all__` is an attribute of `respo`, so a removed
+export cannot linger in the list.
 """
 
 import ast
@@ -197,6 +200,12 @@ def test_the_knob_guard_sees_calls_that_pass_the_parameter(tmp_path):
 
 def test_no_module_imports_another_modules_private_name():
     assert [name for name in private_imports() if name not in ALLOWED] == []
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    import respo
+
+    assert [name for name in respo.__all__ if not hasattr(respo, name)] == []
 
 
 def test_the_private_import_guard_sees_package_imports_only(tmp_path):

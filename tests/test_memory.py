@@ -21,7 +21,6 @@ from respo.model import (
     OMQ,
     TBox,
     UCQ,
-    concept,
     concept_atom,
     const,
     role_atom,
@@ -86,7 +85,7 @@ def fresh_omq_instance(prefix: str, axioms: bool) -> tuple[ABox, OMQ]:
     the one-axiom TBox B <= A, whose predicate names and constants all
     carry the prefix, with three facts."""
     a, r = f"{prefix}A", f"{prefix}r"
-    tbox = TBox(frozenset({Axiom(CONCEPT_INCLUSION, concept(f"{prefix}B"), concept(a))})
+    tbox = TBox(frozenset({Axiom(CONCEPT_INCLUSION, f"{prefix}B", a)})
                 if axioms else frozenset())
     query = CQ((concept_atom(a, var("x")), role_atom(r, var("x"), var("y"))))
     facts = (

@@ -6,7 +6,6 @@ from respo.model import (
     ABox,
     Atom,
     Axiom,
-    BasicConcept,
     CONCEPT_INCLUSION,
     CQ,
     ConjunctionAxiom,
@@ -14,18 +13,17 @@ from respo.model import (
     InputError,
     OMQ,
     QualifiedExistsAxiom,
+    ROLE_INCLUSION,
     Role,
     SupportHistogram,
     TBox,
     Term,
     UCQ,
     WeightFunction,
-    concept,
     concept_atom,
     connected_components,
     const,
     decimal_approx,
-    exists,
     format_rational,
     neq_atom,
     parse_rational,
@@ -215,15 +213,14 @@ def _value_class_samples():
     from respo.sqlgen import ManifestEntry, SqlManifest
     from respo.support import BasisTerm, CountingQuery, MinimalSupport
 
-    axiom = Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r")), True)
+    axiom = Axiom(CONCEPT_INCLUSION, "A", Role("r"), True)
     tbox = TBox(frozenset({axiom}), frozenset({ConjunctionAxiom("A", "B", "C")}))
     cq = CQ((role_atom("r", var("x"), const("c")), concept_atom("A", var("x"))))
     facts = (Fact("f1", "A", ("a",)), Fact("f2", "r", ("a", "b")))
     return {
         "model.Term": lambda: Term("var", "x"),
         "model.Role": lambda: Role("r", True),
-        "model.BasicConcept": lambda: BasicConcept(role=Role("r")),
-        "model.Axiom": lambda: Axiom(CONCEPT_INCLUSION, concept("A"), concept("B")),
+        "model.Axiom": lambda: Axiom(CONCEPT_INCLUSION, "A", "B"),
         "model.ConjunctionAxiom": lambda: ConjunctionAxiom("A", "B", "C"),
         "model.QualifiedExistsAxiom": lambda: QualifiedExistsAxiom(Role("r"), "A", "B"),
         "model.TBox": lambda: TBox(frozenset({axiom})),
@@ -257,11 +254,11 @@ def _one(*args):
 
 #: The classes built with slots=True, and the one that defines its own
 #: `__eq__` and `__hash__`.
-SLOTTED = {"model.Term", "model.Role", "model.BasicConcept", "model.Axiom",
+SLOTTED = {"model.Term", "model.Role", "model.Axiom",
            "model.ConjunctionAxiom", "model.QualifiedExistsAxiom", "model.Fact", "model.Atom"}
 CUSTOM_EQ = {"model.WeightFunction"}
 #: The classes that define their own `__repr__`.
-CUSTOM_REPR = {"model.Term", "model.Role", "model.BasicConcept", "model.Fact", "model.Atom",
+CUSTOM_REPR = {"model.Term", "model.Role", "model.Fact", "model.Atom",
                "model.CQ", "model.UCQ", "model.SupportHistogram"}
 SAMPLES = _value_class_samples()
 
@@ -349,10 +346,12 @@ def test_post_init_still_validates():
 
     with pytest.raises(ValueError, match="bad term kind"):
         Term("bogus", "x")
-    with pytest.raises(ValueError):
-        Term("var")
-    with pytest.raises(ValueError, match="name xor"):
-        BasicConcept()
+    with pytest.raises(ValueError, match="need a name"):
+        Term("var", "")
+    with pytest.raises(ValueError, match="concept inclusion sides must be concept names or roles"):
+        Axiom(CONCEPT_INCLUSION, "A", Term("var", "x"))
+    with pytest.raises(ValueError, match="role inclusion sides must be roles"):
+        Axiom(ROLE_INCLUSION, Role("r"), "A")
     with pytest.raises(ValueError):
         UCQ(())
     with pytest.raises(InputError):

@@ -15,10 +15,8 @@ from respo.model import (
     TBox,
     UnsupportedTBoxError,
     as_ucq,
-    concept,
     concept_atom,
     const,
-    exists,
     role_atom,
     var,
 )
@@ -34,7 +32,7 @@ def canonical_set(ucq):
 
 
 def test_rewrite_concept_inclusion():
-    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, concept("A"), concept("B"))}))
+    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, "A", "B")}))
     omq = OMQ(t, CQ((concept_atom("B", const("c")),)))
     result = rewrite(omq)
     assert canonical_set(result) == canonical_set(
@@ -49,7 +47,7 @@ def test_rewrite_empty_tbox_is_identity():
 
 
 def test_rewrite_exists_inverse():
-    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, exists(Role("r", True)), concept("B"))}))
+    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, Role("r", True), "B")}))
     omq = OMQ(t, CQ((concept_atom("B", var("x")),)))
     result = rewrite(omq)
     expected = canonical_set(as_ucq(CQ((concept_atom("B", var("x")),)))) | canonical_set(
@@ -60,7 +58,7 @@ def test_rewrite_exists_inverse():
 
 def test_rewrite_needs_unification():
     # A <= exists r applies to r(x,y), r(z,y) only after unifying the atoms.
-    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, concept("A"), exists(Role("r")))}))
+    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, "A", Role("r"))}))
     query = CQ((role_atom("r", var("x"), var("y")), role_atom("r", var("z"), var("y"))))
     result = rewrite(OMQ(t, query))
     assert canonical_set(as_ucq(CQ((concept_atom("A", var("u")),)))) <= canonical_set(result)
@@ -127,7 +125,7 @@ def test_disequality_queries_refused_over_positive_tboxes():
     # disequality (q = s(w,z) & w != z, T = {B <= exists s-}: {B(e)}
     # entails q but {B(e), s(e,e)} does not), so entailment is not
     # monotone and no UCQ rewriting exists.
-    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, concept("B"), exists(Role("s", True)))}))
+    t = TBox(frozenset({Axiom(CONCEPT_INCLUSION, "B", Role("s", True))}))
     from respo.model import neq_atom
 
     query = CQ((role_atom("s", var("w"), var("z")), neq_atom(var("w"), var("z"))))

@@ -563,17 +563,12 @@ def test_deep_anonymous_match_scores_under_every_pipeline():
 def _large_abox(rng, omq, n):
     """About n distinct facts over six constants plus the query's own, on
     the query's predicates and the TBox's left-hand sides."""
-    from respo.model import ABox, ROLE_INCLUSION
+    from respo.model import ABox
 
     cq = omq.query.disjuncts[0]
     shapes = {(a.predicate, len(a.terms)) for a in cq.relational_atoms()}
     for ax in omq.tbox.axioms:
-        if ax.kind == ROLE_INCLUSION:
-            shapes.add((ax.lhs.name, 2))
-        elif ax.lhs.is_name:
-            shapes.add((ax.lhs.concept_name, 1))
-        else:
-            shapes.add((ax.lhs.role.name, 2))
+        shapes.add((ax.lhs, 1) if isinstance(ax.lhs, str) else (ax.lhs.name, 2))
     shapes = sorted(shapes)
     pool = ["k0", "k1", "k2", "k3", "k4", "k5", *cq.constants()]
     contents = {}

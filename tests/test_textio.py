@@ -1,13 +1,16 @@
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from respo.model import (
+    OMQ,
     Axiom,
     CONCEPT_INCLUSION,
     ConjunctionAxiom,
     QualifiedExistsAxiom,
     Role,
-    concept,
-    exists,
 )
 from respo.textio import (
     ParseError,
@@ -22,20 +25,43 @@ from respo.textio import (
 
 def test_parse_concept_inclusion():
     tbox = parse_tbox("Seafood <= FishBased\n")
-    assert Axiom(CONCEPT_INCLUSION, concept("Seafood"), concept("FishBased")) in tbox.axioms
+    assert Axiom(CONCEPT_INCLUSION, "Seafood", "FishBased") in tbox.axioms
 
 
 def test_parse_inverse_exists():
     tbox = parse_tbox("exists r- <= B\n")
     ax = next(iter(tbox.axioms))
-    assert ax.lhs == exists(Role("r", True))
-    assert ax.rhs == concept("B")
+    assert ax.lhs == Role("r", True)
+    assert ax.rhs == "B"
 
 
 def test_parse_negated_rhs():
     tbox = parse_tbox("A <= !exists s\n")
     ax = next(iter(tbox.axioms))
-    assert ax.negated and ax.rhs == exists(Role("s"))
+    assert ax.negated and ax.rhs == Role("s")
+
+
+def test_a_concept_name_may_start_with_exists():
+    """Only "exists" and whitespace open an existential, so existsFoo and
+    exists_total are concept names: under existsFoo <= A, the facts
+    existsFoo(a) and r(a, b) form the one minimal support of
+    A(?x), r(?x, ?y)."""
+    from respo.rewriter import rewrite
+    from respo.shapley import score_all
+
+    tbox = parse_tbox("existsFoo <= A\nA <= exists_total\n")
+    assert tbox.axioms == {
+        Axiom(CONCEPT_INCLUSION, "existsFoo", "A"),
+        Axiom(CONCEPT_INCLUSION, "A", "exists_total"),
+    }
+    assert tbox.role_names() == set()
+    omq = OMQ(tbox, parse_query("A(?x), r(?x,?y)\n"))
+    assert render_query(rewrite(omq)) == (
+        "A(?v0), r(?v0, ?v1)\nOR\nexistsFoo(?v0), r(?v0, ?v1)\n")
+    scores = score_all(parse_abox("existsFoo(a)\nr(a,b)\n"), omq).scores
+    assert scores == {"f0": Fraction(1, 2), "f1": Fraction(1, 2)}
+    with pytest.raises(ParseError, match="exists needs a role"):
+        parse_tbox("exists <= A\n")
 
 
 def test_parse_role_inclusion_and_horn_shapes():
@@ -170,6 +196,26 @@ def test_round_trips():
     query_text = "A(?x), r(?x,?y), ?x != ?y\nOR\nB(c)\n"
     ucq = parse_query(query_text)
     assert parse_query(render_query(ucq)) == ucq
+
+
+def test_random_tboxes_round_trip():
+    """parse_tbox(render_tbox(t)) == t over seeded random DL-Lite_R and
+    Horn-extended TBoxes, which hold inverse existentials on both sides of
+    concept inclusions and negated inclusions of both kinds."""
+    from respo.randgen import random_dllite_tbox, random_horn_kb
+
+    rng = random.Random(35)
+    seen = Counter()
+    for i in range(200):
+        tbox = random_horn_kb(rng)[0] if i % 2 else random_dllite_tbox(rng, max_axioms=6)
+        assert parse_tbox(render_tbox(tbox)) == tbox, render_tbox(tbox)
+        seen["Horn-extended"] += tbox.horn_extended
+        for ax in tbox.axioms:
+            seen[f"negated {ax.kind} inclusion"] += ax.negated
+            if ax.kind == CONCEPT_INCLUSION:
+                seen["inverse exists on the left"] += isinstance(ax.lhs, Role) and ax.lhs.inverted
+                seen["inverse exists on the right"] += isinstance(ax.rhs, Role) and ax.rhs.inverted
+    assert len(seen) == 5 and min(seen.values()) >= 5, seen
 
 
 def test_comments_and_blanks_skipped():
