@@ -19,8 +19,8 @@ An `IFPlan`, built once per OMQ, keeps the CQ's shared variables, the
 elimination order and each fact's rows.  Scoring every fact counts over D
 and over each D minus one fact, |D| + 1 eliminations;
 `elimination.marginals` would give every fact's count from one.  Nothing
-here imports `queries` or `canonical`, so the pipeline compiles no
-homomorphism search.
+here imports `queries`, so the pipeline compiles no homomorphism
+search.
 """
 
 from __future__ import annotations

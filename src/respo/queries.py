@@ -3,7 +3,8 @@ substitution, canonical variable naming, unification, disequality
 augmentation and the package's one homomorphism search.
 
 The search maps a query into a `HomTarget` (fact databases, other
-queries, canonical-model slices) and decides or lists its homomorphisms.
+queries, and the test oracles' canonical-model slices) and decides or
+lists its homomorphisms.
 The partition and interaction-free pipelines count over data without
 it: they sum weight products by variable elimination, in `elimination`,
 which imports nothing from this module.

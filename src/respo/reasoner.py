@@ -18,10 +18,10 @@ and `provenance` fires the same rule table over sets of facts.
 
 The canonical model of a DL-Lite_R KB is walked here too, by
 `canonical_model`, from that data and one per-role successor rule
-(`SaturatedTBox.successor`).  `canonical` gathers its tuples up to a
-depth into a homomorphism target for (U)CQ entailment, and the
-interaction-free check reads the folded walk of one fact.  This module
-imports no homomorphism search, so Horn scoring loads none.
+(`SaturatedTBox.successor`).  The interaction-free check reads the
+folded walk of one fact; the test oracles gather the walk to a depth
+into a homomorphism target for (U)CQ entailment.  This module imports
+no homomorphism search, so Horn scoring loads none.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ def canonical_model(abox: Iterable[Fact], tbox: TBox, depth: int | None = None):
     gets an R-child for each exists R it is in that no named pair
     witnesses, and an element reached by R gets the concepts, the edges
     from its parent and the children that `SaturatedTBox.successor`
-    gives R.  With a `depth`, words go down to that length.  With none,
+    gives R.  With a `depth`, words go down to that length; only the
+    test oracles walk to a depth.  With none,
     each role's subtree below the first level is unfolded once: an
     anonymous element's subtree depends only on the role leading to it,
     so, with every anonymous element read as one value, these are all the

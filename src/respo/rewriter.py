@@ -16,7 +16,9 @@ closure's maps.  The result is sorted by canonical form, so it does not
 depend on the order those lookups iterate in.
 
 Soundness and completeness are enforced by the randomized equivalence
-suite against canonical-model entailment, not argued here.
+suite in `tests/test_rewriter.py`, against entailment over the
+canonical-model tree (`tests/oracles.py`), not argued here.  Brute-force
+scoring evaluates the rewriting too, so that suite is what checks it.
 """
 
 from __future__ import annotations

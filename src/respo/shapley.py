@@ -154,7 +154,10 @@ class Plan:
     (`support.homomorphism_basis`), whose terms carry their elimination
     orders and inclusion-exclusion quotients; the provenance
     plan the query atom's rule program (`provenance.HornProgram`); the
-    brute plan the subset evaluator.  An unsupported OMQ raises
+    brute plan the subset evaluator (`support.make_subset_evaluator`),
+    which matches the same rewriting into each subset of a DL-Lite_R
+    KB and derives the ground query atom of a Horn-extended one.  An
+    unsupported OMQ raises
     `UnsupportedTBoxError` here, brute-force `fact_counts` on more than
     `BRUTE_FORCE_CAP` facts raises `InputError` before it enumerates, and
     provenance raises it once a derived atom has more than
@@ -204,7 +207,10 @@ class Plan:
     def fact_counts(self, facts: Iterable[Fact]) -> tuple[SupportHistogram, FactCounts]:
         """countFMS over the facts, which must be consistent with the TBox,
         and each fact's per-size counts of the minimal supports containing
-        it.  Partition, provenance and brute force count every fact in one
+        it.  Nothing here checks consistency: every entry point checks it
+        once first, and the rewriting that partition and brute force
+        evaluate is exact on consistent facts only.  Partition, provenance
+        and brute force count every fact in one
         pass; the interaction-free pipeline takes each fact's counts as the
         histogram over the facts minus the one over the rest."""
         facts = tuple(facts)

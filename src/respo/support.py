@@ -5,9 +5,8 @@ Three pieces live here:
   * brute-force enumeration of the inclusion-minimal satisfying subsets
     behind any monotone evaluator, which brute-force scoring and the
     drastic Shapley value off Horn-extended TBoxes run; the evaluator of
-    a DL-Lite_R KB with positive inclusions matches the query into its
-    canonical model, and only it imports `canonical`, so partition
-    scoring compiles none of it;
+    a DL-Lite_R KB matches the UCQ rewriting that partition counts with
+    into each subset, so no canonical model is walked;
   * the reduct/automorphism partition: per size k, the minimal supports of
     a UCQ split across rigidified reducts (the counting queries), each
     reduct's supports counted as homomorphisms divided by its
@@ -38,17 +37,16 @@ from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .elimination import Table, elimination_order, marginals
 from .model import (
-    ABox,
     Atom,
     CQ,
     Fact,
     FactCounts,
+    OMQ,
     RespoError,
     SupportHistogram,
     TBox,
     Term,
     UCQ,
-    UnsupportedTBoxError,
     as_ucq,
     const,
     value_class,
@@ -67,6 +65,7 @@ from .queries import (
     with_all_pairs_neq,
 )
 from .reasoner import entails_ground_atom
+from .rewriter import rewrite
 
 Evaluator = Callable[[frozenset[Fact]], bool]
 
@@ -97,8 +96,12 @@ def ucq_holds(ucq: UCQ, facts: Iterable[Fact]) -> bool:
 # ---------------------------------------------------------------------------
 
 def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
-    """A monotone `subset of facts |= (T, q)` test, choosing the cheapest
-    sound route for the TBox flavor."""
+    """A monotone `subset of facts |= (T, q)` test for subsets of facts
+    consistent with T.  A Horn-extended TBox asks whether its rules derive
+    the ground query atom; otherwise the UCQ is matched into the facts
+    themselves, rewritten first when T has a positive inclusion: for every
+    ABox consistent with T, a subset entails the rewriting iff it entails
+    (T, q) (`rewriter.rewrite`).  Negative axioms affect consistency only."""
     ucq = as_ucq(query)
 
     if tbox.horn_extended:
@@ -111,28 +114,13 @@ def make_subset_evaluator(tbox: TBox, query: CQ | UCQ) -> Evaluator:
 
         return horn_eval
 
-    if not any(not ax.negated for ax in tbox.axioms):
-        # Negative axioms affect consistency only; evaluation over the
-        # facts themselves is exact.
-        def db_eval(facts: frozenset[Fact]) -> bool:
-            return ucq_holds(ucq, facts)
+    if any(not ax.negated for ax in tbox.axioms):
+        ucq = rewrite(OMQ(tbox, ucq))
 
-        return db_eval
+    def db_eval(facts: frozenset[Fact]) -> bool:
+        return ucq_holds(ucq, facts)
 
-    if any(d.neq_atoms() for d in ucq.disjuncts):
-        # Canonical-model matching of disequality queries is not monotone
-        # under positive inclusions (a named witness can displace an
-        # anonymous one), so minimal supports are not well-behaved.
-        raise UnsupportedTBoxError(
-            "disequality queries are supported over plain databases only"
-        )
-    from .canonical import entails_ucq
-
-    def kb_eval(facts: frozenset[Fact]) -> bool:
-        abox = ABox(tuple(sorted(facts, key=lambda f: f.label)))
-        return entails_ucq(abox, tbox, ucq)
-
-    return kb_eval
+    return db_eval
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,13 @@ def cmd_verify(args) -> int:
     instance.  partition-vs-brute draws UCQs over plain databases,
     interaction-free-vs-brute interaction-free DL-Lite_R OMQs and
     horn-vs-brute Horn-extended KBs with a ground atomic query.
-    rewriting-soundness runs partition on consistent DL-Lite_R KBs, which
-    checks the rewriting on every sub-ABox: entailment over the
-    sub-ABoxes of a consistent KB is monotone, as is a UCQ without
-    disequalities, and two monotone properties of fact sets agree on
-    every subset iff they have the same minimal supports, whose counts
-    the suite compares."""
+    rewriting-soundness runs partition on consistent DL-Lite_R KBs.
+    Brute force evaluates the same rewriting over every sub-ABox, so the
+    suite checks partition's basis counting of the rewriting against
+    subset enumeration, not the rewriter; the tests check the rewriter
+    against entailment over the canonical-model tree.
+    interaction-free-vs-brute stays independent of the rewriter: the
+    interaction-free pipeline reads each fact's folded canonical model."""
     at_least(args, "instances", 1)
     from .randgen import (
         random_abox,

@@ -31,6 +31,47 @@ def variant():
     return OMQ(tbox, query), abox
 
 
+def _role_family(k: int):
+    """The role family R_k: A <= exists r0, and for all i, j < k,
+    exists ri- <= exists rj and exists ri- <= Bi, under the IF query
+    C(?x), s(?x, ?y), D(?y), with the 5-fact ABox C(a), s(a, b), D(b),
+    A(a), C(b).  Its canonical model branches k ways at every anonymous
+    element."""
+    lines = ["A <= exists r0"] + [
+        line for i in range(k) for line in (
+            *(f"exists r{i}- <= exists r{j}" for j in range(k)), f"exists r{i}- <= B{i}")
+    ]
+    omq = OMQ(parse_tbox("".join(f"{line}\n" for line in lines)),
+              parse_query("C(?x), s(?x, ?y), D(?y)"))
+    return omq, parse_abox("C(a)\ns(a, b)\nD(b)\nA(a)\nC(b)\n")
+
+
+@pytest.fixture(scope="session")
+def role_family():
+    """Builds the role family R_k and its 5-fact ABox, as (omq, abox)."""
+    return _role_family
+
+
+@pytest.fixture
+def model_walks(monkeypatch):
+    """The `depth` of every walk of `reasoner.canonical_model` from here
+    on (None for the folded walk), patched in each loaded respo module
+    that binds the function."""
+    import respo.reasoner
+
+    walk = respo.reasoner.canonical_model
+    depths = []
+
+    def recorded(abox, tbox, depth=None):
+        depths.append(depth)
+        return walk(abox, tbox, depth)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "respo" and vars(module).get("canonical_model") is walk:
+            monkeypatch.setattr(module, "canonical_model", recorded)
+    return depths
+
+
 def _witness_omq(rng):
     """A random CQ, constants allowed, plus a role atom from one of its
     variables to a fresh variable, under a TBox whose last axiom gives that

@@ -17,11 +17,14 @@ enumeration:
     coalitions (the oracle of the bit-parallel drastic Shapley value)
     with the drastic and the number-of-minimal-supports wealth, and the
     symmetry/null property checks;
-  * reasoning: query entailment under one assignment, exists R(a)
-    entailment, consistency read off the chase (the oracle of
-    `is_consistent`), and a single fact's one-atom matches read off its
-    canonical-model tree (the oracle of the interaction-free check's
-    reading of the TBox closure);
+  * reasoning: (U)CQ entailment over a slice of the canonical-model
+    tree, deep enough for the query (the oracle of the rewriting, and so
+    of the brute-force evaluator that matches it into fact subsets),
+    query entailment under one assignment, exists R(a) entailment,
+    consistency read off the chase (the oracle of `is_consistent`), and
+    a single fact's one-atom matches read off its canonical-model tree
+    (the oracle of the interaction-free check's reading of the TBox
+    closure);
   * generators: the combinatorial counts that the hardness constructions
     encode (minimal vertex covers, simple paths, perfect matchings);
   * SQL: the emitted manifest run in sqlite.
@@ -29,6 +32,7 @@ enumeration:
 
 from __future__ import annotations
 
+import operator
 import sqlite3
 from collections import Counter
 from fractions import Fraction
@@ -36,7 +40,6 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from respo.canonical import canonical_slice, query_depth
 from respo.generators import Graph
 from respo.model import (
     ABox,
@@ -54,6 +57,7 @@ from respo.model import (
     SupportHistogram,
     TBox,
     UCQ,
+    UnsupportedTBoxError,
     WeightFunction,
     as_ucq,
     connected_components,
@@ -62,12 +66,19 @@ from respo.model import (
 from respo.queries import (
     HomTarget,
     canonicalize,
+    hom_exists,
     hom_visit,
     max_relational_size,
     query_target,
     with_all_pairs_neq,
 )
-from respo.reasoner import canonical_model, entailed_instance_data, is_consistent, saturate
+from respo.reasoner import (
+    Word,
+    canonical_model,
+    entailed_instance_data,
+    is_consistent,
+    saturate,
+)
 from respo.shapley import BRUTE_FORCE_CAP, ScoreReport, histogram_difference
 from respo.sqlgen import SqlManifest
 from respo.support import (
@@ -419,6 +430,43 @@ def check_score_properties(
 # ---------------------------------------------------------------------------
 # Reasoning
 # ---------------------------------------------------------------------------
+
+def canonical_slice(abox: ABox, tbox: TBox, depth: int) -> HomTarget:
+    """The canonical model of (abox, tbox) up to words of length `depth`,
+    as a homomorphism target.  The KB must be consistent; callers check
+    that first.  Its elements are the words of `canonical_model`; `image`
+    sends an individual's name to its named element, and disequalities
+    require distinct elements.
+    """
+    if tbox.horn_extended:
+        raise UnsupportedTBoxError("canonical model construction requires a pure DL-Lite_R TBox")
+    tuples: dict[tuple[str, int], set[tuple[Word, ...]]] = {}
+    for name, elements in canonical_model(abox, tbox, depth):
+        tuples.setdefault((name, len(elements)), set()).add(elements)
+    named = abox.individuals
+    return HomTarget(tuples, lambda name: (name, ()) if name in named else None, operator.ne)
+
+
+def query_depth(cq: CQ, tbox: TBox) -> int:
+    """A canonical-model depth at which every match of cq has a copy: one
+    level per generating role, then |vars(q)| + 1.  An anonymous element's
+    subtree and concepts depend only on the role leading to it, so a match
+    whose topmost element lies deeper than the number of generating roles
+    repeats a role on the way down and can be moved up to the first
+    occurrence."""
+    return len(cq.variables()) + 1 + len(saturate(tbox).generating_roles)
+
+
+def entails_ucq(abox: ABox, tbox: TBox, ucq: UCQ) -> bool:
+    """(A, T) |= q via a homomorphism of some disjunct into the canonical
+    model truncated at `query_depth`, taking the largest depth over the
+    disjuncts so that one slice serves them all."""
+    if not is_consistent(abox, tbox):
+        raise InconsistentKBError("CQ entailment over an inconsistent KB")
+    depth = max(query_depth(d, tbox) for d in ucq.disjuncts)
+    target = canonical_slice(abox, tbox, depth)
+    return any(hom_exists(d, target) for d in ucq.disjuncts)
+
 
 def slice_assignments(target: HomTarget, cq: CQ) -> set[tuple]:
     """The assignments under which cq holds in a canonical slice: for each

@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from respo.canonical import entails_ucq
 from respo.generators import (
     Graph,
     gen_mvc,
@@ -64,6 +63,7 @@ from oracles import (
     check_score_properties,
     count_automorphisms,
     count_fms_brute,
+    entails_ucq,
     hom_count,
     minimal_supports_via_hom_images,
     oracle_count_matchings,

@@ -287,27 +287,26 @@ CYCLE_12_SCORE = (
 
 @pytest.mark.parametrize("code, absent", [
     pytest.param(cli_code(["score", *fixture_args("variant"), "--method", "if"]),
-                 ("respo.support", "respo.canonical", "respo.queries"), id="variant-if"),
+                 ("respo.support", "respo.queries"), id="variant-if"),
     pytest.param(cli_code(["score", *fixture_args("fig1"), "--method", "provenance"]),
                  ("respo.support",), id="fig1-provenance"),
     pytest.param(cli_code(["shapley-drastic", *fixture_args("fig1")]),
                  ("respo.support",), id="fig1-shapley-drastic"),
     pytest.param(cli_code(["score", *fixture_args("variant"), "--method", "partition"]),
-                 ("canonical_slice", "entails_ucq"), id="variant-partition"),
+                 ("respo.interaction_free",), id="variant-partition"),
     pytest.param(CYCLE_12_SCORE,
-                 ("respo.queries", "respo.elimination", "respo.support", "canonical_slice"),
+                 ("respo.queries", "respo.elimination", "respo.support"),
                  id="cycle12-score-all"),
 ])
 def test_if_and_provenance_scoring_load_no_support_module(code, absent):
     """`shapley` imports `support` only in the partition and brute-force
     branches, so `score` under the interaction-free pipeline (the variant)
     or provenance (fig1), and the drastic Shapley value of fig1, whose
-    supports come from provenance, never load it.  The canonical model
-    lives in `canonical`, which only the brute-force evaluator of a
-    DL-Lite_R KB loads: interaction-free and partition scoring compile
-    none of it.  Interaction-free scoring counts with `elimination` and
-    loads no homomorphism search (`queries`), and Horn scoring
-    (`score_all` on a 12-cycle) loads neither."""
+    supports come from provenance, never load it.  Partition scoring
+    under `--method partition` compiles no interaction-free pipeline.
+    Interaction-free scoring counts with `elimination` and loads no
+    homomorphism search (`queries`), and Horn scoring (`score_all` on a
+    12-cycle) loads neither."""
     modules, defined = loaded_after(code)
     assert "respo.shapley" in modules
     assert not set(absent) & (modules | defined)
@@ -820,11 +819,20 @@ GROUND_ONLY = (
 )
 
 
+# A disequality query under a positive inclusion, which no UCQ rewrites:
+# brute force evaluates the rewriting too, so it refuses in the rewriter.
+NOT_REWRITABLE = (
+    "unsupported: disequality queries are only rewritable over TBoxes without positive inclusions"
+)
+
+
 UNSUPPORTED = [
     ("non-if", "if", NOT_INTERACTION_FREE),
     ("ucq", "if", "unsupported: interaction-freeness is defined for single CQs"),
     ("neq", "if",
      "unsupported: interaction-freeness is defined for plain CQs (no disequalities)"),
+    ("neq-positive", "brute", NOT_REWRITABLE),
+    ("neq-positive", "auto", NOT_REWRITABLE),
     ("horn", "partition",
      "unsupported: Horn-extended TBoxes admit no finite UCQ rewriting in general"),
     ("horn", "if", "unsupported: interaction-freeness requires a DL-Lite_R TBox"),
@@ -855,6 +863,7 @@ def test_unsupported_pipeline_exits_4_with_one_line(
         "non-if": "A(?x), r(?x,?y)\n",
         "ucq": "A(?x)\nOR\nr(?x,?y)\n",
         "neq": "r(?x,?y), r(?x,?z), ?y != ?z\n",
+        "neq-positive": "s(?w, ?z), ?w != ?z\n",
     }
     if case == "horn":
         inputs = fixture_args("fig1")
@@ -872,6 +881,9 @@ def test_unsupported_pipeline_exits_4_with_one_line(
         inputs = ["--abox", str(tmp_path / "a.abox"), "--query", str(tmp_path / "q.query")]
         if case == "non-if":
             inputs += ["--tbox", str(tmp_path / "t.tbox")]
+        if case == "neq-positive":
+            (tmp_path / "s.tbox").write_text("B <= exists s-\n", encoding="utf-8")
+            inputs += ["--tbox", str(tmp_path / "s.tbox")]
     if command != "shapley-drastic":
         inputs += ["--method", method]
     code, out, err = run(capsys, command, *inputs)

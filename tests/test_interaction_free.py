@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from respo.canonical import query_depth
 from respo.model import (
     ANON,
     ABox,
@@ -39,7 +38,13 @@ from respo.shapley import Plan
 from respo.support import enumerate_minimal_supports, make_subset_evaluator
 from respo.textio import parse_abox, parse_query, parse_tbox
 
-from oracles import count_fms_brute, holds_under_assignment, tally_fact_counts, tree_pairs
+from oracles import (
+    count_fms_brute,
+    holds_under_assignment,
+    query_depth,
+    tally_fact_counts,
+    tree_pairs,
+)
 
 
 def tb(*axioms):
@@ -128,11 +133,11 @@ def test_witness_takes_pairs_in_assignment_order():
     assert witnesses >= 30, witnesses
 
 
-def test_if_plan_runs_no_search_and_builds_no_slice(variant, monkeypatch):
+def test_if_plan_runs_no_search_and_builds_no_slice(variant, model_walks, monkeypatch):
     """Building the variant's plan and taking every fact's rows on the
-    variant doubled run no homomorphism search and build no canonical
-    slice: the check and the rows read the TBox closure."""
-    import respo.canonical as canonical
+    variant doubled run no homomorphism search and walk no canonical
+    model to a depth: the check and the rows read the TBox closure and
+    the folded walk."""
     import respo.queries as queries
 
     omq, abox = variant
@@ -146,11 +151,11 @@ def test_if_plan_runs_no_search_and_builds_no_slice(variant, monkeypatch):
         return lambda *args, **kwargs: calls.append(name)
 
     monkeypatch.setattr(queries, "_search", refuse("_search"))
-    monkeypatch.setattr(canonical, "canonical_slice", refuse("canonical_slice"))
     plan = IFPlan(omq)
     rows = [plan.fact_entries(fact) for fact in doubled]
     assert sum(map(len, rows)) == 30
     assert not calls, calls
+    assert set(model_walks) == {None}
 
 
 def test_closure_pairs_equal_tree_pairs_on_random_omqs():
@@ -214,34 +219,21 @@ def test_a_repeated_variable_never_takes_anon_twice():
     assert list(_satisfying_pairs(sat, Fact("f", "r", ("c", "c")), atoms)) == [(1, {"x": "c"})]
 
 
-def role_family(k: int) -> OMQ:
-    """The role family R_k: A <= exists r0, and for all i, j < k,
-    exists ri- <= exists rj and exists ri- <= Bi, under the IF query
-    C(?x), s(?x, ?y), D(?y).  Its canonical model branches k ways at
-    every anonymous element."""
-    lines = ["A <= exists r0"] + [
-        line for i in range(k) for line in (
-            *(f"exists r{i}- <= exists r{j}" for j in range(k)), f"exists r{i}- <= B{i}")
-    ]
-    return OMQ(parse_tbox("".join(f"{line}\n" for line in lines)),
-               parse_query("C(?x), s(?x, ?y), D(?y)"))
-
-
-def test_if_plan_compiles_the_role_family_in_polynomial_time():
+def test_if_plan_compiles_the_role_family_in_polynomial_time(role_family):
     """The check reads each fact shape's model once per (parent, role)
     pair, not a tree of depth k + 3 branching k ways: the plans of R_5
     and R_8 compile in well under 0.1 s and 1 s (a tree search takes
     minutes from R_5 on)."""
     elapsed = {}
     for k in (5, 8):
-        omq = role_family(k)
+        omq, _ = role_family(k)
         start = time.perf_counter()
         IFPlan(omq)
         elapsed[k] = time.perf_counter() - start
     assert elapsed[5] < 0.1 and elapsed[8] < 1.0, elapsed
 
 
-def test_each_role_successor_is_computed_once_per_tbox(variant, monkeypatch):
+def test_each_role_successor_is_computed_once_per_tbox(variant, role_family, monkeypatch):
     """The walk looks a role's successor up at every anonymous element it
     reaches by the role, and the closure computes the lookup once per
     TBox: over the IF plan and the rows of the variant (which has no
@@ -257,7 +249,7 @@ def test_each_role_successor_is_computed_once_per_tbox(variant, monkeypatch):
 
     monkeypatch.setattr(SaturatedTBox, "successor", spied)
     omq, abox = variant
-    r4 = role_family(4)
+    r4, _ = role_family(4)
     for plan, facts in ((IFPlan(omq), abox), (IFPlan(r4), parse_abox("A(a)\nC(a)\ns(a, b)\n"))):
         for fact in facts:
             plan.fact_entries(fact)

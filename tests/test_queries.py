@@ -7,7 +7,6 @@ import random
 from itertools import product
 
 from respo import queries
-from respo.canonical import canonical_slice, entails_ucq, query_depth
 from respo.model import (
     ANON,
     CQ,
@@ -31,11 +30,14 @@ from respo.randgen import random_consistent_kb
 from respo.support import FactDB
 
 from oracles import (
+    canonical_slice,
     count_automorphisms,
+    entails_ucq,
     hom_assignments,
     hom_count,
     holds_under_assignment,
     minimal_supports_via_hom_images,
+    query_depth,
 )
 
 CONCEPTS = ["A", "B"]

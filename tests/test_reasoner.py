@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from respo.canonical import canonical_slice, entails_ucq, query_depth
 from respo.model import (
     ABox,
     ANON,
@@ -37,7 +36,14 @@ from respo.reasoner import canonical_model, entails_ground_atom, is_consistent, 
 from respo.rewriter import rewrite
 from respo.textio import parse_abox, parse_tbox
 
-from oracles import chase_consistent, entails_exists, holds_under_assignment
+from oracles import (
+    canonical_slice,
+    chase_consistent,
+    entails_exists,
+    entails_ucq,
+    holds_under_assignment,
+    query_depth,
+)
 
 
 def tb(*axioms):

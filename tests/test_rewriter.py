@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from respo.canonical import entails_ucq
 from respo.model import (
     ABox,
     Axiom,
@@ -25,6 +24,8 @@ from respo.randgen import random_cq, random_consistent_kb
 from respo.rewriter import rewrite
 from respo.support import ucq_holds
 from respo.textio import parse_tbox
+
+from oracles import entails_ucq
 
 
 def canonical_set(ucq):

@@ -560,6 +560,21 @@ def test_deep_anonymous_match_scores_under_every_pipeline():
         assert score_all(abox, omq, method=method).scores == {"f0": 1}, method
 
 
+def test_brute_force_walks_no_canonical_model(role_family, model_walks):
+    """Brute force over a DL-Lite_R KB matches the UCQ rewriting into
+    each subset: brute `Plan.fact_counts` and `drastic_scores` on R_5 and
+    its 5 facts walk no canonical model (a slice deep enough for the
+    query is a tree of depth 8 that branches five ways)."""
+    omq, abox = role_family(5)
+    histogram, counts = Plan(omq, "brute").fact_counts(abox)
+    assert histogram == {3: 1}
+    assert sorted(f.label for f in abox if counts[f]) == ["f0", "f1", "f2"]
+    third = Fraction(1, 3)
+    assert drastic_scores(abox, omq, BRUTE_FORCE_CAP) == {
+        "f0": third, "f1": third, "f2": third, "f3": 0, "f4": 0}
+    assert model_walks == []
+
+
 def _large_abox(rng, omq, n):
     """About n distinct facts over six constants plus the query's own, on
     the query's predicates and the TBox's left-hand sides."""
@@ -611,12 +626,12 @@ def test_pooled_if_counts_match_fresh_counts(witness_omq):
     assert supported >= 40, supported
 
 
-def test_if_scoring_runs_no_search_and_builds_no_slice(variant, monkeypatch):
+def test_if_scoring_runs_no_search_and_builds_no_slice(variant, model_walks, monkeypatch):
     """`score_all` under the interaction-free pipeline runs no
-    homomorphism search and builds no canonical slice, neither for the
-    check nor for a real fact: each fact's rows are read off the TBox
-    closure, and counting is variable elimination."""
-    import respo.canonical as canonical
+    homomorphism search and walks no canonical model to a depth, neither
+    for the check nor for a real fact: each fact's rows are read off the
+    TBox closure and the folded walk, and counting is variable
+    elimination."""
     import respo.queries as queries
     from respo.model import ABox
 
@@ -631,10 +646,10 @@ def test_if_scoring_runs_no_search_and_builds_no_slice(variant, monkeypatch):
         return lambda *args, **kwargs: calls.append(name)
 
     monkeypatch.setattr(queries, "_search", refuse("_search"))
-    monkeypatch.setattr(canonical, "canonical_slice", refuse("canonical_slice"))
     report = score_all(doubled, omq, method="if")
     assert report.histogram == {6: 24}
     assert not calls, calls
+    assert set(model_walks) == {None}
 
 
 def test_auto_scoring_checks_interaction_freeness_once(variant, monkeypatch):

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from respo.model import (
+    ABox,
     CQ,
     OMQ,
     Fact,
     TBox,
     UCQ,
+    as_ucq,
     concept_atom,
     const,
     neq_atom,
@@ -14,7 +18,7 @@ from respo.model import (
     var,
 )
 from respo.queries import canonicalize, hom_minimal, with_all_pairs_neq
-from respo.randgen import random_database, random_ucq
+from respo.randgen import random_consistent_kb, random_cq, random_database, random_ucq
 from respo.support import (
     FactDB,
     _unmergeable,
@@ -109,6 +113,48 @@ def test_hom_image_enumeration_agrees_with_subsets():
         brute = {s.facts for s in enumerate_minimal_supports(tuple(db), lambda s: ucq_holds(ucq, s))}
         images = {s.facts for s in minimal_supports_via_hom_images(ucq, tuple(db))}
         assert brute == images
+
+
+def tree_supports(abox, omq):
+    """The minimal supports behind the canonical-model oracle: a subset
+    entails (T, q) iff some disjunct maps into the tree of the subset."""
+    ucq = as_ucq(omq.query)
+
+    def tree(subset):
+        return oracles.entails_ucq(ABox(tuple(sorted(subset, key=lambda f: f.label))), omq.tbox, ucq)
+
+    return {s.facts for s in enumerate_minimal_supports(tuple(abox), tree)}
+
+
+def rewriting_supports(abox, omq):
+    evaluator = make_subset_evaluator(omq.tbox, omq.query)
+    return {s.facts for s in enumerate_minimal_supports(tuple(abox), evaluator)}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_rewriting_evaluator_finds_the_tree_supports_on_the_role_family(k, role_family):
+    """The subset evaluator matches the rewriting into the facts; the
+    tree of R_k's five facts, which branches k ways, has the same one
+    minimal support."""
+    omq, abox = role_family(k)
+    supports = rewriting_supports(abox, omq)
+    assert supports == tree_supports(abox, omq)
+    assert [sorted(f.label for f in s) for s in supports] == [["f0", "f1", "f2"]]
+
+
+def test_rewriting_evaluator_finds_the_tree_supports_on_random_kbs():
+    """The same on 200 seeded consistent KBs with TBoxes of up to 10
+    axioms and CQs biased into their ABoxes."""
+    rng = random.Random(3607)
+    supported = 0
+    for _ in range(200):
+        cq = random_cq(rng, max_atoms=2, allow_neq=False)
+        tbox, abox = random_consistent_kb(rng, max_axioms=10, bias=as_ucq(cq))
+        omq = OMQ(tbox, cq)
+        supports = rewriting_supports(abox, omq)
+        assert supports == tree_supports(abox, omq), (tbox, abox, cq)
+        supported += bool(supports)
+    assert supported >= 80, supported
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,10 @@ def test_a_concept_name_may_start_with_exists():
         "A(?v0), r(?v0, ?v1)\nOR\nexistsFoo(?v0), r(?v0, ?v1)\n")
     scores = score_all(parse_abox("existsFoo(a)\nr(a,b)\n"), omq).scores
     assert scores == {"f0": Fraction(1, 2), "f1": Fraction(1, 2)}
-    with pytest.raises(ParseError, match="exists needs a role"):
-        parse_tbox("exists <= A\n")
+    # `exists` stays reserved in a TBox, so a typo never names a concept.
+    for text in ("exists <= A\n", "A <= exists\n"):
+        with pytest.raises(ParseError, match="exists needs a role"):
+            parse_tbox(text)
 
 
 def test_parse_role_inclusion_and_horn_shapes():
